@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-debt test race race-live trace-smoke fuzz-smoke bench results quick scenarios examples check clean
+.PHONY: all build vet lint lint-sarif lint-debt test test-bench race race-live trace-smoke fuzz-smoke bench results quick scenarios scenarios-live examples check clean
 
 all: build vet lint test
 
-# Everything CI runs.
-check: build vet lint test race
+# Everything CI's check job runs.
+check: build vet lint test test-bench race
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,11 @@ fuzz-smoke:
 test:
 	$(GO) test ./...
 
+# bench/ (the BENCHMARK.json harness) is its own Go module, so the root
+# `go test ./...` does not reach its tests.
+test-bench:
+	cd bench && $(GO) test ./...
+
 race:
 	$(GO) test -race ./...
 
@@ -58,7 +63,8 @@ race:
 race-live:
 	$(GO) test -race -count=2 ./internal/rest/ ./internal/sdk/ \
 		./internal/blobstore/ ./internal/queuestore/ ./internal/tablestore/ \
-		./internal/cachestore/ ./internal/storecommon/ ./internal/metrics/
+		./internal/cachestore/ ./internal/storecommon/ ./internal/metrics/ \
+		./internal/liverun/
 
 # End-to-end aztrace smoke: capture a traced faults run, then require a
 # non-empty critical-path reconstruction (the trees must be complete and
@@ -89,6 +95,24 @@ quick:
 # failure).
 scenarios:
 	$(GO) run ./cmd/azurebench -quick -digest -scenario-dir examples/scenarios
+
+# The same scenario files against a live emulator — the local mirror of
+# the CI scenario-live job. These six are the library's specs that ask
+# nothing of the simulator (no params/faults/checkpoint). The SLO exit
+# code is the gate; azurestore must then drain and exit 0 on SIGTERM.
+# (The SDK retries refused connections, which covers server start-up.)
+LIVE_ADDR := 127.0.0.1:10000
+LIVE_SCENARIOS := ycsb-a ycsb-b ycsb-c ycsb-e bursttrain diurnal
+scenarios-live:
+	$(GO) build -o bin/azurebench ./cmd/azurebench
+	$(GO) build -o bin/azurestore ./cmd/azurestore
+	bin/azurestore -addr $(LIVE_ADDR) & pid=$$!; rc=0; \
+	for s in $(LIVE_SCENARIOS); do \
+		bin/azurebench -quick -live http://$(LIVE_ADDR) -scenario examples/scenarios/$$s.yaml || rc=1; \
+	done; \
+	kill -TERM $$pid; wait $$pid; drained=$$?; \
+	echo "azurebench exit $$rc, azurestore exit $$drained"; \
+	test $$rc -eq 0 -a $$drained -eq 0
 
 examples:
 	$(GO) run ./examples/quickstart

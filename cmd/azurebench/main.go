@@ -16,10 +16,13 @@
 //	azurebench -experiment georepl -regions 2 -geolag 500ms,5s -failoverat 20s
 //	azurebench -scenario flashcrowd.yaml  # run a declarative scenario file
 //	azurebench -scenario-dir examples/scenarios -quick   # run a whole library
+//	azurebench -scenario ycsb-b.yaml -live http://127.0.0.1:10000   # same spec, over HTTP
 //	azurebench -digest                    # print each report's content digest
 //
 // Scenario runs exit non-zero when any SLO assertion fails, so a scenario
-// file doubles as a CI gate.
+// file doubles as a CI gate. With -live the workload-driver scenarios run
+// in wall-clock time against a storage emulator (cmd/azurestore) instead
+// of the simulated cloud; everything else in this command is simulation.
 package main
 
 import (
@@ -33,6 +36,7 @@ import (
 	"time"
 
 	"azurebench/internal/core"
+	"azurebench/internal/liverun"
 	"azurebench/internal/scenario"
 )
 
@@ -55,6 +59,7 @@ func main() {
 		failoverAt  = flag.String("failoverat", "", "override when the georepl primary-region outage starts, e.g. 20s")
 		scenarios   = flag.String("scenario", "", "scenario file(s) to run, comma separated (see examples/scenarios)")
 		scenarioDir = flag.String("scenario-dir", "", "run every *.yaml scenario in this directory, sorted by name")
+		live        = flag.String("live", "", "run -scenario/-scenario-dir workloads against the storage emulator at this URL (e.g. http://127.0.0.1:10000) instead of the simulated cloud")
 		digest      = flag.Bool("digest", false, "print each report's content digest (sha256 over figure CSVs)")
 		ckptAt      = flag.String("checkpoint-at", "", "capture a full simulation snapshot at this virtual time (requires -checkpoint-file and exactly one -experiment id)")
 		ckptFile    = flag.String("checkpoint-file", "", "snapshot destination for -checkpoint-at")
@@ -151,6 +156,10 @@ func main() {
 		checkpointAt = at
 	}
 
+	if *live != "" && (*scenarios == "" && *scenarioDir == "" || cfg.TraceOps || cfg.Telemetry) {
+		fatalf("-live runs scenarios (-scenario, -scenario-dir) and takes no simulation output flags (-trace, -tracefile, -telemetry, -statsfile)")
+	}
+
 	switch {
 	case *restoreFrom != "":
 		if *scenarios != "" || *scenarioDir != "" || checkpointAt != 0 {
@@ -164,7 +173,7 @@ func main() {
 		out.stats(suite)
 	case *scenarios != "" || *scenarioDir != "":
 		paths := scenarioPaths(*scenarios, *scenarioDir)
-		runScenarios(cfg, paths, scenario.Options{Quick: *quick}, out)
+		runScenarios(cfg, paths, *live, scenario.Options{Quick: *quick}, out)
 	default:
 		runExperiments(cfg, *experiment, out, checkpointAt, *ckptFile)
 	}
@@ -257,12 +266,15 @@ func runExperiments(cfg core.Config, list string, out *output, checkpointAt time
 
 // runScenarios loads and runs each scenario on its own suite (a scenario
 // may patch the configuration, and isolation keeps digests comparable to
-// single-experiment runs).
-func runScenarios(base core.Config, paths []string, opts scenario.Options, out *output) {
+// single-experiment runs) or, with a live endpoint, against that emulator.
+func runScenarios(base core.Config, paths []string, live string, opts scenario.Options, out *output) {
 	// Load everything first: a broken file fails fast, before any run.
 	specs := make([]*scenario.Spec, len(paths))
 	for i, path := range paths {
 		sp, err := scenario.Load(path)
+		if err == nil && live != "" {
+			err = sp.CheckLive()
+		}
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -271,8 +283,15 @@ func runScenarios(base core.Config, paths []string, opts scenario.Options, out *
 	for i, sp := range specs {
 		cfg := base
 		sp.Apply(&cfg)
-		suite := core.NewSuite(cfg)
-		res, err := scenario.Run(suite, sp, opts)
+		var suite *core.Suite // nil for a live run
+		var res *scenario.Result
+		var err error
+		if live != "" {
+			res, err = liverun.Run(live, sp, cfg.Seed, opts)
+		} else {
+			suite = core.NewSuite(cfg)
+			res, err = scenario.Run(suite, sp, opts)
+		}
 		if err != nil {
 			fatalf("%s: %v", paths[i], err)
 		}
@@ -314,7 +333,9 @@ func (o *output) emit(suite *core.Suite, rep *core.Report, verdict string) {
 			fatalf("writing %s report: %v", rep.ID, err)
 		}
 	}
-	if log := suite.TraceLog(); log != nil {
+	// A live scenario run has no suite, and nothing traced.
+	if suite != nil && suite.TraceLog() != nil {
+		log := suite.TraceLog()
 		if o.trace {
 			fmt.Printf("--- operation trace: %s ---\n%s\n", rep.ID, log.Summary())
 			fmt.Printf("--- stage attribution: %s ---\n%s\n", rep.ID, log.StageSummary())

@@ -7,28 +7,43 @@
 // real sockets.
 //
 // The emulator always serves per-endpoint request counters and latency
-// histograms at /statsz; with -debug it additionally mounts the expvar
-// dump at /debug/vars and the pprof profiles under /debug/pprof/.
+// histograms at /statsz (JSON) and /metricsz (Prometheus text); with
+// -debug it additionally mounts the pprof profiles under /debug/pprof/.
+// SIGINT or SIGTERM stops it gracefully: in-flight requests get
+// shutdownGrace to finish and the process exits 0.
 //
 //	azurestore -addr 127.0.0.1:10000 -throttle -debug
 package main
 
 import (
-	"expvar"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"azurebench/internal/rest"
+)
+
+// Connection hygiene for a long-running emulator: a client that stalls
+// mid-header or goes idle cannot pin a connection forever. Bodies get no
+// deadline — a 64 MB blob upload over a slow link is legitimate.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 10 * time.Second
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:10000", "listen address")
 	throttle := flag.Bool("throttle", false, "enforce scalability-target throttling")
 	cache := flag.Bool("cache", false, "enable the caching service (/cache routes)")
-	debug := flag.Bool("debug", false, "expose /debug/vars (expvar) and /debug/pprof/")
+	debug := flag.Bool("debug", false, "expose the pprof profiles under /debug/pprof/")
 	flag.Parse()
 
 	srv := rest.NewServer(rest.Options{Throttle: *throttle, Cache: *cache})
@@ -43,22 +58,38 @@ func main() {
 	if *cache {
 		fmt.Println("  cache: PUT/GET  /cache/{name}/{key}")
 	}
-	fmt.Println("  stats: GET      /statsz")
+	fmt.Println("  stats: GET      /statsz, /metricsz")
 	if *debug {
-		fmt.Println("  debug: GET      /debug/vars, /debug/pprof/")
+		fmt.Println("  debug: GET      /debug/pprof/")
 	}
-	log.Fatal(http.ListenAndServe(*addr, handler))
+
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	drained := make(chan error, 1)
+	go func() {
+		<-ctx.Done()
+		grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		drained <- hs.Shutdown(grace)
+	}()
+	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		log.Fatal(err)
+	}
+	if err := <-drained; err != nil {
+		log.Fatalf("azurestore: shutdown: %v", err)
+	}
+	fmt.Println("azurestore: drained, bye")
 }
 
-// withDebug mounts the expvar and pprof debug routes in front of the
-// emulator. The endpoint stats are published as the "azurestore" expvar so
-// /debug/vars carries the same counters as /statsz.
+// withDebug mounts the pprof debug routes in front of the emulator.
 func withDebug(srv *rest.Server) http.Handler {
-	expvar.Publish("azurestore", expvar.Func(func() any {
-		return srv.MetricsSnapshot()
-	}))
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

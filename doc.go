@@ -9,9 +9,10 @@
 //
 // Entry points:
 //
-//   - cmd/azurebench — regenerate the paper's tables and figures
+//   - cmd/azurebench — regenerate the paper's tables and figures, and run
+//     declarative scenarios on the simulated cloud or (-live URL) against
+//     a live emulator
 //   - cmd/azurestore — serve the storage emulator over HTTP
-//   - cmd/azureload  — drive a live emulator with YCSB-style workloads
 //   - examples/      — quickstart and domain applications
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for

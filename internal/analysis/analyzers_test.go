@@ -97,6 +97,7 @@ func TestScopes(t *testing.T) {
 		"azurebench/internal/faults":       true,
 		"azurebench/internal/partitionmgr": true,
 		"azurebench/internal/scenario":     true,
+		"azurebench/internal/liverun":      false,
 		"azurebench/internal/retry":        false,
 		"azurebench/internal/sdk":          false,
 		"azurebench/internal/rest":         false,
@@ -111,7 +112,7 @@ func TestScopes(t *testing.T) {
 	if !analysis.Deterministic("azurebench/internal/sdk") {
 		t.Error("sdk must be in the deterministic (seeded-rand) scope")
 	}
-	if analysis.Deterministic("azurebench/cmd/azureload") {
-		t.Error("cmd/azureload must not be in the deterministic scope")
+	if analysis.Deterministic("azurebench/internal/liverun") {
+		t.Error("internal/liverun (the wall-clock substrate) must not be in the deterministic scope")
 	}
 }

@@ -5,8 +5,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"azurebench/internal/storecommon"
 )
 
 func doReq(t *testing.T, srv *Server, method, path string, headers map[string]string, body string) *http.Response {
@@ -157,5 +161,40 @@ func TestThrottlerIndependentScopes(t *testing.T) {
 	}
 	if !th.allow("q2", "") {
 		t.Fatal("q2 throttled by q1's bucket")
+	}
+}
+
+// TestThrottlerBoundedAndVerdictPreserving drives one hot queue and one
+// hot partition among 10 000 one-shot names. The per-name pools must not
+// keep a limiter per name forever, and evicting idle ones must not change
+// any verdict for the hot names: those must match a plain never-evicted
+// RateLimiter, which is what the throttler kept per name before pooling.
+func TestThrottlerBoundedAndVerdictPreserving(t *testing.T) {
+	const rate = 50.0
+	th := newThrottler(Options{QueueOpsPerSec: rate, PartitionOpsPerSec: rate, AccountOpsPerSec: 1e9})
+	refQ := storecommon.NewRateLimiter(rate, rate/10+1)
+	refP := storecommon.NewRateLimiter(rate, rate/10+1)
+	var now time.Duration
+	for i := 0; i < 10000; i++ {
+		now += 3 * time.Millisecond
+		cold := strconv.Itoa(i)
+		if !th.allowAt(now, "q"+cold, "") || !th.allowAt(now, "", "p"+cold) {
+			t.Fatalf("first request to a fresh name throttled at step %d", i)
+		}
+		if got, want := th.allowAt(now, "hot", ""), refQ.Allow(now, 1); got != want {
+			t.Fatalf("step %d: hot queue verdict %v, unpooled limiter says %v", i, got, want)
+		}
+		if got, want := th.allowAt(now, "", "hot"), refP.Allow(now, 1); got != want {
+			t.Fatalf("step %d: hot partition verdict %v, unpooled limiter says %v", i, got, want)
+		}
+	}
+	// 30 s of traffic: everything idle for a horizon is gone, so what is
+	// left is the hot name plus at most two horizons' worth of cold ones.
+	bound := 1 + 2*int(th.queues.Horizon()/(3*time.Millisecond))
+	if n := th.queues.Len(); n > bound {
+		t.Errorf("queue limiters = %d after 10000 names, want <= %d", n, bound)
+	}
+	if n := th.parts.Len(); n > bound {
+		t.Errorf("partition limiters = %d after 10000 names, want <= %d", n, bound)
 	}
 }

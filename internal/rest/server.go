@@ -141,14 +141,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // --- throttling ---
 
+// throttler holds the account bucket plus one bucket per queue and per
+// table partition. The per-name buckets live in idle-evicting pools (the
+// same ones the simulated cloud uses), so a long run over many partition
+// keys does not grow the server without bound.
 type throttler struct {
 	mu      sync.Mutex
 	start   time.Time
 	account *storecommon.RateLimiter
-	queues  map[string]*storecommon.RateLimiter
-	parts   map[string]*storecommon.RateLimiter
-	qRate   float64
-	pRate   float64
+	queues  *storecommon.LimiterPool
+	parts   *storecommon.LimiterPool
 }
 
 func newThrottler(opts Options) *throttler {
@@ -167,10 +169,8 @@ func newThrottler(opts Options) *throttler {
 	return &throttler{
 		start:   time.Now(),
 		account: storecommon.NewRateLimiter(aRate, aRate/2+1),
-		queues:  map[string]*storecommon.RateLimiter{},
-		parts:   map[string]*storecommon.RateLimiter{},
-		qRate:   qRate,
-		pRate:   pRate,
+		queues:  storecommon.NewLimiterPool(qRate, qRate/10+1),
+		parts:   storecommon.NewLimiterPool(pRate, pRate/10+1),
 	}
 }
 
@@ -180,31 +180,21 @@ func (t *throttler) allow(queue, partition string) bool {
 	if t == nil {
 		return true
 	}
+	return t.allowAt(time.Since(t.start), queue, partition)
+}
+
+// allowAt is allow at an explicit instant since start.
+func (t *throttler) allowAt(now time.Duration, queue, partition string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := time.Since(t.start)
 	if !t.account.Allow(now, 1) {
 		return false
 	}
-	if queue != "" {
-		tb := t.queues[queue]
-		if tb == nil {
-			tb = storecommon.NewRateLimiter(t.qRate, t.qRate/10+1)
-			t.queues[queue] = tb
-		}
-		if !tb.Allow(now, 1) {
-			return false
-		}
+	if queue != "" && !t.queues.Get(now, queue).Allow(now, 1) {
+		return false
 	}
-	if partition != "" {
-		tb := t.parts[partition]
-		if tb == nil {
-			tb = storecommon.NewRateLimiter(t.pRate, t.pRate/10+1)
-			t.parts[partition] = tb
-		}
-		if !tb.Allow(now, 1) {
-			return false
-		}
+	if partition != "" && !t.parts.Get(now, partition).Allow(now, 1) {
+		return false
 	}
 	return true
 }

@@ -119,9 +119,9 @@ func marshalWorker(st *clientState, rng *sim.Rand, ch *chooser) []byte {
 // unmarshalWorker rebuilds the worker state for the restored client. The
 // chooser is reconstructed from the spec (its zipf tables are pure
 // functions of theta and population) and its stream position restored.
-func unmarshalWorker(blob []byte, cl *cloud.Client, keys KeyDist, phaseStart time.Duration) (*clientState, *sim.Rand, *chooser, error) {
+func unmarshalWorker(blob []byte, store Store, keys KeyDist, phaseStart time.Duration) (*clientState, *sim.Rand, *chooser, error) {
 	r := snapshot.NewReader(blob)
-	st := &clientState{cl: cl, insertSeq: r.Int()}
+	st := &clientState{store: store, insertSeq: r.Int()}
 	n := r.Int()
 	for i := 0; i < n && r.Err() == nil; i++ {
 		st.claims = append(st.claims, claim{id: r.String(), receipt: r.String()})

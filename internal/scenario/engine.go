@@ -3,15 +3,16 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"azurebench/internal/cloud"
 	"azurebench/internal/core"
 	"azurebench/internal/faults"
 	"azurebench/internal/metrics"
-	"azurebench/internal/model"
 	"azurebench/internal/payload"
 	"azurebench/internal/retry"
 	"azurebench/internal/sim"
@@ -223,11 +224,11 @@ func flattenReport(rep *core.Report) map[string]float64 {
 	return m
 }
 
-// scenarioRetryPolicy is the discipline every workload-driver client runs
-// under: resilient enough to ride out migration blackouts and injected
-// outages, bounded so persistent failures surface as error counts (which
-// SLO assertions can then gate on) rather than hangs.
-func scenarioRetryPolicy() retry.Policy {
+// RetryPolicy is the discipline every workload-driver client runs under:
+// resilient enough to ride out migration blackouts and injected outages,
+// bounded so persistent failures surface as error counts (which SLO
+// assertions can then gate on) rather than hangs.
+func RetryPolicy() retry.Policy {
 	return retry.Policy{
 		MaxAttempts: 8,
 		BaseDelay:   100 * time.Millisecond,
@@ -241,18 +242,26 @@ func scenarioRetryPolicy() retry.Policy {
 // claimVisibility is the GetMessage claim duration for queue_get ops.
 const claimVisibility = 30 * time.Second
 
-// phaseStats accumulates one phase's outcome.
+// scanTop is the page size of a table_scan (YCSB E's short range).
+const scanTop = 10
+
+// phaseStats accumulates one phase's outcome. Worker processes record
+// under mu — never contended in simulation, where one process runs at a
+// time — while dispatched belongs to the phase's single dispatcher.
 type phaseStats struct {
 	phase      Phase
-	start, end time.Duration // virtual
-	perSec     []int
-	lat        metrics.Dist
-	completed  int
-	errors     int
-	misses     int
+	start, end time.Duration
 	dispatched int // open arrivals only
-	preempted  int // closed-loop workers evicted mid-phase
-	opCounts   []int
+
+	mu        sync.Mutex
+	perSec    []int
+	lat       metrics.Dist
+	completed int
+	errors    int
+	firstErr  error
+	misses    int
+	preempted int // closed-loop workers evicted mid-phase
+	opCounts  []int
 }
 
 // claim is one undeleted queue_get receipt, consumed by queue_delete.
@@ -260,18 +269,56 @@ type claim struct {
 	id, receipt string
 }
 
-// clientState is the per-client mutable workload state.
+// clientState is the per-client mutable workload state. Open arrivals run
+// several ops of one client at once, so the cursor is guarded by mu.
 type clientState struct {
-	cl        *cloud.Client
+	store Store
+
+	mu        sync.Mutex
 	claims    []claim
 	insertSeq int
 }
 
-// engine executes the workload driver's phases on one cloud.
+// addClaim records a claimed message for a later queue_delete.
+func (st *clientState) addClaim(c claim) {
+	st.mu.Lock()
+	st.claims = append(st.claims, c)
+	st.mu.Unlock()
+}
+
+// takeClaim removes and returns the oldest undeleted claim, after filing
+// any just-made claim behind the ones already held.
+func (st *clientState) takeClaim(fresh ...claim) (claim, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.claims = append(st.claims, fresh...)
+	if len(st.claims) == 0 {
+		return claim{}, false
+	}
+	c := st.claims[0]
+	st.claims = st.claims[1:]
+	return c, true
+}
+
+// nextInsert returns the row sequence number the next table_insert uses.
+func (st *clientState) nextInsert() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.insertSeq
+}
+
+// inserted advances the row sequence after a successful table_insert.
+func (st *clientState) inserted() {
+	st.mu.Lock()
+	st.insertSeq++
+	st.mu.Unlock()
+}
+
+// engine executes the workload driver's phases on one substrate.
 type engine struct {
 	sp   *Spec
-	env  *sim.Env
-	c    *cloud.Cloud
+	rt   Runtime
+	dial func(name string) Store // one storage client per workload client
 	seed int64
 }
 
@@ -286,8 +333,64 @@ func scaledPhase(ph Phase, opts Options) Phase {
 	return ph
 }
 
-// runWorkload executes a workload-driver scenario and returns the report
-// plus the flat metric map.
+// RunOn executes a workload-driver scenario on the given substrate: its
+// processes run on rt and each workload client reaches storage through
+// its own dial(name). This is the live front door (internal/liverun
+// supplies goroutines, the wall clock and an SDK client); stanzas that
+// configure the simulated cloud are rejected by name.
+func RunOn(rt Runtime, dial func(name string) Store, sp *Spec, seed int64, opts Options) (*Result, error) {
+	if err := sp.CheckLive(); err != nil {
+		return nil, err
+	}
+	wall := core.WallTimer()
+	eng := &engine{sp: sp, rt: rt, dial: dial, seed: seed}
+	if err := eng.setup(); err != nil {
+		return nil, err
+	}
+	var phases []*phaseStats
+	for i, ph := range sp.Phases {
+		phases = append(phases, eng.runPhase(i, scaledPhase(ph, opts)))
+	}
+	rep, m := workloadReport(sp, phases, []string{
+		"not simulated: \"virtual time\" on this report's axes and in its notes is real time since the run began"})
+	rep.Wall = wall()
+	return &Result{Spec: sp, Report: rep, Metrics: m, SLO: EvaluateSLOs(sp.SLOs, m)}, nil
+}
+
+// CheckLive rejects every stanza that configures or depends on the
+// simulated cloud, naming the offending key: off the simulator there is
+// nothing to apply it to, and ignoring it would misreport what ran.
+func (sp *Spec) CheckLive() error {
+	var errs []string
+	simOnly := func(key, why string) {
+		errs = append(errs, fmt.Sprintf("scenario %q: %s is simulation-only (%s); it cannot run live", sp.Name, key, why))
+	}
+	if sp.Driver != "workload" {
+		simOnly("driver: "+sp.Driver, "it replays a registered simulated experiment")
+	}
+	if !reflect.ValueOf(sp.Config).IsZero() {
+		simOnly("config:", "it overrides the simulated experiments' configuration")
+	}
+	if sp.Params != (ParamsPatch{}) {
+		simOnly("params:", "it patches the simulated cloud's model parameters")
+	}
+	if sp.Faults != nil {
+		simOnly("faults:", "the injector lives inside the simulated cloud")
+	}
+	if sp.Checkpoint != nil {
+		simOnly("checkpoint:", "snapshots capture simulated state")
+	}
+	if sp.Trace {
+		simOnly("trace: true", "it records the simulated cloud's op trace")
+	}
+	if len(errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s", strings.Join(errs, "\n"))
+}
+
+// runWorkload executes a workload-driver scenario on a fresh simulated
+// cloud and returns the report plus the flat metric map.
 func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[string]float64, error) {
 	wall := core.WallTimer()
 
@@ -319,7 +422,7 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 
 	env, c := s.ScenarioCloud()
 	seed := s.Config().Seed
-	eng := &engine{sp: sp, env: env, c: c, seed: seed}
+	eng := &engine{sp: sp, rt: simRuntime{env}, dial: simDial(c), seed: seed}
 
 	// applyFaults attaches the spec's injector; forks re-apply it to
 	// their own clouds so the snapshot's section list (which includes
@@ -365,7 +468,9 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 			"warm start: restored %s (after phase %q, virtual %v); setup and %d earlier phase(s) skipped",
 			ck.File, ck.After, env.Now().Round(time.Millisecond), ci+1))
 	} else {
-		eng.setup()
+		if err := eng.setup(); err != nil {
+			return nil, nil, err
+		}
 		s.ScenarioSample(env, c, sp.Name)
 		for i := 0; i <= ci; i++ {
 			phases = append(phases, eng.runPhase(i, scaledPhase(sp.Phases[i], opts)))
@@ -399,7 +504,7 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 			if err := loadScenario(frozen, sp, ci, fenv, fc); err != nil {
 				return nil, nil, fmt.Errorf("fork seed %d: %w", fs, err)
 			}
-			feng := &engine{sp: sp, env: fenv, c: fc, seed: fs}
+			feng := &engine{sp: sp, rt: simRuntime{fenv}, dial: simDial(fc), seed: fs}
 			for i := ci + 1; i < len(sp.Phases); i++ {
 				fps := feng.runPhase(i, scaledPhase(sp.Phases[i], opts))
 				fps.phase.Name = fmt.Sprintf("fork%d.%s", fs, fps.phase.Name)
@@ -413,7 +518,24 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 
 	rec := s.ScenarioRecordPartitions("scenario/"+sp.Name, c)
 	st := c.Stats()
+	rep, m := workloadReport(sp, phases, ckNotes)
+	m["total.retries"] = float64(st.Retries)
+	m["total.busy_rejects"] = float64(st.BusyRejects)
+	m["total.splits"] = float64(rec.Splits)
+	m["total.merges"] = float64(rec.Merges)
+	m["total.migrations"] = float64(rec.Migrations)
+	m["total.partition_servers"] = float64(rec.Servers)
+	if in := c.Faults(); in != nil {
+		m["total.faults_injected"] = float64(in.Stats().Injected())
+	}
+	rep.Wall = wall()
+	return rep, m, nil
+}
 
+// workloadReport renders the executed phases as the scenario's Report
+// (throughput-over-time and latency-percentile figures, one note per
+// phase after the given leading notes) and flat metric map.
+func workloadReport(sp *Spec, phases []*phaseStats, notes []string) (*core.Report, map[string]float64) {
 	title := sp.Title
 	if title == "" {
 		title = "Scenario " + sp.Name
@@ -429,7 +551,6 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 		YLabel: "latency (ms)",
 	}
 	m := map[string]float64{}
-	notes := append([]string(nil), ckNotes...)
 	var totalOps, totalErrors, totalMisses, totalPreempted int
 	var measured time.Duration
 	for i, ps := range phases {
@@ -483,10 +604,14 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 		for j, ow := range ps.phase.Ops {
 			ctr.Add("  "+ow.Op, float64(ps.opCounts[j]))
 		}
-		notes = append(notes, fmt.Sprintf(
+		note := fmt.Sprintf(
 			"phase %s (%s arrival, %d clients, %v at virtual %v..%v):\n%s",
 			p, ps.phase.Arrival.Kind, ps.phase.Clients, dur,
-			ps.start.Round(time.Millisecond), ps.end.Round(time.Millisecond), ctr.Render()))
+			ps.start.Round(time.Millisecond), ps.end.Round(time.Millisecond), ctr.Render())
+		if ps.firstErr != nil {
+			note += fmt.Sprintf("\nfirst error: %v", ps.firstErr)
+		}
+		notes = append(notes, note)
 	}
 	m["total.ops"] = float64(totalOps)
 	m["total.errors"] = float64(totalErrors)
@@ -495,22 +620,12 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 	if measured > 0 {
 		m["total.goodput"] = float64(totalOps) / measured.Seconds()
 	}
-	m["total.retries"] = float64(st.Retries)
-	m["total.busy_rejects"] = float64(st.BusyRejects)
-	m["total.splits"] = float64(rec.Splits)
-	m["total.merges"] = float64(rec.Merges)
-	m["total.migrations"] = float64(rec.Migrations)
-	m["total.partition_servers"] = float64(rec.Servers)
-	if in := c.Faults(); in != nil {
-		m["total.faults_injected"] = float64(in.Stats().Injected())
-	}
 
 	rep := &core.Report{
 		ID:      sp.Name,
 		Title:   title,
 		Figures: []metrics.Figure{throughput, latency},
 		Notes:   notes,
-		Wall:    wall(),
 	}
 	// Figure aggregates are addressable too (fig1.<phase>.max etc.);
 	// engine-produced names win on collision, though prefixes keep the two
@@ -520,78 +635,64 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 			m[k] = v
 		}
 	}
-	return rep, m, nil
+	return rep, m
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// setup creates and preloads the declared storage objects, then drains
-// the simulation so phase 0 starts on a quiet cloud.
-func (e *engine) setup() {
-	sp := e.sp
-	cl := e.c.NewClient("setup", e.vmSize())
-	cl.SetRetryPolicy(scenarioRetryPolicy())
-	e.env.Go("setup", func(p *sim.Proc) {
-		for _, t := range sp.Setup.Tables {
-			t := t
-			must(p, cl, "create table "+t.Name, func() error {
-				_, err := cl.CreateTableIfNotExists(p, t.Name)
-				return err
-			})
-			for i := 0; i < t.Keys; i++ {
-				ent := &tablestore.Entity{
-					PartitionKey: workload.Key(i),
-					RowKey:       "row",
-					Props: map[string]tablestore.Value{
-						"Data": tablestore.Binary(payload.Synthetic(uint64(e.seed)+uint64(i), int64(t.EntityKB)*storecommon.KB)),
-					},
-				}
-				must(p, cl, "insert entity", func() error {
-					_, err := cl.InsertEntity(p, t.Name, ent)
-					return err
-				})
-			}
-		}
-		for _, q := range sp.Setup.Queues {
-			q := q
-			must(p, cl, "create queue "+q.Name, func() error {
-				_, err := cl.CreateQueueIfNotExists(p, q.Name)
-				return err
-			})
-			for i := 0; i < q.Preload; i++ {
-				body := payload.Synthetic(uint64(e.seed)^uint64(i)*0x9E3779B97F4A7C15, int64(q.MessageKB)*storecommon.KB)
-				must(p, cl, "preload message", func() error {
-					_, err := cl.PutMessage(p, q.Name, body)
-					return err
-				})
-			}
-		}
-		for _, ct := range sp.Setup.Containers {
-			ct := ct
-			must(p, cl, "create container "+ct.Name, func() error {
-				_, err := cl.CreateContainerIfNotExists(p, ct.Name)
-				return err
-			})
-			for i := 0; i < ct.Blobs; i++ {
-				data := payload.Synthetic(uint64(e.seed)^uint64(i)*0x9E3779B97F4A7C15, int64(ct.BlobKB)*storecommon.KB)
-				must(p, cl, "preload blob", func() error {
-					return cl.UploadBlockBlob(p, ct.Name, workload.Key(i), data)
-				})
-			}
-		}
-	})
-	e.env.Run()
+// setup creates and preloads the declared storage objects, then waits for
+// the substrate to go quiet so phase 0 starts on an idle store.
+func (e *engine) setup() error {
+	st := e.dial("setup")
+	var err error
+	e.rt.Go("setup", func(p Proc) { err = e.preload(p, st) })
+	e.rt.Wait()
+	if err != nil {
+		return fmt.Errorf("scenario %q: setup: %w", e.sp.Name, err)
+	}
+	return nil
 }
 
-// vmSize picks the worker VM; scenarios run the paper's Small roles.
-func (e *engine) vmSize() model.VMSize { return model.Small }
-
-// must panics on a persistent setup error — the simulation is
-// deterministic, so this is a spec/engine bug, not flakiness.
-func must(p *sim.Proc, cl *cloud.Client, what string, op func() error) {
-	if _, err := cl.Retry(p, scenarioRetryPolicy(), op); err != nil {
-		panic(fmt.Sprintf("scenario setup: %s: %v", what, err))
+// preload is setup's process body. The first persistent error sticks and
+// turns the remaining steps into no-ops; an entity that already exists is
+// not an error, so a spec can be re-run against a long-lived store.
+func (e *engine) preload(p Proc, st Store) (err error) {
+	do := func(what string, op func() error) {
+		if err != nil {
+			return
+		}
+		if rerr := st.Retry(p, op); rerr != nil {
+			err = fmt.Errorf("%s: %w", what, rerr)
+		}
 	}
+	for _, t := range e.sp.Setup.Tables {
+		do("create table "+t.Name, func() error { return st.CreateTable(p, t.Name) })
+		for i := 0; i < t.Keys; i++ {
+			ent := entity(workload.Key(i), "row",
+				payload.Synthetic(uint64(e.seed)+uint64(i), int64(t.EntityKB)*storecommon.KB))
+			do("insert entity", func() error {
+				if ierr := st.TableInsert(p, t.Name, ent); !storecommon.IsConflict(ierr) {
+					return ierr
+				}
+				return nil
+			})
+		}
+	}
+	for _, q := range e.sp.Setup.Queues {
+		do("create queue "+q.Name, func() error { return st.CreateQueue(p, q.Name) })
+		for i := 0; i < q.Preload; i++ {
+			body := payload.Synthetic(uint64(e.seed)^uint64(i)*0x9E3779B97F4A7C15, int64(q.MessageKB)*storecommon.KB)
+			do("preload message", func() error { return st.QueuePut(p, q.Name, body) })
+		}
+	}
+	for _, ct := range e.sp.Setup.Containers {
+		do("create container "+ct.Name, func() error { return st.CreateContainer(p, ct.Name) })
+		for i := 0; i < ct.Blobs; i++ {
+			data := payload.Synthetic(uint64(e.seed)^uint64(i)*0x9E3779B97F4A7C15, int64(ct.BlobKB)*storecommon.KB)
+			do("preload blob", func() error { return st.BlobPut(p, ct.Name, workload.Key(i), data) })
+		}
+	}
+	return err
 }
 
 // phaseSalt derives a deterministic per-phase RNG stream.
@@ -601,7 +702,7 @@ func (e *engine) phaseSalt(phase int) int64 {
 
 // runPhase executes one phase and drains its stragglers.
 func (e *engine) runPhase(idx int, ph Phase) *phaseStats {
-	start := e.env.Now()
+	start := e.rt.Now()
 	end := start + ph.Duration
 	ps := &phaseStats{
 		phase:    ph,
@@ -612,9 +713,7 @@ func (e *engine) runPhase(idx int, ph Phase) *phaseStats {
 
 	states := make([]*clientState, ph.Clients)
 	for k := range states {
-		cl := e.c.NewClient(fmt.Sprintf("%s-c%d", ph.Name, k), e.vmSize())
-		cl.SetRetryPolicy(scenarioRetryPolicy())
-		states[k] = &clientState{cl: cl}
+		states[k] = &clientState{store: e.dial(fmt.Sprintf("%s-c%d", ph.Name, k))}
 	}
 
 	totalWeight := 0
@@ -631,10 +730,10 @@ func (e *engine) runPhase(idx int, ph Phase) *phaseStats {
 			ch := newChooser(ph.Keys, sim.NewRand(e.phaseSalt(idx)^(int64(k+1)<<21)), start)
 			evs := e.evictionsFor(k, start, end)
 			e.spawnClosedWorker(fmt.Sprintf("%s-c%d", ph.Name, k), 0, ph, ps, totalWeight, start, end, evs,
-				func(*sim.Proc) (*clientState, *sim.Rand, *chooser, error) { return st, rng, ch, nil })
+				func(Proc) (*clientState, *sim.Rand, *chooser, error) { return st, rng, ch, nil })
 		}
 	case "poisson":
-		e.dispatchOpen(idx, ph, ps, states, totalWeight, start, end, func(p *sim.Proc, rng *sim.Rand) time.Duration {
+		e.dispatchOpen(idx, ph, ps, states, totalWeight, start, end, func(p Proc, rng *sim.Rand) time.Duration {
 			lam := ph.Arrival.Rate
 			if d := ph.Arrival.Diurnal; d != nil {
 				t := (p.Now() - start).Seconds()
@@ -651,8 +750,8 @@ func (e *engine) runPhase(idx int, ph Phase) *phaseStats {
 		b := ph.Arrival.Burst
 		e.dispatchBurst(idx, ph, ps, states, totalWeight, start, end, b)
 	}
-	e.env.Run()
-	ps.end = e.env.Now()
+	e.rt.Wait()
+	ps.end = e.rt.Now()
 	if ps.end < end {
 		// Open arrivals can drain early; the phase still occupies its slot.
 		ps.end = end
@@ -701,12 +800,12 @@ func (e *engine) evictionsFor(k int, start, end time.Duration) []eviction {
 // running across the eviction and stale deletes surface as misses.
 func (e *engine) spawnClosedWorker(name string, gen int, ph Phase, ps *phaseStats,
 	totalWeight int, start, end time.Duration, evs []eviction,
-	boot func(*sim.Proc) (*clientState, *sim.Rand, *chooser, error)) {
+	boot func(Proc) (*clientState, *sim.Rand, *chooser, error)) {
 	proc := name
 	if gen > 0 {
 		proc = fmt.Sprintf("%s-gen%d", name, gen)
 	}
-	e.env.Go(proc, func(p *sim.Proc) {
+	e.rt.Go(proc, func(p Proc) {
 		st, rng, ch, err := boot(p)
 		if err != nil {
 			panic(fmt.Sprintf("scenario: %s: %v", proc, err))
@@ -716,15 +815,15 @@ func (e *engine) spawnClosedWorker(name string, gen int, ph Phase, ps *phaseStat
 				ev := evs[0]
 				rest := append([]eviction(nil), evs[1:]...)
 				blob := marshalWorker(st, rng, ch)
+				ps.mu.Lock()
 				ps.preempted++
+				ps.mu.Unlock()
 				e.spawnClosedWorker(name, gen+1, ph, ps, totalWeight, start, end, rest,
-					func(q *sim.Proc) (*clientState, *sim.Rand, *chooser, error) {
+					func(q Proc) (*clientState, *sim.Rand, *chooser, error) {
 						if ev.restore > 0 {
 							q.Sleep(ev.restore)
 						}
-						cl := e.c.NewClient(fmt.Sprintf("%s-gen%d", name, gen+1), e.vmSize())
-						cl.SetRetryPolicy(scenarioRetryPolicy())
-						return unmarshalWorker(blob, cl, ph.Keys, start)
+						return unmarshalWorker(blob, e.dial(fmt.Sprintf("%s-gen%d", name, gen+1)), ph.Keys, start)
 					})
 				return
 			}
@@ -741,10 +840,10 @@ func (e *engine) spawnClosedWorker(name string, gen int, ph Phase, ps *phaseStat
 // inter-arrival gaps and spawns one process per op, round-robining ops
 // over the client pool.
 func (e *engine) dispatchOpen(idx int, ph Phase, ps *phaseStats, states []*clientState,
-	totalWeight int, start, end time.Duration, gap func(*sim.Proc, *sim.Rand) time.Duration) {
+	totalWeight int, start, end time.Duration, gap func(Proc, *sim.Rand) time.Duration) {
 	rng := sim.NewRand(e.phaseSalt(idx) ^ 0x0D15)
 	ch := newChooser(ph.Keys, sim.NewRand(e.phaseSalt(idx)^0x0D16), start)
-	e.env.Go(ph.Name+"-dispatch", func(p *sim.Proc) {
+	e.rt.Go(ph.Name+"-dispatch", func(p Proc) {
 		for {
 			p.Sleep(gap(p, rng))
 			if p.Now() >= end {
@@ -754,7 +853,7 @@ func (e *engine) dispatchOpen(idx int, ph Phase, ps *phaseStats, states []*clien
 			st := states[ps.dispatched%len(states)]
 			name := fmt.Sprintf("%s-op%d", ph.Name, ps.dispatched)
 			ps.dispatched++
-			e.env.Go(name, func(q *sim.Proc) {
+			e.rt.Go(name, func(q Proc) {
 				e.execOne(q, ps, st, ph, kind, ki)
 			})
 		}
@@ -767,14 +866,14 @@ func (e *engine) dispatchBurst(idx int, ph Phase, ps *phaseStats, states []*clie
 	totalWeight int, start, end time.Duration, b *Burst) {
 	rng := sim.NewRand(e.phaseSalt(idx) ^ 0x0D17)
 	ch := newChooser(ph.Keys, sim.NewRand(e.phaseSalt(idx)^0x0D18), start)
-	e.env.Go(ph.Name+"-dispatch", func(p *sim.Proc) {
+	e.rt.Go(ph.Name+"-dispatch", func(p Proc) {
 		for p.Now() < end {
 			for j := 0; j < b.Size; j++ {
 				kind, ki := e.choose(ph, rng, ch, totalWeight, p.Now())
 				st := states[ps.dispatched%len(states)]
 				name := fmt.Sprintf("%s-op%d", ph.Name, ps.dispatched)
 				ps.dispatched++
-				e.env.Go(name, func(q *sim.Proc) {
+				e.rt.Go(name, func(q Proc) {
 					e.execOne(q, ps, st, ph, kind, ki)
 				})
 			}
@@ -866,11 +965,17 @@ func (c *chooser) next(n int, now time.Duration) int {
 
 // execOne runs a single operation, recording latency/throughput on
 // success and error counts on retry exhaustion.
-func (e *engine) execOne(p *sim.Proc, ps *phaseStats, st *clientState, ph Phase, kind, keyIdx int) {
+func (e *engine) execOne(p Proc, ps *phaseStats, st *clientState, ph Phase, kind, keyIdx int) {
 	began := p.Now()
 	miss, err := e.perform(p, st, ph, ph.Ops[kind].Op, keyIdx)
+	done := p.Now()
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
 	if err != nil {
 		ps.errors++
+		if ps.firstErr == nil {
+			ps.firstErr = err
+		}
 		return
 	}
 	ps.completed++
@@ -878,8 +983,8 @@ func (e *engine) execOne(p *sim.Proc, ps *phaseStats, st *clientState, ph Phase,
 	if miss {
 		ps.misses++
 	}
-	ps.lat.Add(p.Now() - began)
-	if sec := int((p.Now() - ps.start) / time.Second); sec >= 0 && sec < len(ps.perSec) {
+	ps.lat.Add(done - began)
+	if sec := int((done - ps.start) / time.Second); sec >= 0 && sec < len(ps.perSec) {
 		ps.perSec[sec]++
 	}
 }
@@ -887,27 +992,26 @@ func (e *engine) execOne(p *sim.Proc, ps *phaseStats, st *clientState, ph Phase,
 // perform executes one op kind against the phase's targets. Expected
 // data-dependent conditions (NotFound, empty queue, stale claims,
 // conflicting inserts) count as misses, not errors.
-func (e *engine) perform(p *sim.Proc, st *clientState, ph Phase, op string, keyIdx int) (miss bool, err error) {
-	cl := st.cl
+func (e *engine) perform(p Proc, st *clientState, ph Phase, op string, keyIdx int) (miss bool, err error) {
+	s, target := st.store, ph.Target // not ph: the closure escapes through Retry
 	size := int64(ph.PayloadKB) * storecommon.KB
 	data := payload.Synthetic(uint64(e.seed)^uint64(keyIdx)*0x9E3779B97F4A7C15, size)
-	_, err = cl.WithRetry(p, func() error {
+	err = s.Retry(p, func() error {
 		miss = false
 		switch op {
 		case "blob_put":
-			return cl.UploadBlockBlob(p, ph.Target.Container, workload.Key(keyIdx), data)
+			return s.BlobPut(p, target.Container, workload.Key(keyIdx), data)
 		case "blob_get":
-			_, gerr := cl.Download(p, ph.Target.Container, workload.Key(keyIdx))
+			gerr := s.BlobGet(p, target.Container, workload.Key(keyIdx))
 			if storecommon.IsNotFound(gerr) {
 				miss = true
 				return nil
 			}
 			return gerr
 		case "queue_put":
-			_, perr := cl.PutMessage(p, ph.Target.Queue, data)
-			return perr
+			return s.QueuePut(p, target.Queue, data)
 		case "queue_get":
-			msg, ok, gerr := cl.GetMessage(p, ph.Target.Queue, claimVisibility)
+			id, receipt, ok, gerr := s.QueueGet(p, target.Queue, claimVisibility)
 			if gerr != nil {
 				return gerr
 			}
@@ -915,24 +1019,23 @@ func (e *engine) perform(p *sim.Proc, st *clientState, ph Phase, op string, keyI
 				miss = true
 				return nil
 			}
-			st.claims = append(st.claims, claim{id: msg.ID, receipt: msg.PopReceipt})
+			st.addClaim(claim{id: id, receipt: receipt})
 			return nil
 		case "queue_delete":
-			if len(st.claims) == 0 {
+			cm, ok := st.takeClaim()
+			if !ok {
 				// Nothing claimed yet: claim-and-delete in one op.
-				msg, ok, gerr := cl.GetMessage(p, ph.Target.Queue, claimVisibility)
+				id, receipt, got, gerr := s.QueueGet(p, target.Queue, claimVisibility)
 				if gerr != nil {
 					return gerr
 				}
-				if !ok {
+				if !got {
 					miss = true
 					return nil
 				}
-				st.claims = append(st.claims, claim{id: msg.ID, receipt: msg.PopReceipt})
+				cm, _ = st.takeClaim(claim{id: id, receipt: receipt})
 			}
-			cm := st.claims[0]
-			st.claims = st.claims[1:]
-			derr := cl.DeleteMessage(p, ph.Target.Queue, cm.id, cm.receipt)
+			derr := s.QueueDelete(p, target.Queue, cm.id, cm.receipt)
 			if storecommon.IsNotFound(derr) || storecommon.IsPreconditionFailed(derr) {
 				// The claim expired and the message was redelivered —
 				// at-least-once in action.
@@ -941,45 +1044,45 @@ func (e *engine) perform(p *sim.Proc, st *clientState, ph Phase, op string, keyI
 			}
 			return derr
 		case "table_get":
-			_, gerr := cl.GetEntity(p, ph.Target.Table, workload.Key(keyIdx), "row")
+			gerr := s.TableGet(p, target.Table, workload.Key(keyIdx), "row")
 			if storecommon.IsNotFound(gerr) {
 				miss = true
 				return nil
 			}
 			return gerr
 		case "table_insert":
-			ent := e.entity(workload.Key(keyIdx), fmt.Sprintf("r%d", st.insertSeq), data)
-			_, ierr := cl.InsertEntity(p, ph.Target.Table, ent)
+			ent := entity(workload.Key(keyIdx), fmt.Sprintf("r%d", st.nextInsert()), data)
+			ierr := s.TableInsert(p, target.Table, ent)
 			if storecommon.IsConflict(ierr) {
 				miss = true
 				return nil
 			}
 			if ierr == nil {
-				st.insertSeq++
+				st.inserted()
 			}
 			return ierr
 		case "table_update":
-			_, uerr := cl.UpdateEntity(p, ph.Target.Table, e.entity(workload.Key(keyIdx), "row", data), "*")
+			uerr := s.TableUpdate(p, target.Table, entity(workload.Key(keyIdx), "row", data))
 			if storecommon.IsNotFound(uerr) {
 				miss = true
 				return nil
 			}
 			return uerr
 		case "table_delete":
-			derr := cl.DeleteEntity(p, ph.Target.Table, workload.Key(keyIdx), "row", "*")
+			derr := s.TableDelete(p, target.Table, workload.Key(keyIdx), "row")
 			if storecommon.IsNotFound(derr) {
 				miss = true
 				// Recreate regardless: keep the population stable.
 			} else if derr != nil {
 				return derr
 			}
-			_, ierr := cl.InsertEntity(p, ph.Target.Table, e.entity(workload.Key(keyIdx), "row", data))
+			ierr := s.TableInsert(p, target.Table, entity(workload.Key(keyIdx), "row", data))
 			if storecommon.IsConflict(ierr) {
 				return nil // someone else recreated it first
 			}
 			return ierr
 		case "table_rmw":
-			got, gerr := cl.GetEntity(p, ph.Target.Table, workload.Key(keyIdx), "row")
+			gerr := s.TableGet(p, target.Table, workload.Key(keyIdx), "row")
 			if storecommon.IsNotFound(gerr) {
 				miss = true
 				return nil
@@ -987,20 +1090,23 @@ func (e *engine) perform(p *sim.Proc, st *clientState, ph Phase, op string, keyI
 			if gerr != nil {
 				return gerr
 			}
-			upd := e.entity(got.PartitionKey, got.RowKey, data)
-			_, uerr := cl.UpdateEntity(p, ph.Target.Table, upd, "*")
+			uerr := s.TableUpdate(p, target.Table, entity(workload.Key(keyIdx), "row", data))
 			if storecommon.IsNotFound(uerr) || storecommon.IsPreconditionFailed(uerr) {
 				miss = true
 				return nil
 			}
 			return uerr
+		case "table_scan":
+			rows, serr := s.TableScan(p, target.Table, workload.Key(keyIdx), scanTop)
+			miss = serr == nil && rows == 0
+			return serr
 		}
 		return fmt.Errorf("scenario: unknown op %q", op)
 	})
 	return miss, err
 }
 
-func (e *engine) entity(pk, rk string, data payload.Payload) *tablestore.Entity {
+func entity(pk, rk string, data payload.Payload) *tablestore.Entity {
 	return &tablestore.Entity{
 		PartitionKey: pk,
 		RowKey:       rk,

@@ -1,0 +1,47 @@
+package scenario
+
+import (
+	"time"
+
+	"azurebench/internal/cloud"
+	"azurebench/internal/core"
+)
+
+// Door lets the external both-doors test drive the workload driver's
+// setup and perform one scripted op at a time on any substrate.
+type Door struct {
+	e       *engine
+	clients []*clientState
+}
+
+// NewDoor builds a driver for sp on the substrate with n workload clients.
+func NewDoor(rt Runtime, dial func(name string) Store, sp *Spec, n int) *Door {
+	d := &Door{e: &engine{sp: sp, rt: rt, dial: dial, seed: 1}}
+	for i := 0; i < n; i++ {
+		d.clients = append(d.clients, &clientState{store: dial("client")})
+	}
+	return d
+}
+
+// Setup runs the spec's setup stanza.
+func (d *Door) Setup() error { return d.e.setup() }
+
+// Perform runs one op of the vocabulary as the given client, inside a
+// process of the door's runtime, the way a phase would.
+func (d *Door) Perform(client int, ph Phase, op string, key int) (miss bool, err error) {
+	d.e.rt.Go("step", func(p Proc) { miss, err = d.e.perform(p, d.clients[client], ph, op, key) })
+	d.e.rt.Wait()
+	return miss, err
+}
+
+// Sleep lets d pass on the door's runtime clock.
+func (d *Door) Sleep(dur time.Duration) {
+	d.e.rt.Go("sleep", func(p Proc) { p.Sleep(dur) })
+	d.e.rt.Wait()
+}
+
+// SimSubstrate returns a fresh simulated substrate and the cloud behind it.
+func SimSubstrate(s *core.Suite) (Runtime, func(name string) Store, *cloud.Cloud) {
+	env, c := s.ScenarioCloud()
+	return simRuntime{env}, simDial(c), c
+}

@@ -214,7 +214,7 @@ type OpWeight struct {
 var opKinds = []string{
 	"blob_put", "blob_get",
 	"queue_put", "queue_get", "queue_delete",
-	"table_get", "table_insert", "table_update", "table_delete", "table_rmw",
+	"table_get", "table_insert", "table_update", "table_delete", "table_rmw", "table_scan",
 }
 
 // KeyDist selects record indices.

@@ -145,6 +145,44 @@ func TestGoldenSpecs(t *testing.T) {
 	}
 }
 
+// TestGoldenLiveRejections pins the error a valid spec earns when it asks
+// a live run for something only the simulator has: each sim-only stanza
+// is rejected with its key named, never silently ignored.
+func TestGoldenLiveRejections(t *testing.T) {
+	files, err := filepath.Glob("testdata/live/*.yaml")
+	if err != nil || len(files) < 4 {
+		t.Fatalf("live-rejection specs missing (err=%v): %v", err, files)
+	}
+	for _, file := range files {
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			golden := strings.TrimSuffix(file, ".yaml") + ".golden"
+			sp, err := Load(file)
+			if err != nil {
+				t.Fatalf("the spec must be valid in simulation: %v", err)
+			}
+			// A nil substrate: the rejection must come before anything runs.
+			_, err = RunOn(nil, nil, sp, 1, Options{})
+			if err == nil {
+				t.Fatal("RunOn accepted a simulation-only spec")
+			}
+			got := "ERROR\n" + err.Error() + "\n"
+			if *update {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden (run go test -update): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("golden mismatch for %s\n--- got ---\n%s--- want ---\n%s", file, got, want)
+			}
+		})
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	base := func(mutate string) string {
 		return `

@@ -1,10 +1,7 @@
-// Package workload provides YCSB-style workload generation for driving
-// the storage services: key-choice distributions (uniform, zipfian with
-// the classic θ=0.99 constant, latest), the standard A–F operation mixes,
-// and seeded record payloads. The paper predates YCSB's ubiquity but its
-// successors (and the AzureBench roadmap's "benchmarking suited for other
-// cloud offerings") standardised on exactly these mixes, so the live load
-// generator speaks them.
+// Package workload provides the YCSB-style building blocks the workload
+// drivers share: the zipfian key chooser (classic θ=0.99 constant), the
+// canonical record key, and seeded record payloads. The YCSB operation
+// mixes themselves are data — examples/scenarios/ycsb-*.yaml.
 package workload
 
 import (
@@ -14,108 +11,6 @@ import (
 	"azurebench/internal/payload"
 	"azurebench/internal/sim"
 )
-
-// OpKind is one benchmark operation type.
-type OpKind int
-
-// Operation kinds.
-const (
-	OpRead OpKind = iota
-	OpUpdate
-	OpInsert
-	OpScan
-	OpReadModifyWrite
-)
-
-// String names the op.
-func (k OpKind) String() string {
-	switch k {
-	case OpRead:
-		return "read"
-	case OpUpdate:
-		return "update"
-	case OpInsert:
-		return "insert"
-	case OpScan:
-		return "scan"
-	case OpReadModifyWrite:
-		return "rmw"
-	}
-	return "?"
-}
-
-// Mix is an operation mix in percent (summing to 100).
-type Mix struct {
-	Name   string
-	Read   int
-	Update int
-	Insert int
-	Scan   int
-	RMW    int
-}
-
-// The standard YCSB core workloads.
-var (
-	WorkloadA = Mix{Name: "A (update heavy)", Read: 50, Update: 50}
-	WorkloadB = Mix{Name: "B (read mostly)", Read: 95, Update: 5}
-	WorkloadC = Mix{Name: "C (read only)", Read: 100}
-	WorkloadD = Mix{Name: "D (read latest)", Read: 95, Insert: 5}
-	WorkloadE = Mix{Name: "E (short ranges)", Scan: 95, Insert: 5}
-	WorkloadF = Mix{Name: "F (read-modify-write)", Read: 50, RMW: 50}
-)
-
-// MixByName resolves "a".."f".
-func MixByName(name string) (Mix, error) {
-	switch name {
-	case "a", "A":
-		return WorkloadA, nil
-	case "b", "B":
-		return WorkloadB, nil
-	case "c", "C":
-		return WorkloadC, nil
-	case "d", "D":
-		return WorkloadD, nil
-	case "e", "E":
-		return WorkloadE, nil
-	case "f", "F":
-		return WorkloadF, nil
-	}
-	return Mix{}, fmt.Errorf("unknown workload %q (want a-f)", name)
-}
-
-// Pick draws an operation kind according to the mix.
-func (m Mix) Pick(r *sim.Rand) OpKind {
-	v := r.Intn(100)
-	switch {
-	case v < m.Read:
-		return OpRead
-	case v < m.Read+m.Update:
-		return OpUpdate
-	case v < m.Read+m.Update+m.Insert:
-		return OpInsert
-	case v < m.Read+m.Update+m.Insert+m.Scan:
-		return OpScan
-	default:
-		return OpReadModifyWrite
-	}
-}
-
-// KeyChooser selects record indices.
-type KeyChooser interface {
-	// Next returns an index in [0, n) where n is the current record count.
-	Next(n int) int
-}
-
-// Uniform chooses keys uniformly.
-type Uniform struct{ R *sim.Rand }
-
-// Next implements KeyChooser.
-func (u Uniform) Next(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return u.R.Intn(n)
-}
 
 // Zipf chooses keys with the YCSB zipfian distribution (θ = 0.99 by
 // default): a few hot keys receive most of the traffic. The implementation
@@ -144,7 +39,7 @@ func NewZipf(r *sim.Rand, theta float64) *Zipf {
 	return z
 }
 
-// Next implements KeyChooser.
+// Next returns an index in [0, n), where n is the current record count.
 func (z *Zipf) Next(n int) int {
 	if n <= 0 {
 		return 0
@@ -176,23 +71,6 @@ func zetaStatic(n int, theta float64) float64 {
 		sum += 1 / math.Pow(float64(i), theta)
 	}
 	return sum
-}
-
-// Latest prefers recently inserted keys (YCSB workload D's chooser): the
-// zipfian distribution over the reversed index space.
-type Latest struct{ Z *Zipf }
-
-// NewLatest returns a latest-skewed chooser.
-func NewLatest(r *sim.Rand, theta float64) *Latest {
-	return &Latest{Z: NewZipf(r, theta)}
-}
-
-// Next implements KeyChooser.
-func (l *Latest) Next(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return n - 1 - l.Z.Next(n)
 }
 
 // Record builds the payload of record i with the given size: content is a

@@ -7,54 +7,6 @@ import (
 	"azurebench/internal/sim"
 )
 
-func TestMixByName(t *testing.T) {
-	for _, name := range []string{"a", "b", "c", "d", "e", "f", "A", "F"} {
-		if _, err := MixByName(name); err != nil {
-			t.Errorf("MixByName(%q): %v", name, err)
-		}
-	}
-	if _, err := MixByName("z"); err == nil {
-		t.Error("MixByName(z) accepted")
-	}
-}
-
-func TestMixProportions(t *testing.T) {
-	r := sim.NewRand(1)
-	counts := map[OpKind]int{}
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[WorkloadB.Pick(r)]++
-	}
-	readFrac := float64(counts[OpRead]) / n
-	if readFrac < 0.93 || readFrac > 0.97 {
-		t.Fatalf("workload B read fraction = %v, want ~0.95", readFrac)
-	}
-	if counts[OpInsert]+counts[OpScan]+counts[OpReadModifyWrite] != 0 {
-		t.Fatalf("workload B emitted unexpected ops: %v", counts)
-	}
-}
-
-func TestMixesSumTo100(t *testing.T) {
-	for _, m := range []Mix{WorkloadA, WorkloadB, WorkloadC, WorkloadD, WorkloadE, WorkloadF} {
-		if s := m.Read + m.Update + m.Insert + m.Scan + m.RMW; s != 100 {
-			t.Errorf("%s sums to %d", m.Name, s)
-		}
-	}
-}
-
-func TestUniformBounds(t *testing.T) {
-	u := Uniform{R: sim.NewRand(2)}
-	for i := 0; i < 10000; i++ {
-		v := u.Next(37)
-		if v < 0 || v >= 37 {
-			t.Fatalf("uniform out of range: %d", v)
-		}
-	}
-	if u.Next(0) != 0 {
-		t.Fatal("Next(0) != 0")
-	}
-}
-
 func TestZipfBoundsAndSkew(t *testing.T) {
 	z := NewZipf(sim.NewRand(3), 0.99)
 	const n, draws = 1000, 200000
@@ -92,26 +44,6 @@ func TestZipfGrowingRange(t *testing.T) {
 		if v < 0 || v >= n {
 			t.Fatalf("zipf out of growing range: %d of %d", v, n)
 		}
-	}
-}
-
-func TestLatestPrefersRecent(t *testing.T) {
-	l := NewLatest(sim.NewRand(5), 0.99)
-	const n, draws = 1000, 100000
-	newer, older := 0, 0
-	for i := 0; i < draws; i++ {
-		v := l.Next(n)
-		if v < 0 || v >= n {
-			t.Fatalf("latest out of range: %d", v)
-		}
-		if v >= n/2 {
-			newer++
-		} else {
-			older++
-		}
-	}
-	if newer <= older*2 {
-		t.Fatalf("latest chooser not recent-skewed: newer=%d older=%d", newer, older)
 	}
 }
 
