@@ -44,6 +44,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeEntity -fuzztime=10s ./internal/odata
 	$(GO) test -run='^$$' -fuzz=FuzzHistogramMerge -fuzztime=10s ./internal/metrics
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotCodec -fuzztime=10s ./internal/snapshot
+	$(GO) test -run='^$$' -fuzz=FuzzQueueScript -fuzztime=10s ./internal/queuestore
+	$(GO) test -run='^$$' -fuzz=FuzzTableScript -fuzztime=10s ./internal/tablestore
+	$(GO) test -run='^$$' -fuzz=FuzzParseFilter -fuzztime=10s ./internal/tablestore
 
 test:
 	$(GO) test ./...

@@ -18,6 +18,7 @@
 //	azurebench -scenario-dir examples/scenarios -quick   # run a whole library
 //	azurebench -scenario ycsb-b.yaml -live http://127.0.0.1:10000   # same spec, over HTTP
 //	azurebench -digest                    # print each report's content digest
+//	azurebench -quick -cpuprofile cpu.pprof -memprofile mem.pprof   # profile the run itself
 //
 // Scenario runs exit non-zero when any SLO assertion fails, so a scenario
 // file doubles as a CI gate. With -live the workload-driver scenarios run
@@ -30,6 +31,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,6 +67,8 @@ func main() {
 		ckptAt      = flag.String("checkpoint-at", "", "capture a full simulation snapshot at this virtual time (requires -checkpoint-file and exactly one -experiment id)")
 		ckptFile    = flag.String("checkpoint-file", "", "snapshot destination for -checkpoint-at")
 		restoreFrom = flag.String("restore", "", "replay the experiment checkpointed in this snapshot file, verifying state at the checkpoint instant (ignores config flags: the snapshot embeds its configuration)")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of this run to the file (go tool pprof format)")
+		memProfile  = flag.String("memprofile", "", "write a heap profile to the file when the run ends")
 	)
 	flag.Parse()
 
@@ -160,6 +165,7 @@ func main() {
 		fatalf("-live runs scenarios (-scenario, -scenario-dir) and takes no simulation output flags (-trace, -tracefile, -telemetry, -statsfile)")
 	}
 
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 	switch {
 	case *restoreFrom != "":
 		if *scenarios != "" || *scenarioDir != "" || checkpointAt != 0 {
@@ -183,8 +189,48 @@ func main() {
 			fatalf("closing -statsfile: %v", err)
 		}
 	}
+	stopProfiles()
 	if !out.verdict {
 		os.Exit(1)
+	}
+}
+
+// startProfiles starts the CPU profile, if asked for, and returns the
+// function that ends the run's profiling: it stops the CPU profile and
+// writes the heap profile. Both work in simulated and -live mode; a run
+// that dies in fatalf leaves no profile.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			fatalf("creating -cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatalf("starting -cpuprofile: %v", err)
+		}
+		cpu = f
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fatalf("closing -cpuprofile: %v", err)
+			}
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				fatalf("creating -memprofile: %v", err)
+			}
+			runtime.GC() // so the profile shows what is live, not what is garbage
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fatalf("writing -memprofile: %v", err)
+			}
+			if err := f.Close(); err != nil {
+				fatalf("closing -memprofile: %v", err)
+			}
+		}
 	}
 }
 

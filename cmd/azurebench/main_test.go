@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 func TestParseInts(t *testing.T) {
 	got, err := parseInts("1, 8,64")
@@ -24,4 +28,17 @@ func TestParseIntsErrors(t *testing.T) {
 			t.Errorf("parseInts(%q) accepted", bad)
 		}
 	}
+}
+
+func TestProfilesWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	stop := startProfiles(cpu, mem)
+	stop()
+	for _, path := range []string{cpu, mem} {
+		if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", filepath.Base(path), err)
+		}
+	}
+	startProfiles("", "")() // no flags, no files, no panic
 }

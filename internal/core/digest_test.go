@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -62,5 +64,49 @@ func TestSeedChangesDigest(t *testing.T) {
 	_, trace2 := digestRun(t, 2)
 	if trace1 == trace2 {
 		t.Error("different seeds produced byte-identical traces")
+	}
+}
+
+// readGolden parses a "<id> <sha256>" per line golden file.
+func readGolden(t *testing.T, path string) [][2]string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][2]string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		id, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", path, line)
+		}
+		out = append(out, [2]string{id, sum})
+	}
+	return out
+}
+
+// TestQuickDigestsGolden is the licence to refactor as a test: the CSV
+// digest of every registered experiment at QuickConfig, run in registry
+// order on one shared suite (what `azurebench -quick -digest` prints),
+// must equal the committed table. A behaviour-preserving change leaves
+// testdata/digests-quick.golden alone; a change that means to move a
+// figure regenerates it from that command and says so.
+func TestQuickDigestsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all 16 experiments at quick scale")
+	}
+	golden := readGolden(t, "testdata/digests-quick.golden")
+	exps := Experiments()
+	if len(golden) != len(exps) {
+		t.Fatalf("golden has %d experiments, registry has %d", len(golden), len(exps))
+	}
+	s := NewSuite(QuickConfig())
+	for i, e := range exps {
+		if golden[i][0] != e.ID {
+			t.Fatalf("golden line %d is %q, registry has %q", i+1, golden[i][0], e.ID)
+		}
+		if got := e.Run(s).CSVDigest(); got != golden[i][1] {
+			t.Errorf("%s: digest %s, golden %s", e.ID, got, golden[i][1])
+		}
 	}
 }

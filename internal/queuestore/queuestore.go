@@ -45,24 +45,10 @@ type Store struct {
 	rng    *sim.Rand
 	queues map[string]*queue
 	popSeq uint64
-}
 
-type queue struct {
-	name     string
-	created  time.Time
-	metadata map[string]string
-	msgs     []*message
-	nextID   uint64
-}
-
-type message struct {
-	id           string
-	body         payload.Payload
-	inserted     time.Time
-	expires      time.Time
-	nextVisible  time.Time
-	dequeueCount int
-	popReceipt   string // valid while the message is invisible from a Get
+	// Scratch for msgHeap.smallest, reused under mu.
+	window   []*message
+	frontier []int
 }
 
 // Message is the client-visible view of a queue message.
@@ -106,7 +92,7 @@ func (s *Store) CreateQueue(name string) error {
 	if _, ok := s.queues[name]; ok {
 		return storecommon.Errf(storecommon.CodeQueueAlreadyExists, 409, "queue %q already exists", name)
 	}
-	s.queues[name] = &queue{name: name, created: s.clock.Now()}
+	s.queues[name] = newQueue(name, s.clock.Now())
 	return nil
 }
 
@@ -164,7 +150,7 @@ func (s *Store) ClearMessages(name string) error {
 	if !ok {
 		return queueNotFound(name)
 	}
-	q.msgs = nil
+	q.clear()
 	return nil
 }
 
@@ -189,6 +175,7 @@ func (s *Store) Put(name string, body payload.Payload, ttl time.Duration) (Messa
 		return Message{}, queueNotFound(name)
 	}
 	now := s.clock.Now()
+	q.surface(now) // so the new message, visible at once, is filed as such
 	q.nextID++
 	m := &message{
 		id:          fmt.Sprintf("%s-msg-%d", name, q.nextID),
@@ -197,11 +184,12 @@ func (s *Store) Put(name string, body payload.Payload, ttl time.Duration) (Messa
 		expires:     now.Add(ttl),
 		nextVisible: now,
 	}
-	q.msgs = append(q.msgs, m)
+	q.add(m)
 	return m.view(), nil
 }
 
-// Get dequeues up to max visible messages, hiding each for the visibility
+// Get dequeues up to max visible messages (1 to MaxMessagesPerCall, the
+// service's numofmessages contract), hiding each for the visibility
 // timeout (0 means the 30 s default). Each returned message carries a pop
 // receipt for Delete/Update. Fewer than max (possibly zero) messages are
 // returned when the queue has fewer visible messages.
@@ -212,8 +200,8 @@ func (s *Store) Get(name string, max int, visibility time.Duration) ([]Message, 
 	if visibility < 0 || visibility > storecommon.MaxVisibilityTimeout {
 		return nil, storecommon.Errf(storecommon.CodeInvalidVisibility, 400, "visibility %v out of range", visibility)
 	}
-	if max < 1 {
-		max = 1
+	if err := checkBatchSize(max); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -222,17 +210,23 @@ func (s *Store) Get(name string, max int, visibility time.Duration) ([]Message, 
 		return nil, queueNotFound(name)
 	}
 	now := s.clock.Now()
-	s.reap(q, now)
+	q.reap(now)
+	q.surface(now)
 	var out []Message
 	for len(out) < max {
-		m := s.pickVisible(q, now)
-		if m == nil {
+		// The head of the visible messages, or — when the non-FIFO window
+		// is larger than one — a random choice among the first window
+		// visible messages, emulating Azure's lack of a FIFO guarantee.
+		s.window, s.frontier = q.visible.smallest(s.cfg.NonFIFOWindow, s.window, s.frontier)
+		if len(s.window) == 0 {
 			break
 		}
+		m := s.window[s.rng.Intn(len(s.window))]
 		m.dequeueCount++
 		m.nextVisible = now.Add(visibility)
 		s.popSeq++
 		m.popReceipt = "pr-" + strconv.FormatUint(s.popSeq, 10)
+		q.hide(m)
 		out = append(out, m.view())
 	}
 	return out, nil
@@ -248,11 +242,12 @@ func (s *Store) GetOne(name string, visibility time.Duration) (Message, bool, er
 	return msgs[0], true, nil
 }
 
-// Peek returns up to max visible messages without dequeuing them. Peeked
-// messages carry no pop receipt and their dequeue count is unchanged.
+// Peek returns up to max (1 to MaxMessagesPerCall) visible messages
+// without dequeuing them. Peeked messages carry no pop receipt and their
+// dequeue count is unchanged.
 func (s *Store) Peek(name string, max int) ([]Message, error) {
-	if max < 1 {
-		max = 1
+	if err := checkBatchSize(max); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -261,17 +256,14 @@ func (s *Store) Peek(name string, max int) ([]Message, error) {
 		return nil, queueNotFound(name)
 	}
 	now := s.clock.Now()
-	s.reap(q, now)
+	q.reap(now)
+	q.surface(now)
+	s.window, s.frontier = q.visible.smallest(max, s.window, s.frontier)
 	var out []Message
-	for _, m := range q.msgs {
-		if len(out) >= max {
-			break
-		}
-		if !m.nextVisible.After(now) {
-			v := m.view()
-			v.PopReceipt = ""
-			out = append(out, v)
-		}
+	for _, m := range s.window {
+		v := m.view()
+		v.PopReceipt = ""
+		out = append(out, v)
 	}
 	return out, nil
 }
@@ -291,23 +283,15 @@ func (s *Store) PeekOne(name string) (Message, bool, error) {
 func (s *Store) Delete(name, msgID, popReceipt string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q, ok := s.queues[name]
-	if !ok {
-		return queueNotFound(name)
+	q, m, err := s.find(name, msgID, s.clock.Now())
+	if err != nil {
+		return err
 	}
-	now := s.clock.Now()
-	s.reap(q, now)
-	for i, m := range q.msgs {
-		if m.id != msgID {
-			continue
-		}
-		if m.popReceipt == "" || m.popReceipt != popReceipt {
-			return storecommon.Errf(storecommon.CodePopReceiptMismatch, 400, "pop receipt mismatch for %q", msgID)
-		}
-		q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
-		return nil
+	if m.popReceipt == "" || m.popReceipt != popReceipt {
+		return popReceiptMismatch(msgID)
 	}
-	return storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
+	q.remove(m)
+	return nil
 }
 
 // ReplicaDelete removes a message by ID without a pop receipt. It exists
@@ -317,20 +301,12 @@ func (s *Store) Delete(name, msgID, popReceipt string) error {
 func (s *Store) ReplicaDelete(name, msgID string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q, ok := s.queues[name]
-	if !ok {
-		return queueNotFound(name)
+	q, m, err := s.find(name, msgID, s.clock.Now())
+	if err != nil {
+		return err
 	}
-	now := s.clock.Now()
-	s.reap(q, now)
-	for i, m := range q.msgs {
-		if m.id != msgID {
-			continue
-		}
-		q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
-		return nil
-	}
-	return storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
+	q.remove(m)
+	return nil
 }
 
 // ReplicaUpdate replaces a message body by ID without a pop receipt —
@@ -343,20 +319,12 @@ func (s *Store) ReplicaUpdate(name, msgID string, body payload.Payload) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q, ok := s.queues[name]
-	if !ok {
-		return queueNotFound(name)
+	_, m, err := s.find(name, msgID, s.clock.Now())
+	if err != nil {
+		return err
 	}
-	now := s.clock.Now()
-	s.reap(q, now)
-	for _, m := range q.msgs {
-		if m.id != msgID {
-			continue
-		}
-		m.body = body
-		return nil
-	}
-	return storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
+	m.body = body
+	return nil
 }
 
 // Update replaces the body of a dequeued message and resets its visibility
@@ -374,26 +342,20 @@ func (s *Store) Update(name, msgID, popReceipt string, body payload.Payload, vis
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q, ok := s.queues[name]
-	if !ok {
-		return Message{}, queueNotFound(name)
-	}
 	now := s.clock.Now()
-	s.reap(q, now)
-	for _, m := range q.msgs {
-		if m.id != msgID {
-			continue
-		}
-		if m.popReceipt == "" || m.popReceipt != popReceipt {
-			return Message{}, storecommon.Errf(storecommon.CodePopReceiptMismatch, 400, "pop receipt mismatch for %q", msgID)
-		}
-		m.body = body
-		m.nextVisible = now.Add(visibility)
-		s.popSeq++
-		m.popReceipt = "pr-" + strconv.FormatUint(s.popSeq, 10)
-		return m.view(), nil
+	q, m, err := s.find(name, msgID, now)
+	if err != nil {
+		return Message{}, err
 	}
-	return Message{}, storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
+	if m.popReceipt == "" || m.popReceipt != popReceipt {
+		return Message{}, popReceiptMismatch(msgID)
+	}
+	m.body = body
+	m.nextVisible = now.Add(visibility)
+	s.popSeq++
+	m.popReceipt = "pr-" + strconv.FormatUint(s.popSeq, 10)
+	q.hide(m)
+	return m.view(), nil
 }
 
 // ApproximateCount returns the approximate number of messages in the
@@ -406,43 +368,22 @@ func (s *Store) ApproximateCount(name string) (int, error) {
 	if !ok {
 		return 0, queueNotFound(name)
 	}
-	s.reap(q, s.clock.Now())
-	return len(q.msgs), nil
+	q.reap(s.clock.Now())
+	return len(q.byID), nil
 }
 
-// pickVisible selects the next message to dequeue: the head of the visible
-// messages, or — when the non-FIFO window is larger than one — a random
-// choice among the first window visible messages, emulating Azure's lack
-// of a FIFO guarantee.
-func (s *Store) pickVisible(q *queue, now time.Time) *message {
-	var window []*message
-	for _, m := range q.msgs {
-		if m.nextVisible.After(now) {
-			continue
-		}
-		window = append(window, m)
-		if len(window) == s.cfg.NonFIFOWindow {
-			break
-		}
+// find reaps the queue and looks a message up by ID. The caller holds mu.
+func (s *Store) find(name, msgID string, now time.Time) (*queue, *message, error) {
+	q, ok := s.queues[name]
+	if !ok {
+		return nil, nil, queueNotFound(name)
 	}
-	if len(window) == 0 {
-		return nil
+	q.reap(now)
+	m, ok := q.byID[msgID]
+	if !ok {
+		return nil, nil, storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
 	}
-	return window[s.rng.Intn(len(window))]
-}
-
-// reap drops expired messages.
-func (s *Store) reap(q *queue, now time.Time) {
-	kept := q.msgs[:0]
-	for _, m := range q.msgs {
-		if m.expires.After(now) {
-			kept = append(kept, m)
-		}
-	}
-	for i := len(kept); i < len(q.msgs); i++ {
-		q.msgs[i] = nil
-	}
-	q.msgs = kept
+	return q, m, nil
 }
 
 func (m *message) view() Message {
@@ -455,6 +396,20 @@ func (m *message) view() Message {
 		DequeueCount: m.dequeueCount,
 		PopReceipt:   m.popReceipt,
 	}
+}
+
+// checkBatchSize enforces the service's numofmessages contract on Get and
+// Peek, so one request cannot hide a whole queue.
+func checkBatchSize(max int) error {
+	if max < 1 || max > storecommon.MaxMessagesPerCall {
+		return storecommon.Errf(storecommon.CodeOutOfRangeQueryParameterValue, 400,
+			"numofmessages %d outside [1, %d]", max, storecommon.MaxMessagesPerCall)
+	}
+	return nil
+}
+
+func popReceiptMismatch(msgID string) error {
+	return storecommon.Errf(storecommon.CodePopReceiptMismatch, 400, "pop receipt mismatch for %q", msgID)
 }
 
 func queueNotFound(name string) error {

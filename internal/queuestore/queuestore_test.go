@@ -148,6 +148,29 @@ func TestPeekDoesNotAlterState(t *testing.T) {
 	}
 }
 
+func TestBatchSizeBound(t *testing.T) {
+	s, _ := newTestStore()
+	for i := 0; i < 40; i++ {
+		if _, err := s.Put("tasks", payload.String("x"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, max := range []int{-1, 0, 33, 1_000_000} {
+		if _, err := s.Get("tasks", max, 0); storecommon.CodeOf(err) != storecommon.CodeOutOfRangeQueryParameterValue {
+			t.Errorf("Get(%d) = %v, want OutOfRangeQueryParameterValue", max, err)
+		}
+		if _, err := s.Peek("tasks", max); storecommon.CodeOf(err) != storecommon.CodeOutOfRangeQueryParameterValue {
+			t.Errorf("Peek(%d) = %v, want OutOfRangeQueryParameterValue", max, err)
+		}
+	}
+	if msgs, err := s.Peek("tasks", 32); err != nil || len(msgs) != 32 {
+		t.Fatalf("Peek(32) = %d messages, %v", len(msgs), err)
+	}
+	if msgs, err := s.Get("tasks", 32, 0); err != nil || len(msgs) != 32 {
+		t.Fatalf("Get(32) = %d messages, %v: the refused calls must hide nothing", len(msgs), err)
+	}
+}
+
 func TestFIFOOrderWithWindowOne(t *testing.T) {
 	s, _ := newTestStore()
 	for i := 0; i < 10; i++ {

@@ -30,20 +30,26 @@ func (s *Store) Save(w *snap.Writer) {
 		w.Time(q.created)
 		saveMeta(w, q.metadata)
 		w.U64(q.nextID)
-		w.Int(len(q.msgs))
-		for _, m := range q.msgs {
-			w.String(m.id)
-			m.body.Save(w)
-			w.Time(m.inserted)
-			w.Time(m.expires)
-			w.Time(m.nextVisible)
-			w.Int(m.dequeueCount)
-			w.String(m.popReceipt)
+		msgs := q.inOrder()
+		w.Int(len(msgs))
+		for _, m := range msgs {
+			saveMessage(w, m)
 		}
 	}
 }
 
-// Load restores an account saved by Save, replacing all live state.
+func saveMessage(w *snap.Writer, m *message) {
+	w.String(m.id)
+	m.body.Save(w)
+	w.Time(m.inserted)
+	w.Time(m.expires)
+	w.Time(m.nextVisible)
+	w.Int(m.dequeueCount)
+	w.String(m.popReceipt)
+}
+
+// Load restores an account saved by Save, replacing all live state and
+// rebuilding every queue's indexes.
 func (s *Store) Load(r *snap.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -55,10 +61,7 @@ func (s *Store) Load(r *snap.Reader) error {
 	}
 	queues := make(map[string]*queue, nq)
 	for i := 0; i < nq; i++ {
-		q := &queue{
-			name:    r.String(),
-			created: r.Time(),
-		}
+		q := newQueue(r.String(), r.Time())
 		var err error
 		if q.metadata, err = loadMeta(r); err != nil {
 			return err
@@ -78,7 +81,7 @@ func (s *Store) Load(r *snap.Reader) error {
 			m.nextVisible = r.Time()
 			m.dequeueCount = r.Int()
 			m.popReceipt = r.String()
-			q.msgs = append(q.msgs, m)
+			q.add(m)
 		}
 		queues[q.name] = q
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/xml"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -107,21 +108,29 @@ func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, nam
 	switch {
 	case sub == "messages" && r.Method == http.MethodPost:
 		s.putMessage(w, r, name)
-	case sub == "messages" && r.Method == http.MethodGet && q.Get("peekonly") == "true":
-		max := intOr(q.Get("numofmessages"), 1)
-		done := engineStart(r)
-		msgs, err := s.Queue.Peek(name, max)
-		done()
+	case sub == "messages" && r.Method == http.MethodGet:
+		// numofmessages is range-checked (1 to 32) by the engine, so both
+		// front doors agree.
+		max, err := queryInt(q, "numofmessages", 1)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeXML(w, http.StatusOK, messagesOut(msgs))
-	case sub == "messages" && r.Method == http.MethodGet:
-		max := intOr(q.Get("numofmessages"), 1)
-		vis := time.Duration(intOr(q.Get("visibilitytimeout"), 0)) * time.Second
+		peek := q.Get("peekonly") == "true"
+		vis := 0
+		if !peek {
+			if vis, err = queryInt(q, "visibilitytimeout", 0); err != nil {
+				writeError(w, err)
+				return
+			}
+		}
+		var msgs []queuestore.Message
 		done := engineStart(r)
-		msgs, err := s.Queue.Get(name, max, vis)
+		if peek {
+			msgs, err = s.Queue.Peek(name, max)
+		} else {
+			msgs, err = s.Queue.Get(name, max, time.Duration(vis)*time.Second)
+		}
 		done()
 		if err != nil {
 			writeError(w, err)
@@ -148,9 +157,13 @@ func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, nam
 			writeError(w, err)
 			return
 		}
-		vis := time.Duration(intOr(q.Get("visibilitytimeout"), 0)) * time.Second
+		vis, err := queryInt(q, "visibilitytimeout", 0)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
 		done := engineStart(r)
-		msg, err := s.Queue.Update(name, id, q.Get("popreceipt"), body, vis)
+		msg, err := s.Queue.Update(name, id, q.Get("popreceipt"), body, time.Duration(vis)*time.Second)
 		done()
 		if err != nil {
 			writeError(w, err)
@@ -208,6 +221,21 @@ func messagesOut(msgs []queuestore.Message) queueMessagesListXML {
 		})
 	}
 	return out
+}
+
+// queryInt reads an optional integer query parameter. Unlike intOr, a
+// value that is present but not a number is the client's error, not the
+// default.
+func queryInt(q url.Values, key string, def int) (int, error) {
+	s := q.Get(key)
+	if s == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, storecommon.Errf(storecommon.CodeOutOfRangeQueryParameterValue, 400, "%s=%q is not an integer", key, s)
+	}
+	return n, nil
 }
 
 func intOr(s string, def int) int {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"azurebench/internal/payload"
 	"azurebench/internal/storecommon"
 )
 
@@ -196,5 +197,46 @@ func TestThrottlerBoundedAndVerdictPreserving(t *testing.T) {
 	}
 	if n := th.parts.Len(); n > bound {
 		t.Errorf("partition limiters = %d after 10000 names, want <= %d", n, bound)
+	}
+}
+
+// TestQueueQueryParametersValidated: numofmessages outside 1–32, and
+// numofmessages or visibilitytimeout that is not a number, are refused
+// with 400 OutOfRangeQueryParameterValue instead of being clamped or
+// defaulted.
+func TestQueueQueryParametersValidated(t *testing.T) {
+	srv := NewServer(Options{})
+	if err := srv.Queue.CreateQueue("q-1"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := srv.Queue.Put("q-1", payload.String("m"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, query := range []string{
+		"numofmessages=1000000",
+		"numofmessages=0",
+		"numofmessages=abc",
+		"numofmessages=33&peekonly=true",
+		"numofmessages=abc&peekonly=true",
+		"visibilitytimeout=soon",
+	} {
+		resp := doReq(t, srv, http.MethodGet, "/queue/q-1/messages?"+query, nil, "")
+		if resp.StatusCode != 400 || resp.Header.Get("x-ms-error-code") != "OutOfRangeQueryParameterValue" {
+			t.Errorf("GET ?%s: status %d, code %q", query, resp.StatusCode, resp.Header.Get("x-ms-error-code"))
+		}
+	}
+	resp := doReq(t, srv, http.MethodPut, "/queue/q-1/messages/q-1-msg-1?popreceipt=x&visibilitytimeout=soon", nil,
+		"<QueueMessage><MessageText>bQ==</MessageText></QueueMessage>")
+	if resp.StatusCode != 400 || resp.Header.Get("x-ms-error-code") != "OutOfRangeQueryParameterValue" {
+		t.Errorf("PUT visibilitytimeout=soon: status %d, code %q", resp.StatusCode, resp.Header.Get("x-ms-error-code"))
+	}
+	// Nothing was hidden by the refused requests.
+	if msgs, err := srv.Queue.Peek("q-1", 32); err != nil || len(msgs) != 3 {
+		t.Fatalf("after refused requests: %d visible, %v", len(msgs), err)
+	}
+	if resp := doReq(t, srv, http.MethodGet, "/queue/q-1/messages?numofmessages=32", nil, ""); resp.StatusCode != 200 {
+		t.Fatalf("numofmessages=32: status %d", resp.StatusCode)
 	}
 }

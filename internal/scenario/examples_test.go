@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"azurebench/internal/core"
@@ -69,9 +71,32 @@ func TestExperimentScenarioByteIdentical(t *testing.T) {
 	}
 }
 
+// exampleDigests reads testdata/digests-examples.golden: one
+// "<file> <sha256>" line per example scenario, the CSV digests
+// `azurebench -quick -digest -scenario-dir examples/scenarios` prints.
+func exampleDigests(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("testdata/digests-examples.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		file, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		golden[file] = sum
+	}
+	return golden
+}
+
 // TestExampleScenariosPassSLOs runs the shipped library end to end at
 // quick scale — the same gate the CI scenario matrix applies. A new
 // example with an uncalibrated SLO fails here before it flakes in CI.
+// Each run's CSV digest must also equal the committed golden table: a
+// behaviour-preserving change leaves the table alone, a change that means
+// to move a scenario's numbers regenerates its line and says so.
 func TestExampleScenariosPassSLOs(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(examplesDir, "*.yaml"))
 	if err != nil || len(files) == 0 {
@@ -79,6 +104,10 @@ func TestExampleScenariosPassSLOs(t *testing.T) {
 	}
 	if len(files) < 5 {
 		t.Fatalf("scenario library shrank below the CI matrix minimum: %v", files)
+	}
+	golden := exampleDigests(t)
+	if len(golden) != len(files) {
+		t.Errorf("golden table has %d scenarios, library has %d", len(golden), len(files))
 	}
 	for _, file := range files {
 		file := file
@@ -98,6 +127,9 @@ func TestExampleScenariosPassSLOs(t *testing.T) {
 			}
 			if !res.Passed() {
 				t.Errorf("SLO failures:\n%s", res.RenderSLO())
+			}
+			if got, want := res.Report.CSVDigest(), golden[filepath.Base(file)]; got != want {
+				t.Errorf("CSV digest %s, golden %q", got, want)
 			}
 		})
 	}

@@ -378,3 +378,37 @@ func TestErrorCodeMapping(t *testing.T) {
 		t.Fatalf("missing table = %v", err)
 	}
 }
+
+// TestQueueBatchSizeBoundOverREST is the SDK round trip of the
+// numofmessages contract: 1 to 32 on Get and Peek, anything else a 400
+// OutOfRangeQueryParameterValue that hides nothing.
+func TestQueueBatchSizeBoundOverREST(t *testing.T) {
+	c, _ := newStack(t, rest.Options{})
+	q := c.Queue()
+	if err := q.Create("jobs"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := q.Put("jobs", []byte{byte(i)}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, max := range []int{0, -1, 33, 1_000_000} {
+		if _, err := q.Get("jobs", max, time.Minute); storecommon.CodeOf(err) != storecommon.CodeOutOfRangeQueryParameterValue || storecommon.StatusOf(err) != 400 {
+			t.Fatalf("Get(%d) = %v, want 400 OutOfRangeQueryParameterValue", max, err)
+		}
+		if _, err := q.Peek("jobs", max); storecommon.CodeOf(err) != storecommon.CodeOutOfRangeQueryParameterValue {
+			t.Fatalf("Peek(%d) = %v, want OutOfRangeQueryParameterValue", max, err)
+		}
+	}
+	if peeked, err := q.Peek("jobs", 32); err != nil || len(peeked) != 32 {
+		t.Fatalf("Peek(32) = %d messages, %v", len(peeked), err)
+	}
+	// The rejected calls dequeued nothing: all 40 are still visible.
+	if msgs, err := q.Get("jobs", 32, time.Minute); err != nil || len(msgs) != 32 {
+		t.Fatalf("Get(32) = %d messages, %v", len(msgs), err)
+	}
+	if msgs, err := q.Get("jobs", 32, time.Minute); err != nil || len(msgs) != 8 {
+		t.Fatalf("second Get(32) = %d messages, %v, want the remaining 8", len(msgs), err)
+	}
+}

@@ -75,6 +75,10 @@ const (
 	// refresh its cached partition map and reissue — transient by
 	// definition, since the authoritative map always has an owner.
 	CodePartitionMoved Code = "PartitionMoved"
+
+	// A query parameter parsed but lies outside its documented range
+	// (numofmessages outside 1–32), or did not parse as a number at all.
+	CodeOutOfRangeQueryParameterValue Code = "OutOfRangeQueryParameterValue"
 )
 
 // Error is the storage error type surfaced by every engine and service

@@ -57,3 +57,7 @@ const DefaultVisibilityTimeout = 30 * time.Second
 
 // MaxVisibilityTimeout bounds the visibility timeout of a dequeued message.
 const MaxVisibilityTimeout = 7 * 24 * time.Hour
+
+// MaxMessagesPerCall bounds numofmessages on Get Messages and Peek
+// Messages: the service accepts 1 to 32.
+const MaxMessagesPerCall = 32

@@ -258,7 +258,7 @@ var allCodes = []Code{
 	CodeBatchDuplicateRowKey, CodeSnapshotNotFound, CodeInstanceUnavailable,
 	CodeUnsupportedHTTPVerb, CodeMissingRequiredHeader, CodeAuthenticationFailed,
 	CodeAccountTransactionLimit, CodeServerUnavailable, CodeConnectionReset,
-	CodePartitionMoved,
+	CodePartitionMoved, CodeOutOfRangeQueryParameterValue,
 }
 
 func TestRetriableCoversEveryCode(t *testing.T) {

@@ -30,34 +30,9 @@ type BatchOp struct {
 // if any operation fails, no operation is applied and the failing index is
 // reported.
 func (s *Store) ExecuteBatch(tableName string, ops []BatchOp) (failedIndex int, err error) {
-	if len(ops) == 0 {
-		return -1, storecommon.Errf(storecommon.CodeInvalidInput, 400, "empty batch")
-	}
-	if len(ops) > storecommon.MaxBatchOperations {
-		return -1, storecommon.Errf(storecommon.CodeBatchTooManyOperations, 400,
-			"batch of %d operations exceeds %d", len(ops), storecommon.MaxBatchOperations)
-	}
-	pk := ops[0].Entity.PartitionKey
-	seen := map[string]bool{}
-	var payloadSize int64
-	for i, op := range ops {
-		if op.Entity == nil {
-			return i, storecommon.Errf(storecommon.CodeInvalidInput, 400, "batch op %d has no entity", i)
-		}
-		if op.Entity.PartitionKey != pk {
-			return i, storecommon.Errf(storecommon.CodeBatchPartitionMismatch, 400,
-				"batch op %d targets partition %q, batch is for %q", i, op.Entity.PartitionKey, pk)
-		}
-		if seen[op.Entity.RowKey] {
-			return i, storecommon.Errf(storecommon.CodeBatchDuplicateRowKey, 400,
-				"row key %q appears twice in batch", op.Entity.RowKey)
-		}
-		seen[op.Entity.RowKey] = true
-		payloadSize += op.Entity.Size()
-	}
-	if payloadSize > storecommon.MaxBatchPayload {
-		return -1, storecommon.Errf(storecommon.CodeRequestBodyTooLarge, 413,
-			"batch payload of %d bytes exceeds %d", payloadSize, storecommon.MaxBatchPayload)
+	pk, failedIndex, err := checkBatchShape(ops)
+	if err != nil {
+		return failedIndex, err
 	}
 
 	s.mu.Lock()
@@ -69,15 +44,14 @@ func (s *Store) ExecuteBatch(tableName string, ops []BatchOp) (failedIndex int, 
 
 	// Validate every operation against current state before mutating
 	// anything (atomicity): batches are small, so the two-pass approach is
-	// simpler than journaling undo records.
-	p := t.partitions[pk]
-	current := map[string]*Entity{}
-	if p != nil {
-		for rk, e := range p.rows {
-			current[rk] = e
-		}
+	// simpler than journaling undo records. Each row key appears at most
+	// once, so no operation can see another's staged write, and reading the
+	// live partition is reading the state the batch started from.
+	var live map[string]*Entity
+	if p := t.partitions[pk]; p != nil {
+		live = p.rows
 	}
-	staged := map[string]*Entity{} // rk -> new entity (nil = delete)
+	staged := make([]*Entity, len(ops)) // what op i leaves under its row key; nil = nothing
 	for i, op := range ops {
 		e := op.Entity
 		if op.Kind != BatchDelete {
@@ -85,16 +59,16 @@ func (s *Store) ExecuteBatch(tableName string, ops []BatchOp) (failedIndex int, 
 				return i, err
 			}
 		}
-		old, exists := current[e.RowKey]
+		old, exists := live[e.RowKey]
 		switch op.Kind {
 		case BatchInsert:
 			if exists {
 				return i, storecommon.Errf(storecommon.CodeEntityAlreadyExists, 409,
 					"entity (%q,%q) already exists", pk, e.RowKey)
 			}
-			staged[e.RowKey] = e.Clone()
+			staged[i] = e.Clone()
 		case BatchInsertOrReplace:
-			staged[e.RowKey] = e.Clone()
+			staged[i] = e.Clone()
 		case BatchInsertOrMerge:
 			merged := e.Clone()
 			if exists {
@@ -107,7 +81,7 @@ func (s *Store) ExecuteBatch(tableName string, ops []BatchOp) (failedIndex int, 
 					return i, err
 				}
 			}
-			staged[e.RowKey] = merged
+			staged[i] = merged
 		case BatchReplace, BatchMerge:
 			if !exists {
 				return i, entityNotFound(pk, e.RowKey)
@@ -126,7 +100,7 @@ func (s *Store) ExecuteBatch(tableName string, ops []BatchOp) (failedIndex int, 
 					return i, err
 				}
 			}
-			staged[e.RowKey] = next
+			staged[i] = next
 		case BatchDelete:
 			if !exists {
 				return i, entityNotFound(pk, e.RowKey)
@@ -134,29 +108,58 @@ func (s *Store) ExecuteBatch(tableName string, ops []BatchOp) (failedIndex int, 
 			if !storecommon.ETagMatches(op.IfMatch, old.ETag) {
 				return i, updateConditionNotMet(e)
 			}
-			staged[e.RowKey] = nil
 		default:
 			return i, storecommon.Errf(storecommon.CodeInvalidInput, 400, "unknown batch kind %d", op.Kind)
 		}
-		// Later ops in the same batch do not see earlier staged writes
-		// (each row key appears at most once, so this cannot matter).
 	}
 
-	// Commit.
-	if p == nil {
-		p = &partition{rows: map[string]*Entity{}}
-		t.partitions[pk] = p
-	}
-	for rk, e := range staged {
+	// Commit in operation order, so the ETags a batch draws are a function
+	// of the batch.
+	for i, e := range staged {
 		if e == nil {
-			delete(p.rows, rk)
+			t.drop(pk, ops[i].Entity.RowKey)
 			continue
 		}
 		s.stamp(e)
-		p.rows[rk] = e
-	}
-	if len(p.rows) == 0 {
-		delete(t.partitions, pk)
+		t.put(e)
 	}
 	return -1, nil
+}
+
+// checkBatchShape applies the rules that need no table state: size, one
+// partition, distinct row keys, payload. It returns the batch's partition
+// key.
+func checkBatchShape(ops []BatchOp) (pk string, failedIndex int, err error) {
+	if len(ops) == 0 {
+		return "", -1, storecommon.Errf(storecommon.CodeInvalidInput, 400, "empty batch")
+	}
+	if len(ops) > storecommon.MaxBatchOperations {
+		return "", -1, storecommon.Errf(storecommon.CodeBatchTooManyOperations, 400,
+			"batch of %d operations exceeds %d", len(ops), storecommon.MaxBatchOperations)
+	}
+	seen := make(map[string]bool, len(ops))
+	var payloadSize int64
+	for i, op := range ops {
+		if op.Entity == nil {
+			return "", i, storecommon.Errf(storecommon.CodeInvalidInput, 400, "batch op %d has no entity", i)
+		}
+		if i == 0 {
+			pk = op.Entity.PartitionKey
+		}
+		if op.Entity.PartitionKey != pk {
+			return "", i, storecommon.Errf(storecommon.CodeBatchPartitionMismatch, 400,
+				"batch op %d targets partition %q, batch is for %q", i, op.Entity.PartitionKey, pk)
+		}
+		if seen[op.Entity.RowKey] {
+			return "", i, storecommon.Errf(storecommon.CodeBatchDuplicateRowKey, 400,
+				"row key %q appears twice in batch", op.Entity.RowKey)
+		}
+		seen[op.Entity.RowKey] = true
+		payloadSize += op.Entity.Size()
+	}
+	if payloadSize > storecommon.MaxBatchPayload {
+		return "", -1, storecommon.Errf(storecommon.CodeRequestBodyTooLarge, 413,
+			"batch payload of %d bytes exceeds %d", payloadSize, storecommon.MaxBatchPayload)
+	}
+	return pk, -1, nil
 }

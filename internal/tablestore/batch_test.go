@@ -77,6 +77,11 @@ func TestBatchSizeLimits(t *testing.T) {
 	if _, err := s.ExecuteBatch("bench", nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
+	// An operation without an entity is refused by index, the first one
+	// included (it used to be dereferenced for its partition key).
+	if idx, err := s.ExecuteBatch("bench", []BatchOp{{Kind: BatchInsert}}); storecommon.CodeOf(err) != storecommon.CodeInvalidInput || idx != 0 {
+		t.Fatalf("batch with a nil entity = %d, %v", idx, err)
+	}
 	var ops []BatchOp
 	for i := 0; i < storecommon.MaxBatchOperations+1; i++ {
 		ops = append(ops, BatchOp{Kind: BatchInsert, Entity: ent("p", fmt.Sprintf("r%d", i), nil)})

@@ -54,6 +54,106 @@ func (f *FilterExpr) Eval(e *Entity) (bool, error) {
 	return f.root.eval(e)
 }
 
+// keyRange is a half-open interval [lo, hi) of keys; unbounded above
+// until hi is set. The zero value holds every key.
+type keyRange struct {
+	lo, hi  string
+	bounded bool
+}
+
+func (r *keyRange) atLeast(k string) {
+	if k > r.lo {
+		r.lo = k
+	}
+}
+
+func (r *keyRange) below(k string) {
+	if !r.bounded || k < r.hi {
+		r.hi, r.bounded = k, true
+	}
+}
+
+// past reports whether k, and so every key after it, lies above the range.
+func (r keyRange) past(k string) bool { return r.bounded && k >= r.hi }
+
+// narrow intersects the range with the keys satisfying "key op 'v'".
+// Keys order bytewise, so v's successor is v+"\x00".
+func (r *keyRange) narrow(op, v string) {
+	switch op {
+	case "eq":
+		r.atLeast(v)
+		r.below(v + "\x00")
+	case "ge":
+		r.atLeast(v)
+	case "gt":
+		r.atLeast(v + "\x00")
+	case "le":
+		r.below(v + "\x00")
+	case "lt":
+		r.below(v)
+	}
+}
+
+// keyBounds compiles the filter's leading key comparisons into a range of
+// partition keys and a range of row keys such that, on any entity outside
+// either, Eval returns (false, nil). Query uses them to seek and to stop;
+// it still puts every entity inside to the whole filter, so the ranges
+// only have to be safe, not tight.
+//
+// "Returns (false, nil)" is the whole contract, and the nil matters: a
+// filter's errors are part of its result, so a scan may skip an entity
+// only if evaluating the filter on it could not have failed. Evaluation
+// runs the conjuncts of the top-level "and" chain left to right and stops
+// at the first false one. A key comparison therefore bounds the scan if
+// every conjunct before it is unable to fail — "PartitionKey eq 'p' and
+// Flag" is bounded by its first conjunct, "Flag and PartitionKey eq 'p'"
+// is not. Nothing is inferred through "or" or "not", and only from
+// "Key op 'string literal'": against any other literal type the
+// comparison is false for every entity, which the full filter finds out
+// for itself.
+func (f *FilterExpr) keyBounds() (pks, rks keyRange) {
+	boundKeys(f.root, &pks, &rks)
+	return pks, rks
+}
+
+// boundKeys narrows the ranges by the conjuncts of n, in evaluation order,
+// up to the first that can fail. It reports whether it got through all of
+// n, that is, whether n cannot fail.
+func boundKeys(n node, pks, rks *keyRange) bool {
+	switch n := n.(type) {
+	case *binaryNode:
+		if n.op == "and" {
+			return boundKeys(n.left, pks, rks) && boundKeys(n.right, pks, rks)
+		}
+	case *cmpNode:
+		key, isKey := n.left.(identOperand)
+		lit, isLit := n.right.(literalOperand)
+		if isKey && isLit && lit.v.Type == TypeString {
+			switch key.name {
+			case "PartitionKey":
+				pks.narrow(n.op, lit.v.S)
+			case "RowKey":
+				rks.narrow(n.op, lit.v.S)
+			}
+		}
+	}
+	return !canFail(n)
+}
+
+// canFail reports whether evaluating n can return an error: only a bare
+// operand used as a boolean can (boolOperandNode, on a non-boolean value).
+func canFail(n node) bool {
+	switch n := n.(type) {
+	case *binaryNode:
+		return canFail(n.left) || canFail(n.right)
+	case *notNode:
+		return canFail(n.inner)
+	case *boolOperandNode:
+		return true
+	}
+	return false
+}
+
 // --- AST ---
 
 type node interface {

@@ -26,29 +26,22 @@ func (s *Store) Save(w *snap.Writer) {
 	for _, tn := range tableNames {
 		t := s.tables[tn]
 		w.String(t.name)
-		partKeys := make([]string, 0, len(t.partitions))
-		for k := range t.partitions {
-			partKeys = append(partKeys, k)
-		}
-		sort.Strings(partKeys)
-		w.Int(len(partKeys))
-		for _, pk := range partKeys {
-			p := t.partitions[pk]
-			w.String(pk)
-			rowKeys := make([]string, 0, len(p.rows))
-			for k := range p.rows {
-				rowKeys = append(rowKeys, k)
-			}
-			sort.Strings(rowKeys)
-			w.Int(len(rowKeys))
-			for _, rk := range rowKeys {
-				saveEntity(w, p.rows[rk])
+		w.Int(len(t.partitions))
+		for pi := t.pks.seek(""); pi.valid(); pi.next() {
+			p := t.partitions[pi.key()]
+			w.String(pi.key())
+			w.Int(len(p.rows))
+			for ri := p.rks.seek(""); ri.valid(); ri.next() {
+				saveEntity(w, p.rows[ri.key()])
 			}
 		}
 	}
 }
 
-// Load restores an account saved by Save, replacing all live state.
+// Load restores an account saved by Save, replacing all live state. Save
+// writes partitions and rows in key order, which is what lets Load rebuild
+// the key indexes by appending; a section that is not in order is not one
+// Save wrote.
 func (s *Store) Load(r *snap.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -79,7 +72,13 @@ func (s *Store) Load(r *snap.Reader) error {
 				if err != nil {
 					return err
 				}
+				if err := p.rks.appendInOrder(e.RowKey); err != nil {
+					return err
+				}
 				p.rows[e.RowKey] = e
+			}
+			if err := t.pks.appendInOrder(pk); err != nil {
+				return err
 			}
 			t.partitions[pk] = p
 		}

@@ -56,13 +56,43 @@ type Store struct {
 	tables map[string]*table
 }
 
+// table and partition each pair a map, for point access, with a sorted
+// index over the map's keys, for Query.
 type table struct {
 	name       string
 	partitions map[string]*partition
+	pks        keyIndex
 }
 
 type partition struct {
 	rows map[string]*Entity
+	rks  keyIndex
+}
+
+// put stores e under its keys, creating the partition on first use.
+func (t *table) put(e *Entity) {
+	p := t.partitions[e.PartitionKey]
+	if p == nil {
+		p = &partition{rows: map[string]*Entity{}}
+		t.partitions[e.PartitionKey] = p
+		t.pks.insert(e.PartitionKey)
+	}
+	if _, exists := p.rows[e.RowKey]; !exists {
+		p.rks.insert(e.RowKey)
+	}
+	p.rows[e.RowKey] = e
+}
+
+// drop removes the entity (pk, rk), which must exist, and its partition
+// with the last row.
+func (t *table) drop(pk, rk string) {
+	p := t.partitions[pk]
+	delete(p.rows, rk)
+	p.rks.remove(rk)
+	if len(p.rows) == 0 {
+		delete(t.partitions, pk)
+		t.pks.remove(pk)
+	}
 }
 
 // New creates an empty table store.
@@ -164,12 +194,11 @@ func (s *Store) mutateInsert(tableName string, e *Entity, mode insertMode) (*Ent
 	if !ok {
 		return nil, tableNotFound(tableName)
 	}
-	p := t.partitions[e.PartitionKey]
-	if p == nil {
-		p = &partition{rows: map[string]*Entity{}}
-		t.partitions[e.PartitionKey] = p
+	var old *Entity
+	exists := false
+	if p := t.partitions[e.PartitionKey]; p != nil {
+		old, exists = p.rows[e.RowKey]
 	}
-	old, exists := p.rows[e.RowKey]
 	if exists && mode == insertStrict {
 		return nil, storecommon.Errf(storecommon.CodeEntityAlreadyExists, 409,
 			"entity (%q,%q) already exists", e.PartitionKey, e.RowKey)
@@ -186,7 +215,7 @@ func (s *Store) mutateInsert(tableName string, e *Entity, mode insertMode) (*Ent
 		}
 	}
 	s.stamp(stored)
-	p.rows[e.RowKey] = stored
+	t.put(stored)
 	return stored.Clone(), nil
 }
 
@@ -251,11 +280,7 @@ func (s *Store) Delete(tableName, partitionKey, rowKey, ifMatch string) error {
 	if !storecommon.ETagMatches(ifMatch, old.ETag) {
 		return updateConditionNotMet(old)
 	}
-	p := t.partitions[partitionKey]
-	delete(p.rows, rowKey)
-	if len(p.rows) == 0 {
-		delete(t.partitions, partitionKey)
-	}
+	t.drop(partitionKey, rowKey)
 	return nil
 }
 
@@ -295,7 +320,12 @@ type QueryResult struct {
 // entities matching filter (an OData-subset expression; empty matches
 // everything). top bounds the page size; 0 means the service maximum
 // (1000). Matching resumes from the continuation mark.
+//
+// The scan seeks to the first key the continuation mark and the filter's
+// leading key comparisons allow and stops at the last (see keyBounds);
+// every entity in between is still put to the whole filter.
 func (s *Store) Query(tableName, filter string, top int, from Continuation) (QueryResult, error) {
+	var pkRange, rkRange keyRange
 	var expr *FilterExpr
 	if filter != "" {
 		var err error
@@ -303,6 +333,7 @@ func (s *Store) Query(tableName, filter string, top int, from Continuation) (Que
 		if err != nil {
 			return QueryResult{}, err
 		}
+		pkRange, rkRange = expr.keyBounds()
 	}
 	if top <= 0 || top > storecommon.MaxQueryPageSize {
 		top = storecommon.MaxQueryPageSize
@@ -313,26 +344,17 @@ func (s *Store) Query(tableName, filter string, top int, from Continuation) (Que
 	if !ok {
 		return QueryResult{}, tableNotFound(tableName)
 	}
-	pks := make([]string, 0, len(t.partitions))
-	for pk := range t.partitions {
-		pks = append(pks, pk)
-	}
-	sort.Strings(pks)
+	pkRange.atLeast(from.NextPartitionKey)
 	var res QueryResult
-	for _, pk := range pks {
-		if pk < from.NextPartitionKey {
-			continue
-		}
+	for pi := t.pks.seek(pkRange.lo); pi.valid() && !pkRange.past(pi.key()); pi.next() {
+		pk := pi.key()
 		p := t.partitions[pk]
-		rks := make([]string, 0, len(p.rows))
-		for rk := range p.rows {
-			rks = append(rks, rk)
+		rows := rkRange
+		if pk == from.NextPartitionKey {
+			rows.atLeast(from.NextRowKey)
 		}
-		sort.Strings(rks)
-		for _, rk := range rks {
-			if pk == from.NextPartitionKey && rk < from.NextRowKey {
-				continue
-			}
+		for ri := p.rks.seek(rows.lo); ri.valid() && !rows.past(ri.key()); ri.next() {
+			rk := ri.key()
 			e := p.rows[rk]
 			if expr != nil {
 				match, err := expr.Eval(e)
