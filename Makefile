@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-debt test test-bench race race-live trace-smoke fuzz-smoke bench results quick scenarios scenarios-live examples check clean
+.PHONY: all build vet lint lint-sarif lint-debt test test-bench race race-live trace-smoke fuzz-smoke results quick scenarios scenarios-live examples check clean
 
 all: build vet lint test
 
@@ -23,21 +23,19 @@ AZLINT_SRCS := $(shell find internal/analysis cmd/azlint -name '*.go' -not -path
 bin/azlint: $(AZLINT_SRCS)
 	$(GO) build -o bin/azlint ./cmd/azlint
 
-# Run the azlint analyzer suite (see DESIGN.md §8) over every package in
-# standalone mode, suppressing the accepted legacy debt recorded in
-# azlint.baseline. Fails on any new diagnostic.
+# Run the azlint analyzer suite (see DESIGN.md §8) over every package.
+# Fails on any diagnostic not covered by a reasoned //azlint:allow.
 lint: bin/azlint
-	bin/azlint -baseline azlint.baseline ./...
+	bin/azlint ./...
 
-# Machine-readable findings for code-scanning upload. Baseline-suppressed
-# findings are included, marked with a SARIF suppression.
+# Machine-readable findings for code-scanning upload.
 lint-sarif: bin/azlint
-	bin/azlint -sarif -o azlint.sarif -baseline azlint.baseline ./...
+	bin/azlint -sarif -o azlint.sarif ./...
 
-# Suppression-debt trend: //azlint:allow directives and azlint.baseline
-# entries per analyzer. TestSuppressionDebtCeiling pins the ceilings.
+# Suppression-debt trend: //azlint:allow directives per analyzer.
+# TestSuppressionDebtCeiling pins the ceilings.
 lint-debt: bin/azlint
-	bin/azlint -debt -baseline azlint.baseline ./...
+	bin/azlint -debt ./...
 
 # Short native-fuzz smoke runs (go test -fuzz takes one package at a time).
 fuzz-smoke:
@@ -47,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzQueueScript -fuzztime=10s ./internal/queuestore
 	$(GO) test -run='^$$' -fuzz=FuzzTableScript -fuzztime=10s ./internal/tablestore
 	$(GO) test -run='^$$' -fuzz=FuzzParseFilter -fuzztime=10s ./internal/tablestore
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/scenario
 
 test:
 	$(GO) test ./...
@@ -80,13 +79,7 @@ trace-smoke:
 	bin/aztrace critpath -n 1 bin/trace-smoke.jsonl | tee bin/trace-smoke.txt | grep -q 'critical path'
 	test -s bin/trace-smoke.txt
 
-# One testing.B bench per paper table/figure plus engine micro-benches.
-# Writes a machine-readable baseline (BENCH_<date>.json) for diffing
-# across commits; the raw output stays visible on stderr.
-bench:
-	$(GO) test -run='^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_$(shell date +%Y-%m-%d).json
-
-# Regenerate every table and figure at paper scale (~6 min).
+# Regenerate every table and figure at paper scale (~2 min).
 results:
 	$(GO) run ./cmd/azurebench -experiment all -csv | tee results_full.txt
 

@@ -6,29 +6,20 @@
 // through per-function fact summaries, and diagnostics report the full
 // call chain at the sim-facing call site.
 //
-// It is normally run standalone on package patterns (loading the whole
-// program via `go list -export -deps` and the gc export-data importer),
-// with the committed legacy-debt baseline applied:
+// It runs on package patterns, loading the whole program via
+// `go list -export -deps` and the gc export-data importer:
 //
 //	go build -o bin/azlint ./cmd/azlint
-//	bin/azlint -baseline azlint.baseline ./...
+//	bin/azlint ./...
 //
 // (`make lint` does exactly that.) Flags:
 //
 //	-fix          apply the suggested mechanical fixes in place
 //	-json         emit findings as a JSON array on stdout
-//	-sarif        emit SARIF 2.1.0 on stdout (for code scanning);
-//	              baseline-suppressed findings carry suppressions[]
+//	-sarif        emit SARIF 2.1.0 on stdout (for code scanning)
 //	-o FILE       write -json/-sarif output to FILE instead of stdout
-//	-baseline F   suppress findings listed in F (one
-//	              "<basename>: <analyzer>: <message>" per line)
-//	-debt         print the suppression-debt table (allows + baseline
-//	              entries per analyzer) instead of findings
-//
-// It also still speaks the go vet -vettool protocol, exchanging its
-// facts through the vet driver's per-package vetx files:
-//
-//	go vet -vettool=bin/azlint ./...
+//	-debt         print the suppression-debt table (//azlint:allow
+//	              directives per analyzer) instead of findings
 //
 // Deliberate violations are suppressed in source with a mandatory
 // justification: //azlint:allow <analyzer>(<reason>).

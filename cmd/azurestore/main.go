@@ -7,10 +7,10 @@
 // real sockets.
 //
 // The emulator always serves per-endpoint request counters and latency
-// histograms at /statsz (JSON) and /metricsz (Prometheus text); with
-// -debug it additionally mounts the pprof profiles under /debug/pprof/.
-// SIGINT or SIGTERM stops it gracefully: in-flight requests get
-// shutdownGrace to finish and the process exits 0.
+// histograms at /metricsz (Prometheus text); with -debug it additionally
+// mounts the pprof profiles under /debug/pprof/. SIGINT or SIGTERM stops
+// it gracefully: in-flight requests get shutdownGrace to finish and the
+// process exits 0.
 //
 //	azurestore -addr 127.0.0.1:10000 -throttle -debug
 package main
@@ -42,23 +42,19 @@ const (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:10000", "listen address")
 	throttle := flag.Bool("throttle", false, "enforce scalability-target throttling")
-	cache := flag.Bool("cache", false, "enable the caching service (/cache routes)")
 	debug := flag.Bool("debug", false, "expose the pprof profiles under /debug/pprof/")
 	flag.Parse()
 
-	srv := rest.NewServer(rest.Options{Throttle: *throttle, Cache: *cache})
+	srv := rest.NewServer(rest.Options{Throttle: *throttle})
 	var handler http.Handler = srv
 	if *debug {
 		handler = withDebug(srv)
 	}
-	fmt.Printf("azurestore: serving blob/queue/table storage on http://%s (throttle=%v cache=%v debug=%v)\n", *addr, *throttle, *cache, *debug)
+	fmt.Printf("azurestore: serving blob/queue/table storage on http://%s (throttle=%v debug=%v)\n", *addr, *throttle, *debug)
 	fmt.Println("  blob:  PUT/GET  /blob/{container}/{blob}")
 	fmt.Println("  queue: POST/GET /queue/{name}/messages")
 	fmt.Println("  table: POST/GET /table/{name}")
-	if *cache {
-		fmt.Println("  cache: PUT/GET  /cache/{name}/{key}")
-	}
-	fmt.Println("  stats: GET      /statsz, /metricsz")
+	fmt.Println("  stats: GET      /metricsz")
 	if *debug {
 		fmt.Println("  debug: GET      /debug/pprof/")
 	}

@@ -109,6 +109,20 @@ func TestScopes(t *testing.T) {
 			t.Errorf("SimFacing(%q) = %v, want %v", path, got, want)
 		}
 	}
+	for path, want := range map[string]bool{
+		"azurebench/internal/rest":       true,
+		"azurebench/internal/odata":      true,
+		"azurebench/internal/sim":        true,
+		"azurebench/internal/cloud":      true,
+		"azurebench/internal/queuestore": true,
+		"azurebench/internal/core":       false,
+		"azurebench/internal/scenario":   false,
+		"azurebench/internal/tracegraph": false,
+	} {
+		if got := analysis.HotPath(path); got != want {
+			t.Errorf("HotPath(%q) = %v, want %v", path, got, want)
+		}
+	}
 	if !analysis.Deterministic("azurebench/internal/sdk") {
 		t.Error("sdk must be in the deterministic (seeded-rand) scope")
 	}

@@ -1,21 +1,12 @@
 // Package driver runs the azlint analyzer suite over type-checked
-// packages. It speaks two protocols with nothing but the standard
-// library:
-//
-//   - the `go vet -vettool` unit-checker protocol: invoked by the go
-//     command once per package with a JSON config file (*.cfg) naming
-//     the sources and the export data of every dependency. The
-//     interprocedural function summaries ride the protocol's facts
-//     ("vetx") files: each invocation writes its package's summaries to
-//     VetxOutput and reads its dependencies' from PackageVetx, so
-//     cross-package taint flows between separately-cached vet actions;
-//   - a standalone mode taking package patterns (`azlint ./...`), which
-//     shells out to `go list -export -deps -json` and keeps the facts
-//     in memory, processing packages in dependency order. Standalone
-//     mode is also where the reporting and repair flags live:
-//     -json/-sarif machine-readable output (-o FILE), -baseline FILE
-//     legacy-debt suppression, -debt the suppression-debt report, and
-//     -fix to apply suggested fixes to the working tree.
+// packages with nothing but the standard library. It takes package
+// patterns (`azlint ./...`), shells out to `go list -export -deps -json`
+// and processes packages in dependency order, keeping the
+// interprocedural function summaries in memory so each package sees the
+// facts of everything it imports. The reporting and repair flags:
+// -json/-sarif machine-readable output (-o FILE), -debt the
+// suppression-debt report, and -fix to apply suggested fixes to the
+// working tree.
 //
 // golang.org/x/tools is deliberately not used: the module has no
 // dependencies, and the toolchain's export-data importer
@@ -41,44 +32,20 @@ import (
 	"azurebench/internal/analysis"
 )
 
-// vetConfig mirrors the JSON written by the go command for vet tools
-// (cmd/go/internal/work.vetConfig). Fields we do not consult are listed
-// for documentation value.
-type vetConfig struct {
-	ID           string
-	Compiler     string
-	Dir          string
-	ImportPath   string
-	GoFiles      []string
-	NonGoFiles   []string
-	IgnoredFiles []string
-
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	Standard    map[string]bool
-	PackageVetx map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-	GoVersion   string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// options are the standalone-mode flags.
+// options are the command-line flags.
 type options struct {
 	fix      bool // apply suggested fixes to the tree
 	jsonOut  bool // machine-readable JSON findings
 	sarifOut bool // SARIF 2.1.0 findings
 	debt     bool // suppression-debt report instead of findings
 	outFile  string
-	baseline string
 }
 
 // Main is the azlint entry point; it returns the process exit code
 // (0 clean, 1 diagnostics reported, 2 operational failure).
 func Main(args []string, stdout, stderr io.Writer) int {
 	var opts options
-	var rest []string
+	var patterns []string
 	for i := 0; i < len(args); i++ {
 		arg := args[i]
 		switch {
@@ -95,152 +62,16 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		case arg == "-o" && i+1 < len(args):
 			i++
 			opts.outFile = args[i]
-		case strings.HasPrefix(arg, "-baseline="):
-			opts.baseline = arg[len("-baseline="):]
-		case arg == "-baseline" && i+1 < len(args):
-			i++
-			opts.baseline = args[i]
 		default:
-			rest = append(rest, arg)
+			patterns = append(patterns, arg)
 		}
 	}
-	if len(rest) == 1 {
-		switch {
-		case rest[0] == "-flags":
-			// The go command queries a vet tool's flags before use; the
-			// suite has none it accepts through the protocol.
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case strings.HasPrefix(rest[0], "-V"):
-			fmt.Fprintln(stdout, "azlint version 2 (interprocedural)")
-			return 0
-		case strings.HasSuffix(rest[0], ".cfg"):
-			return runVetCfg(rest[0], stderr)
-		}
-	}
-	if len(rest) == 0 {
-		fmt.Fprintln(stderr, "usage: azlint [-fix] [-json|-sarif] [-o file] [-baseline file] [-debt] <packages>")
-		fmt.Fprintln(stderr, "   (or invoked by go vet -vettool)")
+	if len(patterns) == 0 {
+		fmt.Fprintln(stderr, "usage: azlint [-fix] [-json|-sarif] [-o file] [-debt] <packages>")
 		return 2
 	}
-	return runStandalone(opts, rest, stdout, stderr)
+	return run(opts, patterns, stdout, stderr)
 }
-
-// --- go vet unit-checker mode ---
-
-func runVetCfg(cfgPath string, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "azlint: reading config: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "azlint: parsing config %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// The go command expects a facts ("vetx") file from every
-	// invocation. Standard-library packages carry no azlint facts (the
-	// wall-clock and global-rand seeds are recognised by name), so their
-	// facts pass is a cheap empty write; module packages get their full
-	// interprocedural summary computed below.
-	writeFacts := func(pf *analysis.PkgFacts) bool {
-		if cfg.VetxOutput == "" {
-			return true
-		}
-		data, err := json.Marshal(pf)
-		if err != nil {
-			fmt.Fprintf(stderr, "azlint: encoding facts: %v\n", err)
-			return false
-		}
-		if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-			fmt.Fprintf(stderr, "azlint: writing vetx output: %v\n", err)
-			return false
-		}
-		return true
-	}
-	if cfg.Standard[cfg.ImportPath] {
-		if !writeFacts(&analysis.PkgFacts{}) {
-			return 2
-		}
-		return 0
-	}
-
-	bail := func(err error) int {
-		// A dependency facts pass must not fail the build on source the
-		// compiler already accepted or rejected; emit empty facts.
-		if cfg.VetxOnly || cfg.SucceedOnTypecheckFailure {
-			writeFacts(&analysis.PkgFacts{})
-			return 0
-		}
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-
-	fset := token.NewFileSet()
-	files, err := parseFiles(fset, cfg.GoFiles)
-	if err != nil {
-		return bail(err)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	pkg, info, err := typecheck(fset, cfg.ImportPath, files, importer.ForCompiler(fset, "gc", lookup))
-	if err != nil {
-		return bail(err)
-	}
-
-	factsCache := map[string]*analysis.PkgFacts{}
-	depFacts := func(importPath string) *analysis.PkgFacts {
-		if pf, ok := factsCache[importPath]; ok {
-			return pf
-		}
-		mapped := importPath
-		if m, ok := cfg.ImportMap[importPath]; ok {
-			mapped = m
-		}
-		var pf *analysis.PkgFacts
-		for _, key := range []string{importPath, mapped} {
-			if file, ok := cfg.PackageVetx[key]; ok {
-				if data, err := os.ReadFile(file); err == nil && len(data) > 0 {
-					var decoded analysis.PkgFacts
-					if json.Unmarshal(data, &decoded) == nil {
-						pf = &decoded
-					}
-				}
-				break
-			}
-		}
-		factsCache[importPath] = pf
-		return pf
-	}
-
-	var analyzers []*analysis.Analyzer
-	if !cfg.VetxOnly {
-		analyzers = analysis.All()
-	}
-	res := analysis.Analyze(&analysis.Package{Fset: fset, Files: files, Pkg: pkg, Info: info}, analyzers, depFacts)
-	if !writeFacts(res.Facts) {
-		return 2
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	printDiags(stderr, fset, res.Diags)
-	if len(res.Diags) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// --- standalone mode (azlint ./...) ---
 
 // listPackage is the subset of `go list -json` output the driver needs.
 type listPackage struct {
@@ -255,18 +86,11 @@ type listPackage struct {
 // finding is one diagnostic with its resolved position, aggregated
 // across packages for the output emitters.
 type finding struct {
-	diag       analysis.Diagnostic
-	pos        token.Position
-	suppressed bool // matched by the baseline file
+	diag analysis.Diagnostic
+	pos  token.Position
 }
 
-func runStandalone(opts options, patterns []string, stdout, stderr io.Writer) int {
-	baseline, err := loadBaseline(opts.baseline)
-	if err != nil {
-		fmt.Fprintf(stderr, "azlint: %v\n", err)
-		return 2
-	}
-
+func run(opts options, patterns []string, stdout, stderr io.Writer) int {
 	listArgs := append([]string{
 		"list", "-export", "-deps",
 		"-json=Dir,ImportPath,Export,GoFiles,DepOnly,Standard",
@@ -344,17 +168,12 @@ func runStandalone(opts options, patterns []string, stdout, stderr io.Writer) in
 		}
 		allAllows = append(allAllows, res.Allows...)
 		for _, d := range res.Diags {
-			pos := fset.Position(d.Pos)
-			findings = append(findings, finding{
-				diag:       d,
-				pos:        pos,
-				suppressed: baseline.matches(pos.Filename, d.Analyzer, d.Message),
-			})
+			findings = append(findings, finding{diag: d, pos: fset.Position(d.Pos)})
 		}
 	}
 
 	if opts.debt {
-		printDebt(stdout, allAllows, baseline)
+		printDebt(stdout, allAllows)
 		return 0
 	}
 	if opts.fix {
@@ -384,26 +203,22 @@ func runStandalone(opts options, patterns []string, stdout, stderr io.Writer) in
 		}
 	default:
 		for _, f := range findings {
-			if !f.suppressed {
-				fmt.Fprintf(stderr, "%s: %s [azlint:%s]\n", f.pos, f.diag.Message, f.diag.Analyzer)
-			}
+			fmt.Fprintf(stderr, "%s: %s [azlint:%s]\n", f.pos, f.diag.Message, f.diag.Analyzer)
 		}
 	}
-	for _, f := range findings {
-		if !f.suppressed {
-			return 1
-		}
+	if len(findings) > 0 {
+		return 1
 	}
 	return 0
 }
 
-// applyFixes applies the suggested fixes of every unsuppressed finding
-// to the working tree, then reports what remains.
+// applyFixes applies the suggested fixes of every finding to the working
+// tree, then reports what remains.
 func applyFixes(fset *token.FileSet, findings []finding, stdout, stderr io.Writer) int {
 	var fixable []analysis.Diagnostic
 	src := map[string][]byte{}
 	for _, f := range findings {
-		if f.suppressed || f.diag.Fix == nil {
+		if f.diag.Fix == nil {
 			continue
 		}
 		fixable = append(fixable, f.diag)
@@ -441,7 +256,7 @@ func applyFixes(fset *token.FileSet, findings []finding, stdout, stderr io.Write
 	fmt.Fprintf(stdout, "azlint -fix: applied %d fix(es) across %d file(s)\n", applied, changed)
 	exit := 0
 	for _, f := range findings {
-		if f.suppressed || f.diag.Fix != nil {
+		if f.diag.Fix != nil {
 			continue
 		}
 		fmt.Fprintf(stderr, "%s: %s [azlint:%s] (no mechanical fix)\n", f.pos, f.diag.Message, f.diag.Analyzer)
@@ -450,7 +265,26 @@ func applyFixes(fset *token.FileSet, findings []finding, stdout, stderr io.Write
 	return exit
 }
 
-// --- shared plumbing ---
+// printDebt renders the suppression-debt report: how many
+// //azlint:allow directives are live in the analyzed packages, per
+// analyzer. The total is the number of known violations the tree is
+// carrying — the trend to drive to zero.
+func printDebt(w io.Writer, allows []analysis.Allow) {
+	byAnalyzer := map[string]int{}
+	for _, a := range allows {
+		byAnalyzer[a.Analyzer]++
+	}
+	names := make([]string, 0, len(byAnalyzer))
+	for name := range byAnalyzer {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fmt.Fprintf(w, "%-14s %8s\n", "analyzer", "allows")
+	for _, name := range names {
+		fmt.Fprintf(w, "%-14s %8d\n", name, byAnalyzer[name])
+	}
+	fmt.Fprintf(w, "%-14s %8d\n", "total", len(allows))
+}
 
 func parseFiles(fset *token.FileSet, paths []string) ([]*ast.File, error) {
 	var files []*ast.File
@@ -483,10 +317,4 @@ func typecheck(fset *token.FileSet, importPath string, files []*ast.File, imp ty
 		return nil, nil, fmt.Errorf("azlint: typechecking %s: %v", importPath, firstErr)
 	}
 	return pkg, info, nil
-}
-
-func printDiags(w io.Writer, fset *token.FileSet, diags []analysis.Diagnostic) {
-	for _, d := range diags {
-		fmt.Fprintf(w, "%s: %s [azlint:%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-	}
 }

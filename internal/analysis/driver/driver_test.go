@@ -7,28 +7,6 @@ import (
 	"testing"
 )
 
-// TestFlagsHandshake covers the side of the go vet vettool protocol that
-// runs before any package is built: the -flags query (the go command
-// refuses a tool whose -flags output is not valid JSON) and the -V
-// version stamp.
-func TestFlagsHandshake(t *testing.T) {
-	var out bytes.Buffer
-	if code := Main([]string{"-flags"}, &out, io.Discard); code != 0 {
-		t.Fatalf("-flags exited %d", code)
-	}
-	if got := strings.TrimSpace(out.String()); got != "[]" {
-		t.Fatalf("-flags printed %q, want []", got)
-	}
-
-	out.Reset()
-	if code := Main([]string{"-V=full"}, &out, io.Discard); code != 0 {
-		t.Fatalf("-V=full exited %d", code)
-	}
-	if !strings.Contains(out.String(), "azlint version") {
-		t.Fatalf("-V=full printed %q", out.String())
-	}
-}
-
 func TestUsageOnNoArgs(t *testing.T) {
 	var errBuf bytes.Buffer
 	if code := Main(nil, io.Discard, &errBuf); code != 2 {

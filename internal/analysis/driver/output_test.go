@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"go/token"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -28,8 +26,7 @@ func sampleFindings() []finding {
 				Analyzer: "hotalloc",
 				Message:  "fmt.Sprintf allocates on every loop iteration in hot-path package core",
 			},
-			pos:        token.Position{Filename: "internal/core/bench.go", Line: 7, Column: 3},
-			suppressed: true,
+			pos: token.Position{Filename: "internal/core/bench.go", Line: 7, Column: 3},
 		},
 	}
 }
@@ -37,8 +34,7 @@ func sampleFindings() []finding {
 // TestSARIFStructure validates the -sarif output against the shape the
 // SARIF 2.1.0 spec (and GitHub code scanning) requires: version and
 // $schema, a named tool driver whose rules cover every result's ruleId,
-// and per-result message text and physical location. Baseline-suppressed
-// findings must be present but carry a suppression.
+// and per-result message text and physical location.
 func TestSARIFStructure(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeSARIF(&buf, sampleFindings()); err != nil {
@@ -107,16 +103,6 @@ func TestSARIFStructure(t *testing.T) {
 			t.Errorf("result %d startLine = %v", i, line)
 		}
 	}
-	if _, hasSupp := results[0].(map[string]any)["suppressions"]; hasSupp {
-		t.Error("unsuppressed finding carries suppressions")
-	}
-	supp, ok := results[1].(map[string]any)["suppressions"].([]any)
-	if !ok || len(supp) != 1 {
-		t.Fatalf("suppressed finding's suppressions = %v", results[1].(map[string]any)["suppressions"])
-	}
-	if kind := supp[0].(map[string]any)["kind"]; kind != "external" {
-		t.Errorf("suppression kind = %v, want external", kind)
-	}
 
 	// The emitter must be deterministic: identical findings, identical
 	// bytes (the double-run digest property, applied to lint output).
@@ -141,10 +127,10 @@ func TestJSONOutput(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("got %d findings, want 2", len(out))
 	}
-	if out[0].Analyzer != "walltime" || !out[0].Fixable || out[0].Suppressed {
+	if out[0].Analyzer != "walltime" || !out[0].Fixable {
 		t.Errorf("finding 0 = %+v", out[0])
 	}
-	if out[1].Analyzer != "hotalloc" || out[1].Fixable || !out[1].Suppressed {
+	if out[1].Analyzer != "hotalloc" || out[1].Fixable {
 		t.Errorf("finding 1 = %+v", out[1])
 	}
 
@@ -157,76 +143,24 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-// TestBaseline covers the legacy-debt file: comment and blank lines are
-// skipped, matching is by (basename, analyzer, message) so directory
-// moves and unrelated line edits do not invalidate entries, and a
-// near-miss on any component does not match.
-func TestBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "azlint.baseline")
-	content := "# header comment\n\n" +
-		"bench.go: hotalloc: fmt.Sprintf allocates\n"
-	if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	b, err := loadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.entries) != 1 {
-		t.Fatalf("loaded %d entries, want 1", len(b.entries))
-	}
-	if !b.matches("/abs/internal/core/bench.go", "hotalloc", "fmt.Sprintf allocates") {
-		t.Error("baseline entry did not match by basename")
-	}
-	if b.matches("/abs/internal/core/bench.go", "hotalloc", "different message") {
-		t.Error("baseline matched a different message")
-	}
-	if b.matches("/abs/internal/core/other.go", "hotalloc", "fmt.Sprintf allocates") {
-		t.Error("baseline matched a different file")
-	}
-	if b.matches("/abs/internal/core/bench.go", "walltime", "fmt.Sprintf allocates") {
-		t.Error("baseline matched a different analyzer")
-	}
-
-	if empty, err := loadBaseline(""); err != nil || len(empty.entries) != 0 {
-		t.Errorf("no -baseline flag must load an empty set (err %v)", err)
-	}
-	if _, err := loadBaseline(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing baseline file must be an error, not silently empty")
-	}
-}
-
 func TestDebtReport(t *testing.T) {
-	b := &baselineSet{entries: map[string]bool{
-		"bench.go: hotalloc: msg a":  true,
-		"bench2.go: hotalloc: msg b": true,
-		"x.go: maporder: msg c":      true,
-	}, hits: map[string]int{}}
 	allows := []analysis.Allow{
 		{Analyzer: "hotalloc"},
 		{Analyzer: "walltime"},
+		{Analyzer: "hotalloc"},
 	}
 	var buf bytes.Buffer
-	printDebt(&buf, allows, b)
-	out := buf.String()
-	for _, want := range []string{
-		"analyzer", "allows", "baseline", "total",
-		"hotalloc", "maporder", "walltime",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("debt report missing %q:\n%s", want, out)
-		}
-	}
-	// hotalloc: 1 allow + 2 baselined = 3; grand total 2 + 3.
-	if !strings.Contains(out, "hotalloc              1          2       3") {
-		t.Errorf("hotalloc row wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "total                 2          3       5") {
-		t.Errorf("total row wrong:\n%s", out)
+	printDebt(&buf, allows)
+	want := "analyzer         allows\n" +
+		"hotalloc              2\n" +
+		"walltime              1\n" +
+		"total                 3\n"
+	if buf.String() != want {
+		t.Errorf("debt report =\n%s\nwant\n%s", buf.String(), want)
 	}
 }
 
-// TestStandaloneJSONClean drives the real standalone path (go list,
+// TestStandaloneJSONClean drives the real path end to end (go list,
 // export-data import, facts, output emitters) over a package known to be
 // clean, asserting exit 0 and an empty JSON findings array.
 func TestStandaloneJSONClean(t *testing.T) {

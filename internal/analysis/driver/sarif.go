@@ -11,9 +11,7 @@ import (
 )
 
 // Minimal SARIF 2.1.0 object model — just the slice of the spec that
-// GitHub code scanning consumes. Baseline-suppressed findings are
-// included with a `suppressions` entry rather than omitted, so the
-// dashboard shows legacy debt as suppressed instead of losing it.
+// GitHub code scanning consumes.
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`
@@ -42,11 +40,10 @@ type sarifRule struct {
 }
 
 type sarifResult struct {
-	RuleID       string             `json:"ruleId"`
-	Level        string             `json:"level"`
-	Message      sarifMessage       `json:"message"`
-	Locations    []sarifLocation    `json:"locations"`
-	Suppressions []sarifSuppression `json:"suppressions,omitempty"`
+	RuleID    string          `json:"ruleId"`
+	Level     string          `json:"level"`
+	Message   sarifMessage    `json:"message"`
+	Locations []sarifLocation `json:"locations"`
 }
 
 type sarifMessage struct {
@@ -70,11 +67,6 @@ type sarifArtifactLocation struct {
 type sarifRegion struct {
 	StartLine   int `json:"startLine"`
 	StartColumn int `json:"startColumn,omitempty"`
-}
-
-type sarifSuppression struct {
-	Kind          string `json:"kind"`
-	Justification string `json:"justification,omitempty"`
 }
 
 // sarifURI renders a finding's filename relative to the working
@@ -108,7 +100,7 @@ func writeSARIF(w io.Writer, findings []finding) error {
 
 	results := make([]sarifResult, 0, len(findings))
 	for _, f := range findings {
-		r := sarifResult{
+		results = append(results, sarifResult{
 			RuleID:  f.diag.Analyzer,
 			Level:   "error",
 			Message: sarifMessage{Text: f.diag.Message},
@@ -118,11 +110,7 @@ func writeSARIF(w io.Writer, findings []finding) error {
 					Region:           sarifRegion{StartLine: f.pos.Line, StartColumn: f.pos.Column},
 				},
 			}},
-		}
-		if f.suppressed {
-			r.Suppressions = []sarifSuppression{{Kind: "external", Justification: "accepted legacy debt in azlint.baseline"}}
-		}
-		results = append(results, r)
+		})
 	}
 
 	log := sarifLog{
@@ -140,26 +128,24 @@ func writeSARIF(w io.Writer, findings []finding) error {
 
 // jsonFinding is one finding in `azlint -json` output.
 type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Column     int    `json:"column"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-	Fixable    bool   `json:"fixable"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Column   int    `json:"column"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
+	Fixable  bool   `json:"fixable"`
 }
 
 func writeJSON(w io.Writer, findings []finding) error {
 	out := make([]jsonFinding, 0, len(findings))
 	for _, f := range findings {
 		out = append(out, jsonFinding{
-			File:       f.pos.Filename,
-			Line:       f.pos.Line,
-			Column:     f.pos.Column,
-			Analyzer:   f.diag.Analyzer,
-			Message:    f.diag.Message,
-			Suppressed: f.suppressed,
-			Fixable:    f.diag.Fix != nil,
+			File:     f.pos.Filename,
+			Line:     f.pos.Line,
+			Column:   f.pos.Column,
+			Analyzer: f.diag.Analyzer,
+			Message:  f.diag.Message,
+			Fixable:  f.diag.Fix != nil,
 		})
 	}
 	enc := json.NewEncoder(w)

@@ -11,8 +11,7 @@ import (
 // summary per function. Summaries compose across packages: each
 // package's facts embed the transitive chains of its dependencies, so a
 // consumer only ever needs the facts of its direct imports. The driver
-// ships them between `go vet` actions as the package's "vetx" facts
-// file; standalone mode and the fixture harness keep them in memory.
+// and the fixture harness keep them in memory, keyed by import path.
 
 // FuncTaint is the interprocedural summary of one function: why calling
 // it makes the caller's behaviour depend on process state. Each non-nil
@@ -22,13 +21,13 @@ import (
 type FuncTaint struct {
 	// Wallclock: the function transitively reads the wall clock
 	// (time.Now/Sleep/After/...).
-	Wallclock []string `json:"wallclock,omitempty"`
+	Wallclock []string
 	// GlobalRand: the function transitively draws from the
 	// process-global math/rand source.
-	GlobalRand []string `json:"globalrand,omitempty"`
+	GlobalRand []string
 	// MapOrdered: the function returns a slice whose element order is
 	// inherited from a map iteration and never canonicalised by a sort.
-	MapOrdered []string `json:"mapordered,omitempty"`
+	MapOrdered []string
 }
 
 // Empty reports a clean summary.
@@ -41,7 +40,7 @@ func (t FuncTaint) Empty() bool {
 // types.Func.FullName ("pkg/path.Func", "(pkg/path.T).Method").
 // Functions with an empty summary are omitted.
 type PkgFacts struct {
-	Funcs map[string]FuncTaint `json:"funcs,omitempty"`
+	Funcs map[string]FuncTaint
 }
 
 // Lookup returns the summary for fn's key, or a zero summary.

@@ -7,7 +7,7 @@ import (
 )
 
 // Hotalloc flags per-operation heap allocations inside the hot loops of
-// the REST emulator and the simulation-facing packages: `make([]byte,…)`
+// the per-request and per-event packages (see HotPath): `make([]byte,…)`
 // payload buffers, fresh `bytes.Buffer`s, and fmt formatting (Sprintf/
 // Errorf/Sprint) allocate on every iteration, and at the million-client
 // kernel's scale those become the dominant GC load. The repair is the
@@ -17,14 +17,31 @@ import (
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "flag per-op heap allocations (make([]byte,…), bytes.Buffer, fmt.Sprintf/Errorf) " +
-		"inside loops in REST hot paths and simulation inner loops; hoist or pool the buffer",
+		"inside loops in the REST, sim-kernel, cloud-client and engine packages; hoist or pool the buffer",
 	Run: runHotalloc,
 }
 
-// HotPath reports whether the package at importPath is on a measured
-// hot path: the REST emulator plus every simulation-facing package.
+// hotPathSegments are the import-path segments of the packages that sit
+// on a request or event path: the REST handlers and their codec, the sim
+// kernel, the simulated client pipeline and the storage engines.
+// Workload generators and report rendering (core, scenario, trace, ...)
+// are deliberately outside it — what they allocate per operation is
+// measured by the bench ledger (proc.allocs_per_op,
+// scenario.op_overhead_us), not linted.
+var hotPathSegments = []string{
+	"rest", "odata", "sim", "cloud",
+	"blobstore", "queuestore", "tablestore", "storecommon",
+}
+
+// HotPath reports whether the package at importPath is on a per-request
+// or per-event hot path.
 func HotPath(importPath string) bool {
-	return SimFacing(importPath) || hasSegment(importPath, "rest")
+	for _, seg := range hotPathSegments {
+		if hasSegment(importPath, seg) {
+			return true
+		}
+	}
+	return false
 }
 
 func runHotalloc(pass *Pass) {

@@ -161,14 +161,14 @@ type Report struct {
 	Title   string
 	Figures []metrics.Figure
 	Notes   []string
-	// Wall is the real time the simulation took; virtual durations are in
-	// the figures themselves.
+	// Wall is the real time the run took, simulated or live; virtual
+	// durations are in the figures themselves.
 	Wall time.Duration
 }
 
 // Render formats the full report as text.
 func (r *Report) Render() string {
-	out := fmt.Sprintf("=== %s — %s (simulated in %v wall time) ===\n", r.ID, r.Title, r.Wall.Round(time.Millisecond))
+	out := fmt.Sprintf("=== %s — %s (%v wall time) ===\n", r.ID, r.Title, r.Wall.Round(time.Millisecond))
 	for _, fig := range r.Figures {
 		out += "\n" + fig.Render()
 	}

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/bits"
 	"time"
@@ -145,25 +144,6 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 	return h.max
 }
 
-// Bucket is one non-empty histogram bucket in export form.
-type Bucket struct {
-	Lo    time.Duration `json:"lo_ns"`
-	Count uint64        `json:"count"`
-}
-
-// Buckets returns the non-empty buckets in ascending order.
-func (h *Histogram) Buckets() []Bucket {
-	var out []Bucket
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		lo, _ := BucketBounds(i)
-		out = append(out, Bucket{Lo: lo, Count: c})
-	}
-	return out
-}
-
 // CumBucket is one bucket of a cumulative (Prometheus-style) view: Count
 // samples were at or below Hi. The top bucket's Hi is the maximum
 // duration, which exporters render as +Inf.
@@ -193,31 +173,4 @@ func (h *Histogram) Summary() string {
 		h.Percentile(50).Round(time.Microsecond),
 		h.Percentile(95).Round(time.Microsecond),
 		h.max.Round(time.Microsecond))
-}
-
-// histogramJSON is the export schema (durations in integer nanoseconds).
-type histogramJSON struct {
-	Count   uint64   `json:"count"`
-	SumNs   int64    `json:"sum_ns"`
-	MinNs   int64    `json:"min_ns"`
-	MaxNs   int64    `json:"max_ns"`
-	P50Ns   int64    `json:"p50_ns"`
-	P95Ns   int64    `json:"p95_ns"`
-	P99Ns   int64    `json:"p99_ns"`
-	Buckets []Bucket `json:"buckets,omitempty"`
-}
-
-// MarshalJSON exports the histogram with summary percentiles and its
-// non-empty buckets.
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(histogramJSON{
-		Count:   h.n,
-		SumNs:   int64(h.sum),
-		MinNs:   int64(h.min),
-		MaxNs:   int64(h.max),
-		P50Ns:   int64(h.Percentile(50)),
-		P95Ns:   int64(h.Percentile(95)),
-		P99Ns:   int64(h.Percentile(99)),
-		Buckets: h.Buckets(),
-	})
 }

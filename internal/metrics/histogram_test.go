@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -96,46 +95,6 @@ func TestHistogramMerge(t *testing.T) {
 	a.Merge(&Histogram{})
 	if a != before {
 		t.Fatal("nil/empty merge mutated histogram")
-	}
-}
-
-func TestHistogramBucketsAndJSON(t *testing.T) {
-	var h Histogram
-	h.Observe(time.Millisecond)
-	h.Observe(time.Millisecond)
-	h.Observe(time.Second)
-	bks := h.Buckets()
-	if len(bks) != 2 {
-		t.Fatalf("buckets = %+v", bks)
-	}
-	var total uint64
-	for _, b := range bks {
-		total += b.Count
-	}
-	if total != h.Count() {
-		t.Fatalf("bucket counts sum to %d, n = %d", total, h.Count())
-	}
-	data, err := json.Marshal(&h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Count   uint64 `json:"count"`
-		SumNs   int64  `json:"sum_ns"`
-		P50Ns   int64  `json:"p50_ns"`
-		Buckets []struct {
-			LoNs  int64  `json:"lo_ns"`
-			Count uint64 `json:"count"`
-		} `json:"buckets"`
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("export not JSON: %v", err)
-	}
-	if out.Count != 3 || out.SumNs != int64(h.Total()) || len(out.Buckets) != 2 {
-		t.Fatalf("export = %+v", out)
-	}
-	if out.P50Ns <= 0 {
-		t.Fatalf("p50 = %d", out.P50Ns)
 	}
 }
 

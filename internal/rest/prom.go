@@ -22,8 +22,8 @@ func promLabels(endpoint string) (method, service string) {
 // handleMetricsz serves the endpoint stats in the Prometheus text
 // exposition format (version 0.0.4): one counter family each for
 // requests, errors, and throttles, and one histogram family translating
-// the fixed log2 layout into cumulative le-buckets. It reuses the same
-// MetricsSnapshot that backs /statsz, so the two endpoints always agree.
+// the fixed log2 layout into cumulative le-buckets. It renders the same
+// MetricsSnapshot in-process callers read, so the two always agree.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeMethodNotAllowed(w, r)

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"azurebench/internal/blobstore"
-	"azurebench/internal/cachestore"
 	"azurebench/internal/queuestore"
 	"azurebench/internal/storecommon"
 	"azurebench/internal/tablestore"
@@ -44,11 +43,6 @@ type Options struct {
 	QueueOpsPerSec     float64
 	PartitionOpsPerSec float64
 	AccountOpsPerSec   float64
-	// Cache enables the caching service with the given node count and
-	// per-node capacity.
-	Cache             bool
-	CacheNodes        int
-	CacheNodeCapacity int64
 }
 
 // Server is the HTTP storage emulator.
@@ -56,9 +50,6 @@ type Server struct {
 	Blob  *blobstore.Store
 	Queue *queuestore.Store
 	Table *tablestore.Store
-	// CacheCluster is non-nil when Options.Cache is set; it serves the
-	// /cache routes.
-	CacheCluster *cachestore.Cluster
 
 	clock vclock.Clock
 	mux   *http.ServeMux
@@ -66,7 +57,7 @@ type Server struct {
 	throttle *throttler
 
 	// Per-endpoint request counters and latency histograms, served at
-	// /statsz and via MetricsSnapshot (see stats.go).
+	// /metricsz and via MetricsSnapshot (see stats.go).
 	statsMu sync.Mutex
 	stats   map[string]*endpointStats
 	// geoStats backs GET /stats (Get Service Stats); nil means no
@@ -97,25 +88,12 @@ func NewServer(opts Options) *Server {
 	if opts.Throttle {
 		s.throttle = newThrottler(opts)
 	}
-	if opts.Cache {
-		nodes := opts.CacheNodes
-		if nodes <= 0 {
-			nodes = 4
-		}
-		capacity := opts.CacheNodeCapacity
-		if capacity <= 0 {
-			capacity = 128 * storecommon.MB
-		}
-		s.CacheCluster = cachestore.New(clock, nodes, capacity)
-	}
 	s.mux.HandleFunc("/blob/", s.handleBlob)
 	s.mux.HandleFunc("/queue/", s.handleQueue)
 	s.mux.HandleFunc("/table/", s.handleTable)
-	s.mux.HandleFunc("/cache/", s.handleCache)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	s.mux.HandleFunc("/statsz", s.handleStatsz)
 	s.mux.HandleFunc("/metricsz", s.handleMetricsz)
 	s.mux.HandleFunc("/stats", s.handleServiceStats)
 	return s

@@ -1,7 +1,6 @@
 package rest
 
 import (
-	"encoding/json"
 	"encoding/xml"
 	"net/http"
 	"sort"
@@ -16,11 +15,11 @@ import (
 // method plus the first path segment ("PUT /blob", "GET /queue", ...), the
 // granularity at which the emulator's scalability targets operate.
 type EndpointStats struct {
-	Endpoint  string             `json:"endpoint"`
-	Count     uint64             `json:"count"`
-	Errors    uint64             `json:"errors"`    // responses with status >= 400
-	Throttled uint64             `json:"throttled"` // 503 ServerBusy responses
-	Latency   *metrics.Histogram `json:"latency"`
+	Endpoint  string
+	Count     uint64
+	Errors    uint64 // responses with status >= 400
+	Throttled uint64 // 503 ServerBusy responses
+	Latency   *metrics.Histogram
 }
 
 // endpointStats is the mutable interior form behind the stats mutex.
@@ -56,8 +55,15 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// otherEndpoint is the one stats key shared by every request that is not
+// a standard method on one of the server's own routes.
+const otherEndpoint = "OTHER /other"
+
 // endpointKey reduces a request to its stats key: method + first path
-// segment.
+// segment. Both are chosen by the client, so anything outside the routes
+// NewServer mounts (and the root path probes hit) or the standard HTTP
+// methods maps to otherEndpoint; the stats map, and the /metricsz label
+// sets rendered from it, stay bounded whatever a client sends.
 func endpointKey(r *http.Request) string {
 	path := r.URL.Path
 	if path == "" {
@@ -65,6 +71,17 @@ func endpointKey(r *http.Request) string {
 	}
 	if i := strings.Index(path[1:], "/"); i >= 0 {
 		path = path[:i+1]
+	}
+	switch path {
+	case "/blob", "/queue", "/table", "/healthz", "/metricsz", "/stats", "/":
+	default:
+		return otherEndpoint
+	}
+	switch r.Method {
+	case http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace:
+	default:
+		return otherEndpoint
 	}
 	return r.Method + " " + path
 }
@@ -108,19 +125,6 @@ func (s *Server) MetricsSnapshot() []EndpointStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
 	return out
-}
-
-// handleStatsz serves the stats snapshot as JSON — the emulator's
-// lightweight metrics endpoint (expvar-friendly, no dependencies).
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeMethodNotAllowed(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.MetricsSnapshot())
 }
 
 // GeoStats is the account's geo-replication status, the payload behind

@@ -1,7 +1,7 @@
 package rest
 
 import (
-	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +16,9 @@ func TestEndpointKey(t *testing.T) {
 		{"GET", "/queue/q/messages", "GET /queue"},
 		{"GET", "/healthz", "GET /healthz"},
 		{"GET", "/", "GET /"},
+		{"GET", "/junk7/x", "OTHER /other"},
+		{"GET", "/blobby", "OTHER /other"},
+		{"M7", "/blob/c/b", "OTHER /other"},
 	} {
 		r := httptest.NewRequest(tc.method, "http://x"+tc.path, nil)
 		if got := endpointKey(r); got != tc.want {
@@ -45,30 +48,7 @@ func TestStatszCountsAndClassifies(t *testing.T) {
 	do("GET", "/blob/ctn/b.bin", "")          // download: ok
 	do("GET", "/blob/absent/missing.bin", "") // 404: counted as error
 
-	resp, err := hs.Client().Get(hs.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("statsz status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type = %q", ct)
-	}
-	var stats []struct {
-		Endpoint  string `json:"endpoint"`
-		Count     uint64 `json:"count"`
-		Errors    uint64 `json:"errors"`
-		Throttled uint64 `json:"throttled"`
-		Latency   struct {
-			Count uint64 `json:"count"`
-			MaxNs int64  `json:"max_ns"`
-		} `json:"latency"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatalf("statsz not JSON: %v", err)
-	}
+	stats := srv.MetricsSnapshot()
 	byKey := map[string]int{}
 	for i, s := range stats {
 		byKey[s.Endpoint] = i
@@ -83,8 +63,8 @@ func TestStatszCountsAndClassifies(t *testing.T) {
 	if stats[put].Count != 2 || stats[put].Errors != 0 {
 		t.Fatalf("PUT /blob = %+v", stats[put])
 	}
-	if stats[put].Latency.Count != 2 || stats[put].Latency.MaxNs <= 0 {
-		t.Fatalf("PUT /blob latency = %+v", stats[put].Latency)
+	if stats[put].Latency.Count() != 2 || stats[put].Latency.Max() <= 0 {
+		t.Fatalf("PUT /blob latency = %s", stats[put].Latency.Summary())
 	}
 	get, ok := byKey["GET /blob"]
 	if !ok {
@@ -129,6 +109,30 @@ func TestStatszCountsThrottles(t *testing.T) {
 		}
 	}
 	t.Fatalf("POST /queue missing: %+v", snap)
+}
+
+// Method and path are client-supplied: requests outside the server's own
+// routes and the standard methods must not each mint a stats entry (and a
+// histogram, and a /metricsz label set).
+func TestEndpointStatsBoundedUnderJunkRequests(t *testing.T) {
+	srv := NewServer(Options{})
+	for i := 0; i < 5000; i++ {
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", fmt.Sprintf("http://x/junk%d/x", i), nil))
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(fmt.Sprintf("M%d", i), "http://x/blob/ctn", nil))
+	}
+	snap := srv.MetricsSnapshot()
+	if len(snap) > 4 {
+		t.Fatalf("%d stats entries after 10 000 junk requests, want a small constant", len(snap))
+	}
+	for _, s := range snap {
+		if s.Endpoint == otherEndpoint {
+			if s.Count != 10000 {
+				t.Fatalf("%s count = %d, want 10000", otherEndpoint, s.Count)
+			}
+			return
+		}
+	}
+	t.Fatalf("%s missing: %+v", otherEndpoint, snap)
 }
 
 func TestMetricsSnapshotIsACopy(t *testing.T) {

@@ -80,7 +80,7 @@ func traceService(path string) string {
 		p = p[:i]
 	}
 	switch p {
-	case "blob", "queue", "table", "cache":
+	case "blob", "queue", "table":
 		return p
 	}
 	return "mgmt"

@@ -183,7 +183,7 @@ func (r request) service() string {
 		p = p[:i]
 	}
 	switch p {
-	case "blob", "queue", "table", "cache":
+	case "blob", "queue", "table":
 		return p
 	}
 	return "mgmt"
