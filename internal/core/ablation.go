@@ -143,6 +143,7 @@ func (s *Suite) withParams(mutate func(*paramsAlias)) *Suite {
 	sub.traceLog = s.traceLog
 	sub.samplers = s.samplers
 	sub.partitions = s.partitions
+	sub.kernel = s.kernel
 	sub.ckpt = s.ckpt
 	return sub
 }

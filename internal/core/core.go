@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"azurebench/internal/cloud"
@@ -164,11 +165,31 @@ type Report struct {
 	// Wall is the real time the run took, simulated or live; virtual
 	// durations are in the figures themselves.
 	Wall time.Duration
+	// Kernel is what the simulation kernel did to produce the report,
+	// folded over every environment the run built; zero for a live run.
+	Kernel KernelStats
 }
 
-// Render formats the full report as text.
+// KernelStats is the sim kernel's self-telemetry (sim.Env.Telemetry) for
+// one report: events and switches summed over the run's environments, the
+// deepest pending-event heap among them. Wall / Events is the cost of one
+// event on this machine; the counts themselves are deterministic.
+type KernelStats struct {
+	Events   uint64
+	Switches uint64
+	PeakHeap int
+}
+
+// Render formats the full report as text. The kernel counts share the
+// header line with the wall time, so `grep -v "wall time"` still strips
+// everything that may differ between two runs of one program.
 func (r *Report) Render() string {
-	out := fmt.Sprintf("=== %s — %s (%v wall time) ===\n", r.ID, r.Title, r.Wall.Round(time.Millisecond))
+	cost := fmt.Sprintf("%v wall time", r.Wall.Round(time.Millisecond))
+	if k := r.Kernel; k.Events > 0 {
+		cost += fmt.Sprintf("; %s events, %s switches, peak heap %d",
+			groupDigits(k.Events), groupDigits(k.Switches), k.PeakHeap)
+	}
+	out := fmt.Sprintf("=== %s — %s (%s) ===\n", r.ID, r.Title, cost)
 	for _, fig := range r.Figures {
 		out += "\n" + fig.Render()
 	}
@@ -176,6 +197,15 @@ func (r *Report) Render() string {
 		out += "\nnote: " + n + "\n"
 	}
 	return out
+}
+
+// groupDigits formats n with a space between groups of three digits.
+func groupDigits(n uint64) string {
+	s := strconv.FormatUint(n, 10)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + " " + s[i:]
+	}
+	return s
 }
 
 // Experiment is a runnable suite entry.
@@ -191,6 +221,7 @@ type Suite struct {
 	traceLog   *trace.Log
 	samplers   *samplerBag
 	partitions *partitionBag
+	kernel     *kernelBag
 	// ckpt, when non-nil, arms the next simulation environment with a
 	// checkpoint capture or restore-verification hook (see checkpoint.go).
 	ckpt *checkpointCtl
@@ -201,6 +232,12 @@ type Suite struct {
 // telemetry is not lost.
 type samplerBag struct {
 	list []*telemetry.Sampler
+}
+
+// kernelBag holds the environments built since the last report, shared
+// with sub-suites like the other bags; takeKernelStats empties it.
+type kernelBag struct {
+	envs []*sim.Env
 }
 
 // PartitionRecord is one cloud's partition-master activity summary,
@@ -239,7 +276,7 @@ func NewSuite(cfg Config) *Suite {
 	if cfg.Params.RTT == 0 {
 		cfg.Params = model.Default()
 	}
-	s := &Suite{cfg: cfg, samplers: &samplerBag{}, partitions: &partitionBag{}}
+	s := &Suite{cfg: cfg, samplers: &samplerBag{}, partitions: &partitionBag{}, kernel: &kernelBag{}}
 	if cfg.TraceOps {
 		s.traceLog = trace.New(1 << 20)
 	}
@@ -301,9 +338,10 @@ func (s *Suite) WriteStats(w io.Writer) error {
 // Config returns the suite's configuration.
 func (s *Suite) Config() Config { return s.cfg }
 
-// Experiments lists the registry in presentation order.
+// Experiments lists the registry in presentation order. Every entry's Run
+// stamps its report with the kernel counts of the environments it built.
 func Experiments() []Experiment {
-	return []Experiment{
+	exps := []Experiment{
 		{ID: "table1", Title: "VM configurations (Table I)", Run: (*Suite).RunTableI},
 		{ID: "fig4", Title: "Blob storage upload/download (Figure 4)", Run: (*Suite).RunFig4},
 		{ID: "fig5", Title: "Blob download one page/block at a time (Figure 5)", Run: (*Suite).RunFig5},
@@ -321,6 +359,15 @@ func Experiments() []Experiment {
 		{ID: "cache", Title: "Caching service vs Blob storage for hot objects (future work)", Run: (*Suite).RunCache},
 		{ID: "provision", Title: "Provisioning/deployment timings (future work)", Run: (*Suite).RunProvision},
 	}
+	for i := range exps {
+		run := exps[i].Run
+		exps[i].Run = func(s *Suite) *Report {
+			rep := run(s)
+			rep.Kernel = s.takeKernelStats()
+			return rep
+		}
+	}
+	return exps
 }
 
 // Lookup finds an experiment by ID.
@@ -335,9 +382,31 @@ func Lookup(id string) (Experiment, bool) {
 
 // --- shared harness plumbing ---
 
+// newEnv builds a fresh environment for one data point and notes it for
+// the report's kernel counts.
+func (s *Suite) newEnv() *sim.Env {
+	env := sim.NewEnv(s.cfg.Seed)
+	s.kernel.envs = append(s.kernel.envs, env)
+	return env
+}
+
+// takeKernelStats folds the telemetry of every environment built since
+// the last call and forgets them.
+func (s *Suite) takeKernelStats() KernelStats {
+	var k KernelStats
+	for _, env := range s.kernel.envs {
+		events, switches, peak := env.Telemetry()
+		k.Events += events
+		k.Switches += switches
+		k.PeakHeap = max(k.PeakHeap, peak)
+	}
+	s.kernel.envs = nil
+	return k
+}
+
 // newCloud builds a fresh environment + cloud for one data point.
 func (s *Suite) newCloud() (*sim.Env, *cloud.Cloud) {
-	env := sim.NewEnv(s.cfg.Seed)
+	env := s.newEnv()
 	c := cloud.New(env, s.cfg.Params)
 	if s.traceLog != nil {
 		c.SetTrace(s.traceLog)

@@ -312,6 +312,34 @@ func TestReportRender(t *testing.T) {
 	}
 }
 
+// TestReportCarriesKernelCounts: an experiment run through the registry is
+// stamped with its environments' kernel telemetry, the counts repeat
+// exactly, and Render keeps them on the header line that every
+// `grep -v "wall time"` diff already strips.
+func TestReportCarriesKernelCounts(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Workers = []int{1, 8}
+	exp, _ := Lookup("fig7")
+	a, b := exp.Run(NewSuite(cfg)), exp.Run(NewSuite(cfg))
+	if a.Kernel != b.Kernel {
+		t.Fatalf("kernel counts differ between identical runs: %+v vs %+v", a.Kernel, b.Kernel)
+	}
+	if k := a.Kernel; k.Events == 0 || k.Switches == 0 || k.Switches > k.Events || k.PeakHeap < 8 {
+		t.Fatalf("implausible kernel counts for an 8-worker run: %+v", k)
+	}
+	rep := Report{ID: "x", Title: "y", Wall: 812 * time.Millisecond,
+		Kernel: KernelStats{Events: 1204331, Switches: 999, PeakHeap: 197}}
+	header, _, _ := strings.Cut(rep.Render(), "\n")
+	if want := "=== x — y (812ms wall time; 1 204 331 events, 999 switches, peak heap 197) ==="; header != want {
+		t.Fatalf("header = %q\nwant     %q", header, want)
+	}
+	rep.Kernel = KernelStats{} // a live run has no kernel
+	header, _, _ = strings.Cut(rep.Render(), "\n")
+	if want := "=== x — y (812ms wall time) ==="; header != want {
+		t.Fatalf("header = %q\nwant     %q", header, want)
+	}
+}
+
 func TestNewSuiteDefaults(t *testing.T) {
 	s := NewSuite(Config{})
 	if len(s.Config().Workers) == 0 || s.Config().VM.Name != model.Small.Name {

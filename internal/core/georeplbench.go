@@ -70,7 +70,7 @@ func (s *Suite) runGeoreplPoint(lag time.Duration) geoPoint {
 		p.GeoReplicationLagBound = lag
 		p.PartitionDynamic = true
 	})
-	env := sim.NewEnv(sub.cfg.Seed)
+	env := sub.newEnv()
 	g, err := cloud.NewGeoAccount(env, sub.cfg.Params)
 	if err != nil {
 		panic(fmt.Sprintf("georepl: %v", err))

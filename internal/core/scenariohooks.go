@@ -32,6 +32,10 @@ func (s *Suite) ScenarioRecordPartitions(label string, c *cloud.Cloud) Partition
 	return s.recordPartitions(label, c)
 }
 
+// ScenarioKernelStats folds the kernel telemetry of every environment
+// ScenarioCloud has built since the last report, for Report.Kernel.
+func (s *Suite) ScenarioKernelStats() KernelStats { return s.takeKernelStats() }
+
 // WallTimer exposes the suite's wall-clock stopwatch for external
 // harnesses building Reports: it feeds only Report.Wall, the one
 // deliberately wall-clock-dependent report field.

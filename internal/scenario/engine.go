@@ -529,6 +529,7 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 		m["total.faults_injected"] = float64(in.Stats().Injected())
 	}
 	rep.Wall = wall()
+	rep.Kernel = s.ScenarioKernelStats()
 	return rep, m, nil
 }
 

@@ -38,6 +38,30 @@ func BenchmarkResourceContention(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkProcessSwitch measures one hand-over of control between two
+// processes: a token goes back and forth through two Stores (the shape of
+// the bench harness's sim.switch_ns replay), two switches per round trip,
+// reported as ns/switch.
+func BenchmarkProcessSwitch(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEnv(1)
+	ping, pong := NewStore[int](e, "ping"), NewStore[int](e, "pong")
+	e.Go("a", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Put(i)
+			pong.Get(p)
+		}
+	})
+	e.Go("b", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Put(ping.Get(p))
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/switch")
+}
+
 func BenchmarkRandUint64(b *testing.B) {
 	r := NewRand(1)
 	b.ReportAllocs()

@@ -14,12 +14,15 @@ type Env struct {
 	now    time.Duration
 	seq    uint64
 	events eventHeap
-	yield  chan struct{} // running process -> kernel handoff
-	cur    *Proc         // currently running process, nil in kernel context
+	cur    *Proc // currently running process, nil in kernel context
 	rng    *Rand
 	nLive  int // processes started and not yet finished
 	nSpawn int // total processes ever started (used for default names)
 	fired  uint64
+
+	// Self-telemetry (see Telemetry); not part of Save.
+	switches uint64
+	peakHeap int
 
 	pendingPanic any // panic value escaping a process, re-raised in kernel context
 }
@@ -28,10 +31,7 @@ type Env struct {
 // the environment's PRNG (Env.Rand); the simulation itself is deterministic
 // regardless of seed.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		rng:   NewRand(seed),
-	}
+	return &Env{rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -43,18 +43,42 @@ func (e *Env) Rand() *Rand { return e.rng }
 // Events returns the number of events fired so far.
 func (e *Env) Events() uint64 { return e.fired }
 
+// Telemetry reports what the kernel has done so far: events fired (the
+// same count as Events), process switches (each hand-over of control from
+// the kernel to a process and back) and the deepest the pending-event heap
+// has been. The counts depend only on the simulated program, never on the
+// machine, and are not part of Save.
+func (e *Env) Telemetry() (events, switches uint64, peakHeap int) {
+	return e.fired, e.switches, e.peakHeap
+}
+
 // Live returns the number of processes that have been started and have not
 // yet returned.
 func (e *Env) Live() int { return e.nLive }
 
-// schedule enqueues fire to run at time at. It panics if at precedes the
-// current time.
+// schedule enqueues fire to run in kernel context at time at. It panics if
+// at precedes the current time.
 func (e *Env) schedule(at time.Duration, fire func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past (at=%v now=%v)", at, e.now))
+	e.push(event{at: at, fire: fire})
+}
+
+// wake enqueues the re-activation of p at time at. This is what every
+// blocking primitive's wake-up side calls; unlike schedule it carries no
+// closure, so it does not allocate.
+func (e *Env) wake(at time.Duration, p *Proc) {
+	e.push(event{at: at, proc: p})
+}
+
+func (e *Env) push(ev event) {
+	if ev.at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event in the past (at=%v now=%v)", ev.at, e.now))
 	}
 	e.seq++
-	e.events.push(&event{at: at, seq: e.seq, fire: fire})
+	ev.seq = e.seq
+	e.events.push(ev)
+	if n := len(e.events); n > e.peakHeap {
+		e.peakHeap = n
+	}
 }
 
 // Go starts a new process running fn at the current virtual time. If name
@@ -72,49 +96,13 @@ func (e *Env) GoAt(at time.Duration, name string, fn func(*Proc)) *Proc {
 		name = fmt.Sprintf("proc-%d", e.nSpawn)
 	}
 	p := &Proc{
-		env:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		done:   NewSignal(e),
+		env:  e,
+		name: name,
+		done: NewSignal(e),
 	}
 	e.nLive++
 	e.schedule(at, func() { e.startProc(p, fn) })
 	return p
-}
-
-// startProc launches the process goroutine and runs it until its first
-// yield. Called in kernel context.
-func (e *Env) startProc(p *Proc, fn func(*Proc)) {
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				e.pendingPanic = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-			}
-			p.ended = true
-			e.nLive--
-			p.done.Fire()
-			e.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
-	e.activate(p)
-}
-
-// activate hands control to p and blocks until p yields (or ends). Called
-// in kernel context only. A panic that escaped the process is re-raised
-// here, in the caller of Run, where it can be recovered.
-func (e *Env) activate(p *Proc) {
-	prev := e.cur
-	e.cur = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.cur = prev
-	if e.pendingPanic != nil {
-		r := e.pendingPanic
-		e.pendingPanic = nil
-		panic(r)
-	}
 }
 
 // Run executes events until the heap is empty, then returns the final
@@ -160,7 +148,11 @@ func (e *Env) step() {
 	ev := e.events.pop()
 	e.now = ev.at
 	e.fired++
-	ev.fire()
+	if ev.proc != nil {
+		e.activate(ev.proc)
+	} else {
+		ev.fire()
+	}
 }
 
 // mustBeRunning panics unless p is the process currently executing. All

@@ -11,7 +11,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*Proc
+	waiters  fifo[*Proc]
 
 	// Statistics.
 	acquired  uint64
@@ -39,13 +39,13 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 func (r *Resource) account() {
 	now := r.env.now
 	dt := now - r.lastStamp
 	r.busyTime += time.Duration(int64(dt) * int64(r.inUse))
-	r.queueTime += time.Duration(int64(dt) * int64(len(r.waiters)))
+	r.queueTime += time.Duration(int64(dt) * int64(r.waiters.len()))
 	r.lastStamp = now
 }
 
@@ -58,9 +58,9 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, p)
-	if len(r.waiters) > r.maxQueue {
-		r.maxQueue = len(r.waiters)
+	r.waiters.push(p)
+	if n := r.waiters.len(); n > r.maxQueue {
+		r.maxQueue = n
 	}
 	p.park()
 }
@@ -85,13 +85,9 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Resource.Release without matching Acquire")
 	}
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters[len(r.waiters)-1] = nil
-		r.waiters = r.waiters[:len(r.waiters)-1]
+	if r.waiters.len() > 0 {
 		// The unit transfers: inUse stays constant.
-		r.env.schedule(r.env.now, func() { r.env.activate(next) })
+		r.env.wake(r.env.now, r.waiters.pop())
 		return
 	}
 	r.inUse--
@@ -125,7 +121,7 @@ func (r *Resource) Stats() ResourceStats {
 		QueueTime:  r.queueTime,
 		MaxQueue:   r.maxQueue,
 		InUse:      r.inUse,
-		QueueLen:   len(r.waiters),
+		QueueLen:   r.waiters.len(),
 		ObservedAt: r.env.now,
 	}
 }

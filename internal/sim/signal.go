@@ -24,8 +24,7 @@ func (s *Signal) Fire() {
 	}
 	s.fired = true
 	for _, p := range s.waiters {
-		p := p
-		s.env.schedule(s.env.now, func() { s.env.activate(p) })
+		s.env.wake(s.env.now, p)
 	}
 	s.waiters = nil
 }
@@ -63,8 +62,7 @@ func (w *WaitGroup) Add(delta int) {
 	}
 	if w.count == 0 {
 		for _, p := range w.waiters {
-			p := p
-			w.env.schedule(w.env.now, func() { w.env.activate(p) })
+			w.env.wake(w.env.now, p)
 		}
 		w.waiters = nil
 	}

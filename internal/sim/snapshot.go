@@ -26,10 +26,10 @@ func (e *Env) SnapshotSection() string { return "sim/env" }
 // Save appends the kernel state: virtual clock, event/sequence counters,
 // PRNG stream, process accounting, and a deterministic fingerprint of
 // the pending-event heap (count plus a CRC-64 over every (at, seq)
-// pair). Event closures themselves cannot be serialized — they close
-// over goroutine stacks — so restore either requires quiescence (empty
-// heap, direct Load) or replay verification, where this fingerprint
-// proves the replayed heap matches the checkpointed one.
+// pair). The events themselves cannot be serialized — they reference
+// coroutine stacks and closures — so restore either requires quiescence
+// (empty heap, direct Load) or replay verification, where this
+// fingerprint proves the replayed heap matches the checkpointed one.
 func (e *Env) Save(w *snapshot.Writer) {
 	w.Duration(e.now)
 	w.U64(e.seq)
@@ -81,14 +81,13 @@ func (e *Env) eventFingerprint() uint64 {
 	if len(e.events) == 0 {
 		return 0
 	}
-	// Copy event references and sort by (at, seq) — the heap slice order
-	// itself is a valid but non-canonical layout.
-	evs := make([]*event, len(e.events))
-	copy(evs, e.events)
-	sortEvents(evs)
+	// Pop a copy of the heap — the slice order itself is a valid but
+	// non-canonical layout; pop order is (at, seq).
+	evs := append(eventHeap(nil), e.events...)
 	var buf [16]byte
 	crc := crc64.Update(0, eventCRCTable, nil)
-	for _, ev := range evs {
+	for len(evs) > 0 {
+		ev := evs.pop()
 		at := uint64(ev.at)
 		sq := ev.seq
 		for i := 0; i < 8; i++ {
@@ -100,21 +99,6 @@ func (e *Env) eventFingerprint() uint64 {
 	return crc
 }
 
-// sortEvents orders events by (at, seq) — insertion sort is fine for the
-// heap sizes snapshots see, and avoids pulling in package sort's
-// comparison indirection on the hot checkpoint path.
-func sortEvents(evs []*event) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := evs[j-1], evs[j]
-			if a.at < b.at || (a.at == b.at && a.seq < b.seq) {
-				break
-			}
-			evs[j-1], evs[j] = b, a
-		}
-	}
-}
-
 // Save appends the station's utilisation state: the occupancy and the
 // telemetry integrals. Parked waiter processes cannot be serialized, so
 // only their count is recorded (zero at quiescence; the replay-verified
@@ -123,7 +107,7 @@ func (r *Resource) Save(w *snapshot.Writer) {
 	w.String(r.name)
 	w.Int(r.capacity)
 	w.Int(r.inUse)
-	w.Int(len(r.waiters))
+	w.Int(r.waiters.len())
 	w.U64(r.acquired)
 	w.Duration(r.busyTime)
 	w.Duration(r.queueTime)
@@ -152,7 +136,7 @@ func (r *Resource) Load(rd *snapshot.Reader) error {
 	if inUse != 0 || waiters != 0 {
 		return fmt.Errorf("sim: station %q snapshot is not quiescent (%d in use, %d waiting)", name, inUse, waiters)
 	}
-	if r.inUse != 0 || len(r.waiters) != 0 {
+	if r.inUse != 0 || r.waiters.len() != 0 {
 		return fmt.Errorf("sim: loading into busy station %q", r.name)
 	}
 	r.acquired = acquired

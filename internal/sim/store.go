@@ -7,7 +7,7 @@ type Store[T any] struct {
 	env     *Env
 	name    string
 	items   []T
-	waiters []*storeWaiter[T]
+	waiters fifo[*storeWaiter[T]]
 	puts    uint64
 	gets    uint64
 }
@@ -30,7 +30,7 @@ func (s *Store[T]) Name() string { return s.name }
 func (s *Store[T]) Len() int { return len(s.items) }
 
 // Waiting returns the number of processes blocked in Get.
-func (s *Store[T]) Waiting() int { return len(s.waiters) }
+func (s *Store[T]) Waiting() int { return s.waiters.len() }
 
 // Puts returns the total number of Put calls.
 func (s *Store[T]) Puts() uint64 { return s.puts }
@@ -43,13 +43,10 @@ func (s *Store[T]) Gets() uint64 { return s.gets }
 // instant.
 func (s *Store[T]) Put(item T) {
 	s.puts++
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		copy(s.waiters, s.waiters[1:])
-		s.waiters[len(s.waiters)-1] = nil
-		s.waiters = s.waiters[:len(s.waiters)-1]
+	if s.waiters.len() > 0 {
+		w := s.waiters.pop()
 		w.item = item
-		s.env.schedule(s.env.now, func() { s.env.activate(w.p) })
+		s.env.wake(s.env.now, w.p)
 		return
 	}
 	s.items = append(s.items, item)
@@ -67,7 +64,7 @@ func (s *Store[T]) Get(p *Proc) T {
 		return item
 	}
 	w := &storeWaiter[T]{p: p}
-	s.waiters = append(s.waiters, w)
+	s.waiters.push(w)
 	p.park()
 	s.gets++
 	return w.item
