@@ -13,7 +13,6 @@
 //	azurebench -tracefile trace.jsonl     # export every traced op as JSONL
 //	azurebench -telemetry                 # station timelines under the figures
 //	azurebench -statsfile stats.jsonl     # export telemetry samples as JSONL
-//	azurebench -experiment georepl -regions 2 -geolag 500ms,5s -failoverat 20s
 //	azurebench -scenario flashcrowd.yaml  # run a declarative scenario file
 //	azurebench -scenario-dir examples/scenarios -quick   # run a whole library
 //	azurebench -scenario ycsb-b.yaml -live http://127.0.0.1:10000   # same spec, over HTTP
@@ -56,10 +55,6 @@ func main() {
 		telemetry   = flag.Bool("telemetry", false, "sample station telemetry and render timelines with the figures")
 		statsFile   = flag.String("statsfile", "", "write telemetry samples as JSONL to this file (implies -telemetry)")
 		outDir      = flag.String("o", "", "also write per-experiment .txt and .csv files into this directory")
-		faultRates  = flag.String("faultrates", "", "override the faults experiment's rate sweep, e.g. 0,0.01,0.05")
-		regions     = flag.Int("regions", 0, "override the georepl experiment's region count (2 enables geo-replication)")
-		geoLag      = flag.String("geolag", "", "override the georepl lag-bound sweep, e.g. 500ms,2s,5s")
-		failoverAt  = flag.String("failoverat", "", "override when the georepl primary-region outage starts, e.g. 20s")
 		scenarios   = flag.String("scenario", "", "scenario file(s) to run, comma separated (see examples/scenarios)")
 		scenarioDir = flag.String("scenario-dir", "", "run every *.yaml scenario in this directory, sorted by name")
 		live        = flag.String("live", "", "run -scenario/-scenario-dir workloads against the storage emulator at this URL (e.g. http://127.0.0.1:10000) instead of the simulated cloud")
@@ -94,33 +89,6 @@ func main() {
 			fatalf("bad -workers: %v", err)
 		}
 		cfg.Workers = sweep
-	}
-	if *faultRates != "" {
-		rates, err := parseFloats(*faultRates)
-		if err != nil {
-			fatalf("bad -faultrates: %v", err)
-		}
-		cfg.FaultRates = rates
-	}
-	if *regions != 0 {
-		if *regions != 1 && *regions != 2 {
-			fatalf("bad -regions: %d (the model supports 1 or 2)", *regions)
-		}
-		cfg.Params.GeoRegions = *regions
-	}
-	if *geoLag != "" {
-		bounds, err := parseDurations(*geoLag)
-		if err != nil {
-			fatalf("bad -geolag: %v", err)
-		}
-		cfg.GeoLagBounds = bounds
-	}
-	if *failoverAt != "" {
-		at, err := time.ParseDuration(*failoverAt)
-		if err != nil || at <= 0 {
-			fatalf("bad -failoverat: %q (want a positive duration like 20s)", *failoverAt)
-		}
-		cfg.GeoFailoverAt = at
 	}
 
 	out := &output{
@@ -442,36 +410,6 @@ func parseInts(s string) ([]int, error) {
 			return nil, fmt.Errorf("worker count %d < 1", n)
 		}
 		out = append(out, n)
-	}
-	return out, nil
-}
-
-func parseDurations(s string) ([]time.Duration, error) {
-	var out []time.Duration
-	for _, part := range strings.Split(s, ",") {
-		d, err := time.ParseDuration(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		if d <= 0 {
-			return nil, fmt.Errorf("lag bound %v must be positive", d)
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, err
-		}
-		if f < 0 || f > 1 {
-			return nil, fmt.Errorf("fault rate %g outside [0, 1]", f)
-		}
-		out = append(out, f)
 	}
 	return out, nil
 }

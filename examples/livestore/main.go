@@ -16,6 +16,7 @@ import (
 
 	"azurebench/internal/payload"
 	"azurebench/internal/rest"
+	"azurebench/internal/retry"
 	"azurebench/internal/sdk"
 	"azurebench/internal/tablestore"
 )
@@ -32,7 +33,11 @@ func main() {
 	endpoint := "http://" + ln.Addr().String()
 	fmt.Printf("emulator listening on %s\n", endpoint)
 
-	client := sdk.New(endpoint, nil, sdk.RetryPolicy{MaxRetries: 10, Backoff: 100 * time.Millisecond})
+	// The paper's discipline — sleep, then reissue, on ServerBusy only —
+	// with a 100 ms backoff and ten retries.
+	policy := retry.Paper(100 * time.Millisecond)
+	policy.MaxAttempts = 11
+	client := sdk.New(endpoint, nil, policy)
 
 	// Blob over the wire.
 	blob := client.Blob()

@@ -4,13 +4,11 @@
 // hold data in memory across different servers") and defers to future
 // work. It is a distributed in-memory cache: named caches partitioned by
 // key hash across a cluster of nodes, each node bounded by a byte
-// capacity with LRU eviction, items carrying versions (optimistic
-// concurrency) and TTLs, plus pessimistic GetAndLock/PutAndUnlock.
+// capacity with LRU eviction, items carrying versions and TTLs.
 package cachestore
 
 import (
 	"container/list"
-	"fmt"
 	"hash/fnv"
 	"sync"
 	"time"
@@ -32,15 +30,6 @@ type Item struct {
 	Expires time.Time
 }
 
-// Stats counts cache-level events.
-type Stats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Items     int
-	Bytes     int64
-}
-
 // Cluster is a cache cluster: Nodes() nodes, each with a byte capacity.
 type Cluster struct {
 	mu      sync.Mutex
@@ -48,8 +37,6 @@ type Cluster struct {
 	nodes   []*node
 	caches  map[string]bool // named caches
 	version uint64
-	stats   Stats
-	lockSeq uint64
 }
 
 type node struct {
@@ -69,8 +56,6 @@ type entry struct {
 	value   payload.Payload
 	version uint64
 	expires time.Time
-	lock    string // non-empty while locked
-	lockEnd time.Time
 }
 
 // New builds a cluster of n nodes with capacityBytes each.
@@ -118,7 +103,7 @@ func (c *Cluster) node(cache, key string) (*node, cacheKey, error) {
 }
 
 // Put stores value under key with the given ttl (0 = DefaultTTL) and
-// returns the new version. Put ignores and releases any lock.
+// returns the new version.
 func (c *Cluster) Put(cache, key string, value payload.Payload, ttl time.Duration) (uint64, error) {
 	if ttl <= 0 {
 		ttl = DefaultTTL
@@ -133,16 +118,15 @@ func (c *Cluster) Put(cache, key string, value payload.Payload, ttl time.Duratio
 		return 0, storecommon.Errf(storecommon.CodeRequestBodyTooLarge, 413,
 			"item of %d bytes exceeds node capacity %d", value.Len(), n.capacity)
 	}
-	now := c.clock.Now()
 	c.version++
-	e := &entry{k: k, value: value, version: c.version, expires: now.Add(ttl)}
-	c.insert(n, e, now)
+	e := &entry{k: k, value: value, version: c.version, expires: c.clock.Now().Add(ttl)}
+	n.insert(e)
 	return e.version, nil
 }
 
 // insert replaces any existing entry for e.k and evicts LRU items until
 // the node fits.
-func (c *Cluster) insert(n *node, e *entry, now time.Time) {
+func (n *node) insert(e *entry) {
 	if el, ok := n.items[e.k]; ok {
 		old := el.Value.(*entry)
 		n.used -= old.value.Len()
@@ -158,12 +142,10 @@ func (c *Cluster) insert(n *node, e *entry, now time.Time) {
 		n.used -= victim.value.Len()
 		n.lru.Remove(back)
 		delete(n.items, victim.k)
-		c.stats.Evictions++
 	}
 	el := n.lru.PushFront(e)
 	n.items[e.k] = el
 	n.used += e.value.Len()
-	_ = now
 }
 
 // Get returns the item under key; ok is false on miss (absent or
@@ -177,10 +159,8 @@ func (c *Cluster) Get(cache, key string) (Item, bool, error) {
 	}
 	e, ok := c.live(n, k)
 	if !ok {
-		c.stats.Misses++
 		return Item{}, false, nil
 	}
-	c.stats.Hits++
 	n.lru.MoveToFront(n.items[k])
 	return e.item(), true, nil
 }
@@ -199,147 +179,6 @@ func (c *Cluster) live(n *node, k cacheKey) (*entry, bool) {
 		return nil, false
 	}
 	return e, true
-}
-
-// PutIfVersion replaces the item only when version matches the stored
-// version (optimistic concurrency). It returns the new version.
-func (c *Cluster) PutIfVersion(cache, key string, value payload.Payload, version uint64, ttl time.Duration) (uint64, error) {
-	if ttl <= 0 {
-		ttl = DefaultTTL
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, k, err := c.node(cache, key)
-	if err != nil {
-		return 0, err
-	}
-	e, ok := c.live(n, k)
-	if !ok {
-		return 0, storecommon.Errf(storecommon.CodeResourceNotFound, 404, "key %q not cached", key)
-	}
-	if e.version != version {
-		return 0, storecommon.Errf(storecommon.CodeConditionNotMet, 412,
-			"version mismatch: have %d, supplied %d", e.version, version)
-	}
-	now := c.clock.Now()
-	c.version++
-	ne := &entry{k: k, value: value, version: c.version, expires: now.Add(ttl)}
-	c.insert(n, ne, now)
-	return ne.version, nil
-}
-
-// Remove deletes an item; it reports whether it existed.
-func (c *Cluster) Remove(cache, key string) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, k, err := c.node(cache, key)
-	if err != nil {
-		return false, err
-	}
-	e, ok := c.live(n, k)
-	if !ok {
-		return false, nil
-	}
-	n.used -= e.value.Len()
-	n.lru.Remove(n.items[k])
-	delete(n.items, k)
-	return true, nil
-}
-
-// GetAndLock returns the item and locks it for d; other GetAndLock calls
-// fail until PutAndUnlock/Unlock or lock expiry (plain Get still works —
-// AppFabric semantics).
-func (c *Cluster) GetAndLock(cache, key string, d time.Duration) (Item, string, error) {
-	if d <= 0 {
-		d = time.Minute
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, k, err := c.node(cache, key)
-	if err != nil {
-		return Item{}, "", err
-	}
-	e, ok := c.live(n, k)
-	if !ok {
-		c.stats.Misses++
-		return Item{}, "", storecommon.Errf(storecommon.CodeResourceNotFound, 404, "key %q not cached", key)
-	}
-	now := c.clock.Now()
-	if e.lock != "" && e.lockEnd.After(now) {
-		return Item{}, "", storecommon.Errf(storecommon.CodeConditionNotMet, 409, "key %q is locked", key)
-	}
-	c.stats.Hits++
-	c.lockSeq++
-	e.lock = fmt.Sprintf("lock-%d", c.lockSeq)
-	e.lockEnd = now.Add(d)
-	return e.item(), e.lock, nil
-}
-
-// PutAndUnlock stores a new value and releases the lock (handle must
-// match).
-func (c *Cluster) PutAndUnlock(cache, key string, value payload.Payload, lock string, ttl time.Duration) (uint64, error) {
-	if ttl <= 0 {
-		ttl = DefaultTTL
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, k, err := c.node(cache, key)
-	if err != nil {
-		return 0, err
-	}
-	e, ok := c.live(n, k)
-	if !ok {
-		return 0, storecommon.Errf(storecommon.CodeResourceNotFound, 404, "key %q not cached", key)
-	}
-	if err := checkLock(e, lock, c.clock.Now()); err != nil {
-		return 0, err
-	}
-	now := c.clock.Now()
-	c.version++
-	ne := &entry{k: k, value: value, version: c.version, expires: now.Add(ttl)}
-	c.insert(n, ne, now)
-	return ne.version, nil
-}
-
-// Unlock releases a lock without changing the value.
-func (c *Cluster) Unlock(cache, key, lock string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, k, err := c.node(cache, key)
-	if err != nil {
-		return err
-	}
-	e, ok := c.live(n, k)
-	if !ok {
-		return storecommon.Errf(storecommon.CodeResourceNotFound, 404, "key %q not cached", key)
-	}
-	if err := checkLock(e, lock, c.clock.Now()); err != nil {
-		return err
-	}
-	e.lock = ""
-	return nil
-}
-
-func checkLock(e *entry, lock string, now time.Time) error {
-	if e.lock == "" || !e.lockEnd.After(now) {
-		return storecommon.Errf(storecommon.CodeConditionNotMet, 412, "item is not locked")
-	}
-	if e.lock != lock {
-		return storecommon.Errf(storecommon.CodeConditionNotMet, 412, "lock handle mismatch")
-	}
-	return nil
-}
-
-// ClusterStats returns aggregate statistics.
-func (c *Cluster) ClusterStats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.stats
-	for _, n := range c.nodes {
-		st.Items += len(n.items)
-		st.Bytes += n.used
-	}
-	return st
 }
 
 func (e *entry) item() Item {

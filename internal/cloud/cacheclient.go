@@ -31,22 +31,6 @@ func (c *Cloud) cacheServer(cache, key string) *sim.Resource {
 	return c.cacheSrv[cl.NodeFor(cache, key)]
 }
 
-// CreateCache registers a named cache.
-func (cl *Client) CreateCache(p *sim.Proc, name string) error {
-	return cl.do(p, request{
-		op:      "CreateCache",
-		mut:     true,
-		service: "cache",
-		up:      reqHeader,
-		server:  cl.cloud.cacheServer(name, ""),
-		lat:     cl.cloud.prm.CacheLat,
-		apply: func() (time.Duration, int64, error) {
-			cl.cloud.cacheCluster().CreateCache(name)
-			return cl.cloud.prm.CacheOcc(true, 0), 0, nil
-		},
-	})
-}
-
 // CachePut stores value under key (ttl 0 = the service default).
 func (cl *Client) CachePut(p *sim.Proc, cache, key string, value payload.Payload, ttl time.Duration) (uint64, error) {
 	var version uint64
@@ -89,68 +73,4 @@ func (cl *Client) CacheGet(p *sim.Proc, cache, key string) (cachestore.Item, boo
 		},
 	})
 	return item, ok, err
-}
-
-// CacheRemove deletes key; it reports whether the key existed.
-func (cl *Client) CacheRemove(p *sim.Proc, cache, key string) (bool, error) {
-	var existed bool
-	err := cl.do(p, request{
-		op:      "CacheRemove",
-		mut:     true,
-		service: "cache",
-		up:      reqHeader,
-		server:  cl.cloud.cacheServer(cache, key),
-		lat:     cl.cloud.prm.CacheLat,
-		apply: func() (time.Duration, int64, error) {
-			var err error
-			existed, err = cl.cloud.cacheCluster().Remove(cache, key)
-			return cl.cloud.prm.CacheOcc(true, 0), 0, err
-		},
-	})
-	return existed, err
-}
-
-// CacheGetAndLock fetches and pessimistically locks key.
-func (cl *Client) CacheGetAndLock(p *sim.Proc, cache, key string, d time.Duration) (cachestore.Item, string, error) {
-	var (
-		item cachestore.Item
-		lock string
-	)
-	err := cl.do(p, request{
-		op:      "CacheGetAndLock",
-		mut:     true,
-		service: "cache",
-		up:      reqHeader,
-		server:  cl.cloud.cacheServer(cache, key),
-		lat:     cl.cloud.prm.CacheLat,
-		apply: func() (time.Duration, int64, error) {
-			var err error
-			item, lock, err = cl.cloud.cacheCluster().GetAndLock(cache, key, d)
-			size := int64(0)
-			if err == nil {
-				size = item.Value.Len()
-			}
-			return cl.cloud.prm.CacheOcc(false, size), size, err
-		},
-	})
-	return item, lock, err
-}
-
-// CachePutAndUnlock writes a locked key and releases the lock.
-func (cl *Client) CachePutAndUnlock(p *sim.Proc, cache, key string, value payload.Payload, lock string, ttl time.Duration) (uint64, error) {
-	var version uint64
-	err := cl.do(p, request{
-		op:      "CachePutAndUnlock",
-		mut:     true,
-		service: "cache",
-		up:      value.Len() + reqHeader,
-		server:  cl.cloud.cacheServer(cache, key),
-		lat:     cl.cloud.prm.CacheLat,
-		apply: func() (time.Duration, int64, error) {
-			var err error
-			version, err = cl.cloud.cacheCluster().PutAndUnlock(cache, key, value, lock, ttl)
-			return cl.cloud.prm.CacheOcc(true, value.Len()), 0, err
-		},
-	})
-	return version, err
 }

@@ -808,9 +808,9 @@ func (cl *Client) WithRetry(p *sim.Proc, op func() error) (retries int, err erro
 }
 
 // Retry runs op under an explicit retry policy: it reissues while the
-// policy allows (classification, attempt cap, per-op deadline, shared
-// budget), sleeping the policy's backoff — jittered from the simulation
-// PRNG when the policy asks for jitter — between attempts. It returns the
+// policy allows (classification, attempt cap, per-op deadline), sleeping
+// the policy's backoff — jittered from the simulation PRNG when the
+// policy asks for jitter — between attempts. It returns the
 // number of retries performed and the final error (nil on success, the
 // last attempt's error once the policy gives up).
 func (cl *Client) Retry(p *sim.Proc, pol retry.Policy, op func() error) (retries int, err error) {
@@ -823,9 +823,6 @@ func (cl *Client) Retry(p *sim.Proc, pol retry.Policy, op func() error) (retries
 		d := pol.Delay(retries, func() float64 { return p.Rand().Float64() })
 		retries++
 		cl.cloud.stats.Retries++
-		if pol.OnBackoff != nil {
-			pol.OnBackoff(retries, d)
-		}
 		if cl.cloud.traceLog != nil {
 			cl.pendingBackoff += d
 			cl.pendingTrace, cl.pendingParent = cl.lastTraceID, cl.lastSpanID

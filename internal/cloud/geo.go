@@ -373,9 +373,6 @@ func (gc *GeoClient) Retry(p *sim.Proc, pol retry.Policy, op func(cl *Client) er
 		d := pol.Delay(retries, func() float64 { return p.Rand().Float64() })
 		retries++
 		cl.cloud.stats.Retries++
-		if pol.OnBackoff != nil {
-			pol.OnBackoff(retries, d)
-		}
 		carry = d
 		p.Sleep(d)
 	}

@@ -13,6 +13,7 @@ import (
 	"azurebench/internal/sim"
 	"azurebench/internal/storecommon"
 	"azurebench/internal/tablestore"
+	"azurebench/internal/telemetry"
 )
 
 func geoParams() model.Params {
@@ -209,10 +210,10 @@ func TestGeoOutageFailsPrimaryOnly(t *testing.T) {
 	}
 }
 
-// TestGeoRetryBudgetExhaustedByOutage pins the budgeted-retry contract
-// across a region outage: a policy drawing on a shared budget stops
-// retrying once the pool is dry — it does not spin for the whole outage —
-// and the terminal error still carries the outage's fault code.
+// TestGeoRetryBudgetExhaustedByOutage pins the bounded-retry contract
+// across a region outage: a policy stops retrying once its attempts are
+// spent — it does not spin for the whole outage — and the terminal error
+// still carries the outage's fault code.
 func TestGeoRetryBudgetExhaustedByOutage(t *testing.T) {
 	env := sim.NewEnv(7)
 	g, err := NewGeoAccount(env, geoParams())
@@ -224,11 +225,9 @@ func TestGeoRetryBudgetExhaustedByOutage(t *testing.T) {
 	g.SetFaults(faults.NewInjector(faults.Plan{
 		Outages: []faults.Window{OutageWindow(0, time.Hour)},
 	}))
-	budget := retry.NewBudget(3)
 	pol := retry.Resilient()
-	pol.MaxAttempts = 100
+	pol.MaxAttempts = 4
 	pol.Deadline = time.Hour
-	pol.Budget = budget
 
 	gc := g.NewGeoClient("w", model.Small)
 	var (
@@ -251,16 +250,49 @@ func TestGeoRetryBudgetExhaustedByOutage(t *testing.T) {
 		t.Errorf("terminal error code = %q, want %q (outage fault preserved)", code, storecommon.CodeServerUnavailable)
 	}
 	if retries != 3 {
-		t.Errorf("spent %d retries, want exactly the budget of 3", retries)
+		t.Errorf("spent %d retries, want exactly the 3 the attempt cap allows", retries)
 	}
-	if budget.Remaining() != 0 {
-		t.Errorf("budget has %d tokens left, want 0", budget.Remaining())
-	}
-	// Exhausting a 3-token exponential schedule takes ~1.75s of backoff;
+	// Exhausting a 3-retry exponential schedule takes ~1.75s of backoff;
 	// giving up within 10s of virtual time proves the client did not ride
 	// the full hour-long outage.
 	if gaveUp > 10*time.Second {
-		t.Errorf("client gave up at %v, should have exhausted the budget within 10s", gaveUp)
+		t.Errorf("client gave up at %v, should have exhausted its attempts within 10s", gaveUp)
+	}
+}
+
+// TestGeoAccountDrainsUnderSampler: the replication streams and the
+// failover controller stay parked after the last client is done, so a
+// station sampler that waited to be the only live process would tick
+// forever (azurebench -experiment georepl -telemetry ran out of memory).
+// The run must drain within a tick of the work ending.
+func TestGeoAccountDrainsUnderSampler(t *testing.T) {
+	env := sim.NewEnv(7)
+	g, err := NewGeoAccount(env, geoParams())
+	if err != nil {
+		t.Fatalf("NewGeoAccount: %v", err)
+	}
+	g.ScheduleFailover(time.Second, time.Second)
+	sp := telemetry.NewSampler("geo", 250*time.Millisecond)
+	sp.Watch(env, g.Stations)
+	gc := g.NewGeoClient("w", model.Small)
+	env.Go("w", func(p *sim.Proc) {
+		must(t, gc.Active().CreateQueue(p, "jobs"))
+		for p.Now() < 5*time.Second {
+			gc.Retry(p, retry.Resilient(), func(cl *Client) error {
+				_, err := cl.PutMessage(p, "jobs", payload.Zero(64))
+				return err
+			})
+			p.Sleep(100 * time.Millisecond)
+		}
+	})
+	if !env.RunLimited(200_000) {
+		t.Fatalf("run did not drain: virtual time %v, %d samples and counting", env.Now(), len(sp.Samples()))
+	}
+	if env.Now() < 5*time.Second || env.Now() > 10*time.Second {
+		t.Errorf("run ended at %v, want shortly after the writer's 5s horizon", env.Now())
+	}
+	if len(sp.Samples()) == 0 {
+		t.Error("sampler recorded nothing")
 	}
 }
 

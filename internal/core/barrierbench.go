@@ -1,9 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
+	"azurebench/internal/cloud"
 	"azurebench/internal/metrics"
 	"azurebench/internal/roles"
 	"azurebench/internal/sim"
@@ -22,37 +22,28 @@ func (s *Suite) RunBarrier() *Report {
 	}
 	const rounds = 3
 	for _, w := range sortedCopy(s.cfg.Workers) {
-		env, c := s.newCloud()
-		setup := c.NewClient("setup", s.cfg.VM)
-		env.Go("setup", func(p *sim.Proc) {
+		pt := s.newPoint()
+		pt.setup(func(p *sim.Proc, setup *cloud.Client) {
 			mustRetry(p, setup, "create sync queue", func() error {
 				_, err := setup.CreateQueueIfNotExists(p, syncQueue)
 				return err
 			})
 		})
-		env.Run()
-
-		var meanD, maxD metrics.Dist
-		for k := 0; k < w; k++ {
-			k := k
-			cl := c.NewClient(fmt.Sprintf("worker%d", k), s.cfg.VM)
-			env.Go(fmt.Sprintf("worker%d", k), func(p *sim.Proc) {
-				b := roles.NewBarrier(syncQueue, w)
-				for r := 0; r < rounds; r++ {
-					// Stagger arrivals a little so the barrier does real work.
-					p.Sleep(time.Duration(p.Rand().Intn(500)) * time.Millisecond)
-					t0 := p.Now()
-					if err := b.Wait(p, cl); err != nil {
-						panic(err)
-					}
-					meanD.Add(p.Now() - t0)
+		var waits metrics.Dist
+		pt.workers(w, func(p *sim.Proc, _ int, cl *cloud.Client) {
+			b := roles.NewBarrier(syncQueue, w)
+			for r := 0; r < rounds; r++ {
+				// Stagger arrivals a little so the barrier does real work.
+				p.Sleep(time.Duration(p.Rand().Intn(500)) * time.Millisecond)
+				t0 := p.Now()
+				if err := b.Wait(p, cl); err != nil {
+					panic(err)
 				}
-			})
-		}
-		env.Run()
-		fig.AddPoint("mean wait", float64(w), meanD.Mean().Seconds())
-		fig.AddPoint("p95 wait", float64(w), meanD.Percentile(95).Seconds())
-		_ = maxD
+				waits.Add(p.Now() - t0)
+			}
+		})
+		fig.AddPoint("mean wait", float64(w), waits.Mean().Seconds())
+		fig.AddPoint("p95 wait", float64(w), waits.Percentile(95).Seconds())
 	}
 	return &Report{
 		ID:      "barrier",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"azurebench/internal/blobstore"
+	"azurebench/internal/cloud"
 	"azurebench/internal/metrics"
 	"azurebench/internal/model"
 	"azurebench/internal/payload"
@@ -40,15 +41,14 @@ const (
 // the blob complete for the download phases (the paper's per-worker lists
 // would leave only the last worker's slice committed).
 func (s *Suite) runBlobPoint(w int) map[string]phaseStats {
-	env, c := s.newCloud()
+	pt := s.newPoint()
 	cfg := s.cfg
 	chunk := int64(cfg.ChunkMB) << 20
 	totalChunks := cfg.BlobMB / cfg.ChunkMB
 	blobSize := chunk * int64(totalChunks)
 
 	// Untimed setup: container, page blob shell, sync queue.
-	setup := c.NewClient("setup", cfg.VM)
-	env.Go("setup", func(p *sim.Proc) {
+	pt.setup(func(p *sim.Proc, setup *cloud.Client) {
 		mustRetry(p, setup, "create container", func() error {
 			_, err := setup.CreateContainerIfNotExists(p, benchContainer)
 			return err
@@ -61,130 +61,98 @@ func (s *Suite) runBlobPoint(w int) map[string]phaseStats {
 			return err
 		})
 	})
-	env.Run()
 
 	fullList := make([]blobstore.BlockRef, totalChunks)
 	for i := range fullList {
 		fullList[i] = blobstore.BlockRef{ID: fmt.Sprintf("b-%05d", i), Source: blobstore.Latest}
 	}
 
-	results := make([]*workerResult, w)
-	for k := 0; k < w; k++ {
-		k := k
-		wr := newWorkerResult()
-		results[k] = wr
-		cl := c.NewClient(fmt.Sprintf("worker%d", k), cfg.VM)
-		env.Go(fmt.Sprintf("worker%d", k), func(p *sim.Proc) {
-			b := roles.NewBarrier(syncQueue, w)
-			start, n := split(totalChunks, w, k)
-			content := payload.Synthetic(uint64(cfg.Seed)+uint64(k), chunk)
-
-			// --- Page blob upload (my slice of pages) ---
-			t0 := p.Now()
-			for i := start; i < start+n; i++ {
-				off := int64(i) * chunk
-				mustRetry(p, cl, "put page", func() error {
-					return cl.PutPage(p, benchContainer, pageBlobName, off, content)
-				})
-			}
-			wr.phase[phPageUpload] = p.Now() - t0
+	pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
+		wr := pt.results[k]
+		b := roles.NewBarrier(syncQueue, w)
+		// barrier is the Algorithm 2 synchronisation between phases; its wait is
+		// outside every timed window, as in the paper.
+		barrier := func() {
 			if err := b.Wait(p, cl); err != nil {
 				panic(err)
 			}
+		}
+		start, n := split(totalChunks, w, k)
+		content := payload.Synthetic(uint64(cfg.Seed)+uint64(k), chunk)
 
-			// --- Block blob upload: stage my slice ---
-			t0 = p.Now()
-			for i := start; i < start+n; i++ {
-				id := fullList[i].ID
-				mustRetry(p, cl, "put block", func() error {
-					return cl.PutBlock(p, benchContainer, blockBlobName, id, content)
-				})
-			}
-			staged := p.Now() - t0
-			if err := b.Wait(p, cl); err != nil {
-				panic(err)
-			}
-			t0 = p.Now()
+		// --- Page blob upload (my slice of pages) ---
+		wr.timed(p, phPageUpload, n, func(i int) {
+			off := int64(start+i) * chunk
+			mustRetry(p, cl, "put page", func() error {
+				return cl.PutPage(p, benchContainer, pageBlobName, off, content)
+			})
+		})
+		barrier()
+
+		// --- Block blob upload: stage my slice, then commit the list ---
+		wr.timed(p, phBlockUp, n, func(i int) {
+			id := fullList[start+i].ID
+			mustRetry(p, cl, "put block", func() error {
+				return cl.PutBlock(p, benchContainer, blockBlobName, id, content)
+			})
+		})
+		barrier()
+		wr.timed(p, phBlockUp, 1, func(int) {
 			mustRetry(p, cl, "put block list", func() error {
 				return cl.PutBlockList(p, benchContainer, blockBlobName, fullList)
 			})
-			wr.phase[phBlockUp] = staged + (p.Now() - t0)
-			if err := b.Wait(p, cl); err != nil {
-				panic(err)
-			}
+		})
+		barrier()
 
-			// --- Random page-wise download (Figure 5) ---
-			t0 = p.Now()
-			for i := 0; i < cfg.ChunkReads; i++ {
-				off := int64(p.Rand().Intn(totalChunks)) * chunk
-				opT := p.Now()
-				mustRetry(p, cl, "get page", func() error {
-					_, err := cl.GetPage(p, benchContainer, pageBlobName, off, chunk)
-					return err
-				})
-				wr.addSample(phPageChunk, p.Now()-opT)
-			}
-			wr.phase[phPageChunk] = p.Now() - t0
-			if err := b.Wait(p, cl); err != nil {
-				panic(err)
-			}
+		// --- Random page-wise download (Figure 5) ---
+		wr.timed(p, phPageChunk, cfg.ChunkReads, func(int) {
+			off := int64(p.Rand().Intn(totalChunks)) * chunk
+			mustRetry(p, cl, "get page", func() error {
+				_, err := cl.GetPage(p, benchContainer, pageBlobName, off, chunk)
+				return err
+			})
+		})
+		barrier()
 
-			// --- Sequential block-wise download (Figure 5) ---
-			t0 = p.Now()
-			for i := 0; i < cfg.ChunkReads; i++ {
-				opT := p.Now()
-				idx := i % totalChunks
-				mustRetry(p, cl, "get block", func() error {
-					_, err := cl.GetBlock(p, benchContainer, blockBlobName, idx)
-					return err
-				})
-				wr.addSample(phBlockChunk, p.Now()-opT)
-			}
-			wr.phase[phBlockChunk] = p.Now() - t0
-			if err := b.Wait(p, cl); err != nil {
-				panic(err)
-			}
+		// --- Sequential block-wise download (Figure 5) ---
+		wr.timed(p, phBlockChunk, cfg.ChunkReads, func(i int) {
+			idx := i % totalChunks
+			mustRetry(p, cl, "get block", func() error {
+				_, err := cl.GetBlock(p, benchContainer, blockBlobName, idx)
+				return err
+			})
+		})
+		barrier()
 
-			// --- Entire page blob download (openRead) ---
-			t0 = p.Now()
+		// --- Entire page blob download (openRead) ---
+		wr.timed(p, phPageFull, 1, func(int) {
 			mustRetry(p, cl, "download page blob", func() error {
 				_, err := cl.Download(p, benchContainer, pageBlobName)
 				return err
 			})
-			wr.phase[phPageFull] = p.Now() - t0
-			if err := b.Wait(p, cl); err != nil {
-				panic(err)
-			}
+		})
+		barrier()
 
-			// --- Entire block blob download (DownloadText) ---
-			t0 = p.Now()
+		// --- Entire block blob download (DownloadText) ---
+		wr.timed(p, phBlockFull, 1, func(int) {
 			mustRetry(p, cl, "download block blob", func() error {
 				_, err := cl.Download(p, benchContainer, blockBlobName)
 				return err
 			})
-			wr.phase[phBlockFull] = p.Now() - t0
-			if err := b.Wait(p, cl); err != nil {
-				panic(err)
-			}
-
-			// --- Delete (worker 0, untimed) ---
-			if k == 0 {
-				mustRetry(p, cl, "delete page blob", func() error {
-					return cl.DeleteBlob(p, benchContainer, pageBlobName)
-				})
-				mustRetry(p, cl, "delete block blob", func() error {
-					return cl.DeleteBlob(p, benchContainer, blockBlobName)
-				})
-			}
 		})
-	}
-	env.Run()
+		barrier()
 
-	out := map[string]phaseStats{}
-	for _, ph := range []string{phPageUpload, phBlockUp, phPageChunk, phBlockChunk, phPageFull, phBlockFull} {
-		out[ph] = aggregate(results, ph)
-	}
-	return out
+		// --- Delete (worker 0, untimed) ---
+		if k == 0 {
+			mustRetry(p, cl, "delete page blob", func() error {
+				return cl.DeleteBlob(p, benchContainer, pageBlobName)
+			})
+			mustRetry(p, cl, "delete block blob", func() error {
+				return cl.DeleteBlob(p, benchContainer, blockBlobName)
+			})
+		}
+	})
+	return pt.stats(phPageUpload, phBlockUp, phPageChunk, phBlockChunk, phPageFull, phBlockFull)
 }
 
 // RunFig4 reproduces Figure 4: whole-blob upload/download time and

@@ -417,15 +417,61 @@ func (s *Suite) newCloud() (*sim.Env, *cloud.Cloud) {
 	return env, c
 }
 
+// point is one data point of an experiment: a fresh environment and cloud
+// on which an untimed setup process and then a fan-out of worker processes
+// run to completion, the way each of the paper's algorithms is staged.
+type point struct {
+	s       *Suite
+	env     *sim.Env
+	c       *cloud.Cloud
+	results []*workerResult // one per worker of the last fan-out
+}
+
+func (s *Suite) newPoint() *point {
+	env, c := s.newCloud()
+	return &point{s: s, env: env, c: c}
+}
+
+// setup runs body to completion as the point's "setup" process, under a
+// client of that name, before any worker exists; nothing in it is timed.
+func (pt *point) setup(body func(p *sim.Proc, cl *cloud.Client)) {
+	cl := pt.c.NewClient("setup", pt.s.cfg.VM)
+	pt.env.Go("setup", func(p *sim.Proc) { body(p, cl) })
+	pt.env.Run()
+}
+
+// workers starts w processes worker0..worker<w-1>, each on a client of its
+// own (one VM per worker role) with its timings kept in pt.results[k], and
+// runs the environment until it drains.
+func (pt *point) workers(w int, body func(p *sim.Proc, k int, cl *cloud.Client)) {
+	pt.results = make([]*workerResult, w)
+	for k := 0; k < w; k++ {
+		pt.results[k] = &workerResult{phase: map[string]time.Duration{}, dist: map[string]*metrics.Dist{}}
+		name := fmt.Sprintf("worker%d", k)
+		cl := pt.c.NewClient(name, pt.s.cfg.VM)
+		pt.env.Go(name, func(p *sim.Proc) { body(p, k, cl) })
+	}
+	pt.env.Run()
+}
+
+// stats aggregates the named phases over the last fan-out's workers.
+func (pt *point) stats(phases ...string) map[string]phaseStats {
+	out := map[string]phaseStats{}
+	for _, ph := range phases {
+		out[ph] = aggregate(pt.results, ph)
+	}
+	return out
+}
+
 // sample attaches a station sampler (labelled for export) to the point's
 // environment and registers it with the suite; nil when telemetry is off,
 // in which case no sampler process exists and the run is untouched.
-func (s *Suite) sample(env *sim.Env, c *cloud.Cloud, label string) *telemetry.Sampler {
+func (s *Suite) sample(env *sim.Env, stations func() []telemetry.Station, label string) *telemetry.Sampler {
 	if !s.cfg.Telemetry {
 		return nil
 	}
 	sp := telemetry.NewSampler(label, s.cfg.TelemetryInterval)
-	sp.Watch(env, c.Stations)
+	sp.Watch(env, stations)
 	s.samplers.list = append(s.samplers.list, sp)
 	return sp
 }
@@ -436,17 +482,23 @@ type workerResult struct {
 	dist  map[string]*metrics.Dist
 }
 
-func newWorkerResult() *workerResult {
-	return &workerResult{phase: map[string]time.Duration{}, dist: map[string]*metrics.Dist{}}
-}
-
-func (wr *workerResult) addSample(phase string, d time.Duration) {
+// timed issues op(0) … op(n-1) back to back: each call's duration is one
+// per-operation sample of phase, and the span of the whole loop is added
+// to the worker's time in that phase (a phase measured in several pieces —
+// around a barrier, or once per round between think times — accumulates).
+func (wr *workerResult) timed(p *sim.Proc, phase string, n int, op func(i int)) {
 	dist := wr.dist[phase]
 	if dist == nil {
 		dist = &metrics.Dist{}
 		wr.dist[phase] = dist
 	}
-	dist.Add(d)
+	t0 := p.Now()
+	for i := 0; i < n; i++ {
+		opT := p.Now()
+		op(i)
+		dist.Add(p.Now() - opT)
+	}
+	wr.phase[phase] += p.Now() - t0
 }
 
 // phaseStats aggregates one phase across workers.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"azurebench/internal/cloud"
 	"azurebench/internal/fabric"
 	"azurebench/internal/metrics"
 	"azurebench/internal/payload"
@@ -36,9 +37,8 @@ func (s *Suite) RunCache() *Report {
 	)
 	for _, w := range sortedCopy(s.cfg.Workers) {
 		for _, cached := range []bool{false, true} {
-			env, c := s.newCloud()
-			setup := c.NewClient("setup", s.cfg.VM)
-			env.Go("setup", func(p *sim.Proc) {
+			pt := s.newPoint()
+			pt.setup(func(p *sim.Proc, setup *cloud.Client) {
 				mustRetry(p, setup, "create container", func() error {
 					_, err := setup.CreateContainerIfNotExists(p, benchContainer)
 					return err
@@ -47,37 +47,32 @@ func (s *Suite) RunCache() *Report {
 					return setup.UploadBlockBlob(p, benchContainer, hotKey, payload.Synthetic(1, objSize))
 				})
 			})
-			env.Run()
-			start := env.Now()
+			start := pt.env.Now()
 			var ops metrics.Dist
-			for k := 0; k < w; k++ {
-				cl := c.NewClient(fmt.Sprintf("worker%d", k), s.cfg.VM)
-				env.Go(fmt.Sprintf("worker%d", k), func(p *sim.Proc) {
-					for i := 0; i < readsEach; i++ {
-						t0 := p.Now()
-						if cached {
-							item, ok, err := cl.CacheGet(p, "default", hotKey)
-							checkBusyOnly("cache get", err)
-							if !ok {
-								// Cache-aside fill on miss.
-								data, err := cl.Download(p, benchContainer, hotKey)
-								checkBusyOnly("fill read", err)
-								if _, err := cl.CachePut(p, "default", hotKey, data, time.Hour); err != nil {
-									checkBusyOnly("cache fill", err)
-								}
-							} else if item.Value.Len() != objSize {
-								panic("cache returned wrong object")
+			pt.workers(w, func(p *sim.Proc, _ int, cl *cloud.Client) {
+				for i := 0; i < readsEach; i++ {
+					t0 := p.Now()
+					if cached {
+						item, ok, err := cl.CacheGet(p, "default", hotKey)
+						checkBusyOnly("cache get", err)
+						if !ok {
+							// Cache-aside fill on miss.
+							data, err := cl.Download(p, benchContainer, hotKey)
+							checkBusyOnly("fill read", err)
+							if _, err := cl.CachePut(p, "default", hotKey, data, time.Hour); err != nil {
+								checkBusyOnly("cache fill", err)
 							}
-						} else {
-							_, err := cl.Download(p, benchContainer, hotKey)
-							checkBusyOnly("blob read", err)
+						} else if item.Value.Len() != objSize {
+							panic("cache returned wrong object")
 						}
-						ops.Add(p.Now() - t0)
+					} else {
+						_, err := cl.Download(p, benchContainer, hotKey)
+						checkBusyOnly("blob read", err)
 					}
-				})
-			}
-			env.Run()
-			elapsed := env.Now() - start
+					ops.Add(p.Now() - t0)
+				}
+			})
+			elapsed := pt.env.Now() - start
 			series := "Blob direct"
 			if cached {
 				series = "cache-aside"

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"azurebench/internal/cloud"
 	"azurebench/internal/faults"
 	"azurebench/internal/metrics"
 	"azurebench/internal/payload"
@@ -65,7 +66,7 @@ func (s *Suite) RunFaults() *Report {
 		rates = DefaultConfig().FaultRates
 	}
 	for _, rate := range rates {
-		env, c := s.newCloud()
+		pt := s.newPoint()
 		plan := faults.Uniform(s.cfg.Seed, rate)
 		plan.Timeout = faultVisibility // keep lost-request stalls commensurate with the run
 		if rate > 0 {
@@ -74,72 +75,67 @@ func (s *Suite) RunFaults() *Report {
 			// every worker must ride out on backoff.
 			plan.Outages = []faults.Window{{Service: "queue", Start: 20 * time.Second, Duration: 5 * time.Second}}
 		}
-		c.SetFaults(faults.NewInjector(plan))
+		pt.c.SetFaults(faults.NewInjector(plan))
 
 		var completed, failed, redelivered, staleClaims, misses int
-		for k := 0; k < w; k++ {
-			k := k
-			cl := c.NewClient(fmt.Sprintf("worker%d", k), s.cfg.VM)
-			env.Go(fmt.Sprintf("worker%d", k), func(p *sim.Proc) {
-				pol := faultRetryPolicy()
-				qname := fmt.Sprintf("faults-q%d", k)
+		pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
+			pol := faultRetryPolicy()
+			qname := fmt.Sprintf("faults-q%d", k)
+			if _, err := cl.Retry(p, pol, func() error {
+				_, err := cl.CreateQueueIfNotExists(p, qname)
+				return err
+			}); err != nil {
+				panic(fmt.Sprintf("create queue: %v", err))
+			}
+			body := payload.Synthetic(uint64(k), int64(s.cfg.SharedMsgSizeKB)*storecommon.KB)
+			_, n := split(totalRounds, w, k)
+			for i := 0; i < n; i++ {
 				if _, err := cl.Retry(p, pol, func() error {
-					_, err := cl.CreateQueueIfNotExists(p, qname)
+					_, err := cl.PutMessage(p, qname, body)
 					return err
 				}); err != nil {
-					panic(fmt.Sprintf("create queue: %v", err))
+					failed++
+					continue
 				}
-				body := payload.Synthetic(uint64(k), int64(s.cfg.SharedMsgSizeKB)*storecommon.KB)
-				_, n := split(totalRounds, w, k)
-				for i := 0; i < n; i++ {
-					if _, err := cl.Retry(p, pol, func() error {
-						_, err := cl.PutMessage(p, qname, body)
-						return err
-					}); err != nil {
-						failed++
-						continue
+				var msg queuestore.Message
+				got := false
+				if _, err := cl.Retry(p, pol, func() error {
+					m, ok, err := cl.GetMessage(p, qname, faultVisibility)
+					if err == nil && ok {
+						msg, got = m, true
 					}
-					var msg queuestore.Message
-					got := false
-					if _, err := cl.Retry(p, pol, func() error {
-						m, ok, err := cl.GetMessage(p, qname, faultVisibility)
-						if err == nil && ok {
-							msg, got = m, true
-						}
-						return err
-					}); err != nil {
-						failed++
-						continue
-					}
-					if !got {
-						misses++
-						continue
-					}
-					if msg.DequeueCount > 1 {
-						redelivered++
-					}
-					if _, err := cl.Retry(p, pol, func() error {
-						err := cl.DeleteMessage(p, qname, msg.ID, msg.PopReceipt)
-						if storecommon.IsNotFound(err) || storecommon.IsPreconditionFailed(err) {
-							// The claim expired during backoff and the
-							// message was redelivered — at-least-once in
-							// action, not a failure.
-							staleClaims++
-							return nil
-						}
-						return err
-					}); err != nil {
-						failed++
-						continue
-					}
-					completed++
+					return err
+				}); err != nil {
+					failed++
+					continue
 				}
-			})
-		}
-		env.Run()
-		elapsed := env.Now()
-		st := c.Stats()
-		fs := c.Faults().Stats()
+				if !got {
+					misses++
+					continue
+				}
+				if msg.DequeueCount > 1 {
+					redelivered++
+				}
+				if _, err := cl.Retry(p, pol, func() error {
+					err := cl.DeleteMessage(p, qname, msg.ID, msg.PopReceipt)
+					if storecommon.IsNotFound(err) || storecommon.IsPreconditionFailed(err) {
+						// The claim expired during backoff and the
+						// message was redelivered — at-least-once in
+						// action, not a failure.
+						staleClaims++
+						return nil
+					}
+					return err
+				}); err != nil {
+					failed++
+					continue
+				}
+				completed++
+			}
+		})
+		elapsed := pt.env.Now()
+		st := pt.c.Stats()
+		fs := pt.c.Faults().Stats()
 
 		x := rate * 100
 		if elapsed > 0 {

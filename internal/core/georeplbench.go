@@ -33,6 +33,8 @@ type geoPoint struct {
 	forward    georepl.Stats
 	reverse    georepl.Stats
 	promotions uint64
+
+	sampler *telemetry.Sampler // nil unless telemetry is on
 }
 
 // geoStaleSample is one reader observation for the staleness timeline.
@@ -83,13 +85,8 @@ func (s *Suite) runGeoreplPoint(lag time.Duration) geoPoint {
 	}))
 	g.ScheduleFailover(failAt, outage)
 	sub.armCheckpoint(env, g.RegisterSnapshot)
-	if sub.cfg.Telemetry {
-		sp := telemetry.NewSampler(fmt.Sprintf("georepl/lag=%v", lag), sub.cfg.TelemetryInterval)
-		sp.Watch(env, g.Stations)
-		sub.samplers.list = append(sub.samplers.list, sp)
-	}
-
 	pt := geoPoint{lag: lag}
+	pt.sampler = sub.sample(env, g.Stations, fmt.Sprintf("georepl/lag=%v", lag))
 	pol := geoRetryPolicy(outage, sub.cfg.Params.GeoFailoverDetection)
 	workers := sub.cfg.GeoWorkers
 	if workers < 1 {
@@ -219,8 +216,13 @@ func (s *Suite) RunGeorepl() *Report {
 		YLabel: "value (per-series unit)",
 	}
 	var notes []string
+	// With telemetry on, the widest lag bound's stations (queue servers,
+	// WAN links) around the outage render below the figures, as fig6's and
+	// throttle's busiest points do.
+	var showcase *telemetry.Sampler
 	for _, lag := range bounds {
 		pt := s.runGeoreplPoint(lag)
+		showcase = pt.sampler
 		series := fmt.Sprintf("lag=%v", lag)
 		for _, sample := range pt.staleSeries {
 			timeline.AddPoint(series, metrics.Seconds(sample.at), float64(sample.stale)/float64(time.Millisecond))
@@ -252,6 +254,9 @@ func (s *Suite) RunGeorepl() *Report {
 		"%d writers, %d RA-GRS readers; primary-region outage at %v for %v, horizon %v; failover detection %v",
 		s.cfg.GeoWorkers, s.cfg.GeoReaders, s.cfg.GeoFailoverAt, s.cfg.GeoOutageDuration,
 		s.cfg.GeoHorizon, s.cfg.Params.GeoFailoverDetection))
+	if showcase != nil {
+		notes = append(notes, "\n"+showcase.RenderTop(3))
+	}
 
 	return &Report{
 		ID:      "georepl",

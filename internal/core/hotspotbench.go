@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"azurebench/internal/cloud"
 	"azurebench/internal/metrics"
 	"azurebench/internal/payload"
 	"azurebench/internal/retry"
@@ -71,13 +72,12 @@ func (s *Suite) RunHotspot() *Report {
 			label = "dynamic"
 		}
 		sub := s.withParams(func(p *paramsAlias) { p.PartitionDynamic = dynamic })
-		env, c := sub.newCloud()
+		pt := sub.newPoint()
 
 		// Load phase: create the table and insert every key sequentially.
 		// The insert rate stays far below the split threshold, so the
 		// dynamic map is still a single range when measurement begins.
-		setup := c.NewClient("setup", s.cfg.VM)
-		env.Go("setup", func(p *sim.Proc) {
+		pt.setup(func(p *sim.Proc, setup *cloud.Client) {
 			setup.SetRetryPolicy(hotspotRetryPolicy())
 			mustRetry(p, setup, "create table", func() error {
 				_, err := setup.CreateTableIfNotExists(p, hotspotTable)
@@ -97,39 +97,34 @@ func (s *Suite) RunHotspot() *Report {
 				})
 			}
 		})
-		env.Run()
-		sub.sample(env, c, "hotspot/"+label)
+		sub.sample(pt.env, pt.c.Stations, "hotspot/"+label)
 
 		// Measurement phase: closed-loop zipfian point reads. perSec is
 		// shared across worker processes — the DES is single-threaded.
+		env := pt.env
 		start := env.Now()
 		perSec := make([]int, int(horizon/time.Second))
-		for k := 0; k < workers; k++ {
-			k := k
-			cl := c.NewClient(fmt.Sprintf("worker%d", k), s.cfg.VM)
+		pt.workers(workers, func(p *sim.Proc, k int, cl *cloud.Client) {
 			cl.SetRetryPolicy(hotspotRetryPolicy())
-			env.Go(fmt.Sprintf("worker%d", k), func(p *sim.Proc) {
-				zipf := workload.NewZipf(sim.NewRand(s.cfg.Seed^int64(k)<<17), theta)
-				for env.Now() < start+horizon {
-					rank := zipf.Next(keys)
-					idx := rank
-					if env.Now() >= start+horizon/2 {
-						// The hotspot flips to the top of the keyspace.
-						idx = keys - 1 - rank
-					}
-					if _, err := cl.WithRetry(p, func() error {
-						_, err := cl.GetEntity(p, hotspotTable, workload.Key(idx), "row")
-						return err
-					}); err != nil {
-						panic(fmt.Sprintf("hotspot read: %v", err))
-					}
-					if sec := int((env.Now() - start) / time.Second); sec < len(perSec) {
-						perSec[sec]++
-					}
+			zipf := workload.NewZipf(sim.NewRand(s.cfg.Seed^int64(k)<<17), theta)
+			for env.Now() < start+horizon {
+				rank := zipf.Next(keys)
+				idx := rank
+				if env.Now() >= start+horizon/2 {
+					// The hotspot flips to the top of the keyspace.
+					idx = keys - 1 - rank
 				}
-			})
-		}
-		env.Run()
+				if _, err := cl.WithRetry(p, func() error {
+					_, err := cl.GetEntity(p, hotspotTable, workload.Key(idx), "row")
+					return err
+				}); err != nil {
+					panic(fmt.Sprintf("hotspot read: %v", err))
+				}
+				if sec := int((env.Now() - start) / time.Second); sec < len(perSec) {
+					perSec[sec]++
+				}
+			}
+		})
 
 		for sec, n := range perSec {
 			fig.AddPoint(label, float64(sec), float64(n))
@@ -143,8 +138,8 @@ func (s *Suite) RunHotspot() *Report {
 		}
 		steady[label] = sum / float64(len(tail))
 
-		rec := sub.recordPartitions("hotspot/"+label, c)
-		st := c.Stats()
+		rec := sub.recordPartitions("hotspot/"+label, pt.c)
+		st := pt.c.Stats()
 		var ctr metrics.Counters
 		ctr.Add("steady-state reads/s", steady[label])
 		ctr.Add("partition servers", float64(rec.Servers))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"azurebench/internal/cloud"
 	"azurebench/internal/metrics"
 	"azurebench/internal/payload"
 	"azurebench/internal/sim"
@@ -35,79 +36,51 @@ func effectiveMsgSize(kb int) int64 {
 // enabled a station sampler (labelled for export) records the point's
 // queue-server timelines; it is nil otherwise.
 func (s *Suite) runQueuePerWorkerPoint(w int, sizeKB int, label string) (map[string]phaseStats, *telemetry.Sampler) {
-	env, c := s.newCloud()
-	sp := s.sample(env, c, label)
+	pt := s.newPoint()
+	sp := s.sample(pt.env, pt.c.Stations, label)
 	cfg := s.cfg
 	msgSize := effectiveMsgSize(sizeKB)
 
-	results := make([]*workerResult, w)
-	for k := 0; k < w; k++ {
-		k := k
-		wr := newWorkerResult()
-		results[k] = wr
+	pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
+		wr := pt.results[k]
 		queueName := fmt.Sprintf("azurebench-queue-%d", k)
-		cl := c.NewClient(fmt.Sprintf("worker%d", k), cfg.VM)
-		env.Go(fmt.Sprintf("worker%d", k), func(p *sim.Proc) {
-			_, count := split(cfg.QueueMessages, w, k)
-			mustRetry(p, cl, "create queue", func() error {
-				return cl.CreateQueue(p, queueName)
-			})
-			body := payload.Synthetic(uint64(cfg.Seed)+uint64(k), msgSize)
+		_, count := split(cfg.QueueMessages, w, k)
+		mustRetry(p, cl, "create queue", func() error {
+			return cl.CreateQueue(p, queueName)
+		})
+		body := payload.Synthetic(uint64(cfg.Seed)+uint64(k), msgSize)
 
-			// Put phase.
-			t0 := p.Now()
-			for i := 0; i < count; i++ {
-				opT := p.Now()
-				mustRetry(p, cl, "put message", func() error {
-					_, err := cl.PutMessage(p, queueName, body)
-					return err
-				})
-				wr.addSample(phQueuePut, p.Now()-opT)
-			}
-			wr.phase[phQueuePut] = p.Now() - t0
-
-			// Peek phase.
-			t0 = p.Now()
-			for i := 0; i < count; i++ {
-				opT := p.Now()
-				mustRetry(p, cl, "peek message", func() error {
-					_, _, err := cl.PeekMessage(p, queueName)
-					return err
-				})
-				wr.addSample(phQueuePeek, p.Now()-opT)
-			}
-			wr.phase[phQueuePeek] = p.Now() - t0
-
-			// Get (+Delete) phase.
-			t0 = p.Now()
-			for i := 0; i < count; i++ {
-				opT := p.Now()
-				mustRetry(p, cl, "get message", func() error {
-					msg, ok, err := cl.GetMessage(p, queueName, time.Hour)
-					if err != nil || !ok {
-						if err == nil {
-							err = fmt.Errorf("queue %s dry at message %d", queueName, i)
-						}
-						return err
-					}
-					return cl.DeleteMessage(p, queueName, msg.ID, msg.PopReceipt)
-				})
-				wr.addSample(phQueueGet, p.Now()-opT)
-			}
-			wr.phase[phQueueGet] = p.Now() - t0
-
-			mustRetry(p, cl, "delete queue", func() error {
-				return cl.DeleteQueue(p, queueName)
+		wr.timed(p, phQueuePut, count, func(int) {
+			mustRetry(p, cl, "put message", func() error {
+				_, err := cl.PutMessage(p, queueName, body)
+				return err
 			})
 		})
-	}
-	env.Run()
+		wr.timed(p, phQueuePeek, count, func(int) {
+			mustRetry(p, cl, "peek message", func() error {
+				_, _, err := cl.PeekMessage(p, queueName)
+				return err
+			})
+		})
+		// Get includes the Delete, as in the paper.
+		wr.timed(p, phQueueGet, count, func(i int) {
+			mustRetry(p, cl, "get message", func() error {
+				msg, ok, err := cl.GetMessage(p, queueName, time.Hour)
+				if err != nil || !ok {
+					if err == nil {
+						err = fmt.Errorf("queue %s dry at message %d", queueName, i)
+					}
+					return err
+				}
+				return cl.DeleteMessage(p, queueName, msg.ID, msg.PopReceipt)
+			})
+		})
 
-	out := map[string]phaseStats{}
-	for _, ph := range []string{phQueuePut, phQueuePeek, phQueueGet} {
-		out[ph] = aggregate(results, ph)
-	}
-	return out, sp
+		mustRetry(p, cl, "delete queue", func() error {
+			return cl.DeleteQueue(p, queueName)
+		})
+	})
+	return pt.stats(phQueuePut, phQueuePeek, phQueueGet), sp
 }
 
 // RunFig6 reproduces Figure 6: Put/Peek/Get time versus workers with a

@@ -23,7 +23,7 @@ func (s *Suite) ScenarioCloud() (*sim.Env, *cloud.Cloud) { return s.newCloud() }
 // ScenarioSample attaches a labelled station sampler to the cloud (no-op
 // unless Config.Telemetry), registering it for WriteStats export.
 func (s *Suite) ScenarioSample(env *sim.Env, c *cloud.Cloud, label string) {
-	s.sample(env, c, label)
+	s.sample(env, c.Stations, label)
 }
 
 // ScenarioRecordPartitions captures the cloud's partition-master summary

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"azurebench/internal/cloud"
 	"azurebench/internal/metrics"
 	"azurebench/internal/payload"
 	"azurebench/internal/sim"
@@ -17,56 +18,44 @@ const sharedQueueName = "azurebench-queue"
 // Reported times include only the storage operations, not the think time,
 // as in the paper.
 func (s *Suite) runSharedQueuePoint(w int, think time.Duration) map[string]phaseStats {
-	env, c := s.newCloud()
+	pt := s.newPoint()
 	cfg := s.cfg
 	msgSize := effectiveMsgSize(cfg.SharedMsgSizeKB)
 
-	setup := c.NewClient("setup", cfg.VM)
-	env.Go("setup", func(p *sim.Proc) {
+	pt.setup(func(p *sim.Proc, setup *cloud.Client) {
 		mustRetry(p, setup, "create shared queue", func() error {
 			_, err := setup.CreateQueueIfNotExists(p, sharedQueueName)
 			return err
 		})
 	})
-	env.Run()
 
-	results := make([]*workerResult, w)
-	for k := 0; k < w; k++ {
-		k := k
-		wr := newWorkerResult()
-		results[k] = wr
-		cl := c.NewClient(fmt.Sprintf("worker%d", k), cfg.VM)
-		env.Go(fmt.Sprintf("worker%d", k), func(p *sim.Proc) {
-			_, rounds := split(cfg.SharedRounds, w, k)
-			body := payload.Synthetic(uint64(cfg.Seed)+uint64(k), msgSize)
-			// Workers never start in lockstep on real VMs: stagger the
-			// first round uniformly over one think interval, otherwise the
-			// synchronized first wave dominates the per-op mean and hides
-			// the think-time effect the paper reports.
-			p.Sleep(time.Duration(p.Rand().Int63n(int64(think) + 1)))
-			var put, peek, get time.Duration
-			for r := 0; r < rounds; r++ {
-				t0 := p.Now()
+	pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
+		wr := pt.results[k]
+		_, rounds := split(cfg.SharedRounds, w, k)
+		body := payload.Synthetic(uint64(cfg.Seed)+uint64(k), msgSize)
+		// Workers never start in lockstep on real VMs: stagger the
+		// first round uniformly over one think interval, otherwise the
+		// synchronized first wave dominates the per-op mean and hides
+		// the think-time effect the paper reports.
+		p.Sleep(time.Duration(p.Rand().Int63n(int64(think) + 1)))
+		for r := 0; r < rounds; r++ {
+			wr.timed(p, phQueuePut, 1, func(int) {
 				mustRetry(p, cl, "put", func() error {
 					_, err := cl.PutMessage(p, sharedQueueName, body)
 					return err
 				})
-				d := p.Now() - t0
-				put += d
-				wr.addSample(phQueuePut, d)
-				cl.Think(p, think)
+			})
+			cl.Think(p, think)
 
-				t0 = p.Now()
+			wr.timed(p, phQueuePeek, 1, func(int) {
 				mustRetry(p, cl, "peek", func() error {
 					_, _, err := cl.PeekMessage(p, sharedQueueName)
 					return err
 				})
-				d = p.Now() - t0
-				peek += d
-				wr.addSample(phQueuePeek, d)
-				cl.Think(p, think)
+			})
+			cl.Think(p, think)
 
-				t0 = p.Now()
+			wr.timed(p, phQueueGet, 1, func(int) {
 				mustRetry(p, cl, "get", func() error {
 					msg, ok, err := cl.GetMessage(p, sharedQueueName, time.Hour)
 					if err != nil {
@@ -80,23 +69,11 @@ func (s *Suite) runSharedQueuePoint(w int, think time.Duration) map[string]phase
 					}
 					return cl.DeleteMessage(p, sharedQueueName, msg.ID, msg.PopReceipt)
 				})
-				d = p.Now() - t0
-				get += d
-				wr.addSample(phQueueGet, d)
-				cl.Think(p, think)
-			}
-			wr.phase[phQueuePut] = put
-			wr.phase[phQueuePeek] = peek
-			wr.phase[phQueueGet] = get
-		})
-	}
-	env.Run()
-
-	out := map[string]phaseStats{}
-	for _, ph := range []string{phQueuePut, phQueuePeek, phQueueGet} {
-		out[ph] = aggregate(results, ph)
-	}
-	return out
+			})
+			cl.Think(p, think)
+		}
+	})
+	return pt.stats(phQueuePut, phQueuePeek, phQueueGet)
 }
 
 // RunFig7 reproduces Figure 7: Put/Peek/Get cost versus workers on a

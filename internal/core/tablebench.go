@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"azurebench/internal/cloud"
 	"azurebench/internal/metrics"
 	"azurebench/internal/payload"
 	"azurebench/internal/sim"
@@ -26,101 +27,67 @@ const benchTable = "AzureBenchTable"
 // role id), queries them back, updates them with the ETag wildcard, and
 // deletes them.
 func (s *Suite) runTablePoint(w int, sizeKB int) map[string]phaseStats {
-	env, c := s.newCloud()
+	pt := s.newPoint()
 	cfg := s.cfg
 	entSize := int64(sizeKB) * storecommon.KB
 
-	setup := c.NewClient("setup", cfg.VM)
-	env.Go("setup", func(p *sim.Proc) {
+	pt.setup(func(p *sim.Proc, setup *cloud.Client) {
 		mustRetry(p, setup, "create table", func() error {
 			_, err := setup.CreateTableIfNotExists(p, benchTable)
 			return err
 		})
 	})
-	env.Run()
 	// Attach the sampler after setup so its process spans exactly the
-	// benchmark phases (it exits when it is the last process standing).
-	s.sample(env, c, fmt.Sprintf("table/w=%d/%dKB", w, sizeKB))
+	// benchmark phases (it exits once nothing else is scheduled).
+	s.sample(pt.env, pt.c.Stations, fmt.Sprintf("table/w=%d/%dKB", w, sizeKB))
 
-	results := make([]*workerResult, w)
-	for k := 0; k < w; k++ {
-		k := k
-		wr := newWorkerResult()
-		results[k] = wr
+	pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
+		wr := pt.results[k]
 		pk := fmt.Sprintf("worker-%03d", k)
-		cl := c.NewClient(fmt.Sprintf("worker%d", k), cfg.VM)
-		env.Go(fmt.Sprintf("worker%d", k), func(p *sim.Proc) {
-			count := cfg.TableEntities
-			rowKey := func(i int) string { return fmt.Sprintf("row-%05d", i) }
-			entity := func(i int, seed uint64) *tablestore.Entity {
-				return &tablestore.Entity{
-					PartitionKey: pk,
-					RowKey:       rowKey(i),
-					Props: map[string]tablestore.Value{
-						"Data": tablestore.Binary(payload.Synthetic(seed+uint64(i), entSize)),
-					},
-				}
+		count := cfg.TableEntities
+		rowKey := func(i int) string { return fmt.Sprintf("row-%05d", i) }
+		entity := func(i int, seed uint64) *tablestore.Entity {
+			return &tablestore.Entity{
+				PartitionKey: pk,
+				RowKey:       rowKey(i),
+				Props: map[string]tablestore.Value{
+					"Data": tablestore.Binary(payload.Synthetic(seed+uint64(i), entSize)),
+				},
 			}
+		}
 
-			// Insert phase (AddRow).
-			t0 := p.Now()
-			for i := 0; i < count; i++ {
-				opT := p.Now()
-				e := entity(i, uint64(cfg.Seed))
-				mustRetry(p, cl, "insert", func() error {
-					_, err := cl.InsertEntity(p, benchTable, e)
-					return err
-				})
-				wr.addSample(phTabInsert, p.Now()-opT)
-			}
-			wr.phase[phTabInsert] = p.Now() - t0
-
-			// Query phase (point query by partition+row key).
-			t0 = p.Now()
-			for i := 0; i < count; i++ {
-				opT := p.Now()
-				rk := rowKey(i)
-				mustRetry(p, cl, "query", func() error {
-					_, err := cl.GetEntity(p, benchTable, pk, rk)
-					return err
-				})
-				wr.addSample(phTabQuery, p.Now()-opT)
-			}
-			wr.phase[phTabQuery] = p.Now() - t0
-
-			// Update phase (unconditional via the "*" wildcard ETag).
-			t0 = p.Now()
-			for i := 0; i < count; i++ {
-				opT := p.Now()
-				e := entity(i, uint64(cfg.Seed)+1_000_000)
-				mustRetry(p, cl, "update", func() error {
-					_, err := cl.UpdateEntity(p, benchTable, e, storecommon.ETagAny)
-					return err
-				})
-				wr.addSample(phTabUpdate, p.Now()-opT)
-			}
-			wr.phase[phTabUpdate] = p.Now() - t0
-
-			// Delete phase.
-			t0 = p.Now()
-			for i := 0; i < count; i++ {
-				opT := p.Now()
-				rk := rowKey(i)
-				mustRetry(p, cl, "delete", func() error {
-					return cl.DeleteEntity(p, benchTable, pk, rk, storecommon.ETagAny)
-				})
-				wr.addSample(phTabDelete, p.Now()-opT)
-			}
-			wr.phase[phTabDelete] = p.Now() - t0
+		// Insert (AddRow).
+		wr.timed(p, phTabInsert, count, func(i int) {
+			e := entity(i, uint64(cfg.Seed))
+			mustRetry(p, cl, "insert", func() error {
+				_, err := cl.InsertEntity(p, benchTable, e)
+				return err
+			})
 		})
-	}
-	env.Run()
-
-	out := map[string]phaseStats{}
-	for _, ph := range []string{phTabInsert, phTabQuery, phTabUpdate, phTabDelete} {
-		out[ph] = aggregate(results, ph)
-	}
-	return out
+		// Point query by partition+row key.
+		wr.timed(p, phTabQuery, count, func(i int) {
+			rk := rowKey(i)
+			mustRetry(p, cl, "query", func() error {
+				_, err := cl.GetEntity(p, benchTable, pk, rk)
+				return err
+			})
+		})
+		// Update, unconditional via the "*" wildcard ETag.
+		wr.timed(p, phTabUpdate, count, func(i int) {
+			e := entity(i, uint64(cfg.Seed)+1_000_000)
+			mustRetry(p, cl, "update", func() error {
+				_, err := cl.UpdateEntity(p, benchTable, e, storecommon.ETagAny)
+				return err
+			})
+		})
+		wr.timed(p, phTabDelete, count, func(i int) {
+			rk := rowKey(i)
+			mustRetry(p, cl, "delete", func() error {
+				return cl.DeleteEntity(p, benchTable, pk, rk, storecommon.ETagAny)
+			})
+		})
+	})
+	return pt.stats(phTabInsert, phTabQuery, phTabUpdate, phTabDelete)
 }
 
 // RunFig8 reproduces Figure 8: per-phase time versus workers for Insert,

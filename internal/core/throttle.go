@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"azurebench/internal/cloud"
 	"azurebench/internal/metrics"
 	"azurebench/internal/payload"
 	"azurebench/internal/sim"
@@ -34,42 +35,36 @@ func (s *Suite) RunThrottle() *Report {
 	var showcase *telemetry.Sampler
 	workers := sortedCopy(s.cfg.Workers)
 	for _, w := range workers {
-		env, c := s.newCloud()
-		setup := c.NewClient("setup", s.cfg.VM)
-		env.Go("setup", func(p *sim.Proc) {
+		pt := s.newPoint()
+		pt.setup(func(p *sim.Proc, setup *cloud.Client) {
 			mustRetry(p, setup, "create queue", func() error {
 				_, err := setup.CreateQueueIfNotExists(p, "hot-queue")
 				return err
 			})
 		})
-		env.Run()
-		sp := s.sample(env, c, fmt.Sprintf("throttle/w=%d", w))
+		sp := s.sample(pt.env, pt.c.Stations, fmt.Sprintf("throttle/w=%d", w))
 		if sp != nil && w == workers[len(workers)-1] {
 			showcase = sp
 		}
-		start := env.Now()
+
+		start := pt.env.Now()
 		retries := make([]int, w)
 		ends := make([]time.Duration, w)
-		for k := 0; k < w; k++ {
-			k := k
-			cl := c.NewClient(fmt.Sprintf("worker%d", k), s.cfg.VM)
-			env.Go(fmt.Sprintf("worker%d", k), func(p *sim.Proc) {
-				_, n := split(totalOps, w, k)
-				body := payload.Synthetic(uint64(k), 1024)
-				for i := 0; i < n; i++ {
-					r, err := cl.WithRetry(p, func() error {
-						_, err := cl.PutMessage(p, "hot-queue", body)
-						return err
-					})
-					retries[k] += r
-					if err != nil {
-						panic(err)
-					}
+		pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
+			_, n := split(totalOps, w, k)
+			body := payload.Synthetic(uint64(k), 1024)
+			for i := 0; i < n; i++ {
+				r, err := cl.WithRetry(p, func() error {
+					_, err := cl.PutMessage(p, "hot-queue", body)
+					return err
+				})
+				retries[k] += r
+				if err != nil {
+					panic(err)
 				}
-				ends[k] = p.Now()
-			})
-		}
-		env.Run()
+			}
+			ends[k] = p.Now()
+		})
 		// Elapsed ends at the last worker's finish, not env.Now(): the
 		// telemetry sampler's final tick may land after the workers, and
 		// throughput must not depend on whether sampling is attached.

@@ -66,7 +66,6 @@ type Instance struct {
 	recycleRequested bool
 	restarts         int
 	readyAt          time.Duration
-	disk             *LocalDisk
 	done             *sim.Signal
 }
 
@@ -173,7 +172,6 @@ func (d *Deployment) start(inst *Instance, run func(ctx *Context), boot time.Dur
 				return
 			}
 			inst.restarts++
-			inst.wipeDisk() // local storage does not survive a recycle
 			p.Sleep(RebootDelay)
 		}
 	})

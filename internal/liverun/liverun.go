@@ -32,23 +32,8 @@ func Run(endpoint string, sp *scenario.Spec, seed int64, opts scenario.Options) 
 	tr.MaxIdleConns = maxIdleConns
 	tr.MaxIdleConnsPerHost = maxIdleConns
 	defer tr.CloseIdleConnections()
-	st := NewStore(sdk.New(endpoint, &http.Client{Transport: tr}, retryPolicy()))
+	st := NewStore(sdk.New(endpoint, &http.Client{Transport: tr}, scenario.RetryPolicy()))
 	return scenario.RunOn(NewRuntime(), func(string) scenario.Store { return st }, sp, seed, opts)
-}
-
-// retryPolicy lowers the driver's retry discipline onto the SDK, which
-// retries each request itself.
-func retryPolicy() sdk.RetryPolicy {
-	pol := scenario.RetryPolicy()
-	return sdk.RetryPolicy{
-		MaxRetries:     pol.MaxAttempts - 1,
-		Backoff:        pol.BaseDelay,
-		Multiplier:     pol.Multiplier,
-		MaxBackoff:     pol.MaxDelay,
-		Jitter:         pol.Jitter,
-		Deadline:       pol.Deadline,
-		RetryTransient: true,
-	}
 }
 
 // Runtime runs scenario processes as goroutines on the wall clock. It is

@@ -202,7 +202,7 @@ func (f *Figure) Render() string {
 		}
 		rows = append(rows, row)
 	}
-	writeAligned(&b, rows)
+	WriteAligned(&b, rows)
 	return b.String()
 }
 
@@ -237,7 +237,10 @@ func trimFloat(x float64) string {
 	return fmt.Sprintf("%g", x)
 }
 
-func writeAligned(b *strings.Builder, rows [][]string) {
+// WriteAligned renders rows as a table of right-aligned columns two
+// spaces apart, each as wide as its widest cell. No row may have more
+// cells than the first.
+func WriteAligned(b *strings.Builder, rows [][]string) {
 	if len(rows) == 0 {
 		return
 	}
@@ -304,7 +307,7 @@ func (c *Counters) Render() string {
 	for _, n := range c.names {
 		rows = append(rows, []string{n, trimFloat2(c.vals[n])})
 	}
-	writeAligned(&b, rows)
+	WriteAligned(&b, rows)
 	return b.String()
 }
 

@@ -2,7 +2,6 @@ package rest
 
 import (
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -72,27 +71,13 @@ func (s *Server) SetTrace(l *trace.Log, seed string) {
 // Trace returns the attached operation log (nil when tracing is off).
 func (s *Server) Trace() *trace.Log { return s.traceLog }
 
-// traceService maps the first path segment to a service name ("mgmt" for
-// control-plane routes).
-func traceService(path string) string {
-	p := strings.TrimPrefix(path, "/")
-	if i := strings.IndexByte(p, '/'); i >= 0 {
-		p = p[:i]
-	}
-	switch p {
-	case "blob", "queue", "table":
-		return p
-	}
-	return "mgmt"
-}
-
 // recordTrace emits the server-side op for one completed request.
 func (s *Server) recordTrace(r *http.Request, sw *statusWriter, rt *reqTrace, startAt time.Time, elapsed time.Duration) {
 	op := trace.Op{
 		Start:    startAt.Sub(vclock.Epoch),
 		Duration: elapsed,
 		Client:   "rest",
-		Service:  traceService(r.URL.Path),
+		Service:  trace.ServiceOf(r.URL.Path),
 		Name:     r.Header.Get("x-bench-op"),
 		Bytes:    r.ContentLength + sw.written,
 		SpanID:   s.ids.SpanID(),

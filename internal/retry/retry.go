@@ -2,9 +2,8 @@
 // simulated cloud client (internal/cloud) and the live-mode SDK
 // (internal/sdk). A Policy decides which errors are worth reissuing,
 // bounds the attempt count, shapes the backoff curve (fixed or
-// exponential, with optional jitter and a delay cap), enforces a per-op
-// deadline, and can draw on a shared retry Budget so that a fleet of
-// workers cannot collectively melt down a struggling service.
+// exponential, with optional jitter and a delay cap) and enforces a per-op
+// deadline.
 //
 // The package is deliberately free of clocks and sleeps: callers own time
 // (virtual time in the simulation, wall time in live mode) and ask the
@@ -44,17 +43,6 @@ type Policy struct {
 	// Classify reports whether an error is worth retrying. nil defaults
 	// to storecommon.IsRetriable (throttles + transient faults).
 	Classify func(error) bool
-	// Budget, when non-nil, is a shared pool of retries; every retry
-	// spends one token and an empty budget stops retrying even when
-	// attempts remain. Workers sharing one Budget cannot collectively
-	// storm a degraded service.
-	Budget *Budget
-	// OnBackoff, when non-nil, is invoked by executors just before each
-	// backoff sleep with the retry ordinal (1 for the first retry) and the
-	// chosen delay — the observability hook through which backoff time is
-	// attributed to retry-backoff trace spans (simulation) or counted in
-	// client stats (live SDK). It must not block.
-	OnBackoff func(retries int, d time.Duration)
 }
 
 // Paper returns the retry discipline of the source paper's benchmark:
@@ -94,7 +82,7 @@ func (p Policy) classify(err error) bool {
 
 // ShouldRetry reports whether, after the (retries+1)-th attempt failed
 // with err at elapsed time since the operation began, another attempt
-// should be made. It spends a budget token when it returns true.
+// should be made.
 func (p Policy) ShouldRetry(retries int, elapsed time.Duration, err error) bool {
 	if err == nil || !p.classify(err) {
 		return false
@@ -102,10 +90,7 @@ func (p Policy) ShouldRetry(retries int, elapsed time.Duration, err error) bool 
 	if retries+1 >= p.MaxAttempts {
 		return false
 	}
-	if p.Deadline > 0 && elapsed >= p.Deadline {
-		return false
-	}
-	return p.Budget.spend()
+	return p.Deadline <= 0 || elapsed < p.Deadline
 }
 
 // Delay returns the backoff before the (retries+1)-th retry. rnd supplies
@@ -117,55 +102,24 @@ func (p Policy) Delay(retries int, rnd func() float64) time.Duration {
 	if m := p.Multiplier; m > 1 && retries > 0 {
 		d *= math.Pow(m, float64(retries))
 	}
-	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
+	// An uncapped policy is still capped at the largest Duration, while d
+	// is a float: past MaxInt64 the conversion below is implementation-
+	// defined (negative on amd64, which every Sleep treats as "do not
+	// wait" — an unthrottled retry loop), and +Inf times a zero jitter
+	// factor would be NaN.
+	limit := float64(math.MaxInt64)
+	if p.MaxDelay > 0 {
+		limit = float64(p.MaxDelay)
 	}
+	d = math.Min(d, limit)
 	if p.Jitter > 0 && rnd != nil {
 		d *= 1 + p.Jitter*(2*rnd()-1)
+	}
+	if d >= math.MaxInt64 {
+		return math.MaxInt64
 	}
 	if d < 0 {
 		d = 0
 	}
 	return time.Duration(d)
-}
-
-// Budget is a shared pool of retry tokens. The zero value and nil both
-// mean "unlimited". It is not safe for concurrent use from real threads;
-// in the simulation only one process runs at a time, and live-mode users
-// should wrap it themselves if sharing across goroutines.
-type Budget struct {
-	remaining int
-	spent     int
-}
-
-// NewBudget returns a budget of n retries shared by everyone holding it.
-func NewBudget(n int) *Budget { return &Budget{remaining: n} }
-
-// Remaining returns the unspent tokens.
-func (b *Budget) Remaining() int {
-	if b == nil {
-		return math.MaxInt
-	}
-	return b.remaining
-}
-
-// Spent returns how many retries the budget has funded.
-func (b *Budget) Spent() int {
-	if b == nil {
-		return 0
-	}
-	return b.spent
-}
-
-// spend takes one token, reporting whether one was available.
-func (b *Budget) spend() bool {
-	if b == nil {
-		return true
-	}
-	if b.remaining <= 0 {
-		return false
-	}
-	b.remaining--
-	b.spent++
-	return true
 }

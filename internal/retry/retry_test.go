@@ -2,6 +2,7 @@ package retry
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -96,22 +97,31 @@ func TestDelayJitter(t *testing.T) {
 	}
 }
 
-func TestBudget(t *testing.T) {
-	b := NewBudget(2)
-	p := Policy{MaxAttempts: 100, Budget: b}
-	q := Policy{MaxAttempts: 100, Budget: b} // shares the same pool
-	if !p.ShouldRetry(0, 0, errBusy) || !q.ShouldRetry(0, 0, errBusy) {
-		t.Fatal("budget blocked funded retries")
-	}
-	if p.ShouldRetry(0, 0, errBusy) {
-		t.Error("retried past an exhausted budget")
-	}
-	if b.Spent() != 2 || b.Remaining() != 0 {
-		t.Errorf("budget accounting: spent=%d remaining=%d", b.Spent(), b.Remaining())
-	}
-	var nilBudget *Budget
-	if !nilBudget.spend() || nilBudget.Spent() != 0 {
-		t.Error("nil budget is not unlimited")
+// TestDelayNeverNegative: an uncapped exponential policy saturates at the
+// largest Duration instead of overflowing into a negative one (which both
+// time.Sleep and sim.Proc.Sleep treat as zero), with or without jitter.
+func TestDelayNeverNegative(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		jitter float64
+		rnd    func() float64
+	}{
+		{"no jitter", 0, nil},
+		{"jitter, low draw", 0.5, func() float64 { return 0 }},
+		{"jitter, high draw", 0.5, func() float64 { return 0.999 }},
+	} {
+		p := Policy{BaseDelay: 100 * time.Millisecond, Multiplier: 2, Jitter: tc.jitter}
+		var prev time.Duration
+		for retries := 0; retries <= 2000; retries++ {
+			d := p.Delay(retries, tc.rnd)
+			if d < prev {
+				t.Fatalf("%s: Delay(%d) = %v after Delay(%d) = %v", tc.name, retries, d, retries-1, prev)
+			}
+			prev = d
+		}
+		if prev < math.MaxInt64/2 {
+			t.Errorf("%s: Delay(2000) = %v, want saturation near the largest Duration", tc.name, prev)
+		}
 	}
 }
 

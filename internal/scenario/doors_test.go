@@ -12,6 +12,7 @@ import (
 	"azurebench/internal/liverun"
 	"azurebench/internal/queuestore"
 	"azurebench/internal/rest"
+	"azurebench/internal/retry"
 	"azurebench/internal/scenario"
 	"azurebench/internal/sdk"
 	"azurebench/internal/storecommon"
@@ -126,7 +127,7 @@ func liveDoor(t *testing.T, sp *scenario.Spec) door {
 	srv := rest.NewServer(rest.Options{Clock: clock})
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
-	st := liverun.NewStore(sdk.New(hs.URL, hs.Client(), sdk.RetryPolicy{}))
+	st := liverun.NewStore(sdk.New(hs.URL, hs.Client(), retry.Policy{}))
 	drv := scenario.NewDoor(liverun.NewRuntime(), func(string) scenario.Store { return st }, sp, 2)
 	return door{"live", drv, clock.Advance, srv.Table, srv.Queue, srv.Blob}
 }

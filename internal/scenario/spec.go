@@ -756,7 +756,8 @@ func decodeAssertion(s *section) Assertion {
 
 // opService maps an op kind to the target service it needs.
 func opService(kind string) string {
-	return strings.SplitN(kind, "_", 2)[0]
+	service, _, _ := strings.Cut(kind, "_")
+	return service
 }
 
 func (sp *Spec) validate() error {

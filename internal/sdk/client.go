@@ -27,7 +27,11 @@ import (
 type Client struct {
 	base   string
 	http   *http.Client
-	policy RetryPolicy
+	policy retry.Policy
+	// jitter supplies the backoff jitter as uniform floats in [0, 1). nil
+	// means the process-global math/rand source, which is fine for live
+	// traffic but not replayable; the in-package test sets a seeded one.
+	jitter func() float64
 
 	// Live retry telemetry (atomic: SDK clients are shared by goroutines).
 	retryCount   atomic.Int64
@@ -49,80 +53,19 @@ func (c *Client) RetryStats() (retries int64, slept time.Duration) {
 	return c.retryCount.Load(), time.Duration(c.backoffSlept.Load())
 }
 
-// RetryPolicy controls retries. The zero values of the optional fields
-// preserve the paper's discipline — a fixed Backoff between attempts,
-// retrying only ServerBusy throttles — while the extensions turn on the
-// resilient behaviour of internal/retry: exponential backoff with jitter,
-// an overall deadline, and retrying transient faults (500s, timeouts,
-// dropped connections) as well.
-type RetryPolicy struct {
-	// MaxRetries bounds retry attempts (0 disables retries).
-	MaxRetries int
-	// Backoff is slept between attempts (the paper uses one second).
-	Backoff time.Duration
-
-	// Multiplier grows the backoff per retry (0 or 1 keeps it fixed).
-	Multiplier float64
-	// MaxBackoff caps the grown backoff (0 = uncapped).
-	MaxBackoff time.Duration
-	// Jitter randomises each delay by ±Jitter fraction (0 = none).
-	Jitter float64
-	// Deadline bounds the whole operation including backoffs (0 = none).
-	Deadline time.Duration
-	// RetryTransient also retries transient infrastructure faults
-	// (storecommon.IsTransient), not just throttles. Transport-level
-	// failures surface as ConnectionReset errors and fall in this class.
-	RetryTransient bool
-
-	// Rand supplies the jitter randomness as uniform floats in [0, 1).
-	// Injecting a seeded source (e.g. sim.NewRand(seed).Float64) makes
-	// the whole retry schedule reproducible; nil falls back to the
-	// process-global math/rand source, which is fine for live traffic
-	// but not replayable.
-	Rand func() float64
-}
-
 // DefaultRetryPolicy matches the paper's behaviour: retry throttled
-// operations after a one-second sleep.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 8, Backoff: time.Second}
-}
-
-// ResilientRetryPolicy is the fault-tolerant preset: exponential backoff
-// with jitter against throttles and transient faults alike, bounded by
-// attempts and an overall deadline.
-func ResilientRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxRetries:     7,
-		Backoff:        250 * time.Millisecond,
-		Multiplier:     2,
-		MaxBackoff:     8 * time.Second,
-		Jitter:         0.2,
-		Deadline:       2 * time.Minute,
-		RetryTransient: true,
-	}
-}
-
-// policy lowers the SDK-facing knobs onto the shared retry framework.
-func (rp RetryPolicy) policy() retry.Policy {
-	classify := storecommon.IsServerBusy
-	if rp.RetryTransient {
-		classify = storecommon.IsRetriable
-	}
-	return retry.Policy{
-		MaxAttempts: rp.MaxRetries + 1,
-		BaseDelay:   rp.Backoff,
-		Multiplier:  rp.Multiplier,
-		MaxDelay:    rp.MaxBackoff,
-		Jitter:      rp.Jitter,
-		Deadline:    rp.Deadline,
-		Classify:    classify,
-	}
+// operations (and only those) after a one-second sleep, up to 8 times.
+func DefaultRetryPolicy() retry.Policy {
+	pol := retry.Paper(time.Second)
+	pol.MaxAttempts = 9
+	return pol
 }
 
 // New creates a client for the emulator at baseURL (e.g.
-// "http://127.0.0.1:10000"). A nil httpClient uses http.DefaultClient.
-func New(baseURL string, httpClient *http.Client, policy RetryPolicy) *Client {
+// "http://127.0.0.1:10000"). A nil httpClient uses http.DefaultClient; the
+// zero policy makes a single attempt. Transport-level failures surface as
+// ConnectionReset errors, which a policy with a nil Classify retries.
+func New(baseURL string, httpClient *http.Client, policy retry.Policy) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
@@ -175,20 +118,6 @@ type request struct {
 	body    []byte
 }
 
-// service derives the storage service from the request path ("mgmt" for
-// control-plane routes like /stats).
-func (r request) service() string {
-	p := strings.TrimPrefix(r.path, "/")
-	if i := strings.IndexByte(p, '/'); i >= 0 {
-		p = p[:i]
-	}
-	switch p {
-	case "blob", "queue", "table":
-		return p
-	}
-	return "mgmt"
-}
-
 // response captures what callers need.
 type response struct {
 	status  int
@@ -201,10 +130,9 @@ type response struct {
 // before an HTTP status arrived) surface as ConnectionReset storage
 // errors, which the resilient policies classify as retriable.
 func (c *Client) do(req request) (*response, error) {
-	pol := c.policy.policy()
-	jitter := c.policy.Rand
+	jitter := c.jitter
 	if jitter == nil {
-		//azlint:allow seededrand(live-mode default; inject RetryPolicy.Rand for reproducible schedules)
+		//azlint:allow seededrand(live-mode default; Client.jitter takes a seeded source for reproducible schedules)
 		jitter = rand.Float64
 	}
 	start := time.Now()
@@ -231,7 +159,7 @@ func (c *Client) do(req request) (*response, error) {
 				Start:    attemptStart.Add(-backoff).Sub(vclock.Epoch),
 				Duration: time.Since(attemptStart) + backoff,
 				Client:   c.name,
-				Service:  req.service(),
+				Service:  trace.ServiceOf(req.path),
 				Name:     req.op,
 				Bytes:    int64(len(req.body)),
 				TraceID:  traceID,
@@ -257,16 +185,13 @@ func (c *Client) do(req request) (*response, error) {
 		if err == nil {
 			err = decodeError(resp)
 		}
-		if !pol.ShouldRetry(retries, time.Since(start), err) {
+		if !c.policy.ShouldRetry(retries, time.Since(start), err) {
 			return resp, err
 		}
-		d := pol.Delay(retries, jitter)
+		d := c.policy.Delay(retries, jitter)
 		retries++
 		c.retryCount.Add(1)
 		c.backoffSlept.Add(int64(d))
-		if pol.OnBackoff != nil {
-			pol.OnBackoff(retries, d)
-		}
 		parentID = spanID // the next attempt is caused by this one failing
 		backoff = d
 		time.Sleep(d)

@@ -1,59 +1,11 @@
 package sdk
 
-import (
-	"time"
-
-	"azurebench/internal/storecommon"
-)
+import "time"
 
 // This file is the live-mode mirror of the simulation framework in
-// internal/roles: the paper's Section III primitives (task pool with
-// fault-tolerant claims, termination indicator, Algorithm 2 barrier) built
-// on the SDK's queue client, so real processes against a live emulator
-// can coordinate exactly the way simulated worker roles do.
-
-// LiveBarrier is Algorithm 2 over HTTP: one shared queue, one message per
-// worker per phase, and counter polling. Each worker owns its LiveBarrier
-// (it carries the worker-local phase counter).
-type LiveBarrier struct {
-	Queue   string
-	Workers int
-	Poll    time.Duration // default 1 s, the paper's poll interval
-
-	q     *QueueClient
-	phase int
-}
-
-// NewLiveBarrier builds a barrier over queue for the given worker count.
-func (q *QueueClient) NewLiveBarrier(queue string, workers int) *LiveBarrier {
-	return &LiveBarrier{Queue: queue, Workers: workers, Poll: time.Second, q: q}
-}
-
-// Phase returns the completed synchronization phases.
-func (b *LiveBarrier) Phase() int { return b.phase }
-
-// Wait blocks until all workers have arrived at this phase.
-func (b *LiveBarrier) Wait() error {
-	b.phase++
-	if err := b.q.Put(b.Queue, []byte("barrier"), 0); err != nil {
-		return err
-	}
-	target := b.Workers * b.phase
-	poll := b.Poll
-	if poll <= 0 {
-		poll = time.Second
-	}
-	for {
-		n, err := b.q.ApproximateCount(b.Queue)
-		if err != nil {
-			return err
-		}
-		if n >= target {
-			return nil
-		}
-		time.Sleep(poll)
-	}
-}
+// internal/roles: the paper's Section III task pool with fault-tolerant
+// claims, built on the SDK's queue client, so real processes against a
+// live emulator share work exactly the way simulated worker roles do.
 
 // LiveTask is a claimed work item.
 type LiveTask struct {
@@ -92,13 +44,7 @@ func (tp *LiveTaskPool) TryNext() (LiveTask, bool, error) {
 
 // Complete deletes a finished task. A stale claim (the visibility timeout
 // expired and another worker holds the task) surfaces as a
-// precondition-failed error.
+// precondition-failed error (storecommon.IsPreconditionFailed).
 func (tp *LiveTaskPool) Complete(task LiveTask) error {
 	return tp.q.DeleteMessage(tp.Queue, task.ID, task.popReceipt)
-}
-
-// IsStaleClaim reports whether a Complete failed because the claim had
-// expired and the task was re-dequeued elsewhere.
-func IsStaleClaim(err error) bool {
-	return storecommon.IsPreconditionFailed(err)
 }

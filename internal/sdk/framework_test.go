@@ -60,41 +60,6 @@ func TestLiveTaskPoolDistributesWork(t *testing.T) {
 	}
 }
 
-func TestLiveBarrierSynchronizes(t *testing.T) {
-	c, _ := newStack(t, rest.Options{})
-	q := c.Queue()
-	if err := q.Create("live-sync"); err != nil {
-		t.Fatal(err)
-	}
-	const workers = 4
-	var afterBarrier atomic.Int64
-	var maxBefore atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b := q.NewLiveBarrier("live-sync", workers)
-			b.Poll = 5 * time.Millisecond
-			time.Sleep(time.Duration(w*20) * time.Millisecond) // stagger arrivals
-			maxBefore.Store(int64(w))
-			if err := b.Wait(); err != nil {
-				t.Error(err)
-				return
-			}
-			afterBarrier.Add(1)
-			if b.Phase() != 1 {
-				t.Errorf("phase = %d", b.Phase())
-			}
-		}()
-	}
-	wg.Wait()
-	if afterBarrier.Load() != workers {
-		t.Fatalf("%d workers crossed", afterBarrier.Load())
-	}
-}
-
 func TestListEndpoints(t *testing.T) {
 	c, _ := newStack(t, rest.Options{})
 	if err := c.Blob().CreateContainer("aa-one"); err != nil {

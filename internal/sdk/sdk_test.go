@@ -19,7 +19,7 @@ func newStack(t *testing.T, opts rest.Options) (*Client, *rest.Server) {
 	srv := rest.NewServer(opts)
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
-	return New(hs.URL, hs.Client(), RetryPolicy{MaxRetries: 3, Backoff: 10 * time.Millisecond}), srv
+	return New(hs.URL, hs.Client(), paperPolicy(3, 10*time.Millisecond)), srv
 }
 
 func TestBlobLifecycleOverREST(t *testing.T) {

@@ -56,6 +56,12 @@ func (e *Env) Telemetry() (events, switches uint64, peakHeap int) {
 // yet returned.
 func (e *Env) Live() int { return e.nLive }
 
+// Pending returns the number of scheduled events that have not fired yet.
+// Seen from a running process, zero means nothing else will ever happen:
+// every other live process is parked on something only an event could
+// trigger.
+func (e *Env) Pending() int { return len(e.events) }
+
 // schedule enqueues fire to run in kernel context at time at. It panics if
 // at precedes the current time.
 func (e *Env) schedule(at time.Duration, fire func()) {

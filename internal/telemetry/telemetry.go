@@ -16,6 +16,7 @@ import (
 	"strings"
 	"time"
 
+	"azurebench/internal/metrics"
 	"azurebench/internal/sim"
 	"azurebench/internal/storecommon"
 )
@@ -118,9 +119,11 @@ func (s *Sampler) Observe(now time.Duration, stations []Station) {
 }
 
 // Watch runs the sampler as a simulation process: every interval of
-// virtual time it observes stations(), stopping after the tick on which it
-// is the only live process left (so an otherwise-finished Env.Run still
-// drains). Observation only reads statistics — it never contends for
+// virtual time it observes stations(), stopping after the tick on which no
+// other event is pending (so an otherwise-finished Env.Run still drains,
+// even when service processes such as a geo-replication stream stay
+// parked forever — the sampler must not be the one thing that keeps
+// virtual time advancing). Observation only reads statistics — it never contends for
 // resources or consumes randomness, so the simulated workload's
 // virtual-time trajectory is unchanged by sampling.
 func (s *Sampler) Watch(env *sim.Env, stations func() []Station) {
@@ -128,7 +131,7 @@ func (s *Sampler) Watch(env *sim.Env, stations func() []Station) {
 		for {
 			p.Sleep(s.interval)
 			s.Observe(env.Now(), stations())
-			if env.Live() <= 1 {
+			if env.Pending() == 0 {
 				return
 			}
 		}
@@ -216,7 +219,7 @@ func (s *Sampler) RenderTop(n int) string {
 				fmt.Sprintf("%.0f", sm.RejectsPerSec),
 			})
 		}
-		writeAligned(&b, table)
+		metrics.WriteAligned(&b, table)
 	}
 	if elided > 0 {
 		fmt.Fprintf(&b, "(%d less-contended stations elided)\n", elided)
@@ -246,27 +249,4 @@ func (s *Sampler) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-func writeAligned(b *strings.Builder, rows [][]string) {
-	if len(rows) == 0 {
-		return
-	}
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(b, "%*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
 }

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"azurebench/internal/metrics"
 )
 
 // Pipeline stage identifiers for Span.Stage. A recorded operation's spans
@@ -69,6 +71,18 @@ type Op struct {
 	// Spans is the per-stage breakdown of Duration; the stage durations sum
 	// to Duration exactly. Empty when the recorder did not attribute stages.
 	Spans []Span
+}
+
+// ServiceOf maps a REST path's first segment to Op.Service ("mgmt" for
+// control-plane routes like /stats) — shared by the SDK, which records the
+// client's view of a request, and the emulator, which records the server's.
+func ServiceOf(path string) string {
+	p, _, _ := strings.Cut(strings.TrimPrefix(path, "/"), "/")
+	switch p {
+	case "blob", "queue", "table":
+		return p
+	}
+	return "mgmt"
 }
 
 // SpanDur returns the duration attributed to stage ("" total when absent).
@@ -377,32 +391,9 @@ func (l *Log) StageSummary() string {
 		}
 		table = append(table, row)
 	}
-	writeAlignedTable(&b, table)
+	metrics.WriteAligned(&b, table)
 	b.WriteString(l.truncationNote())
 	return b.String()
-}
-
-func writeAlignedTable(b *strings.Builder, rows [][]string) {
-	if len(rows) == 0 {
-		return
-	}
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(b, "%*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
 }
 
 // TimelinePoint is one bucket of the ops-per-second timeline.

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"azurebench/internal/metrics"
 )
 
 // StageDelta compares one (service, op, stage) between two traces.
@@ -136,7 +138,7 @@ func RenderDiff(deltas []StageDelta) string {
 			fmtPct(d.P99Pct()),
 		})
 	}
-	writeAligned(&b, table)
+	metrics.WriteAligned(&b, table)
 	return b.String()
 }
 

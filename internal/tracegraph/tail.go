@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"azurebench/internal/metrics"
 )
 
 // groupKey identifies one (service, op) population.
@@ -231,30 +233,6 @@ func RenderTail(groups []*TailGroup, pct float64) string {
 		}
 		table = append(table, row)
 	}
-	writeAligned(&b, table)
+	metrics.WriteAligned(&b, table)
 	return b.String()
-}
-
-// writeAligned renders rows as a space-aligned table.
-func writeAligned(b *strings.Builder, rows [][]string) {
-	if len(rows) == 0 {
-		return
-	}
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(b, "%*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
 }
