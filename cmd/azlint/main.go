@@ -1,28 +1,31 @@
 // Command azlint is the repository's determinism-and-safety linter: an
-// interprocedural multichecker for the eight analyzers in
+// interprocedural multichecker for the nine analyzers in
 // internal/analysis (walltime, seededrand, maporder, digestunsafe,
-// errdrop, simblock, lockorder, hotalloc). Wall-clock, global-rand and
-// map-order taint is tracked across function and package boundaries
-// through per-function fact summaries, and diagnostics report the full
-// call chain at the sim-facing call site.
+// snapshotsafe, errdrop, simblock, lockorder, hotalloc). Wall-clock,
+// global-rand and map-order taint is tracked across function and package
+// boundaries through one program-wide table of per-function summaries,
+// and diagnostics report the full call chain at the sim-facing call
+// site.
 //
-// It runs on package patterns, loading the whole program via
-// `go list -export -deps` and the gc export-data importer:
+// It takes package patterns and nothing else — there are no flags —
+// loading the whole program via `go list -export -deps` and the gc
+// export-data importer:
 //
 //	go build -o bin/azlint ./cmd/azlint
 //	bin/azlint ./...
 //
-// (`make lint` does exactly that.) Flags:
+// (`make lint` does exactly that.) Each finding is one line on stderr,
 //
-//	-fix          apply the suggested mechanical fixes in place
-//	-json         emit findings as a JSON array on stdout
-//	-sarif        emit SARIF 2.1.0 on stdout (for code scanning)
-//	-o FILE       write -json/-sarif output to FILE instead of stdout
-//	-debt         print the suppression-debt table (//azlint:allow
-//	              directives per analyzer) instead of findings
+//	file:line:col: message [azlint:analyzer]
+//
+// and the exit code is 0 when the tree is clean, 1 when anything was
+// reported, 2 on a usage or loading error.
 //
 // Deliberate violations are suppressed in source with a mandatory
-// justification: //azlint:allow <analyzer>(<reason>).
+// justification: //azlint:allow <analyzer>(<reason>). A directive that
+// suppresses nothing is itself a finding, and
+// TestSuppressionDebtCeiling (internal/analysis) pins how many of each
+// the tree may carry.
 package main
 
 import (
@@ -32,5 +35,5 @@ import (
 )
 
 func main() {
-	os.Exit(driver.Main(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(driver.Main(os.Args[1:], os.Stderr))
 }

@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"azurebench/internal/trace"
 	"azurebench/internal/tracegraph"
 )
 
@@ -83,11 +84,12 @@ func load(path string) *tracegraph.Trace {
 		fatal(err)
 	}
 	defer f.Close()
-	tr, err := tracegraph.Read(f)
+	file, err := trace.ReadJSONL(f)
 	if err != nil {
 		fatal(err)
 	}
-	return tr
+	tr := tracegraph.Trace(file)
+	return &tr
 }
 
 func fatal(err error) {
@@ -102,12 +104,12 @@ func summary(tr *tracegraph.Trace) {
 	rep := tr.Verify()
 	fmt.Printf("ops: %d  roots: %d  standalone: %d  orphans: %d\n",
 		rep.Ops, len(f.Roots), rep.Standalone, rep.Orphans)
-	if tr.Meta.Dropped > 0 {
+	if tr.Dropped > 0 {
 		fmt.Printf("eviction: %d ops dropped, window truncated before %v\n",
-			tr.Meta.Dropped, tr.Meta.EvictedBefore)
+			tr.Dropped, tr.EvictedBefore)
 	}
-	if len(tr.Meta.Experiments) > 0 {
-		fmt.Printf("experiments: %s\n", strings.Join(tr.Meta.Experiments, ", "))
+	if len(tr.Sections) > 0 {
+		fmt.Printf("experiments: %s\n", strings.Join(tr.Sections, ", "))
 	}
 	switch {
 	case rep.Complete():

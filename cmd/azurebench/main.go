@@ -40,6 +40,7 @@ import (
 	"azurebench/internal/core"
 	"azurebench/internal/liverun"
 	"azurebench/internal/scenario"
+	"azurebench/internal/trace"
 )
 
 func main() {
@@ -104,7 +105,6 @@ func main() {
 			fatalf("creating -tracefile: %v", err)
 		}
 		out.traceOut = f
-		defer f.Close()
 	}
 	if *statsFile != "" {
 		f, err := os.Create(*statsFile)
@@ -152,6 +152,11 @@ func main() {
 		runExperiments(cfg, *experiment, out, checkpointAt, *ckptFile)
 	}
 
+	if out.traceOut != nil {
+		if err := out.traceOut.Close(); err != nil {
+			fatalf("closing -tracefile: %v", err)
+		}
+	}
 	if out.statsOut != nil {
 		if err := out.statsOut.Close(); err != nil {
 			fatalf("closing -statsfile: %v", err)
@@ -357,8 +362,11 @@ func (o *output) emit(suite *core.Suite, rep *core.Report, verdict string) {
 		if o.traceOut != nil {
 			// Mark each report's section so one JSONL file holds the whole
 			// run.
-			fmt.Fprintf(o.traceOut, "{\"experiment\":%q}\n", rep.ID)
-			if err := log.WriteJSONL(o.traceOut); err != nil {
+			err := trace.WriteSection(o.traceOut, rep.ID)
+			if err == nil {
+				err = log.WriteJSONL(o.traceOut)
+			}
+			if err != nil {
 				fatalf("writing -tracefile: %v", err)
 			}
 		}

@@ -3,7 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"azurebench/internal/core"
+	"azurebench/internal/scenario"
+	"azurebench/internal/trace"
 )
 
 func TestParseInts(t *testing.T) {
@@ -41,4 +46,54 @@ func TestProfilesWritten(t *testing.T) {
 		}
 	}
 	startProfiles("", "")() // no flags, no files, no panic
+}
+
+// TestTracefileSectionNamesRoundTrip: a scenario's name becomes its
+// section marker in the -tracefile, and whatever bytes the YAML put in it
+// — a control byte, a quote, an angle bracket — must come back from the
+// reader unchanged. (The marker used to be printed with %q, whose \x01 is
+// not JSON: aztrace rejected such a file at line 1.)
+func TestTracefileSectionNamesRoundTrip(t *testing.T) {
+	const name = "ycsb\x01\"<c"
+	src, err := os.ReadFile("../../examples/scenarios/ycsb-c.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "odd.yaml")
+	if err := os.WriteFile(spec, []byte(strings.Replace(string(src), "name: ycsb-c", "name: "+name, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(dir, "trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	// The report itself goes to stdout; keep it out of the test log.
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	stdout := os.Stdout
+	os.Stdout = null
+	cfg := core.QuickConfig()
+	cfg.TraceOps = true
+	runScenarios(cfg, []string{spec}, "", scenario.Options{Quick: true}, &output{traceOut: f, verdict: true})
+	os.Stdout = stdout
+
+	if _, err := f.Seek(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.ReadJSONL(f)
+	if err != nil {
+		t.Fatalf("reading the -tracefile back: %v", err)
+	}
+	if len(got.Sections) != 1 || got.Sections[0] != name {
+		t.Errorf("sections = %q, want [%q]", got.Sections, name)
+	}
+	if len(got.Ops) == 0 {
+		t.Error("no operations in the -tracefile of a traced run")
+	}
 }

@@ -43,7 +43,6 @@ type allowSite struct {
 	analyzer string
 	file     string
 	line     int
-	reason   string
 	pos      token.Pos
 	// used flips when the site suppresses a diagnostic or sanctions a
 	// taint seed; a site left unused while its analyzer runs is stale.
@@ -109,7 +108,6 @@ func parseAllows(fset *token.FileSet, files []*ast.File) ([]*allowSite, []Diagno
 							analyzer: name,
 							file:     fset.Position(c.Pos()).Filename,
 							line:     fset.Position(c.Pos()).Line,
-							reason:   reason,
 							pos:      c.Pos(),
 						})
 					}

@@ -47,46 +47,28 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
-	facts *PkgFacts
-	deps  FactLookup
+	facts map[string]FuncTaint
 	diags *[]Diagnostic
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(pos, nil, format, args...)
-}
-
-// Report records a diagnostic at pos carrying an optional suggested fix.
-func (p *Pass) Report(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
 }
 
-// TaintOf returns the interprocedural summary of fn: from this package's
-// own call graph if fn is declared here, from the imported facts of its
-// declaring package otherwise. A zero summary means clean (or unknown —
-// standard library and out-of-module functions carry no facts).
+// TaintOf returns the interprocedural summary of fn from the program-wide
+// facts table, whichever package declares it. A zero summary means clean
+// (or unknown — standard library and out-of-module functions carry no
+// facts).
 func (p *Pass) TaintOf(fn *types.Func) FuncTaint {
 	if fn == nil {
 		return FuncTaint{}
 	}
-	path := pkgPathOf(fn)
-	if path == "" {
-		return FuncTaint{}
-	}
-	key := FuncKey(fn)
-	if p.Pkg != nil && path == p.Pkg.Path() {
-		return p.facts.Lookup(key)
-	}
-	if p.deps == nil {
-		return FuncTaint{}
-	}
-	return p.deps(path).Lookup(key)
+	return p.facts[FuncKey(fn)]
 }
 
 // Diagnostic is one reported problem.
@@ -94,8 +76,6 @@ type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
 	Message  string
-	// Fix, when non-nil, is a mechanical repair applied by `azlint -fix`.
-	Fix *SuggestedFix
 }
 
 // Package bundles everything the analyzers need about one package.
@@ -118,38 +98,19 @@ func NewInfo() *types.Info {
 	}
 }
 
-// Result is everything one Analyze call produces.
-type Result struct {
-	// Diags are the surviving diagnostics in file/position order.
-	Diags []Diagnostic
-	// Facts is the package's exported interprocedural summary, for the
-	// driver to ship to dependent packages.
-	Facts *PkgFacts
-	// Allows lists every well-formed //azlint:allow directive (used for
-	// the suppression-debt report).
-	Allows []Allow
-}
-
-// Allow is one well-formed suppression directive, surfaced for debt
-// accounting.
-type Allow struct {
-	Analyzer string
-	File     string
-	Line     int
-	Reason   string
-}
-
-// Analyze computes pkg's interprocedural facts (resolving imported
-// callees through deps) and applies analyzers, returning the surviving
-// diagnostics in file/position order. Suppressions from //azlint:allow
-// directives are applied; malformed or unknown directives — and
-// directives for a ran analyzer that suppressed nothing (stale debt) —
-// are themselves reported as analyzer "azlint". Test files never
-// contribute diagnostics. A nil analyzers slice computes facts only.
-func Analyze(pkg *Package, analyzers []*Analyzer, deps FactLookup) Result {
+// Analyze adds pkg's interprocedural summaries to facts — the one
+// program-wide table, which must already hold those of every package pkg
+// imports (callers analyse in dependency order) — and applies analyzers,
+// returning the surviving diagnostics in file/position order.
+// Suppressions from //azlint:allow directives are applied; malformed or
+// unknown directives — and directives for a ran analyzer that suppressed
+// nothing (stale debt) — are themselves reported as analyzer "azlint".
+// Test files never contribute diagnostics. A nil analyzers slice computes
+// facts only.
+func Analyze(pkg *Package, analyzers []*Analyzer, facts map[string]FuncTaint) []Diagnostic {
 	files := nonTestFiles(pkg.Fset, pkg.Files)
 	allows, diags := parseAllows(pkg.Fset, files)
-	facts := ComputeFacts(pkg, files, deps, allows)
+	ComputeFacts(pkg, files, facts, allows)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
@@ -158,7 +119,6 @@ func Analyze(pkg *Package, analyzers []*Analyzer, deps FactLookup) Result {
 			Pkg:      pkg.Pkg,
 			Info:     pkg.Info,
 			facts:    facts,
-			deps:     deps,
 			diags:    &diags,
 		}
 		a.Run(pass)
@@ -175,11 +135,7 @@ func Analyze(pkg *Package, analyzers []*Analyzer, deps FactLookup) Result {
 		}
 		return pi.Column < pj.Column
 	})
-	var allowInfo []Allow
-	for _, a := range allows {
-		allowInfo = append(allowInfo, Allow{Analyzer: a.analyzer, File: a.file, Line: a.line, Reason: a.reason})
-	}
-	return Result{Diags: diags, Facts: facts, Allows: allowInfo}
+	return diags
 }
 
 func nonTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {

@@ -59,18 +59,6 @@ func TestAllowEdgeCases(t *testing.T) {
 	atest.Run(t, analysis.Walltime, "allowedge/sim")
 }
 
-// TestSuggestedFixes round-trips the mechanical fixes: every diagnostic
-// in the fixture carries one, the fixed source still type-checks, and
-// re-running the analyzers reports nothing.
-func TestSuggestedFixes(t *testing.T) {
-	atest.RunFix(t, []*analysis.Analyzer{
-		analysis.Walltime,
-		analysis.Seededrand,
-		analysis.Maporder,
-		analysis.Digestunsafe,
-	}, "fixable/sim")
-}
-
 func TestMaporder(t *testing.T) {
 	atest.Run(t, analysis.Maporder, "maporder/a")
 }

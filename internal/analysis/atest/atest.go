@@ -27,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,27 +43,18 @@ var (
 	fset     = token.NewFileSet()
 	stdImp   types.Importer
 	pkgCache = map[string]*fixturePkg{}
+	// facts is the program-wide interprocedural table. A fixture's
+	// dependencies are fully loaded (facts included) before the importing
+	// package finishes type-checking, so every resolvable callee is in it
+	// by the time its caller is analysed.
+	facts = map[string]analysis.FuncTaint{}
 )
 
 type fixturePkg struct {
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
-	facts *analysis.PkgFacts
 	err   error
-}
-
-// lookupFacts resolves fixture-package facts by import path for
-// interprocedural analyzers. Dependencies are fully loaded (facts
-// included) before the importing package finishes type-checking, so a
-// cache hit is guaranteed for every resolvable import.
-func lookupFacts(testdata string) analysis.FactLookup {
-	return func(importPath string) *analysis.PkgFacts {
-		if fp, ok := pkgCache[testdata+"\x00"+importPath]; ok && fp.err == nil {
-			return fp.facts
-		}
-		return nil
-	}
 }
 
 // Run checks analyzer a against the fixture packages at
@@ -83,88 +73,11 @@ func Run(t *testing.T, a *analysis.Analyzer, paths ...string) {
 			t.Errorf("%s: loading fixture: %v", path, fp.err)
 			continue
 		}
-		res := analysis.Analyze(
+		diags := analysis.Analyze(
 			&analysis.Package{Fset: fset, Files: fp.files, Pkg: fp.pkg, Info: fp.info},
-			[]*analysis.Analyzer{a},
-			lookupFacts(testdata),
+			[]*analysis.Analyzer{a}, facts,
 		)
-		checkWants(t, path, fp.files, res.Diags)
-	}
-}
-
-// RunFix round-trips the suggested fixes of the given analyzers over one
-// fixture package: every diagnostic must carry a fix, applying the fixes
-// must leave a package that still type-checks against the fixture tree,
-// and re-running the analyzers over the fixed source must report nothing.
-func RunFix(t *testing.T, analyzers []*analysis.Analyzer, path string) {
-	t.Helper()
-	mu.Lock()
-	defer mu.Unlock()
-	testdata, err := filepath.Abs("testdata")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := loadFixture(testdata, path)
-	if fp.err != nil {
-		t.Fatalf("%s: loading fixture: %v", path, fp.err)
-	}
-	res := analysis.Analyze(
-		&analysis.Package{Fset: fset, Files: fp.files, Pkg: fp.pkg, Info: fp.info},
-		analyzers, lookupFacts(testdata),
-	)
-	if len(res.Diags) == 0 {
-		t.Fatalf("%s: fix fixture reported no diagnostics", path)
-	}
-	checkWants(t, path, fp.files, res.Diags)
-	src := map[string][]byte{}
-	for _, f := range fp.files {
-		name := fset.Position(f.Pos()).Filename
-		data, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src[name] = data
-	}
-	for _, d := range res.Diags {
-		if d.Fix == nil {
-			pos := fset.Position(d.Pos)
-			t.Errorf("%s: diagnostic at %s:%d has no suggested fix: %s", path, pos.Filename, pos.Line, d.Message)
-		}
-	}
-	fixed, applied := analysis.ApplyFixes(fset, res.Diags, src)
-	if applied == 0 {
-		t.Fatalf("%s: no fixes applied", path)
-	}
-
-	// Re-parse and re-typecheck the fixed source; a fixed tree that no
-	// longer compiles is worse than the finding.
-	fixedFset := token.NewFileSet()
-	names := make([]string, 0, len(fixed))
-	for name := range fixed {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(fixedFset, name, fixed[name], parser.ParseComments)
-		if err != nil {
-			t.Fatalf("%s: fixed source does not parse: %v\n%s", path, err, fixed[name])
-		}
-		files = append(files, f)
-	}
-	conf := types.Config{Importer: &fixtureImporter{testdata: testdata}}
-	info := analysis.NewInfo()
-	pkg, err := conf.Check(path, fixedFset, files, info)
-	if err != nil {
-		t.Fatalf("%s: fixed source does not type-check: %v", path, err)
-	}
-	res = analysis.Analyze(
-		&analysis.Package{Fset: fixedFset, Files: files, Pkg: pkg, Info: info},
-		analyzers, lookupFacts(testdata),
-	)
-	for _, d := range res.Diags {
-		pos := fixedFset.Position(d.Pos)
-		t.Errorf("%s: diagnostic survives the fix at %s:%d: %s [%s]", path, pos.Filename, pos.Line, d.Message, d.Analyzer)
+		checkWants(t, path, fp.files, diags)
 	}
 }
 
@@ -210,11 +123,8 @@ func loadFixture(testdata, path string) *fixturePkg {
 	}
 	fp.pkg, fp.info = pkg, info
 	// Compute interprocedural facts now, so dependents (whose Check
-	// triggered this load) find them in the cache.
-	fp.facts = analysis.Analyze(
-		&analysis.Package{Fset: fset, Files: fp.files, Pkg: pkg, Info: info},
-		nil, lookupFacts(testdata),
-	).Facts
+	// triggered this load) find them in the table.
+	analysis.Analyze(&analysis.Package{Fset: fset, Files: fp.files, Pkg: pkg, Info: info}, nil, facts)
 	return fp
 }
 

@@ -13,8 +13,7 @@ import (
 // result straight into fmt/CSV/JSONL, making two identical seeds emit
 // differently-ordered bytes. The helper's MapOrdered taint comes from
 // the interprocedural facts, so the chain may cross any number of
-// packages; the caller-side repair (sort before emitting) is mechanical
-// for []string values and carried as a suggested fix.
+// packages.
 var Digestunsafe = &Analyzer{
 	Name: "digestunsafe",
 	Doc: "flag slices built in map-iteration order (per interprocedural facts) that reach " +
@@ -29,12 +28,12 @@ func runDigestunsafe(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkDigestunsafeFunc(pass, f, fd)
+			checkDigestunsafeFunc(pass, fd)
 		}
 	}
 }
 
-func checkDigestunsafeFunc(pass *Pass, f *ast.File, fd *ast.FuncDecl) {
+func checkDigestunsafeFunc(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.Info
 	sorted := collectSortTargets(info, fd.Body)
 
@@ -62,14 +61,11 @@ func checkDigestunsafeFunc(pass *Pass, f *ast.File, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
-			fn, obj := digestunsafeSource(pass, n.X, tainted)
-			if fn == nil {
+			fn := digestunsafeSource(pass, n.X, tainted)
+			if fn == nil || !rangeBodyEmits(pass, n.Body) {
 				return true
 			}
-			if !rangeBodyEmits(pass, n.Body) {
-				return true
-			}
-			pass.Report(n.Pos(), digestunsafeFix(pass, f, n, obj),
+			pass.Reportf(n.Pos(),
 				"result of %s is in map-iteration order (%s) and is written out unsorted; "+
 					"sort it before emitting so identical seeds produce identical bytes "+
 					"(or annotate //azlint:allow digestunsafe(reason))",
@@ -79,7 +75,7 @@ func checkDigestunsafeFunc(pass *Pass, f *ast.File, fd *ast.FuncDecl) {
 				return true
 			}
 			for _, arg := range n.Args {
-				fn, _ := digestunsafeSource(pass, arg, tainted)
+				fn := digestunsafeSource(pass, arg, tainted)
 				if fn == nil {
 					continue
 				}
@@ -96,21 +92,19 @@ func checkDigestunsafeFunc(pass *Pass, f *ast.File, fd *ast.FuncDecl) {
 
 // digestunsafeSource resolves expr to a map-ordered origin: either a
 // direct call to a MapOrdered function, or a local that holds one's
-// unsorted result (the object is returned for fix construction).
-func digestunsafeSource(pass *Pass, expr ast.Expr, tainted map[types.Object]*types.Func) (*types.Func, types.Object) {
+// unsorted result.
+func digestunsafeSource(pass *Pass, expr ast.Expr, tainted map[types.Object]*types.Func) *types.Func {
 	expr = ast.Unparen(expr)
 	if call, ok := expr.(*ast.CallExpr); ok {
 		if fn := calleeFunc(pass.Info, call); fn != nil && pass.TaintOf(fn).MapOrdered != nil {
-			return fn, nil
+			return fn
 		}
-		return nil, nil
+		return nil
 	}
 	if obj := rootObj(pass.Info, expr); obj != nil {
-		if fn, ok := tainted[obj]; ok {
-			return fn, obj
-		}
+		return tainted[obj]
 	}
-	return nil, nil
+	return nil
 }
 
 // rangeBodyEmits reports whether body writes toward an output stream.
@@ -128,39 +122,7 @@ func rangeBodyEmits(pass *Pass, body *ast.BlockStmt) bool {
 	return emits
 }
 
-// digestunsafeFix inserts `sort.Strings(x)` on the line above the range
-// statement when the ranged value is a plain []string identifier —
-// the mechanical caller-side repair.
-func digestunsafeFix(pass *Pass, f *ast.File, rs *ast.RangeStmt, obj types.Object) *SuggestedFix {
-	id, ok := ast.Unparen(rs.X).(*ast.Ident)
-	if !ok || obj == nil || pass.Info.Uses[id] != obj {
-		return nil
-	}
-	if !isStringSlice(obj.Type()) {
-		return nil
-	}
-	indent := indentAt(pass.Fset, rs.Pos())
-	fix := &SuggestedFix{
-		Message: "insert sort.Strings(" + id.Name + ") before the range",
-		Edits:   []TextEdit{{Pos: rs.Pos(), End: rs.Pos(), NewText: "sort.Strings(" + id.Name + ")\n" + indent}},
-	}
-	if e := importEdit(f, "sort"); e != nil {
-		fix.Edits = append(fix.Edits, *e)
-	}
-	return fix
-}
-
 // digestChain renders the interprocedural origin chain for a diagnostic.
 func digestChain(fn *types.Func, chain []string) string {
 	return displayName(fn) + " → " + strings.Join(chain, " → ")
-}
-
-// isStringSlice reports whether t's underlying type is []string.
-func isStringSlice(t types.Type) bool {
-	sl, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	basic, ok := sl.Elem().Underlying().(*types.Basic)
-	return ok && basic.Kind() == types.String
 }

@@ -1,12 +1,11 @@
 // Package driver runs the azlint analyzer suite over type-checked
 // packages with nothing but the standard library. It takes package
-// patterns (`azlint ./...`), shells out to `go list -export -deps -json`
-// and processes packages in dependency order, keeping the
-// interprocedural function summaries in memory so each package sees the
-// facts of everything it imports. The reporting and repair flags:
-// -json/-sarif machine-readable output (-o FILE), -debt the
-// suppression-debt report, and -fix to apply suggested fixes to the
-// working tree.
+// patterns (`azlint ./...`) and nothing else, shells out to
+// `go list -export -deps -json` and processes packages in dependency
+// order, filling one program-wide table of interprocedural function
+// summaries so each package sees the facts of everything it imports.
+// Findings go to stderr, one `file:line:col: message [azlint:name]` line
+// each.
 //
 // golang.org/x/tools is deliberately not used: the module has no
 // dependencies, and the toolchain's export-data importer
@@ -26,51 +25,25 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"azurebench/internal/analysis"
 )
 
-// options are the command-line flags.
-type options struct {
-	fix      bool // apply suggested fixes to the tree
-	jsonOut  bool // machine-readable JSON findings
-	sarifOut bool // SARIF 2.1.0 findings
-	debt     bool // suppression-debt report instead of findings
-	outFile  string
-}
-
 // Main is the azlint entry point; it returns the process exit code
-// (0 clean, 1 diagnostics reported, 2 operational failure).
-func Main(args []string, stdout, stderr io.Writer) int {
-	var opts options
-	var patterns []string
-	for i := 0; i < len(args); i++ {
-		arg := args[i]
-		switch {
-		case arg == "-fix":
-			opts.fix = true
-		case arg == "-json":
-			opts.jsonOut = true
-		case arg == "-sarif":
-			opts.sarifOut = true
-		case arg == "-debt":
-			opts.debt = true
-		case strings.HasPrefix(arg, "-o="):
-			opts.outFile = arg[len("-o="):]
-		case arg == "-o" && i+1 < len(args):
-			i++
-			opts.outFile = args[i]
-		default:
-			patterns = append(patterns, arg)
-		}
+// (0 clean, 1 diagnostics reported, 2 usage or operational failure).
+// There are no flags: an argument that looks like one gets the usage
+// line rather than being handed to `go list` as a package pattern.
+func Main(patterns []string, stderr io.Writer) int {
+	usage := len(patterns) == 0
+	for _, p := range patterns {
+		usage = usage || strings.HasPrefix(p, "-")
 	}
-	if len(patterns) == 0 {
-		fmt.Fprintln(stderr, "usage: azlint [-fix] [-json|-sarif] [-o file] [-debt] <packages>")
+	if usage {
+		fmt.Fprintln(stderr, "usage: azlint <packages>")
 		return 2
 	}
-	return run(opts, patterns, stdout, stderr)
+	return run(patterns, stderr)
 }
 
 // listPackage is the subset of `go list -json` output the driver needs.
@@ -83,14 +56,7 @@ type listPackage struct {
 	Standard   bool
 }
 
-// finding is one diagnostic with its resolved position, aggregated
-// across packages for the output emitters.
-type finding struct {
-	diag analysis.Diagnostic
-	pos  token.Position
-}
-
-func run(opts options, patterns []string, stdout, stderr io.Writer) int {
+func run(patterns []string, stderr io.Writer) int {
 	listArgs := append([]string{
 		"list", "-export", "-deps",
 		"-json=Dir,ImportPath,Export,GoFiles,DepOnly,Standard",
@@ -134,11 +100,8 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) int {
 	// One importer across packages: shared dependencies load once.
 	imp := importer.ForCompiler(fset, "gc", lookup)
 
-	factsByPath := map[string]*analysis.PkgFacts{}
-	depFacts := func(importPath string) *analysis.PkgFacts { return factsByPath[importPath] }
-
-	var findings []finding
-	var allAllows []analysis.Allow
+	facts := map[string]analysis.FuncTaint{}
+	exit := 0
 	for _, p := range pkgs {
 		var paths []string
 		for _, f := range p.GoFiles {
@@ -157,133 +120,17 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
+		// Dependencies outside the patterns contribute facts only.
 		var analyzers []*analysis.Analyzer
 		if !p.DepOnly {
 			analyzers = analysis.All()
 		}
-		res := analysis.Analyze(&analysis.Package{Fset: fset, Files: files, Pkg: pkg, Info: info}, analyzers, depFacts)
-		factsByPath[p.ImportPath] = res.Facts
-		if p.DepOnly {
-			continue
+		for _, d := range analysis.Analyze(&analysis.Package{Fset: fset, Files: files, Pkg: pkg, Info: info}, analyzers, facts) {
+			fmt.Fprintf(stderr, "%s: %s [azlint:%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
+			exit = 1
 		}
-		allAllows = append(allAllows, res.Allows...)
-		for _, d := range res.Diags {
-			findings = append(findings, finding{diag: d, pos: fset.Position(d.Pos)})
-		}
-	}
-
-	if opts.debt {
-		printDebt(stdout, allAllows)
-		return 0
-	}
-	if opts.fix {
-		return applyFixes(fset, findings, stdout, stderr)
-	}
-
-	output := stdout
-	if opts.outFile != "" {
-		f, err := os.Create(opts.outFile)
-		if err != nil {
-			fmt.Fprintf(stderr, "azlint: %v\n", err)
-			return 2
-		}
-		defer f.Close()
-		output = f
-	}
-	switch {
-	case opts.sarifOut:
-		if err := writeSARIF(output, findings); err != nil {
-			fmt.Fprintf(stderr, "azlint: writing SARIF: %v\n", err)
-			return 2
-		}
-	case opts.jsonOut:
-		if err := writeJSON(output, findings); err != nil {
-			fmt.Fprintf(stderr, "azlint: writing JSON: %v\n", err)
-			return 2
-		}
-	default:
-		for _, f := range findings {
-			fmt.Fprintf(stderr, "%s: %s [azlint:%s]\n", f.pos, f.diag.Message, f.diag.Analyzer)
-		}
-	}
-	if len(findings) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// applyFixes applies the suggested fixes of every finding to the working
-// tree, then reports what remains.
-func applyFixes(fset *token.FileSet, findings []finding, stdout, stderr io.Writer) int {
-	var fixable []analysis.Diagnostic
-	src := map[string][]byte{}
-	for _, f := range findings {
-		if f.diag.Fix == nil {
-			continue
-		}
-		fixable = append(fixable, f.diag)
-		for _, e := range f.diag.Fix.Edits {
-			name := fset.Position(e.Pos).Filename
-			if _, ok := src[name]; ok {
-				continue
-			}
-			data, err := os.ReadFile(name)
-			if err != nil {
-				fmt.Fprintf(stderr, "azlint: %v\n", err)
-				return 2
-			}
-			src[name] = data
-		}
-	}
-	fixed, applied := analysis.ApplyFixes(fset, fixable, src)
-	names := make([]string, 0, len(fixed))
-	for name := range fixed {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	changed := 0
-	for _, name := range names {
-		data := fixed[name]
-		if string(data) == string(src[name]) {
-			continue
-		}
-		if err := os.WriteFile(name, data, 0o666); err != nil {
-			fmt.Fprintf(stderr, "azlint: %v\n", err)
-			return 2
-		}
-		changed++
-	}
-	fmt.Fprintf(stdout, "azlint -fix: applied %d fix(es) across %d file(s)\n", applied, changed)
-	exit := 0
-	for _, f := range findings {
-		if f.diag.Fix != nil {
-			continue
-		}
-		fmt.Fprintf(stderr, "%s: %s [azlint:%s] (no mechanical fix)\n", f.pos, f.diag.Message, f.diag.Analyzer)
-		exit = 1
 	}
 	return exit
-}
-
-// printDebt renders the suppression-debt report: how many
-// //azlint:allow directives are live in the analyzed packages, per
-// analyzer. The total is the number of known violations the tree is
-// carrying — the trend to drive to zero.
-func printDebt(w io.Writer, allows []analysis.Allow) {
-	byAnalyzer := map[string]int{}
-	for _, a := range allows {
-		byAnalyzer[a.Analyzer]++
-	}
-	names := make([]string, 0, len(byAnalyzer))
-	for name := range byAnalyzer {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "%-14s %8s\n", "analyzer", "allows")
-	for _, name := range names {
-		fmt.Fprintf(w, "%-14s %8d\n", name, byAnalyzer[name])
-	}
-	fmt.Fprintf(w, "%-14s %8d\n", "total", len(allows))
 }
 
 func parseFiles(fset *token.FileSet, paths []string) ([]*ast.File, error) {

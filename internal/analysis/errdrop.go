@@ -10,8 +10,8 @@ import (
 // swallows a ServerBusy or an injected fault and skews every measured
 // figure. tracegraph, scenario and georepl are included because their
 // errors are the analysis/SLO/failover results themselves: a dropped
-// tracegraph.Read error yields an empty causal forest that reads as "no
-// latency", and a dropped scenario SLO error un-gates CI.
+// tracegraph export error leaves a truncated Chrome trace that reads as
+// "no latency", and a dropped scenario SLO error un-gates CI.
 var errdropPkgSegments = []string{"cloud", "sdk", "rest", "tracegraph", "scenario", "georepl"}
 
 // Errdrop flags discarded error results from the cloud, sdk, rest,

@@ -7,11 +7,12 @@ import (
 
 // This file is the interprocedural substrate of the suite: a per-package
 // call graph (AST-resolved through go/types, so only static calls — no
-// interface dispatch or function values) reduced to one exported
-// summary per function. Summaries compose across packages: each
-// package's facts embed the transitive chains of its dependencies, so a
-// consumer only ever needs the facts of its direct imports. The driver
-// and the fixture harness keep them in memory, keyed by import path.
+// interface dispatch or function values) reduced to one summary per
+// function. All summaries live in one program-wide table,
+// map[string]FuncTaint keyed by FuncKey (which is package-qualified);
+// functions with an empty summary are omitted. The driver and the fixture
+// harness fill it package by package in dependency order, so each
+// summary already embeds the transitive chains of its callees.
 
 // FuncTaint is the interprocedural summary of one function: why calling
 // it makes the caller's behaviour depend on process state. Each non-nil
@@ -35,30 +36,9 @@ func (t FuncTaint) Empty() bool {
 	return t.Wallclock == nil && t.GlobalRand == nil && t.MapOrdered == nil
 }
 
-// PkgFacts is the exported interprocedural summary of one package:
-// the taint of every function and method with a body, keyed by
-// types.Func.FullName ("pkg/path.Func", "(pkg/path.T).Method").
-// Functions with an empty summary are omitted.
-type PkgFacts struct {
-	Funcs map[string]FuncTaint
-}
-
-// Lookup returns the summary for fn's key, or a zero summary.
-func (pf *PkgFacts) Lookup(key string) FuncTaint {
-	if pf == nil {
-		return FuncTaint{}
-	}
-	return pf.Funcs[key]
-}
-
-// FactLookup resolves the facts of an imported package by import path.
-// It returns nil for packages without computed facts (standard library,
-// packages outside the module); their functions are treated as clean
-// apart from the hard-coded seeds (time.*, math/rand.*).
-type FactLookup func(importPath string) *PkgFacts
-
-// FuncKey returns the facts key for fn (generic instantiations collapse
-// to their origin).
+// FuncKey returns the facts key for fn — types.Func.FullName:
+// "pkg/path.Func", "(pkg/path.T).Method" — with generic instantiations
+// collapsed to their origin.
 func FuncKey(fn *types.Func) string { return fn.Origin().FullName() }
 
 // displayName renders fn for call chains: "Type.Method" or "pkg.Func".
@@ -93,11 +73,12 @@ type funcInfo struct {
 }
 
 // ComputeFacts builds the package call graph and propagates taint to a
-// fixed point, consulting deps for imported callees. Seeds covered by an
-// //azlint:allow directive are skipped and the directive is marked used.
-func ComputeFacts(pkg *Package, files []*ast.File, deps FactLookup, allows []*allowSite) *PkgFacts {
+// fixed point, writing each tainted function's summary into facts and
+// reading its callees' — same package or imported — from there. Seeds
+// covered by an //azlint:allow directive are skipped and the directive is
+// marked used.
+func ComputeFacts(pkg *Package, files []*ast.File, facts map[string]FuncTaint, allows []*allowSite) {
 	var fns []*funcInfo
-	byKey := map[string]*funcInfo{}
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -108,24 +89,8 @@ func ComputeFacts(pkg *Package, files []*ast.File, deps FactLookup, allows []*al
 			if !ok {
 				continue
 			}
-			fi := collectFuncInfo(pkg, fd, obj, allows)
-			fns = append(fns, fi)
-			byKey[FuncKey(obj)] = fi
+			fns = append(fns, collectFuncInfo(pkg, fd, obj, allows))
 		}
-	}
-
-	taint := map[string]FuncTaint{}
-	// taintOf resolves a callee's current summary: same package from the
-	// in-progress table, imported packages from their exported facts.
-	taintOf := func(fn *types.Func) FuncTaint {
-		key := FuncKey(fn)
-		if _, ok := byKey[key]; ok && pkgPathOf(fn) == pkg.Pkg.Path() {
-			return taint[key]
-		}
-		if deps == nil {
-			return FuncTaint{}
-		}
-		return deps(pkgPathOf(fn)).Lookup(key)
 	}
 
 	// Fixed point over the intra-package graph. Iteration is in source
@@ -135,13 +100,13 @@ func ComputeFacts(pkg *Package, files []*ast.File, deps FactLookup, allows []*al
 		changed = false
 		for _, fi := range fns {
 			key := FuncKey(fi.obj)
-			t := taint[key]
+			t := facts[key]
 			if t.Wallclock == nil {
 				if fi.wallSeed != "" {
 					t.Wallclock = []string{fi.wallSeed}
 				} else {
 					for _, callee := range fi.calls {
-						if ct := taintOf(callee); ct.Wallclock != nil {
+						if ct := facts[FuncKey(callee)]; ct.Wallclock != nil {
 							t.Wallclock = append([]string{displayName(callee)}, ct.Wallclock...)
 							break
 						}
@@ -153,7 +118,7 @@ func ComputeFacts(pkg *Package, files []*ast.File, deps FactLookup, allows []*al
 					t.GlobalRand = []string{fi.randSeed}
 				} else {
 					for _, callee := range fi.calls {
-						if ct := taintOf(callee); ct.GlobalRand != nil {
+						if ct := facts[FuncKey(callee)]; ct.GlobalRand != nil {
 							t.GlobalRand = append([]string{displayName(callee)}, ct.GlobalRand...)
 							break
 						}
@@ -165,31 +130,23 @@ func ComputeFacts(pkg *Package, files []*ast.File, deps FactLookup, allows []*al
 					t.MapOrdered = []string{"map-range append"}
 				} else {
 					for _, callee := range fi.retCalls {
-						if ct := taintOf(callee); ct.MapOrdered != nil {
+						if ct := facts[FuncKey(callee)]; ct.MapOrdered != nil {
 							t.MapOrdered = append([]string{displayName(callee)}, ct.MapOrdered...)
 							break
 						}
 					}
 				}
 			}
-			if t.Wallclock != nil || t.GlobalRand != nil || t.MapOrdered != nil {
-				if old := taint[key]; len(old.Wallclock) != len(t.Wallclock) ||
+			if !t.Empty() {
+				if old := facts[key]; len(old.Wallclock) != len(t.Wallclock) ||
 					len(old.GlobalRand) != len(t.GlobalRand) ||
 					len(old.MapOrdered) != len(t.MapOrdered) {
-					taint[key] = t
+					facts[key] = t
 					changed = true
 				}
 			}
 		}
 	}
-
-	out := &PkgFacts{Funcs: map[string]FuncTaint{}}
-	for key, t := range taint {
-		if !t.Empty() {
-			out.Funcs[key] = t
-		}
-	}
-	return out
 }
 
 // collectFuncInfo walks one function body for seeds, call edges and the

@@ -76,7 +76,7 @@ func runMaporder(pass *Pass) {
 				if _, isMap := t.Underlying().(*types.Map); !isMap {
 					return true
 				}
-				checkMapRange(pass, f, rs, sorted)
+				checkMapRange(pass, rs, sorted)
 				return true
 			})
 		}
@@ -122,7 +122,7 @@ func collectSortTargets(info *types.Info, body *ast.BlockStmt) map[types.Object]
 	return targets
 }
 
-func checkMapRange(pass *Pass, f *ast.File, rs *ast.RangeStmt, sorted map[types.Object]bool) {
+func checkMapRange(pass *Pass, rs *ast.RangeStmt, sorted map[types.Object]bool) {
 	reportedEmit := false
 	reportedAppend := map[types.Object]bool{}
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
@@ -147,7 +147,7 @@ func checkMapRange(pass *Pass, f *ast.File, rs *ast.RangeStmt, sorted map[types.
 					continue
 				}
 				reportedAppend[target] = true
-				pass.Report(n.Pos(), maporderFix(pass, f, rs, call, target),
+				pass.Reportf(n.Pos(),
 					"%s accumulates elements in map-iteration order and is never sorted in "+
 						"this function; sort it before it reaches any result "+
 						"(or annotate //azlint:allow maporder(reason))", target.Name())
@@ -155,30 +155,6 @@ func checkMapRange(pass *Pass, f *ast.File, rs *ast.RangeStmt, sorted map[types.
 		}
 		return true
 	})
-}
-
-// maporderFix mechanically canonicalises the append case: when the
-// accumulator is a plain []string identifier, insert
-// `sort.Strings(<target>)` on its own line right after the range
-// statement (adding the "sort" import if needed). Emit-in-range and
-// non-string accumulators need a human.
-func maporderFix(pass *Pass, f *ast.File, rs *ast.RangeStmt, call *ast.CallExpr, target types.Object) *SuggestedFix {
-	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	if !ok || pass.Info.Uses[id] != target && pass.Info.Defs[id] != target {
-		return nil
-	}
-	if !isStringSlice(target.Type()) {
-		return nil
-	}
-	indent := indentAt(pass.Fset, rs.Pos())
-	fix := &SuggestedFix{
-		Message: "insert sort.Strings(" + id.Name + ") after the range",
-		Edits:   []TextEdit{{Pos: rs.End(), End: rs.End(), NewText: "\n" + indent + "sort.Strings(" + id.Name + ")"}},
-	}
-	if e := importEdit(f, "sort"); e != nil {
-		fix.Edits = append(fix.Edits, *e)
-	}
-	return fix
 }
 
 // isEmitCall reports whether call moves data toward an output stream.

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -41,15 +40,10 @@ func runSeededrand(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Files {
-		// For the mechanical fix: a global rand call inside a function
-		// that already has a seeded *rand.Rand parameter is redirected to
-		// it; if that repairs every global use in the file, the then-unused
-		// "math/rand" import is deleted too.
-		fixable, total := seededrandFixPlan(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				checkSeededrandDirect(pass, f, n, fixable, total)
+				checkSeededrandDirect(pass, n)
 			case *ast.CallExpr:
 				checkSeededrandCall(pass, n)
 			}
@@ -58,7 +52,7 @@ func runSeededrand(pass *Pass) {
 	}
 }
 
-func checkSeededrandDirect(pass *Pass, f *ast.File, sel *ast.SelectorExpr, fixable map[*ast.SelectorExpr]string, total int) {
+func checkSeededrandDirect(pass *Pass, sel *ast.SelectorExpr) {
 	obj := pass.Info.Uses[sel.Sel]
 	p := pkgPathOf(obj)
 	if p != "math/rand" && p != "math/rand/v2" {
@@ -68,21 +62,7 @@ func checkSeededrandDirect(pass *Pass, f *ast.File, sel *ast.SelectorExpr, fixab
 	if !ok || recvNamed(fn) != nil || seededRandOK[fn.Name()] {
 		return
 	}
-	var fix *SuggestedFix
-	if param, ok := fixable[sel]; ok {
-		fix = &SuggestedFix{
-			Message: "draw from the in-scope seeded generator " + param,
-			Edits:   []TextEdit{{Pos: sel.X.Pos(), End: sel.X.End(), NewText: param}},
-		}
-		if len(fixable) == total {
-			// Every qualified use of the package in this file is being
-			// redirected; drop the import so the fixed file still compiles.
-			if e := removeImportEdit(f, p); e != nil {
-				fix.Edits = append(fix.Edits, *e)
-			}
-		}
-	}
-	pass.Report(sel.Pos(), fix,
+	pass.Reportf(sel.Pos(),
 		"rand.%s draws from the process-global math/rand source in deterministic package %s; "+
 			"use the seeded sim.Rand / an injectable source or annotate "+
 			"//azlint:allow seededrand(reason)",
@@ -108,89 +88,4 @@ func checkSeededrandCall(pass *Pass, call *ast.CallExpr) {
 			"deterministic package %s; thread a seeded *rand.Rand through the helper or annotate "+
 			"//azlint:allow seededrand(reason)",
 		displayName(fn), chain, base(pass.Pkg.Path()))
-}
-
-// seededrandFixPlan maps each global-rand selector in f that can be
-// mechanically redirected (the enclosing function has a *rand.Rand
-// parameter and the function exists as a *rand.Rand method) to that
-// parameter's name, and returns the total number of qualified uses of
-// math/rand in the file (OK constructors included) so callers can tell
-// whether fixing empties the import.
-func seededrandFixPlan(pass *Pass, f *ast.File) (map[*ast.SelectorExpr]string, int) {
-	fixable := map[*ast.SelectorExpr]string{}
-	total := 0
-	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		obj := pass.Info.Uses[sel.Sel]
-		p := pkgPathOf(obj)
-		if p != "math/rand" && p != "math/rand/v2" {
-			return true
-		}
-		// Only count package-qualified references (rand.X), not methods
-		// on values. Type references (*rand.Rand) count toward the total
-		// too: they keep the import alive, so fixing every call must not
-		// delete it.
-		if id, ok := ast.Unparen(sel.X).(*ast.Ident); !ok || pass.Info.Uses[id] == nil {
-			return true
-		} else if _, isPkg := pass.Info.Uses[id].(*types.PkgName); !isPkg {
-			return true
-		}
-		total++
-		fn, ok := obj.(*types.Func)
-		if !ok || recvNamed(fn) != nil {
-			return true
-		}
-		if seededRandOK[fn.Name()] || fn.Name() == "Seed" {
-			return true
-		}
-		fd := enclosingFuncDecl(f, sel.Pos())
-		if fd == nil || fd.Type.Params == nil {
-			return true
-		}
-		for _, field := range fd.Type.Params.List {
-			for _, name := range field.Names {
-				if obj := pass.Info.Defs[name]; obj != nil && isSeededRandPtr(obj.Type(), p) {
-					fixable[sel] = name.Name
-				}
-			}
-		}
-		return true
-	})
-	return fixable, total
-}
-
-// isSeededRandPtr reports whether t is *rand.Rand of randPkg.
-func isSeededRandPtr(t types.Type, randPkg string) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	return ok && named.Obj().Name() == "Rand" &&
-		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == randPkg
-}
-
-// removeImportEdit deletes the import spec for path from f, or nil if
-// absent. A single-spec declaration is removed whole.
-func removeImportEdit(f *ast.File, path string) *TextEdit {
-	for _, d := range f.Decls {
-		gd, ok := d.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			is, ok := spec.(*ast.ImportSpec)
-			if !ok || is.Path.Value != `"`+path+`"` {
-				continue
-			}
-			if len(gd.Specs) == 1 {
-				return &TextEdit{Pos: gd.Pos(), End: gd.End(), NewText: ""}
-			}
-			return &TextEdit{Pos: is.Pos(), End: is.End(), NewText: ""}
-		}
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -51,7 +50,7 @@ func runWalltime(pass *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				checkWalltimeDirect(pass, f, n)
+				checkWalltimeDirect(pass, n)
 			case *ast.CallExpr:
 				checkWalltimeCall(pass, n)
 			}
@@ -61,7 +60,7 @@ func runWalltime(pass *Pass) {
 }
 
 // checkWalltimeDirect flags a direct reference to a wall-clock function.
-func checkWalltimeDirect(pass *Pass, f *ast.File, sel *ast.SelectorExpr) {
+func checkWalltimeDirect(pass *Pass, sel *ast.SelectorExpr) {
 	obj := pass.Info.Uses[sel.Sel]
 	if obj == nil || pkgPathOf(obj) != "time" || !wallTimeFuncs[obj.Name()] {
 		return
@@ -72,7 +71,7 @@ func checkWalltimeDirect(pass *Pass, f *ast.File, sel *ast.SelectorExpr) {
 	if !ok || fn.Type().(*types.Signature).Recv() != nil {
 		return
 	}
-	pass.Report(sel.Pos(), walltimeFix(pass, f, sel),
+	pass.Reportf(sel.Pos(),
 		"time.%s reads the wall clock in simulation-facing package %s; "+
 			"use the virtual clock (env.Now, proc.Sleep, vclock.Clock) or annotate "+
 			"//azlint:allow walltime(reason)",
@@ -100,63 +99,4 @@ func checkWalltimeCall(pass *Pass, call *ast.CallExpr) {
 		"call to %s eventually reads the wall clock (%s) in simulation-facing package %s; "+
 			"thread the virtual clock through the helper or annotate //azlint:allow walltime(reason)",
 		displayName(fn), chain, base(pass.Pkg.Path()))
-}
-
-// walltimeFix mechanically redirects a direct `time.Now()` call to a
-// virtual clock already in scope: the first parameter of the enclosing
-// function whose type has a Now() method returning time.Time (e.g. a
-// vclock.Clock). Other wall-clock functions and functions without such
-// a parameter get no fix — threading a clock through a signature is a
-// design change, not a mechanical edit.
-func walltimeFix(pass *Pass, f *ast.File, sel *ast.SelectorExpr) *SuggestedFix {
-	if sel.Sel.Name != "Now" {
-		return nil
-	}
-	fd := enclosingFuncDecl(f, sel.Pos())
-	if fd == nil || fd.Type.Params == nil {
-		return nil
-	}
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			obj := pass.Info.Defs[name]
-			if obj == nil || !hasWallNowMethod(obj.Type()) {
-				continue
-			}
-			return &SuggestedFix{
-				Message: "use the in-scope virtual clock " + name.Name + ".Now()",
-				Edits:   []TextEdit{{Pos: sel.X.Pos(), End: sel.X.End(), NewText: name.Name}},
-			}
-		}
-	}
-	return nil
-}
-
-// hasWallNowMethod reports whether t's method set has Now() time.Time.
-func hasWallNowMethod(t types.Type) bool {
-	ms := types.NewMethodSet(t)
-	for i := 0; i < ms.Len(); i++ {
-		fn, ok := ms.At(i).Obj().(*types.Func)
-		if !ok || fn.Name() != "Now" {
-			continue
-		}
-		sig := fn.Type().(*types.Signature)
-		if sig.Params().Len() != 0 || sig.Results().Len() != 1 {
-			continue
-		}
-		named, ok := sig.Results().At(0).Type().(*types.Named)
-		if ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "time" && named.Obj().Name() == "Time" {
-			return true
-		}
-	}
-	return false
-}
-
-// enclosingFuncDecl returns the function declaration containing pos.
-func enclosingFuncDecl(f *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, decl := range f.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && fd.Pos() <= pos && pos < fd.End() {
-			return fd
-		}
-	}
-	return nil
 }

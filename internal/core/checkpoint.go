@@ -15,12 +15,12 @@ import (
 // the live state at the checkpoint instant matches what was captured.
 //
 // Why replay instead of loading mid-run state directly: the simulation's
-// processes are goroutines parked on channels, and goroutine stacks
-// cannot be serialized. A mid-run snapshot therefore records everything
-// *data* — engines, clocks, PRNG streams, counters, event-heap
-// fingerprint — and restore re-derives the *control* state (the parked
-// processes) by re-running the deterministic prefix from the embedded
-// configuration. At the checkpoint instant, Registry.VerifyAll re-saves
+// processes are iter.Pull coroutines parked mid-function (DESIGN §17),
+// and their stacks cannot be serialized. A mid-run snapshot therefore
+// records everything *data* — engines, clocks, PRNG streams, counters,
+// event-heap fingerprint — and restore re-derives the *control* state
+// (the parked processes) by re-running the deterministic prefix from the
+// embedded configuration. At the checkpoint instant, Registry.VerifyAll re-saves
 // every live section and byte-compares it against the file; a match
 // proves the replayed trajectory is the checkpointed one, so the
 // continuation is byte-identical by construction. Quiescent snapshots

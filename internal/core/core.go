@@ -543,13 +543,6 @@ func split(total, w, k int) (start, n int) {
 	return start, n
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // mustRetry panics unless the error is nil after busy retries — experiment
 // code treats any persistent storage error as fatal (the simulation is
 // deterministic, so this indicates a bug, not flakiness).

@@ -72,18 +72,21 @@ func (d *Dist) Max() time.Duration {
 // nearest-rank.
 func (d *Dist) Percentile(p float64) time.Duration {
 	d.ensureSorted()
-	n := len(d.samples)
+	return Percentile(d.samples, p)
+}
+
+// Percentile returns the p-th percentile (0 < p <= 100) of an ascending
+// sample set by nearest rank — the smallest sample with at least p % of
+// the set at or below it, so the p50 of three samples is the middle one —
+// and the zero value with no samples.
+func Percentile[T any](sorted []T, p float64) T {
+	n := len(sorted)
 	if n == 0 {
-		return 0
+		var zero T
+		return zero
 	}
 	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return d.samples[rank-1]
+	return sorted[min(max(rank, 1), n)-1]
 }
 
 // Stddev returns the sample standard deviation.

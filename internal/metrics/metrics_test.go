@@ -47,6 +47,34 @@ func TestDistPercentiles(t *testing.T) {
 	}
 }
 
+// TestPercentileNearestRank pins the one rank rule every percentile in
+// the repository shares: the smallest sample with at least p % of the set
+// at or below it, i.e. rank ceil(p·n/100). Flooring instead makes the p50
+// of three samples the minimum and the p99 of ten the 9th (the tracegraph
+// and scenario tests of the same name cover the two callers that did).
+func TestPercentileNearestRank(t *testing.T) {
+	for _, n := range []int{1, 3, 10, 100} {
+		samples := make([]int, n) // samples[i] = i+1, so value == rank
+		var d Dist
+		for i := range samples {
+			samples[i] = i + 1
+			d.Add(time.Duration(i + 1))
+		}
+		for _, p := range []int{50, 95, 99, 100} {
+			want := (p*n + 99) / 100
+			if got := Percentile(samples, float64(p)); got != want {
+				t.Errorf("Percentile(1..%d, %d) = %d, want %d", n, p, got, want)
+			}
+			if got := d.Percentile(float64(p)); got != time.Duration(want) {
+				t.Errorf("Dist(1..%d).Percentile(%d) = %d, want %d", n, p, got, want)
+			}
+		}
+	}
+	if got := Percentile([]float64(nil), 50); got != 0 {
+		t.Errorf("Percentile of no samples = %v, want 0", got)
+	}
+}
+
 func TestDistAddAfterSortedQuery(t *testing.T) {
 	var d Dist
 	d.Add(5)

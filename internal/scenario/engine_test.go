@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"azurebench/internal/core"
+	"azurebench/internal/trace"
 )
 
 // tinySpec exercises every service, all three arrival processes and all
@@ -243,5 +246,28 @@ func TestTraceSpecFieldAndStageMetrics(t *testing.T) {
 	verdicts := EvaluateSLOs(sp.SLOs, res.Metrics)
 	if len(verdicts) != 1 || !verdicts[0].Pass {
 		t.Fatalf("stage SLO verdicts = %+v", verdicts)
+	}
+}
+
+// TestPercentileNearestRank: the trace.stage.<stage>.pNN_ms SLO metrics
+// rank by ceil(p·n/100) like every other percentile a report prints, not
+// by the floor (which made the p50 of three samples the minimum).
+func TestPercentileNearestRank(t *testing.T) {
+	for _, n := range []int{1, 3, 10, 100} {
+		l := trace.New(0)
+		for i := 1; i <= n; i++ { // op i spends i ms in the server stage
+			d := time.Duration(i) * time.Millisecond
+			l.Record(trace.Op{
+				Start: d, Duration: d, Service: "table", Name: "Get",
+				Spans: []trace.Span{{Stage: trace.StageServer, Dur: d}},
+			})
+		}
+		m := traceMetrics(l)
+		for _, p := range []int{50, 95, 99} {
+			key := fmt.Sprintf("trace.stage.server.p%d_ms", p)
+			if want := float64((p*n + 99) / 100); m[key] != want {
+				t.Errorf("n=%d: %s = %v, want %v", n, key, m[key], want)
+			}
+		}
 	}
 }

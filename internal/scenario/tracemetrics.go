@@ -3,6 +3,7 @@ package scenario
 import (
 	"sort"
 
+	"azurebench/internal/metrics"
 	"azurebench/internal/trace"
 	"azurebench/internal/tracegraph"
 )
@@ -17,7 +18,7 @@ import (
 //	trace.stage.<stage>.p50_ms     per-stage percentile (likewise p95/p99)
 //	trace.stage.<stage>.total_ms   summed stage time
 func traceMetrics(l *trace.Log) map[string]float64 {
-	tr := tracegraph.FromOps(l.Ops(), l.Dropped(), l.EvictedBefore())
+	tr := tracegraph.Trace{Ops: l.Ops()}
 	m := map[string]float64{}
 	m["trace.ops"] = float64(len(tr.Ops))
 	var errs int
@@ -37,40 +38,20 @@ func traceMetrics(l *trace.Log) map[string]float64 {
 	pool := map[string][]float64{}
 	totals := map[string]float64{}
 	for _, op := range tr.Ops {
-		for st, d := range op.Spans {
-			if d <= 0 {
+		for _, sp := range op.Spans {
+			if sp.Dur <= 0 {
 				continue
 			}
-			pool[st] = append(pool[st], ms(d))
-			totals[st] += ms(d)
+			pool[sp.Stage] = append(pool[sp.Stage], ms(sp.Dur))
+			totals[sp.Stage] += ms(sp.Dur)
 		}
 	}
-	for st := range pool {
-		sort.Float64s(pool[st])
-		d := metricsDist(pool[st])
-		m["trace.stage."+st+".p50_ms"] = d.percentile(50)
-		m["trace.stage."+st+".p95_ms"] = d.percentile(95)
-		m["trace.stage."+st+".p99_ms"] = d.percentile(99)
+	for st, samples := range pool {
+		sort.Float64s(samples)
+		m["trace.stage."+st+".p50_ms"] = metrics.Percentile(samples, 50)
+		m["trace.stage."+st+".p95_ms"] = metrics.Percentile(samples, 95)
+		m["trace.stage."+st+".p99_ms"] = metrics.Percentile(samples, 99)
 		m["trace.stage."+st+".total_ms"] = totals[st]
 	}
 	return m
-}
-
-// metricsDist is a minimal sorted-sample percentile helper (the samples
-// here are already milliseconds, so metrics.Dist's Duration API does not
-// fit).
-type metricsDist []float64
-
-func (d metricsDist) percentile(p float64) float64 {
-	if len(d) == 0 {
-		return 0
-	}
-	rank := int(p / 100 * float64(len(d)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(d) {
-		rank = len(d)
-	}
-	return d[rank-1]
 }

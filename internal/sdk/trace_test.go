@@ -33,7 +33,7 @@ func TestTraceparentPropagatesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := tracegraph.FromOps(l.Ops(), l.Dropped(), l.EvictedBefore())
+	tr := tracegraph.Trace{Ops: l.Ops()}
 	rep := tr.Verify()
 	if !rep.Complete() {
 		t.Fatalf("causal trees incomplete: %+v", rep)
@@ -97,7 +97,7 @@ func TestTraceRetryChainsUnderThrottle(t *testing.T) {
 	}
 	_ = lastErr // throttling may or may not exhaust retries; the trace is the point
 
-	tr := tracegraph.FromOps(l.Ops(), l.Dropped(), l.EvictedBefore())
+	tr := tracegraph.Trace{Ops: l.Ops()}
 	if !tr.Verify().Complete() {
 		t.Fatalf("causal trees incomplete: %+v", tr.Verify())
 	}
@@ -105,13 +105,13 @@ func TestTraceRetryChainsUnderThrottle(t *testing.T) {
 	for _, op := range tr.Ops {
 		if op.Client == "rest" && op.Err == "ServerBusy" {
 			throttled++
-			if d := op.Spans[trace.StageThrottle]; d <= 0 {
+			if d := op.SpanDur(trace.StageThrottle); d <= 0 {
 				t.Fatalf("throttled server op missing throttle span: %+v", op)
 			}
 		}
 		if op.Client == "client" && op.ParentID != "" {
 			chained++
-			if d := op.Spans[trace.StageRetryBackoff]; d <= 0 {
+			if d := op.SpanDur(trace.StageRetryBackoff); d <= 0 {
 				t.Fatalf("retry attempt missing backoff span: %+v", op)
 			}
 		}

@@ -32,7 +32,7 @@ type chromeFile struct {
 
 // stageOffsets lays an op's stages out sequentially in canonical pipeline
 // order, returning (stage, offset, dur) triples covering the op window.
-func stageOffsets(op Op) []struct {
+func stageOffsets(op trace.Op) []struct {
 	Stage string
 	Off   time.Duration
 	Dur   time.Duration
@@ -54,22 +54,20 @@ func stageOffsets(op Op) []struct {
 		}{st, off, d})
 		off += d
 	}
-	seen := map[string]bool{}
+	canonical := map[string]bool{}
 	for _, st := range trace.StageOrder() {
-		if d, ok := op.Spans[st]; ok {
-			emit(st, d)
-			seen[st] = true
-		}
+		emit(st, op.SpanDur(st))
+		canonical[st] = true
 	}
 	var extra []string
-	for st := range op.Spans {
-		if !seen[st] {
-			extra = append(extra, st)
+	for _, sp := range op.Spans {
+		if !canonical[sp.Stage] {
+			extra = append(extra, sp.Stage)
 		}
 	}
 	sort.Strings(extra)
 	for _, st := range extra {
-		emit(st, op.Spans[st])
+		emit(st, op.SpanDur(st))
 	}
 	return out
 }
@@ -155,10 +153,10 @@ func WriteChrome(w io.Writer, t *Trace) error {
 			})
 		}
 	}
-	if t.Meta.Dropped > 0 {
+	if t.Dropped > 0 {
 		f.Metadata = map[string]string{
-			"dropped":        fmt.Sprintf("%d", t.Meta.Dropped),
-			"evicted_before": t.Meta.EvictedBefore.String(),
+			"dropped":        fmt.Sprintf("%d", t.Dropped),
+			"evicted_before": t.EvictedBefore.String(),
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -181,8 +179,8 @@ func WriteFlame(w io.Writer, t *Trace) error {
 			agg[base+";(op)"] += op.Duration
 			continue
 		}
-		for st, d := range op.Spans {
-			agg[base+";"+st] += d
+		for _, sp := range op.Spans {
+			agg[base+";"+sp.Stage] += sp.Dur
 		}
 	}
 	stacks := make([]string, 0, len(agg))

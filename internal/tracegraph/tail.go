@@ -28,30 +28,14 @@ type StageProfile struct {
 	Stages map[string][]time.Duration
 }
 
-// percentileOf returns the p-th percentile by nearest rank of a sorted
-// sample set (0 with no samples).
-func percentileOf(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p / 100 * float64(len(sorted)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
 // Percentile returns the p-th percentile op duration of the group.
 func (sp *StageProfile) Percentile(p float64) time.Duration {
-	return percentileOf(sp.Durations, p)
+	return metrics.Percentile(sp.Durations, p)
 }
 
 // StagePercentile returns the p-th percentile duration of one stage.
 func (sp *StageProfile) StagePercentile(stage string, p float64) time.Duration {
-	return percentileOf(sp.Stages[stage], p)
+	return metrics.Percentile(sp.Stages[stage], p)
 }
 
 // Profiles groups the trace's ops by (service, op) and builds their stage
@@ -69,9 +53,9 @@ func (t *Trace) Profiles() []*StageProfile {
 		}
 		p.Count++
 		p.Durations = append(p.Durations, op.Duration)
-		for st := range op.Spans {
-			if p.Stages[st] == nil {
-				p.Stages[st] = []time.Duration{}
+		for _, sp := range op.Spans {
+			if p.Stages[sp.Stage] == nil {
+				p.Stages[sp.Stage] = []time.Duration{}
 			}
 		}
 	}
@@ -81,7 +65,7 @@ func (t *Trace) Profiles() []*StageProfile {
 	for _, op := range t.Ops {
 		p := byKey[groupKey{op.Service, op.Name}]
 		for st := range p.Stages {
-			p.Stages[st] = append(p.Stages[st], op.Spans[st])
+			p.Stages[st] = append(p.Stages[st], op.SpanDur(st))
 		}
 	}
 	var out []*StageProfile
@@ -176,9 +160,9 @@ func (t *Trace) TailAttribution(pct float64) []*TailGroup {
 				g.Excess["(unattributed)"] += op.Duration - g.Median
 				continue
 			}
-			for st, d := range op.Spans {
-				if ex := d - medians[st]; ex > 0 {
-					g.Excess[st] += ex
+			for _, sp := range op.Spans {
+				if ex := sp.Dur - medians[sp.Stage]; ex > 0 {
+					g.Excess[sp.Stage] += ex
 				}
 			}
 		}

@@ -1,10 +1,11 @@
-// Package tracegraph reconstructs causal trees from JSONL trace exports
-// (azurebench -tracefile, or a live emulator's trace log) and analyses
-// them: per-request critical paths through pipeline stages, tail-latency
-// attribution against median stage profiles, and stage-wise diffs between
-// two traces. It is the analysis half of the end-to-end tracing story —
-// the recording half lives in internal/trace and the propagation in
-// internal/cloud, internal/sdk, and internal/rest.
+// Package tracegraph reconstructs causal trees from recorded operations
+// (an azurebench -tracefile read back by trace.ReadJSONL, or a live
+// trace.Log) and analyses them: per-request critical paths through
+// pipeline stages, tail-latency attribution against median stage
+// profiles, and stage-wise diffs between two traces. It is the analysis
+// half of the end-to-end tracing story — the recording half and the file
+// format live in internal/trace, the propagation in internal/cloud,
+// internal/sdk, and internal/rest.
 //
 // The package is deliberately pure: it reads exported data and computes;
 // it never consults the wall clock or any random source, so analyses are
@@ -12,173 +13,33 @@
 package tracegraph
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"time"
 
 	"azurebench/internal/trace"
 )
 
-// Op is one operation parsed from a JSONL trace export.
-type Op struct {
-	Start    time.Duration
-	Duration time.Duration
-	Client   string
-	Service  string
-	Name     string
-	Bytes    int64
-	Err      string
-	Fault    string
-	Tag      string
-	TraceID  string
-	SpanID   string
-	ParentID string
-	Spans    map[string]time.Duration
-}
+// Trace is a loaded trace file (trace.ReadJSONL) or, for in-process
+// consumers holding a live trace.Log, just its Ops; the analyses are its
+// methods. Each op's Spans name a stage at most once — the recorders
+// merge repeats and the file format cannot express them.
+type Trace trace.File
 
-// End returns the op's end time.
-func (o Op) End() time.Duration { return o.Start + o.Duration }
+// end returns the op's end time.
+func end(op trace.Op) time.Duration { return op.Start + op.Duration }
 
-// SpanSum returns the total duration attributed to stages.
-func (o Op) SpanSum() time.Duration {
+// spanSum returns the total duration attributed to stages.
+func spanSum(op trace.Op) time.Duration {
 	var sum time.Duration
-	for _, d := range o.Spans {
-		sum += d
+	for _, sp := range op.Spans {
+		sum += sp.Dur
 	}
 	return sum
 }
 
-// Meta captures the non-op lines of an export: the eviction metadata line
-// and any experiment section markers azurebench interleaves.
-type Meta struct {
-	Dropped       uint64
-	EvictedBefore time.Duration
-	Experiments   []string
-}
-
-// Trace is one loaded trace file.
-type Trace struct {
-	Ops  []Op
-	Meta Meta
-}
-
-// jsonLine is the union of every line shape a trace export contains: op
-// lines, the eviction metadata line, and experiment markers.
-type jsonLine struct {
-	// op fields
-	StartNs int64            `json:"start_ns"`
-	DurNs   int64            `json:"dur_ns"`
-	Client  string           `json:"client"`
-	Service string           `json:"service"`
-	Op      string           `json:"op"`
-	Bytes   int64            `json:"bytes"`
-	Err     string           `json:"err"`
-	Fault   string           `json:"fault"`
-	Tag     string           `json:"tag"`
-	Trace   string           `json:"trace_id"`
-	Span    string           `json:"span_id"`
-	Parent  string           `json:"parent_id"`
-	Spans   map[string]int64 `json:"spans"`
-	// metadata fields
-	Dropped         uint64 `json:"dropped"`
-	EvictedBeforeNs int64  `json:"evicted_before_ns"`
-	Experiment      string `json:"experiment"`
-}
-
-// FromOps builds a Trace directly from recorded operations, bypassing
-// the JSONL round-trip — the path for in-process consumers (the scenario
-// runner's trace-derived SLO metrics) that hold a live trace.Log.
-func FromOps(ops []trace.Op, dropped uint64, evictedBefore time.Duration) *Trace {
-	t := &Trace{Meta: Meta{Dropped: dropped, EvictedBefore: evictedBefore}}
-	for _, op := range ops {
-		o := Op{
-			Start:    op.Start,
-			Duration: op.Duration,
-			Client:   op.Client,
-			Service:  op.Service,
-			Name:     op.Name,
-			Bytes:    op.Bytes,
-			Err:      op.Err,
-			Fault:    op.Fault,
-			Tag:      op.Tag,
-			TraceID:  op.TraceID,
-			SpanID:   op.SpanID,
-			ParentID: op.ParentID,
-		}
-		if len(op.Spans) > 0 {
-			o.Spans = make(map[string]time.Duration, len(op.Spans))
-			for _, sp := range op.Spans {
-				o.Spans[sp.Stage] += sp.Dur
-			}
-		}
-		t.Ops = append(t.Ops, o)
-	}
-	return t
-}
-
-// Read parses a JSONL trace export. It tolerates the leading eviction
-// metadata line and azurebench's per-experiment marker lines, recording
-// both in Meta.
-func Read(r io.Reader) (*Trace, error) {
-	t := &Trace{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var jl jsonLine
-		if err := json.Unmarshal(raw, &jl); err != nil {
-			return nil, fmt.Errorf("tracegraph: line %d: %w", line, err)
-		}
-		switch {
-		case jl.Experiment != "":
-			t.Meta.Experiments = append(t.Meta.Experiments, jl.Experiment)
-		case jl.Op == "" && jl.Service == "":
-			// Metadata line (or an empty object): fold in eviction info.
-			t.Meta.Dropped += jl.Dropped
-			if d := time.Duration(jl.EvictedBeforeNs); d > t.Meta.EvictedBefore {
-				t.Meta.EvictedBefore = d
-			}
-		default:
-			op := Op{
-				Start:    time.Duration(jl.StartNs),
-				Duration: time.Duration(jl.DurNs),
-				Client:   jl.Client,
-				Service:  jl.Service,
-				Name:     jl.Op,
-				Bytes:    jl.Bytes,
-				Err:      jl.Err,
-				Fault:    jl.Fault,
-				Tag:      jl.Tag,
-				TraceID:  jl.Trace,
-				SpanID:   jl.Span,
-				ParentID: jl.Parent,
-			}
-			if len(jl.Spans) > 0 {
-				op.Spans = make(map[string]time.Duration, len(jl.Spans))
-				for st, ns := range jl.Spans {
-					op.Spans[st] = time.Duration(ns)
-				}
-			}
-			t.Ops = append(t.Ops, op)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tracegraph: %w", err)
-	}
-	return t, nil
-}
-
 // Node is one op placed in a causal tree.
 type Node struct {
-	Op       Op
+	Op       trace.Op
 	Children []*Node // sorted by start time, then span id
 	// Orphaned marks a node whose ParentID did not resolve (the parent
 	// was evicted or the timeline is partial); it is grouped with the
@@ -250,7 +111,7 @@ func (n *Node) Walk(fn func(*Node)) {
 
 // PathStep is one op on a critical path with its stage breakdown.
 type PathStep struct {
-	Op     Op
+	Op     trace.Op
 	Stages map[string]time.Duration
 }
 
@@ -269,8 +130,8 @@ func CriticalPath(root *Node) []PathStep {
 	var path []PathStep
 	for n := root; n != nil; {
 		step := PathStep{Op: n.Op, Stages: map[string]time.Duration{}}
-		for st, d := range n.Op.Spans {
-			step.Stages[st] += d
+		for _, sp := range n.Op.Spans {
+			step.Stages[sp.Stage] += sp.Dur
 		}
 		path = append(path, step)
 		var next *Node
@@ -282,8 +143,8 @@ func CriticalPath(root *Node) []PathStep {
 			// backoff slept after the failure in their own window, so the
 			// child may start slightly before the parent's recorded end
 			// only when overlapped — require non-overlap.
-			if c.Op.Start >= n.Op.End() {
-				if next == nil || c.Op.End() > next.Op.End() {
+			if c.Op.Start >= end(n.Op) {
+				if next == nil || end(c.Op) > end(next.Op) {
 					next = c
 				}
 			}
@@ -316,7 +177,7 @@ func (t *Trace) Verify() VerifyReport {
 		if op.SpanID != "" {
 			rep.Identified++
 		}
-		if len(op.Spans) > 0 && op.SpanSum() != op.Duration {
+		if len(op.Spans) > 0 && spanSum(op) != op.Duration {
 			rep.SpanMismatches++
 		}
 	}

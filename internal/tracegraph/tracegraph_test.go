@@ -21,11 +21,12 @@ func exportLog(t *testing.T, l *trace.Log, extra ...string) *Trace {
 	if err := l.WriteJSONL(&buf); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
-	tr, err := Read(&buf)
+	f, err := trace.ReadJSONL(&buf)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("ReadJSONL: %v", err)
 	}
-	return tr
+	tr := Trace(f)
+	return &tr
 }
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
@@ -62,11 +63,11 @@ func TestReadToleratesMetadataAndMarkers(t *testing.T) {
 	if len(tr.Ops) != 3 {
 		t.Fatalf("ops = %d, want 3", len(tr.Ops))
 	}
-	if got := tr.Meta.Experiments; len(got) != 1 || got[0] != "fig4" {
-		t.Fatalf("experiments = %v", got)
+	if got := tr.Sections; len(got) != 1 || got[0] != "fig4" {
+		t.Fatalf("sections = %v", got)
 	}
-	if tr.Meta.Dropped != 7 || tr.Meta.EvictedBefore != time.Millisecond {
-		t.Fatalf("meta = %+v", tr.Meta)
+	if tr.Dropped != 7 || tr.EvictedBefore != time.Millisecond {
+		t.Fatalf("dropped = %d, evicted before %v", tr.Dropped, tr.EvictedBefore)
 	}
 }
 
@@ -113,7 +114,7 @@ func TestForestOrphansUnderEviction(t *testing.T) {
 		TraceID: "t1", SpanID: "z", ParentID: "a", // parent evicted
 	})
 	tr := exportLog(t, l)
-	if tr.Meta.Dropped == 0 {
+	if tr.Dropped == 0 {
 		t.Fatal("expected eviction metadata")
 	}
 	f := tr.Forest()
@@ -193,6 +194,31 @@ func TestTailAttribution(t *testing.T) {
 	}
 }
 
+// TestPercentileNearestRank: op and stage percentiles rank by
+// ceil(p·n/100) like metrics.Dist, not by the floor (which made the p50 of
+// three ops the fastest one and the p99 of ten the 9th).
+func TestPercentileNearestRank(t *testing.T) {
+	for _, n := range []int{1, 3, 10, 100} {
+		var tr Trace
+		for i := 1; i <= n; i++ { // op i lasts i ms, all of it in the server stage
+			tr.Ops = append(tr.Ops, trace.Op{
+				Start: ms(i), Duration: ms(i), Client: "c0", Service: "blob", Name: "Get",
+				Spans: []trace.Span{{Stage: trace.StageServer, Dur: ms(i)}},
+			})
+		}
+		prof := tr.Profiles()[0]
+		for _, p := range []int{50, 95, 99, 100} {
+			want := ms((p*n + 99) / 100)
+			if got := prof.Percentile(float64(p)); got != want {
+				t.Errorf("n=%d: op p%d = %v, want %v", n, p, got, want)
+			}
+			if got := prof.StagePercentile(trace.StageServer, float64(p)); got != want {
+				t.Errorf("n=%d: server-stage p%d = %v, want %v", n, p, got, want)
+			}
+		}
+	}
+}
+
 func TestDiffDeterministicAndComplete(t *testing.T) {
 	build := func(serverMs int) *Trace {
 		l := trace.New(0)
@@ -203,15 +229,7 @@ func TestDiffDeterministicAndComplete(t *testing.T) {
 				Spans: []trace.Span{{Stage: trace.StageServer, Dur: ms(serverMs)}},
 			})
 		}
-		var buf bytes.Buffer
-		if err := l.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
+		return exportLog(t, l)
 	}
 	old, new := build(10), build(20)
 	deltas := Diff(old, new)
