@@ -40,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseFilter -fuzztime=10s ./internal/tablestore
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzReadJSONL -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzServeHTTP -fuzztime=10s ./internal/rest
 
 test:
 	$(GO) test ./...

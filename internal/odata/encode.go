@@ -1,0 +1,319 @@
+// Package odata implements the JSON wire representation of table entities
+// shared by the REST emulator and the client SDK: property values carry
+// EDM type annotations ("Prop@odata.type": "Edm.Int64") the way the Azure
+// Table service serialises them.
+//
+// The encoder appends straight into the wire buffer and the decoder scans
+// the body once; neither goes through encoding/json. The bytes are the
+// canonical form json.Marshal gives the same object — keys sorted, strings
+// escaped the way encoding/json escapes them with HTML escaping on,
+// doubles in its float format — and the decoder accepts exactly what
+// json.Unmarshal into a map accepted, so the two are interchangeable with
+// the codec they replaced (kept in model_test.go as the reference model).
+package odata
+
+import (
+	"encoding/base64"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+	"time"
+	"unicode/utf8"
+
+	"azurebench/internal/tablestore"
+)
+
+// timestampFormat is the wire format of Edm.DateTime values.
+const timestampFormat = time.RFC3339Nano
+
+// annotation is the key suffix that carries a property's EDM type.
+const annotation = "@odata.type"
+
+// EncodeEntity renders an entity as a JSON object.
+func EncodeEntity(e *tablestore.Entity) ([]byte, error) {
+	return AppendEntity(make([]byte, 0, sizeHint(e)), e)
+}
+
+// AppendPage appends one page of query results the way the table service
+// writes it: {"value":[...]} and a newline, {"value":null} for an empty
+// page.
+func AppendPage(dst []byte, entities []*tablestore.Entity) ([]byte, error) {
+	if len(entities) == 0 {
+		return append(dst, "{\"value\":null}\n"...), nil
+	}
+	dst = append(dst, `{"value":[`...)
+	for i, e := range entities {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = AppendEntity(dst, e); err != nil {
+			return nil, err
+		}
+	}
+	return append(dst, "]}\n"...), nil
+}
+
+// sizeHint is e's encoded length when no string needs escaping, short of
+// the digits of its numbers (bounded instead): the common entity is
+// written into one allocation of close to its own size.
+func sizeHint(e *tablestore.Entity) int {
+	n := len(`{"PartitionKey":"","RowKey":""}`) + len(e.PartitionKey) + len(e.RowKey)
+	if !e.Timestamp.IsZero() {
+		n += len(`,"Timestamp":""`) + len(timestampFormat)
+	}
+	if e.ETag != "" {
+		n += len(`,"odata.etag":""`) + len(e.ETag)
+	}
+	for name, v := range e.Props {
+		n += len(`,"":`) + len(name)
+		if a := edmAnnotation(v.Type); a != "" {
+			n += len(`,"@odata.type":""`) + len(name) + len(a)
+		}
+		switch v.Type {
+		case tablestore.TypeString, tablestore.TypeGUID:
+			n += len(`""`) + len(v.S)
+		case tablestore.TypeBinary:
+			n += len(`""`) + base64.StdEncoding.EncodedLen(int(v.Bin.Len()))
+		default: // the longest are a double's 24 digits and a date's 35
+			n += len(`""`) + len(timestampFormat)
+		}
+	}
+	return n
+}
+
+// member is one key of the object being written.
+type member struct {
+	name string
+	kind memberKind
+	typ  tablestore.PropType // of Props[name]
+}
+
+type memberKind uint8
+
+const (
+	systemKey memberKind = iota // PartitionKey, RowKey, Timestamp, odata.etag
+	propValue                   // Props[name]
+	propType                    // Props[name]'s annotation, key name+"@odata.type"
+)
+
+func (m member) suffix() string {
+	if m.kind == propType {
+		return annotation
+	}
+	return ""
+}
+
+func (m member) compare(o member) int {
+	return compareConcat(m.name, m.suffix(), o.name, o.suffix())
+}
+
+// compareConcat orders a1+a2 against b1+b2 bytewise without building
+// either string.
+func compareConcat(a1, a2, b1, b2 string) int {
+	for {
+		if a1 == "" {
+			a1, a2 = a2, ""
+		}
+		if b1 == "" {
+			b1, b2 = b2, ""
+		}
+		n := min(len(a1), len(b1))
+		if n == 0 {
+			return len(a1) - len(b1) // one side is exhausted: the shorter sorts first
+		}
+		if c := strings.Compare(a1[:n], b1[:n]); c != 0 {
+			return c
+		}
+		a1, b1 = a1[n:], b1[n:]
+	}
+}
+
+// edmAnnotation is the annotation a value of type t carries on the wire;
+// String, Boolean and Int32 are inferred from the JSON value and carry
+// none.
+func edmAnnotation(t tablestore.PropType) string {
+	switch t {
+	case tablestore.TypeDouble, tablestore.TypeInt64, tablestore.TypeDateTime,
+		tablestore.TypeGUID, tablestore.TypeBinary:
+		return t.String()
+	}
+	return ""
+}
+
+// AppendEntity appends e's JSON object to dst.
+func AppendEntity(dst []byte, e *tablestore.Entity) ([]byte, error) {
+	var stack [16]member
+	ms := append(stack[:0], member{name: "PartitionKey"}, member{name: "RowKey"})
+	if !e.Timestamp.IsZero() {
+		ms = append(ms, member{name: "Timestamp"})
+	}
+	if e.ETag != "" {
+		ms = append(ms, member{name: "odata.etag"})
+	}
+	for name, v := range e.Props {
+		if v.Type < tablestore.TypeString || v.Type > tablestore.TypeGUID {
+			continue // not an EDM type: nothing to write
+		}
+		ms = append(ms, member{name, propValue, v.Type})
+		if edmAnnotation(v.Type) != "" {
+			ms = append(ms, member{name, propType, v.Type})
+		}
+	}
+	// Keys go out sorted. Where two members spell one key (a property
+	// named like a system key) the later one wins, as it did when the
+	// object was assembled in a map.
+	slices.SortStableFunc(ms, member.compare)
+	dst = append(dst, '{')
+	open := len(dst)
+	for i, m := range ms {
+		if i+1 < len(ms) && m.compare(ms[i+1]) == 0 {
+			continue
+		}
+		if len(dst) > open {
+			dst = append(dst, ',')
+		}
+		dst = appendString(dst, m.name, m.suffix())
+		dst = append(dst, ':')
+		switch m.kind {
+		case systemKey:
+			dst = appendSystem(dst, e, m.name)
+		case propType:
+			dst = appendString(dst, edmAnnotation(m.typ), "")
+		case propValue:
+			var err error
+			if dst, err = appendValue(dst, e.Props[m.name]); err != nil {
+				return nil, fmt.Errorf("odata: property %s: %w", m.name, err)
+			}
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+func appendSystem(dst []byte, e *tablestore.Entity, key string) []byte {
+	switch key {
+	case "PartitionKey":
+		return appendString(dst, e.PartitionKey, "")
+	case "RowKey":
+		return appendString(dst, e.RowKey, "")
+	case "Timestamp":
+		return appendTime(dst, e.Timestamp)
+	default:
+		return appendString(dst, e.ETag, "")
+	}
+}
+
+func appendValue(dst []byte, v tablestore.Value) ([]byte, error) {
+	switch v.Type {
+	case tablestore.TypeString, tablestore.TypeGUID:
+		return appendString(dst, v.S, ""), nil
+	case tablestore.TypeBool:
+		return strconv.AppendBool(dst, v.B), nil
+	case tablestore.TypeInt32:
+		return strconv.AppendInt(dst, v.I, 10), nil
+	case tablestore.TypeInt64:
+		dst = append(dst, '"')
+		dst = strconv.AppendInt(dst, v.I, 10)
+		return append(dst, '"'), nil
+	case tablestore.TypeDouble:
+		return appendDouble(dst, v.F)
+	case tablestore.TypeDateTime:
+		return appendTime(dst, v.T), nil
+	default: // TypeBinary; base64's alphabet needs no escaping
+		dst = append(dst, '"')
+		dst = base64.StdEncoding.AppendEncode(dst, v.Bin.AsBytes())
+		return append(dst, '"'), nil
+	}
+}
+
+// appendTime writes t in timestampFormat, whose characters need no
+// escaping.
+func appendTime(dst []byte, t time.Time) []byte {
+	dst = append(dst, '"')
+	dst = t.UTC().AppendFormat(dst, timestampFormat)
+	return append(dst, '"')
+}
+
+// appendDouble writes f the way encoding/json does (ES6 number-to-string:
+// exponent form below 1e-6 and from 1e21, exponents unpadded). Like it,
+// it refuses NaN and the infinities, which JSON cannot carry.
+func appendDouble(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return nil, fmt.Errorf("unsupported value %v", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-09 becomes e-9
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendString writes s+suffix as one JSON string with encoding/json's
+// escaping: control characters, the quote and the backslash, the
+// HTML-sensitive <, > and &, U+2028 and U+2029, and \ufffd for each byte
+// that is not UTF-8. suffix is always plain ASCII.
+func appendString(dst []byte, s, suffix string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if jsonSafe[b] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xf])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	dst = append(dst, suffix...)
+	return append(dst, '"')
+}
+
+// jsonSafe marks the ASCII bytes appendString copies through unescaped.
+var jsonSafe = func() (t [utf8.RuneSelf]bool) {
+	for b := byte(' '); b < utf8.RuneSelf; b++ {
+		t[b] = !strings.ContainsRune(`"\<>&`, rune(b))
+	}
+	return t
+}()

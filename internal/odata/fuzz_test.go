@@ -9,12 +9,15 @@ import (
 	"azurebench/internal/tablestore"
 )
 
-// FuzzDecodeEntity feeds arbitrary bytes to the wire decoder and checks
-// the canonical-form invariant on everything it accepts: encoding a
-// decoded entity must reach a fixed point in one step. DecodeEntity is
-// the REST emulator's parse path for client-supplied JSON, so it must
-// never panic, and whatever it accepts must survive a store/reload
-// round-trip byte-for-byte (entities are persisted in encoded form).
+// FuzzDecodeEntity feeds arbitrary bytes to the wire decoder and holds it
+// to two things. Against the reference model (model_test.go): the same
+// accept/reject verdict and, when accepted, the same entity. And the
+// canonical-form invariant on everything it accepts: encoding a decoded
+// entity must reach a fixed point in one step. DecodeEntity is the REST
+// emulator's parse path for client-supplied JSON, so it must never panic;
+// the engine keeps the decoded entity, not its bytes, so what a client
+// reads back is the encoder's canonical form of what it wrote, and that
+// form must decode to itself.
 func FuzzDecodeEntity(f *testing.F) {
 	// Seed with one entity exercising every EDM type, plus hand-written
 	// wire forms covering the inference and annotation paths.
@@ -45,11 +48,15 @@ func FuzzDecodeEntity(f *testing.F) {
 	f.Add([]byte(`{"PartitionKey":"p","RowKey":"r","Timestamp":"2020-02-29T23:59:59.5Z"}`))
 	f.Add([]byte(`{"odata.etag":"abc","bin":"AAE=","bin@odata.type":"Edm.Binary"}`))
 	f.Add([]byte(`{"bad@odata.type":"Edm.Nope","bad":1}`))
+	for _, src := range wireForms {
+		f.Add([]byte(src))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeAgainstModel(t, data)
 		e, err := DecodeEntity(data)
 		if err != nil {
-			return // rejected input: only the no-panic guarantee applies
+			return // rejected input: no-panic and the model's verdict are all that apply
 		}
 		raw, err := EncodeEntity(e)
 		if err != nil {

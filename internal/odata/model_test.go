@@ -1,15 +1,18 @@
-// Package odata implements the JSON wire representation of table entities
-// shared by the REST emulator and the client SDK: property values carry
-// EDM type annotations ("Prop@odata.type": "Edm.Int64") the way the Azure
-// Table service serialises them.
 package odata
 
+// The encoding/json codec this package shipped until PR 21, kept verbatim
+// (names prefixed "model") as the reference model the single-pass codec is
+// checked against: same bytes out of the encoder, same accept/reject and
+// same entity out of the decoder (differential_test.go, FuzzDecodeEntity).
+
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
+	"testing"
 	"time"
 
 	"azurebench/internal/payload"
@@ -17,11 +20,8 @@ import (
 	"azurebench/internal/tablestore"
 )
 
-// timestampFormat is the wire format of Edm.DateTime values.
-const timestampFormat = time.RFC3339Nano
-
-// EncodeEntity renders an entity as a JSON object.
-func EncodeEntity(e *tablestore.Entity) ([]byte, error) {
+// modelEncodeEntity renders an entity as a JSON object.
+func modelEncodeEntity(e *tablestore.Entity) ([]byte, error) {
 	obj := map[string]any{
 		"PartitionKey": e.PartitionKey,
 		"RowKey":       e.RowKey,
@@ -60,8 +60,8 @@ func EncodeEntity(e *tablestore.Entity) ([]byte, error) {
 	return json.Marshal(obj)
 }
 
-// DecodeEntity parses a JSON object into an entity.
-func DecodeEntity(raw []byte) (*tablestore.Entity, error) {
+// modelDecodeEntity parses a JSON object into an entity.
+func modelDecodeEntity(raw []byte) (*tablestore.Entity, error) {
 	var obj map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &obj); err != nil {
 		return nil, storecommon.Errf(storecommon.CodeInvalidInput, 400, "bad entity JSON: %v", err)
@@ -84,26 +84,26 @@ func DecodeEntity(raw []byte) (*tablestore.Entity, error) {
 		switch k {
 		case "PartitionKey":
 			if err := json.Unmarshal(v, &e.PartitionKey); err != nil {
-				return nil, badProp(k, err)
+				return nil, modelBadProp(k, err)
 			}
 		case "RowKey":
 			if err := json.Unmarshal(v, &e.RowKey); err != nil {
-				return nil, badProp(k, err)
+				return nil, modelBadProp(k, err)
 			}
 		case "Timestamp":
 			var s string
 			if err := json.Unmarshal(v, &s); err != nil {
-				return nil, badProp(k, err)
+				return nil, modelBadProp(k, err)
 			}
 			t, err := time.Parse(timestampFormat, s)
 			if err != nil {
-				return nil, badProp(k, err)
+				return nil, modelBadProp(k, err)
 			}
 			e.Timestamp = t
 		default:
-			val, err := decodeValue(v, types[k])
+			val, err := modelDecodeValue(v, types[k])
 			if err != nil {
-				return nil, badProp(k, err)
+				return nil, modelBadProp(k, err)
 			}
 			e.Props[k] = val
 		}
@@ -114,7 +114,7 @@ func DecodeEntity(raw []byte) (*tablestore.Entity, error) {
 	return e, nil
 }
 
-func decodeValue(raw json.RawMessage, edmType string) (tablestore.Value, error) {
+func modelDecodeValue(raw json.RawMessage, edmType string) (tablestore.Value, error) {
 	switch edmType {
 	case "Edm.Int64":
 		var s string
@@ -184,6 +184,25 @@ func decodeValue(raw json.RawMessage, edmType string) (tablestore.Value, error) 
 	}
 }
 
-func badProp(name string, err error) error {
+func modelBadProp(name string, err error) error {
 	return storecommon.Errf(storecommon.CodeInvalidInput, 400, "property %s: %v", name, err)
+}
+
+// modelEncodePage is the query response body as rest's handler wrote it
+// until PR 21: each entity through the model encoder into a RawMessage,
+// the slice (nil for an empty page) through json.Encoder.
+func modelEncodePage(t testing.TB, entities []*tablestore.Entity) []byte {
+	var values []json.RawMessage
+	for _, e := range entities {
+		raw, err := modelEncodeEntity(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values = append(values, raw)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(map[string]any{"value": values}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -173,6 +173,17 @@ func (p Payload) Materialize() []byte {
 	return out
 }
 
+// AsBytes returns the content as one byte slice without copying when the
+// payload is a single literal run (what Bytes wrapped, or a Slice of it),
+// and materialized otherwise. The result may alias the payload's backing
+// array: callers must treat it as read-only.
+func (p Payload) AsBytes() []byte {
+	if p.k == kindBytes {
+		return p.data
+	}
+	return p.Materialize()
+}
+
 func (p Payload) render(out []byte) {
 	switch p.k {
 	case kindZero:

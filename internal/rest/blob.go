@@ -2,7 +2,6 @@ package rest
 
 import (
 	"encoding/xml"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -25,9 +24,9 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 		writeBusy(w)
 		return
 	}
-	parts := pathParts(r, "/blob/")
-	switch len(parts) {
-	case 0:
+	container, blob := pathParts(r, "/blob/")
+	switch {
+	case container == "":
 		if r.Method != http.MethodGet {
 			writeMethodNotAllowed(w, r)
 			return
@@ -36,10 +35,10 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 		containers := s.Blob.ListContainers(r.URL.Query().Get("prefix"))
 		done()
 		writeXML(w, http.StatusOK, containerListXML{Containers: containers})
-	case 1:
-		s.handleContainer(w, r, parts[0])
-	case 2:
-		s.handleBlobObject(w, r, parts[0], parts[1])
+	case blob == "":
+		s.handleContainer(w, r, container)
+	default:
+		s.handleBlobObject(w, r, container, blob)
 	}
 }
 
@@ -115,7 +114,7 @@ func (s *Server) handleBlobObject(w http.ResponseWriter, r *http.Request, contai
 	case r.Method == http.MethodHead:
 		s.headBlob(w, r, container, blob)
 	case r.Method == http.MethodDelete:
-		if err := engineDo(r, func() error { return s.Blob.DeleteBlob(container, blob, r.Header.Get("x-ms-lease-id")) }); err != nil {
+		if err := engineDo(r, func() error { return s.Blob.DeleteBlob(container, blob, r.Header.Get(hLeaseID)) }); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -125,16 +124,14 @@ func (s *Server) handleBlobObject(w http.ResponseWriter, r *http.Request, contai
 	}
 }
 
-func readBody(r *http.Request) (payload.Payload, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		return payload.Payload{}, storecommon.Errf(storecommon.CodeInvalidInput, 400, "reading body: %v", err)
-	}
-	return payload.Bytes(body), nil
+// readBlobBody reads an upload into the buffer the engine will keep.
+func readBlobBody(r *http.Request) (payload.Payload, error) {
+	body, err := readBody(r, maxBodyBytes, nil)
+	return payload.Bytes(body), err
 }
 
 func (s *Server) putBlob(w http.ResponseWriter, r *http.Request, container, blob string) {
-	switch r.Header.Get("x-ms-blob-type") {
+	switch r.Header.Get(hBlobType) {
 	case "PageBlob":
 		size, err := strconv.ParseInt(r.Header.Get("x-ms-blob-content-length"), 10, 64)
 		if err != nil {
@@ -149,31 +146,31 @@ func (s *Server) putBlob(w http.ResponseWriter, r *http.Request, container, blob
 			writeError(w, err)
 			return
 		}
-		w.Header().Set("ETag", props.ETag)
+		setHeader(w.Header(), hETag, props.ETag)
 		w.WriteHeader(http.StatusCreated)
 	case "BlockBlob", "":
-		data, err := readBody(r)
+		data, err := readBlobBody(r)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
 		done := engineStart(r)
-		props, err := s.Blob.UploadBlockBlob(container, blob, data, r.Header.Get("x-ms-lease-id"))
+		props, err := s.Blob.UploadBlockBlob(container, blob, data, r.Header.Get(hLeaseID))
 		done()
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		w.Header().Set("ETag", props.ETag)
+		setHeader(w.Header(), hETag, props.ETag)
 		w.WriteHeader(http.StatusCreated)
 	default:
 		writeError(w, storecommon.Errf(storecommon.CodeInvalidInput, 400,
-			"unknown x-ms-blob-type %q", r.Header.Get("x-ms-blob-type")))
+			"unknown x-ms-blob-type %q", r.Header.Get(hBlobType)))
 	}
 }
 
 func (s *Server) putBlock(w http.ResponseWriter, r *http.Request, container, blob, blockID string) {
-	data, err := readBody(r)
+	data, err := readBlobBody(r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -194,9 +191,11 @@ type blockListXML struct {
 }
 
 func (s *Server) putBlockList(w http.ResponseWriter, r *http.Request, container, blob string) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	buf := getScratch()
+	defer buf.release()
+	raw, err := readBody(r, maxBodyBytes, buf)
 	if err != nil {
-		writeError(w, storecommon.Errf(storecommon.CodeInvalidInput, 400, "reading body: %v", err))
+		writeError(w, err)
 		return
 	}
 	// Element order matters in a block list; decode token-by-token.
@@ -206,13 +205,13 @@ func (s *Server) putBlockList(w http.ResponseWriter, r *http.Request, container,
 		return
 	}
 	done := engineStart(r)
-	props, err := s.Blob.PutBlockList(container, blob, refs, r.Header.Get("x-ms-lease-id"))
+	props, err := s.Blob.PutBlockList(container, blob, refs, r.Header.Get(hLeaseID))
 	done()
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("ETag", props.ETag)
+	setHeader(w.Header(), hETag, props.ETag)
 	w.WriteHeader(http.StatusCreated)
 }
 
@@ -282,7 +281,7 @@ func (s *Server) putPage(w http.ResponseWriter, r *http.Request, container, blob
 		writeError(w, err)
 		return
 	}
-	leaseID := r.Header.Get("x-ms-lease-id")
+	leaseID := r.Header.Get(hLeaseID)
 	switch r.Header.Get("x-ms-page-write") {
 	case "clear":
 		if err := engineDo(r, func() error { return s.Blob.ClearPages(container, blob, off, n, leaseID) }); err != nil {
@@ -290,7 +289,7 @@ func (s *Server) putPage(w http.ResponseWriter, r *http.Request, container, blob
 			return
 		}
 	default: // "update"
-		data, err := readBody(r)
+		data, err := readBlobBody(r)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -347,11 +346,10 @@ func (s *Server) getBlob(w http.ResponseWriter, r *http.Request, container, blob
 			writeError(w, err)
 			return
 		}
-		w.WriteHeader(http.StatusOK)
-		w.Write(data.Materialize())
+		writeBody(w, http.StatusOK, octetType, data.AsBytes())
 		return
 	}
-	if rangeHdr := firstNonEmpty(r.Header.Get("x-ms-range"), r.Header.Get("Range")); rangeHdr != "" {
+	if rangeHdr := firstNonEmpty(r.Header.Get(hMsRange), r.Header.Get(hRange)); rangeHdr != "" {
 		off, n, err := parseRange(rangeHdr)
 		if err != nil {
 			writeError(w, err)
@@ -364,8 +362,7 @@ func (s *Server) getBlob(w http.ResponseWriter, r *http.Request, container, blob
 			writeError(w, err)
 			return
 		}
-		w.WriteHeader(http.StatusPartialContent)
-		w.Write(data.Materialize())
+		writeBody(w, http.StatusPartialContent, octetType, data.AsBytes())
 		return
 	}
 	done := engineStart(r)
@@ -377,7 +374,7 @@ func (s *Server) getBlob(w http.ResponseWriter, r *http.Request, container, blob
 	}
 	setBlobHeaders(w, props)
 	w.WriteHeader(http.StatusOK)
-	w.Write(data.Materialize())
+	w.Write(data.AsBytes()) // the engine's own bytes, not a copy
 }
 
 func (s *Server) headBlob(w http.ResponseWriter, r *http.Request, container, blob string) {
@@ -393,7 +390,7 @@ func (s *Server) headBlob(w http.ResponseWriter, r *http.Request, container, blo
 }
 
 func setBlobHeaders(w http.ResponseWriter, props blobstore.Props) {
-	w.Header().Set("ETag", props.ETag)
+	setHeader(w.Header(), hETag, props.ETag)
 	w.Header().Set("x-ms-blob-type", props.Type.String())
 	w.Header().Set("Content-Length", strconv.FormatInt(props.Size, 10))
 	w.Header().Set("x-ms-lease-status", strings.ToLower(props.LeaseStatus.String()))
@@ -402,7 +399,7 @@ func setBlobHeaders(w http.ResponseWriter, props blobstore.Props) {
 
 func (s *Server) leaseOp(w http.ResponseWriter, r *http.Request, container, blob string) {
 	action := r.Header.Get("x-ms-lease-action")
-	leaseID := r.Header.Get("x-ms-lease-id")
+	leaseID := r.Header.Get(hLeaseID)
 	switch action {
 	case "acquire":
 		d := blobstore.InfiniteLease
@@ -469,9 +466,6 @@ func firstNonEmpty(a, b string) string {
 }
 
 func writeXML(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/xml")
-	w.WriteHeader(status)
-	fmt.Fprint(w, xml.Header)
 	body, _ := xml.MarshalIndent(v, "", "  ")
-	w.Write(body)
+	writeBody(w, status, xmlType, append([]byte(xml.Header), body...))
 }

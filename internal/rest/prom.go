@@ -29,7 +29,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		writeMethodNotAllowed(w, r)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
 	snap := s.MetricsSnapshot()
 
@@ -79,8 +78,11 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "azurebench_request_duration_seconds_count{method=%q,service=%q} %d\n",
 			m, svc, es.Latency.Count())
 	}
-	w.Write([]byte(b.String()))
+	writeBody(w, http.StatusOK, promType, []byte(b.String()))
 }
+
+// promType is the content type of the Prometheus text exposition format.
+var promType = []string{"text/plain; version=0.0.4; charset=utf-8"}
 
 // formatSeconds renders a duration as decimal seconds without float
 // artifacts (trailing zeros trimmed).

@@ -3,10 +3,10 @@ package rest
 import (
 	"encoding/base64"
 	"encoding/xml"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"azurebench/internal/payload"
@@ -16,8 +16,8 @@ import (
 
 // handleQueue routes /queue/{name}[/messages[/{id}]].
 func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
-	parts := pathParts(r, "/queue/")
-	if len(parts) == 0 {
+	name, sub := pathParts(r, "/queue/")
+	if name == "" {
 		// GET /queue/ enumerates queues.
 		if r.Method != http.MethodGet {
 			writeMethodNotAllowed(w, r)
@@ -33,16 +33,15 @@ func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
 		writeXML(w, http.StatusOK, queueListXML{Queues: queues})
 		return
 	}
-	name := parts[0]
 	if !s.throttle.allow(name, "") {
 		writeBusy(w)
 		return
 	}
-	if len(parts) == 1 {
+	if sub == "" {
 		s.handleQueueRoot(w, r, name)
 		return
 	}
-	s.handleQueueMessages(w, r, name, parts[1])
+	s.handleQueueMessages(w, r, name, sub)
 }
 
 func (s *Server) handleQueueRoot(w http.ResponseWriter, r *http.Request, name string) {
@@ -69,7 +68,7 @@ func (s *Server) handleQueueRoot(w http.ResponseWriter, r *http.Request, name st
 			writeError(w, err)
 			return
 		}
-		w.Header().Set("x-ms-approximate-messages-count", strconv.Itoa(n))
+		setHeader(w.Header(), hApproximateCount, strconv.Itoa(n))
 		w.WriteHeader(http.StatusOK)
 	default:
 		writeMethodNotAllowed(w, r)
@@ -105,6 +104,7 @@ type queueMessageOut struct {
 
 func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, name, sub string) {
 	q := r.URL.Query()
+	id, oneMessage := strings.CutPrefix(sub, "messages/")
 	switch {
 	case sub == "messages" && r.Method == http.MethodPost:
 		s.putMessage(w, r, name)
@@ -143,15 +143,13 @@ func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, nam
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
-	case r.Method == http.MethodDelete: // messages/{id}
-		id := sub[len("messages/"):]
+	case oneMessage && r.Method == http.MethodDelete:
 		if err := engineDo(r, func() error { return s.Queue.Delete(name, id, q.Get("popreceipt")) }); err != nil {
 			writeError(w, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
-	case r.Method == http.MethodPut: // messages/{id}: Update Message
-		id := sub[len("messages/"):]
+	case oneMessage && r.Method == http.MethodPut: // Update Message
 		body, err := decodeMessageBody(r)
 		if err != nil {
 			writeError(w, err)
@@ -169,8 +167,8 @@ func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, nam
 			writeError(w, err)
 			return
 		}
-		w.Header().Set("x-ms-popreceipt", msg.PopReceipt)
-		w.Header().Set("x-ms-time-next-visible", msg.NextVisible.UTC().Format(http.TimeFormat))
+		setHeader(w.Header(), hPopReceipt, msg.PopReceipt)
+		setHeader(w.Header(), hTimeNextVisible, msg.NextVisible.UTC().Format(http.TimeFormat))
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		writeMethodNotAllowed(w, r)
@@ -183,8 +181,12 @@ func (s *Server) putMessage(w http.ResponseWriter, r *http.Request, name string)
 		writeError(w, err)
 		return
 	}
-	ttl := time.Duration(intOr(r.URL.Query().Get("messagettl"), 0)) * time.Second
-	if err := engineDo(r, func() error { _, e := s.Queue.Put(name, body, ttl); return e }); err != nil {
+	ttl, err := queryInt(r.URL.Query(), "messagettl", 0)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	if err := engineDo(r, func() error { _, e := s.Queue.Put(name, body, time.Duration(ttl)*time.Second); return e }); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -192,9 +194,11 @@ func (s *Server) putMessage(w http.ResponseWriter, r *http.Request, name string)
 }
 
 func decodeMessageBody(r *http.Request) (payload.Payload, error) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 2*storecommon.MaxMessageSize))
+	buf := getScratch()
+	defer buf.release()
+	raw, err := readBody(r, 2*storecommon.MaxMessageSize, buf)
 	if err != nil {
-		return payload.Payload{}, storecommon.Errf(storecommon.CodeInvalidInput, 400, "reading body: %v", err)
+		return payload.Payload{}, err
 	}
 	var msg queueMessageXML
 	if err := xml.Unmarshal(raw, &msg); err != nil {
@@ -217,15 +221,14 @@ func messagesOut(msgs []queuestore.Message) queueMessagesListXML {
 			PopReceipt:      m.PopReceipt,
 			TimeNextVisible: m.NextVisible.UTC().Format(http.TimeFormat),
 			DequeueCount:    m.DequeueCount,
-			MessageText:     base64.StdEncoding.EncodeToString(m.Body.Materialize()),
+			MessageText:     base64.StdEncoding.EncodeToString(m.Body.AsBytes()),
 		})
 	}
 	return out
 }
 
-// queryInt reads an optional integer query parameter. Unlike intOr, a
-// value that is present but not a number is the client's error, not the
-// default.
+// queryInt reads an optional integer query parameter. A value that is
+// present but not a number is the client's error, not the default.
 func queryInt(q url.Values, key string, def int) (int, error) {
 	s := q.Get(key)
 	if s == "" {
@@ -236,15 +239,4 @@ func queryInt(q url.Values, key string, def int) (int, error) {
 		return 0, storecommon.Errf(storecommon.CodeOutOfRangeQueryParameterValue, 400, "%s=%q is not an integer", key, s)
 	}
 	return n, nil
-}
-
-func intOr(s string, def int) int {
-	if s == "" {
-		return def
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return def
-	}
-	return n
 }

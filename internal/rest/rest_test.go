@@ -201,9 +201,9 @@ func TestThrottlerBoundedAndVerdictPreserving(t *testing.T) {
 }
 
 // TestQueueQueryParametersValidated: numofmessages outside 1–32, and
-// numofmessages or visibilitytimeout that is not a number, are refused
-// with 400 OutOfRangeQueryParameterValue instead of being clamped or
-// defaulted.
+// numofmessages, visibilitytimeout or messagettl that is not a number, are
+// refused with 400 OutOfRangeQueryParameterValue instead of being clamped
+// or defaulted.
 func TestQueueQueryParametersValidated(t *testing.T) {
 	srv := NewServer(Options{})
 	if err := srv.Queue.CreateQueue("q-1"); err != nil {
@@ -232,11 +232,32 @@ func TestQueueQueryParametersValidated(t *testing.T) {
 	if resp.StatusCode != 400 || resp.Header.Get("x-ms-error-code") != "OutOfRangeQueryParameterValue" {
 		t.Errorf("PUT visibilitytimeout=soon: status %d, code %q", resp.StatusCode, resp.Header.Get("x-ms-error-code"))
 	}
-	// Nothing was hidden by the refused requests.
+	resp = doReq(t, srv, http.MethodPost, "/queue/q-1/messages?messagettl=abc", nil,
+		"<QueueMessage><MessageText>bQ==</MessageText></QueueMessage>")
+	if resp.StatusCode != 400 || resp.Header.Get("x-ms-error-code") != "OutOfRangeQueryParameterValue" {
+		t.Errorf("POST messagettl=abc: status %d, code %q", resp.StatusCode, resp.Header.Get("x-ms-error-code"))
+	}
+	// Nothing was hidden, or added, by the refused requests.
 	if msgs, err := srv.Queue.Peek("q-1", 32); err != nil || len(msgs) != 3 {
 		t.Fatalf("after refused requests: %d visible, %v", len(msgs), err)
 	}
 	if resp := doReq(t, srv, http.MethodGet, "/queue/q-1/messages?numofmessages=32", nil, ""); resp.StatusCode != 200 {
 		t.Fatalf("numofmessages=32: status %d", resp.StatusCode)
+	}
+}
+
+// TestTableTopValidated: $top that is not a number is the client's error,
+// as it is for the queue's integer parameters, not "no limit".
+func TestTableTopValidated(t *testing.T) {
+	srv := NewServer(Options{})
+	if err := srv.Table.CreateTable("people"); err != nil {
+		t.Fatal(err)
+	}
+	resp := doReq(t, srv, http.MethodGet, "/table/people?$top=abc", nil, "")
+	if resp.StatusCode != 400 || resp.Header.Get("x-ms-error-code") != "OutOfRangeQueryParameterValue" {
+		t.Errorf("GET $top=abc: status %d, code %q", resp.StatusCode, resp.Header.Get("x-ms-error-code"))
+	}
+	if resp := doReq(t, srv, http.MethodGet, "/table/people?$top=5", nil, ""); resp.StatusCode != 200 {
+		t.Errorf("GET $top=5: status %d", resp.StatusCode)
 	}
 }

@@ -18,8 +18,10 @@ package rest
 import (
 	"context"
 	"encoding/xml"
-	"fmt"
+	"io"
 	"net/http"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -58,10 +60,10 @@ type Server struct {
 
 	// Per-endpoint request counters and latency histograms, served at
 	// /metricsz and via MetricsSnapshot (see stats.go).
-	statsMu sync.Mutex
-	stats   map[string]*endpointStats
+	stats [len(endpointNames)]endpointStats
 	// geoStats backs GET /stats (Get Service Stats); nil means no
 	// geo-replication is configured.
+	geoMu    sync.Mutex
 	geoStats func() GeoStats
 
 	// traceLog, when attached via SetTrace, records one server-side
@@ -83,7 +85,6 @@ func NewServer(opts Options) *Server {
 		Table: tablestore.New(clock),
 		clock: clock,
 		mux:   http.NewServeMux(),
-		stats: map[string]*endpointStats{},
 	}
 	if opts.Throttle {
 		s.throttle = newThrottler(opts)
@@ -92,7 +93,7 @@ func NewServer(opts Options) *Server {
 	s.mux.HandleFunc("/queue/", s.handleQueue)
 	s.mux.HandleFunc("/table/", s.handleTable)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
+		writeBody(w, http.StatusOK, textType, []byte("ok\n"))
 	})
 	s.mux.HandleFunc("/metricsz", s.handleMetricsz)
 	s.mux.HandleFunc("/stats", s.handleServiceStats)
@@ -101,7 +102,7 @@ func NewServer(opts Options) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("x-ms-version", "2011-08-18")
+	w.Header()[hVersion] = versionValue
 	sw := &statusWriter{ResponseWriter: w}
 	var rt *reqTrace
 	if s.traceLog != nil {
@@ -192,11 +193,9 @@ func writeError(w http.ResponseWriter, err error) {
 	if code == "" {
 		code = string(storecommon.CodeInternalError)
 	}
-	w.Header().Set("x-ms-error-code", code)
-	w.Header().Set("Content-Type", "application/xml")
-	w.WriteHeader(status)
+	setHeader(w.Header(), hErrorCode, code)
 	body, _ := xml.Marshal(xmlError{Code: code, Message: err.Error()})
-	w.Write(body)
+	writeBody(w, status, xmlType, body)
 }
 
 func writeBusy(w http.ResponseWriter) {
@@ -209,13 +208,99 @@ func writeMethodNotAllowed(w http.ResponseWriter, r *http.Request) {
 		"verb %s not supported here", r.Method))
 }
 
-// pathParts splits the path after the service prefix into non-empty
-// segments.
-func pathParts(r *http.Request, prefix string) []string {
-	rest := strings.TrimPrefix(r.URL.Path, prefix)
-	rest = strings.Trim(rest, "/")
-	if rest == "" {
-		return nil
+// pathParts splits the path after the service prefix into its first
+// segment and whatever follows it, both empty when there is none.
+func pathParts(r *http.Request, prefix string) (first, rest string) {
+	first, rest, _ = strings.Cut(strings.Trim(strings.TrimPrefix(r.URL.Path, prefix), "/"), "/")
+	return first, rest
+}
+
+// Header keys in net/http's canonical form. The handlers on the
+// per-request path index r.Header and w.Header() with these: Header.Set
+// and Get canonicalise their key first, which allocates for every key
+// that is not already canonical — all the x-ms-* ones.
+const (
+	hVersion          = "X-Ms-Version"
+	hErrorCode        = "X-Ms-Error-Code"
+	hContentType      = "Content-Type"
+	hContentLength    = "Content-Length"
+	hETag             = "Etag"
+	hIfMatch          = "If-Match"
+	hLastModified     = "Last-Modified"
+	hRange            = "Range"
+	hMsRange          = "X-Ms-Range"
+	hBlobType         = "X-Ms-Blob-Type"
+	hLeaseID          = "X-Ms-Lease-Id"
+	hLeaseStatus      = "X-Ms-Lease-Status"
+	hNextPartitionKey = "X-Ms-Continuation-Nextpartitionkey"
+	hNextRowKey       = "X-Ms-Continuation-Nextrowkey"
+	hApproximateCount = "X-Ms-Approximate-Messages-Count"
+	hPopReceipt       = "X-Ms-Popreceipt"
+	hTimeNextVisible  = "X-Ms-Time-Next-Visible"
+)
+
+// Header values every response of a kind shares; net/http reads header
+// slices and never writes to them.
+var (
+	versionValue = []string{"2011-08-18"}
+	jsonType     = []string{"application/json"}
+	xmlType      = []string{"application/xml"}
+	octetType    = []string{"application/octet-stream"}
+	textType     = []string{"text/plain; charset=utf-8"}
+)
+
+// setHeader is Header.Set for a key already in canonical form.
+func setHeader(h http.Header, canonicalKey, value string) {
+	h[canonicalKey] = []string{value}
+}
+
+// writeBody sends a response with a body: always with Content-Type, so
+// net/http does not sniff one, and Content-Length, so it does not chunk.
+func writeBody(w http.ResponseWriter, status int, contentType []string, body []byte) {
+	h := w.Header()
+	h[hContentType] = contentType
+	setHeader(h, hContentLength, strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// readBody reads a request body once, into a buffer of the size the
+// client declared (capped at limit, like the body itself); a body of
+// undeclared length grows as it arrives. The buffer is into's when into is
+// given and a fresh one the caller may keep otherwise.
+func readBody(r *http.Request, limit int64, into *scratch) ([]byte, error) {
+	var body []byte
+	var err error
+	switch n := min(r.ContentLength, limit); {
+	case n < 0:
+		body, err = io.ReadAll(io.LimitReader(r.Body, limit))
+	case into == nil:
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	default:
+		into.b = slices.Grow(into.b[:0], int(n))
+		body = into.b[:n]
+		_, err = io.ReadFull(r.Body, body)
 	}
-	return strings.SplitN(rest, "/", 2)
+	if err != nil {
+		return nil, storecommon.Errf(storecommon.CodeInvalidInput, 400, "reading body: %v", err)
+	}
+	return body, nil
+}
+
+// scratch is a pooled buffer for bytes that do not outlive the handler: a
+// request body on its way through a decoder that copies what it keeps, a
+// response body on its way to the ResponseWriter, which copies it.
+type scratch struct{ b []byte }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// release returns the buffer to the pool, unless an outsized body grew it
+// past what is worth keeping.
+func (s *scratch) release() {
+	if cap(s.b) <= 1<<20 {
+		scratchPool.Put(s)
+	}
 }

@@ -3,8 +3,10 @@ package rest
 import (
 	"encoding/xml"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"azurebench/internal/metrics"
@@ -22,8 +24,10 @@ type EndpointStats struct {
 	Latency   *metrics.Histogram
 }
 
-// endpointStats is the mutable interior form behind the stats mutex.
+// endpointStats is one slot of the server's stats table, behind its own
+// lock: requests to different endpoints do not contend.
 type endpointStats struct {
+	mu        sync.Mutex
 	count     uint64
 	errors    uint64
 	throttled uint64
@@ -55,47 +59,58 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// The stats table has one slot per standard method on each of the
+// server's own routes (and the root path probes hit), plus slot 0 for
+// everything else. Method and path are chosen by the client; mapping the
+// rest to one slot keeps the table, and the /metricsz label sets rendered
+// from it, fixed whatever a client sends.
+var (
+	statMethods = [...]string{http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace}
+	statRoutes = [...]string{"/blob", "/queue", "/table", "/healthz", "/metricsz", "/stats", "/"}
+)
+
 // otherEndpoint is the one stats key shared by every request that is not
 // a standard method on one of the server's own routes.
 const otherEndpoint = "OTHER /other"
 
-// endpointKey reduces a request to its stats key: method + first path
-// segment. Both are chosen by the client, so anything outside the routes
-// NewServer mounts (and the root path probes hit) or the standard HTTP
-// methods maps to otherEndpoint; the stats map, and the /metricsz label
-// sets rendered from it, stay bounded whatever a client sends.
-func endpointKey(r *http.Request) string {
+// endpointNames holds each slot's key: method + first path segment
+// ("PUT /blob").
+var endpointNames = func() (names [1 + len(statMethods)*len(statRoutes)]string) {
+	names[0] = otherEndpoint
+	for m, method := range statMethods {
+		for r, route := range statRoutes {
+			names[1+m*len(statRoutes)+r] = method + " " + route
+		}
+	}
+	return names
+}()
+
+// endpointSlot reduces a request to its slot in the stats table.
+func endpointSlot(r *http.Request) int {
 	path := r.URL.Path
 	if path == "" {
 		path = "/"
 	}
-	if i := strings.Index(path[1:], "/"); i >= 0 {
+	if i := strings.IndexByte(path[1:], '/'); i >= 0 {
 		path = path[:i+1]
 	}
-	switch path {
-	case "/blob", "/queue", "/table", "/healthz", "/metricsz", "/stats", "/":
-	default:
-		return otherEndpoint
+	route := slices.Index(statRoutes[:], path)
+	method := slices.Index(statMethods[:], r.Method)
+	if route < 0 || method < 0 {
+		return 0
 	}
-	switch r.Method {
-	case http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
-		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace:
-	default:
-		return otherEndpoint
-	}
-	return r.Method + " " + path
+	return 1 + method*len(statRoutes) + route
 }
+
+// endpointKey is the request's stats key.
+func endpointKey(r *http.Request) string { return endpointNames[endpointSlot(r)] }
 
 // observe records one completed request.
 func (s *Server) observe(r *http.Request, status int, d time.Duration) {
-	key := endpointKey(r)
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	es := s.stats[key]
-	if es == nil {
-		es = &endpointStats{}
-		s.stats[key] = es
-	}
+	es := &s.stats[endpointSlot(r)]
+	es.mu.Lock()
+	defer es.mu.Unlock()
 	es.count++
 	if status >= 400 {
 		es.errors++
@@ -106,22 +121,25 @@ func (s *Server) observe(r *http.Request, status int, d time.Duration) {
 	es.lat.Observe(d)
 }
 
-// MetricsSnapshot returns a copy of every endpoint's stats, sorted by
-// endpoint key. The histograms are copies; callers may merge or mutate
-// them freely.
+// MetricsSnapshot returns a copy of the stats of every endpoint that has
+// served a request, sorted by endpoint key. The histograms are copies;
+// callers may merge or mutate them freely.
 func (s *Server) MetricsSnapshot() []EndpointStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	out := make([]EndpointStats, 0, len(s.stats))
-	for key, es := range s.stats {
-		lat := es.lat // value copy of the fixed-layout histogram
-		out = append(out, EndpointStats{
-			Endpoint:  key,
-			Count:     es.count,
-			Errors:    es.errors,
-			Throttled: es.throttled,
-			Latency:   &lat,
-		})
+	var out []EndpointStats
+	for i := range s.stats {
+		es := &s.stats[i]
+		es.mu.Lock()
+		if es.count > 0 {
+			lat := es.lat // value copy of the fixed-layout histogram
+			out = append(out, EndpointStats{
+				Endpoint:  endpointNames[i],
+				Count:     es.count,
+				Errors:    es.errors,
+				Throttled: es.throttled,
+				Latency:   &lat,
+			})
+		}
+		es.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
 	return out
@@ -140,8 +158,8 @@ type GeoStats struct {
 // the endpoint reports Status "unavailable", matching an account with no
 // geo-redundancy configured.
 func (s *Server) SetGeoStats(fn func() GeoStats) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
+	s.geoMu.Lock()
+	defer s.geoMu.Unlock()
 	s.geoStats = fn
 }
 
@@ -162,9 +180,9 @@ func (s *Server) handleServiceStats(w http.ResponseWriter, r *http.Request) {
 		writeMethodNotAllowed(w, r)
 		return
 	}
-	s.statsMu.Lock()
+	s.geoMu.Lock()
 	fn := s.geoStats
-	s.statsMu.Unlock()
+	s.geoMu.Unlock()
 	gs := GeoStats{Status: "unavailable"}
 	if fn != nil {
 		gs = fn()

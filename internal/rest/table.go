@@ -1,6 +1,7 @@
 package rest
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,12 +14,11 @@ import (
 
 // handleTable routes /table/Tables... and /table/{name}...
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	parts := pathParts(r, "/table/")
-	if len(parts) == 0 {
+	resource, _ := pathParts(r, "/table/")
+	if resource == "" {
 		writeError(w, storecommon.Errf(storecommon.CodeInvalidInput, 400, "missing table resource"))
 		return
 	}
-	resource := parts[0]
 	switch {
 	case resource == "Tables":
 		if !s.throttle.allow("", "") {
@@ -88,13 +88,17 @@ func parseEntityKey(resource string) (table, pk, rk string, ok bool) {
 	}
 	table = resource[:open]
 	inner := resource[open+1 : len(resource)-1]
-	for _, kv := range strings.Split(inner, ",") {
+	for more := true; more; {
+		var kv string
+		kv, inner, more = strings.Cut(inner, ",")
 		k, v, found := strings.Cut(strings.TrimSpace(kv), "=")
 		if !found {
 			return table, "", "", false
 		}
 		v = strings.TrimSuffix(strings.TrimPrefix(v, "'"), "'")
-		v = strings.ReplaceAll(v, "''", "'")
+		if strings.IndexByte(v, '\'') >= 0 {
+			v = strings.ReplaceAll(v, "''", "'")
+		}
 		switch k {
 		case "PartitionKey":
 			pk = v
@@ -107,7 +111,7 @@ func parseEntityKey(resource string) (table, pk, rk string, ok bool) {
 
 func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request, resource string) {
 	table, pk, rk, keyed := parseEntityKey(resource)
-	if !s.throttle.allow("", table+"|"+pk) {
+	if s.throttle != nil && !s.throttle.allow("", table+"|"+pk) {
 		writeBusy(w)
 		return
 	}
@@ -129,14 +133,18 @@ func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request, resource
 			writeError(w, err)
 			return
 		}
-		w.Header().Set("ETag", stored.ETag)
+		setHeader(w.Header(), hETag, stored.ETag)
 		writeEntityJSON(w, http.StatusCreated, stored)
 	case http.MethodGet: // Query
 		q := r.URL.Query()
-		top := intOr(q.Get("$top"), 0)
+		top, err := queryInt(q, "$top", 0)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
 		from := tablestore.Continuation{
-			NextPartitionKey: r.Header.Get("x-ms-continuation-NextPartitionKey"),
-			NextRowKey:       r.Header.Get("x-ms-continuation-NextRowKey"),
+			NextPartitionKey: r.Header.Get(hNextPartitionKey),
+			NextRowKey:       r.Header.Get(hNextRowKey),
 		}
 		done := engineStart(r)
 		res, err := s.Table.Query(table, q.Get("$filter"), top, from)
@@ -145,27 +153,24 @@ func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request, resource
 			writeError(w, err)
 			return
 		}
+		buf := getScratch()
+		defer buf.release()
+		if buf.b, err = odata.AppendPage(buf.b[:0], res.Entities); err != nil {
+			writeError(w, err)
+			return
+		}
 		if !res.Next.IsZero() {
-			w.Header().Set("x-ms-continuation-NextPartitionKey", res.Next.NextPartitionKey)
-			w.Header().Set("x-ms-continuation-NextRowKey", res.Next.NextRowKey)
+			setHeader(w.Header(), hNextPartitionKey, res.Next.NextPartitionKey)
+			setHeader(w.Header(), hNextRowKey, res.Next.NextRowKey)
 		}
-		var values []json.RawMessage
-		for _, e := range res.Entities {
-			raw, err := odata.EncodeEntity(e)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			values = append(values, raw)
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"value": values})
+		writeBody(w, http.StatusOK, jsonType, buf.b)
 	default:
 		writeMethodNotAllowed(w, r)
 	}
 }
 
 func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table, pk, rk string) {
-	ifMatch := r.Header.Get("If-Match")
+	ifMatch := r.Header.Get(hIfMatch)
 	switch r.Method {
 	case http.MethodGet:
 		done := engineStart(r)
@@ -175,7 +180,7 @@ func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table
 			writeError(w, err)
 			return
 		}
-		w.Header().Set("ETag", e.ETag)
+		setHeader(w.Header(), hETag, e.ETag)
 		writeEntityJSON(w, http.StatusOK, e)
 	case http.MethodPut: // Replace (or InsertOrReplace when no If-Match)
 		e, err := readEntity(r)
@@ -196,7 +201,7 @@ func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table
 			writeError(w, err)
 			return
 		}
-		w.Header().Set("ETag", stored.ETag)
+		setHeader(w.Header(), hETag, stored.ETag)
 		w.WriteHeader(http.StatusNoContent)
 	case "MERGE": // Merge (or InsertOrMerge when no If-Match)
 		e, err := readEntity(r)
@@ -217,7 +222,7 @@ func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table
 			writeError(w, err)
 			return
 		}
-		w.Header().Set("ETag", stored.ETag)
+		setHeader(w.Header(), hETag, stored.ETag)
 		w.WriteHeader(http.StatusNoContent)
 	case http.MethodDelete:
 		if ifMatch == "" {
@@ -236,26 +241,30 @@ func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table
 }
 
 func readEntity(r *http.Request) (*tablestore.Entity, error) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 2*storecommon.MaxEntitySize))
+	buf := getScratch()
+	defer buf.release()
+	raw, err := readBody(r, 2*storecommon.MaxEntitySize, buf)
 	if err != nil {
-		return nil, storecommon.Errf(storecommon.CodeInvalidInput, 400, "reading body: %v", err)
+		return nil, err
 	}
-	return odata.DecodeEntity(raw)
+	return odata.DecodeEntity(raw) // which keeps nothing of raw
 }
 
 func writeEntityJSON(w http.ResponseWriter, status int, e *tablestore.Entity) {
-	raw, err := odata.EncodeEntity(e)
-	if err != nil {
+	buf := getScratch()
+	defer buf.release()
+	var err error
+	if buf.b, err = odata.AppendEntity(buf.b[:0], e); err != nil {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(raw)
+	writeBody(w, status, jsonType, buf.b)
 }
 
+// writeJSON serves the table-level operations (create, list); entities
+// and pages go through package odata.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	var buf bytes.Buffer
+	json.NewEncoder(&buf).Encode(v)
+	writeBody(w, status, jsonType, buf.Bytes())
 }

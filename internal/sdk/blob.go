@@ -84,7 +84,7 @@ func (b *BlobClient) Upload(container, blob string, data []byte) error {
 	_, err := b.c.do(request{op: "Upload",
 		method:  http.MethodPut,
 		path:    blobPath(container, blob),
-		headers: map[string]string{"x-ms-blob-type": "BlockBlob"},
+		headers: []header{{hBlobType, "BlockBlob"}},
 		body:    data,
 	})
 	return err
@@ -145,9 +145,9 @@ func (b *BlobClient) CreatePageBlob(container, blob string, size int64) error {
 	_, err := b.c.do(request{op: "CreatePageBlob",
 		method: http.MethodPut,
 		path:   blobPath(container, blob),
-		headers: map[string]string{
-			"x-ms-blob-type":           "PageBlob",
-			"x-ms-blob-content-length": strconv.FormatInt(size, 10),
+		headers: []header{
+			{hBlobType, "PageBlob"},
+			{hBlobContentLength, strconv.FormatInt(size, 10)},
 		},
 	})
 	return err
@@ -159,9 +159,9 @@ func (b *BlobClient) PutPages(container, blob string, off int64, data []byte) er
 		method: http.MethodPut,
 		path:   blobPath(container, blob),
 		query:  url.Values{"comp": {"page"}},
-		headers: map[string]string{
-			"x-ms-range":      rangeHeader(off, int64(len(data))),
-			"x-ms-page-write": "update",
+		headers: []header{
+			{hMsRange, rangeHeader(off, int64(len(data)))},
+			{hPageWrite, "update"},
 		},
 		body: data,
 	})
@@ -174,9 +174,9 @@ func (b *BlobClient) ClearPages(container, blob string, off, n int64) error {
 		method: http.MethodPut,
 		path:   blobPath(container, blob),
 		query:  url.Values{"comp": {"page"}},
-		headers: map[string]string{
-			"x-ms-range":      rangeHeader(off, n),
-			"x-ms-page-write": "clear",
+		headers: []header{
+			{hMsRange, rangeHeader(off, n)},
+			{hPageWrite, "clear"},
 		},
 	})
 	return err
@@ -218,7 +218,7 @@ func (b *BlobClient) DownloadRange(container, blob string, off, n int64) ([]byte
 	resp, err := b.c.do(request{op: "DownloadRange",
 		method:  http.MethodGet,
 		path:    blobPath(container, blob),
-		headers: map[string]string{"x-ms-range": rangeHeader(off, n)},
+		headers: []header{{hMsRange, rangeHeader(off, n)}},
 	})
 	if err != nil {
 		return nil, err
@@ -232,13 +232,13 @@ func (b *BlobClient) Props(container, blob string) (BlobProps, error) {
 	if err != nil {
 		return BlobProps{}, err
 	}
-	size, _ := strconv.ParseInt(resp.headers.Get("Content-Length"), 10, 64)
-	lm, _ := time.Parse(http.TimeFormat, resp.headers.Get("Last-Modified"))
+	size, _ := strconv.ParseInt(resp.headers.Get(hContentLength), 10, 64)
+	lm, _ := time.Parse(http.TimeFormat, resp.headers.Get(hLastModified))
 	return BlobProps{
-		ETag:         resp.headers.Get("ETag"),
-		BlobType:     resp.headers.Get("x-ms-blob-type"),
+		ETag:         resp.headers.Get(hETag),
+		BlobType:     resp.headers.Get(hBlobType),
 		Size:         size,
-		LeaseStatus:  resp.headers.Get("x-ms-lease-status"),
+		LeaseStatus:  resp.headers.Get(hLeaseStatus),
 		LastModified: lm,
 	}, nil
 }
@@ -259,7 +259,7 @@ func (b *BlobClient) Snapshot(container, blob string) (time.Time, error) {
 	if err != nil {
 		return time.Time{}, err
 	}
-	return time.Parse(time.RFC3339Nano, resp.headers.Get("x-ms-snapshot"))
+	return time.Parse(time.RFC3339Nano, resp.headers.Get(hSnapshot))
 }
 
 // DownloadSnapshot fetches the content of a snapshot.
@@ -282,15 +282,15 @@ func (b *BlobClient) AcquireLease(container, blob string, seconds int) (string, 
 		method: http.MethodPut,
 		path:   blobPath(container, blob),
 		query:  url.Values{"comp": {"lease"}},
-		headers: map[string]string{
-			"x-ms-lease-action":   "acquire",
-			"x-ms-lease-duration": strconv.Itoa(seconds),
+		headers: []header{
+			{hLeaseAction, "acquire"},
+			{hLeaseDuration, strconv.Itoa(seconds)},
 		},
 	})
 	if err != nil {
 		return "", err
 	}
-	return resp.headers.Get("x-ms-lease-id"), nil
+	return resp.headers.Get(hLeaseID), nil
 }
 
 // ReleaseLease releases a held lease.
@@ -299,9 +299,9 @@ func (b *BlobClient) ReleaseLease(container, blob, leaseID string) error {
 		method: http.MethodPut,
 		path:   blobPath(container, blob),
 		query:  url.Values{"comp": {"lease"}},
-		headers: map[string]string{
-			"x-ms-lease-action": "release",
-			"x-ms-lease-id":     leaseID,
+		headers: []header{
+			{hLeaseAction, "release"},
+			{hLeaseID, leaseID},
 		},
 	})
 	return err
@@ -313,7 +313,7 @@ func (b *BlobClient) BreakLease(container, blob string) error {
 		method:  http.MethodPut,
 		path:    blobPath(container, blob),
 		query:   url.Values{"comp": {"lease"}},
-		headers: map[string]string{"x-ms-lease-action": "break"},
+		headers: []header{{hLeaseAction, "break"}},
 	})
 	return err
 }

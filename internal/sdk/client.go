@@ -25,7 +25,14 @@ import (
 
 // Client is a connection to one emulator endpoint.
 type Client struct {
-	base   string
+	// base is the endpoint, parsed once; every request copies it and fills
+	// in path and query. basePath and baseRawPath are its path, decoded and
+	// encoded, without the trailing slash. baseErr is why baseURL did not
+	// parse; every request then fails with it.
+	base                  url.URL
+	basePath, baseRawPath string
+	baseErr               error
+
 	http   *http.Client
 	policy retry.Policy
 	// jitter supplies the backoff jitter as uniform floats in [0, 1). nil
@@ -69,11 +76,16 @@ func New(baseURL string, httpClient *http.Client, policy retry.Policy) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{
-		base:   strings.TrimRight(baseURL, "/"),
-		http:   httpClient,
-		policy: policy,
+	c := &Client{http: httpClient, policy: policy}
+	u, err := url.Parse(baseURL)
+	if err != nil {
+		c.baseErr = err
+		return c
 	}
+	c.base = *u
+	c.basePath = strings.TrimRight(u.Path, "/")
+	c.baseRawPath = strings.TrimRight(u.EscapedPath(), "/")
+	return c
 }
 
 // SetTrace enables end-to-end causal tracing: every request carries a
@@ -112,11 +124,41 @@ func (c *Client) Table() *TableClient { return &TableClient{c: c} }
 type request struct {
 	op      string // typed operation name (e.g. "PutBlock"), for tracing
 	method  string
-	path    string // service-relative, e.g. "/blob/c/b"
+	path    string // service-relative and already escaped, e.g. "/blob/c/b"
 	query   url.Values
-	headers map[string]string
+	headers []header
 	body    []byte
 }
+
+// header is one request header; key is in net/http's canonical form (the
+// constants below), so it goes into the header map as it is.
+type header struct{ key, value string }
+
+// Header keys in net/http's canonical form: Header.Set and Get
+// canonicalise their key first, which allocates for every key that is not
+// already canonical — all the x-ms-* ones.
+const (
+	hETag              = "Etag"
+	hIfMatch           = "If-Match"
+	hContentLength     = "Content-Length"
+	hLastModified      = "Last-Modified"
+	hErrorCode         = "X-Ms-Error-Code"
+	hMsRange           = "X-Ms-Range"
+	hPageWrite         = "X-Ms-Page-Write"
+	hBlobType          = "X-Ms-Blob-Type"
+	hBlobContentLength = "X-Ms-Blob-Content-Length"
+	hSnapshot          = "X-Ms-Snapshot"
+	hLeaseAction       = "X-Ms-Lease-Action"
+	hLeaseDuration     = "X-Ms-Lease-Duration"
+	hLeaseID           = "X-Ms-Lease-Id"
+	hLeaseStatus       = "X-Ms-Lease-Status"
+	hNextPartitionKey  = "X-Ms-Continuation-Nextpartitionkey"
+	hNextRowKey        = "X-Ms-Continuation-Nextrowkey"
+	hApproximateCount  = "X-Ms-Approximate-Messages-Count"
+	hPopReceipt        = "X-Ms-Popreceipt"
+	hTraceparent       = "Traceparent"
+	hBenchOp           = "X-Bench-Op"
+)
 
 // response captures what callers need.
 type response struct {
@@ -129,7 +171,7 @@ type response struct {
 // errors to storecommon errors. Transport failures (the connection died
 // before an HTTP status arrived) surface as ConnectionReset storage
 // errors, which the resilient policies classify as retriable.
-func (c *Client) do(req request) (*response, error) {
+func (c *Client) do(req request) (response, error) {
 	jitter := c.jitter
 	if jitter == nil {
 		//azlint:allow seededrand(live-mode default; Client.jitter takes a seeded source for reproducible schedules)
@@ -172,7 +214,7 @@ func (c *Client) do(req request) (*response, error) {
 			if err == nil {
 				op.Bytes += int64(len(resp.body))
 				if resp.status >= 400 {
-					op.Err = resp.headers.Get("x-ms-error-code")
+					op.Err = resp.headers.Get(hErrorCode)
 				}
 			} else {
 				op.Err = string(storecommon.CodeOf(err))
@@ -198,49 +240,82 @@ func (c *Client) do(req request) (*response, error) {
 	}
 }
 
-func (c *Client) once(req request, traceparent string) (*response, error) {
-	u := c.base + req.path
+// once makes one attempt. The http.Request is assembled directly over a
+// copy of the parsed endpoint: nothing is formatted into a URL string only
+// to be parsed again.
+func (c *Client) once(req request, traceparent string) (response, error) {
+	if c.baseErr != nil {
+		return response{}, fmt.Errorf("sdk: building request: %w", c.baseErr)
+	}
+	// The path arrives escaped and goes out as written (RawPath); Path is
+	// the decoded form net/http checks it against, the same string unless
+	// something was escaped.
+	decoded := req.path
+	if strings.IndexByte(decoded, '%') >= 0 {
+		var err error
+		if decoded, err = url.PathUnescape(decoded); err != nil {
+			return response{}, fmt.Errorf("sdk: building request: %w", err)
+		}
+	}
+	u := c.base
+	u.Path, u.RawPath = c.basePath+decoded, c.baseRawPath+req.path
 	if len(req.query) > 0 {
-		u += "?" + req.query.Encode()
+		u.RawQuery = req.query.Encode()
 	}
-	var body io.Reader
-	if req.body != nil {
-		body = bytes.NewReader(req.body)
-	}
-	hreq, err := http.NewRequest(req.method, u, body)
-	if err != nil {
-		return nil, fmt.Errorf("sdk: building request: %w", err)
-	}
-	for k, v := range req.headers {
-		hreq.Header.Set(k, v)
+	h := make(http.Header, len(req.headers)+2)
+	for _, hd := range req.headers {
+		h[hd.key] = []string{hd.value}
 	}
 	if traceparent != "" {
-		hreq.Header.Set("traceparent", traceparent)
+		h[hTraceparent] = []string{traceparent}
 		if req.op != "" {
-			hreq.Header.Set("x-bench-op", req.op)
+			h[hBenchOp] = []string{req.op}
 		}
+	}
+	hreq := &http.Request{
+		Method: req.method, URL: &u, Host: u.Host, Header: h,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}
+	if len(req.body) > 0 {
+		body := req.body
+		hreq.ContentLength = int64(len(body))
+		hreq.Body = io.NopCloser(bytes.NewReader(body))
+		// The transport replays the body when it retries on a connection the
+		// server closed while idle.
+		hreq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 	}
 	hresp, err := c.http.Do(hreq)
 	if err != nil {
-		return nil, storecommon.Errf(storecommon.CodeConnectionReset, 0,
+		return response{}, storecommon.Errf(storecommon.CodeConnectionReset, 0,
 			"sdk: %s %s: %v", req.method, req.path, err)
 	}
 	defer hresp.Body.Close()
-	data, err := io.ReadAll(hresp.Body)
+	// The body is read once into a buffer of its declared size; one of
+	// undeclared length (chunked) grows as it arrives. A HEAD response
+	// declares the length of the body it does not carry.
+	var data []byte
+	switch {
+	case req.method == http.MethodHead:
+	case hresp.ContentLength >= 0:
+		data = make([]byte, hresp.ContentLength)
+		_, err = io.ReadFull(hresp.Body, data)
+	default:
+		data, err = io.ReadAll(hresp.Body)
+	}
 	if err != nil {
-		return nil, storecommon.Errf(storecommon.CodeConnectionReset, 0,
+		return response{}, storecommon.Errf(storecommon.CodeConnectionReset, 0,
 			"sdk: reading %s %s response: %v", req.method, req.path, err)
 	}
-	return &response{status: hresp.StatusCode, headers: hresp.Header, body: data}, nil
+	return response{status: hresp.StatusCode, headers: hresp.Header, body: data}, nil
 }
 
 // decodeError converts a REST error response into a *storecommon.Error.
-func decodeError(resp *response) error {
+func decodeError(resp response) error {
 	var xe struct {
 		Code    string `xml:"Code"`
 		Message string `xml:"Message"`
 	}
-	code := resp.headers.Get("x-ms-error-code")
+	code := resp.headers.Get(hErrorCode)
 	msg := ""
 	if err := xml.Unmarshal(resp.body, &xe); err == nil {
 		if code == "" {
@@ -258,3 +333,21 @@ func decodeError(resp *response) error {
 }
 
 func esc(s string) string { return url.PathEscape(s) }
+
+// appendEsc appends s to dst escaped as esc escapes it; inKey first
+// doubles each single quote, OData's escape inside a quoted key.
+func appendEsc(dst []byte, s string, inKey bool) []byte {
+	const upperHex = "0123456789ABCDEF"
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte("-_.~$&+:=@", c) >= 0:
+			dst = append(dst, c)
+		case c == '\'' && inKey:
+			dst = append(dst, "%27%27"...)
+		default:
+			dst = append(dst, '%', upperHex[c>>4], upperHex[c&0xf])
+		}
+	}
+	return dst
+}

@@ -55,6 +55,13 @@ func (q *QueueClient) List(prefix string) ([]string, error) {
 	return out.Queues, nil
 }
 
+// wireSeconds is d as the wire carries it, in whole seconds, rounded up:
+// rounded down, a sub-second timeout would go out as 0, which the service
+// reads as "use the default" (30 s of invisibility, a week to live).
+func wireSeconds(d time.Duration) string {
+	return strconv.FormatInt(int64((d+time.Second-1)/time.Second), 10)
+}
+
 type queueMessageXML struct {
 	XMLName     xml.Name `xml:"QueueMessage"`
 	MessageText string   `xml:"MessageText"`
@@ -68,7 +75,7 @@ func (q *QueueClient) Put(name string, body []byte, ttl time.Duration) error {
 	}
 	vals := url.Values{}
 	if ttl > 0 {
-		vals.Set("messagettl", strconv.Itoa(int(ttl.Seconds())))
+		vals.Set("messagettl", wireSeconds(ttl))
 	}
 	_, err = q.c.do(request{op: "Put",
 		method: http.MethodPost,
@@ -83,7 +90,7 @@ func (q *QueueClient) Put(name string, body []byte, ttl time.Duration) error {
 func (q *QueueClient) Get(name string, max int, visibility time.Duration) ([]Message, error) {
 	vals := url.Values{"numofmessages": {strconv.Itoa(max)}}
 	if visibility > 0 {
-		vals.Set("visibilitytimeout", strconv.Itoa(int(visibility.Seconds())))
+		vals.Set("visibilitytimeout", wireSeconds(visibility))
 	}
 	return q.fetch(name, vals)
 }
@@ -155,14 +162,14 @@ func (q *QueueClient) Update(name, msgID, popReceipt string, body []byte, visibi
 		path:   "/queue/" + esc(name) + "/messages/" + esc(msgID),
 		query: url.Values{
 			"popreceipt":        {popReceipt},
-			"visibilitytimeout": {strconv.Itoa(int(visibility.Seconds()))},
+			"visibilitytimeout": {wireSeconds(visibility)},
 		},
 		body: msg,
 	})
 	if err != nil {
 		return "", err
 	}
-	return resp.headers.Get("x-ms-popreceipt"), nil
+	return resp.headers.Get(hPopReceipt), nil
 }
 
 // ApproximateCount returns the approximate message count.
@@ -171,7 +178,7 @@ func (q *QueueClient) ApproximateCount(name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return strconv.Atoi(resp.headers.Get("x-ms-approximate-messages-count"))
+	return strconv.Atoi(resp.headers.Get(hApproximateCount))
 }
 
 // Clear removes all messages.

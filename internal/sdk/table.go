@@ -50,22 +50,18 @@ func (t *TableClient) List() ([]string, error) {
 	return names, nil
 }
 
+// entityPath is /table/{table}(PartitionKey='{pk}',RowKey='{rk}'), the
+// names escaped and the keys in the OData key syntax (quotes double).
 func entityPath(table, pk, rk string) string {
-	return fmt.Sprintf("/table/%s(PartitionKey='%s',RowKey='%s')",
-		esc(table), keyEsc(pk), keyEsc(rk))
-}
-
-// keyEsc escapes a key for the OData key syntax (quotes double).
-func keyEsc(k string) string {
-	out := ""
-	for _, r := range k {
-		if r == '\'' {
-			out += "''"
-			continue
-		}
-		out += string(r)
-	}
-	return url.PathEscape(out)
+	var stack [128]byte
+	b := append(stack[:0], "/table/"...)
+	b = appendEsc(b, table, false)
+	b = append(b, "(PartitionKey='"...)
+	b = appendEsc(b, pk, true)
+	b = append(b, "',RowKey='"...)
+	b = appendEsc(b, rk, true)
+	b = append(b, "')"...)
+	return string(b)
 }
 
 // Insert adds an entity; the stored ETag is returned.
@@ -78,7 +74,7 @@ func (t *TableClient) Insert(table string, e *tablestore.Entity) (string, error)
 	if err != nil {
 		return "", err
 	}
-	return resp.headers.Get("ETag"), nil
+	return resp.headers.Get(hETag), nil
 }
 
 // Get retrieves an entity by key.
@@ -91,7 +87,7 @@ func (t *TableClient) Get(table, pk, rk string) (*tablestore.Entity, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tag := resp.headers.Get("ETag"); tag != "" {
+	if tag := resp.headers.Get(hETag); tag != "" {
 		e.ETag = tag
 	}
 	return e, nil
@@ -113,9 +109,9 @@ func (t *TableClient) write(method, table string, e *tablestore.Entity, ifMatch 
 	if err != nil {
 		return "", err
 	}
-	headers := map[string]string{}
+	var headers []header
 	if ifMatch != "" {
-		headers["If-Match"] = ifMatch
+		headers = []header{{hIfMatch, ifMatch}}
 	}
 	resp, err := t.c.do(request{op: "write",
 		method:  method,
@@ -126,7 +122,7 @@ func (t *TableClient) write(method, table string, e *tablestore.Entity, ifMatch 
 	if err != nil {
 		return "", err
 	}
-	return resp.headers.Get("ETag"), nil
+	return resp.headers.Get(hETag), nil
 }
 
 // DeleteEntity deletes an entity under an ETag condition ("*" for
@@ -135,7 +131,7 @@ func (t *TableClient) DeleteEntity(table, pk, rk, ifMatch string) error {
 	_, err := t.c.do(request{op: "DeleteEntity",
 		method:  http.MethodDelete,
 		path:    entityPath(table, pk, rk),
-		headers: map[string]string{"If-Match": ifMatch},
+		headers: []header{{hIfMatch, ifMatch}},
 	})
 	return err
 }
@@ -155,10 +151,9 @@ func (t *TableClient) Query(table, filter string, top int, from tablestore.Conti
 	if top > 0 {
 		q.Set("$top", strconv.Itoa(top))
 	}
-	headers := map[string]string{}
+	var headers []header
 	if !from.IsZero() {
-		headers["x-ms-continuation-NextPartitionKey"] = from.NextPartitionKey
-		headers["x-ms-continuation-NextRowKey"] = from.NextRowKey
+		headers = []header{{hNextPartitionKey, from.NextPartitionKey}, {hNextRowKey, from.NextRowKey}}
 	}
 	resp, err := t.c.do(request{op: "Query",
 		method:  http.MethodGet,
@@ -169,26 +164,17 @@ func (t *TableClient) Query(table, filter string, top int, from tablestore.Conti
 	if err != nil {
 		return QueryPage{}, err
 	}
-	var out struct {
-		Value []json.RawMessage `json:"value"`
-	}
-	if err := json.Unmarshal(resp.body, &out); err != nil {
+	entities, err := odata.DecodePage(resp.body)
+	if err != nil {
 		return QueryPage{}, fmt.Errorf("sdk: bad query result: %w", err)
 	}
-	page := QueryPage{
+	return QueryPage{
+		Entities: entities,
 		Next: tablestore.Continuation{
-			NextPartitionKey: resp.headers.Get("x-ms-continuation-NextPartitionKey"),
-			NextRowKey:       resp.headers.Get("x-ms-continuation-NextRowKey"),
+			NextPartitionKey: resp.headers.Get(hNextPartitionKey),
+			NextRowKey:       resp.headers.Get(hNextRowKey),
 		},
-	}
-	for _, raw := range out.Value {
-		e, err := odata.DecodeEntity(raw)
-		if err != nil {
-			return QueryPage{}, err
-		}
-		page.Entities = append(page.Entities, e)
-	}
-	return page, nil
+	}, nil
 }
 
 // QueryAll drains a query across continuations.
