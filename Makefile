@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-bench race race-live trace-smoke fuzz-smoke results quick scenarios scenarios-live examples unreached check clean
+.PHONY: all build vet lint test test-bench race race-live trace-smoke fuzz-smoke results results-check width-smoke quick scenarios scenarios-live examples unreached check clean
 
 all: build vet lint test
 
@@ -74,9 +74,32 @@ trace-smoke:
 	bin/aztrace critpath -n 1 bin/trace-smoke.jsonl | tee bin/trace-smoke.txt | grep -q 'critical path'
 	test -s bin/trace-smoke.txt
 
-# Regenerate every table and figure at paper scale (~2 min).
+# Regenerate every table and figure at paper scale (under half a minute on
+# two cores; GOMAXPROCS=1 is the serial run, ≈ 45 s). The last line on
+# stderr is the run's own wall time against the sum of its experiments'.
 results:
 	$(GO) run ./cmd/azurebench -experiment all -csv | tee results_full.txt
+
+# Is the committed results_full.txt what this tree produces? Wall-time
+# lines aside, it must be, at whatever GOMAXPROCS this runs under.
+results-check:
+	$(GO) build -o bin/azurebench ./cmd/azurebench
+	bin/azurebench -experiment all -csv | grep -v "wall time" > bin/results-check.txt
+	grep -v "wall time" results_full.txt | diff - bin/results-check.txt
+
+# The run's bytes must not depend on its width: stdout, digests and CSV of
+# the whole quick suite, and -telemetry/-statsfile output of two experiments
+# that attach samplers and partition records, at GOMAXPROCS 1 against 4.
+width-smoke:
+	$(GO) build -o bin/azurebench ./cmd/azurebench
+	for p in 1 4; do \
+		GOMAXPROCS=$$p bin/azurebench -quick -csv -digest | grep -v "wall time" > bin/width-$$p.txt || exit 1; \
+		GOMAXPROCS=$$p bin/azurebench -quick -experiment fig6,hotspot -telemetry -statsfile bin/width-$$p.jsonl \
+			| grep -v "wall time" > bin/width-tel-$$p.txt || exit 1; \
+	done
+	diff bin/width-1.txt bin/width-4.txt
+	diff bin/width-tel-1.txt bin/width-tel-4.txt
+	cmp bin/width-1.jsonl bin/width-4.jsonl
 
 quick:
 	$(GO) run ./cmd/azurebench -quick

@@ -230,50 +230,89 @@ func scenarioPaths(list, dir string) []string {
 	return paths
 }
 
-// runExperiments runs registered experiments on one shared suite. All ids
-// are validated before anything runs, so a typo late in the list cannot
-// waste a long run. checkpointAt/checkpointFile, when set, arm a
-// mid-run snapshot capture and require exactly one experiment id.
+// inOrder calls run(0) … run(n-1), started in index order with at most
+// width of them in flight, and emit(i) as soon as run(i) and every earlier
+// run have returned: what emit prints is what a serial loop would print,
+// whatever the width. It returns once every run has.
+func inOrder(n, width int, run, emit func(i int)) {
+	done := make([]chan struct{}, n)
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	go func() {
+		inFlight := make(chan struct{}, width)
+		for i := range done {
+			inFlight <- struct{}{}
+			go func() {
+				defer close(done[i])
+				run(i)
+				<-inFlight
+			}()
+		}
+	}()
+	for i := range done {
+		<-done[i]
+		emit(i)
+	}
+}
+
+// runExperiments runs registered experiments, each on its own lane of one
+// suite: they overlap up to the suite's width, their data points share its
+// token pool, and they are emitted in the order given. All ids are
+// validated before anything runs, so a typo late in the list cannot waste
+// a long run. checkpointAt/checkpointFile, when set, arm a mid-run
+// snapshot capture and require exactly one experiment id.
 func runExperiments(cfg core.Config, list string, out *output, checkpointAt time.Duration, checkpointFile string) {
-	ids := strings.Split(list, ",")
+	var exps []core.Experiment
 	if list == "all" {
-		ids = nil
-		for _, e := range core.Experiments() {
-			ids = append(ids, e.ID)
+		exps = core.Experiments()
+	} else {
+		var unknown []string
+		for _, id := range strings.Split(list, ",") {
+			id = strings.TrimSpace(id)
+			if id == "" {
+				fatalf("bad -experiment: empty id in %q", list)
+			}
+			exp, ok := core.Lookup(id)
+			if !ok {
+				unknown = append(unknown, strconv.Quote(id))
+			}
+			exps = append(exps, exp)
 		}
-	}
-	var unknown []string
-	for i, id := range ids {
-		ids[i] = strings.TrimSpace(id)
-		if ids[i] == "" {
-			fatalf("bad -experiment: empty id in %q", list)
+		if len(unknown) > 0 {
+			var valid []string
+			for _, e := range core.Experiments() {
+				valid = append(valid, e.ID)
+			}
+			fatalf("unknown experiment(s) %s (valid: %s)",
+				strings.Join(unknown, ", "), strings.Join(valid, ", "))
 		}
-		if _, ok := core.Lookup(ids[i]); !ok {
-			unknown = append(unknown, strconv.Quote(ids[i]))
-		}
-	}
-	if len(unknown) > 0 {
-		var valid []string
-		for _, e := range core.Experiments() {
-			valid = append(valid, e.ID)
-		}
-		fatalf("unknown experiment(s) %s (valid: %s)",
-			strings.Join(unknown, ", "), strings.Join(valid, ", "))
 	}
 	suite := core.NewSuite(cfg)
 	if checkpointAt > 0 {
-		if len(ids) != 1 || list == "all" {
+		if len(exps) != 1 || list == "all" {
 			fatalf("-checkpoint-at requires exactly one -experiment id (got %q)", list)
 		}
-		if err := suite.Checkpoint(ids[0], checkpointAt, checkpointFile); err != nil {
+		if err := suite.Checkpoint(exps[0].ID, checkpointAt, checkpointFile); err != nil {
 			fatalf("%v", err)
 		}
 	}
-	for _, id := range ids {
-		exp, _ := core.Lookup(id)
-		rep := exp.Run(suite)
-		out.emit(suite, rep, "")
+	lanes := make([]*core.Suite, len(exps))
+	for i := range lanes {
+		lanes[i] = suite.Lane(cfg)
 	}
+	reps := make([]*core.Report, len(exps))
+	var sum time.Duration
+	elapsed := core.WallTimer()
+	inOrder(len(exps), suite.Width(),
+		func(i int) { reps[i] = exps[i].Run(lanes[i]) },
+		func(i int) {
+			out.emit(lanes[i], reps[i], "")
+			sum += reps[i].Wall
+		})
+	// The run's own speed-up, on stderr so stdout stays byte-stable.
+	fmt.Fprintf(os.Stderr, "regenerated %d experiments in %v at width %d; Σ experiment wall %v\n",
+		len(exps), elapsed().Round(100*time.Millisecond), suite.Width(), sum.Round(100*time.Millisecond))
 	if checkpointAt > 0 {
 		if err := suite.CheckpointOutcome(); err != nil {
 			fatalf("%v", err)
@@ -286,9 +325,19 @@ func runExperiments(cfg core.Config, list string, out *output, checkpointAt time
 // runScenarios loads and runs each scenario on its own suite (a scenario
 // may patch the configuration, and isolation keeps digests comparable to
 // single-experiment runs) or, with a live endpoint, against that emulator.
+// Simulated files are lanes of one suite and overlap as experiments do;
+// live runs, which share the emulator and the wall clock, and traced runs
+// go one at a time. Reports, SLO verdicts and -statsfile records come out
+// in path order either way.
 func runScenarios(base core.Config, paths []string, live string, opts scenario.Options, out *output) {
+	root := core.NewSuite(base)
+	width := root.Width()
+	if live != "" {
+		width = 1
+	}
 	// Load everything first: a broken file fails fast, before any run.
 	specs := make([]*scenario.Spec, len(paths))
+	suites := make([]*core.Suite, len(paths)) // a live run uses only its seed
 	for i, path := range paths {
 		sp, err := scenario.Load(path)
 		if err == nil && live != "" {
@@ -297,33 +346,35 @@ func runScenarios(base core.Config, paths []string, live string, opts scenario.O
 		if err != nil {
 			fatalf("%v", err)
 		}
-		specs[i] = sp
-	}
-	for i, sp := range specs {
 		cfg := base
 		sp.Apply(&cfg)
-		var suite *core.Suite // nil for a live run
-		var res *scenario.Result
-		var err error
-		if live != "" {
-			res, err = liverun.Run(live, sp, cfg.Seed, opts)
-		} else {
-			suite = core.NewSuite(cfg)
-			res, err = scenario.Run(suite, sp, opts)
-		}
-		if err != nil {
-			fatalf("%s: %v", paths[i], err)
-		}
-		verdict := ""
-		if len(res.SLO) > 0 {
-			verdict = res.RenderSLO()
-			if !res.Passed() {
-				out.verdict = false
-			}
-		}
-		out.emit(suite, res.Report, verdict)
-		out.stats(suite)
+		specs[i], suites[i] = sp, root.Lane(cfg)
 	}
+	results := make([]*scenario.Result, len(specs))
+	errs := make([]error, len(specs))
+	inOrder(len(specs), width,
+		func(i int) {
+			if live != "" {
+				results[i], errs[i] = liverun.Run(live, specs[i], suites[i].Config().Seed, opts)
+			} else {
+				results[i], errs[i] = scenario.Run(suites[i], specs[i], opts)
+			}
+		},
+		func(i int) {
+			if errs[i] != nil {
+				fatalf("%s: %v", paths[i], errs[i])
+			}
+			res := results[i]
+			verdict := ""
+			if len(res.SLO) > 0 {
+				verdict = res.RenderSLO()
+				if !res.Passed() {
+					out.verdict = false
+				}
+			}
+			out.emit(suites[i], res.Report, verdict)
+			out.stats(suites[i])
+		})
 }
 
 // output is the shared per-report sink: rendering, SLO verdicts, digests,
@@ -352,9 +403,7 @@ func (o *output) emit(suite *core.Suite, rep *core.Report, verdict string) {
 			fatalf("writing %s report: %v", rep.ID, err)
 		}
 	}
-	// A live scenario run has no suite, and nothing traced.
-	if suite != nil && suite.TraceLog() != nil {
-		log := suite.TraceLog()
+	if log := suite.TraceLog(); log != nil {
 		if o.trace {
 			fmt.Printf("--- operation trace: %s ---\n%s\n", rep.ID, log.Summary())
 			fmt.Printf("--- stage attribution: %s ---\n%s\n", rep.ID, log.StageSummary())

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"azurebench/internal/core"
@@ -31,6 +32,49 @@ func TestParseIntsErrors(t *testing.T) {
 	for _, bad := range []string{"", "x", "1,,2", "0", "-3", "1,x"} {
 		if _, err := parseInts(bad); err == nil {
 			t.Errorf("parseInts(%q) accepted", bad)
+		}
+	}
+}
+
+// TestInOrder: whatever order the runs finish in — here the reverse of
+// the one they start in, as far as the width allows — emit sees 0, 1, 2, …,
+// each only after its own run, and no more than width runs overlap.
+func TestInOrder(t *testing.T) {
+	for _, width := range []int{1, 3, 8} {
+		const n = 8
+		var inFlight atomic.Int32
+		finished := make([]atomic.Bool, n)
+		release := make([]chan struct{}, n)
+		for i := range release {
+			release[i] = make(chan struct{}, 1)
+		}
+		var emitted []int
+		inOrder(n, width, func(i int) {
+			if now := inFlight.Add(1); int(now) > width {
+				t.Errorf("width %d: %d runs in flight", width, now)
+			}
+			// Wait for the run after this one unless it cannot have started.
+			if (i+1)%width != 0 && i+1 < n {
+				<-release[i]
+			}
+			if i > 0 {
+				release[i-1] <- struct{}{}
+			}
+			finished[i].Store(true)
+			inFlight.Add(-1)
+		}, func(i int) {
+			if !finished[i].Load() {
+				t.Errorf("width %d: emit(%d) before run(%d) returned", width, i, i)
+			}
+			emitted = append(emitted, i)
+		})
+		for i, got := range emitted {
+			if got != i {
+				t.Fatalf("width %d: emitted %v", width, emitted)
+			}
+		}
+		if len(emitted) != n {
+			t.Errorf("width %d: %d of %d emitted", width, len(emitted), n)
 		}
 	}
 }

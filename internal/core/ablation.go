@@ -23,9 +23,10 @@ func (s *Suite) RunNetModel() *Report {
 	}
 	prm := s.cfg.Params
 	blobBytes := int64(s.cfg.BlobMB) << 20
-	for _, w := range sortedCopy(s.cfg.Workers) {
-		st := s.runBlobPoint(w)
-		measured := metrics.MBps(blobBytes*int64(w), st[phBlockFull].makespan)
+	workers := sortedCopy(s.cfg.Workers)
+	pts := sweep(s, len(workers), func(i int) *point { return s.runBlobPoint(workers[i]) })
+	for i, w := range workers {
+		measured := metrics.MBps(blobBytes*int64(w), pts[i].st[phBlockFull].makespan)
 		fig.AddPoint("DES measured", float64(w), measured)
 
 		flows := netmodel.BlobDownloadScenario(w,
@@ -36,7 +37,7 @@ func (s *Suite) RunNetModel() *Report {
 		}
 		fig.AddPoint("fair-share predicted", float64(w), netmodel.Aggregate(flows)/(1<<20))
 	}
-	return &Report{
+	return finish(s, &Report{
 		ID:      "netmodel",
 		Title:   "Network-model cross-check (DES vs analytical max-min fair share)",
 		Figures: []metrics.Figure{fig},
@@ -45,7 +46,7 @@ func (s *Suite) RunNetModel() *Report {
 			"the crossover from NIC-bound to replica-bound falls at pool/NIC ≈ 14 workers for Small VMs",
 		},
 		Wall: wall(),
-	}
+	}, pts)
 }
 
 // RunAblation quantifies the design choices DESIGN.md calls out by
@@ -67,6 +68,34 @@ func (s *Suite) RunAblation() *Report {
 	}
 	blobBytes := int64(cfg.BlobMB) << 20
 
+	// The 13 points, one model knob changed in each, in figure order.
+	var points []func() *point
+	knob := func(mutate func(*paramsAlias), run func(sub *Suite) *point) {
+		points = append(points, func() *point { return run(s.withParams(mutate)) })
+	}
+	replicas := []int{1, 2, 3}
+	for _, n := range replicas {
+		knob(func(p *paramsAlias) { p.Replicas, p.BlobReadReplicas = n, n },
+			func(sub *Suite) *point { return sub.runBlobPoint(w) })
+	}
+	tableServers := []int{2, 4, 8, 16}
+	for _, n := range tableServers {
+		knob(func(p *paramsAlias) { p.TableServers = n },
+			func(sub *Suite) *point { return sub.runTablePoint(w, 64) })
+	}
+	quirkSizesKB := []int{8, 16, 32}
+	for _, enabled := range []bool{true, false} {
+		for _, sizeKB := range quirkSizesKB {
+			knob(func(p *paramsAlias) { p.Quirk16KBGet = enabled },
+				func(sub *Suite) *point {
+					return sub.runQueuePerWorkerPoint(4, sizeKB, fmt.Sprintf("ablation-quirk/%dKB", sizeKB))
+				})
+		}
+	}
+	pts := sweep(s, len(points), func(i int) *point { return points[i]() })
+	next := 0
+	take := func() map[string]phaseStats { next++; return pts[next-1].st }
+
 	repl := metrics.Figure{
 		Title:  "Ablation: write replication factor vs upload throughput",
 		XLabel: "replicas",
@@ -77,15 +106,11 @@ func (s *Suite) RunAblation() *Report {
 		XLabel: "read replicas",
 		YLabel: "MB/s (aggregate)",
 	}
-	for replicas := 1; replicas <= 3; replicas++ {
-		sub := s.withParams(func(p *paramsAlias) {
-			p.Replicas = replicas
-			p.BlobReadReplicas = replicas
-		})
-		st := sub.runBlobPoint(w)
-		repl.AddPoint("PageUpload", float64(replicas), metrics.MBps(blobBytes, st[phPageUpload].makespan))
-		repl.AddPoint("BlockUpload", float64(replicas), metrics.MBps(blobBytes, st[phBlockUp].makespan))
-		readRep.AddPoint("BlockDownload", float64(replicas), metrics.MBps(blobBytes*int64(w), st[phBlockFull].makespan))
+	for _, n := range replicas {
+		st := take()
+		repl.AddPoint("PageUpload", float64(n), metrics.MBps(blobBytes, st[phPageUpload].makespan))
+		repl.AddPoint("BlockUpload", float64(n), metrics.MBps(blobBytes, st[phBlockUp].makespan))
+		readRep.AddPoint("BlockDownload", float64(n), metrics.MBps(blobBytes*int64(w), st[phBlockFull].makespan))
 	}
 
 	tableSrv := metrics.Figure{
@@ -93,10 +118,8 @@ func (s *Suite) RunAblation() *Report {
 		XLabel: "table servers",
 		YLabel: fmt.Sprintf("seconds (mean per worker, %d workers, 64KB)", w),
 	}
-	for _, servers := range []int{2, 4, 8, 16} {
-		sub := s.withParams(func(p *paramsAlias) { p.TableServers = servers })
-		st := sub.runTablePoint(w, 64)
-		tableSrv.AddPoint("insert", float64(servers), st[phTabInsert].mean.Seconds())
+	for _, n := range tableServers {
+		tableSrv.AddPoint("insert", float64(n), take()[phTabInsert].mean.Seconds())
 	}
 
 	quirk := metrics.Figure{
@@ -104,20 +127,14 @@ func (s *Suite) RunAblation() *Report {
 		XLabel: "message size KB",
 		YLabel: "ms (mean per get+delete)",
 	}
-	for _, enabled := range []bool{true, false} {
-		series := "quirk off"
-		if enabled {
-			series = "quirk on (paper's observation)"
-		}
-		sub := s.withParams(func(p *paramsAlias) { p.Quirk16KBGet = enabled })
-		for _, sizeKB := range []int{8, 16, 32} {
-			st, _ := sub.runQueuePerWorkerPoint(4, sizeKB, fmt.Sprintf("ablation-quirk/%dKB", sizeKB))
-			stats := st[phQueueGet]
+	for _, series := range []string{"quirk on (paper's observation)", "quirk off"} {
+		for _, sizeKB := range quirkSizesKB {
+			stats := take()[phQueueGet]
 			quirk.AddPoint(series, float64(sizeKB), float64(stats.ops.Mean())/float64(time.Millisecond))
 		}
 	}
 
-	return &Report{
+	return finish(s, &Report{
 		ID:      "ablation",
 		Title:   "Model ablations (replication, read fan-out, table servers, 16KB quirk)",
 		Figures: []metrics.Figure{repl, readRep, tableSrv, quirk},
@@ -127,23 +144,18 @@ func (s *Suite) RunAblation() *Report {
 			fmt.Sprintf("run at %d workers; storage volumes as configured (%d MB blobs)", w, cfg.BlobMB),
 		},
 		Wall: wall(),
-	}
+	}, pts)
 }
 
 // paramsAlias names the model parameter struct for the ablation closures.
 type paramsAlias = model.Params
 
-// withParams clones the suite with mutated model parameters. The clone
-// shares the parent's trace log and sampler bag so ablation observability
-// lands in the same exports.
+// withParams returns a view of the suite with mutated model parameters
+// for one data point to be built on. It shares what a point needs from its
+// suite — the trace log, the token pool, an armed checkpoint — and owns
+// nothing: whatever the point produces goes back to s's runner with it.
 func (s *Suite) withParams(mutate func(*paramsAlias)) *Suite {
-	cfg := s.cfg
-	mutate(&cfg.Params)
-	sub := NewSuite(cfg)
-	sub.traceLog = s.traceLog
-	sub.samplers = s.samplers
-	sub.partitions = s.partitions
-	sub.kernel = s.kernel
-	sub.ckpt = s.ckpt
+	sub := &Suite{cfg: s.cfg, traceLog: s.traceLog, slots: s.slots, ckpt: s.ckpt, pointHook: s.pointHook}
+	mutate(&sub.cfg.Params)
 	return sub
 }

@@ -21,7 +21,10 @@ func (s *Suite) RunBarrier() *Report {
 		YLabel: "seconds",
 	}
 	const rounds = 3
-	for _, w := range sortedCopy(s.cfg.Workers) {
+	workers := sortedCopy(s.cfg.Workers)
+	waits := make([]metrics.Dist, len(workers))
+	pts := sweep(s, len(workers), func(i int) *point {
+		w := workers[i]
 		pt := s.newPoint()
 		pt.setup(func(p *sim.Proc, setup *cloud.Client) {
 			mustRetry(p, setup, "create sync queue", func() error {
@@ -29,7 +32,6 @@ func (s *Suite) RunBarrier() *Report {
 				return err
 			})
 		})
-		var waits metrics.Dist
 		pt.workers(w, func(p *sim.Proc, _ int, cl *cloud.Client) {
 			b := roles.NewBarrier(syncQueue, w)
 			for r := 0; r < rounds; r++ {
@@ -39,13 +41,16 @@ func (s *Suite) RunBarrier() *Report {
 				if err := b.Wait(p, cl); err != nil {
 					panic(err)
 				}
-				waits.Add(p.Now() - t0)
+				waits[i].Add(p.Now() - t0)
 			}
 		})
-		fig.AddPoint("mean wait", float64(w), waits.Mean().Seconds())
-		fig.AddPoint("p95 wait", float64(w), waits.Percentile(95).Seconds())
+		return pt
+	})
+	for i, w := range workers {
+		fig.AddPoint("mean wait", float64(w), waits[i].Mean().Seconds())
+		fig.AddPoint("p95 wait", float64(w), waits[i].Percentile(95).Seconds())
 	}
-	return &Report{
+	return finish(s, &Report{
 		ID:      "barrier",
 		Title:   "Queue-message barrier cost (Algorithm 2)",
 		Figures: []metrics.Figure{fig},
@@ -54,5 +59,5 @@ func (s *Suite) RunBarrier() *Report {
 			"phase messages are never deleted; each worker accounts for residue via its synccount, exactly as Algorithm 2 prescribes",
 		},
 		Wall: wall(),
-	}
+	}, pts)
 }

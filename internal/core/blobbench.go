@@ -30,7 +30,7 @@ const (
 )
 
 // runBlobPoint executes Algorithm 1 at one worker count and returns the
-// per-phase aggregates.
+// point with its per-phase aggregates in st.
 //
 // Deviation from the paper's pseudo-code, documented in DESIGN.md: each
 // worker stages its slice of blocks under globally-unique ids, the workers
@@ -40,7 +40,7 @@ const (
 // list. This keeps the paper's per-worker operation count while leaving
 // the blob complete for the download phases (the paper's per-worker lists
 // would leave only the last worker's slice committed).
-func (s *Suite) runBlobPoint(w int) map[string]phaseStats {
+func (s *Suite) runBlobPoint(w int) *point {
 	pt := s.newPoint()
 	cfg := s.cfg
 	chunk := int64(cfg.ChunkMB) << 20
@@ -170,8 +170,10 @@ func (s *Suite) RunFig4() *Report {
 		XLabel: "workers",
 		YLabel: "MB/s (aggregate)",
 	}
-	for _, w := range sortedCopy(s.cfg.Workers) {
-		st := s.runBlobPoint(w)
+	workers := sortedCopy(s.cfg.Workers)
+	pts := sweep(s, len(workers), func(i int) *point { return s.runBlobPoint(workers[i]) })
+	for i, w := range workers {
+		st := pts[i].st
 		x := float64(w)
 		timeFig.AddPoint("BlockUpload", x, st[phBlockUp].mean.Seconds())
 		timeFig.AddPoint("PageUpload", x, st[phPageUpload].mean.Seconds())
@@ -182,7 +184,7 @@ func (s *Suite) RunFig4() *Report {
 		tputFig.AddPoint("BlockDownload", x, metrics.MBps(blobBytes*int64(w), st[phBlockFull].makespan))
 		tputFig.AddPoint("PageDownload", x, metrics.MBps(blobBytes*int64(w), st[phPageFull].makespan))
 	}
-	return &Report{
+	return finish(s, &Report{
 		ID:      "fig4",
 		Title:   "Blob storage upload/download (Algorithm 1)",
 		Figures: []metrics.Figure{tputFig, timeFig},
@@ -191,7 +193,7 @@ func (s *Suite) RunFig4() *Report {
 			"synchronization (Algorithm 2 barrier) time is excluded from phase timings, as in the paper",
 		},
 		Wall: wall(),
-	}
+	}, pts)
 }
 
 // RunFig5 reproduces Figure 5: chunked downloads — random page-wise and
@@ -209,8 +211,10 @@ func (s *Suite) RunFig5() *Report {
 		XLabel: "workers",
 		YLabel: "MB/s (aggregate)",
 	}
-	for _, w := range sortedCopy(s.cfg.Workers) {
-		st := s.runBlobPoint(w)
+	workers := sortedCopy(s.cfg.Workers)
+	pts := sweep(s, len(workers), func(i int) *point { return s.runBlobPoint(workers[i]) })
+	for i, w := range workers {
+		st := pts[i].st
 		x := float64(w)
 		bytes := chunk * int64(s.cfg.ChunkReads) * int64(w)
 		timeFig.AddPoint("PageWise(random)", x, st[phPageChunk].mean.Seconds())
@@ -218,7 +222,7 @@ func (s *Suite) RunFig5() *Report {
 		tputFig.AddPoint("PageWise(random)", x, metrics.MBps(bytes, st[phPageChunk].makespan))
 		tputFig.AddPoint("BlockWise(sequential)", x, metrics.MBps(bytes, st[phBlockChunk].makespan))
 	}
-	return &Report{
+	return finish(s, &Report{
 		ID:      "fig5",
 		Title:   "Blob download one page/block at a time (Algorithm 1, download loops)",
 		Figures: []metrics.Figure{tputFig, timeFig},
@@ -227,7 +231,7 @@ func (s *Suite) RunFig5() *Report {
 			"page reads hit random offsets (page-index lookup overhead); block reads are sequential",
 		},
 		Wall: wall(),
-	}
+	}, pts)
 }
 
 // RunTableI renders the VM configuration catalogue (Table I).

@@ -10,8 +10,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"azurebench/internal/cloud"
@@ -162,7 +165,8 @@ type Report struct {
 	Title   string
 	Figures []metrics.Figure
 	Notes   []string
-	// Wall is the real time the run took, simulated or live; virtual
+	// Wall is the real time the run took, simulated or live, including any
+	// time its data points spent waiting for a pool slot; virtual
 	// durations are in the figures themselves.
 	Wall time.Duration
 	// Kernel is what the simulation kernel did to produce the report,
@@ -178,6 +182,14 @@ type KernelStats struct {
 	Events   uint64
 	Switches uint64
 	PeakHeap int
+}
+
+// Add folds in what env has done so far.
+func (k *KernelStats) Add(env *sim.Env) {
+	events, switches, peak := env.Telemetry()
+	k.Events += events
+	k.Switches += switches
+	k.PeakHeap = max(k.PeakHeap, peak)
 }
 
 // Render formats the full report as text. The kernel counts share the
@@ -215,29 +227,25 @@ type Experiment struct {
 	Run   func(s *Suite) *Report
 }
 
-// Suite binds a configuration to the experiment registry.
+// Suite binds a configuration to the experiment registry. It runs one
+// experiment at a time; runs that overlap each take a Lane.
 type Suite struct {
-	cfg        Config
-	traceLog   *trace.Log
-	samplers   *samplerBag
-	partitions *partitionBag
-	kernel     *kernelBag
+	cfg      Config
+	traceLog *trace.Log
+	// slots is the token pool: a data point holds one of its GOMAXPROCS
+	// slots while its simulation is alive, which bounds memory however
+	// sweeps, sub-suites and lanes nest.
+	slots chan struct{}
 	// ckpt, when non-nil, arms the next simulation environment with a
 	// checkpoint capture or restore-verification hook (see checkpoint.go).
 	ckpt *checkpointCtl
-}
 
-// samplerBag accumulates every sampler the suite's experiments attach; it
-// is shared (by pointer) with parameter-mutated sub-suites so ablation
-// telemetry is not lost.
-type samplerBag struct {
-	list []*telemetry.Sampler
-}
+	// What finished runs' points attached, in run then sweep order.
+	samplers   []*telemetry.Sampler
+	partitions []PartitionRecord
+	lanes      []*Suite
 
-// kernelBag holds the environments built since the last report, shared
-// with sub-suites like the other bags; takeKernelStats empties it.
-type kernelBag struct {
-	envs []*sim.Env
+	pointHook func(delta int) // tests count live points through it
 }
 
 // PartitionRecord is one cloud's partition-master activity summary,
@@ -259,12 +267,6 @@ type PartitionRecord struct {
 	Events []partitionmgr.Event `json:"-"`
 }
 
-// partitionBag accumulates partition records across parameter-mutated
-// sub-suites, mirroring samplerBag.
-type partitionBag struct {
-	list []PartitionRecord
-}
-
 // NewSuite returns a suite over cfg.
 func NewSuite(cfg Config) *Suite {
 	if len(cfg.Workers) == 0 {
@@ -276,11 +278,37 @@ func NewSuite(cfg Config) *Suite {
 	if cfg.Params.RTT == 0 {
 		cfg.Params = model.Default()
 	}
-	s := &Suite{cfg: cfg, samplers: &samplerBag{}, partitions: &partitionBag{}, kernel: &kernelBag{}}
+	s := &Suite{cfg: cfg, slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
 	if cfg.TraceOps {
 		s.traceLog = trace.New(1 << 20)
 	}
 	return s
+}
+
+// Lane returns a suite over cfg for one of several runs that may overlap.
+// It shares s's token pool and armed checkpoint, and what its runs attach
+// reads back through s (Samplers, PartitionStats, WriteStats) in the order
+// the lanes were taken, not the order the runs finish. Take every lane
+// before starting any run.
+func (s *Suite) Lane(cfg Config) *Suite {
+	lane := NewSuite(cfg)
+	lane.slots, lane.ckpt, lane.pointHook = s.slots, s.ckpt, s.pointHook
+	s.lanes = append(s.lanes, lane)
+	return lane
+}
+
+// Width is how many data points (in cmd/azurebench: experiments, scenario
+// files) a run on s keeps in flight. It is GOMAXPROCS — there is no other
+// setting, and GOMAXPROCS=1 is the serial run — with two exceptions at
+// width 1: Config.TraceOps, because the suite's one trace.Log has a record
+// order and a half-eviction that are part of -tracefile's bytes, and an
+// armed checkpoint, which arms "the next environment built". Telemetry is
+// not one: a sampler belongs to its point.
+func (s *Suite) Width() int {
+	if s.traceLog != nil || s.ckpt != nil {
+		return 1
+	}
+	return cap(s.slots)
 }
 
 // TraceLog returns the shared operation log (nil unless Config.TraceOps).
@@ -289,19 +317,27 @@ func (s *Suite) TraceLog() *trace.Log { return s.traceLog }
 // Samplers returns every station sampler the experiments attached, in
 // attachment order (empty unless Config.Telemetry).
 func (s *Suite) Samplers() []*telemetry.Sampler {
-	return append([]*telemetry.Sampler(nil), s.samplers.list...)
+	out := append([]*telemetry.Sampler(nil), s.samplers...)
+	for _, lane := range s.lanes {
+		out = append(out, lane.Samplers()...)
+	}
+	return out
 }
 
 // PartitionStats returns the partition-master records experiments
 // collected, in collection order.
 func (s *Suite) PartitionStats() []PartitionRecord {
-	return append([]PartitionRecord(nil), s.partitions.list...)
+	out := append([]PartitionRecord(nil), s.partitions...)
+	for _, lane := range s.lanes {
+		out = append(out, lane.PartitionStats()...)
+	}
+	return out
 }
 
-// recordPartitions captures one cloud's partition-master outcome.
-func (s *Suite) recordPartitions(label string, c *cloud.Cloud) PartitionRecord {
+// partitionRecord summarises one cloud's partition-master outcome.
+func partitionRecord(label string, c *cloud.Cloud) PartitionRecord {
 	st := c.PartitionMgr().Stats()
-	rec := PartitionRecord{
+	return PartitionRecord{
 		Kind:           "partition",
 		Label:          label,
 		Splits:         st.Splits,
@@ -313,21 +349,19 @@ func (s *Suite) recordPartitions(label string, c *cloud.Cloud) PartitionRecord {
 		Servers:        st.Servers,
 		Events:         c.PartitionMgr().Events(),
 	}
-	s.partitions.list = append(s.partitions.list, rec)
-	return rec
 }
 
 // WriteStats streams every collected telemetry sample as JSONL, one
 // labelled record per line, followed by one record per partition-master
 // summary — the writer behind azurebench's -statsfile.
 func (s *Suite) WriteStats(w io.Writer) error {
-	for _, sp := range s.samplers.list {
+	for _, sp := range s.Samplers() {
 		if err := sp.WriteJSONL(w); err != nil {
 			return err
 		}
 	}
 	enc := json.NewEncoder(w)
-	for _, rec := range s.partitions.list {
+	for _, rec := range s.PartitionStats() {
 		if err := enc.Encode(rec); err != nil {
 			return err
 		}
@@ -338,41 +372,32 @@ func (s *Suite) WriteStats(w io.Writer) error {
 // Config returns the suite's configuration.
 func (s *Suite) Config() Config { return s.cfg }
 
-// Experiments lists the registry in presentation order. Every entry's Run
-// stamps its report with the kernel counts of the environments it built.
-func Experiments() []Experiment {
-	exps := []Experiment{
-		{ID: "table1", Title: "VM configurations (Table I)", Run: (*Suite).RunTableI},
-		{ID: "fig4", Title: "Blob storage upload/download (Figure 4)", Run: (*Suite).RunFig4},
-		{ID: "fig5", Title: "Blob download one page/block at a time (Figure 5)", Run: (*Suite).RunFig5},
-		{ID: "fig6", Title: "Queue benchmarks, separate queue per worker (Figure 6)", Run: (*Suite).RunFig6},
-		{ID: "fig7", Title: "Queue benchmarks, single shared queue (Figure 7)", Run: (*Suite).RunFig7},
-		{ID: "fig8", Title: "Table storage benchmarks (Figure 8)", Run: (*Suite).RunFig8},
-		{ID: "fig9", Title: "Per-operation time, Queue vs Table (Figure 9)", Run: (*Suite).RunFig9},
-		{ID: "throttle", Title: "Scalability-target throttling (ServerBusy + 1s retry)", Run: (*Suite).RunThrottle},
-		{ID: "faults", Title: "Goodput under injected faults with resilient retries", Run: (*Suite).RunFaults},
-		{ID: "hotspot", Title: "Zipfian hotspot: dynamic partition splitting vs static placement", Run: (*Suite).RunHotspot},
-		{ID: "georepl", Title: "Geo-replicated account: RPO/RTO across a region-outage failover and RA-GRS staleness", Run: (*Suite).RunGeorepl},
-		{ID: "barrier", Title: "Queue-message barrier cost (Algorithm 2)", Run: (*Suite).RunBarrier},
-		{ID: "netmodel", Title: "DES vs analytical max-min fair-share cross-check", Run: (*Suite).RunNetModel},
-		{ID: "ablation", Title: "Model ablations (replication, read fan-out, table servers, quirk)", Run: (*Suite).RunAblation},
-		{ID: "cache", Title: "Caching service vs Blob storage for hot objects (future work)", Run: (*Suite).RunCache},
-		{ID: "provision", Title: "Provisioning/deployment timings (future work)", Run: (*Suite).RunProvision},
-	}
-	for i := range exps {
-		run := exps[i].Run
-		exps[i].Run = func(s *Suite) *Report {
-			rep := run(s)
-			rep.Kernel = s.takeKernelStats()
-			return rep
-		}
-	}
-	return exps
+// registry is every experiment in presentation order.
+var registry = []Experiment{
+	{ID: "table1", Title: "VM configurations (Table I)", Run: (*Suite).RunTableI},
+	{ID: "fig4", Title: "Blob storage upload/download (Figure 4)", Run: (*Suite).RunFig4},
+	{ID: "fig5", Title: "Blob download one page/block at a time (Figure 5)", Run: (*Suite).RunFig5},
+	{ID: "fig6", Title: "Queue benchmarks, separate queue per worker (Figure 6)", Run: (*Suite).RunFig6},
+	{ID: "fig7", Title: "Queue benchmarks, single shared queue (Figure 7)", Run: (*Suite).RunFig7},
+	{ID: "fig8", Title: "Table storage benchmarks (Figure 8)", Run: (*Suite).RunFig8},
+	{ID: "fig9", Title: "Per-operation time, Queue vs Table (Figure 9)", Run: (*Suite).RunFig9},
+	{ID: "throttle", Title: "Scalability-target throttling (ServerBusy + 1s retry)", Run: (*Suite).RunThrottle},
+	{ID: "faults", Title: "Goodput under injected faults with resilient retries", Run: (*Suite).RunFaults},
+	{ID: "hotspot", Title: "Zipfian hotspot: dynamic partition splitting vs static placement", Run: (*Suite).RunHotspot},
+	{ID: "georepl", Title: "Geo-replicated account: RPO/RTO across a region-outage failover and RA-GRS staleness", Run: (*Suite).RunGeorepl},
+	{ID: "barrier", Title: "Queue-message barrier cost (Algorithm 2)", Run: (*Suite).RunBarrier},
+	{ID: "netmodel", Title: "DES vs analytical max-min fair-share cross-check", Run: (*Suite).RunNetModel},
+	{ID: "ablation", Title: "Model ablations (replication, read fan-out, table servers, quirk)", Run: (*Suite).RunAblation},
+	{ID: "cache", Title: "Caching service vs Blob storage for hot objects (future work)", Run: (*Suite).RunCache},
+	{ID: "provision", Title: "Provisioning/deployment timings (future work)", Run: (*Suite).RunProvision},
 }
+
+// Experiments lists the registry in presentation order.
+func Experiments() []Experiment { return append([]Experiment(nil), registry...) }
 
 // Lookup finds an experiment by ID.
 func Lookup(id string) (Experiment, bool) {
-	for _, e := range Experiments() {
+	for _, e := range registry {
 		if e.ID == id {
 			return e, true
 		}
@@ -382,31 +407,9 @@ func Lookup(id string) (Experiment, bool) {
 
 // --- shared harness plumbing ---
 
-// newEnv builds a fresh environment for one data point and notes it for
-// the report's kernel counts.
-func (s *Suite) newEnv() *sim.Env {
-	env := sim.NewEnv(s.cfg.Seed)
-	s.kernel.envs = append(s.kernel.envs, env)
-	return env
-}
-
-// takeKernelStats folds the telemetry of every environment built since
-// the last call and forgets them.
-func (s *Suite) takeKernelStats() KernelStats {
-	var k KernelStats
-	for _, env := range s.kernel.envs {
-		events, switches, peak := env.Telemetry()
-		k.Events += events
-		k.Switches += switches
-		k.PeakHeap = max(k.PeakHeap, peak)
-	}
-	s.kernel.envs = nil
-	return k
-}
-
 // newCloud builds a fresh environment + cloud for one data point.
 func (s *Suite) newCloud() (*sim.Env, *cloud.Cloud) {
-	env := s.newEnv()
+	env := sim.NewEnv(s.cfg.Seed)
 	c := cloud.New(env, s.cfg.Params)
 	if s.traceLog != nil {
 		c.SetTrace(s.traceLog)
@@ -419,17 +422,38 @@ func (s *Suite) newCloud() (*sim.Env, *cloud.Cloud) {
 
 // point is one data point of an experiment: a fresh environment and cloud
 // on which an untimed setup process and then a fan-out of worker processes
-// run to completion, the way each of the paper's algorithms is staged.
+// run to completion, the way each of the paper's algorithms is staged. It
+// owns what it produces; the runner reads that back after the sweep.
 type point struct {
-	s       *Suite
-	env     *sim.Env
-	c       *cloud.Cloud
-	results []*workerResult // one per worker of the last fan-out
+	s         *Suite
+	env       *sim.Env
+	c         *cloud.Cloud
+	results   []*workerResult       // one per worker of the last fan-out
+	st        map[string]phaseStats // what stats aggregated from them
+	kernel    KernelStats           // of env, once retired
+	sampler   *telemetry.Sampler    // nil unless telemetry is on and sample ran
+	partition *PartitionRecord      // nil unless the runner took one
 }
 
-func (s *Suite) newPoint() *point {
-	env, c := s.newCloud()
+func (s *Suite) newPoint() *point { return s.pointOn(s.newCloud()) }
+
+// pointOn starts a point on env (c is nil where the runner builds its own
+// clouds); retire ends it.
+func (s *Suite) pointOn(env *sim.Env, c *cloud.Cloud) *point {
+	if s.pointHook != nil {
+		s.pointHook(+1)
+	}
 	return &point{s: s, env: env, c: c}
+}
+
+// retire keeps the environment's kernel counts and drops the simulation:
+// past its pool slot a point is only its results.
+func (pt *point) retire() {
+	pt.kernel.Add(pt.env)
+	pt.env, pt.c, pt.results = nil, nil, nil
+	if pt.s.pointHook != nil {
+		pt.s.pointHook(-1)
+	}
 }
 
 // setup runs body to completion as the point's "setup" process, under a
@@ -454,26 +478,101 @@ func (pt *point) workers(w int, body func(p *sim.Proc, k int, cl *cloud.Client))
 	pt.env.Run()
 }
 
-// stats aggregates the named phases over the last fan-out's workers.
-func (pt *point) stats(phases ...string) map[string]phaseStats {
-	out := map[string]phaseStats{}
+// stats aggregates the named phases over the last fan-out's workers into
+// pt.st and returns the point.
+func (pt *point) stats(phases ...string) *point {
+	pt.st = map[string]phaseStats{}
 	for _, ph := range phases {
-		out[ph] = aggregate(pt.results, ph)
+		pt.st[ph] = aggregate(pt.results, ph)
 	}
-	return out
+	return pt
 }
 
 // sample attaches a station sampler (labelled for export) to the point's
-// environment and registers it with the suite; nil when telemetry is off,
-// in which case no sampler process exists and the run is untouched.
-func (s *Suite) sample(env *sim.Env, stations func() []telemetry.Station, label string) *telemetry.Sampler {
+// environment.
+func (pt *point) sample(stations func() []telemetry.Station, label string) {
+	pt.sampler = pt.s.newSampler(pt.env, stations, label)
+}
+
+// newSampler starts a labelled station sampler on env; nil when telemetry
+// is off, in which case no sampler process exists and the run is untouched.
+func (s *Suite) newSampler(env *sim.Env, stations func() []telemetry.Station, label string) *telemetry.Sampler {
 	if !s.cfg.Telemetry {
 		return nil
 	}
 	sp := telemetry.NewSampler(label, s.cfg.TelemetryInterval)
 	sp.Watch(env, stations)
-	s.samplers.list = append(s.samplers.list, sp)
 	return sp
+}
+
+// sweep runs body(0) … body(n-1), one data point of the calling experiment
+// each, on min(n, s.Width()) goroutines and returns the points by index;
+// what else a runner measures on point i goes to slot i of its own slices.
+// Every runner comes through here, and width 1 is the same code with one
+// goroutine. Sweeps are sorted ascending, so indices are claimed from the
+// top: the heaviest points start first and the tail is short. (Width 1
+// claims from the bottom: -tracefile's record order, and index 0 as the
+// checkpoint's subject.) A point holds a pool slot while body runs and is
+// retired before giving it up. A panic in a body — mustRetry's "a
+// persistent storage error is a bug" — stops further claims and, once the
+// points in flight have drained, is re-raised on the caller.
+func sweep(s *Suite, n int, body func(i int) *point) []*point {
+	out, width := make([]*point, n), s.Width()
+	var (
+		wg      sync.WaitGroup
+		claimed atomic.Int64
+		failure atomic.Pointer[any]
+	)
+	runPoint := func(i int) {
+		s.slots <- struct{}{}
+		defer func() { <-s.slots }()
+		defer func() {
+			if r := recover(); r != nil {
+				failure.CompareAndSwap(nil, &r)
+			}
+		}()
+		out[i] = body(i)
+		out[i].retire()
+	}
+	for range min(n, width) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for failure.Load() == nil {
+				i := int(claimed.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if width > 1 {
+					i = n - 1 - i
+				}
+				runPoint(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if r := failure.Load(); r != nil {
+		panic(*r)
+	}
+	return out
+}
+
+// finish completes rep from the run's points, given in sweep order: their
+// kernel counts fold into rep.Kernel, and the samplers and partition
+// records they own join the suite's exports in that order.
+func finish(s *Suite, rep *Report, pts []*point) *Report {
+	for _, pt := range pts {
+		rep.Kernel.Events += pt.kernel.Events
+		rep.Kernel.Switches += pt.kernel.Switches
+		rep.Kernel.PeakHeap = max(rep.Kernel.PeakHeap, pt.kernel.PeakHeap)
+		if pt.sampler != nil {
+			s.samplers = append(s.samplers, pt.sampler)
+		}
+		if pt.partition != nil {
+			s.partitions = append(s.partitions, *pt.partition)
+		}
+	}
+	return rep
 }
 
 // workerResult carries one worker's phase timings, keyed by phase name.

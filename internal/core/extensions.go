@@ -35,53 +35,57 @@ func (s *Suite) RunCache() *Report {
 		readsEach = 50
 		hotKey    = "hot-config"
 	)
-	for _, w := range sortedCopy(s.cfg.Workers) {
-		for _, cached := range []bool{false, true} {
-			pt := s.newPoint()
-			pt.setup(func(p *sim.Proc, setup *cloud.Client) {
-				mustRetry(p, setup, "create container", func() error {
-					_, err := setup.CreateContainerIfNotExists(p, benchContainer)
-					return err
-				})
-				mustRetry(p, setup, "upload hot blob", func() error {
-					return setup.UploadBlockBlob(p, benchContainer, hotKey, payload.Synthetic(1, objSize))
-				})
+	workers := sortedCopy(s.cfg.Workers)
+	// Two points per worker count: Blob direct, then cache-aside.
+	elapsed, ops := make([]time.Duration, 2*len(workers)), make([]metrics.Dist, 2*len(workers))
+	pts := sweep(s, 2*len(workers), func(i int) *point {
+		w, cached := workers[i/2], i%2 == 1
+		pt := s.newPoint()
+		pt.setup(func(p *sim.Proc, setup *cloud.Client) {
+			mustRetry(p, setup, "create container", func() error {
+				_, err := setup.CreateContainerIfNotExists(p, benchContainer)
+				return err
 			})
-			start := pt.env.Now()
-			var ops metrics.Dist
-			pt.workers(w, func(p *sim.Proc, _ int, cl *cloud.Client) {
-				for i := 0; i < readsEach; i++ {
-					t0 := p.Now()
-					if cached {
-						item, ok, err := cl.CacheGet(p, "default", hotKey)
-						checkBusyOnly("cache get", err)
-						if !ok {
-							// Cache-aside fill on miss.
-							data, err := cl.Download(p, benchContainer, hotKey)
-							checkBusyOnly("fill read", err)
-							if _, err := cl.CachePut(p, "default", hotKey, data, time.Hour); err != nil {
-								checkBusyOnly("cache fill", err)
-							}
-						} else if item.Value.Len() != objSize {
-							panic("cache returned wrong object")
+			mustRetry(p, setup, "upload hot blob", func() error {
+				return setup.UploadBlockBlob(p, benchContainer, hotKey, payload.Synthetic(1, objSize))
+			})
+		})
+		start := pt.env.Now()
+		pt.workers(w, func(p *sim.Proc, _ int, cl *cloud.Client) {
+			for range readsEach {
+				t0 := p.Now()
+				if cached {
+					item, ok, err := cl.CacheGet(p, "default", hotKey)
+					checkBusyOnly("cache get", err)
+					if !ok {
+						// Cache-aside fill on miss.
+						data, err := cl.Download(p, benchContainer, hotKey)
+						checkBusyOnly("fill read", err)
+						if _, err := cl.CachePut(p, "default", hotKey, data, time.Hour); err != nil {
+							checkBusyOnly("cache fill", err)
 						}
-					} else {
-						_, err := cl.Download(p, benchContainer, hotKey)
-						checkBusyOnly("blob read", err)
+					} else if item.Value.Len() != objSize {
+						panic("cache returned wrong object")
 					}
-					ops.Add(p.Now() - t0)
+				} else {
+					_, err := cl.Download(p, benchContainer, hotKey)
+					checkBusyOnly("blob read", err)
 				}
-			})
-			elapsed := pt.env.Now() - start
-			series := "Blob direct"
-			if cached {
-				series = "cache-aside"
+				ops[i].Add(p.Now() - t0)
 			}
-			fig.AddPoint(series, float64(w), float64(w*readsEach)/elapsed.Seconds())
-			latFig.AddPoint(series, float64(w), float64(ops.Mean())/float64(time.Millisecond))
+		})
+		elapsed[i] = pt.env.Now() - start
+		return pt
+	})
+	for i := range pts {
+		w, series := workers[i/2], "Blob direct"
+		if i%2 == 1 {
+			series = "cache-aside"
 		}
+		fig.AddPoint(series, float64(w), float64(w*readsEach)/elapsed[i].Seconds())
+		latFig.AddPoint(series, float64(w), float64(ops[i].Mean())/float64(time.Millisecond))
 	}
-	return &Report{
+	return finish(s, &Report{
 		ID:      "cache",
 		Title:   "Caching service vs Blob storage for hot objects (paper §II/§V future work)",
 		Figures: []metrics.Figure{fig, latFig},
@@ -90,7 +94,7 @@ func (s *Suite) RunCache() *Report {
 			"the blob path saturates at the partition's service rate across read replicas; the cache path runs at RAM speed",
 		},
 		Wall: wall(),
-	}
+	}, pts)
 }
 
 // RunProvision measures deployment readiness times (paper §V future work:
@@ -105,9 +109,12 @@ func (s *Suite) RunProvision() *Report {
 		YLabel: "seconds",
 	}
 	prm := s.cfg.Params
-	for _, w := range sortedCopy(s.cfg.Workers) {
-		env, c := s.newCloud()
-		d := fabric.DeployWithOptions(c, "prov", fabric.DeployOpts{
+	workers := sortedCopy(s.cfg.Workers)
+	first, last := make([]time.Duration, len(workers)), make([]time.Duration, len(workers))
+	pts := sweep(s, len(workers), func(i int) *point {
+		w := workers[i]
+		pt := s.newPoint()
+		d := fabric.DeployWithOptions(pt.c, "prov", fabric.DeployOpts{
 			BootBase:       prm.VMBootBase,
 			BootJitter:     prm.VMBootJitter,
 			PlacementDelay: prm.PlacementDelay,
@@ -115,21 +122,21 @@ func (s *Suite) RunProvision() *Report {
 			Name: "w", Kind: fabric.WorkerRole, VM: s.cfg.VM, Count: w,
 			Run: func(ctx *fabric.Context) {},
 		})
-		env.Run()
-		var first, last time.Duration
-		for i, inst := range d.Instances() {
+		pt.env.Run()
+		for j, inst := range d.Instances() {
 			r := inst.ReadyAt()
-			if i == 0 || r < first {
-				first = r
+			if j == 0 || r < first[i] {
+				first[i] = r
 			}
-			if r > last {
-				last = r
-			}
+			last[i] = max(last[i], r)
 		}
-		fig.AddPoint("first ready", float64(w), first.Seconds())
-		fig.AddPoint("all ready", float64(w), last.Seconds())
+		return pt
+	})
+	for i, w := range workers {
+		fig.AddPoint("first ready", float64(w), first[i].Seconds())
+		fig.AddPoint("all ready", float64(w), last[i].Seconds())
 	}
-	return &Report{
+	return finish(s, &Report{
 		ID:      "provision",
 		Title:   "Resource provisioning / deployment timings (paper §V future work)",
 		Figures: []metrics.Figure{fig},
@@ -139,5 +146,5 @@ func (s *Suite) RunProvision() *Report {
 			"time-to-all-ready grows with the placement serialisation plus the maximum of the boot jitters",
 		},
 		Wall: wall(),
-	}
+	}, pts)
 }

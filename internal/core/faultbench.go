@@ -65,7 +65,17 @@ func (s *Suite) RunFaults() *Report {
 	if len(rates) == 0 {
 		rates = DefaultConfig().FaultRates
 	}
-	for _, rate := range rates {
+	// tally is one fault rate's outcome.
+	type tally struct {
+		completed, failed, redelivered, staleClaims, misses int
+
+		elapsed  time.Duration
+		cloud    cloud.Stats
+		injected faults.Stats
+	}
+	tallies := make([]tally, len(rates))
+	pts := sweep(s, len(rates), func(i int) *point {
+		rate, t := rates[i], &tallies[i]
 		pt := s.newPoint()
 		plan := faults.Uniform(s.cfg.Seed, rate)
 		plan.Timeout = faultVisibility // keep lost-request stalls commensurate with the run
@@ -77,7 +87,6 @@ func (s *Suite) RunFaults() *Report {
 		}
 		pt.c.SetFaults(faults.NewInjector(plan))
 
-		var completed, failed, redelivered, staleClaims, misses int
 		pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
 			pol := faultRetryPolicy()
 			qname := fmt.Sprintf("faults-q%d", k)
@@ -94,7 +103,7 @@ func (s *Suite) RunFaults() *Report {
 					_, err := cl.PutMessage(p, qname, body)
 					return err
 				}); err != nil {
-					failed++
+					t.failed++
 					continue
 				}
 				var msg queuestore.Message
@@ -106,15 +115,15 @@ func (s *Suite) RunFaults() *Report {
 					}
 					return err
 				}); err != nil {
-					failed++
+					t.failed++
 					continue
 				}
 				if !got {
-					misses++
+					t.misses++
 					continue
 				}
 				if msg.DequeueCount > 1 {
-					redelivered++
+					t.redelivered++
 				}
 				if _, err := cl.Retry(p, pol, func() error {
 					err := cl.DeleteMessage(p, qname, msg.ID, msg.PopReceipt)
@@ -122,28 +131,29 @@ func (s *Suite) RunFaults() *Report {
 						// The claim expired during backoff and the
 						// message was redelivered — at-least-once in
 						// action, not a failure.
-						staleClaims++
+						t.staleClaims++
 						return nil
 					}
 					return err
 				}); err != nil {
-					failed++
+					t.failed++
 					continue
 				}
-				completed++
+				t.completed++
 			}
 		})
-		elapsed := pt.env.Now()
-		st := pt.c.Stats()
-		fs := pt.c.Faults().Stats()
-
-		x := rate * 100
-		if elapsed > 0 {
-			goodput.AddPoint("goodput", x, float64(completed)/elapsed.Seconds())
+		t.elapsed, t.cloud, t.injected = pt.env.Now(), pt.c.Stats(), pt.c.Faults().Stats()
+		return pt
+	})
+	for i, t := range tallies {
+		st, fs := t.cloud, t.injected
+		x := rates[i] * 100
+		if t.elapsed > 0 {
+			goodput.AddPoint("goodput", x, float64(t.completed)/t.elapsed.Seconds())
 		}
 		cost.AddPoint("retries", x, float64(st.Retries))
-		cost.AddPoint("failed-ops", x, float64(failed))
-		cost.AddPoint("redelivered", x, float64(redelivered))
+		cost.AddPoint("failed-ops", x, float64(t.failed))
+		cost.AddPoint("redelivered", x, float64(t.redelivered))
 
 		var ctr metrics.Counters
 		ctr.Add("faults injected", float64(fs.Injected()))
@@ -153,15 +163,15 @@ func (s *Suite) RunFaults() *Report {
 		ctr.Add("  outage rejects", float64(fs.Outages))
 		ctr.Add("retries", float64(st.Retries))
 		ctr.Add("busy rejects", float64(st.BusyRejects))
-		ctr.Add("rounds completed", float64(completed))
-		ctr.Add("ops failed (retries exhausted)", float64(failed))
-		ctr.Add("redelivered (dequeue count > 1)", float64(redelivered))
-		ctr.Add("stale delete claims", float64(staleClaims))
-		ctr.Add("get misses", float64(misses))
+		ctr.Add("rounds completed", float64(t.completed))
+		ctr.Add("ops failed (retries exhausted)", float64(t.failed))
+		ctr.Add("redelivered (dequeue count > 1)", float64(t.redelivered))
+		ctr.Add("stale delete claims", float64(t.staleClaims))
+		ctr.Add("get misses", float64(t.misses))
 		notes = append(notes, fmt.Sprintf("fault rate %g%% (virtual runtime %v):\n%s",
-			x, elapsed.Round(time.Millisecond), ctr.Render()))
+			x, t.elapsed.Round(time.Millisecond), ctr.Render()))
 	}
-	return &Report{
+	return finish(s, &Report{
 		ID:      "faults",
 		Title:   "Goodput vs fault rate under the resilient retry policy",
 		Figures: []metrics.Figure{goodput, cost},
@@ -170,5 +180,5 @@ func (s *Suite) RunFaults() *Report {
 			"faults are seeded and schedule-driven: the same -seed reproduces the identical fault schedule and counters",
 		),
 		Wall: wall(),
-	}
+	}, pts)
 }

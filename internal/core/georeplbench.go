@@ -12,7 +12,6 @@ import (
 	"azurebench/internal/retry"
 	"azurebench/internal/sim"
 	"azurebench/internal/storecommon"
-	"azurebench/internal/telemetry"
 )
 
 // geoQueue is the queue the georepl writers commit into.
@@ -20,7 +19,8 @@ const geoQueue = "geo-writes"
 
 // geoPoint is the measured outcome of one geo run at one lag bound.
 type geoPoint struct {
-	lag time.Duration
+	*point // env only: the geo account builds its own clouds
+	lag    time.Duration
 
 	writes       int // puts committed by the writer fleet
 	rpoByService map[string]uint64
@@ -33,8 +33,6 @@ type geoPoint struct {
 	forward    georepl.Stats
 	reverse    georepl.Stats
 	promotions uint64
-
-	sampler *telemetry.Sampler // nil unless telemetry is on
 }
 
 // geoStaleSample is one reader observation for the staleness timeline.
@@ -58,7 +56,7 @@ func geoRetryPolicy(outage, detection time.Duration) retry.Policy {
 // runGeoreplPoint executes the georepl scenario once: a writer fleet
 // commits through a GeoClient while a primary-region outage forces a
 // failover, and RA-GRS readers poll the secondary measuring staleness.
-func (s *Suite) runGeoreplPoint(lag time.Duration) geoPoint {
+func (s *Suite) runGeoreplPoint(lag time.Duration) *geoPoint {
 	failAt := s.cfg.GeoFailoverAt
 	outage := s.cfg.GeoOutageDuration
 	horizon := s.cfg.GeoHorizon
@@ -72,7 +70,7 @@ func (s *Suite) runGeoreplPoint(lag time.Duration) geoPoint {
 		p.GeoReplicationLagBound = lag
 		p.PartitionDynamic = true
 	})
-	env := sub.newEnv()
+	env := sim.NewEnv(sub.cfg.Seed)
 	g, err := cloud.NewGeoAccount(env, sub.cfg.Params)
 	if err != nil {
 		panic(fmt.Sprintf("georepl: %v", err))
@@ -85,8 +83,8 @@ func (s *Suite) runGeoreplPoint(lag time.Duration) geoPoint {
 	}))
 	g.ScheduleFailover(failAt, outage)
 	sub.armCheckpoint(env, g.RegisterSnapshot)
-	pt := geoPoint{lag: lag}
-	pt.sampler = sub.sample(env, g.Stations, fmt.Sprintf("georepl/lag=%v", lag))
+	pt := &geoPoint{point: sub.pointOn(env, nil), lag: lag}
+	pt.sample(g.Stations, fmt.Sprintf("georepl/lag=%v", lag))
 	pol := geoRetryPolicy(outage, sub.cfg.Params.GeoFailoverDetection)
 	workers := sub.cfg.GeoWorkers
 	if workers < 1 {
@@ -168,31 +166,6 @@ func (s *Suite) runGeoreplPoint(lag time.Duration) geoPoint {
 	return pt
 }
 
-// GeoreplResult is the exported summary of one georepl scenario run —
-// the headline recovery metrics, for benchmarks and external harnesses.
-type GeoreplResult struct {
-	LagBound     time.Duration
-	Writes       int
-	RPORecords   uint64
-	RTOPromotion time.Duration
-	RTOClient    time.Duration
-	StalenessP95 time.Duration
-}
-
-// RunGeoreplPoint runs the georepl scenario once at the given lag bound
-// and returns its recovery metrics.
-func (s *Suite) RunGeoreplPoint(lag time.Duration) GeoreplResult {
-	pt := s.runGeoreplPoint(lag)
-	return GeoreplResult{
-		LagBound:     lag,
-		Writes:       pt.writes,
-		RPORecords:   pt.rpoTotal,
-		RTOPromotion: pt.rtoPromotion,
-		RTOClient:    pt.rtoClient,
-		StalenessP95: pt.stale.Percentile(95),
-	}
-}
-
 // RunGeorepl sweeps the replication lag bound over a fixed region-outage
 // failover scenario and reports, per bound: the RPO (records lost at the
 // forward-stream freeze), the RTO (both the controller's promotion delay
@@ -216,13 +189,13 @@ func (s *Suite) RunGeorepl() *Report {
 		YLabel: "value (per-series unit)",
 	}
 	var notes []string
-	// With telemetry on, the widest lag bound's stations (queue servers,
-	// WAN links) around the outage render below the figures, as fig6's and
-	// throttle's busiest points do.
-	var showcase *telemetry.Sampler
-	for _, lag := range bounds {
-		pt := s.runGeoreplPoint(lag)
-		showcase = pt.sampler
+	geo := make([]*geoPoint, len(bounds))
+	pts := sweep(s, len(bounds), func(i int) *point {
+		geo[i] = s.runGeoreplPoint(bounds[i])
+		return geo[i].point
+	})
+	for _, pt := range geo {
+		lag := pt.lag
 		series := fmt.Sprintf("lag=%v", lag)
 		for _, sample := range pt.staleSeries {
 			timeline.AddPoint(series, metrics.Seconds(sample.at), float64(sample.stale)/float64(time.Millisecond))
@@ -254,15 +227,18 @@ func (s *Suite) RunGeorepl() *Report {
 		"%d writers, %d RA-GRS readers; primary-region outage at %v for %v, horizon %v; failover detection %v",
 		s.cfg.GeoWorkers, s.cfg.GeoReaders, s.cfg.GeoFailoverAt, s.cfg.GeoOutageDuration,
 		s.cfg.GeoHorizon, s.cfg.Params.GeoFailoverDetection))
-	if showcase != nil {
-		notes = append(notes, "\n"+showcase.RenderTop(3))
+	// With telemetry on, the widest lag bound's stations (queue servers,
+	// WAN links) around the outage render below the figures, as fig6's and
+	// throttle's busiest points do.
+	if len(pts) > 0 && pts[len(pts)-1].sampler != nil {
+		notes = append(notes, "\n"+pts[len(pts)-1].sampler.RenderTop(3))
 	}
 
-	return &Report{
+	return finish(s, &Report{
 		ID:      "georepl",
 		Title:   "Geo-replicated account: RPO/RTO across a region-outage failover and RA-GRS staleness",
 		Figures: []metrics.Figure{timeline, summary},
 		Notes:   notes,
 		Wall:    wall(),
-	}
+	}, pts)
 }

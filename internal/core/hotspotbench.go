@@ -49,8 +49,6 @@ func (s *Suite) RunHotspot() *Report {
 		XLabel: "virtual time (s)",
 		YLabel: "reads/s",
 	}
-	var notes []string
-
 	workers := s.cfg.HotspotWorkers
 	if workers < 1 {
 		workers = DefaultConfig().HotspotWorkers
@@ -65,12 +63,11 @@ func (s *Suite) RunHotspot() *Report {
 	}
 	theta := s.cfg.HotspotTheta
 
-	steady := map[string]float64{}
-	for _, dynamic := range []bool{false, true} {
-		label := "static"
-		if dynamic {
-			label = "dynamic"
-		}
+	labels := []string{"static", "dynamic"}
+	reads := make([][]int, len(labels)) // completed per virtual second
+	stats := make([]cloud.Stats, len(labels))
+	pts := sweep(s, len(labels), func(i int) *point {
+		label, dynamic := labels[i], i == 1
 		sub := s.withParams(func(p *paramsAlias) { p.PartitionDynamic = dynamic })
 		pt := sub.newPoint()
 
@@ -97,7 +94,7 @@ func (s *Suite) RunHotspot() *Report {
 				})
 			}
 		})
-		sub.sample(pt.env, pt.c.Stations, "hotspot/"+label)
+		pt.sample(pt.c.Stations, "hotspot/"+label)
 
 		// Measurement phase: closed-loop zipfian point reads. perSec is
 		// shared across worker processes — the DES is single-threaded.
@@ -126,20 +123,27 @@ func (s *Suite) RunHotspot() *Report {
 			}
 		})
 
-		for sec, n := range perSec {
+		rec := partitionRecord("hotspot/"+label, pt.c)
+		pt.partition, reads[i], stats[i] = &rec, perSec, pt.c.Stats()
+		return pt
+	})
+
+	var notes []string
+	steady := map[string]float64{}
+	for i, label := range labels {
+		rec, st := pts[i].partition, stats[i]
+		for sec, n := range reads[i] {
 			fig.AddPoint(label, float64(sec), float64(n))
 		}
 		// Steady state: the last quarter of the horizon, after the dynamic
 		// master has converged on the post-flip hotspot.
-		tail := perSec[len(perSec)*3/4:]
+		tail := reads[i][len(reads[i])*3/4:]
 		var sum float64
 		for _, n := range tail {
 			sum += float64(n)
 		}
 		steady[label] = sum / float64(len(tail))
 
-		rec := sub.recordPartitions("hotspot/"+label, pt.c)
-		st := pt.c.Stats()
 		var ctr metrics.Counters
 		ctr.Add("steady-state reads/s", steady[label])
 		ctr.Add("partition servers", float64(rec.Servers))
@@ -160,13 +164,13 @@ func (s *Suite) RunHotspot() *Report {
 		fmt.Sprintf("steady state (last quarter): static %.0f reads/s, dynamic %.0f reads/s (%.2fx)",
 			steady["static"], steady["dynamic"], ratio(steady["dynamic"], steady["static"])),
 	)
-	return &Report{
+	return finish(s, &Report{
 		ID:      "hotspot",
 		Title:   "Zipfian hotspot: dynamic partition splitting vs static placement",
 		Figures: []metrics.Figure{fig},
 		Notes:   notes,
 		Wall:    wall(),
-	}
+	}, pts)
 }
 
 // zipfTheta echoes the effective skew (NewZipf substitutes YCSB's 0.99

@@ -9,7 +9,6 @@ import (
 	"azurebench/internal/payload"
 	"azurebench/internal/sim"
 	"azurebench/internal/storecommon"
-	"azurebench/internal/telemetry"
 )
 
 // Queue benchmark phases (Algorithm 3).
@@ -34,10 +33,10 @@ func effectiveMsgSize(kb int) int64 {
 // point: each worker owns a dedicated queue, inserts its share of the
 // 20 000 messages, peeks them, then gets+deletes them. When telemetry is
 // enabled a station sampler (labelled for export) records the point's
-// queue-server timelines; it is nil otherwise.
-func (s *Suite) runQueuePerWorkerPoint(w int, sizeKB int, label string) (map[string]phaseStats, *telemetry.Sampler) {
+// queue-server timelines.
+func (s *Suite) runQueuePerWorkerPoint(w int, sizeKB int, label string) *point {
 	pt := s.newPoint()
-	sp := s.sample(pt.env, pt.c.Stations, label)
+	pt.sample(pt.c.Stations, label)
 	cfg := s.cfg
 	msgSize := effectiveMsgSize(sizeKB)
 
@@ -80,7 +79,7 @@ func (s *Suite) runQueuePerWorkerPoint(w int, sizeKB int, label string) (map[str
 			return cl.DeleteQueue(p, queueName)
 		})
 	})
-	return pt.stats(phQueuePut, phQueuePeek, phQueueGet), sp
+	return pt.stats(phQueuePut, phQueuePeek, phQueueGet)
 }
 
 // RunFig6 reproduces Figure 6: Put/Peek/Get time versus workers with a
@@ -92,34 +91,32 @@ func (s *Suite) RunFig6() *Report {
 		phQueuePeek: {Title: "Figure 6(b): Peek Message — separate queue per worker", XLabel: "workers", YLabel: "seconds (mean per worker, whole phase)"},
 		phQueueGet:  {Title: "Figure 6(c): Get Message (incl. delete) — separate queue per worker", XLabel: "workers", YLabel: "seconds (mean per worker, whole phase)"},
 	}
-	var showcase *telemetry.Sampler
-	workers := sortedCopy(s.cfg.Workers)
-	for _, sizeKB := range s.cfg.QueueSizesKB {
+	workers, sizes := sortedCopy(s.cfg.Workers), s.cfg.QueueSizesKB
+	// One point per (size, workers), a size's worker sweep at a time.
+	pts := sweep(s, len(sizes)*len(workers), func(i int) *point {
+		w, sizeKB := workers[i%len(workers)], sizes[i/len(workers)]
+		return s.runQueuePerWorkerPoint(w, sizeKB, fmt.Sprintf("fig6/w=%d/%dKB", w, sizeKB))
+	})
+	for i, pt := range pts {
+		w, sizeKB := workers[i%len(workers)], sizes[i/len(workers)]
 		series := fmt.Sprintf("%dKB", sizeKB)
 		if effectiveMsgSize(sizeKB) != int64(sizeKB)*storecommon.KB {
 			series = fmt.Sprintf("%dKB(48KB usable)", sizeKB)
 		}
-		for _, w := range workers {
-			st, sp := s.runQueuePerWorkerPoint(w, sizeKB,
-				fmt.Sprintf("fig6/w=%d/%dKB", w, sizeKB))
-			// Keep the busiest point (most workers, largest messages) as
-			// the showcase timeline rendered below the figures.
-			if sp != nil && w == workers[len(workers)-1] {
-				showcase = sp
-			}
-			for ph, fig := range figs {
-				fig.AddPoint(series, float64(w), st[ph].mean.Seconds())
-			}
+		for ph, fig := range figs {
+			fig.AddPoint(series, float64(w), pt.st[ph].mean.Seconds())
 		}
 	}
 	notes := []string{
 		fmt.Sprintf("%d messages total, split across workers; Get includes the Delete, as in the paper", s.cfg.QueueMessages),
 		"the 16 KB Get anomaly the paper reports is reproduced via model.Quirk16KBGet (default on)",
 	}
-	if showcase != nil {
-		notes = append(notes, "\n"+showcase.RenderTop(3))
+	// The busiest point (most workers, largest messages) is the showcase
+	// timeline rendered below the figures.
+	if len(pts) > 0 && pts[len(pts)-1].sampler != nil {
+		notes = append(notes, "\n"+pts[len(pts)-1].sampler.RenderTop(3))
 	}
-	return &Report{
+	return finish(s, &Report{
 		ID:    "fig6",
 		Title: "Queue storage, separate queue per worker (Algorithm 3)",
 		Figures: []metrics.Figure{
@@ -127,5 +124,5 @@ func (s *Suite) RunFig6() *Report {
 		},
 		Notes: notes,
 		Wall:  wall(),
-	}
+	}, pts)
 }

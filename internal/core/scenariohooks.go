@@ -13,7 +13,19 @@ import (
 // declarative scenario engine reuses the suite's cloud construction,
 // telemetry attachment and partition-record plumbing so a scenario run
 // emits exactly the outputs a hard-coded experiment does (same trace log,
-// same -statsfile records, same Report rendering).
+// same -statsfile records, same Report rendering). A workload scenario is
+// one data point that the engine, not a runner, owns: it holds the
+// environments it builds, reads their kernel counts itself
+// (KernelStats.Add), and attaches straight to the suite's exports.
+
+// ScenarioPoint runs body holding one of the suite's pool slots, as every
+// experiment's data point does, so scenario files that run side by side
+// stay inside the same bound on live simulations.
+func (s *Suite) ScenarioPoint(body func()) {
+	s.slots <- struct{}{}
+	defer func() { <-s.slots }()
+	body()
+}
 
 // ScenarioCloud builds a fresh environment + cloud exactly as the
 // hard-coded experiments do (shared trace log attached when tracing is
@@ -23,18 +35,18 @@ func (s *Suite) ScenarioCloud() (*sim.Env, *cloud.Cloud) { return s.newCloud() }
 // ScenarioSample attaches a labelled station sampler to the cloud (no-op
 // unless Config.Telemetry), registering it for WriteStats export.
 func (s *Suite) ScenarioSample(env *sim.Env, c *cloud.Cloud, label string) {
-	s.sample(env, c.Stations, label)
+	if sp := s.newSampler(env, c.Stations, label); sp != nil {
+		s.samplers = append(s.samplers, sp)
+	}
 }
 
 // ScenarioRecordPartitions captures the cloud's partition-master summary
 // under the given label, registering it for WriteStats export.
 func (s *Suite) ScenarioRecordPartitions(label string, c *cloud.Cloud) PartitionRecord {
-	return s.recordPartitions(label, c)
+	rec := partitionRecord(label, c)
+	s.partitions = append(s.partitions, rec)
+	return rec
 }
-
-// ScenarioKernelStats folds the kernel telemetry of every environment
-// ScenarioCloud has built since the last report, for Report.Kernel.
-func (s *Suite) ScenarioKernelStats() KernelStats { return s.takeKernelStats() }
 
 // WallTimer exposes the suite's wall-clock stopwatch for external
 // harnesses building Reports: it feeds only Report.Wall, the one

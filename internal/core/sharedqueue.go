@@ -17,7 +17,7 @@ const sharedQueueName = "azurebench-queue"
 // configured rounds of Put → think → Peek → think → Get(+Delete) → think.
 // Reported times include only the storage operations, not the think time,
 // as in the paper.
-func (s *Suite) runSharedQueuePoint(w int, think time.Duration) map[string]phaseStats {
+func (s *Suite) runSharedQueuePoint(w int, think time.Duration) *point {
 	pt := s.newPoint()
 	cfg := s.cfg
 	msgSize := effectiveMsgSize(cfg.SharedMsgSizeKB)
@@ -85,18 +85,20 @@ func (s *Suite) RunFig7() *Report {
 		phQueuePeek: {Title: "Figure 7(b): Peek Message — single shared queue", XLabel: "workers", YLabel: "ms (mean per operation)"},
 		phQueueGet:  {Title: "Figure 7(c): Get Message (incl. delete) — single shared queue", XLabel: "workers", YLabel: "ms (mean per operation)"},
 	}
-	for _, think := range s.cfg.ThinkTimes {
-		series := fmt.Sprintf("think=%v", think)
-		for _, w := range sortedCopy(s.cfg.Workers) {
-			st := s.runSharedQueuePoint(w, think)
-			for ph, fig := range figs {
-				stats := st[ph]
-				mean := stats.ops.Mean()
-				fig.AddPoint(series, float64(w), float64(mean)/float64(time.Millisecond))
-			}
+	workers, thinks := sortedCopy(s.cfg.Workers), s.cfg.ThinkTimes
+	// One point per (think time, workers), a think time's worker sweep at a time.
+	pts := sweep(s, len(thinks)*len(workers), func(i int) *point {
+		return s.runSharedQueuePoint(workers[i%len(workers)], thinks[i/len(workers)])
+	})
+	for i, pt := range pts {
+		series := fmt.Sprintf("think=%v", thinks[i/len(workers)])
+		for ph, fig := range figs {
+			stats := pt.st[ph]
+			mean := stats.ops.Mean()
+			fig.AddPoint(series, float64(workers[i%len(workers)]), float64(mean)/float64(time.Millisecond))
 		}
 	}
-	return &Report{
+	return finish(s, &Report{
 		ID:    "fig7",
 		Title: "Queue storage, single shared queue (Algorithm 4)",
 		Figures: []metrics.Figure{
@@ -108,5 +110,5 @@ func (s *Suite) RunFig7() *Report {
 			"think-time sleeps carry the model's multiplicative jitter, so synchronized workers decohere as on real VMs",
 		},
 		Wall: wall(),
-	}
+	}, pts)
 }

@@ -26,7 +26,7 @@ const benchTable = "AzureBenchTable"
 // each worker inserts its entities into its own partition (partition key =
 // role id), queries them back, updates them with the ETag wildcard, and
 // deletes them.
-func (s *Suite) runTablePoint(w int, sizeKB int) map[string]phaseStats {
+func (s *Suite) runTablePoint(w int, sizeKB int) *point {
 	pt := s.newPoint()
 	cfg := s.cfg
 	entSize := int64(sizeKB) * storecommon.KB
@@ -39,7 +39,7 @@ func (s *Suite) runTablePoint(w int, sizeKB int) map[string]phaseStats {
 	})
 	// Attach the sampler after setup so its process spans exactly the
 	// benchmark phases (it exits once nothing else is scheduled).
-	s.sample(pt.env, pt.c.Stations, fmt.Sprintf("table/w=%d/%dKB", w, sizeKB))
+	pt.sample(pt.c.Stations, fmt.Sprintf("table/w=%d/%dKB", w, sizeKB))
 
 	pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
 		wr := pt.results[k]
@@ -100,16 +100,18 @@ func (s *Suite) RunFig8() *Report {
 		phTabUpdate: {Title: "Figure 8(c): Table Update", XLabel: "workers", YLabel: "seconds (mean per worker, whole phase)"},
 		phTabDelete: {Title: "Figure 8(d): Table Delete", XLabel: "workers", YLabel: "seconds (mean per worker, whole phase)"},
 	}
-	for _, sizeKB := range s.cfg.TableSizesKB {
-		series := fmt.Sprintf("%dKB", sizeKB)
-		for _, w := range sortedCopy(s.cfg.Workers) {
-			st := s.runTablePoint(w, sizeKB)
-			for ph, fig := range figs {
-				fig.AddPoint(series, float64(w), st[ph].mean.Seconds())
-			}
+	workers, sizes := sortedCopy(s.cfg.Workers), s.cfg.TableSizesKB
+	// One point per (size, workers), a size's worker sweep at a time.
+	pts := sweep(s, len(sizes)*len(workers), func(i int) *point {
+		return s.runTablePoint(workers[i%len(workers)], sizes[i/len(workers)])
+	})
+	for i, pt := range pts {
+		series := fmt.Sprintf("%dKB", sizes[i/len(workers)])
+		for ph, fig := range figs {
+			fig.AddPoint(series, float64(workers[i%len(workers)]), pt.st[ph].mean.Seconds())
 		}
 	}
-	return &Report{
+	return finish(s, &Report{
 		ID:    "fig8",
 		Title: "Table storage benchmarks (Algorithm 5)",
 		Figures: []metrics.Figure{
@@ -120,7 +122,7 @@ func (s *Suite) RunFig8() *Report {
 			"updates are unconditional (ETag \"*\"), as in the paper",
 		},
 		Wall: wall(),
-	}
+	}, pts)
 }
 
 // RunFig9 reproduces Figure 9: mean per-operation time versus workers for
@@ -134,9 +136,17 @@ func (s *Suite) RunFig9() *Report {
 		YLabel: "ms (mean per operation)",
 	}
 	const sizeKB = 4
-	for _, w := range sortedCopy(s.cfg.Workers) {
-		tab := s.runTablePoint(w, sizeKB)
-		q, _ := s.runQueuePerWorkerPoint(w, sizeKB, fmt.Sprintf("fig9/w=%d/%dKB", w, sizeKB))
+	workers := sortedCopy(s.cfg.Workers)
+	// Two points per worker count: the table one, then the queue one.
+	pts := sweep(s, 2*len(workers), func(i int) *point {
+		w := workers[i/2]
+		if i%2 == 0 {
+			return s.runTablePoint(w, sizeKB)
+		}
+		return s.runQueuePerWorkerPoint(w, sizeKB, fmt.Sprintf("fig9/w=%d/%dKB", w, sizeKB))
+	})
+	for i, w := range workers {
+		tab, q := pts[2*i].st, pts[2*i+1].st
 		add := func(name string, st phaseStats) {
 			fig.AddPoint(name, float64(w), float64(st.ops.Mean())/float64(time.Millisecond))
 		}
@@ -148,7 +158,7 @@ func (s *Suite) RunFig9() *Report {
 		add("QueuePeek", q[phQueuePeek])
 		add("QueueGet", q[phQueueGet])
 	}
-	return &Report{
+	return finish(s, &Report{
 		ID:      "fig9",
 		Title:   "Per-operation time for Table and Queue services",
 		Figures: []metrics.Figure{fig},
@@ -157,5 +167,5 @@ func (s *Suite) RunFig9() *Report {
 			"the paper's conclusion — Queue storage scales better than Table storage as workers increase — shows as flat queue curves vs rising table curves past 4 workers",
 		},
 		Wall: wall(),
-	}
+	}, pts)
 }

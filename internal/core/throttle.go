@@ -8,7 +8,6 @@ import (
 	"azurebench/internal/metrics"
 	"azurebench/internal/payload"
 	"azurebench/internal/sim"
-	"azurebench/internal/telemetry"
 )
 
 // RunThrottle demonstrates the scalability-target behaviour the paper
@@ -32,9 +31,10 @@ func (s *Suite) RunThrottle() *Report {
 	if totalOps < 100 {
 		totalOps = 100
 	}
-	var showcase *telemetry.Sampler
 	workers := sortedCopy(s.cfg.Workers)
-	for _, w := range workers {
+	elapsed, busy := make([]time.Duration, len(workers)), make([]int, len(workers))
+	pts := sweep(s, len(workers), func(i int) *point {
+		w := workers[i]
 		pt := s.newPoint()
 		pt.setup(func(p *sim.Proc, setup *cloud.Client) {
 			mustRetry(p, setup, "create queue", func() error {
@@ -42,10 +42,7 @@ func (s *Suite) RunThrottle() *Report {
 				return err
 			})
 		})
-		sp := s.sample(pt.env, pt.c.Stations, fmt.Sprintf("throttle/w=%d", w))
-		if sp != nil && w == workers[len(workers)-1] {
-			showcase = sp
-		}
+		pt.sample(pt.c.Stations, fmt.Sprintf("throttle/w=%d", w))
 
 		start := pt.env.Now()
 		retries := make([]int, w)
@@ -68,34 +65,34 @@ func (s *Suite) RunThrottle() *Report {
 		// Elapsed ends at the last worker's finish, not env.Now(): the
 		// telemetry sampler's final tick may land after the workers, and
 		// throughput must not depend on whether sampling is attached.
-		elapsed := time.Duration(0)
 		for _, e := range ends {
-			if e-start > elapsed {
-				elapsed = e - start
-			}
+			elapsed[i] = max(elapsed[i], e-start)
 		}
-		totalRetries := 0
 		for _, r := range retries {
-			totalRetries += r
+			busy[i] += r
 		}
-		if elapsed > 0 {
-			tput.AddPoint("achieved", float64(w), float64(totalOps)/elapsed.Seconds())
+		return pt
+	})
+	for i, w := range workers {
+		if elapsed[i] > 0 {
+			tput.AddPoint("achieved", float64(w), float64(totalOps)/elapsed[i].Seconds())
 		}
 		tput.AddPoint("target(500/s)", float64(w), 500)
-		busyFig.AddPoint("retries", float64(w), float64(totalRetries))
+		busyFig.AddPoint("retries", float64(w), float64(busy[i]))
 	}
 	notes := []string{
 		fmt.Sprintf("%d puts total split across workers; every ServerBusy is followed by a 1 s sleep and a retry (paper §IV)", totalOps),
 		"aggregate throughput plateaus at the documented 500 msg/s per-queue target while retries grow with offered load",
 	}
-	if showcase != nil {
-		notes = append(notes, "\n"+showcase.RenderTop(2))
+	// The busiest point's queue-server timeline renders below the figures.
+	if len(pts) > 0 && pts[len(pts)-1].sampler != nil {
+		notes = append(notes, "\n"+pts[len(pts)-1].sampler.RenderTop(2))
 	}
-	return &Report{
+	return finish(s, &Report{
 		ID:      "throttle",
 		Title:   "Scalability-target throttling on a single queue",
 		Figures: []metrics.Figure{tput, busyFig},
 		Notes:   notes,
 		Wall:    wall(),
-	}
+	}, pts)
 }

@@ -168,7 +168,7 @@ func Run(s *core.Suite, sp *Spec, opts Options) (*Result, error) {
 		m = flattenReport(rep)
 	case "workload":
 		var err error
-		rep, m, err = runWorkload(s, sp, opts)
+		s.ScenarioPoint(func() { rep, m, err = runWorkload(s, sp, opts) })
 		if err != nil {
 			return nil, err
 		}
@@ -421,6 +421,7 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 	}
 
 	env, c := s.ScenarioCloud()
+	var kernel core.KernelStats // of env and, as they finish, the forks' environments
 	seed := s.Config().Seed
 	eng := &engine{sp: sp, rt: simRuntime{env}, dial: simDial(c), seed: seed}
 
@@ -510,6 +511,7 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 				fps.phase.Name = fmt.Sprintf("fork%d.%s", fs, fps.phase.Name)
 				phases = append(phases, fps)
 			}
+			kernel.Add(fenv)
 		}
 		ckNotes = append(ckNotes, fmt.Sprintf(
 			"forked %d seed(s) from the phase-%q state; fork metrics are namespaced fork<seed>.<phase>.*",
@@ -529,7 +531,8 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 		m["total.faults_injected"] = float64(in.Stats().Injected())
 	}
 	rep.Wall = wall()
-	rep.Kernel = s.ScenarioKernelStats()
+	kernel.Add(env)
+	rep.Kernel = kernel
 	return rep, m, nil
 }
 
