@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"azurebench/internal/metrics"
 	"azurebench/internal/trace"
 	"azurebench/internal/tracegraph"
 )
@@ -188,14 +189,7 @@ func critpath(tr *tracegraph.Trace, n int, pct float64) {
 		durs[i] = c.dur
 	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	rank := int(pct / 100 * float64(len(durs)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(durs) {
-		rank = len(durs)
-	}
-	thresh := durs[rank-1]
+	thresh := metrics.Percentile(durs, pct)
 	agg := map[string]time.Duration{}
 	var total time.Duration
 	var slow int

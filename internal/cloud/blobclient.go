@@ -13,7 +13,7 @@ func (cl *Client) CreateContainer(p *sim.Proc, name string) error {
 	// Container metadata lives on its own partition; model it as a fresh
 	// single blob-partition write.
 	rs := cl.cloud.blobReplicas(name, "")
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:      "CreateContainer",
 		mut:     true,
 		service: "blob",
@@ -31,7 +31,7 @@ func (cl *Client) CreateContainer(p *sim.Proc, name string) error {
 func (cl *Client) CreateContainerIfNotExists(p *sim.Proc, name string) (bool, error) {
 	rs := cl.cloud.blobReplicas(name, "")
 	created := false
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:      "CreateContainerIfNotExists",
 		mut:     true,
 		service: "blob",
@@ -54,7 +54,7 @@ func (cl *Client) CreateContainerIfNotExists(p *sim.Proc, name string) (bool, er
 // DeleteContainer removes a container.
 func (cl *Client) DeleteContainer(p *sim.Proc, name string) error {
 	rs := cl.cloud.blobReplicas(name, "")
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:      "DeleteContainer",
 		mut:     true,
 		service: "blob",
@@ -71,7 +71,7 @@ func (cl *Client) DeleteContainer(p *sim.Proc, name string) error {
 // PutBlock stages an uncommitted block (Algorithm 1's PutBlock).
 func (cl *Client) PutBlock(p *sim.Proc, container, blob, blockID string, data payload.Payload) error {
 	rs := cl.cloud.blobReplicas(container, blob)
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:      "PutBlock",
 		mut:     true,
 		service: "blob",
@@ -92,7 +92,7 @@ func (cl *Client) PutBlock(p *sim.Proc, container, blob, blockID string, data pa
 // PutBlockList commits a block list (Algorithm 1's PutBlockList).
 func (cl *Client) PutBlockList(p *sim.Proc, container, blob string, refs []blobstore.BlockRef) error {
 	rs := cl.cloud.blobReplicas(container, blob)
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:      "PutBlockList",
 		mut:     true,
 		service: "blob",
@@ -111,7 +111,7 @@ func (cl *Client) PutBlockList(p *sim.Proc, container, blob string, refs []blobs
 // UploadBlockBlob uploads a block blob in a single shot (<= 64 MB).
 func (cl *Client) UploadBlockBlob(p *sim.Proc, container, blob string, data payload.Payload) error {
 	rs := cl.cloud.blobReplicas(container, blob)
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:      "UploadBlockBlob",
 		mut:     true,
 		service: "blob",
@@ -135,7 +135,7 @@ func (cl *Client) UploadBlockBlob(p *sim.Proc, container, blob string, data payl
 func (cl *Client) GetBlock(p *sim.Proc, container, blob string, i int) (payload.Payload, error) {
 	rs := cl.cloud.blobReplicas(container, blob)
 	var out payload.Payload
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:      "GetBlock",
 		service: "blob",
 		up:      reqHeader,
@@ -155,7 +155,7 @@ func (cl *Client) GetBlock(p *sim.Proc, container, blob string, i int) (payload.
 // CreatePageBlob creates/initialises a page blob of the given size.
 func (cl *Client) CreatePageBlob(p *sim.Proc, container, blob string, size int64) error {
 	rs := cl.cloud.blobReplicas(container, blob)
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:      "CreatePageBlob",
 		mut:     true,
 		service: "blob",
@@ -176,7 +176,7 @@ func (cl *Client) CreatePageBlob(p *sim.Proc, container, blob string, size int64
 // PutPage writes pages at offset off (Algorithm 1's PutPage).
 func (cl *Client) PutPage(p *sim.Proc, container, blob string, off int64, data payload.Payload) error {
 	rs := cl.cloud.blobReplicas(container, blob)
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:      "PutPage",
 		mut:     true,
 		service: "blob",
@@ -199,7 +199,7 @@ func (cl *Client) PutPage(p *sim.Proc, container, blob string, off int64, data p
 func (cl *Client) GetPage(p *sim.Proc, container, blob string, off, n int64) (payload.Payload, error) {
 	rs := cl.cloud.blobReplicas(container, blob)
 	var out payload.Payload
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:      "GetPage",
 		service: "blob",
 		up:      reqHeader,
@@ -221,7 +221,7 @@ func (cl *Client) GetPage(p *sim.Proc, container, blob string, off, n int64) (pa
 func (cl *Client) Download(p *sim.Proc, container, blob string) (payload.Payload, error) {
 	rs := cl.cloud.blobReplicas(container, blob)
 	var out payload.Payload
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:      "Download",
 		service: "blob",
 		up:      reqHeader,
@@ -242,7 +242,7 @@ func (cl *Client) Download(p *sim.Proc, container, blob string) (payload.Payload
 func (cl *Client) DownloadRange(p *sim.Proc, container, blob string, off, n int64) (payload.Payload, error) {
 	rs := cl.cloud.blobReplicas(container, blob)
 	var out payload.Payload
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:      "DownloadRange",
 		service: "blob",
 		up:      reqHeader,
@@ -262,7 +262,7 @@ func (cl *Client) DownloadRange(p *sim.Proc, container, blob string, off, n int6
 // DeleteBlob removes a blob.
 func (cl *Client) DeleteBlob(p *sim.Proc, container, blob string) error {
 	rs := cl.cloud.blobReplicas(container, blob)
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:      "DeleteBlob",
 		mut:     true,
 		service: "blob",
@@ -282,7 +282,7 @@ func (cl *Client) DeleteBlob(p *sim.Proc, container, blob string) error {
 func (cl *Client) BlobProps(p *sim.Proc, container, blob string) (blobstore.Props, error) {
 	rs := cl.cloud.blobReplicas(container, blob)
 	var props blobstore.Props
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:      "BlobProps",
 		service: "blob",
 		up:      reqHeader,

@@ -34,7 +34,7 @@ func (c *Cloud) cacheServer(cache, key string) *sim.Resource {
 // CachePut stores value under key (ttl 0 = the service default).
 func (cl *Client) CachePut(p *sim.Proc, cache, key string, value payload.Payload, ttl time.Duration) (uint64, error) {
 	var version uint64
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:      "CachePut",
 		mut:     true,
 		service: "cache",
@@ -56,7 +56,7 @@ func (cl *Client) CacheGet(p *sim.Proc, cache, key string) (cachestore.Item, boo
 		item cachestore.Item
 		ok   bool
 	)
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:      "CacheGet",
 		service: "cache",
 		up:      reqHeader,

@@ -24,6 +24,7 @@ import (
 	"azurebench/internal/georepl"
 	"azurebench/internal/model"
 	"azurebench/internal/partitionmgr"
+	"azurebench/internal/payload"
 	"azurebench/internal/queuestore"
 	"azurebench/internal/retry"
 	"azurebench/internal/sim"
@@ -62,6 +63,7 @@ type Cloud struct {
 	queueTB  *storecommon.LimiterPool
 	tableSrv []*sim.Resource
 	tableTB  *storecommon.LimiterPool
+	partKeys map[string]map[string]string // table -> pk -> the partition's tableTB key
 	pmgr     *partitionmgr.Master
 
 	cache    *cachestore.Cluster
@@ -182,6 +184,7 @@ func NewInRegion(env *sim.Env, prm model.Params, region string) *Cloud {
 		accountBW: storecommon.NewRateLimiter(prm.AccountBandwidthBps, prm.AccountBandwidthBurst),
 		blobSrv:   map[string]*replicaSet{},
 		queueSrv:  map[string]*sim.Resource{},
+		partKeys:  map[string]map[string]string{},
 		pmgr: partitionmgr.New(partitionmgr.Config{
 			Dynamic:           prm.PartitionDynamic,
 			Servers:           prm.TableServers,
@@ -310,7 +313,19 @@ func (c *Cloud) partitionLimiter(tableName, pk string) *storecommon.RateLimiter 
 	if c.tableTB == nil {
 		c.tableTB = storecommon.NewLimiterPool(c.prm.PartitionOpsPerSec, c.prm.PartitionBurst)
 	}
-	return c.tableTB.Get(c.env.Now(), tableName+"|"+pk)
+	// The pool (and its snapshot) knows a partition as "table|pk"; that
+	// string is built once per partition, not once per request.
+	byPK := c.partKeys[tableName]
+	key, ok := byPK[pk]
+	if !ok {
+		if byPK == nil {
+			byPK = map[string]string{}
+			c.partKeys[tableName] = byPK
+		}
+		key = tableName + "|" + pk
+		byPK[pk] = key
+	}
+	return c.tableTB.Get(c.env.Now(), key)
 }
 
 // notePartitionEvents reacts to control-loop decisions the partition
@@ -368,10 +383,13 @@ func (c *Cloud) Stations() []telemetry.Station {
 
 // --- request pipeline ---
 
-// request describes one storage operation's cost structure. apply runs at
-// the partition server and returns the server occupancy (it may depend on
-// what the engine finds, e.g. the size of a dequeued message), the
-// response payload size, and the engine result.
+// request describes one storage operation's cost structure. The engine
+// call runs at the partition server and yields the server occupancy (it may
+// depend on what the engine finds, e.g. the size of a dequeued message),
+// the response payload size, and the engine result. The point operations a
+// closed loop is made of name a case of Client.apply, which keeps arguments
+// and results in the request, so issuing one allocates nothing; every other
+// operation brings a closure.
 type request struct {
 	op      string // operation name for tracing (e.g. "PutBlock")
 	service string // blob | queue | table | cache
@@ -386,9 +404,9 @@ type request struct {
 	table     string // non-empty with part: charge the per-partition limiter
 	part      string
 	txCost    float64
-	lat       time.Duration
-	apply     func() (occ time.Duration, down int64, err error)
-	latOfSz   func(down int64) time.Duration // optional size-dependent latency
+	lat       time.Duration // pipeline latency; apply may set it from what it found
+	kind      opKind
+	apply     func() (occ time.Duration, down int64, err error) // kind == opClosure
 	// repl is the synchronous-replication component of the operation's
 	// occupancy (zero for reads and unreplicated ops); tracing splits it
 	// out of the server span.
@@ -399,6 +417,19 @@ type request struct {
 	mirror func(dst *Cloud) error
 	geoKey string
 
+	// Arguments (beside table, part, queue) and results of Client.apply's
+	// own cases.
+	rowKey     string             // GetEntity
+	ifMatch    string             // UpdateEntity
+	ent        *tablestore.Entity // UpdateEntity's row
+	gotEnt     *tablestore.Entity // the row GetEntity found / UpdateEntity stored
+	body       payload.Payload    // PutMessage
+	visibility time.Duration      // GetMessage
+	msgID      string             // DeleteMessage
+	popReceipt string
+	msg        queuestore.Message // the message put, dequeued or peeked
+	found      bool               // GetMessage, PeekMessage: msg is one
+
 	// Filled in by do for the trace record.
 	tracedDown int64
 	tracedErr  string
@@ -407,6 +438,56 @@ type request struct {
 	traceID    string // causal identity of this attempt (tracing attached only)
 	spanID     string
 	parentID   string
+}
+
+// opKind names the engine calls Client.apply makes itself.
+type opKind uint8
+
+const (
+	opClosure opKind = iota // run req.apply
+	opGetEntity
+	opUpdateEntity
+	opPutMessage
+	opGetMessage
+	opPeekMessage
+	opDeleteMessage
+)
+
+// apply runs the operation at its partition server.
+func (cl *Client) apply(req *request) (occ time.Duration, down int64, err error) {
+	c := cl.cloud
+	switch req.kind {
+	case opGetEntity:
+		req.gotEnt, err = c.Table.Get(req.table, req.part, req.rowKey)
+		if req.gotEnt != nil {
+			down = req.gotEnt.Size()
+		}
+		return c.prm.TableOcc(model.TQuery, down), down, err
+	case opUpdateEntity:
+		req.gotEnt, err = c.Table.Replace(req.table, req.ent, req.ifMatch)
+		// The request body is the row behind the header.
+		return c.prm.TableOcc(model.TUpdate, req.up-reqHeader), 0, err
+	case opPutMessage:
+		req.msg, err = c.Queue.Put(req.queue, req.body, 0)
+		return c.prm.QueueOcc(model.QPut, req.body.Len(), 0), 0, err
+	case opGetMessage, opPeekMessage:
+		qlen, _ := c.Queue.ApproximateCount(req.queue)
+		verb := model.QGet
+		if req.kind == opGetMessage {
+			req.msg, req.found, err = c.Queue.GetOne(req.queue, req.visibility)
+		} else {
+			verb = model.QPeek
+			req.msg, req.found, err = c.Queue.PeekOne(req.queue)
+		}
+		if req.found {
+			down = req.msg.Body.Len()
+		}
+		req.lat = c.prm.QueueLat(verb, down)
+		return c.prm.QueueOcc(verb, down, qlen), down, err
+	case opDeleteMessage:
+		return c.prm.QueueOcc(model.QDelete, 0, 0), 0, c.Queue.Delete(req.queue, req.msgID, req.popReceipt)
+	}
+	return req.apply()
 }
 
 // spanCutter attributes elapsed virtual time to pipeline stages as the
@@ -429,20 +510,24 @@ func (st *spanCutter) cut(stage string) {
 	st.add(stage, d)
 }
 
-// cutServer attributes the time since the previous cut to server work,
-// splitting out the trailing replication component.
-func (st *spanCutter) cutServer(repl time.Duration) {
+// cutReply attributes the way back of a served request, the program
+// [occ, release server, lat, out] that has just run to its end. Nobody was
+// there to cut at the instants in between, but a sleep lasts exactly what
+// it was asked for (nothing, when that was negative; add ignores it just
+// the same), so the spans are the durations themselves, added in the order
+// the cuts would have come. The server span cedes its trailing replication
+// component.
+func (st *spanCutter) cutReply(occ, repl, lat, out time.Duration) {
 	if st == nil {
 		return
 	}
-	now := st.env.Now()
-	d := now - st.last
-	st.last = now
-	if repl > d {
-		repl = d
-	}
-	st.add(trace.StageServer, d-repl)
+	occ = max(occ, 0)
+	repl = min(repl, occ)
+	st.add(trace.StageServer, occ-repl)
 	st.add(trace.StageReplicate, repl)
+	st.add(trace.StagePipeline, lat)
+	st.add(trace.StageNicOut, out)
+	st.last = st.env.Now()
 }
 
 // add accumulates d under stage (merging repeats so spans stay compact).
@@ -492,9 +577,15 @@ var (
 // lost, not half-applied), while a reset on a read cuts the response after
 // the engine has done its work — the at-least-once semantics real storage
 // clients must survive.
-func (cl *Client) do(p *sim.Proc, req request) error {
+//
+// The stretches in which nothing is decided — the way in, the way back,
+// the response crossing the NIC — are programs the kernel runs
+// (sim.Proc.Exec): the process is resumed where the model needs Go code,
+// not once per sleep, and every event and every counter a checkpoint may
+// read keeps its virtual instant (DESIGN.md §17).
+func (cl *Client) do(p *sim.Proc, req *request) error {
 	c := cl.cloud
-	prm := c.prm
+	prm := &c.prm
 	if c.traceLog != nil {
 		start := c.env.Now()
 		req.st = &spanCutter{env: c.env, last: start}
@@ -538,17 +629,20 @@ func (cl *Client) do(p *sim.Proc, req request) error {
 	if c.faults != nil {
 		dec = c.faults.DecideIn(c.env.Now(), c.region, req.service, req.op, req.server.Name())
 	}
-	p.Sleep(prm.RequestOverhead)
 	if dec.Kind == faults.Reset && req.mut {
 		// The connection died while the request body was in flight: a
 		// prefix of the payload crossed the NIC, the engine saw nothing.
-		return cl.failReset(p, &req, int64(float64(req.up)*dec.Cut), true)
+		p.Sleep(prm.RequestOverhead)
+		return cl.failReset(p, req, int64(float64(req.up)*dec.Cut), true)
 	}
+
+	// The way in: serialise, put the body on the wire, reach the front door.
+	in := append(make([]sim.Step, 0, sim.MaxSteps), sim.Sleep(prm.RequestOverhead))
 	if req.up > 0 {
-		cl.nic.Use(p, model.Xfer(req.up, cl.vm.NICBps))
-		c.stats.BytesIn += req.up
+		in = append(in, sim.Acquire(cl.nic), sim.Sleep(model.Xfer(req.up, cl.vm.NICBps)), sim.Release(cl.nic),
+			sim.Add(&c.stats.BytesIn, req.up))
 	}
-	p.Sleep(prm.RTT / 2)
+	p.Exec(append(in, sim.Sleep(prm.RTT/2))...)
 	req.st.cut(trace.StageNicIn)
 
 	switch dec.Kind {
@@ -635,7 +729,7 @@ func (cl *Client) do(p *sim.Proc, req request) error {
 		req.st.cut(trace.StageNicOut)
 		return errInternalFault
 	}
-	occ, down, err := req.apply()
+	occ, down, err := cl.apply(req)
 	req.tracedDown = down
 	if err != nil {
 		req.tracedErr = string(storecommon.CodeOf(err))
@@ -651,22 +745,15 @@ func (cl *Client) do(p *sim.Proc, req request) error {
 			func() error { return mirror(dst) })
 	}
 	c.stats.Ops++
-	p.Sleep(occ)
-	req.st.cutServer(req.repl)
-	req.server.Release()
 
-	lat := req.lat
-	if req.latOfSz != nil {
-		lat = req.latOfSz(down)
-	}
-	p.Sleep(lat)
-	req.st.cut(trace.StagePipeline)
-	p.Sleep(prm.RTT / 2)
-	req.st.cut(trace.StageNicOut)
+	// The way back: hold the server for the occupancy, then the storage
+	// pipeline and the network.
+	p.Exec(sim.Sleep(occ), sim.Release(req.server), sim.Sleep(req.lat), sim.Sleep(prm.RTT/2))
+	req.st.cutReply(occ, req.repl, req.lat, prm.RTT/2)
 	if dec.Kind == faults.Reset {
 		// Read-path reset: the engine did the work, but the response was
 		// cut mid-transfer; the truncated prefix still crossed the wire.
-		return cl.failReset(p, &req, int64(float64(down)*dec.Cut), false)
+		return cl.failReset(p, req, int64(float64(down)*dec.Cut), false)
 	}
 	if down > 0 {
 		c.accountBW.Debit(c.env.Now(), float64(down))

@@ -11,7 +11,7 @@ import (
 
 // CreateQueue creates a queue.
 func (cl *Client) CreateQueue(p *sim.Proc, name string) error {
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:      "CreateQueue",
 		mut:     true,
 		service: "queue",
@@ -28,7 +28,7 @@ func (cl *Client) CreateQueue(p *sim.Proc, name string) error {
 // CreateQueueIfNotExists creates the queue when absent.
 func (cl *Client) CreateQueueIfNotExists(p *sim.Proc, name string) (bool, error) {
 	created := false
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:      "CreateQueueIfNotExists",
 		mut:     true,
 		service: "queue",
@@ -50,7 +50,7 @@ func (cl *Client) CreateQueueIfNotExists(p *sim.Proc, name string) (bool, error)
 
 // DeleteQueue removes a queue and its messages.
 func (cl *Client) DeleteQueue(p *sim.Proc, name string) error {
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:      "DeleteQueue",
 		mut:     true,
 		service: "queue",
@@ -66,8 +66,7 @@ func (cl *Client) DeleteQueue(p *sim.Proc, name string) error {
 
 // PutMessage inserts a message (the paper's PutMessage).
 func (cl *Client) PutMessage(p *sim.Proc, name string, body payload.Payload) (queuestore.Message, error) {
-	var msg queuestore.Message
-	err := cl.do(p, request{
+	req := request{
 		op:      "PutMessage",
 		mut:     true,
 		service: "queue",
@@ -77,108 +76,81 @@ func (cl *Client) PutMessage(p *sim.Proc, name string, body payload.Payload) (qu
 		repl:    cl.cloud.prm.ReplCost(),
 		lat:     cl.cloud.prm.QueueLat(model.QPut, body.Len()),
 		geoKey:  name,
+		kind:    opPutMessage,
+		body:    body,
+	}
+	if cl.cloud.geo != nil {
 		// Replaying Puts in log order reproduces the primary's message IDs
 		// on the secondary (per-queue counters advance identically), so a
 		// later replicated Delete finds its message by ID.
-		mirror: func(dst *Cloud) error {
+		req.mirror = func(dst *Cloud) error {
 			_, err := dst.Queue.Put(name, body, 0)
 			return err
-		},
-		apply: func() (time.Duration, int64, error) {
-			var err error
-			msg, err = cl.cloud.Queue.Put(name, body, 0)
-			return cl.cloud.prm.QueueOcc(model.QPut, body.Len(), 0), 0, err
-		},
-	})
-	return msg, err
+		}
+	}
+	err := cl.do(p, &req)
+	return req.msg, err
 }
 
 // GetMessage dequeues one message, hiding it for the visibility timeout
 // (0 = the 30 s default); ok is false when no message is visible.
 func (cl *Client) GetMessage(p *sim.Proc, name string, visibility time.Duration) (queuestore.Message, bool, error) {
-	var (
-		msg queuestore.Message
-		ok  bool
-	)
-	err := cl.do(p, request{
-		op:      "GetMessage",
-		service: "queue",
-		up:      reqHeader,
-		server:  cl.cloud.queueServer(name),
-		queue:   name,
-		repl:    cl.cloud.prm.ReplCost(), // dequeue commits a visibility update
-		latOfSz: func(down int64) time.Duration {
-			return cl.cloud.prm.QueueLat(model.QGet, down)
-		},
-		apply: func() (time.Duration, int64, error) {
-			qlen, _ := cl.cloud.Queue.ApproximateCount(name)
-			var err error
-			msg, ok, err = cl.cloud.Queue.GetOne(name, visibility)
-			size := int64(0)
-			if ok {
-				size = msg.Body.Len()
-			}
-			return cl.cloud.prm.QueueOcc(model.QGet, size, qlen), size, err
-		},
-	})
-	return msg, ok, err
+	req := request{
+		op:         "GetMessage",
+		service:    "queue",
+		up:         reqHeader,
+		server:     cl.cloud.queueServer(name),
+		queue:      name,
+		repl:       cl.cloud.prm.ReplCost(), // dequeue commits a visibility update
+		kind:       opGetMessage,
+		visibility: visibility,
+	}
+	err := cl.do(p, &req)
+	return req.msg, req.found, err
 }
 
 // PeekMessage observes the front visible message without dequeuing it.
 func (cl *Client) PeekMessage(p *sim.Proc, name string) (queuestore.Message, bool, error) {
-	var (
-		msg queuestore.Message
-		ok  bool
-	)
-	err := cl.do(p, request{
+	req := request{
 		op:      "PeekMessage",
 		service: "queue",
 		up:      reqHeader,
 		server:  cl.cloud.queueServer(name),
 		queue:   name,
-		latOfSz: func(down int64) time.Duration {
-			return cl.cloud.prm.QueueLat(model.QPeek, down)
-		},
-		apply: func() (time.Duration, int64, error) {
-			qlen, _ := cl.cloud.Queue.ApproximateCount(name)
-			var err error
-			msg, ok, err = cl.cloud.Queue.PeekOne(name)
-			size := int64(0)
-			if ok {
-				size = msg.Body.Len()
-			}
-			return cl.cloud.prm.QueueOcc(model.QPeek, size, qlen), size, err
-		},
-	})
-	return msg, ok, err
+		kind:    opPeekMessage,
+	}
+	err := cl.do(p, &req)
+	return req.msg, req.found, err
 }
 
 // DeleteMessage deletes a dequeued message using its pop receipt.
 func (cl *Client) DeleteMessage(p *sim.Proc, name, msgID, popReceipt string) error {
-	return cl.do(p, request{
-		op:      "DeleteMessage",
-		mut:     true,
-		service: "queue",
-		up:      reqHeader,
-		server:  cl.cloud.queueServer(name),
-		queue:   name,
-		repl:    cl.cloud.prm.ReplCost(),
-		lat:     cl.cloud.prm.QueueLat(model.QDelete, 0),
-		geoKey:  name,
+	req := request{
+		op:         "DeleteMessage",
+		mut:        true,
+		service:    "queue",
+		up:         reqHeader,
+		server:     cl.cloud.queueServer(name),
+		queue:      name,
+		repl:       cl.cloud.prm.ReplCost(),
+		lat:        cl.cloud.prm.QueueLat(model.QDelete, 0),
+		geoKey:     name,
+		kind:       opDeleteMessage,
+		msgID:      msgID,
+		popReceipt: popReceipt,
+	}
+	if cl.cloud.geo != nil {
 		// The secondary never saw the Get that issued the pop receipt, so
 		// the replay deletes by ID through the receipt-free replica path.
-		mirror: func(dst *Cloud) error { return dst.Queue.ReplicaDelete(name, msgID) },
-		apply: func() (time.Duration, int64, error) {
-			return cl.cloud.prm.QueueOcc(model.QDelete, 0, 0), 0,
-				cl.cloud.Queue.Delete(name, msgID, popReceipt)
-		},
-	})
+		req.mirror = func(dst *Cloud) error { return dst.Queue.ReplicaDelete(name, msgID) }
+	}
+	return cl.do(p, &req)
 }
 
 // UpdateMessage replaces a dequeued message's body and visibility.
 func (cl *Client) UpdateMessage(p *sim.Proc, name, msgID, popReceipt string, body payload.Payload, visibility time.Duration) (queuestore.Message, error) {
 	var msg queuestore.Message
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:      "UpdateMessage",
 		mut:     true,
 		service: "queue",
@@ -202,7 +174,7 @@ func (cl *Client) UpdateMessage(p *sim.Proc, name, msgID, popReceipt string, bod
 // under the paper's queue-based barrier (Algorithm 2).
 func (cl *Client) GetMessageCount(p *sim.Proc, name string) (int, error) {
 	n := 0
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:      "GetMessageCount",
 		service: "queue",
 		up:      reqHeader,
@@ -220,7 +192,7 @@ func (cl *Client) GetMessageCount(p *sim.Proc, name string) (int, error) {
 
 // ClearQueue removes all messages from the queue.
 func (cl *Client) ClearQueue(p *sim.Proc, name string) error {
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:      "ClearQueue",
 		mut:     true,
 		service: "queue",

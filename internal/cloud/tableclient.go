@@ -12,7 +12,7 @@ import (
 // first table server.
 func (cl *Client) CreateTable(p *sim.Proc, name string) error {
 	srv, idx := cl.tableRoute(name, "")
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:        "CreateTable",
 		mut:       true,
 		service:   "table",
@@ -31,7 +31,7 @@ func (cl *Client) CreateTable(p *sim.Proc, name string) error {
 func (cl *Client) CreateTableIfNotExists(p *sim.Proc, name string) (bool, error) {
 	created := false
 	srv, idx := cl.tableRoute(name, "")
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:        "CreateTableIfNotExists",
 		mut:       true,
 		service:   "table",
@@ -55,7 +55,7 @@ func (cl *Client) CreateTableIfNotExists(p *sim.Proc, name string) (bool, error)
 // DeleteTable removes a table.
 func (cl *Client) DeleteTable(p *sim.Proc, name string) error {
 	srv, idx := cl.tableRoute(name, "")
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:        "DeleteTable",
 		mut:       true,
 		service:   "table",
@@ -75,7 +75,7 @@ func (cl *Client) InsertEntity(p *sim.Proc, tableName string, e *tablestore.Enti
 	var stored *tablestore.Entity
 	size := e.Size()
 	srv, idx := cl.tableRoute(tableName, e.PartitionKey)
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:        "InsertEntity",
 		mut:       true,
 		service:   "table",
@@ -105,9 +105,8 @@ func (cl *Client) InsertEntity(p *sim.Proc, tableName string, e *tablestore.Enti
 // GetEntity retrieves one row by primary key (the paper's Query of
 // Algorithm 5: a point query on PartitionKey+RowKey).
 func (cl *Client) GetEntity(p *sim.Proc, tableName, pk, rk string) (*tablestore.Entity, error) {
-	var e *tablestore.Entity
 	srv, idx := cl.tableRoute(tableName, pk)
-	err := cl.do(p, request{
+	req := request{
 		op:        "GetEntity",
 		service:   "table",
 		up:        reqHeader,
@@ -116,30 +115,22 @@ func (cl *Client) GetEntity(p *sim.Proc, tableName, pk, rk string) (*tablestore.
 		table:     tableName,
 		part:      pk,
 		lat:       cl.cloud.prm.TableLat(model.TQuery),
-		apply: func() (time.Duration, int64, error) {
-			var err error
-			e, err = cl.cloud.Table.Get(tableName, pk, rk)
-			size := int64(0)
-			if e != nil {
-				size = e.Size()
-			}
-			return cl.cloud.prm.TableOcc(model.TQuery, size), size, err
-		},
-	})
-	return e, err
+		kind:      opGetEntity,
+		rowKey:    rk,
+	}
+	err := cl.do(p, &req)
+	return req.gotEnt, err
 }
 
 // UpdateEntity replaces a row under an ETag condition ("*" for the
 // unconditional update the paper benchmarks).
 func (cl *Client) UpdateEntity(p *sim.Proc, tableName string, e *tablestore.Entity, ifMatch string) (*tablestore.Entity, error) {
-	var stored *tablestore.Entity
-	size := e.Size()
 	srv, idx := cl.tableRoute(tableName, e.PartitionKey)
-	err := cl.do(p, request{
+	req := request{
 		op:        "UpdateEntity",
 		mut:       true,
 		service:   "table",
-		up:        size + reqHeader,
+		up:        e.Size() + reqHeader,
 		server:    srv,
 		serverIdx: idx,
 		table:     tableName,
@@ -147,19 +138,20 @@ func (cl *Client) UpdateEntity(p *sim.Proc, tableName string, e *tablestore.Enti
 		repl:      cl.cloud.prm.ReplCost(),
 		lat:       cl.cloud.prm.TableLat(model.TUpdate),
 		geoKey:    tableName,
+		kind:      opUpdateEntity,
+		ent:       e,
+		ifMatch:   ifMatch,
+	}
+	if cl.cloud.geo != nil {
 		// ETag preconditions were already checked on the primary; the
 		// replay applies unconditionally ("*").
-		mirror: mirrorEntity(e, func(dst *Cloud, c *tablestore.Entity) error {
+		req.mirror = mirrorEntity(e, func(dst *Cloud, c *tablestore.Entity) error {
 			_, err := dst.Table.Replace(tableName, c, "*")
 			return err
-		}),
-		apply: func() (time.Duration, int64, error) {
-			var err error
-			stored, err = cl.cloud.Table.Replace(tableName, e, ifMatch)
-			return cl.cloud.prm.TableOcc(model.TUpdate, size), 0, err
-		},
-	})
-	return stored, err
+		})
+	}
+	err := cl.do(p, &req)
+	return req.gotEnt, err
 }
 
 // MergeEntity merges properties into a row under an ETag condition.
@@ -167,7 +159,7 @@ func (cl *Client) MergeEntity(p *sim.Proc, tableName string, e *tablestore.Entit
 	var stored *tablestore.Entity
 	size := e.Size()
 	srv, idx := cl.tableRoute(tableName, e.PartitionKey)
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:        "MergeEntity",
 		mut:       true,
 		service:   "table",
@@ -195,7 +187,7 @@ func (cl *Client) MergeEntity(p *sim.Proc, tableName string, e *tablestore.Entit
 // DeleteEntity deletes a row under an ETag condition.
 func (cl *Client) DeleteEntity(p *sim.Proc, tableName, pk, rk, ifMatch string) error {
 	srv, idx := cl.tableRoute(tableName, pk)
-	return cl.do(p, request{
+	return cl.do(p, &request{
 		op:        "DeleteEntity",
 		mut:       true,
 		service:   "table",
@@ -221,7 +213,7 @@ func (cl *Client) DeleteEntity(p *sim.Proc, tableName, pk, rk, ifMatch string) e
 func (cl *Client) QueryEntities(p *sim.Proc, tableName, pk, filter string, top int, from tablestore.Continuation) (tablestore.QueryResult, error) {
 	var res tablestore.QueryResult
 	srv, idx := cl.tableRoute(tableName, pk)
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:        "QueryEntities",
 		service:   "table",
 		up:        reqHeader + int64(len(filter)),
@@ -265,7 +257,7 @@ func (cl *Client) ExecuteBatch(p *sim.Proc, tableName string, ops []tablestore.B
 	}
 	failed := -1
 	srv, idx := cl.tableRoute(tableName, pk)
-	err := cl.do(p, request{
+	err := cl.do(p, &request{
 		op:        "ExecuteBatch",
 		mut:       true,
 		service:   "table",

@@ -130,6 +130,7 @@ func (m *Master) Load(r *snap.Reader) error {
 		return err
 	}
 	m.place = make(map[string]int, np)
+	m.placed = map[string]map[string]int{}
 	for i := 0; i < np; i++ {
 		k := r.String()
 		m.place[k] = r.Int()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -245,23 +246,84 @@ const claimVisibility = 30 * time.Second
 // scanTop is the page size of a table_scan (YCSB E's short range).
 const scanTop = 10
 
-// phaseStats accumulates one phase's outcome. Worker processes record
-// under mu — never contended in simulation, where one process runs at a
-// time — while dispatched belongs to the phase's single dispatcher.
-type phaseStats struct {
-	phase      Phase
-	start, end time.Duration
-	dispatched int // open arrivals only
-
-	mu        sync.Mutex
+// tally counts a phase's successful operations. A closed-loop worker owns
+// one and records into it unlocked; the phase's own is what the op
+// processes of an open arrival share (under phaseStats.mu) and what the
+// workers' are folded into when the phase ends. Counts and per-second
+// buckets add and a Dist's percentiles do not depend on insertion order, so
+// the fold reports what one shared tally would have.
+type tally struct {
 	perSec    []int
 	lat       metrics.Dist
 	completed int
+	misses    int
+	opCounts  []int
+}
+
+func newTally(ph *Phase) tally {
+	return tally{
+		perSec:   make([]int, int(ph.Duration/time.Second)+1),
+		opCounts: make([]int, len(ph.Ops)),
+	}
+}
+
+// record notes an operation of kind (an index into the phase's op mix) that
+// ran from began to done; start is the phase's.
+func (t *tally) record(kind int, miss bool, start, began, done time.Duration) {
+	t.completed++
+	t.opCounts[kind]++
+	if miss {
+		t.misses++
+	}
+	t.lat.Add(done - began)
+	if sec := int((done - start) / time.Second); sec >= 0 && sec < len(t.perSec) {
+		t.perSec[sec]++
+	}
+}
+
+func (t *tally) fold(o *tally) {
+	for i, n := range o.perSec {
+		t.perSec[i] += n
+	}
+	for i, n := range o.opCounts {
+		t.opCounts[i] += n
+	}
+	t.lat.Merge(&o.lat)
+	t.completed += o.completed
+	t.misses += o.misses
+}
+
+// phaseOp is what is resolved of an entry of a phase's op mix when the phase
+// starts: the op's dispatch code and the record population it addresses.
+type phaseOp struct {
+	code opCode
+	keys int
+}
+
+// phaseStats is one phase as it runs and, once it has, its outcome (the
+// embedded tally). dispatched belongs to the phase's single dispatcher.
+type phaseStats struct {
+	phase       Phase
+	ops         []phaseOp // one per phase.Ops entry
+	totalWeight int
+	start, end  time.Duration
+	dispatched  int // open arrivals only
+
+	mu sync.Mutex // guards what follows, and tally for open arrivals
+	tally
 	errors    int
 	firstErr  error
-	misses    int
 	preempted int // closed-loop workers evicted mid-phase
-	opCounts  []int
+}
+
+// failed notes an operation that exhausted its retries.
+func (ps *phaseStats) failed(err error) {
+	ps.mu.Lock()
+	ps.errors++
+	if ps.firstErr == nil {
+		ps.firstErr = err
+	}
+	ps.mu.Unlock()
 }
 
 // claim is one undeleted queue_get receipt, consumed by queue_delete.
@@ -320,6 +382,9 @@ type engine struct {
 	rt   Runtime
 	dial func(name string) Store // one storage client per workload client
 	seed int64
+	// keyNames[i] is workload.Key(i) for every key a phase so far could
+	// draw: rendered between phases, read by their workers.
+	keyNames []string
 }
 
 // scaledPhase applies quick-mode duration scaling.
@@ -704,40 +769,49 @@ func (e *engine) phaseSalt(phase int) int64 {
 	return e.seed ^ (int64(phase+1) * 0x61C8864680B583EB)
 }
 
-// runPhase executes one phase and drains its stragglers.
-func (e *engine) runPhase(idx int, ph Phase) *phaseStats {
-	start := e.rt.Now()
-	end := start + ph.Duration
-	ps := &phaseStats{
-		phase:    ph,
-		start:    start,
-		perSec:   make([]int, int(ph.Duration/time.Second)+1),
-		opCounts: make([]int, len(ph.Ops)),
+// newPhaseStats starts a phase's record now, its op mix resolved and every
+// key it can draw rendered.
+func (e *engine) newPhaseStats(phase Phase) *phaseStats {
+	ps := &phaseStats{phase: phase, start: e.rt.Now()}
+	ph := &ps.phase
+	ps.tally = newTally(ph)
+	for _, ow := range ph.Ops {
+		keys := e.keyspace(ph, ow.Op)
+		ps.ops = append(ps.ops, phaseOp{code: opCode(slices.Index(opKinds, ow.Op)), keys: keys})
+		ps.totalWeight += ow.Weight
+		for len(e.keyNames) < keys {
+			e.keyNames = append(e.keyNames, workload.Key(len(e.keyNames)))
+		}
 	}
+	return ps
+}
+
+// runPhase executes one phase and drains its stragglers.
+func (e *engine) runPhase(idx int, phase Phase) *phaseStats {
+	ps := e.newPhaseStats(phase)
+	ph, start := &ps.phase, ps.start
+	end := start + ph.Duration
 
 	states := make([]*clientState, ph.Clients)
 	for k := range states {
 		states[k] = &clientState{store: e.dial(fmt.Sprintf("%s-c%d", ph.Name, k))}
 	}
 
-	totalWeight := 0
-	for _, ow := range ph.Ops {
-		totalWeight += ow.Weight
-	}
-
+	var workers []tally
 	switch ph.Arrival.Kind {
 	case "closed":
+		workers = make([]tally, len(states))
 		for k := range states {
-			k := k
 			st := states[k]
+			workers[k] = newTally(ph)
 			rng := sim.NewRand(e.phaseSalt(idx) ^ (int64(k+1) << 20))
 			ch := newChooser(ph.Keys, sim.NewRand(e.phaseSalt(idx)^(int64(k+1)<<21)), start)
 			evs := e.evictionsFor(k, start, end)
-			e.spawnClosedWorker(fmt.Sprintf("%s-c%d", ph.Name, k), 0, ph, ps, totalWeight, start, end, evs,
+			e.spawnClosedWorker(fmt.Sprintf("%s-c%d", ph.Name, k), 0, ps, &workers[k], end, evs,
 				func(Proc) (*clientState, *sim.Rand, *chooser, error) { return st, rng, ch, nil })
 		}
 	case "poisson":
-		e.dispatchOpen(idx, ph, ps, states, totalWeight, start, end, func(p Proc, rng *sim.Rand) time.Duration {
+		e.dispatchOpen(idx, ps, states, end, func(p Proc, rng *sim.Rand) time.Duration {
 			lam := ph.Arrival.Rate
 			if d := ph.Arrival.Diurnal; d != nil {
 				t := (p.Now() - start).Seconds()
@@ -751,10 +825,12 @@ func (e *engine) runPhase(idx int, ph Phase) *phaseStats {
 			return time.Duration(rng.ExpFloat64() / lam * float64(time.Second))
 		})
 	case "burst":
-		b := ph.Arrival.Burst
-		e.dispatchBurst(idx, ph, ps, states, totalWeight, start, end, b)
+		e.dispatchBurst(idx, ps, states, end)
 	}
 	e.rt.Wait()
+	for k := range workers {
+		ps.fold(&workers[k])
+	}
 	ps.end = e.rt.Now()
 	if ps.end < end {
 		// Open arrivals can drain early; the phase still occupies its slot.
@@ -802,9 +878,10 @@ func (e *engine) evictionsFor(k int, start, end time.Duration) []eviction {
 // client — fresh NIC, fresh host — like a spot instance reprovisioned
 // elsewhere. Undeleted claims ride along, so visibility timeouts keep
 // running across the eviction and stale deletes surface as misses.
-func (e *engine) spawnClosedWorker(name string, gen int, ph Phase, ps *phaseStats,
-	totalWeight int, start, end time.Duration, evs []eviction,
+func (e *engine) spawnClosedWorker(name string, gen int, ps *phaseStats, t *tally,
+	end time.Duration, evs []eviction,
 	boot func(Proc) (*clientState, *sim.Rand, *chooser, error)) {
+	ph := &ps.phase
 	proc := name
 	if gen > 0 {
 		proc = fmt.Sprintf("%s-gen%d", name, gen)
@@ -814,6 +891,7 @@ func (e *engine) spawnClosedWorker(name string, gen int, ph Phase, ps *phaseStat
 		if err != nil {
 			panic(fmt.Sprintf("scenario: %s: %v", proc, err))
 		}
+		call := e.newCall(st, ph)
 		for p.Now() < end {
 			if len(evs) > 0 && p.Now() >= evs[0].at {
 				ev := evs[0]
@@ -822,17 +900,18 @@ func (e *engine) spawnClosedWorker(name string, gen int, ph Phase, ps *phaseStat
 				ps.mu.Lock()
 				ps.preempted++
 				ps.mu.Unlock()
-				e.spawnClosedWorker(name, gen+1, ph, ps, totalWeight, start, end, rest,
+				// The successor runs after this worker is gone, so it
+				// carries on in the same tally.
+				e.spawnClosedWorker(name, gen+1, ps, t, end, rest,
 					func(q Proc) (*clientState, *sim.Rand, *chooser, error) {
 						if ev.restore > 0 {
 							q.Sleep(ev.restore)
 						}
-						return unmarshalWorker(blob, e.dial(fmt.Sprintf("%s-gen%d", name, gen+1)), ph.Keys, start)
+						return unmarshalWorker(blob, e.dial(fmt.Sprintf("%s-gen%d", name, gen+1)), ph.Keys, ps.start)
 					})
 				return
 			}
-			kind, ki := e.choose(ph, rng, ch, totalWeight, p.Now())
-			e.execOne(p, ps, st, ph, kind, ki)
+			ps.closedOp(p, call, t, rng, ch)
 			if ph.Arrival.Think > 0 {
 				p.Sleep(ph.Arrival.Think)
 			}
@@ -840,69 +919,89 @@ func (e *engine) spawnClosedWorker(name string, gen int, ph Phase, ps *phaseStat
 	})
 }
 
+// closedOp is one turn of a closed-loop worker: draw an op and a key, make
+// the call, record the outcome in the worker's tally.
+func (ps *phaseStats) closedOp(p Proc, call *opCall, t *tally, rng *sim.Rand, ch *chooser) {
+	kind, ki := ps.choose(rng, ch, p.Now())
+	began := p.Now()
+	if miss, err := call.perform(p, ps.ops[kind].code, ki); err != nil {
+		ps.failed(err)
+	} else {
+		t.record(kind, miss, ps.start, began, p.Now())
+	}
+}
+
 // dispatchOpen runs an open arrival process: a dispatcher draws
 // inter-arrival gaps and spawns one process per op, round-robining ops
 // over the client pool.
-func (e *engine) dispatchOpen(idx int, ph Phase, ps *phaseStats, states []*clientState,
-	totalWeight int, start, end time.Duration, gap func(Proc, *sim.Rand) time.Duration) {
+func (e *engine) dispatchOpen(idx int, ps *phaseStats, states []*clientState,
+	end time.Duration, gap func(Proc, *sim.Rand) time.Duration) {
 	rng := sim.NewRand(e.phaseSalt(idx) ^ 0x0D15)
-	ch := newChooser(ph.Keys, sim.NewRand(e.phaseSalt(idx)^0x0D16), start)
-	e.rt.Go(ph.Name+"-dispatch", func(p Proc) {
+	ch := newChooser(ps.phase.Keys, sim.NewRand(e.phaseSalt(idx)^0x0D16), ps.start)
+	e.rt.Go(ps.phase.Name+"-dispatch", func(p Proc) {
 		for {
 			p.Sleep(gap(p, rng))
 			if p.Now() >= end {
 				return
 			}
-			kind, ki := e.choose(ph, rng, ch, totalWeight, p.Now())
-			st := states[ps.dispatched%len(states)]
-			name := fmt.Sprintf("%s-op%d", ph.Name, ps.dispatched)
-			ps.dispatched++
-			e.rt.Go(name, func(q Proc) {
-				e.execOne(q, ps, st, ph, kind, ki)
-			})
+			e.spawnOp(p, ps, states, rng, ch)
 		}
 	})
 }
 
 // dispatchBurst fires Size simultaneous ops at phase start and then every
 // Every until the phase ends.
-func (e *engine) dispatchBurst(idx int, ph Phase, ps *phaseStats, states []*clientState,
-	totalWeight int, start, end time.Duration, b *Burst) {
+func (e *engine) dispatchBurst(idx int, ps *phaseStats, states []*clientState, end time.Duration) {
+	b := ps.phase.Arrival.Burst
 	rng := sim.NewRand(e.phaseSalt(idx) ^ 0x0D17)
-	ch := newChooser(ph.Keys, sim.NewRand(e.phaseSalt(idx)^0x0D18), start)
-	e.rt.Go(ph.Name+"-dispatch", func(p Proc) {
+	ch := newChooser(ps.phase.Keys, sim.NewRand(e.phaseSalt(idx)^0x0D18), ps.start)
+	e.rt.Go(ps.phase.Name+"-dispatch", func(p Proc) {
 		for p.Now() < end {
 			for j := 0; j < b.Size; j++ {
-				kind, ki := e.choose(ph, rng, ch, totalWeight, p.Now())
-				st := states[ps.dispatched%len(states)]
-				name := fmt.Sprintf("%s-op%d", ph.Name, ps.dispatched)
-				ps.dispatched++
-				e.rt.Go(name, func(q Proc) {
-					e.execOne(q, ps, st, ph, kind, ki)
-				})
+				e.spawnOp(p, ps, states, rng, ch)
 			}
 			p.Sleep(b.Every)
 		}
 	})
 }
 
-// choose draws the next (op kind index, key index) pair.
-func (e *engine) choose(ph Phase, rng *sim.Rand, ch *chooser, totalWeight int, now time.Duration) (int, int) {
-	v := rng.Intn(totalWeight)
+// spawnOp is one open arrival: the dispatcher p draws the op and starts a
+// process that makes it and records the outcome in the phase's tally.
+func (e *engine) spawnOp(p Proc, ps *phaseStats, states []*clientState, rng *sim.Rand, ch *chooser) {
+	kind, ki := ps.choose(rng, ch, p.Now())
+	st := states[ps.dispatched%len(states)]
+	name := fmt.Sprintf("%s-op%d", ps.phase.Name, ps.dispatched)
+	ps.dispatched++
+	e.rt.Go(name, func(q Proc) {
+		began := q.Now()
+		miss, err := e.newCall(st, &ps.phase).perform(q, ps.ops[kind].code, ki)
+		if err != nil {
+			ps.failed(err)
+			return
+		}
+		done := q.Now()
+		ps.mu.Lock()
+		ps.record(kind, miss, ps.start, began, done)
+		ps.mu.Unlock()
+	})
+}
+
+// choose draws the next (index into the op mix, key index) pair.
+func (ps *phaseStats) choose(rng *sim.Rand, ch *chooser, now time.Duration) (int, int) {
+	v := rng.Intn(ps.totalWeight)
 	kind := 0
-	for i, ow := range ph.Ops {
+	for i, ow := range ps.phase.Ops {
 		if v < ow.Weight {
 			kind = i
 			break
 		}
 		v -= ow.Weight
 	}
-	n := e.keyspace(ph, ph.Ops[kind].Op)
-	return kind, ch.next(n, now)
+	return kind, ch.next(ps.ops[kind].keys, now)
 }
 
 // keyspace returns the record population the op addresses.
-func (e *engine) keyspace(ph Phase, op string) int {
+func (e *engine) keyspace(ph *Phase, op string) int {
 	switch opService(op) {
 	case "table":
 		for _, t := range e.sp.Setup.Tables {
@@ -967,147 +1066,174 @@ func (c *chooser) next(n int, now time.Duration) int {
 	}
 }
 
-// execOne runs a single operation, recording latency/throughput on
-// success and error counts on retry exhaustion.
-func (e *engine) execOne(p Proc, ps *phaseStats, st *clientState, ph Phase, kind, keyIdx int) {
-	began := p.Now()
-	miss, err := e.perform(p, st, ph, ph.Ops[kind].Op, keyIdx)
-	done := p.Now()
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if err != nil {
-		ps.errors++
-		if ps.firstErr == nil {
-			ps.firstErr = err
-		}
-		return
-	}
-	ps.completed++
-	ps.opCounts[kind]++
-	if miss {
-		ps.misses++
-	}
-	ps.lat.Add(done - began)
-	if sec := int((done - ps.start) / time.Second); sec >= 0 && sec < len(ps.perSec) {
-		ps.perSec[sec]++
-	}
+// opCode is an op of the vocabulary as a small integer, its index in
+// opKinds: what a worker dispatches on.
+type opCode uint8
+
+const (
+	opBlobPut opCode = iota
+	opBlobGet
+	opQueuePut
+	opQueueGet
+	opQueueDelete
+	opTableGet
+	opTableInsert
+	opTableUpdate
+	opTableDelete
+	opTableRMW
+	opTableScan
+)
+
+// opCall is a worker's call record: the operation it is making, and
+// attempt, the function Store.Retry runs (more than once when it has to) —
+// a method value bound when the worker starts, not a closure built per
+// operation. A closed-loop worker has one for its lifetime, an open
+// arrival's op process one for its op.
+type opCall struct {
+	e       *engine
+	st      *clientState
+	ph      *Phase
+	attempt func() error
+
+	p      Proc
+	code   opCode
+	keyIdx int
+	data   payload.Payload
+	miss   bool
 }
 
-// perform executes one op kind against the phase's targets. Expected
+func (e *engine) newCall(st *clientState, ph *Phase) *opCall {
+	c := &opCall{e: e, st: st, ph: ph}
+	c.attempt = c.try
+	return c
+}
+
+// perform executes one op against the phase's targets. Expected
 // data-dependent conditions (NotFound, empty queue, stale claims,
 // conflicting inserts) count as misses, not errors.
-func (e *engine) perform(p Proc, st *clientState, ph Phase, op string, keyIdx int) (miss bool, err error) {
-	s, target := st.store, ph.Target // not ph: the closure escapes through Retry
-	size := int64(ph.PayloadKB) * storecommon.KB
-	data := payload.Synthetic(uint64(e.seed)^uint64(keyIdx)*0x9E3779B97F4A7C15, size)
-	err = s.Retry(p, func() error {
-		miss = false
-		switch op {
-		case "blob_put":
-			return s.BlobPut(p, target.Container, workload.Key(keyIdx), data)
-		case "blob_get":
-			gerr := s.BlobGet(p, target.Container, workload.Key(keyIdx))
-			if storecommon.IsNotFound(gerr) {
-				miss = true
-				return nil
-			}
-			return gerr
-		case "queue_put":
-			return s.QueuePut(p, target.Queue, data)
-		case "queue_get":
-			id, receipt, ok, gerr := s.QueueGet(p, target.Queue, claimVisibility)
-			if gerr != nil {
-				return gerr
-			}
-			if !ok {
-				miss = true
-				return nil
-			}
-			st.addClaim(claim{id: id, receipt: receipt})
+func (c *opCall) perform(p Proc, code opCode, keyIdx int) (miss bool, err error) {
+	c.p, c.code, c.keyIdx = p, code, keyIdx
+	c.data = payload.Synthetic(uint64(c.e.seed)^uint64(keyIdx)*0x9E3779B97F4A7C15, int64(c.ph.PayloadKB)*storecommon.KB)
+	err = c.st.store.Retry(p, c.attempt)
+	return c.miss, err
+}
+
+// key is workload.Key(c.keyIdx).
+func (c *opCall) key() string {
+	if c.keyIdx < len(c.e.keyNames) {
+		return c.e.keyNames[c.keyIdx]
+	}
+	return workload.Key(c.keyIdx)
+}
+
+// try is one attempt at the operation.
+func (c *opCall) try() error {
+	s, st, p, target, data := c.st.store, c.st, c.p, &c.ph.Target, c.data
+	c.miss = false
+	switch c.code {
+	case opBlobPut:
+		return s.BlobPut(p, target.Container, c.key(), data)
+	case opBlobGet:
+		gerr := s.BlobGet(p, target.Container, c.key())
+		if storecommon.IsNotFound(gerr) {
+			c.miss = true
 			return nil
-		case "queue_delete":
-			cm, ok := st.takeClaim()
-			if !ok {
-				// Nothing claimed yet: claim-and-delete in one op.
-				id, receipt, got, gerr := s.QueueGet(p, target.Queue, claimVisibility)
-				if gerr != nil {
-					return gerr
-				}
-				if !got {
-					miss = true
-					return nil
-				}
-				cm, _ = st.takeClaim(claim{id: id, receipt: receipt})
-			}
-			derr := s.QueueDelete(p, target.Queue, cm.id, cm.receipt)
-			if storecommon.IsNotFound(derr) || storecommon.IsPreconditionFailed(derr) {
-				// The claim expired and the message was redelivered —
-				// at-least-once in action.
-				miss = true
-				return nil
-			}
-			return derr
-		case "table_get":
-			gerr := s.TableGet(p, target.Table, workload.Key(keyIdx), "row")
-			if storecommon.IsNotFound(gerr) {
-				miss = true
-				return nil
-			}
+		}
+		return gerr
+	case opQueuePut:
+		return s.QueuePut(p, target.Queue, data)
+	case opQueueGet:
+		id, receipt, ok, gerr := s.QueueGet(p, target.Queue, claimVisibility)
+		if gerr != nil {
 			return gerr
-		case "table_insert":
-			ent := entity(workload.Key(keyIdx), fmt.Sprintf("r%d", st.nextInsert()), data)
-			ierr := s.TableInsert(p, target.Table, ent)
-			if storecommon.IsConflict(ierr) {
-				miss = true
-				return nil
-			}
-			if ierr == nil {
-				st.inserted()
-			}
-			return ierr
-		case "table_update":
-			uerr := s.TableUpdate(p, target.Table, entity(workload.Key(keyIdx), "row", data))
-			if storecommon.IsNotFound(uerr) {
-				miss = true
-				return nil
-			}
-			return uerr
-		case "table_delete":
-			derr := s.TableDelete(p, target.Table, workload.Key(keyIdx), "row")
-			if storecommon.IsNotFound(derr) {
-				miss = true
-				// Recreate regardless: keep the population stable.
-			} else if derr != nil {
-				return derr
-			}
-			ierr := s.TableInsert(p, target.Table, entity(workload.Key(keyIdx), "row", data))
-			if storecommon.IsConflict(ierr) {
-				return nil // someone else recreated it first
-			}
-			return ierr
-		case "table_rmw":
-			gerr := s.TableGet(p, target.Table, workload.Key(keyIdx), "row")
-			if storecommon.IsNotFound(gerr) {
-				miss = true
-				return nil
-			}
+		}
+		if !ok {
+			c.miss = true
+			return nil
+		}
+		st.addClaim(claim{id: id, receipt: receipt})
+		return nil
+	case opQueueDelete:
+		cm, ok := st.takeClaim()
+		if !ok {
+			// Nothing claimed yet: claim-and-delete in one op.
+			id, receipt, got, gerr := s.QueueGet(p, target.Queue, claimVisibility)
 			if gerr != nil {
 				return gerr
 			}
-			uerr := s.TableUpdate(p, target.Table, entity(workload.Key(keyIdx), "row", data))
-			if storecommon.IsNotFound(uerr) || storecommon.IsPreconditionFailed(uerr) {
-				miss = true
+			if !got {
+				c.miss = true
 				return nil
 			}
-			return uerr
-		case "table_scan":
-			rows, serr := s.TableScan(p, target.Table, workload.Key(keyIdx), scanTop)
-			miss = serr == nil && rows == 0
-			return serr
+			cm, _ = st.takeClaim(claim{id: id, receipt: receipt})
 		}
-		return fmt.Errorf("scenario: unknown op %q", op)
-	})
-	return miss, err
+		derr := s.QueueDelete(p, target.Queue, cm.id, cm.receipt)
+		if storecommon.IsNotFound(derr) || storecommon.IsPreconditionFailed(derr) {
+			// The claim expired and the message was redelivered —
+			// at-least-once in action.
+			c.miss = true
+			return nil
+		}
+		return derr
+	case opTableGet:
+		gerr := s.TableGet(p, target.Table, c.key(), "row")
+		if storecommon.IsNotFound(gerr) {
+			c.miss = true
+			return nil
+		}
+		return gerr
+	case opTableInsert:
+		ent := entity(c.key(), fmt.Sprintf("r%d", st.nextInsert()), data)
+		ierr := s.TableInsert(p, target.Table, ent)
+		if storecommon.IsConflict(ierr) {
+			c.miss = true
+			return nil
+		}
+		if ierr == nil {
+			st.inserted()
+		}
+		return ierr
+	case opTableUpdate:
+		uerr := s.TableUpdate(p, target.Table, entity(c.key(), "row", data))
+		if storecommon.IsNotFound(uerr) {
+			c.miss = true
+			return nil
+		}
+		return uerr
+	case opTableDelete:
+		derr := s.TableDelete(p, target.Table, c.key(), "row")
+		if storecommon.IsNotFound(derr) {
+			c.miss = true
+			// Recreate regardless: keep the population stable.
+		} else if derr != nil {
+			return derr
+		}
+		ierr := s.TableInsert(p, target.Table, entity(c.key(), "row", data))
+		if storecommon.IsConflict(ierr) {
+			return nil // someone else recreated it first
+		}
+		return ierr
+	case opTableRMW:
+		gerr := s.TableGet(p, target.Table, c.key(), "row")
+		if storecommon.IsNotFound(gerr) {
+			c.miss = true
+			return nil
+		}
+		if gerr != nil {
+			return gerr
+		}
+		uerr := s.TableUpdate(p, target.Table, entity(c.key(), "row", data))
+		if storecommon.IsNotFound(uerr) || storecommon.IsPreconditionFailed(uerr) {
+			c.miss = true
+			return nil
+		}
+		return uerr
+	case opTableScan:
+		rows, serr := s.TableScan(p, target.Table, c.key(), scanTop)
+		c.miss = serr == nil && rows == 0
+		return serr
+	}
+	return fmt.Errorf("scenario: unknown op code %d", c.code)
 }
 
 func entity(pk, rk string, data payload.Payload) *tablestore.Entity {

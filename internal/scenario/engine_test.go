@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"azurebench/internal/core"
+	"azurebench/internal/sim"
 	"azurebench/internal/trace"
+	"azurebench/internal/workload"
 )
 
 // tinySpec exercises every service, all three arrival processes and all
@@ -269,5 +271,50 @@ func TestPercentileNearestRank(t *testing.T) {
 				t.Errorf("n=%d: %s = %v, want %v", n, key, m[key], want)
 			}
 		}
+	}
+}
+
+// TestClosedLoopReadAllocatesOnlyInTheEngine: one turn of a closed-loop
+// worker on a read-only phase, end to end — the draw of op and key, the call
+// record, Retry, cloud.Client's request, the miss classification, the
+// tally — allocates what tablestore.Get allocates for the row it clones and
+// nothing more.
+func TestClosedLoopReadAllocatesOnlyInTheEngine(t *testing.T) {
+	sp, err := Parse([]byte(strings.Replace(tinySpec,
+		"table_get: 70\n      table_update: 20\n      table_rmw: 10", "table_get: 1", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, dial, c := SimSubstrate(core.NewSuite(core.QuickConfig()))
+	e := &engine{sp: sp, rt: rt, dial: dial, seed: 1}
+	if err := e.setup(); err != nil {
+		t.Fatal(err)
+	}
+	floor := testing.AllocsPerRun(200, func() { c.Table.Get("usertable", workload.Key(3), "row") })
+
+	ps := e.newPhaseStats(sp.Phases[0])
+	if len(ps.ops) != 1 || ps.ops[0].code != opTableGet || len(e.keyNames) != 32 {
+		t.Fatalf("phase resolved to %+v with %d key names", ps.ops, len(e.keyNames))
+	}
+	tl := newTally(&ps.phase)
+	var got float64
+	rt.Go("worker", func(p Proc) {
+		call := e.newCall(&clientState{store: dial("worker")}, &ps.phase)
+		rng, ch := sim.NewRand(1), newChooser(ps.phase.Keys, sim.NewRand(2), ps.start)
+		turn := func() {
+			ps.closedOp(p, call, &tl, rng, ch)
+			p.Sleep(ps.phase.Arrival.Think)
+		}
+		for i := 0; i < 1100; i++ { // until the tally's sample slice has a capacity that lasts
+			turn()
+		}
+		got = testing.AllocsPerRun(200, turn)
+	})
+	rt.Wait()
+	if tl.completed != 1100+201 || tl.misses != 0 || ps.errors != 0 {
+		t.Errorf("tally %+v", tl)
+	}
+	if got > floor {
+		t.Errorf("%.0f allocations per closed-loop table_get, tablestore.Get's own are %.0f", got, floor)
 	}
 }

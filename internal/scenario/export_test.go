@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"azurebench/internal/cloud"
@@ -29,7 +31,12 @@ func (d *Door) Setup() error { return d.e.setup() }
 // Perform runs one op of the vocabulary as the given client, inside a
 // process of the door's runtime, the way a phase would.
 func (d *Door) Perform(client int, ph Phase, op string, key int) (miss bool, err error) {
-	d.e.rt.Go("step", func(p Proc) { miss, err = d.e.perform(p, d.clients[client], ph, op, key) })
+	code := slices.Index(opKinds, op)
+	if code < 0 {
+		return false, fmt.Errorf("scenario: unknown op %q", op)
+	}
+	call := d.e.newCall(d.clients[client], &ph)
+	d.e.rt.Go("step", func(p Proc) { miss, err = call.perform(p, opCode(code), key) })
 	d.e.rt.Wait()
 	return miss, err
 }

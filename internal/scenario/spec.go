@@ -212,9 +212,10 @@ type OpWeight struct {
 // opKinds is the canonical op vocabulary, in the order mixes are
 // normalised to (so weight tables and counters render deterministically).
 var opKinds = []string{
-	"blob_put", "blob_get",
-	"queue_put", "queue_get", "queue_delete",
-	"table_get", "table_insert", "table_update", "table_delete", "table_rmw", "table_scan",
+	opBlobPut: "blob_put", opBlobGet: "blob_get",
+	opQueuePut: "queue_put", opQueueGet: "queue_get", opQueueDelete: "queue_delete",
+	opTableGet: "table_get", opTableInsert: "table_insert", opTableUpdate: "table_update",
+	opTableDelete: "table_delete", opTableRMW: "table_rmw", opTableScan: "table_scan",
 }
 
 // KeyDist selects record indices.

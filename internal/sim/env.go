@@ -154,10 +154,13 @@ func (e *Env) step() {
 	ev := e.events.pop()
 	e.now = ev.at
 	e.fired++
-	if ev.proc != nil {
-		e.activate(ev.proc)
-	} else {
+	switch p := ev.proc; {
+	case p == nil:
 		ev.fire()
+	case p.pc < p.plen && e.advance(p):
+		// p is inside Exec and its program blocked again: it stays parked.
+	default:
+		e.activate(p)
 	}
 }
 

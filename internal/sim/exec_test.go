@@ -1,0 +1,357 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"azurebench/internal/snapshot"
+)
+
+// An exec script is a byte string read as: resource count and capacities
+// (1-3 each), process count, and per process a start time and a list of
+// items — a program of 1..MaxSteps steps, or the spawning of a child that
+// runs one program of its own. Steps are sleeps of -1..3 ms (so zero and
+// negative ones occur), acquires, releases of something the process holds
+// at that point of its script (a wild release is its own test), and adds
+// to one of two counters. Nothing stops a program from ending on an
+// acquire, from releasing and re-acquiring the same resource, or from
+// holding a unit forever.
+
+type execItem struct {
+	steps []scriptStep // a program; nil: spawn child
+	child []scriptStep
+}
+
+type scriptStep struct {
+	kind stepKind
+	d    time.Duration
+	res  int
+	ctr  int
+}
+
+type execProc struct {
+	start time.Duration
+	items []execItem
+}
+
+type execScript struct {
+	caps  []int
+	procs []execProc
+}
+
+type byteCursor struct {
+	b []byte
+	i int
+}
+
+// next returns the next script byte; an exhausted script reads as zeros.
+func (c *byteCursor) next() int {
+	if c.i >= len(c.b) {
+		return 0
+	}
+	v := c.b[c.i]
+	c.i++
+	return int(v)
+}
+
+func parseExecScript(data []byte) execScript {
+	c := &byteCursor{b: data}
+	var sc execScript
+	for n := 1 + c.next()%3; n > 0; n-- {
+		sc.caps = append(sc.caps, 1+c.next()%3)
+	}
+	program := func(held []int) []scriptStep {
+		var steps []scriptStep
+		for n := 1 + c.next()%MaxSteps; n > 0; n-- {
+			arg := c.next()
+			st := scriptStep{kind: stepKind(arg % 4), res: (arg / 4) % len(sc.caps)}
+			switch st.kind {
+			case stepSleep:
+				st.d = time.Duration(arg/4%5-1) * time.Millisecond
+			case stepAcquire:
+				held[st.res]++
+			case stepRelease:
+				if held[st.res] == 0 {
+					st = scriptStep{kind: stepSleep}
+					break
+				}
+				held[st.res]--
+			case stepAdd:
+				st.ctr, st.d = arg/4%2, time.Duration(arg)
+			}
+			steps = append(steps, st)
+		}
+		return steps
+	}
+	for n := 1 + c.next()%6; n > 0; n-- {
+		pr := execProc{start: time.Duration(c.next()%4) * time.Millisecond}
+		held := make([]int, len(sc.caps))
+		for k := 1 + c.next()%3; k > 0; k-- {
+			if c.next()%4 == 0 {
+				pr.items = append(pr.items, execItem{child: program(make([]int, len(sc.caps)))})
+			} else {
+				pr.items = append(pr.items, execItem{steps: program(held)})
+			}
+		}
+		sc.procs = append(sc.procs, pr)
+	}
+	return sc
+}
+
+// execOutcome is everything two runs of one script are compared on.
+type execOutcome struct {
+	End      time.Duration
+	Events   uint64
+	Stats    []ResourceStats
+	Counters [2]int64
+	Log      []string // "<now> <proc>" at each return from a program, in order
+	Saves    []string // kernel + resource Save bytes at each stop and at the end
+	Panic    any
+
+	switches uint64
+	multi    bool // some program with >= 2 sleeps ran to its end
+}
+
+var execStops = []time.Duration{0, time.Millisecond, 2500 * time.Microsecond, 6 * time.Millisecond}
+
+// runExecScript runs sc with every program handed to Exec (useExec) or
+// made as the plain calls its steps stand for.
+func runExecScript(sc execScript, useExec bool) (out execOutcome) {
+	e := NewEnv(3)
+	res := make([]*Resource, len(sc.caps))
+	for i, c := range sc.caps {
+		res[i] = NewResource(e, fmt.Sprintf("r%d", i), c)
+	}
+	runProgram := func(p *Proc, steps []scriptStep) {
+		sleeps := 0
+		if useExec {
+			prog := make([]Step, len(steps))
+			for i, st := range steps {
+				switch st.kind {
+				case stepSleep:
+					prog[i] = Sleep(st.d)
+					sleeps++
+				case stepAcquire:
+					prog[i] = Acquire(res[st.res])
+				case stepRelease:
+					prog[i] = Release(res[st.res])
+				case stepAdd:
+					prog[i] = Add(&out.Counters[st.ctr], int64(st.d))
+				}
+			}
+			p.Exec(prog...)
+		} else {
+			for _, st := range steps {
+				switch st.kind {
+				case stepSleep:
+					p.Sleep(st.d)
+					sleeps++
+				case stepAcquire:
+					res[st.res].Acquire(p)
+				case stepRelease:
+					res[st.res].Release()
+				case stepAdd:
+					out.Counters[st.ctr] += int64(st.d)
+				}
+			}
+		}
+		out.Log = append(out.Log, fmt.Sprintf("%v %s", p.Now(), p.Name()))
+		if sleeps >= 2 {
+			out.multi = true
+		}
+	}
+	for i, pr := range sc.procs {
+		e.GoAt(pr.start, fmt.Sprintf("p%d", i), func(p *Proc) {
+			for k, it := range pr.items {
+				if it.steps == nil {
+					e.Go(fmt.Sprintf("%s.%d", p.Name(), k), func(q *Proc) { runProgram(q, it.child) })
+					continue
+				}
+				runProgram(p, it.steps)
+			}
+		})
+	}
+	save := func() {
+		w := &snapshot.Writer{}
+		e.Save(w)
+		for _, r := range res {
+			r.Save(w)
+		}
+		out.Saves = append(out.Saves, fmt.Sprintf("%x %v", w.Bytes(), out.Counters))
+	}
+	defer func() {
+		out.Panic = recover()
+		_, out.switches, _ = e.Telemetry()
+	}()
+	for _, s := range execStops {
+		e.RunUntil(s)
+		save()
+	}
+	out.End = e.Run()
+	save()
+	out.Events = e.Events()
+	for _, r := range res {
+		out.Stats = append(out.Stats, r.Stats())
+	}
+	return out
+}
+
+// checkExecScript is the property: Exec and the calls it stands for cannot
+// be told apart by anything but the switch count.
+func checkExecScript(t *testing.T, data []byte) {
+	t.Helper()
+	sc := parseExecScript(data)
+	calls, exec := runExecScript(sc, false), runExecScript(sc, true)
+	cs, es, multi := calls.switches, exec.switches, exec.multi
+	if calls.multi != exec.multi {
+		t.Fatalf("script %x: programs completed differ", data)
+	}
+	calls.switches, exec.switches, calls.multi, exec.multi = 0, 0, false, false
+	if !reflect.DeepEqual(calls, exec) {
+		t.Fatalf("script %x:\ncalls %+v\nexec  %+v", data, calls, exec)
+	}
+	if es > cs || (multi && es >= cs) {
+		t.Fatalf("script %x: %d switches through Exec, %d through calls (multi-sleep program: %v)", data, es, cs, multi)
+	}
+}
+
+// execSeeds are the hand-written corner cases, as scripts.
+var execSeeds = [][]byte{
+	nil,
+	// One resource of capacity 1, two processes that both run
+	// [acquire, sleep 1ms, release, sleep 0, sleep -1ms]: a Use with a tail.
+	{0, 0, 1, 0, 0, 1, 4, 1, 8, 2, 4, 0, 0, 0, 1, 4, 1, 8, 2, 4, 0},
+	// Release-then-acquire of the same resource inside one program, and a
+	// program that ends on an acquire it never gives back.
+	{0, 0, 2, 0, 1, 1, 3, 1, 2, 1, 8, 1, 0, 1, 1, 1, 12, 1, 1, 1, 0, 1},
+	// Children spawned between programs, three resources.
+	{2, 1, 2, 0, 3, 1, 2, 0, 2, 1, 12, 2, 1, 3, 5, 12, 9, 3, 0, 0, 1, 12, 6, 1, 1, 0, 2, 16, 16},
+}
+
+func TestExecMatchesCalls(t *testing.T) {
+	for _, s := range execSeeds {
+		checkExecScript(t, s)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 1500; i++ {
+		data := make([]byte, 8+rng.Intn(120))
+		rng.Read(data)
+		checkExecScript(t, data)
+	}
+}
+
+func FuzzExecProgram(f *testing.F) {
+	for _, s := range execSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			t.Skip()
+		}
+		checkExecScript(t, data)
+	})
+}
+
+// A five-step program around a contended station costs each process one
+// switch, not one per sleep and grant: the count the cloud pipeline relies
+// on.
+func TestExecSwitchCounts(t *testing.T) {
+	for _, useExec := range []bool{false, true} {
+		e := NewEnv(1)
+		r := NewResource(e, "r", 1)
+		for i := 0; i < 2; i++ {
+			e.Go("", func(p *Proc) {
+				if useExec {
+					p.Exec(Sleep(time.Millisecond), Acquire(r), Sleep(time.Millisecond), Release(r), Sleep(time.Millisecond))
+				} else {
+					p.Sleep(time.Millisecond)
+					r.Acquire(p)
+					p.Sleep(time.Millisecond)
+					r.Release()
+					p.Sleep(time.Millisecond)
+				}
+			})
+		}
+		e.Run()
+		events, switches, _ := e.Telemetry()
+		// Two starts, three sleeps each and one grant by hand-over.
+		if events != 9 {
+			t.Errorf("exec=%v: %d events, want 9", useExec, events)
+		}
+		if want := map[bool]uint64{false: 9, true: 4}[useExec]; switches != want {
+			t.Errorf("exec=%v: %d switches, want %d", useExec, switches, want)
+		}
+	}
+}
+
+func TestExecFromWrongProcessPanics(t *testing.T) {
+	e := NewEnv(1)
+	var other *Proc
+	other = e.Go("other", func(p *Proc) { p.Sleep(time.Second) })
+	e.Go("caller", func(p *Proc) { other.Exec(Sleep(time.Millisecond)) })
+	defer func() {
+		r := fmt.Sprint(recover())
+		if !strings.Contains(r, `Exec called from process "other" which is not running`) {
+			t.Fatalf("panic = %s", r)
+		}
+	}()
+	e.Run()
+}
+
+func TestExecTooLongPanics(t *testing.T) {
+	e := NewEnv(1)
+	e.Go("p", func(p *Proc) { p.Exec(make([]Step, MaxSteps+1)...) })
+	defer func() {
+		if r := fmt.Sprint(recover()); !strings.Contains(r, "Exec with 9 steps") {
+			t.Fatalf("panic = %s", r)
+		}
+	}()
+	e.Run()
+}
+
+// A Release without an Acquire is the process's bug whichever way it is
+// made: the same panic value comes out of Run, the process is ended and
+// joined, and the steps before the faulty one have happened.
+func TestExecWildReleasePanicsLikeTheCall(t *testing.T) {
+	run := func(useExec bool) (panicked any, ended bool, now time.Duration, events uint64, stats ResourceStats) {
+		e := NewEnv(1)
+		r := NewResource(e, "r", 1)
+		p := e.Go("culprit", func(p *Proc) {
+			if useExec {
+				p.Exec(Sleep(time.Millisecond), Release(r), Sleep(time.Millisecond))
+			} else {
+				p.Sleep(time.Millisecond)
+				r.Release()
+				p.Sleep(time.Millisecond)
+			}
+		})
+		func() {
+			defer func() { panicked = recover() }()
+			e.Run()
+		}()
+		return panicked, p.Ended(), e.Now(), e.Events(), r.Stats()
+	}
+	cp, ce, cn, cev, cst := run(false)
+	ep, ee, en, eev, est := run(true)
+	if cp == nil || !strings.Contains(fmt.Sprint(cp), "Release without matching Acquire") {
+		t.Fatalf("plain calls did not panic as expected: %v", cp)
+	}
+	if cp != ep || ce != ee || cn != en || cev != eev || cst != est {
+		t.Errorf("calls: %v ended=%v now=%v events=%d %+v\nexec:  %v ended=%v now=%v events=%d %+v",
+			cp, ce, cn, cev, cst, ep, ee, en, eev, est)
+	}
+	// The first step of a program runs in the process itself.
+	e := NewEnv(1)
+	r := NewResource(e, "r", 1)
+	e.Go("first", func(p *Proc) { p.Exec(Release(r)) })
+	defer func() {
+		if r := fmt.Sprint(recover()); !strings.Contains(r, `process "first" panicked: sim: Resource.Release without`) {
+			t.Fatalf("panic = %s", r)
+		}
+	}()
+	e.Run()
+}

@@ -208,8 +208,9 @@ func TestRunBoundsOnValueHeap(t *testing.T) {
 }
 
 // TestSteadyStateAllocatesNothing: once the heap and the waiter queues
-// have their capacity, a Sleep and a contended Resource.Use allocate
-// nothing — no event record, no closure.
+// have their capacity, a Sleep, a contended Resource.Use and a program
+// handed to Exec allocate nothing — no event record, no closure, no copy
+// of the steps.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	measure := func(name string, body func(p *Proc, r *Resource)) {
 		e := NewEnv(1)
@@ -233,6 +234,10 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	measure("Sleep", func(p *Proc, _ *Resource) { p.Sleep(time.Microsecond) })
 	measure("Resource.Use", func(p *Proc, r *Resource) { r.Use(p, time.Microsecond) })
+	var n int64
+	measure("Exec", func(p *Proc, r *Resource) {
+		p.Exec(Sleep(time.Microsecond), Acquire(r), Sleep(time.Microsecond), Release(r), Add(&n, 1), Sleep(0))
+	})
 }
 
 // TestTelemetryCounts pins the kernel's self-telemetry on a program small

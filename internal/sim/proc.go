@@ -24,6 +24,11 @@ type Proc struct {
 	yield func(struct{}) bool     // process side: park, handing control back to the kernel
 	done  *Signal
 	ended bool
+
+	// The program handed to Exec; prog[pc:plen] is still to run.
+	prog [MaxSteps]Step
+	pc   int
+	plen int
 }
 
 // Name returns the process name.
@@ -42,11 +47,91 @@ func (p *Proc) Rand() *Rand { return p.env.rng }
 // treated as zero (yield to same-time events scheduled earlier).
 func (p *Proc) Sleep(d time.Duration) {
 	p.env.mustBeRunning(p, "Sleep")
-	if d < 0 {
-		d = 0
-	}
-	p.env.wake(p.env.now+d, p)
+	p.env.wake(p.env.now+max(d, 0), p)
 	p.park()
+}
+
+// MaxSteps is the longest program Exec accepts.
+const MaxSteps = 8
+
+// Step is one instruction of a program for Proc.Exec.
+type Step struct {
+	kind stepKind
+	d    time.Duration // stepSleep: how long; stepAdd: the addend
+	r    *Resource
+	ctr  *int64
+}
+
+type stepKind uint8
+
+const (
+	stepSleep stepKind = iota
+	stepAcquire
+	stepRelease
+	stepAdd
+)
+
+// Each constructor builds the step that stands for the call of its name.
+func Sleep(d time.Duration) Step { return Step{kind: stepSleep, d: d} }
+func Acquire(r *Resource) Step   { return Step{kind: stepAcquire, r: r} }
+func Release(r *Resource) Step   { return Step{kind: stepRelease, r: r} }
+
+// Add stands for *ctr += n, for a count a checkpoint may read at any
+// instant: it moves when the program gets there, not when the process next
+// runs.
+func Add(ctr *int64, n int64) Step { return Step{kind: stepAdd, d: time.Duration(n), ctr: ctr} }
+
+// Exec runs a straight-line program of at most MaxSteps steps and returns
+// when the last one is done. Event for event it is the same calls made one
+// after the other — each step executes the statements of the call it
+// stands for, at the same instant, taking the same sequence numbers, so
+// neither the event order nor any Resource's Stats nor Env.Save can tell —
+// but after the first step that blocks it is the kernel that runs the rest,
+// from its own loop as the process's wake-ups arrive (Env.step), and the
+// coroutine is switched to once, at the end, not once per blocking step.
+// The steps are copied into the Proc: nothing is allocated.
+func (p *Proc) Exec(steps ...Step) {
+	p.env.mustBeRunning(p, "Exec")
+	if len(steps) > MaxSteps {
+		panic(fmt.Sprintf("sim: Exec with %d steps (at most %d)", len(steps), MaxSteps))
+	}
+	p.pc, p.plen = 0, copy(p.prog[:], steps)
+	for p.pc < p.plen { // a second round only after advance handed a step back
+		if p.env.advance(p) {
+			p.park()
+		}
+	}
+}
+
+// advance runs p's program up to and including its next blocking step and
+// reports whether there was one (p's wake-up is then scheduled, or owed by
+// a Release). p calls it from Exec, the kernel for every later round. A
+// Release about to panic is handed back to p: the kernel stops in front of
+// it and reports "not blocked", the coroutine resumes and Exec's loop makes
+// the step there, so the panic unwinds the process's own stack and comes
+// out of Run as the plain call's does.
+func (e *Env) advance(p *Proc) bool {
+	for p.pc < p.plen {
+		s := &p.prog[p.pc]
+		if s.kind == stepRelease && s.r.inUse <= 0 && e.cur != p {
+			return false
+		}
+		p.pc++
+		switch s.kind {
+		case stepSleep:
+			e.wake(e.now+max(s.d, 0), p)
+			return true
+		case stepAcquire:
+			if s.r.acquire(p) {
+				return true
+			}
+		case stepRelease:
+			s.r.Release()
+		case stepAdd:
+			*s.ctr += int64(s.d)
+		}
+	}
+	return false
 }
 
 // Yield gives same-instant events scheduled before now a chance to run,

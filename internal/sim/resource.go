@@ -52,17 +52,25 @@ func (r *Resource) account() {
 // Acquire obtains one unit, blocking in FIFO order until one is free.
 func (r *Resource) Acquire(p *Proc) {
 	r.env.mustBeRunning(p, "Resource.Acquire")
+	if r.acquire(p) {
+		p.park()
+	}
+}
+
+// acquire grants p a unit or queues it, and reports whether p has to wait
+// for a Release to wake it: Acquire, and the acquire step of Proc.Exec.
+func (r *Resource) acquire(p *Proc) (wait bool) {
 	r.account()
 	r.acquired++
 	if r.inUse < r.capacity {
 		r.inUse++
-		return
+		return false
 	}
 	r.waiters.push(p)
 	if n := r.waiters.len(); n > r.maxQueue {
 		r.maxQueue = n
 	}
-	p.park()
+	return true
 }
 
 // TryAcquire obtains a unit without blocking; it reports whether it
@@ -96,9 +104,7 @@ func (r *Resource) Release() {
 // Use acquires the resource, holds it for d of virtual time, and releases
 // it. It is the common pattern for modelling a service time at a station.
 func (r *Resource) Use(p *Proc, d time.Duration) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
+	p.Exec(Acquire(r), Sleep(d), Release(r))
 }
 
 // Stats reports utilisation statistics since the start of the simulation.

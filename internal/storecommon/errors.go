@@ -99,11 +99,27 @@ func Errf(code Code, status int, format string, args ...any) *Error {
 	return &Error{Code: code, Status: status, Message: fmt.Sprintf(format, args...)}
 }
 
+// asError returns the *Error in err's chain, or nil. Nearly every call
+// brings nil or a bare *Error (the predicates below run after every
+// operation, successful ones included) and those are answered by a type
+// assertion; only a wrapped error reaches errors.As, whose target escapes
+// and is therefore allocated whatever err holds.
+func asError(err error) *Error {
+	if err == nil {
+		return nil
+	}
+	if se, ok := err.(*Error); ok {
+		return se
+	}
+	var se *Error
+	errors.As(err, &se)
+	return se
+}
+
 // CodeOf extracts the storage error code from err, or "" if err is not a
 // storage error.
 func CodeOf(err error) Code {
-	var se *Error
-	if errors.As(err, &se) {
+	if se := asError(err); se != nil {
 		return se.Code
 	}
 	return ""
@@ -115,8 +131,7 @@ func StatusOf(err error) int {
 	if err == nil {
 		return 0
 	}
-	var se *Error
-	if errors.As(err, &se) {
+	if se := asError(err); se != nil {
 		return se.Status
 	}
 	return 500

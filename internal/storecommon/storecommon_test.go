@@ -55,18 +55,45 @@ func TestErrorPredicates(t *testing.T) {
 		{CodeInvalidInput, false, false, false, false},
 	}
 	for _, c := range cases {
-		err := Errf(c.code, 400, "x")
-		if IsServerBusy(err) != c.busy {
-			t.Errorf("IsServerBusy(%s) = %v", c.code, !c.busy)
+		bare := Errf(c.code, 400, "x")
+		wrapped := fmt.Errorf("while testing: %w", bare)
+		for _, err := range []error{bare, wrapped, fmt.Errorf("again: %w", wrapped)} {
+			if CodeOf(err) != c.code || StatusOf(err) != 400 {
+				t.Errorf("CodeOf, StatusOf(%v) = %q, %d", err, CodeOf(err), StatusOf(err))
+			}
+			if IsServerBusy(err) != c.busy {
+				t.Errorf("IsServerBusy(%v) = %v", err, !c.busy)
+			}
+			if IsNotFound(err) != c.notFound {
+				t.Errorf("IsNotFound(%v) = %v", err, !c.notFound)
+			}
+			if IsConflict(err) != c.conflict {
+				t.Errorf("IsConflict(%v) = %v", err, !c.conflict)
+			}
+			if IsPreconditionFailed(err) != c.precond {
+				t.Errorf("IsPreconditionFailed(%v) = %v", err, !c.precond)
+			}
 		}
-		if IsNotFound(err) != c.notFound {
-			t.Errorf("IsNotFound(%s) = %v", c.code, !c.notFound)
+	}
+	for _, err := range []error{nil, errors.New("plain"), fmt.Errorf("wrapped: %w", errors.New("plain"))} {
+		if CodeOf(err) != "" || IsServerBusy(err) || IsTransient(err) || IsNotFound(err) || IsConflict(err) || IsPreconditionFailed(err) {
+			t.Errorf("%v classified as a storage error", err)
 		}
-		if IsConflict(err) != c.conflict {
-			t.Errorf("IsConflict(%s) = %v", c.code, !c.conflict)
-		}
-		if IsPreconditionFailed(err) != c.precond {
-			t.Errorf("IsPreconditionFailed(%s) = %v", c.code, !c.precond)
+	}
+}
+
+// The predicates run after every operation, mostly on nil: classifying nil
+// or an engine's own *Error must not allocate.
+func TestClassifyingAllocatesNothing(t *testing.T) {
+	var notFound error = Errf(CodeEntityNotFound, 404, "x")
+	for name, err := range map[string]error{"nil": nil, "bare": notFound} {
+		allocs := testing.AllocsPerRun(100, func() {
+			_ = CodeOf(err)
+			_ = StatusOf(err)
+			_ = IsNotFound(err) || IsRetriable(err) || IsConflict(err) || IsPreconditionFailed(err)
+		})
+		if allocs != 0 {
+			t.Errorf("%s error: %v allocations, want 0", name, allocs)
 		}
 	}
 }

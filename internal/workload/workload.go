@@ -5,8 +5,8 @@
 package workload
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"azurebench/internal/payload"
 	"azurebench/internal/sim"
@@ -79,5 +79,20 @@ func Record(seed uint64, i int, size int64) payload.Payload {
 	return payload.Synthetic(seed^uint64(i)*0x9e3779b97f4a7c15, size)
 }
 
-// Key renders the canonical record key of index i.
-func Key(i int) string { return fmt.Sprintf("user%010d", i) }
+// Key renders the canonical record key of index i: fmt's "user%010d",
+// appended digit by digit because a closed loop renders one per operation.
+func Key(i int) string {
+	var buf [len("user-") + 19]byte
+	b := append(buf[:0], "user"...)
+	u, width := uint64(i), 10
+	if i < 0 {
+		b = append(b, '-')
+		u, width = -u, width-1 // the sign counts towards the width
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for n := len(d); n < width; n++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"azurebench/internal/payload"
@@ -62,5 +64,12 @@ func TestRecordDeterministicAndDistinct(t *testing.T) {
 func TestKeyFormat(t *testing.T) {
 	if Key(42) != "user0000000042" {
 		t.Fatalf("Key(42) = %q", Key(42))
+	}
+	// The format is fmt's, at every width and sign.
+	for _, i := range []int{0, 1, 9, 10, 999, 1<<31 - 1, 9999999999, 10000000000, 123456789012345,
+		math.MaxInt64, -1, -42, -999999999, -1000000000, -12345678901, math.MinInt64} {
+		if got, want := Key(i), fmt.Sprintf("user%010d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
 	}
 }
