@@ -22,14 +22,14 @@ var Hotalloc = &Analyzer{
 }
 
 // hotPathSegments are the import-path segments of the packages that sit
-// on a request or event path: the REST handlers and their codec, the sim
+// on a request or event path: the REST handlers and their two codecs, the sim
 // kernel, the simulated client pipeline and the storage engines.
 // Workload generators and report rendering (core, scenario, trace, ...)
 // are deliberately outside it — what they allocate per operation is
 // measured by the bench ledger (proc.allocs_per_op,
 // scenario.op_overhead_us), not linted.
 var hotPathSegments = []string{
-	"rest", "odata", "sim", "cloud",
+	"rest", "odata", "xmlwire", "sim", "cloud",
 	"blobstore", "queuestore", "tablestore", "storecommon",
 }
 

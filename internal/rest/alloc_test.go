@@ -6,10 +6,12 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+	"time"
 
 	"azurebench/internal/odata"
 	"azurebench/internal/payload"
 	"azurebench/internal/tablestore"
+	"azurebench/internal/xmlwire"
 )
 
 // serve runs one request through ServeHTTP and a recorder — no socket, no
@@ -37,8 +39,8 @@ func serve(t testing.TB, srv *Server, method, target string, body []byte, header
 // rest.allocs_per_req replay measures them: the request and the recorder
 // are built inside the measured call, and 15 to 19 of the allocations
 // below are theirs; of a replace, 11 more are the engine cloning and
-// stamping the entity. Before PR 21 the four took 61, 82, 55 and 41
-// allocations and 3.28 bytes per blob byte. A regression here fails go
+// stamping the entity. Before PR 21 the table and blob requests took 61,
+// 82, 55 and 41 allocations and 3.28 bytes per blob byte. A regression here fails go
 // test without the benchmark being run.
 func TestRequestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
@@ -64,6 +66,29 @@ func TestRequestAllocationCeilings(t *testing.T) {
 	const blobSize = 64 << 10
 	blob := payload.Synthetic(4, blobSize).Materialize()
 	const entityPath = "/table/bench(PartitionKey='p07',RowKey='user0000001234')"
+	// The queue rows are a task's cycle, 512 bytes as the bag-of-tasks
+	// workload sends them: enough messages for every measured GET to claim
+	// one, and a claimed one for every measured DELETE.
+	if err := srv.Queue.CreateQueue("bench"); err != nil {
+		t.Fatal(err)
+	}
+	task := payload.Synthetic(5, 512).Materialize()
+	message := xmlwire.AppendQueueMessage(nil, task)
+	for range 400 {
+		if _, err := srv.Queue.Put("bench", payload.Bytes(task), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var deletes []string
+	for len(deletes) <= 100 {
+		msgs, err := srv.Queue.Get("bench", 32, time.Minute)
+		if err != nil || len(msgs) == 0 {
+			t.Fatalf("claiming messages: %d, %v", len(msgs), err)
+		}
+		for _, m := range msgs {
+			deletes = append(deletes, "/queue/bench/messages/"+m.ID+"?popreceipt="+m.PopReceipt)
+		}
+	}
 
 	for _, c := range []struct {
 		name    string
@@ -74,6 +99,12 @@ func TestRequestAllocationCeilings(t *testing.T) {
 		{"table PUT (replace)", 48, func() { serve(t, srv, "PUT", entityPath, entity, "If-Match", "*") }},
 		{"blob PUT 64 KiB", 36, func() { serve(t, srv, "PUT", "/blob/bench/b", blob, "x-ms-blob-type", "BlockBlob") }},
 		{"blob GET 64 KiB", 37, func() { serve(t, srv, "GET", "/blob/bench/b", nil) }},
+		// Before PR 24 the POST took 59 allocations and the GET 50.
+		{"queue POST message", 30, func() { serve(t, srv, "POST", "/queue/bench/messages", message) }},
+		{"queue GET numofmessages=1", 32, func() {
+			serve(t, srv, "GET", "/queue/bench/messages?numofmessages=1&visibilitytimeout=60", nil)
+		}},
+		{"queue DELETE message", 25, func() { serve(t, srv, "DELETE", deletes[0], nil); deletes = deletes[1:] }},
 	} {
 		c.call() // warm the scratch pool and the endpoint's stats slot
 		if n := testing.AllocsPerRun(100, c.call); n > c.ceiling {

@@ -14,7 +14,9 @@ import (
 
 	"azurebench/internal/odata"
 	"azurebench/internal/payload"
+	"azurebench/internal/storecommon"
 	"azurebench/internal/tablestore"
+	"azurebench/internal/xmlwire"
 )
 
 // Header keys go into the header maps as written, so each constant must be
@@ -131,9 +133,8 @@ func TestResponsesDeclareLengthAndType(t *testing.T) {
 	}
 }
 
-// A body arrives whole whether its length is declared or not, is cut at
-// the cap either way, and one cut short of its declared length is the
-// client's error.
+// A body arrives whole whether its length is declared or not, and one cut
+// short of its declared length is the client's error.
 func TestRequestBodiesOfEveryFraming(t *testing.T) {
 	srv := NewServer(Options{})
 	srv.Blob.CreateContainer("ctn")
@@ -156,6 +157,74 @@ func TestRequestBodiesOfEveryFraming(t *testing.T) {
 	}
 	if code := put(int64(len(data))+1, bytes.NewReader(data)); code != http.StatusBadRequest {
 		t.Errorf("upload cut short of its Content-Length: status %d, want 400", code)
+	}
+}
+
+// A body longer than its service reads is answered 413 RequestBodyTooLarge
+// — unread, when its length is declared — and is never handed to a parser
+// cut at the limit, which made a 200 KiB message "bad XML: unexpected EOF"
+// and an oversized entity a JSON syntax error.
+func TestOversizedBodiesAreRefused(t *testing.T) {
+	srv := NewServer(Options{})
+	srv.Queue.CreateQueue("q-1")
+	srv.Table.CreateTable("people")
+	srv.Blob.CreateContainer("ctn")
+	message := xmlwire.AppendQueueMessage(nil, make([]byte, 150<<10))
+	entity := []byte(`{"PartitionKey":"p","RowKey":"r","V":"` + strings.Repeat("x", 2*storecommon.MaxEntitySize) + `"}`)
+	for _, c := range []struct {
+		method, target string
+		length         int64     // declared; -1 is chunked
+		body           io.Reader // nil: must not be read
+	}{
+		{"POST", "/queue/q-1/messages", int64(len(message)), nil},
+		{"POST", "/queue/q-1/messages", -1, bytes.NewReader(message)},
+		{"POST", "/table/people", int64(len(entity)), nil},
+		{"POST", "/table/people", -1, bytes.NewReader(entity)},
+		{"PUT", "/blob/ctn/b.bin?comp=blocklist", maxBodyBytes + 1, nil},
+	} {
+		body := c.body
+		if body == nil {
+			body = readerFunc(func([]byte) (int, error) {
+				t.Errorf("%s %s: a body declared too long was read", c.method, c.target)
+				return 0, io.ErrUnexpectedEOF
+			})
+		}
+		r := httptest.NewRequest(c.method, c.target, body)
+		r.ContentLength = c.length
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, r)
+		if code := w.Header().Get("x-ms-error-code"); w.Code != http.StatusRequestEntityTooLarge || code != "RequestBodyTooLarge" {
+			t.Errorf("%s %s with Content-Length %d: status %d %s, want 413 RequestBodyTooLarge: %s",
+				c.method, c.target, c.length, w.Code, code, w.Body)
+		}
+	}
+	// At the limit a body is still read whole: the largest message the
+	// engine takes, 48 KiB of it, goes in.
+	serve(t, srv, "POST", "/queue/q-1/messages", xmlwire.AppendQueueMessage(nil, make([]byte, 48<<10)))
+}
+
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
+// A peeked message has neither a pop receipt nor a time at which it becomes
+// visible again, on the wire as in the engine; a claimed one has both.
+func TestPeekedMessagesCarryNoNextVisibleTime(t *testing.T) {
+	srv := NewServer(Options{})
+	srv.Queue.CreateQueue("q-1")
+	srv.Queue.Put("q-1", payload.String("m"), 0)
+	peeked := serve(t, srv, "GET", "/queue/q-1/messages?peekonly=true", nil).Body.String()
+	claimed := serve(t, srv, "GET", "/queue/q-1/messages", nil).Body.String()
+	for _, tag := range []string{"<PopReceipt>", "<TimeNextVisible>"} {
+		if strings.Contains(peeked, tag) || !strings.Contains(claimed, tag) {
+			t.Errorf("%s: in the peeked message %v, in the claimed one %v\npeeked: %s\nclaimed: %s",
+				tag, strings.Contains(peeked, tag), strings.Contains(claimed, tag), peeked, claimed)
+		}
+	}
+	for _, tag := range []string{"<MessageId>q-1-msg-1</MessageId>", "<InsertionTime>", "<ExpirationTime>", "<DequeueCount>0</DequeueCount>", "<MessageText>bQ==</MessageText>"} {
+		if !strings.Contains(peeked, tag) {
+			t.Errorf("peeked message lacks %s: %s", tag, peeked)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package rest
 
 import (
-	"encoding/base64"
 	"encoding/xml"
 	"net/http"
 	"net/url"
@@ -12,6 +11,7 @@ import (
 	"azurebench/internal/payload"
 	"azurebench/internal/queuestore"
 	"azurebench/internal/storecommon"
+	"azurebench/internal/xmlwire"
 )
 
 // handleQueue routes /queue/{name}[/messages[/{id}]].
@@ -80,35 +80,27 @@ type queueListXML struct {
 	Queues  []string `xml:"Queues>Queue>Name"`
 }
 
-// queueMessageXML is the Put/Update Message body.
-type queueMessageXML struct {
-	XMLName     xml.Name `xml:"QueueMessage"`
-	MessageText string   `xml:"MessageText"`
-}
-
-// queueMessagesListXML is the Get/Peek Messages response.
-type queueMessagesListXML struct {
-	XMLName  xml.Name          `xml:"QueueMessagesList"`
-	Messages []queueMessageOut `xml:"QueueMessage"`
-}
-
-type queueMessageOut struct {
-	MessageID       string `xml:"MessageId"`
-	InsertionTime   string `xml:"InsertionTime"`
-	ExpirationTime  string `xml:"ExpirationTime"`
-	PopReceipt      string `xml:"PopReceipt,omitempty"`
-	TimeNextVisible string `xml:"TimeNextVisible,omitempty"`
-	DequeueCount    int    `xml:"DequeueCount"`
-	MessageText     string `xml:"MessageText"`
-}
-
 func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, name, sub string) {
-	q := r.URL.Query()
 	id, oneMessage := strings.CutPrefix(sub, "messages/")
 	switch {
 	case sub == "messages" && r.Method == http.MethodPost:
-		s.putMessage(w, r, name)
+		body, err := decodeMessageBody(r)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		ttl, err := queryInt(r.URL.Query(), "messagettl", 0)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		if err := engineDo(r, func() error { _, e := s.Queue.Put(name, body, time.Duration(ttl)*time.Second); return e }); err != nil {
+			writeError(w, err)
+			return
+		}
+		w.WriteHeader(http.StatusCreated)
 	case sub == "messages" && r.Method == http.MethodGet:
+		q := r.URL.Query()
 		// numofmessages is range-checked (1 to 32) by the engine, so both
 		// front doors agree.
 		max, err := queryInt(q, "numofmessages", 1)
@@ -136,7 +128,10 @@ func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, nam
 			writeError(w, err)
 			return
 		}
-		writeXML(w, http.StatusOK, messagesOut(msgs))
+		buf := getScratch()
+		defer buf.release()
+		buf.b = xmlwire.AppendMessagesList(buf.b[:0], msgs, peek)
+		writeBody(w, http.StatusOK, xmlType, buf.b)
 	case sub == "messages" && r.Method == http.MethodDelete:
 		if err := engineDo(r, func() error { return s.Queue.ClearMessages(name) }); err != nil {
 			writeError(w, err)
@@ -144,7 +139,8 @@ func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, nam
 		}
 		w.WriteHeader(http.StatusNoContent)
 	case oneMessage && r.Method == http.MethodDelete:
-		if err := engineDo(r, func() error { return s.Queue.Delete(name, id, q.Get("popreceipt")) }); err != nil {
+		receipt := r.URL.Query().Get("popreceipt")
+		if err := engineDo(r, func() error { return s.Queue.Delete(name, id, receipt) }); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -155,6 +151,7 @@ func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, nam
 			writeError(w, err)
 			return
 		}
+		q := r.URL.Query()
 		vis, err := queryInt(q, "visibilitytimeout", 0)
 		if err != nil {
 			writeError(w, err)
@@ -175,24 +172,8 @@ func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, nam
 	}
 }
 
-func (s *Server) putMessage(w http.ResponseWriter, r *http.Request, name string) {
-	body, err := decodeMessageBody(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ttl, err := queryInt(r.URL.Query(), "messagettl", 0)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := engineDo(r, func() error { _, e := s.Queue.Put(name, body, time.Duration(ttl)*time.Second); return e }); err != nil {
-		writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusCreated)
-}
-
+// decodeMessageBody reads a Put or Update Message body: the message, out
+// of its base64, in a buffer the engine may keep.
 func decodeMessageBody(r *http.Request) (payload.Payload, error) {
 	buf := getScratch()
 	defer buf.release()
@@ -200,31 +181,11 @@ func decodeMessageBody(r *http.Request) (payload.Payload, error) {
 	if err != nil {
 		return payload.Payload{}, err
 	}
-	var msg queueMessageXML
-	if err := xml.Unmarshal(raw, &msg); err != nil {
-		return payload.Payload{}, storecommon.Errf(storecommon.CodeInvalidInput, 400, "bad message XML: %v", err)
-	}
-	data, err := base64.StdEncoding.DecodeString(msg.MessageText)
+	data, err := xmlwire.DecodeQueueMessage(raw)
 	if err != nil {
-		return payload.Payload{}, storecommon.Errf(storecommon.CodeInvalidInput, 400, "message text is not base64: %v", err)
+		return payload.Payload{}, storecommon.Errf(storecommon.CodeInvalidInput, 400, "bad message body: %v", err)
 	}
 	return payload.Bytes(data), nil
-}
-
-func messagesOut(msgs []queuestore.Message) queueMessagesListXML {
-	var out queueMessagesListXML
-	for _, m := range msgs {
-		out.Messages = append(out.Messages, queueMessageOut{
-			MessageID:       m.ID,
-			InsertionTime:   m.Inserted.UTC().Format(http.TimeFormat),
-			ExpirationTime:  m.Expires.UTC().Format(http.TimeFormat),
-			PopReceipt:      m.PopReceipt,
-			TimeNextVisible: m.NextVisible.UTC().Format(http.TimeFormat),
-			DequeueCount:    m.DequeueCount,
-			MessageText:     base64.StdEncoding.EncodeToString(m.Body.AsBytes()),
-		})
-	}
-	return out
 }
 
 // queryInt reads an optional integer query parameter. A value that is

@@ -265,15 +265,20 @@ func writeBody(w http.ResponseWriter, status int, contentType []string, body []b
 }
 
 // readBody reads a request body once, into a buffer of the size the
-// client declared (capped at limit, like the body itself); a body of
-// undeclared length grows as it arrives. The buffer is into's when into is
-// given and a fresh one the caller may keep otherwise.
+// client declared; a body of undeclared length grows as it arrives. One
+// longer than limit is refused with 413 — unread when its length was
+// declared — and never handed on cut short. The buffer is into's when into
+// is given and a fresh one the caller may keep otherwise.
 func readBody(r *http.Request, limit int64, into *scratch) ([]byte, error) {
 	var body []byte
 	var err error
-	switch n := min(r.ContentLength, limit); {
+	switch n := r.ContentLength; {
+	case n > limit:
+		return nil, bodyTooLarge(limit)
 	case n < 0:
-		body, err = io.ReadAll(io.LimitReader(r.Body, limit))
+		if body, err = io.ReadAll(io.LimitReader(r.Body, limit+1)); int64(len(body)) > limit {
+			return nil, bodyTooLarge(limit)
+		}
 	case into == nil:
 		body = make([]byte, n)
 		_, err = io.ReadFull(r.Body, body)
@@ -286,6 +291,10 @@ func readBody(r *http.Request, limit int64, into *scratch) ([]byte, error) {
 		return nil, storecommon.Errf(storecommon.CodeInvalidInput, 400, "reading body: %v", err)
 	}
 	return body, nil
+}
+
+func bodyTooLarge(limit int64) error {
+	return storecommon.Errf(storecommon.CodeRequestBodyTooLarge, 413, "request body exceeds %d bytes", limit)
 }
 
 // scratch is a pooled buffer for bytes that do not outlive the handler: a

@@ -39,9 +39,9 @@ func (b *BlobClient) DeleteContainer(name string) error {
 
 // ListBlobs lists blob names in a container by prefix.
 func (b *BlobClient) ListBlobs(container, prefix string) ([]string, error) {
-	q := url.Values{"comp": {"list"}}
+	q := "comp=list"
 	if prefix != "" {
-		q.Set("prefix", prefix)
+		q += "&prefix=" + url.QueryEscape(prefix)
 	}
 	resp, err := b.c.do(request{op: "ListBlobs", method: http.MethodGet, path: "/blob/" + esc(container), query: q})
 	if err != nil {
@@ -58,9 +58,9 @@ func (b *BlobClient) ListBlobs(container, prefix string) ([]string, error) {
 
 // ListContainers lists container names by prefix.
 func (b *BlobClient) ListContainers(prefix string) ([]string, error) {
-	q := url.Values{"comp": {"list"}}
+	q := "comp=list"
 	if prefix != "" {
-		q.Set("prefix", prefix)
+		q += "&prefix=" + url.QueryEscape(prefix)
 	}
 	resp, err := b.c.do(request{op: "ListContainers", method: http.MethodGet, path: "/blob/", query: q})
 	if err != nil {
@@ -95,7 +95,7 @@ func (b *BlobClient) PutBlock(container, blob, blockID string, data []byte) erro
 	_, err := b.c.do(request{op: "PutBlock",
 		method: http.MethodPut,
 		path:   blobPath(container, blob),
-		query:  url.Values{"comp": {"block"}, "blockid": {blockID}},
+		query:  "blockid=" + url.QueryEscape(blockID) + "&comp=block",
 		body:   data,
 	})
 	return err
@@ -114,7 +114,7 @@ func (b *BlobClient) PutBlockList(container, blob string, blockIDs []string) err
 	_, err = b.c.do(request{op: "PutBlockList",
 		method: http.MethodPut,
 		path:   blobPath(container, blob),
-		query:  url.Values{"comp": {"blocklist"}},
+		query:  "comp=blocklist",
 		body:   body,
 	})
 	return err
@@ -125,7 +125,7 @@ func (b *BlobClient) GetBlockList(container, blob string) (committed, uncommitte
 	resp, err := b.c.do(request{op: "GetBlockList",
 		method: http.MethodGet,
 		path:   blobPath(container, blob),
-		query:  url.Values{"comp": {"blocklist"}},
+		query:  "comp=blocklist",
 	})
 	if err != nil {
 		return nil, nil, err
@@ -158,7 +158,7 @@ func (b *BlobClient) PutPages(container, blob string, off int64, data []byte) er
 	_, err := b.c.do(request{op: "PutPages",
 		method: http.MethodPut,
 		path:   blobPath(container, blob),
-		query:  url.Values{"comp": {"page"}},
+		query:  "comp=page",
 		headers: []header{
 			{hMsRange, rangeHeader(off, int64(len(data)))},
 			{hPageWrite, "update"},
@@ -173,7 +173,7 @@ func (b *BlobClient) ClearPages(container, blob string, off, n int64) error {
 	_, err := b.c.do(request{op: "ClearPages",
 		method: http.MethodPut,
 		path:   blobPath(container, blob),
-		query:  url.Values{"comp": {"page"}},
+		query:  "comp=page",
 		headers: []header{
 			{hMsRange, rangeHeader(off, n)},
 			{hPageWrite, "clear"},
@@ -190,7 +190,7 @@ func (b *BlobClient) GetPageRanges(container, blob string) ([]PageRange, error) 
 	resp, err := b.c.do(request{op: "GetPageRanges",
 		method: http.MethodGet,
 		path:   blobPath(container, blob),
-		query:  url.Values{"comp": {"pagelist"}},
+		query:  "comp=pagelist",
 	})
 	if err != nil {
 		return nil, err
@@ -254,7 +254,7 @@ func (b *BlobClient) Snapshot(container, blob string) (time.Time, error) {
 	resp, err := b.c.do(request{op: "Snapshot",
 		method: http.MethodPut,
 		path:   blobPath(container, blob),
-		query:  url.Values{"comp": {"snapshot"}},
+		query:  "comp=snapshot",
 	})
 	if err != nil {
 		return time.Time{}, err
@@ -267,7 +267,7 @@ func (b *BlobClient) DownloadSnapshot(container, blob string, ts time.Time) ([]b
 	resp, err := b.c.do(request{op: "DownloadSnapshot",
 		method: http.MethodGet,
 		path:   blobPath(container, blob),
-		query:  url.Values{"snapshot": {ts.UTC().Format(time.RFC3339Nano)}},
+		query:  "snapshot=" + url.QueryEscape(ts.UTC().Format(time.RFC3339Nano)),
 	})
 	if err != nil {
 		return nil, err
@@ -281,7 +281,7 @@ func (b *BlobClient) AcquireLease(container, blob string, seconds int) (string, 
 	resp, err := b.c.do(request{op: "AcquireLease",
 		method: http.MethodPut,
 		path:   blobPath(container, blob),
-		query:  url.Values{"comp": {"lease"}},
+		query:  "comp=lease",
 		headers: []header{
 			{hLeaseAction, "acquire"},
 			{hLeaseDuration, strconv.Itoa(seconds)},
@@ -298,7 +298,7 @@ func (b *BlobClient) ReleaseLease(container, blob, leaseID string) error {
 	_, err := b.c.do(request{op: "ReleaseLease",
 		method: http.MethodPut,
 		path:   blobPath(container, blob),
-		query:  url.Values{"comp": {"lease"}},
+		query:  "comp=lease",
 		headers: []header{
 			{hLeaseAction, "release"},
 			{hLeaseID, leaseID},
@@ -312,7 +312,7 @@ func (b *BlobClient) BreakLease(container, blob string) error {
 	_, err := b.c.do(request{op: "BreakLease",
 		method:  http.MethodPut,
 		path:    blobPath(container, blob),
-		query:   url.Values{"comp": {"lease"}},
+		query:   "comp=lease",
 		headers: []header{{hLeaseAction, "break"}},
 	})
 	return err

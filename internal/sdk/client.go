@@ -125,7 +125,7 @@ type request struct {
 	op      string // typed operation name (e.g. "PutBlock"), for tracing
 	method  string
 	path    string // service-relative and already escaped, e.g. "/blob/c/b"
-	query   url.Values
+	query   string // already encoded, keys in the order url.Values.Encode gives them
 	headers []header
 	body    []byte
 }
@@ -259,9 +259,7 @@ func (c *Client) once(req request, traceparent string) (response, error) {
 	}
 	u := c.base
 	u.Path, u.RawPath = c.basePath+decoded, c.baseRawPath+req.path
-	if len(req.query) > 0 {
-		u.RawQuery = req.query.Encode()
-	}
+	u.RawQuery = req.query
 	h := make(http.Header, len(req.headers)+2)
 	for _, hd := range req.headers {
 		h[hd.key] = []string{hd.value}

@@ -9,6 +9,7 @@ import (
 
 	"azurebench/internal/rest"
 	"azurebench/internal/retry"
+	"azurebench/internal/tablestore"
 	"azurebench/internal/vclock"
 )
 
@@ -120,6 +121,77 @@ func TestRequestLineKeepsEscapedPath(t *testing.T) {
 	}
 	if err := New("http://bad host/", nil, retry.Policy{}).Table().Create("people"); err == nil {
 		t.Error("a base URL that does not parse must fail every request")
+	}
+}
+
+// The query the SDK writes by hand is the one url.Values.Encode built from
+// a map before: keys sorted, keys and values query-escaped ("$" too), no
+// "?" without parameters.
+func TestRequestLineKeepsEncodedQuery(t *testing.T) {
+	var got []string
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got = append(got, r.Method+" "+r.RequestURI)
+		w.WriteHeader(http.StatusNotFound) // every call fails after its one request
+	}))
+	defer hs.Close()
+	c := New(hs.URL, hs.Client(), retry.Policy{})
+	q, b, tb := c.Queue(), c.Blob(), c.Table()
+	at := time.Date(2012, 5, 21, 1, 2, 3, 456, time.UTC)
+	const odd = "a b&c=d/é+'$"
+	var want []string
+	expect := func(method, path string, vals url.Values) {
+		if len(vals) > 0 {
+			path += "?" + vals.Encode()
+		}
+		want = append(want, method+" "+path)
+	}
+
+	q.Put("q-1", []byte("m"), 0)
+	expect("POST", "/queue/q-1/messages", nil)
+	q.Put("q-1", []byte("m"), 1500*time.Millisecond)
+	expect("POST", "/queue/q-1/messages", url.Values{"messagettl": {"2"}})
+	q.Get("q-1", 1, 0)
+	expect("GET", "/queue/q-1/messages", url.Values{"numofmessages": {"1"}})
+	q.Get("q-1", 32, time.Minute)
+	expect("GET", "/queue/q-1/messages", url.Values{"numofmessages": {"32"}, "visibilitytimeout": {"60"}})
+	q.Peek("q-1", 7)
+	expect("GET", "/queue/q-1/messages", url.Values{"numofmessages": {"7"}, "peekonly": {"true"}})
+	q.DeleteMessage("q-1", "q-1-msg-1", odd)
+	expect("DELETE", "/queue/q-1/messages/q-1-msg-1", url.Values{"popreceipt": {odd}})
+	q.Update("q-1", "q-1-msg-1", odd, []byte("m"), 0)
+	expect("PUT", "/queue/q-1/messages/q-1-msg-1", url.Values{"popreceipt": {odd}, "visibilitytimeout": {"0"}})
+	q.List("")
+	expect("GET", "/queue/", nil)
+	q.List(odd)
+	expect("GET", "/queue/", url.Values{"prefix": {odd}})
+
+	b.ListContainers("")
+	expect("GET", "/blob/", url.Values{"comp": {"list"}})
+	b.ListBlobs("ctn", odd)
+	expect("GET", "/blob/ctn", url.Values{"comp": {"list"}, "prefix": {odd}})
+	b.PutBlock("ctn", "b", "YQ==", []byte("x"))
+	expect("PUT", "/blob/ctn/b", url.Values{"comp": {"block"}, "blockid": {"YQ=="}})
+	b.PutBlockList("ctn", "b", []string{"YQ=="})
+	expect("PUT", "/blob/ctn/b", url.Values{"comp": {"blocklist"}})
+	b.DownloadSnapshot("ctn", "b", at)
+	expect("GET", "/blob/ctn/b", url.Values{"snapshot": {"2012-05-21T01:02:03.000000456Z"}})
+
+	tb.Query("people", "", 0, tablestore.Continuation{})
+	expect("GET", "/table/people", nil)
+	tb.Query("people", "PartitionKey eq 'p' and N gt 1", 0, tablestore.Continuation{})
+	expect("GET", "/table/people", url.Values{"$filter": {"PartitionKey eq 'p' and N gt 1"}})
+	tb.Query("people", "", 10, tablestore.Continuation{})
+	expect("GET", "/table/people", url.Values{"$top": {"10"}})
+	tb.Query("people", odd, 10, tablestore.Continuation{})
+	expect("GET", "/table/people", url.Values{"$filter": {odd}, "$top": {"10"}})
+
+	if len(got) != len(want) {
+		t.Fatalf("%d requests arrived, %d expected: %q", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("request line %q, url.Values.Encode gives %q", got[i], want[i])
+		}
 	}
 }
 

@@ -1,13 +1,14 @@
 package sdk
 
 import (
-	"encoding/base64"
 	"encoding/xml"
 	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
 	"time"
+
+	"azurebench/internal/xmlwire"
 )
 
 // QueueClient talks to the queue service.
@@ -38,11 +39,11 @@ func (q *QueueClient) Delete(name string) error {
 
 // List lists queue names by prefix.
 func (q *QueueClient) List(prefix string) ([]string, error) {
-	vals := url.Values{}
+	var query string
 	if prefix != "" {
-		vals.Set("prefix", prefix)
+		query = "prefix=" + url.QueryEscape(prefix)
 	}
-	resp, err := q.c.do(request{op: "List", method: http.MethodGet, path: "/queue/", query: vals})
+	resp, err := q.c.do(request{op: "List", method: http.MethodGet, path: "/queue/", query: query})
 	if err != nil {
 		return nil, err
 	}
@@ -62,80 +63,61 @@ func wireSeconds(d time.Duration) string {
 	return strconv.FormatInt(int64((d+time.Second-1)/time.Second), 10)
 }
 
-type queueMessageXML struct {
-	XMLName     xml.Name `xml:"QueueMessage"`
-	MessageText string   `xml:"MessageText"`
-}
-
 // Put inserts a message (ttl 0 means the service maximum, one week).
 func (q *QueueClient) Put(name string, body []byte, ttl time.Duration) error {
-	msg, err := xml.Marshal(queueMessageXML{MessageText: base64.StdEncoding.EncodeToString(body)})
-	if err != nil {
-		return err
-	}
-	vals := url.Values{}
+	var query string
 	if ttl > 0 {
-		vals.Set("messagettl", wireSeconds(ttl))
+		query = "messagettl=" + wireSeconds(ttl)
 	}
-	_, err = q.c.do(request{op: "Put",
+	_, err := q.c.do(request{op: "Put",
 		method: http.MethodPost,
 		path:   "/queue/" + esc(name) + "/messages",
-		query:  vals,
-		body:   msg,
+		query:  query,
+		body:   xmlwire.AppendQueueMessage(nil, body),
 	})
 	return err
 }
 
 // Get dequeues up to max messages with the given visibility timeout.
 func (q *QueueClient) Get(name string, max int, visibility time.Duration) ([]Message, error) {
-	vals := url.Values{"numofmessages": {strconv.Itoa(max)}}
+	query := "numofmessages=" + strconv.Itoa(max)
 	if visibility > 0 {
-		vals.Set("visibilitytimeout", wireSeconds(visibility))
+		query += "&visibilitytimeout=" + wireSeconds(visibility)
 	}
-	return q.fetch(name, vals)
+	return q.fetch(name, query)
 }
 
-// Peek observes up to max messages without dequeuing them.
+// Peek observes up to max messages without dequeuing them; they carry no
+// pop receipt and no NextVisible.
 func (q *QueueClient) Peek(name string, max int) ([]Message, error) {
-	vals := url.Values{"numofmessages": {strconv.Itoa(max)}, "peekonly": {"true"}}
-	return q.fetch(name, vals)
+	return q.fetch(name, "numofmessages="+strconv.Itoa(max)+"&peekonly=true")
 }
 
-func (q *QueueClient) fetch(name string, vals url.Values) ([]Message, error) {
+func (q *QueueClient) fetch(name, query string) ([]Message, error) {
 	resp, err := q.c.do(request{op: "fetch",
 		method: http.MethodGet,
 		path:   "/queue/" + esc(name) + "/messages",
-		query:  vals,
+		query:  query,
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out struct {
-		Messages []struct {
-			MessageID       string `xml:"MessageId"`
-			PopReceipt      string `xml:"PopReceipt"`
-			DequeueCount    int    `xml:"DequeueCount"`
-			TimeNextVisible string `xml:"TimeNextVisible"`
-			MessageText     string `xml:"MessageText"`
-		} `xml:"QueueMessage"`
-	}
-	if err := xml.Unmarshal(resp.body, &out); err != nil {
+	wire, err := xmlwire.DecodeMessagesList(resp.body)
+	if err != nil {
 		return nil, fmt.Errorf("sdk: bad message list: %w", err)
 	}
-	var msgs []Message
-	for _, m := range out.Messages {
-		body, err := base64.StdEncoding.DecodeString(m.MessageText)
-		if err != nil {
-			return nil, fmt.Errorf("sdk: bad message text: %w", err)
-		}
-		nv, _ := time.Parse(http.TimeFormat, m.TimeNextVisible)
-		msgs = append(msgs, Message{
-			ID:           m.MessageID,
-			Body:         body,
+	if len(wire) == 0 {
+		return nil, nil
+	}
+	msgs := make([]Message, len(wire))
+	for i, m := range wire {
+		msgs[i] = Message{
+			ID:           m.ID,
+			Body:         m.Body.AsBytes(),
 			PopReceipt:   m.PopReceipt,
 			DequeueCount: m.DequeueCount,
-			NextVisible:  nv,
-		})
+			NextVisible:  m.NextVisible,
+		}
 	}
 	return msgs, nil
 }
@@ -145,7 +127,7 @@ func (q *QueueClient) DeleteMessage(name, msgID, popReceipt string) error {
 	_, err := q.c.do(request{op: "DeleteMessage",
 		method: http.MethodDelete,
 		path:   "/queue/" + esc(name) + "/messages/" + esc(msgID),
-		query:  url.Values{"popreceipt": {popReceipt}},
+		query:  "popreceipt=" + url.QueryEscape(popReceipt),
 	})
 	return err
 }
@@ -153,18 +135,11 @@ func (q *QueueClient) DeleteMessage(name, msgID, popReceipt string) error {
 // Update replaces a dequeued message's body and visibility; it returns
 // the new pop receipt.
 func (q *QueueClient) Update(name, msgID, popReceipt string, body []byte, visibility time.Duration) (string, error) {
-	msg, err := xml.Marshal(queueMessageXML{MessageText: base64.StdEncoding.EncodeToString(body)})
-	if err != nil {
-		return "", err
-	}
 	resp, err := q.c.do(request{op: "Update",
 		method: http.MethodPut,
 		path:   "/queue/" + esc(name) + "/messages/" + esc(msgID),
-		query: url.Values{
-			"popreceipt":        {popReceipt},
-			"visibilitytimeout": {wireSeconds(visibility)},
-		},
-		body: msg,
+		query:  "popreceipt=" + url.QueryEscape(popReceipt) + "&visibilitytimeout=" + wireSeconds(visibility),
+		body:   xmlwire.AppendQueueMessage(nil, body),
 	})
 	if err != nil {
 		return "", err

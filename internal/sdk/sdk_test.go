@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"azurebench/internal/rest"
 	"azurebench/internal/storecommon"
 	"azurebench/internal/tablestore"
+	"azurebench/internal/vclock"
 )
 
 // newStack spins up the REST emulator and an SDK client against it.
@@ -222,6 +224,50 @@ func TestQueueLifecycleOverREST(t *testing.T) {
 	}
 	if err := q.Put("jobs", body, 0); !IsNotFound(err) {
 		t.Fatalf("put to deleted queue = %v", err)
+	}
+}
+
+// A message of every byte value goes through both directions of the wire
+// codec — request body in, message list out — at every step of its life.
+func TestQueueMessageOfEveryByteRoundTrips(t *testing.T) {
+	clock := &vclock.Manual{}
+	c, _ := newStack(t, rest.Options{Clock: clock})
+	q := c.Queue()
+	if err := q.Create("jobs"); err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, 256)
+	for i := range body {
+		body[i] = byte(i)
+	}
+	if err := q.Put("jobs", body, 0); err != nil {
+		t.Fatal(err)
+	}
+	peeked, err := q.Peek("jobs", 1)
+	if err != nil || len(peeked) != 1 || !bytes.Equal(peeked[0].Body, body) ||
+		peeked[0].PopReceipt != "" || !peeked[0].NextVisible.IsZero() || peeked[0].DequeueCount != 0 {
+		t.Fatalf("peek = %+v, %v", peeked, err)
+	}
+	claimed, err := q.Get("jobs", 1, 10*time.Second)
+	if err != nil || len(claimed) != 1 || !bytes.Equal(claimed[0].Body, body) || claimed[0].ID != peeked[0].ID ||
+		claimed[0].DequeueCount != 1 || !claimed[0].NextVisible.Equal(clock.Now().Add(10*time.Second)) {
+		t.Fatalf("get = %+v, %v", claimed, err)
+	}
+	slices.Reverse(body)
+	receipt, err := q.Update("jobs", claimed[0].ID, claimed[0].PopReceipt, body, time.Second)
+	if err != nil || receipt == "" {
+		t.Fatalf("update = %q, %v", receipt, err)
+	}
+	clock.Advance(time.Second)
+	again, err := q.Get("jobs", 1, time.Minute)
+	if err != nil || len(again) != 1 || !bytes.Equal(again[0].Body, body) || again[0].DequeueCount != 2 {
+		t.Fatalf("get after update = %+v, %v", again, err)
+	}
+	if err := q.DeleteMessage("jobs", again[0].ID, again[0].PopReceipt); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := q.Peek("jobs", 32); err != nil || left != nil {
+		t.Fatalf("after delete the queue shows %+v, %v", left, err)
 	}
 }
 

@@ -144,12 +144,15 @@ type QueryPage struct {
 
 // Query runs a filtered scan, resuming from a continuation.
 func (t *TableClient) Query(table, filter string, top int, from tablestore.Continuation) (QueryPage, error) {
-	q := url.Values{}
+	var q string // "$" goes out escaped, as url.Values.Encode writes a key
 	if filter != "" {
-		q.Set("$filter", filter)
+		q = "%24filter=" + url.QueryEscape(filter)
 	}
 	if top > 0 {
-		q.Set("$top", strconv.Itoa(top))
+		if q != "" {
+			q += "&"
+		}
+		q += "%24top=" + strconv.Itoa(top)
 	}
 	var headers []header
 	if !from.IsZero() {
