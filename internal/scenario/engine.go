@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -59,122 +58,21 @@ func (r *Result) RenderSLO() string {
 	return RenderSLOs(r.SLO, r.Metrics)
 }
 
-// Apply folds the spec's config/params overrides into a base
-// configuration. Call it before core.NewSuite; a patch-free spec leaves
-// cfg untouched, which is what makes experiment-driver scenarios
-// byte-identical to their hard-coded twins.
-func (sp *Spec) Apply(cfg *core.Config) {
-	if sp.Seed != 0 {
-		cfg.Seed = sp.Seed
-	}
-	if sp.Trace {
-		cfg.TraceOps = true
-	}
-	cp := sp.Config
-	if cp.Workers != nil {
-		cfg.Workers = append([]int(nil), cp.Workers...)
-	}
-	if cp.SharedMsgSizeKB != nil {
-		cfg.SharedMsgSizeKB = *cp.SharedMsgSizeKB
-	}
-	if cp.FaultRates != nil {
-		cfg.FaultRates = append([]float64(nil), cp.FaultRates...)
-	}
-	if cp.FaultWorkers != nil {
-		cfg.FaultWorkers = *cp.FaultWorkers
-	}
-	if cp.FaultRounds != nil {
-		cfg.FaultRounds = *cp.FaultRounds
-	}
-	if cp.HotspotWorkers != nil {
-		cfg.HotspotWorkers = *cp.HotspotWorkers
-	}
-	if cp.HotspotKeys != nil {
-		cfg.HotspotKeys = *cp.HotspotKeys
-	}
-	if cp.HotspotHorizon != nil {
-		cfg.HotspotHorizon = *cp.HotspotHorizon
-	}
-	if cp.HotspotTheta != nil {
-		cfg.HotspotTheta = *cp.HotspotTheta
-	}
-	if cp.GeoWorkers != nil {
-		cfg.GeoWorkers = *cp.GeoWorkers
-	}
-	if cp.GeoReaders != nil {
-		cfg.GeoReaders = *cp.GeoReaders
-	}
-	if cp.GeoHorizon != nil {
-		cfg.GeoHorizon = *cp.GeoHorizon
-	}
-	if cp.GeoFailoverAt != nil {
-		cfg.GeoFailoverAt = *cp.GeoFailoverAt
-	}
-	if cp.GeoOutage != nil {
-		cfg.GeoOutageDuration = *cp.GeoOutage
-	}
-	if cp.GeoLagBounds != nil {
-		cfg.GeoLagBounds = append([]time.Duration(nil), cp.GeoLagBounds...)
-	}
-	pp := sp.Params
-	if pp.TableServers != nil {
-		cfg.Params.TableServers = *pp.TableServers
-	}
-	if pp.PartitionDynamic != nil {
-		cfg.Params.PartitionDynamic = *pp.PartitionDynamic
-	}
-	if pp.MaxTableServers != nil {
-		cfg.Params.MaxTableServers = *pp.MaxTableServers
-	}
-	if pp.PartitionSplitOpsPerSec != nil {
-		cfg.Params.PartitionSplitOpsPerSec = *pp.PartitionSplitOpsPerSec
-	}
-	if pp.PartitionMergeOpsPerSec != nil {
-		cfg.Params.PartitionMergeOpsPerSec = *pp.PartitionMergeOpsPerSec
-	}
-	if pp.PartitionControlInterval != nil {
-		cfg.Params.PartitionControlInterval = *pp.PartitionControlInterval
-	}
-	if pp.PartitionMigrationBlackout != nil {
-		cfg.Params.PartitionMigrationBlackout = *pp.PartitionMigrationBlackout
-	}
-	if pp.PartitionMapCacheTTL != nil {
-		cfg.Params.PartitionMapCacheTTL = *pp.PartitionMapCacheTTL
-	}
-	if pp.GeoRegions != nil {
-		cfg.Params.GeoRegions = *pp.GeoRegions
-	}
-	if pp.GeoLagBound != nil {
-		cfg.Params.GeoReplicationLagBound = *pp.GeoLagBound
-	}
-}
-
-// Run executes the scenario against a suite whose configuration already
-// has sp.Apply'd overrides folded in.
+// Run executes a scenario Parse accepted against a suite whose
+// configuration already has sp.Apply'd overrides folded in.
 func Run(s *core.Suite, sp *Spec, opts Options) (*Result, error) {
 	var rep *core.Report
 	var m map[string]float64
-	switch sp.Driver {
-	case "experiment":
-		exp, ok := core.Lookup(sp.Experiment)
-		if !ok {
-			var ids []string
-			for _, e := range core.Experiments() {
-				ids = append(ids, e.ID)
-			}
-			return nil, fmt.Errorf("scenario %q: unknown experiment %q (valid: %s)",
-				sp.Name, sp.Experiment, strings.Join(ids, ", "))
-		}
+	if sp.Driver == "experiment" {
+		exp, _ := core.Lookup(sp.Experiment) // Parse refuses an unregistered id
 		rep = exp.Run(s)
 		m = flattenReport(rep)
-	case "workload":
+	} else {
 		var err error
 		s.ScenarioPoint(func() { rep, m, err = runWorkload(s, sp, opts) })
 		if err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("scenario %q: unsupported driver %q", sp.Name, sp.Driver)
 	}
 	// Trace-derived stage metrics extend the SLO-addressable namespace
 	// whenever the run traced (spec trace: true, or the CLI's -trace /
@@ -432,9 +330,6 @@ func (sp *Spec) CheckLive() error {
 	}
 	if sp.Driver != "workload" {
 		simOnly("driver: "+sp.Driver, "it replays a registered simulated experiment")
-	}
-	if !reflect.ValueOf(sp.Config).IsZero() {
-		simOnly("config:", "it overrides the simulated experiments' configuration")
 	}
 	if sp.Params != (ParamsPatch{}) {
 		simOnly("params:", "it patches the simulated cloud's model parameters")

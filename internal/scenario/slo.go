@@ -11,9 +11,9 @@ import (
 // "steady.p95_ms" for the workload driver, figure aggregates like
 // "fig1.goodput.min" for both drivers (see Result.Metrics).
 type Assertion struct {
-	Metric string
-	Op     string // <=, >=, <, >, ==, !=
-	Value  float64
+	Metric string  `yaml:"metric"`
+	Op     string  `yaml:"op"` // <=, >=, <, >, ==, !=
+	Value  float64 `yaml:"value"`
 }
 
 // String renders the assertion as written.

@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"azurebench/internal/core"
+	"azurebench/internal/model"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -57,7 +62,7 @@ func dumpSpec(sp *Spec) string {
 	dumpPtr("geo_readers", c.GeoReaders)
 	dumpPtr("geo_horizon", c.GeoHorizon)
 	dumpPtr("geo_failover_at", c.GeoFailoverAt)
-	dumpPtr("geo_outage", c.GeoOutage)
+	dumpPtr("geo_outage", c.GeoOutageDuration)
 	if len(c.GeoLagBounds) > 0 {
 		p("  geo_lag_bounds=%v\n", c.GeoLagBounds)
 	}
@@ -72,7 +77,7 @@ func dumpSpec(sp *Spec) string {
 	dumpPtr("partition_migration_blackout", pr.PartitionMigrationBlackout)
 	dumpPtr("partition_map_cache_ttl", pr.PartitionMapCacheTTL)
 	dumpPtr("geo_regions", pr.GeoRegions)
-	dumpPtr("geo_lag_bound", pr.GeoLagBound)
+	dumpPtr("geo_lag_bound", pr.GeoReplicationLagBound)
 	if f := sp.Faults; f != nil {
 		p("faults: rate=%g timeout=%s\n", f.Rate, f.Timeout)
 		for _, o := range f.Outages {
@@ -269,5 +274,223 @@ phases:
 		if !strings.Contains(msg, want) {
 			t.Errorf("error does not mention %q:\n%s", want, msg)
 		}
+	}
+}
+
+// runnableSpec drives all three services from one closed-loop phase; the
+// refusal cases below each break it in one place.
+const runnableSpec = `
+name: v
+driver: workload
+setup:
+  tables:
+    - name: usertable
+      keys: 10
+  queues:
+    - name: workq
+  containers:
+    - name: media
+phases:
+  - name: only
+    duration: 2s
+    clients: 2
+    arrival:
+      kind: closed
+    ops:
+      table_get: 1
+      queue_put: 1
+      blob_put: 1
+    target:
+      table: usertable
+      queue: workq
+      container: media
+`
+
+// TestParseRefusesWhatCannotRun: every spec here decoded and validated
+// before Parse learned the storage services' limits and the engine's
+// preconditions, and then could not run as written — the engine panicked
+// (negative object sizes, an op mix whose weights overflow, negative
+// worker counts, a fault rate over 1), the service refused setup (names,
+// object sizes), every op of a kind failed (a payload over one write), the
+// experiment was not registered, or part of the spec was silently ignored
+// (config: on a workload, a preemption of a worker no phase has, an
+// outage of a service that is not one, a skew on a uniform draw, think
+// time on an open arrival, two phases writing the same metrics).
+func TestParseRefusesWhatCannotRun(t *testing.T) {
+	edit := func(pairs ...string) string {
+		return strings.NewReplacer(pairs...).Replace(runnableSpec)
+	}
+	twoPhases := runnableSpec + runnableSpec[strings.Index(runnableSpec, "  - name: only"):]
+	cases := []struct{ name, src, want string }{
+		{"negativeEntity", edit("keys: 10", "keys: 10\n      entity_kb: -1"),
+			"scenario.setup.tables[0].entity_kb must be >= 0"},
+		{"negativeMessage", edit("- name: workq", "- name: workq\n      preload: 2\n      message_kb: -1"),
+			"scenario.setup.queues[0].message_kb must be >= 0"},
+		{"negativeBlob", edit("- name: media", "- name: media\n      blobs: 2\n      blob_kb: -4"),
+			"scenario.setup.containers[0].blob_kb must be >= 0"},
+		{"weightOverflow", edit("table_get: 1", "table_get: 9223372036854775807"),
+			"scenario.phases[0].ops.table_get 9223372036854775807 outside [1, 1000000]"},
+		{"tableName", edit("usertable", "ut"), `setup.tables[0]: InvalidResourceName (400): table name "ut" must be 3-63 characters`},
+		{"queueName", edit("workq", "Work_Q"), `queue name "Work_Q" contains invalid character`},
+		{"containerName", edit("media", "m"), `container name "m" must be 3-63 characters`},
+		{"bigEntity", edit("keys: 10", "keys: 10\n      entity_kb: 1024"),
+			"setup.tables[0]: 1024 KB objects, over the 1023 KB one table write carries"},
+		{"bigMessage", edit("- name: workq", "- name: workq\n      message_kb: 49"),
+			"setup.queues[0]: 49 KB objects, over the 48 KB one queue write carries"},
+		{"bigBlob", edit("- name: media", "- name: media\n      blob_kb: 65537"),
+			"setup.containers[0]: 65537 KB objects, over the 65536 KB one blob write carries"},
+		{"bigPayload", edit("    target:", "    payload_kb: 49\n    target:"),
+			"payload_kb 49 is over the 48 KB one queue_put carries"},
+		{"unknownExperiment", "name: x\ndriver: experiment\nexperiment: fig42\n",
+			`scenario.experiment "fig42" is not a registered experiment (valid: table1, fig4,`},
+		{"workloadConfig", runnableSpec + "config:\n  fault_workers: 4\n", `driver "workload" takes no config:`},
+		{"negativeWorkers", "name: x\ndriver: experiment\nexperiment: fig4\nconfig:\n  workers: [1, -1]\n",
+			"scenario.config.workers[1] must be >= 1"},
+		{"faultRate", "name: x\ndriver: experiment\nexperiment: faults\nconfig:\n  fault_rates: [0, 2]\n",
+			"scenario.config.fault_rates[1] 2 outside [0, 1]"},
+		{"bigSharedMessage", "name: x\ndriver: experiment\nexperiment: faults\nconfig:\n  shared_msg_size_kb: 64\n",
+			"config.shared_msg_size_kb 64: over the 48 KB one queue message carries"},
+		{"preemptedWorker", runnableSpec + "faults:\n  preemptions:\n    - worker: 2\n      at: 1s\n",
+			"faults.preemptions[0].worker 2: no closed-loop phase has that many clients (largest: 2)"},
+		{"outageService", runnableSpec + "faults:\n  outages:\n    - service: cache\n      duration: 1s\n",
+			`faults.outages[0].service must be blob, queue or table (got "cache")`},
+		{"thetaUniform", edit("    target:", "    keys:\n      theta: 0.5\n    target:"),
+			"keys.theta requires dist zipfian or hotflip"},
+		{"flipAtUniform", edit("    target:", "    keys:\n      flip_at: 1s\n    target:"),
+			"keys.flip_at requires dist hotflip"},
+		{"thinkOpen", edit("kind: closed", "kind: poisson\n      rate: 10\n      think: 5ms"),
+			`phases[0] (only): only closed-loop arrival takes "think"`},
+		{"rateBurst", edit("kind: closed", "kind: burst\n      rate: 10\n      burst:\n        size: 2\n        every: 1s"),
+			"phases[0] (only): burst arrival takes only a burst block"},
+		{"duplicatePhase", twoPhases, "phases[1] (only): phases[0] has the same name"},
+	}
+	if _, err := Parse([]byte(runnableSpec)); err != nil {
+		t.Fatalf("the base spec must parse: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse([]byte(tc.src))
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestSchemaTags walks every type a scenario file decodes into: each field
+// has a yaml key, each range tag is well formed and on a number, and each
+// default decodes and lies inside its range — so the decoder can never
+// meet a tag it cannot read.
+func TestSchemaTags(t *testing.T) {
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+			if typ == opMixType {
+				return
+			}
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct {
+			return
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			at := path + "." + f.Tag.Get("yaml")
+			if f.Tag.Get("yaml") == "" {
+				t.Errorf("%s.%s has no yaml key", path, f.Name)
+			}
+			if rng := f.Tag.Get("range"); rng != "" {
+				lo, hi, ok := strings.Cut(strings.Trim(rng, "[]()"), ",")
+				num := f.Type
+				for num.Kind() == reflect.Pointer || num.Kind() == reflect.Slice {
+					num = num.Elem()
+				}
+				if !ok || !strings.ContainsAny(rng[:1], "[(") || !strings.ContainsAny(rng[len(rng)-1:], "])") ||
+					!(num.Kind() == reflect.Int || num.Kind() == reflect.Int64 || num.Kind() == reflect.Float64) {
+					t.Errorf("%s: malformed range %q on %s", at, rng, f.Type)
+				}
+				if rng[0] == '(' && hi == "" && lo != "0" {
+					t.Errorf("%s: range %q: an open lower bound with no upper one must be 0 (\"must be positive\")", at, rng)
+				}
+				for _, b := range []string{lo, hi} {
+					if _, err := strconv.ParseFloat(b, 64); b != "" && err != nil {
+						t.Errorf("%s: range bound %q: %v", at, b, err)
+					}
+				}
+			}
+			if def := f.Tag.Get("default"); def != "" {
+				d := &decoder{}
+				v := reflect.New(f.Type).Elem()
+				d.scalar(v, def, at)
+				d.check(v, f.Tag.Get("range"), at)
+				if len(d.errs)+len(d.bounds) > 0 {
+					t.Errorf("%s: default %q: %v %v", at, def, d.errs, d.bounds)
+				}
+			}
+			walk(f.Type, at)
+		}
+	}
+	walk(reflect.TypeOf(Spec{}), "scenario")
+}
+
+// TestPatchFieldsNameWhatTheySet: Apply copies each ConfigPatch and
+// ParamsPatch field onto the core.Config and model.Params field of the
+// same name, which must exist and hold the patch's element type.
+func TestPatchFieldsNameWhatTheySet(t *testing.T) {
+	for _, pair := range []struct{ patch, dst reflect.Type }{
+		{reflect.TypeOf(ConfigPatch{}), reflect.TypeOf(core.Config{})},
+		{reflect.TypeOf(ParamsPatch{}), reflect.TypeOf(model.Params{})},
+	} {
+		for i := 0; i < pair.patch.NumField(); i++ {
+			f := pair.patch.Field(i)
+			want := f.Type
+			if want.Kind() == reflect.Pointer {
+				want = want.Elem()
+			}
+			if got, ok := pair.dst.FieldByName(f.Name); !ok || got.Type != want {
+				t.Errorf("%s.%s: %s has no field %s of type %s", pair.patch.Name(), f.Name, pair.dst, f.Name, want)
+			}
+		}
+	}
+}
+
+// TestApplySetsOnlyWhatThePatchSets: the golden experiment spec changes
+// exactly the fields it names, lists are copied, and a spec with no
+// patch leaves the configuration as it was.
+func TestApplySetsOnlyWhatThePatchSets(t *testing.T) {
+	sp, err := Load("testdata/experiment.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := core.QuickConfig()
+	got := base
+	sp.Apply(&got)
+	want := base
+	want.Seed = 1234
+	want.Workers = []int{1, 8, 64}
+	want.FaultRates = []float64{0, 0.1}
+	want.FaultWorkers, want.FaultRounds = 16, 2
+	want.GeoLagBounds = []time.Duration{5 * time.Second, 30 * time.Second}
+	want.Params.TableServers, want.Params.GeoRegions = 4, 2
+	want.Params.GeoReplicationLagBound = 15 * time.Second
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Apply:\n got %+v\nwant %+v", got, want)
+	}
+	sp.Config.Workers[0] = 99
+	if got.Workers[0] == 99 {
+		t.Error("Apply shares the spec's list with the configuration")
+	}
+
+	plain, err := Load("../../examples/scenarios/faults.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = base
+	plain.Apply(&got)
+	if !reflect.DeepEqual(got, base) {
+		t.Error("a patch-free spec changed the configuration")
 	}
 }
