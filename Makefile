@@ -33,7 +33,6 @@ lint: bin/azlint
 # Short native-fuzz smoke runs (go test -fuzz takes one package at a time).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeEntity -fuzztime=10s ./internal/odata
-	$(GO) test -run='^$$' -fuzz=FuzzHistogramMerge -fuzztime=10s ./internal/metrics
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotCodec -fuzztime=10s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzQueueScript -fuzztime=10s ./internal/queuestore
 	$(GO) test -run='^$$' -fuzz=FuzzTableScript -fuzztime=10s ./internal/tablestore
@@ -43,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzServeHTTP -fuzztime=10s ./internal/rest
 	$(GO) test -run='^$$' -fuzz=FuzzQueueMessageBody -fuzztime=10s ./internal/xmlwire
 	$(GO) test -run='^$$' -fuzz=FuzzExecProgram -fuzztime=10s ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzLoadSection -fuzztime=10s ./internal/cloud
 
 test:
 	$(GO) test ./...
@@ -56,14 +56,13 @@ race:
 	$(GO) test -race ./...
 
 # Concentrated -race pass over the live-mode packages — the ones where
-# real goroutines race over shared state (HTTP emulator, SDK retries,
-# storage engines, histogram merging). -count=2 reruns each test so
+# real goroutines race over shared state (HTTP emulator and its latency
+# histograms, SDK retries, storage engines). -count=2 reruns each test so
 # lazily-initialised state is also exercised warm.
 race-live:
 	$(GO) test -race -count=2 ./internal/rest/ ./internal/sdk/ \
 		./internal/blobstore/ ./internal/queuestore/ ./internal/tablestore/ \
-		./internal/cachestore/ ./internal/storecommon/ ./internal/metrics/ \
-		./internal/liverun/
+		./internal/cachestore/ ./internal/storecommon/ ./internal/liverun/
 
 # End-to-end aztrace smoke: capture a traced faults run, then require a
 # non-empty critical-path reconstruction (the trees must be complete and
@@ -156,6 +155,7 @@ unreached:
 	set -e; export GOCOVERDIR=$(U)/cov; \
 	$(U)/azurebench -list >/dev/null; \
 	$(U)/azurebench -quick -csv -digest -o $(U)/out >/dev/null; \
+	$(U)/azurebench -quick -workers 1,2 >/dev/null; \
 	$(U)/azurebench -quick -digest -scenario-dir examples/scenarios >/dev/null; \
 	$(U)/azurebench -scenario bench/sim-closedloop.yaml >/dev/null; \
 	$(U)/azurebench -quick -trace -scenario examples/scenarios/ycsb-c.yaml >/dev/null; \
@@ -164,6 +164,8 @@ unreached:
 	$(U)/azurebench -quick -seed 2 -experiment faults -tracefile $(U)/b.jsonl >/dev/null; \
 	$(U)/azurebench -quick -experiment faults -checkpoint-at 6s -checkpoint-file $(U)/faults.azsnap >/dev/null; \
 	$(U)/azurebench -quick -restore $(U)/faults.azsnap >/dev/null; \
+	$(U)/azurebench -quick -experiment georepl -checkpoint-at 12s -checkpoint-file $(U)/georepl.azsnap >/dev/null; \
+	$(U)/azurebench -quick -restore $(U)/georepl.azsnap >/dev/null; \
 	for c in summary critpath tail chrome flame; do $(U)/aztrace $$c $(U)/a.jsonl >/dev/null; done; \
 	$(U)/aztrace diff $(U)/a.jsonl $(U)/b.jsonl >/dev/null; \
 	$(U)/azlint ./...; \

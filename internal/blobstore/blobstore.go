@@ -151,14 +151,6 @@ func (s *Store) DeleteContainer(name string) error {
 	return nil
 }
 
-// ContainerExists reports whether the container exists.
-func (s *Store) ContainerExists(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.containers[name]
-	return ok
-}
-
 // ListContainers returns container names with the given prefix, sorted.
 func (s *Store) ListContainers(prefix string) []string {
 	s.mu.RLock()
@@ -305,17 +297,6 @@ func (s *Store) SetMetadata(containerName, blobName string, md map[string]string
 	return nil
 }
 
-// GetMetadata returns a copy of a blob's metadata.
-func (s *Store) GetMetadata(containerName, blobName string) (map[string]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, err := s.findBlob(containerName, blobName)
-	if err != nil {
-		return nil, err
-	}
-	return copyMeta(b.metadata), nil
-}
-
 // Snapshot captures a read-only snapshot of the blob's current content and
 // returns its timestamp.
 func (s *Store) Snapshot(containerName, blobName string) (time.Time, error) {
@@ -350,21 +331,6 @@ func (s *Store) DownloadSnapshot(containerName, blobName string, ts time.Time) (
 	}
 	return payload.Payload{}, storecommon.Errf(storecommon.CodeSnapshotNotFound, 404,
 		"no snapshot of %q at %v", blobName, ts)
-}
-
-// ListSnapshots returns the snapshot timestamps of a blob, oldest first.
-func (s *Store) ListSnapshots(containerName, blobName string) ([]time.Time, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, err := s.findBlob(containerName, blobName)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]time.Time, len(b.snapshots))
-	for i, snap := range b.snapshots {
-		out[i] = snap.at
-	}
-	return out, nil
 }
 
 // --- internal helpers ---

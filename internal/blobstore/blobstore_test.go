@@ -1,10 +1,12 @@
 package blobstore
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"azurebench/internal/payload"
+	snap "azurebench/internal/snapshot"
 	"azurebench/internal/storecommon"
 	"azurebench/internal/vclock"
 )
@@ -51,7 +53,7 @@ func TestDeleteContainerRemovesBlobs(t *testing.T) {
 	if err := s.DeleteContainer("bench"); err != nil {
 		t.Fatal(err)
 	}
-	if s.ContainerExists("bench") {
+	if got := s.ListContainers("bench"); len(got) != 0 {
 		t.Fatal("container still exists")
 	}
 	if err := s.DeleteContainer("bench"); !storecommon.IsNotFound(err) {
@@ -378,9 +380,11 @@ func TestMetadataRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	md["owner"] = "mutated" // stored copy must not alias
-	got, err := s.GetMetadata("bench", "b")
-	if err != nil || got["owner"] != "worker-3" {
-		t.Fatalf("metadata = %v, %v", got, err)
+	// No route reads blob metadata back; a checkpoint carries it.
+	var w snap.Writer
+	s.Save(&w)
+	if saved := string(w.Bytes()); !strings.Contains(saved, "worker-3") || strings.Contains(saved, "mutated") {
+		t.Fatalf("saved metadata does not hold the value set: %q", saved)
 	}
 }
 
@@ -401,9 +405,8 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	if err != nil || string(snap.Materialize()) != "v1" {
 		t.Fatalf("snapshot = %q, %v", snap.Materialize(), err)
 	}
-	list, _ := s.ListSnapshots("bench", "b")
-	if len(list) != 1 || !list[0].Equal(ts) {
-		t.Fatalf("snapshot list = %v", list)
+	if props, _ := s.GetProps("bench", "b"); props.Snapshots != 1 {
+		t.Fatalf("snapshots = %d, want 1", props.Snapshots)
 	}
 	if _, err := s.DownloadSnapshot("bench", "b", ts.Add(time.Hour)); storecommon.CodeOf(err) != storecommon.CodeSnapshotNotFound {
 		t.Fatalf("missing snapshot = %v", err)

@@ -89,7 +89,7 @@ func (m *extentMap) Read(off, n int64) payload.Payload {
 			pos = e.off
 		}
 		lo := pos - e.off
-		hi := min64(end, e.end()) - e.off
+		hi := min(end, e.end()) - e.off
 		parts = append(parts, e.p.Slice(lo, hi-lo))
 		pos = e.off + hi
 	}
@@ -132,11 +132,4 @@ func (m *extentMap) clone() extentMap {
 	exts := make([]extent, len(m.exts))
 	copy(exts, m.exts)
 	return extentMap{exts: exts}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

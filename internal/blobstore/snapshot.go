@@ -1,16 +1,11 @@
 package blobstore
 
 import (
-	"sort"
-
 	"azurebench/internal/payload"
 	// Aliased: this package's own `snapshot` type is the blob-snapshot
 	// feature, unrelated to the checkpoint codec.
 	snap "azurebench/internal/snapshot"
 )
-
-// SnapshotSection implements snap.Snapshotter.
-func (s *Store) SnapshotSection() string { return "engine/blob" }
 
 // Save appends the full account state — containers, blobs, staged
 // blocks, page extents, leases and blob snapshots — in sorted name
@@ -20,14 +15,14 @@ func (s *Store) Save(w *snap.Writer) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.etags.Save(w)
-	names := sortedKeys(s.containers)
+	names := snap.SortedKeys(s.containers)
 	w.Int(len(names))
 	for _, name := range names {
 		c := s.containers[name]
 		w.String(c.name)
 		w.Time(c.created)
-		saveStringMap(w, c.metadata)
-		blobNames := sortedKeys(c.blobs)
+		w.StringMap(c.metadata)
+		blobNames := snap.SortedKeys(c.blobs)
 		w.Int(len(blobNames))
 		for _, bn := range blobNames {
 			saveBlob(w, c.blobs[bn])
@@ -42,24 +37,15 @@ func (s *Store) Load(r *snap.Reader) error {
 	if err := s.etags.Load(r); err != nil {
 		return err
 	}
-	nc := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	nc := r.Count()
 	containers := make(map[string]*container, nc)
 	for i := 0; i < nc; i++ {
 		c := &container{
-			name:    r.String(),
-			created: r.Time(),
+			name:     r.String(),
+			created:  r.Time(),
+			metadata: r.StringMap(),
 		}
-		var err error
-		if c.metadata, err = loadStringMap(r); err != nil {
-			return err
-		}
-		nb := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
+		nb := r.Count()
 		c.blobs = make(map[string]*blob, nb)
 		for j := 0; j < nb; j++ {
 			b, err := loadBlob(r)
@@ -83,7 +69,7 @@ func saveBlob(w *snap.Writer, b *blob) {
 	w.String(b.etag)
 	w.Time(b.lastModified)
 	w.String(b.contentType)
-	saveStringMap(w, b.metadata)
+	w.StringMap(b.metadata)
 
 	w.Int(len(b.committed))
 	for _, cb := range b.committed {
@@ -127,16 +113,11 @@ func loadBlob(r *snap.Reader) (*blob, error) {
 		etag:         r.String(),
 		lastModified: r.Time(),
 		contentType:  r.String(),
-	}
-	var err error
-	if b.metadata, err = loadStringMap(r); err != nil {
-		return nil, err
+		metadata:     r.StringMap(),
 	}
 
-	ncb := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+	var err error
+	ncb := r.Count()
 	for i := 0; i < ncb; i++ {
 		cb := committedBlock{id: r.String()}
 		cb.off = r.I64()
@@ -146,10 +127,7 @@ func loadBlob(r *snap.Reader) (*blob, error) {
 		b.committed = append(b.committed, cb)
 	}
 	b.blockSize = r.I64()
-	nu := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+	nu := r.Count()
 	b.uncommitted = make(map[string]payload.Payload, nu)
 	for i := 0; i < nu; i++ {
 		id := r.String()
@@ -162,10 +140,7 @@ func loadBlob(r *snap.Reader) (*blob, error) {
 	}
 
 	b.pageCap = r.I64()
-	ne := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+	ne := r.Count()
 	for i := 0; i < ne; i++ {
 		e := extent{off: r.I64()}
 		if e.p, err = payload.Load(r); err != nil {
@@ -179,10 +154,7 @@ func loadBlob(r *snap.Reader) (*blob, error) {
 	b.lease.infinite = r.Bool()
 	b.lease.counter = r.U64()
 
-	ns := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+	ns := r.Count()
 	for i := 0; i < ns; i++ {
 		sn := &snapshot{
 			at:   r.Time(),
@@ -195,42 +167,4 @@ func loadBlob(r *snap.Reader) (*blob, error) {
 		b.snapshots = append(b.snapshots, sn)
 	}
 	return b, r.Err()
-}
-
-func saveStringMap(w *snap.Writer, m map[string]string) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.String(k)
-		w.String(m[k])
-	}
-}
-
-func loadStringMap(r *snap.Reader) (map[string]string, error) {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	m := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := r.String()
-		m[k] = r.String()
-	}
-	return m, r.Err()
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

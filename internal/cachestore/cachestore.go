@@ -74,9 +74,6 @@ func New(clock vclock.Clock, n int, capacityBytes int64) *Cluster {
 	return c
 }
 
-// Nodes returns the cluster size.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
-
 // CreateCache registers a named cache (idempotent).
 func (c *Cluster) CreateCache(name string) {
 	c.mu.Lock()

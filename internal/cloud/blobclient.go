@@ -51,23 +51,6 @@ func (cl *Client) CreateContainerIfNotExists(p *sim.Proc, name string) (bool, er
 	return created, err
 }
 
-// DeleteContainer removes a container.
-func (cl *Client) DeleteContainer(p *sim.Proc, name string) error {
-	rs := cl.cloud.blobReplicas(name, "")
-	return cl.do(p, &request{
-		op:      "DeleteContainer",
-		mut:     true,
-		service: "blob",
-		up:      reqHeader,
-		server:  rs.primary(),
-		geoKey:  name,
-		mirror:  func(dst *Cloud) error { return dst.Blob.DeleteContainer(name) },
-		apply: func() (time.Duration, int64, error) {
-			return cl.cloud.prm.ContainerOpOcc, 0, cl.cloud.Blob.DeleteContainer(name)
-		},
-	})
-}
-
 // PutBlock stages an uncommitted block (Algorithm 1's PutBlock).
 func (cl *Client) PutBlock(p *sim.Proc, container, blob, blockID string, data payload.Payload) error {
 	rs := cl.cloud.blobReplicas(container, blob)

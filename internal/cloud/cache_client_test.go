@@ -12,7 +12,7 @@ import (
 func TestCacheClientRoundTrip(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, model.Default())
-	c.Cache().CreateCache("app")
+	c.cacheCluster().CreateCache("app")
 	cl := c.NewClient("vm0", model.Small)
 	env.Go("main", func(p *sim.Proc) {
 		v := payload.Synthetic(1, 4096)

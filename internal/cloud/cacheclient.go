@@ -23,9 +23,6 @@ func (c *Cloud) cacheCluster() *cachestore.Cluster {
 	return c.cache
 }
 
-// Cache returns the caching-service engine (for white-box assertions).
-func (c *Cloud) Cache() *cachestore.Cluster { return c.cacheCluster() }
-
 func (c *Cloud) cacheServer(cache, key string) *sim.Resource {
 	cl := c.cacheCluster()
 	return c.cacheSrv[cl.NodeFor(cache, key)]

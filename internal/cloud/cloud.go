@@ -117,12 +117,6 @@ func (c *Cloud) SetGeoStream(s *georepl.Stream, dst *Cloud) {
 	c.geoDst = dst
 }
 
-// GeoStream returns the attached replication stream (nil when detached).
-func (c *Cloud) GeoStream() *georepl.Stream { return c.geo }
-
-// Trace returns the attached operation log (nil when tracing is off).
-func (c *Cloud) Trace() *trace.Log { return c.traceLog }
-
 // Stats counts cloud-level events.
 type Stats struct {
 	Ops          uint64 // operations that reached a partition server
@@ -137,11 +131,6 @@ type Stats struct {
 	FaultResets    uint64 // connections cut mid-transfer
 	FaultOutages   uint64 // requests rejected by an unavailability window
 	Retries        uint64 // retries performed via Client.Retry/WithRetry
-}
-
-// FaultsInjected returns the total faults injected across all kinds.
-func (s Stats) FaultsInjected() uint64 {
-	return s.FaultTimeouts + s.FaultInternals + s.FaultResets + s.FaultOutages
 }
 
 type replicaSet struct {
@@ -202,9 +191,6 @@ func NewInRegion(env *sim.Env, prm model.Params, region string) *Cloud {
 // activity.
 func (c *Cloud) PartitionMgr() *partitionmgr.Master { return c.pmgr }
 
-// Region returns the cloud's region name ("" for single-region).
-func (c *Cloud) Region() string { return c.region }
-
 // station qualifies a station name with the region; a single-region
 // cloud's names are untouched, keeping historical telemetry stable.
 func (c *Cloud) station(name string) string {
@@ -216,12 +202,6 @@ func (c *Cloud) station(name string) string {
 
 // Env returns the simulation environment.
 func (c *Cloud) Env() *sim.Env { return c.env }
-
-// Params returns the model parameters in effect.
-func (c *Cloud) Params() model.Params { return c.prm }
-
-// Clock returns the cloud's clock.
-func (c *Cloud) Clock() vclock.Clock { return c.clock }
 
 // Stats returns a snapshot of cloud counters.
 func (c *Cloud) Stats() Stats { return c.stats }
@@ -868,20 +848,8 @@ func (c *Cloud) NewClient(name string, vm model.VMSize) *Client {
 	}
 }
 
-// Name returns the client name.
-func (cl *Client) Name() string { return cl.name }
-
-// VM returns the client's VM size.
-func (cl *Client) VM() model.VMSize { return cl.vm }
-
-// Cloud returns the owning cloud.
-func (cl *Client) Cloud() *Cloud { return cl.cloud }
-
 // SetRetryPolicy replaces the client's retry policy (used by WithRetry).
 func (cl *Client) SetRetryPolicy(pol retry.Policy) { cl.policy = pol }
-
-// RetryPolicy returns the client's retry policy.
-func (cl *Client) RetryPolicy() retry.Policy { return cl.policy }
 
 // WithRetry runs op under the client's retry policy. By default that is
 // the paper's discipline — sleep RetryBackoff and reissue whenever the

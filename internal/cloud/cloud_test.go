@@ -317,7 +317,7 @@ func TestDynamicPlacementSplitsAndRedirects(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		cl := c.NewClient(fmt.Sprintf("vm%d", w), model.Small)
 		cl.SetRetryPolicy(retry.Resilient())
-		env.Go(cl.Name(), func(p *sim.Proc) {
+		env.Go(cl.name, func(p *sim.Proc) {
 			if w == 0 {
 				if _, err := cl.CreateTableIfNotExists(p, "bench"); err != nil {
 					t.Error(err)
@@ -490,31 +490,6 @@ func (cl *Client) WithRetryEnt(p *sim.Proc, table string, e *tablestore.Entity) 
 		return err
 	})
 	return stored, err
-}
-
-func TestBatchThroughCloud(t *testing.T) {
-	run(t, func(p *sim.Proc) {
-		cl := clientUnderTest
-		if err := cl.CreateTable(p, "bench"); err != nil {
-			t.Error(err)
-			return
-		}
-		var ops []tablestore.BatchOp
-		for i := 0; i < 10; i++ {
-			ops = append(ops, tablestore.BatchOp{
-				Kind:   tablestore.BatchInsert,
-				Entity: &tablestore.Entity{PartitionKey: "p", RowKey: fmt.Sprintf("r%d", i)},
-			})
-		}
-		idx, err := cl.ExecuteBatch(p, "bench", ops)
-		if err != nil || idx != -1 {
-			t.Errorf("batch = %d, %v", idx, err)
-			return
-		}
-		if n, _ := cl.Cloud().Table.EntityCount("bench"); n != 10 {
-			t.Errorf("count = %d", n)
-		}
-	})
 }
 
 func TestQueueMessageRoundTripThroughCloud(t *testing.T) {

@@ -122,7 +122,7 @@ func TestFaultStatsDeterministic(t *testing.T) {
 		t.Fatalf("faulted runs diverged:\nA: now=%v stats=%+v\n%s\nB: now=%v stats=%+v\n%s",
 			aNow, aStats, aSched, bNow, bStats, bSched)
 	}
-	if aStats.FaultsInjected() == 0 {
+	if aStats.FaultInternals == 0 {
 		t.Fatal("no faults injected; determinism guard is vacuous")
 	}
 }

@@ -79,9 +79,6 @@ func NewGeoAccount(env *sim.Env, prm model.Params) (*GeoAccount, error) {
 	return g, nil
 }
 
-// Primary returns the primary-region cloud.
-func (g *GeoAccount) Primary() *Cloud { return g.pri }
-
 // Secondary returns the secondary-region cloud.
 func (g *GeoAccount) Secondary() *Cloud { return g.sec }
 
@@ -94,26 +91,6 @@ func (g *GeoAccount) Forward() *georepl.Stream { return g.forward }
 // Reverse returns the failback stream (nil until a failover promotes the
 // secondary).
 func (g *GeoAccount) Reverse() *georepl.Stream { return g.reverse }
-
-// WANLink returns the inter-region link model.
-func (g *GeoAccount) WANLink() netmodel.WANLink { return g.link }
-
-// ActiveCloud returns the cloud currently serving writes.
-func (g *GeoAccount) ActiveCloud() *Cloud {
-	if g.account.ActiveIsSecondary() {
-		return g.sec
-	}
-	return g.pri
-}
-
-// SecondaryCloud returns the cloud currently in the geo-secondary role —
-// the RA-GRS read endpoint. Roles swap permanently at promotion.
-func (g *GeoAccount) SecondaryCloud() *Cloud {
-	if g.account.ActiveIsSecondary() {
-		return g.pri
-	}
-	return g.sec
-}
 
 // SecondaryStream returns the stream replicating into the current
 // geo-secondary: the forward stream while healthy, the reverse stream

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,7 +71,7 @@ func TestGeoReplicationMirrorsAllServices(t *testing.T) {
 	}
 	// The primary's engines never saw replayed traffic (counts match what
 	// the writer itself did).
-	if n, _ := g.Primary().Queue.ApproximateCount("jobs"); n != 1 {
+	if n, _ := g.pri.Queue.ApproximateCount("jobs"); n != 1 {
 		t.Errorf("primary queue count = %d, want 1", n)
 	}
 }
@@ -170,7 +171,7 @@ func TestGeoFailoverCycle(t *testing.T) {
 	// replicated plus everything written after promotion.
 	lost := acct.TotalLost()
 	secN, _ := g.Secondary().Queue.ApproximateCount("que")
-	priN, _ := g.Primary().Queue.ApproximateCount("que")
+	priN, _ := g.pri.Queue.ApproximateCount("que")
 	if int(lost)+secN < 100 {
 		t.Errorf("lost %d + secondary %d < 100 puts", lost, secN)
 	}
@@ -286,12 +287,12 @@ func TestGeoAccountDrainsUnderSampler(t *testing.T) {
 		}
 	})
 	if !env.RunLimited(200_000) {
-		t.Fatalf("run did not drain: virtual time %v, %d samples and counting", env.Now(), len(sp.Samples()))
+		t.Fatalf("run did not drain: virtual time %v and counting", env.Now())
 	}
 	if env.Now() < 5*time.Second || env.Now() > 10*time.Second {
 		t.Errorf("run ended at %v, want shortly after the writer's 5s horizon", env.Now())
 	}
-	if len(sp.Samples()) == 0 {
+	if out := new(strings.Builder); sp.WriteJSONL(out) != nil || out.Len() == 0 {
 		t.Error("sampler recorded nothing")
 	}
 }

@@ -147,29 +147,6 @@ func (cl *Client) DeleteMessage(p *sim.Proc, name, msgID, popReceipt string) err
 	return cl.do(p, &req)
 }
 
-// UpdateMessage replaces a dequeued message's body and visibility.
-func (cl *Client) UpdateMessage(p *sim.Proc, name, msgID, popReceipt string, body payload.Payload, visibility time.Duration) (queuestore.Message, error) {
-	var msg queuestore.Message
-	err := cl.do(p, &request{
-		op:      "UpdateMessage",
-		mut:     true,
-		service: "queue",
-		up:      body.Len() + reqHeader,
-		server:  cl.cloud.queueServer(name),
-		queue:   name,
-		repl:    cl.cloud.prm.ReplCost(),
-		lat:     cl.cloud.prm.QueueLat(model.QPut, body.Len()),
-		geoKey:  name,
-		mirror:  func(dst *Cloud) error { return dst.Queue.ReplicaUpdate(name, msgID, body) },
-		apply: func() (time.Duration, int64, error) {
-			var err error
-			msg, err = cl.cloud.Queue.Update(name, msgID, popReceipt, body, visibility)
-			return cl.cloud.prm.QueueOcc(model.QPut, body.Len(), 0), 0, err
-		},
-	})
-	return msg, err
-}
-
 // GetMessageCount returns the approximate message count — the primitive
 // under the paper's queue-based barrier (Algorithm 2).
 func (cl *Client) GetMessageCount(p *sim.Proc, name string) (int, error) {
@@ -188,21 +165,4 @@ func (cl *Client) GetMessageCount(p *sim.Proc, name string) (int, error) {
 		},
 	})
 	return n, err
-}
-
-// ClearQueue removes all messages from the queue.
-func (cl *Client) ClearQueue(p *sim.Proc, name string) error {
-	return cl.do(p, &request{
-		op:      "ClearQueue",
-		mut:     true,
-		service: "queue",
-		up:      reqHeader,
-		server:  cl.cloud.queueServer(name),
-		queue:   name,
-		geoKey:  name,
-		mirror:  func(dst *Cloud) error { return dst.Queue.ClearMessages(name) },
-		apply: func() (time.Duration, int64, error) {
-			return cl.cloud.prm.ContainerOpOcc, 0, cl.cloud.Queue.ClearMessages(name)
-		},
-	})
 }

@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"fmt"
-	"sort"
 
 	"azurebench/internal/sim"
 	snap "azurebench/internal/snapshot"
@@ -72,11 +71,7 @@ func (c *Cloud) saveState(w *snap.Writer) {
 	savePool(w, c.queueTB)
 	savePool(w, c.tableTB)
 
-	blobKeys := make([]string, 0, len(c.blobSrv))
-	for k := range c.blobSrv {
-		blobKeys = append(blobKeys, k)
-	}
-	sort.Strings(blobKeys)
+	blobKeys := snap.SortedKeys(c.blobSrv)
 	w.Int(len(blobKeys))
 	for _, k := range blobKeys {
 		rs := c.blobSrv[k]
@@ -88,11 +83,7 @@ func (c *Cloud) saveState(w *snap.Writer) {
 		}
 	}
 
-	queueKeys := make([]string, 0, len(c.queueSrv))
-	for k := range c.queueSrv {
-		queueKeys = append(queueKeys, k)
-	}
-	sort.Strings(queueKeys)
+	queueKeys := snap.SortedKeys(c.queueSrv)
 	w.Int(len(queueKeys))
 	for _, k := range queueKeys {
 		w.String(k)
@@ -136,10 +127,7 @@ func (c *Cloud) loadState(r *snap.Reader) error {
 		return err
 	}
 
-	nb := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	nb := r.Count()
 	c.blobSrv = make(map[string]*replicaSet, nb)
 	for i := 0; i < nb; i++ {
 		key := r.String()
@@ -162,10 +150,7 @@ func (c *Cloud) loadState(r *snap.Reader) error {
 		c.blobSrv[key] = rs
 	}
 
-	nq := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	nq := r.Count()
 	c.queueSrv = make(map[string]*sim.Resource, nq)
 	for i := 0; i < nq; i++ {
 		name := r.String()
@@ -179,10 +164,7 @@ func (c *Cloud) loadState(r *snap.Reader) error {
 		c.queueSrv[name] = srv
 	}
 
-	nt := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	nt := r.Count()
 	c.tableSrv = nil
 	for i := 0; i < nt; i++ {
 		//azlint:allow hotalloc(station names are formatted once per restored table server, not per request)

@@ -76,7 +76,7 @@ func TestTraceRecordsOperations(t *testing.T) {
 func TestTraceDetached(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, model.Default())
-	if c.Trace() != nil {
+	if c.traceLog != nil {
 		t.Fatal("trace attached by default")
 	}
 	cl := c.NewClient("vm0", model.Small)
@@ -129,7 +129,7 @@ func checkSpans(t *testing.T, log *trace.Log) {
 func TestSpansSumToDuration(t *testing.T) {
 	log := trace.New(10000)
 	miniWorkload(t, true, func(c *Cloud) { c.SetTrace(log) })
-	if log.Len() == 0 {
+	if len(log.Ops()) == 0 {
 		t.Fatal("no ops recorded")
 	}
 	checkSpans(t, log)

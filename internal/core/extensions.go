@@ -119,7 +119,7 @@ func (s *Suite) RunProvision() *Report {
 			BootJitter:     prm.VMBootJitter,
 			PlacementDelay: prm.PlacementDelay,
 		}, fabric.RoleConfig{
-			Name: "w", Kind: fabric.WorkerRole, VM: s.cfg.VM, Count: w,
+			Name: "w", VM: s.cfg.VM, Count: w,
 			Run: func(ctx *fabric.Context) {},
 		})
 		pt.env.Run()

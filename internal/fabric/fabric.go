@@ -16,23 +16,6 @@ import (
 	"azurebench/internal/sim"
 )
 
-// RoleKind distinguishes the two Azure role types.
-type RoleKind int
-
-// Role kinds.
-const (
-	WebRole RoleKind = iota
-	WorkerRole
-)
-
-// String names the role kind.
-func (k RoleKind) String() string {
-	if k == WebRole {
-		return "WebRole"
-	}
-	return "WorkerRole"
-}
-
 // RebootDelay is the simulated time to recycle a role instance.
 const RebootDelay = 15 * time.Second
 
@@ -59,7 +42,6 @@ type recycleSignal struct{}
 // Instance is one role VM.
 type Instance struct {
 	name string
-	kind RoleKind
 	vm   model.VMSize
 	id   int
 
@@ -75,12 +57,6 @@ func (i *Instance) ReadyAt() time.Duration { return i.readyAt }
 // Name returns the instance name (e.g. "worker.3").
 func (i *Instance) Name() string { return i.name }
 
-// Kind returns the role kind.
-func (i *Instance) Kind() RoleKind { return i.kind }
-
-// VM returns the instance's VM size.
-func (i *Instance) VM() model.VMSize { return i.vm }
-
 // ID returns the instance index within its role.
 func (i *Instance) ID() int { return i.id }
 
@@ -95,7 +71,6 @@ func (i *Instance) RequestSelfRecycle() { i.recycleRequested = true }
 // RoleConfig describes one role of a deployment.
 type RoleConfig struct {
 	Name  string
-	Kind  RoleKind
 	VM    model.VMSize
 	Count int
 	// Run is the role entry point. It is re-invoked after a recycle.
@@ -141,7 +116,6 @@ func DeployWithOptions(c *cloud.Cloud, name string, opts DeployOpts, roles ...Ro
 		for i := 0; i < role.Count; i++ {
 			inst := &Instance{
 				name: fmt.Sprintf("%s.%d", role.Name, i),
-				kind: role.Kind,
 				vm:   role.VM,
 				id:   i,
 				done: sim.NewSignal(d.env),
@@ -205,12 +179,6 @@ func (d *Deployment) InstancesOf(role string) []*Instance {
 		}
 	}
 	return out
-}
-
-// RequestRecycle asks the fabric controller to recycle the instance at its
-// next Checkpoint.
-func (d *Deployment) RequestRecycle(inst *Instance) {
-	inst.recycleRequested = true
 }
 
 // AwaitAll blocks p until every instance's entry point has returned.

@@ -19,10 +19,10 @@ func TestDeployStartsAllInstances(t *testing.T) {
 	env, c := newCloud()
 	started := map[string]bool{}
 	d := Deploy(c, "app",
-		RoleConfig{Name: "web", Kind: WebRole, VM: model.Small, Count: 1, Run: func(ctx *Context) {
+		RoleConfig{Name: "web", VM: model.Small, Count: 1, Run: func(ctx *Context) {
 			started[ctx.Instance.Name()] = true
 		}},
-		RoleConfig{Name: "worker", Kind: WorkerRole, VM: model.Medium, Count: 3, Run: func(ctx *Context) {
+		RoleConfig{Name: "worker", VM: model.Medium, Count: 3, Run: func(ctx *Context) {
 			started[ctx.Instance.Name()] = true
 		}},
 	)
@@ -37,7 +37,7 @@ func TestDeployStartsAllInstances(t *testing.T) {
 		t.Fatalf("InstancesOf(worker) = %d", len(got))
 	}
 	for _, inst := range d.InstancesOf("worker") {
-		if inst.Kind() != WorkerRole || inst.VM().Name != "Medium" {
+		if inst.vm.Name != "Medium" {
 			t.Fatalf("worker instance misconfigured: %+v", inst)
 		}
 	}
@@ -45,7 +45,7 @@ func TestDeployStartsAllInstances(t *testing.T) {
 
 func TestRolesUseStorage(t *testing.T) {
 	env, c := newCloud()
-	Deploy(c, "app", RoleConfig{Name: "w", Kind: WorkerRole, VM: model.Small, Count: 2,
+	Deploy(c, "app", RoleConfig{Name: "w", VM: model.Small, Count: 2,
 		Run: func(ctx *Context) {
 			p, cl := ctx.Proc, ctx.Client
 			if _, err := cl.CreateQueueIfNotExists(p, "shared"); err != nil {
@@ -66,12 +66,12 @@ func TestRecycleRestartsEntryPoint(t *testing.T) {
 	env, c := newCloud()
 	runs := 0
 	var d *Deployment
-	d = Deploy(c, "app", RoleConfig{Name: "w", Kind: WorkerRole, VM: model.Small, Count: 1,
+	d = Deploy(c, "app", RoleConfig{Name: "w", VM: model.Small, Count: 1,
 		Run: func(ctx *Context) {
 			runs++
 			if runs == 1 {
 				// Simulate the fabric controller recycling us mid-run.
-				d.RequestRecycle(ctx.Instance)
+				ctx.Instance.RequestSelfRecycle()
 				ctx.Checkpoint() // aborts here
 				t.Error("checkpoint did not abort after recycle request")
 			}
@@ -93,7 +93,7 @@ func TestRecycleRestartsEntryPoint(t *testing.T) {
 
 func TestCheckpointWithoutRecycleIsNoop(t *testing.T) {
 	env, c := newCloud()
-	d := Deploy(c, "app", RoleConfig{Name: "w", Kind: WorkerRole, VM: model.Small, Count: 1,
+	d := Deploy(c, "app", RoleConfig{Name: "w", VM: model.Small, Count: 1,
 		Run: func(ctx *Context) {
 			for i := 0; i < 5; i++ {
 				ctx.Checkpoint()
@@ -108,7 +108,7 @@ func TestCheckpointWithoutRecycleIsNoop(t *testing.T) {
 
 func TestAwaitAll(t *testing.T) {
 	env, c := newCloud()
-	d := Deploy(c, "app", RoleConfig{Name: "w", Kind: WorkerRole, VM: model.Small, Count: 3,
+	d := Deploy(c, "app", RoleConfig{Name: "w", VM: model.Small, Count: 3,
 		Run: func(ctx *Context) {
 			ctx.Proc.Sleep(time.Duration(1+ctx.Instance.ID()) * time.Minute)
 		}})
@@ -130,7 +130,7 @@ func TestNonRecyclePanicPropagates(t *testing.T) {
 			t.Fatal("role panic did not propagate")
 		}
 	}()
-	Deploy(c, "app", RoleConfig{Name: "w", Kind: WorkerRole, VM: model.Small, Count: 1,
+	Deploy(c, "app", RoleConfig{Name: "w", VM: model.Small, Count: 1,
 		Run: func(ctx *Context) { panic("boom") }})
 	env.Run()
 }

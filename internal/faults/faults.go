@@ -106,24 +106,6 @@ func (w Window) covers(now time.Duration, region, service, station string) bool 
 	return now >= w.Start && now < w.Start+w.Duration
 }
 
-// Preemption is one scheduled spot-eviction of a worker role: at At the
-// worker's logical state is checkpointed and the worker is killed; after
-// RestoreAfter it is restored from the checkpoint onto a fresh server
-// (new NIC station, cold partition-map cache) and resumes mid-workload.
-// The workload engine consults the plan and performs the
-// checkpoint/kill/restore; like outage windows, preemptions are
-// schedule-driven and consume no injector randomness.
-type Preemption struct {
-	// Worker is the zero-based ordinal of the evicted worker role within
-	// its fleet.
-	Worker int
-	// At is the virtual time of the eviction.
-	At time.Duration
-	// RestoreAfter is how long the role stays down before the checkpoint
-	// is restored elsewhere (default 1 s when unset at compile time).
-	RestoreAfter time.Duration
-}
-
 // Plan is a complete fault schedule for one simulation run.
 type Plan struct {
 	// Seed feeds the injector's private PRNG; the same seed over the same
@@ -135,12 +117,6 @@ type Plan struct {
 	// Outages are checked before the rules (a downed server fails every
 	// request regardless of probabilities).
 	Outages []Window
-	// Preemptions schedules spot-evictions of worker roles. They live in
-	// the fault plan so eviction schedules version and replay with the
-	// rest of the fault model, but are executed by the workload engine
-	// (the injector never sees them: a preemption fails no request, it
-	// moves the requester).
-	Preemptions []Preemption
 
 	// Timeout is the client-side wait before a lost request is abandoned
 	// (default 30 s, the classic SDK default).
@@ -168,40 +144,6 @@ func Uniform(seed int64, rate float64) Plan {
 	}
 }
 
-// Empty reports whether the plan can never inject a fault (no positive
-// rule rates and no outage windows) — the zero-rate plan the acceptance
-// criteria require to be drift-free.
-func (pl Plan) Empty() bool {
-	for _, r := range pl.Rules {
-		if r.Rate > 0 && r.Kind != None {
-			return false
-		}
-	}
-	for _, w := range pl.Outages {
-		if w.Duration > 0 {
-			return false
-		}
-	}
-	return len(pl.Preemptions) == 0
-}
-
-// PreemptionsFor returns the scheduled evictions of one worker ordinal
-// in At order (stable for equal times).
-func (pl Plan) PreemptionsFor(worker int) []Preemption {
-	var out []Preemption
-	for _, p := range pl.Preemptions {
-		if p.Worker == worker {
-			out = append(out, p)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].At < out[j-1].At; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // Decision is the injector's verdict on one request.
 type Decision struct {
 	Kind Kind
@@ -222,11 +164,6 @@ type Event struct {
 	Op      string
 	Station string
 	Kind    Kind
-}
-
-// String renders the event compactly.
-func (e Event) String() string {
-	return fmt.Sprintf("%v %s/%s@%s %s", e.At, e.Service, e.Op, e.Station, e.Kind)
 }
 
 // Stats counts injector activity.
@@ -276,9 +213,6 @@ func NewInjector(plan Plan) *Injector {
 	return &Injector{plan: plan, rng: sim.NewRand(plan.Seed)}
 }
 
-// Plan returns the (default-filled) plan in effect.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Stats returns a snapshot of injector counters. Safe on nil.
 func (in *Injector) Stats() Stats {
 	if in == nil {
@@ -306,26 +240,20 @@ func (in *Injector) Schedule() string {
 	}
 	var b strings.Builder
 	for _, e := range in.events {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%v %s/%s@%s %s\n", e.At, e.Service, e.Op, e.Station, e.Kind)
 	}
 	return b.String()
 }
 
-// Decide returns the fate of a request arriving now for the given
-// service/op routed to station, in the default (unnamed) region. A nil
-// injector never injects. Decisions are drawn from the injector's private
-// PRNG in call order, so a fixed request sequence yields a fixed fault
-// schedule.
-func (in *Injector) Decide(now time.Duration, service, op, station string) Decision {
-	return in.DecideIn(now, "", service, op, station)
-}
-
-// DecideIn is Decide with an explicit region: outage windows carrying a
-// Region only cover requests arriving in that region, so one injector can
-// serve the paired clouds of a geo-replicated account. Overlapping windows
-// covering the same request still count it exactly once in Stats.Outages —
-// the first covering window decides.
+// DecideIn returns the fate of a request arriving now in region for the
+// given service/op routed to station. A nil injector never injects.
+// Decisions are drawn from the injector's private PRNG in call order, so a
+// fixed request sequence yields a fixed fault schedule. Outage windows
+// carrying a Region only cover requests arriving in that region ("" is
+// the default, unnamed one), so one injector can serve the paired clouds
+// of a geo-replicated account. Overlapping windows covering the same
+// request still count it exactly once in Stats.Outages — the first
+// covering window decides.
 func (in *Injector) DecideIn(now time.Duration, region, service, op, station string) Decision {
 	if in == nil {
 		return Decision{}

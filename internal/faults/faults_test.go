@@ -8,27 +8,9 @@ import (
 	"azurebench/internal/sim"
 )
 
-func TestEmptyPlan(t *testing.T) {
-	if !(Plan{}).Empty() {
-		t.Error("zero plan not empty")
-	}
-	if !(Plan{Rules: []Rule{{Kind: Timeout, Rate: 0}}}).Empty() {
-		t.Error("zero-rate plan not empty")
-	}
-	if (Plan{Rules: []Rule{{Kind: Timeout, Rate: 0.1}}}).Empty() {
-		t.Error("live rule considered empty")
-	}
-	if (Plan{Outages: []Window{{Start: time.Second, Duration: time.Second}}}).Empty() {
-		t.Error("outage plan considered empty")
-	}
-	if Uniform(1, 0).Empty() != true {
-		t.Error("Uniform(seed, 0) not empty")
-	}
-}
-
 func TestNilInjector(t *testing.T) {
 	var in *Injector
-	if d := in.Decide(0, "blob", "PutBlock", "s"); d.Kind != None {
+	if d := in.DecideIn(0, "", "blob", "PutBlock", "s"); d.Kind != None {
 		t.Errorf("nil injector injected %v", d.Kind)
 	}
 	if in.Stats().Injected() != 0 || in.Events() != nil || in.Schedule() != "" {
@@ -39,7 +21,7 @@ func TestNilInjector(t *testing.T) {
 func TestZeroRatePlanDrawsNothing(t *testing.T) {
 	in := NewInjector(Plan{Seed: 42, Rules: []Rule{{Kind: Internal, Rate: 0}}})
 	for i := 0; i < 1000; i++ {
-		if d := in.Decide(time.Duration(i), "queue", "PutMessage", "q"); d.Kind != None {
+		if d := in.DecideIn(time.Duration(i), "", "queue", "PutMessage", "q"); d.Kind != None {
 			t.Fatalf("zero-rate plan injected %v", d.Kind)
 		}
 	}
@@ -52,13 +34,13 @@ func TestRuleMatching(t *testing.T) {
 	in := NewInjector(Plan{Rules: []Rule{
 		{Service: "queue", Op: "DeleteMessage", Kind: Timeout, Rate: 1},
 	}})
-	if d := in.Decide(0, "queue", "DeleteMessage", "q"); d.Kind != Timeout {
+	if d := in.DecideIn(0, "", "queue", "DeleteMessage", "q"); d.Kind != Timeout {
 		t.Errorf("matching request got %v", d.Kind)
 	}
-	if d := in.Decide(0, "queue", "PutMessage", "q"); d.Kind != None {
+	if d := in.DecideIn(0, "", "queue", "PutMessage", "q"); d.Kind != None {
 		t.Errorf("op mismatch injected %v", d.Kind)
 	}
-	if d := in.Decide(0, "blob", "DeleteMessage", "q"); d.Kind != None {
+	if d := in.DecideIn(0, "", "blob", "DeleteMessage", "q"); d.Kind != None {
 		t.Errorf("service mismatch injected %v", d.Kind)
 	}
 }
@@ -81,8 +63,8 @@ func TestOutageWindow(t *testing.T) {
 		{12 * time.Second, "queue", "table-srv-1", None}, // other service
 	}
 	for _, c := range cases {
-		if d := in.Decide(c.now, c.service, "Op", c.station); d.Kind != c.want {
-			t.Errorf("Decide(%v, %s, %s) = %v, want %v", c.now, c.service, c.station, d.Kind, c.want)
+		if d := in.DecideIn(c.now, "", c.service, "Op", c.station); d.Kind != c.want {
+			t.Errorf("DecideIn(%v, %s, %s) = %v, want %v", c.now, c.service, c.station, d.Kind, c.want)
 		}
 	}
 	if got := in.Stats().Outages; got != 2 {
@@ -94,17 +76,17 @@ func TestDecisionDefaults(t *testing.T) {
 	in := NewInjector(Plan{Rules: []Rule{
 		{Kind: Timeout, Rate: 1},
 	}})
-	d := in.Decide(0, "blob", "GetBlock", "s")
+	d := in.DecideIn(0, "", "blob", "GetBlock", "s")
 	if d.Wait != 30*time.Second {
 		t.Errorf("default timeout = %v", d.Wait)
 	}
 	in = NewInjector(Plan{Rules: []Rule{{Kind: Internal, Rate: 1}}})
-	if d := in.Decide(0, "blob", "GetBlock", "s"); d.Occ != 5*time.Millisecond {
+	if d := in.DecideIn(0, "", "blob", "GetBlock", "s"); d.Occ != 5*time.Millisecond {
 		t.Errorf("default internal occupancy = %v", d.Occ)
 	}
 	in = NewInjector(Plan{Rules: []Rule{{Kind: Reset, Rate: 1}}})
 	for i := 0; i < 100; i++ {
-		d := in.Decide(0, "blob", "PutBlock", "s")
+		d := in.DecideIn(0, "", "blob", "PutBlock", "s")
 		if d.Cut < 0.1 || d.Cut > 0.9 {
 			t.Fatalf("reset cut %v outside default [0.1, 0.9]", d.Cut)
 		}
@@ -131,7 +113,7 @@ func driveWorkload(seed int64) *Injector {
 		env.Go(fmt.Sprintf("worker%d", w), func(p *sim.Proc) {
 			for i := 0; i < 200; i++ {
 				svc := services[(w+i)%len(services)]
-				dec := in.Decide(p.Now(), svc, "Op", svc+"-srv")
+				dec := in.DecideIn(p.Now(), "", svc, "Op", svc+"-srv")
 				// Fault handling perturbs downstream timing, like real
 				// retries would; this must not break reproducibility.
 				switch dec.Kind {
@@ -183,8 +165,8 @@ func TestOverlappingWindowsCountOnce(t *testing.T) {
 		{Service: "queue", Start: 12 * time.Second, Duration: 20 * time.Second},
 	}})
 	// 16s is inside all three windows.
-	if d := in.Decide(16*time.Second, "queue", "PutMessage", "queue:jobs"); d.Kind != Outage {
-		t.Fatalf("Decide inside overlap = %v, want Outage", d.Kind)
+	if d := in.DecideIn(16*time.Second, "", "queue", "PutMessage", "queue:jobs"); d.Kind != Outage {
+		t.Fatalf("DecideIn inside overlap = %v, want Outage", d.Kind)
 	}
 	if got := in.Stats().Outages; got != 1 {
 		t.Errorf("Stats.Outages = %d after one covered request, want 1", got)
@@ -193,7 +175,7 @@ func TestOverlappingWindowsCountOnce(t *testing.T) {
 		t.Errorf("Events() retained %d entries, want 1", n)
 	}
 	// A second covered request increments by exactly one again.
-	in.Decide(17*time.Second, "queue", "PutMessage", "queue:jobs")
+	in.DecideIn(17*time.Second, "", "queue", "PutMessage", "queue:jobs")
 	if got := in.Stats().Outages; got != 2 {
 		t.Errorf("Stats.Outages = %d after two covered requests, want 2", got)
 	}
@@ -201,7 +183,7 @@ func TestOverlappingWindowsCountOnce(t *testing.T) {
 
 // TestRegionScopedWindows covers the geo-replication composition: a window
 // naming a region fails only that region's requests, a region-less window
-// fails every region, and the legacy Decide entry point is the "" region.
+// fails every region, and the default, unnamed region is "".
 func TestRegionScopedWindows(t *testing.T) {
 	in := NewInjector(Plan{Outages: []Window{
 		{Region: "primary", Start: 0, Duration: time.Minute},
@@ -212,7 +194,7 @@ func TestRegionScopedWindows(t *testing.T) {
 	if d := in.DecideIn(time.Second, "secondary", "queue", "PutMessage", "queue:q"); d.Kind != None {
 		t.Errorf("secondary-region request failed under a primary-only outage: %v", d.Kind)
 	}
-	if d := in.Decide(time.Second, "queue", "PutMessage", "queue:q"); d.Kind != None {
+	if d := in.DecideIn(time.Second, "", "queue", "PutMessage", "queue:q"); d.Kind != None {
 		t.Errorf("region-less request failed under a primary-only outage: %v", d.Kind)
 	}
 

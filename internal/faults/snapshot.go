@@ -2,9 +2,6 @@ package faults
 
 import snap "azurebench/internal/snapshot"
 
-// SnapshotSection implements snap.Snapshotter.
-func (in *Injector) SnapshotSection() string { return "faults/injector" }
-
 // Save appends the fault-plan cursor: the injector's private PRNG
 // stream, the decision counters, and the retained schedule. The plan
 // itself is config-derived and rebuilt on restore; what must survive is
@@ -36,10 +33,7 @@ func (in *Injector) Load(r *snap.Reader) error {
 	in.stats.Internals = r.U64()
 	in.stats.Resets = r.U64()
 	in.stats.Outages = r.U64()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	n := r.Count()
 	in.events = in.events[:0]
 	for i := 0; i < n; i++ {
 		e := Event{

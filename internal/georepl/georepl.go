@@ -84,14 +84,6 @@ type Stats struct {
 	SumLag        time.Duration
 }
 
-// MeanLag returns the average replication lag over applied records.
-func (s Stats) MeanLag() time.Duration {
-	if s.Applied == 0 {
-		return 0
-	}
-	return s.SumLag / time.Duration(s.Applied)
-}
-
 // Stream is one direction of geo-replication for one account: an ordered
 // log of committed mutations, a shipper process draining it over the WAN,
 // and the lag/LastSyncTime bookkeeping RA-GRS reads consult. Not safe for
@@ -151,12 +143,6 @@ func (s *Stream) Stats() Stats {
 	}
 	return s.stats
 }
-
-// Pending returns the records not yet handed to the WAN.
-func (s *Stream) Pending() int { return len(s.pending) }
-
-// Frozen reports whether Freeze has been called.
-func (s *Stream) Frozen() bool { return s.frozen }
 
 // LastSyncTime returns the primary commit time of the latest record the
 // secondary has applied — the RA-GRS staleness marker. It never exceeds
@@ -377,9 +363,6 @@ func NewAccount(name string) *Account {
 	return &Account{name: name, lost: map[string]uint64{}}
 }
 
-// Name returns the account name.
-func (a *Account) Name() string { return a.name }
-
 // State returns the current failover state.
 func (a *Account) State() State { return a.state }
 
@@ -387,13 +370,6 @@ func (a *Account) State() State { return a.state }
 // region (roles stay swapped after failback — promotion is permanent, as
 // in the real service).
 func (a *Account) ActiveIsSecondary() bool { return a.secondary }
-
-// Transitions returns the state-change history in order.
-func (a *Account) Transitions() []Transition {
-	out := make([]Transition, len(a.transitions))
-	copy(out, a.transitions)
-	return out
-}
 
 // To moves the account to the next state, enforcing the legal cycle
 // healthy -> primary-outage -> failover-promoted -> failback -> healthy

@@ -140,7 +140,7 @@ func TestStreamFreezeCountsLost(t *testing.T) {
 	if s.LostAtFreeze != 2 || s.DroppedFrozen != 1 {
 		t.Errorf("stats = %+v, want LostAtFreeze 2, DroppedFrozen 1", s)
 	}
-	if !st.Frozen() {
+	if !st.frozen {
 		t.Error("stream not frozen")
 	}
 	// Idempotent: a second freeze loses nothing more.
@@ -191,8 +191,8 @@ func TestWaitDrained(t *testing.T) {
 	if want := 300 * time.Millisecond; drainedAt != want {
 		t.Errorf("WaitDrained returned at %v, want %v (ship window + WAN hop)", drainedAt, want)
 	}
-	if st.Pending() != 0 {
-		t.Errorf("%d records still pending after drain", st.Pending())
+	if len(st.pending) != 0 {
+		t.Errorf("%d records still pending after drain", len(st.pending))
 	}
 }
 
@@ -331,7 +331,7 @@ func TestAccountStateMachine(t *testing.T) {
 	if at, ok := a.PromotedAt(); !ok || at != 22*time.Second {
 		t.Errorf("PromotedAt = %v, %v; want 22s, true", at, ok)
 	}
-	if got := len(a.Transitions()); got != 6 {
+	if got := len(a.transitions); got != 6 {
 		t.Errorf("%d transitions recorded, want 6", got)
 	}
 

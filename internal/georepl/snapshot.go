@@ -2,13 +2,9 @@ package georepl
 
 import (
 	"fmt"
-	"sort"
 
 	snap "azurebench/internal/snapshot"
 )
-
-// SnapshotSection implements snap.Snapshotter.
-func (s *Stream) SnapshotSection() string { return "georepl/" + s.cfg.Name }
 
 // Save appends the replication stream's state: sequence counters,
 // per-partition sequences, lag accounting, and a metadata fingerprint
@@ -21,11 +17,7 @@ func (s *Stream) Save(w *snap.Writer) {
 	w.U64(s.nextSeq)
 	w.Duration(s.lastSync)
 	w.Bool(s.frozen)
-	parts := make([]string, 0, len(s.partSeq))
-	for k := range s.partSeq {
-		parts = append(parts, k)
-	}
-	sort.Strings(parts)
+	parts := snap.SortedKeys(s.partSeq)
 	w.Int(len(parts))
 	for _, k := range parts {
 		w.String(k)
@@ -72,10 +64,7 @@ func (s *Stream) Load(r *snap.Reader) error {
 	s.nextSeq = r.U64()
 	s.lastSync = r.Duration()
 	s.frozen = r.Bool()
-	np := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	np := r.Count()
 	s.partSeq = make(map[string]uint64, np)
 	for i := 0; i < np; i++ {
 		k := r.String()
@@ -122,11 +111,7 @@ func (a *Account) Save(w *snap.Writer) {
 		w.U8(uint8(tr.To))
 		w.String(tr.Reason)
 	}
-	svcs := make([]string, 0, len(a.lost))
-	for k := range a.lost {
-		svcs = append(svcs, k)
-	}
-	sort.Strings(svcs)
+	svcs := snap.SortedKeys(a.lost)
 	w.Int(len(svcs))
 	for _, k := range svcs {
 		w.String(k)
@@ -138,10 +123,7 @@ func (a *Account) Save(w *snap.Writer) {
 func (a *Account) Load(r *snap.Reader) error {
 	a.state = State(r.U8())
 	a.secondary = r.Bool()
-	nt := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	nt := r.Count()
 	a.transitions = a.transitions[:0]
 	for i := 0; i < nt; i++ {
 		a.transitions = append(a.transitions, Transition{
@@ -151,10 +133,7 @@ func (a *Account) Load(r *snap.Reader) error {
 			Reason: r.String(),
 		})
 	}
-	nl := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	nl := r.Count()
 	a.lost = make(map[string]uint64, nl)
 	for i := 0; i < nl; i++ {
 		k := r.String()

@@ -36,27 +36,12 @@ func (d *Dist) Merge(other *Dist) {
 	d.sorted = false
 }
 
-// Count returns the number of samples.
-func (d *Dist) Count() int { return len(d.samples) }
-
-// Total returns the sum of all samples.
-func (d *Dist) Total() time.Duration { return d.sum }
-
 // Mean returns the average sample, or 0 with no samples.
 func (d *Dist) Mean() time.Duration {
 	if len(d.samples) == 0 {
 		return 0
 	}
 	return d.sum / time.Duration(len(d.samples))
-}
-
-// Min returns the smallest sample.
-func (d *Dist) Min() time.Duration {
-	d.ensureSorted()
-	if len(d.samples) == 0 {
-		return 0
-	}
-	return d.samples[0]
 }
 
 // Max returns the largest sample.
@@ -68,17 +53,17 @@ func (d *Dist) Max() time.Duration {
 	return d.samples[len(d.samples)-1]
 }
 
-// Percentile returns the p-th percentile (0 < p <= 100) by
-// nearest-rank.
+// Percentile returns the p-th percentile (0 <= p <= 100) by
+// nearest-rank; Percentile(0) is the smallest sample.
 func (d *Dist) Percentile(p float64) time.Duration {
 	d.ensureSorted()
 	return Percentile(d.samples, p)
 }
 
-// Percentile returns the p-th percentile (0 < p <= 100) of an ascending
+// Percentile returns the p-th percentile (0 <= p <= 100) of an ascending
 // sample set by nearest rank — the smallest sample with at least p % of
-// the set at or below it, so the p50 of three samples is the middle one —
-// and the zero value with no samples.
+// the set at or below it, so the p50 of three samples is the middle one
+// and p0 the first — and the zero value with no samples.
 func Percentile[T any](sorted []T, p float64) T {
 	n := len(sorted)
 	if n == 0 {
@@ -89,36 +74,12 @@ func Percentile[T any](sorted []T, p float64) T {
 	return sorted[min(max(rank, 1), n)-1]
 }
 
-// Stddev returns the sample standard deviation.
-func (d *Dist) Stddev() time.Duration {
-	n := len(d.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := float64(d.Mean())
-	var ss float64
-	for _, v := range d.samples {
-		diff := float64(v) - mean
-		ss += diff * diff
-	}
-	return time.Duration(math.Sqrt(ss / float64(n-1)))
-}
-
 func (d *Dist) ensureSorted() {
 	if d.sorted {
 		return
 	}
 	sort.Slice(d.samples, func(i, j int) bool { return d.samples[i] < d.samples[j] })
 	d.sorted = true
-}
-
-// Summary renders a one-line distribution summary.
-func (d *Dist) Summary() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v max=%v",
-		d.Count(), d.Mean().Round(time.Microsecond),
-		d.Percentile(50).Round(time.Microsecond),
-		d.Percentile(95).Round(time.Microsecond),
-		d.Max().Round(time.Microsecond))
 }
 
 // Point is one figure data point.
@@ -284,24 +245,6 @@ func (c *Counters) Add(name string, v float64) {
 	}
 	c.vals[name] += v
 }
-
-// Get returns the counter's value (0 when absent).
-func (c *Counters) Get(name string) float64 { return c.vals[name] }
-
-// Merge folds other into c: shared names accumulate, new names append in
-// other's insertion order, so merged reports render as stably as their
-// inputs.
-func (c *Counters) Merge(other *Counters) {
-	if other == nil {
-		return
-	}
-	for _, n := range other.names {
-		c.Add(n, other.vals[n])
-	}
-}
-
-// Names returns the counter names in insertion order.
-func (c *Counters) Names() []string { return append([]string(nil), c.names...) }
 
 // Render formats the counters as an aligned name/value table.
 func (c *Counters) Render() string {

@@ -30,12 +30,6 @@ func TestVMSizesTableI(t *testing.T) {
 			t.Errorf("VMSizes[%d] = %+v, want %+v", i, v, c)
 		}
 	}
-	if _, ok := VMSizeByName("Medium"); !ok {
-		t.Error("VMSizeByName(Medium) missing")
-	}
-	if _, ok := VMSizeByName("Nope"); ok {
-		t.Error("VMSizeByName(Nope) found")
-	}
 }
 
 func TestNICBandwidthMonotone(t *testing.T) {

@@ -317,21 +317,6 @@ const (
 	QDelete
 )
 
-// String names the operation.
-func (op QueueOp) String() string {
-	switch op {
-	case QPut:
-		return "Put"
-	case QPeek:
-		return "Peek"
-	case QGet:
-		return "Get"
-	case QDelete:
-		return "Delete"
-	}
-	return "?"
-}
-
 // QueueOcc is the queue server occupancy of op on a message of size bytes
 // while qlen messages are resident.
 func (p Params) QueueOcc(op QueueOp, size int64, qlen int) time.Duration {
@@ -382,21 +367,6 @@ const (
 	TUpdate
 	TDelete
 )
-
-// String names the operation.
-func (op TableOp) String() string {
-	switch op {
-	case TInsert:
-		return "Insert"
-	case TQuery:
-		return "Query"
-	case TUpdate:
-		return "Update"
-	case TDelete:
-		return "Delete"
-	}
-	return "?"
-}
 
 // TableOcc is the partition-server occupancy of op on an entity of size
 // bytes.

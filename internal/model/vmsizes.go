@@ -40,13 +40,3 @@ var (
 
 // VMSizes lists the catalogue in Table I order.
 var VMSizes = []VMSize{ExtraSmall, Small, Medium, Large, ExtraLarge}
-
-// VMSizeByName looks a size up by name.
-func VMSizeByName(name string) (VMSize, bool) {
-	for _, v := range VMSizes {
-		if v.Name == name {
-			return v, true
-		}
-	}
-	return VMSize{}, false
-}

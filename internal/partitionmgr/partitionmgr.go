@@ -140,9 +140,6 @@ func (m *TableMap) Owner(pk string) int {
 	return m.owners[i-1]
 }
 
-// Ranges returns the number of ranges in the snapshot.
-func (m *TableMap) Ranges() int { return len(m.starts) }
-
 // Master is the partition master: it owns every table's map, observes
 // per-range load, and mutates placement on control ticks. It must only be
 // used from the single-threaded simulation.

@@ -76,8 +76,8 @@ func TestSplitIsolatesHotKey(t *testing.T) {
 	hotOwner, _ := m.Lookup("t", "hot")
 	warmOwner, _ := m.Lookup("t", "warm")
 	snap := m.Snapshot("t")
-	if snap.Ranges() < 2 {
-		t.Fatalf("table still has %d range(s) after split", snap.Ranges())
+	if len(snap.starts) < 2 {
+		t.Fatalf("table still has %d range(s) after split", len(snap.starts))
 	}
 	if snap.Owner("hot") != hotOwner || snap.Owner("warm") != warmOwner {
 		t.Fatal("snapshot owners disagree with authoritative lookup")
@@ -116,7 +116,7 @@ func TestColdRangesMigrateThenMerge(t *testing.T) {
 		}
 		m.Record(time.Duration(i)*4*time.Millisecond, "t", pk) // 250 ops/s
 	}
-	if m.Snapshot("t").Ranges() < 2 {
+	if len(m.Snapshot("t").starts) < 2 {
 		t.Fatal("phase 1 produced no split")
 	}
 	// Phase 2: traffic cools to a trickle on a third key; the cold
@@ -131,7 +131,7 @@ func TestColdRangesMigrateThenMerge(t *testing.T) {
 	if st.Merges == 0 {
 		t.Fatalf("cold ranges never merged: %+v (events %v)", st, kinds)
 	}
-	if got := m.Snapshot("t").Ranges(); got != 1 {
+	if got := len(m.Snapshot("t").starts); got != 1 {
 		t.Fatalf("table ends with %d ranges, want full consolidation to 1", got)
 	}
 }
@@ -214,7 +214,7 @@ func TestPromoteBumpsEveryTableAndBlacksOutRanges(t *testing.T) {
 	now := 2 * time.Second
 	blackout := 300 * time.Millisecond
 	ranges := m.Promote(now, blackout)
-	if want := m.Snapshot("orders").Ranges() + m.Snapshot("users").Ranges(); ranges != want {
+	if want := len(m.Snapshot("orders").starts) + len(m.Snapshot("users").starts); ranges != want {
 		t.Fatalf("Promote touched %d ranges, want %d", ranges, want)
 	}
 	if got := m.Snapshot("orders").Version; got != v1+1 {

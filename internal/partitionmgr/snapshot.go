@@ -1,13 +1,6 @@
 package partitionmgr
 
-import (
-	"sort"
-
-	snap "azurebench/internal/snapshot"
-)
-
-// SnapshotSection implements snap.Snapshotter.
-func (m *Master) SnapshotSection() string { return "partitionmgr/master" }
+import snap "azurebench/internal/snapshot"
 
 // Save appends the master's full state: every table's versioned range
 // map with its load window (the per-range op counts and key histograms
@@ -33,11 +26,7 @@ func (m *Master) Save(w *snap.Writer) {
 			w.Int(r.owner)
 			w.Duration(r.unavailUntil)
 			w.F64(r.ops)
-			keys := make([]string, 0, len(r.keys))
-			for k := range r.keys {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
+			keys := snap.SortedKeys(r.keys)
 			w.Int(len(keys))
 			for _, k := range keys {
 				w.String(k)
@@ -46,11 +35,7 @@ func (m *Master) Save(w *snap.Writer) {
 		}
 	}
 
-	placeKeys := make([]string, 0, len(m.place))
-	for k := range m.place {
-		placeKeys = append(placeKeys, k)
-	}
-	sort.Strings(placeKeys)
+	placeKeys := snap.SortedKeys(m.place)
 	w.Int(len(placeKeys))
 	for _, k := range placeKeys {
 		w.String(k)
@@ -88,10 +73,7 @@ func (m *Master) Load(r *snap.Reader) error {
 	m.nextTick = r.Duration()
 	m.ticked = r.Bool()
 
-	nt := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	nt := r.Count()
 	m.tables = make(map[string]*tableState, nt)
 	m.order = m.order[:0]
 	for i := 0; i < nt; i++ {
@@ -99,10 +81,7 @@ func (m *Master) Load(r *snap.Reader) error {
 			name:    r.String(),
 			version: r.U64(),
 		}
-		nr := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
+		nr := r.Count()
 		for j := 0; j < nr; j++ {
 			rs := &rangeState{
 				start:        r.String(),
@@ -110,10 +89,7 @@ func (m *Master) Load(r *snap.Reader) error {
 				unavailUntil: r.Duration(),
 				ops:          r.F64(),
 			}
-			nk := r.Int()
-			if err := r.Err(); err != nil {
-				return err
-			}
+			nk := r.Count()
 			rs.keys = make(map[string]float64, nk)
 			for k := 0; k < nk; k++ {
 				key := r.String()
@@ -125,10 +101,7 @@ func (m *Master) Load(r *snap.Reader) error {
 		m.order = append(m.order, t.name)
 	}
 
-	np := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	np := r.Count()
 	m.place = make(map[string]int, np)
 	m.placed = map[string]map[string]int{}
 	for i := 0; i < np; i++ {
@@ -146,10 +119,7 @@ func (m *Master) Load(r *snap.Reader) error {
 		Promotions:     r.U64(),
 	}
 
-	ne := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	ne := r.Count()
 	m.events = m.events[:0]
 	for i := 0; i < ne; i++ {
 		m.events = append(m.events, Event{

@@ -84,24 +84,6 @@ func Concat(parts ...Payload) Payload {
 // Len returns the payload length in bytes.
 func (p Payload) Len() int64 { return p.size }
 
-// IsSynthetic reports whether any part of the payload is synthetic or zero
-// (i.e. not backed by literal bytes).
-func (p Payload) IsSynthetic() bool {
-	switch p.k {
-	case kindBytes:
-		return false
-	case kindConcat:
-		for _, part := range p.parts {
-			if part.IsSynthetic() {
-				return true
-			}
-		}
-		return false
-	default:
-		return p.size > 0
-	}
-}
-
 // Slice returns the sub-payload [off, off+n). It panics if the range is out
 // of bounds.
 func (p Payload) Slice(off, n int64) Payload {
@@ -133,8 +115,8 @@ func (p Payload) Slice(off, n int64) Payload {
 			if pos >= off+n {
 				break
 			}
-			lo := max64(off, pos) - pos
-			hi := min64(off+n, end) - pos
+			lo := max(off, pos) - pos
+			hi := min(off+n, end) - pos
 			parts = append(parts, part.Slice(lo, hi-lo))
 			pos = end
 		}
@@ -231,9 +213,9 @@ func Equal(a, b Payload) bool {
 func (p Payload) Checksum() uint64 {
 	h := fnv.New64a()
 	const chunk = 64 * 1024
-	buf := make([]byte, min64(chunk, p.size))
+	buf := make([]byte, min(chunk, p.size))
 	for pos := int64(0); pos < p.size; {
-		n := min64(chunk, p.size-pos)
+		n := min(chunk, p.size-pos)
 		sub := p.Slice(pos, n)
 		sub.render(buf[:n])
 		h.Write(buf[:n])
@@ -260,18 +242,4 @@ func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

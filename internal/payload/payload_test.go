@@ -129,18 +129,6 @@ func TestChecksumDiffersForDifferentContent(t *testing.T) {
 	}
 }
 
-func TestIsSynthetic(t *testing.T) {
-	if Bytes([]byte("x")).IsSynthetic() {
-		t.Fatal("literal payload reported synthetic")
-	}
-	if !Synthetic(1, 1).IsSynthetic() {
-		t.Fatal("synthetic payload not reported synthetic")
-	}
-	if !Concat(Bytes([]byte("x")), Zero(1)).IsSynthetic() {
-		t.Fatal("mixed payload not reported synthetic")
-	}
-}
-
 func TestRenderIntoDirtyBuffer(t *testing.T) {
 	// Checksum renders into a reused buffer; zero ranges must overwrite.
 	p := Concat(Bytes([]byte{0xff, 0xff}), Zero(2))

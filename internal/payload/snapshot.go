@@ -59,12 +59,9 @@ func Load(r *snapshot.Reader) (Payload, error) {
 		}
 		return Payload{k: kindSynthetic, size: size, seed: seed, off: off}, nil
 	case kindConcat:
-		n := r.Int()
+		n := r.Count()
 		if err := r.Err(); err != nil {
 			return Payload{}, err
-		}
-		if n < 0 || n > 1<<20 {
-			return Payload{}, fmt.Errorf("payload: implausible concat arity %d", n)
 		}
 		parts := make([]Payload, 0, n)
 		for i := 0; i < n; i++ {

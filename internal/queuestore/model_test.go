@@ -189,25 +189,6 @@ func (s *model) ReplicaDelete(name, msgID string) error {
 	return storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
 }
 
-func (s *model) ReplicaUpdate(name, msgID string, body payload.Payload) error {
-	if body.Len() > storecommon.MaxMessagePayload {
-		return storecommon.Errf(storecommon.CodeMessageTooLarge, 400, "updated message too large")
-	}
-	q, ok := s.queues[name]
-	if !ok {
-		return queueNotFound(name)
-	}
-	s.reap(q, s.clock.Now())
-	for _, m := range q.msgs {
-		if m.id != msgID {
-			continue
-		}
-		m.body = body
-		return nil
-	}
-	return storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
-}
-
 func (s *model) Update(name, msgID, popReceipt string, body payload.Payload, visibility time.Duration) (Message, error) {
 	if body.Len() > storecommon.MaxMessagePayload {
 		return Message{}, storecommon.Errf(storecommon.CodeMessageTooLarge, 400, "updated message too large")
@@ -292,7 +273,7 @@ func (s *model) Save(w *snap.Writer) {
 		q := s.queues[name]
 		w.String(q.name)
 		w.Time(q.created)
-		saveMeta(w, q.metadata)
+		w.StringMap(q.metadata)
 		w.U64(q.nextID)
 		w.Int(len(q.msgs))
 		for _, m := range q.msgs {

@@ -120,14 +120,6 @@ func (s *Store) DeleteQueue(name string) error {
 	return nil
 }
 
-// QueueExists reports whether the queue exists.
-func (s *Store) QueueExists(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.queues[name]
-	return ok
-}
-
 // ListQueues returns queue names with the given prefix, sorted.
 func (s *Store) ListQueues(prefix string) []string {
 	s.mu.Lock()
@@ -306,24 +298,6 @@ func (s *Store) ReplicaDelete(name, msgID string) error {
 		return err
 	}
 	q.remove(m)
-	return nil
-}
-
-// ReplicaUpdate replaces a message body by ID without a pop receipt —
-// the geo-replication counterpart of Update. Visibility is left alone:
-// the secondary never saw the Get that hid the message, so the replayed
-// update only carries the content change.
-func (s *Store) ReplicaUpdate(name, msgID string, body payload.Payload) error {
-	if body.Len() > storecommon.MaxMessagePayload {
-		return storecommon.Errf(storecommon.CodeMessageTooLarge, 400, "updated message too large")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, m, err := s.find(name, msgID, s.clock.Now())
-	if err != nil {
-		return err
-	}
-	m.body = body
 	return nil
 }
 

@@ -30,7 +30,7 @@ func TestCreateDeleteQueue(t *testing.T) {
 	if err := s.CreateQueue("Bad Name"); err == nil {
 		t.Fatal("invalid name accepted")
 	}
-	if !s.QueueExists("my-queue") {
+	if got := s.ListQueues("my-"); len(got) != 1 || got[0] != "my-queue" {
 		t.Fatal("queue missing")
 	}
 	if err := s.DeleteQueue("my-queue"); err != nil {

@@ -121,14 +121,9 @@ func (r *scriptRun) op(s *script) {
 		if gerr == nil {
 			r.known = append(r.known, got)
 		}
-	case 10: // replica delete / replica update
+	case 10: // replica delete
 		id, _ := r.pick(s)
-		if s.next()%2 == 0 {
-			r.same("replica-delete", nil, nil, r.eng.ReplicaDelete(name, id), r.ref.ReplicaDelete(name, id))
-			return
-		}
-		body := payload.String(fmt.Sprintf("replica-%d", r.step))
-		r.same("replica-update", nil, nil, r.eng.ReplicaUpdate(name, id, body), r.ref.ReplicaUpdate(name, id, body))
+		r.same("replica-delete", nil, nil, r.eng.ReplicaDelete(name, id), r.ref.ReplicaDelete(name, id))
 	case 11, 12: // let time pass: across visibility timeouts, across TTLs
 		r.clk.Advance(scriptSteps[s.next()%len(scriptSteps)])
 	case 13: // count

@@ -63,8 +63,8 @@ func TestStatszCountsAndClassifies(t *testing.T) {
 	if stats[put].Count != 2 || stats[put].Errors != 0 {
 		t.Fatalf("PUT /blob = %+v", stats[put])
 	}
-	if stats[put].Latency.Count() != 2 || stats[put].Latency.Max() <= 0 {
-		t.Fatalf("PUT /blob latency = %s", stats[put].Latency.Summary())
+	if lat := stats[put].Latency; lat.Count() != 2 || lat.Total() <= 0 {
+		t.Fatalf("PUT /blob latency: %d samples totalling %v", lat.Count(), lat.Total())
 	}
 	get, ok := byKey["GET /blob"]
 	if !ok {

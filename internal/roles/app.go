@@ -136,8 +136,8 @@ func RunBagOfTasks(cfg BagOfTasksConfig) (BagOfTasksResult, error) {
 	}
 
 	d := fabric.Deploy(cfg.Cloud, cfg.Name,
-		fabric.RoleConfig{Name: "web", Kind: fabric.WebRole, VM: cfg.WebVM, Count: 1, Run: web},
-		fabric.RoleConfig{Name: "worker", Kind: fabric.WorkerRole, VM: cfg.WorkerVM, Count: cfg.Workers, Run: worker},
+		fabric.RoleConfig{Name: "web", VM: cfg.WebVM, Count: 1, Run: web},
+		fabric.RoleConfig{Name: "worker", VM: cfg.WorkerVM, Count: cfg.Workers, Run: worker},
 	)
 	env.Run()
 

@@ -42,9 +42,6 @@ func NewBarrier(queue string, workers int) *Barrier {
 	return &Barrier{Queue: queue, Workers: workers, Poll: DefaultPollInterval}
 }
 
-// Phase returns the number of completed synchronisation phases.
-func (b *Barrier) Phase() int { return b.phase }
-
 // Wait blocks until all workers have arrived at this barrier phase.
 func (b *Barrier) Wait(p *sim.Proc, cl *cloud.Client) error {
 	b.phase++

@@ -92,8 +92,8 @@ func TestBarrierMultiplePhases(t *testing.T) {
 					}
 				}
 			}
-			if b.Phase() != phases {
-				t.Errorf("phase counter = %d", b.Phase())
+			if b.phase != phases {
+				t.Errorf("phase counter = %d", b.phase)
 			}
 		})
 	}

@@ -122,8 +122,8 @@ func marshalWorker(st *clientState, rng *sim.Rand, ch *chooser) []byte {
 func unmarshalWorker(blob []byte, store Store, keys KeyDist, phaseStart time.Duration) (*clientState, *sim.Rand, *chooser, error) {
 	r := snapshot.NewReader(blob)
 	st := &clientState{store: store, insertSeq: r.Int()}
-	n := r.Int()
-	for i := 0; i < n && r.Err() == nil; i++ {
+	n := r.Count()
+	for i := 0; i < n; i++ {
 		st.claims = append(st.claims, claim{id: r.String(), receipt: r.String()})
 	}
 	rng := sim.NewRand(0)

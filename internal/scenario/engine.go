@@ -405,13 +405,6 @@ func runWorkload(s *core.Suite, sp *Spec, opts Options) (*core.Report, map[strin
 				Duration: o.Duration,
 			})
 		}
-		for _, pr := range f.Preemptions {
-			plan.Preemptions = append(plan.Preemptions, faults.Preemption{
-				Worker:       pr.Worker,
-				At:           pr.At,
-				RestoreAfter: pr.RestoreAfter,
-			})
-		}
 		c.SetFaults(faults.NewInjector(plan))
 	}
 	applyFaults(c)

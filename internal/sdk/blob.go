@@ -7,8 +7,6 @@ import (
 	"net/url"
 	"strconv"
 	"time"
-
-	"azurebench/internal/storecommon"
 )
 
 // BlobClient talks to the blob service.
@@ -307,23 +305,6 @@ func (b *BlobClient) ReleaseLease(container, blob, leaseID string) error {
 	return err
 }
 
-// BreakLease forcibly breaks any lease.
-func (b *BlobClient) BreakLease(container, blob string) error {
-	_, err := b.c.do(request{op: "BreakLease",
-		method:  http.MethodPut,
-		path:    blobPath(container, blob),
-		query:   "comp=lease",
-		headers: []header{{hLeaseAction, "break"}},
-	})
-	return err
-}
-
 func rangeHeader(off, n int64) string {
 	return fmt.Sprintf("bytes=%d-%d", off, off+n-1)
 }
-
-// IsNotFound re-exports the error predicate for SDK users.
-func IsNotFound(err error) bool { return storecommon.IsNotFound(err) }
-
-// IsServerBusy re-exports the throttle predicate for SDK users.
-func IsServerBusy(err error) bool { return storecommon.IsServerBusy(err) }

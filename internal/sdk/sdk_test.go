@@ -62,7 +62,7 @@ func TestBlobLifecycleOverREST(t *testing.T) {
 	if err := blob.Delete("demo", "data.bin"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := blob.Download("demo", "data.bin"); !IsNotFound(err) {
+	if _, err := blob.Download("demo", "data.bin"); !storecommon.IsNotFound(err) {
 		t.Fatalf("download after delete = %v", err)
 	}
 	if err := blob.DeleteContainer("demo"); err != nil {
@@ -222,7 +222,7 @@ func TestQueueLifecycleOverREST(t *testing.T) {
 	if err := q.Delete("jobs"); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Put("jobs", body, 0); !IsNotFound(err) {
+	if err := q.Put("jobs", body, 0); !storecommon.IsNotFound(err) {
 		t.Fatalf("put to deleted queue = %v", err)
 	}
 }
@@ -329,7 +329,7 @@ func TestTableLifecycleOverREST(t *testing.T) {
 	if err := tc.DeleteEntity("People", "smith", "john", storecommon.ETagAny); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tc.Get("People", "smith", "john"); !IsNotFound(err) {
+	if _, err := tc.Get("People", "smith", "john"); !storecommon.IsNotFound(err) {
 		t.Fatalf("get after delete = %v", err)
 	}
 	if err := tc.Delete("People"); err != nil {

@@ -139,8 +139,8 @@ func TestTraceDetachedRecordsNothing(t *testing.T) {
 	if err := c.Blob().CreateContainer("plain2"); err != nil {
 		t.Fatal(err)
 	}
-	if l.Len() != 0 {
-		t.Fatalf("detached client recorded %d ops", l.Len())
+	if len(l.Ops()) != 0 {
+		t.Fatalf("detached client recorded %d ops", len(l.Ops()))
 	}
 }
 

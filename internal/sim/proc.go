@@ -34,9 +34,6 @@ type Proc struct {
 // Name returns the process name.
 func (p *Proc) Name() string { return p.name }
 
-// Env returns the owning environment.
-func (p *Proc) Env() *Env { return p.env }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
 

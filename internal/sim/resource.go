@@ -35,12 +35,6 @@ func (r *Resource) Name() string { return r.name }
 // Capacity returns the configured capacity.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of processes waiting.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
-
 func (r *Resource) account() {
 	now := r.env.now
 	dt := now - r.lastStamp

@@ -13,9 +13,6 @@ func NewSignal(env *Env) *Signal {
 	return &Signal{env: env}
 }
 
-// Fired reports whether the signal has been fired.
-func (s *Signal) Fired() bool { return s.fired }
-
 // Fire fires the signal, waking all waiters in FIFO order at the current
 // instant. Firing twice is a no-op.
 func (s *Signal) Fire() {

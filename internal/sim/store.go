@@ -29,9 +29,6 @@ func (s *Store[T]) Name() string { return s.name }
 // to waiters that have not yet resumed).
 func (s *Store[T]) Len() int { return len(s.items) }
 
-// Waiting returns the number of processes blocked in Get.
-func (s *Store[T]) Waiting() int { return s.waiters.len() }
-
 // Puts returns the total number of Put calls.
 func (s *Store[T]) Puts() uint64 { return s.puts }
 

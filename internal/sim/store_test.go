@@ -136,7 +136,7 @@ func TestSignalBroadcast(t *testing.T) {
 			t.Fatalf("woke at %v, want 5s", w)
 		}
 	}
-	if !sig.Fired() {
+	if !sig.fired {
 		t.Fatal("signal not marked fired")
 	}
 	// Waiting after fire returns immediately.

@@ -24,6 +24,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"sort"
 	"time"
 )
 
@@ -116,6 +117,27 @@ func (w *Writer) Time(t time.Time) {
 	w.I64(t.UnixNano())
 }
 
+// StringMap appends a map's size, then each key and value in sorted key
+// order — the order every map in a section is written in, so identical
+// states encode identically.
+func (w *Writer) StringMap(m map[string]string) {
+	w.Int(len(m))
+	for _, k := range SortedKeys(m) {
+		w.String(k)
+		w.String(m[k])
+	}
+}
+
+// SortedKeys returns m's keys in ascending order: how a Save walks a map.
+func SortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // Bytes appends a length-prefixed byte slice.
 func (w *Writer) BytesField(b []byte) {
 	w.U32(uint32(len(b)))
@@ -195,6 +217,36 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // Int decodes an int written by Writer.Int.
 func (r *Reader) Int() int { return int(r.I64()) }
+
+// Count decodes the length a Save wrote before a run of elements. Every
+// element takes at least one byte, so a count that is negative or larger
+// than the bytes left is not one Save wrote: it sets the sticky error and
+// returns 0, which bounds a loader's loop by the section's size.
+func (r *Reader) Count() int {
+	n := r.Int()
+	if r.err == nil && (n < 0 || n > r.Remaining()) {
+		r.err = fmt.Errorf("%w: count %d exceeds the %d bytes left", ErrCorrupt, n, r.Remaining())
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+// StringMap decodes a map written by Writer.StringMap; an empty map
+// decodes as nil.
+func (r *Reader) StringMap() map[string]string {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		k := r.String()
+		m[k] = r.String()
+	}
+	return m
+}
 
 // F64 decodes a float64 by bit pattern.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }

@@ -29,8 +29,8 @@ func TestLimiterPoolEvictsIdleAfterHorizon(t *testing.T) {
 	if b == a {
 		t.Fatal("idle limiter not evicted after the horizon")
 	}
-	if got := b.Tokens(now); got != 50 {
-		t.Fatalf("fresh limiter has %v tokens, want full burst 50", got)
+	if b.refill(now); b.tokens != 50 {
+		t.Fatalf("fresh limiter has %v tokens, want full burst 50", b.tokens)
 	}
 }
 

@@ -41,15 +41,6 @@ func (l *RateLimiter) Allow(now time.Duration, n float64) bool {
 // throttle-reject signal station telemetry samples.
 func (l *RateLimiter) Rejects() uint64 { return l.rejects }
 
-// Rate returns the limiter's admission rate in tokens per second.
-func (l *RateLimiter) Rate() float64 { return l.rate }
-
-// Tokens returns the available tokens at instant now.
-func (l *RateLimiter) Tokens(now time.Duration) float64 {
-	l.refill(now)
-	return l.tokens
-}
-
 func (l *RateLimiter) refill(now time.Duration) {
 	if now <= l.last {
 		return

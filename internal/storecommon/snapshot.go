@@ -2,7 +2,6 @@ package storecommon
 
 import (
 	"fmt"
-	"sort"
 
 	"azurebench/internal/snapshot"
 )
@@ -47,11 +46,7 @@ func (p *LimiterPool) Save(w *snapshot.Writer) {
 	w.F64(p.burst)
 	w.Duration(p.horizon)
 	w.Duration(p.lastSweep)
-	keys := make([]string, 0, len(p.entries))
-	for k := range p.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := snapshot.SortedKeys(p.entries)
 	w.Int(len(keys))
 	for _, k := range keys {
 		e := p.entries[k]
@@ -67,16 +62,13 @@ func (p *LimiterPool) Load(r *snapshot.Reader) error {
 	burst := r.F64()
 	horizon := r.Duration()
 	lastSweep := r.Duration()
-	n := r.Int()
+	n := r.Count()
 	if err := r.Err(); err != nil {
 		return err
 	}
 	if rate != p.rate || burst != p.burst || horizon != p.horizon {
 		return fmt.Errorf("storecommon: limiter pool shape mismatch (snapshot rate=%g burst=%g horizon=%v)",
 			rate, burst, horizon)
-	}
-	if n < 0 {
-		return fmt.Errorf("storecommon: negative pool entry count %d", n)
 	}
 	p.lastSweep = lastSweep
 	p.entries = make(map[string]*poolEntry, n)

@@ -214,8 +214,9 @@ func TestRateLimiterBasics(t *testing.T) {
 
 func TestRateLimiterCapsAtBurst(t *testing.T) {
 	l := NewRateLimiter(1000, 3)
-	if got := l.Tokens(time.Hour); got != 3 {
-		t.Fatalf("Tokens = %v, want burst cap 3", got)
+	// An hour of refill at 1000/s still leaves exactly the burst.
+	if l.Allow(time.Hour, 4) || !l.Allow(time.Hour, 3) {
+		t.Fatal("bucket not capped at burst 3")
 	}
 }
 

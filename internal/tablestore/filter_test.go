@@ -231,7 +231,7 @@ func TestFilterPropertyEvalConsistency(t *testing.T) {
 			"ge": a >= b, "lt": a < b, "le": a <= b,
 		}
 		for op, want := range checks {
-			expr, err := ParseFilter("X " + op + " " + Int32(b).GoString())
+			expr, err := ParseFilter(fmt.Sprintf("X %s %d", op, b))
 			if err != nil {
 				return false
 			}

@@ -1,14 +1,9 @@
 package tablestore
 
 import (
-	"sort"
-
 	"azurebench/internal/payload"
 	snap "azurebench/internal/snapshot"
 )
-
-// SnapshotSection implements snap.Snapshotter.
-func (s *Store) SnapshotSection() string { return "engine/table" }
 
 // Save appends the full account state — every table, partition, entity
 // and typed property — with all map levels in sorted key order so
@@ -17,11 +12,7 @@ func (s *Store) Save(w *snap.Writer) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.etags.Save(w)
-	tableNames := make([]string, 0, len(s.tables))
-	for k := range s.tables {
-		tableNames = append(tableNames, k)
-	}
-	sort.Strings(tableNames)
+	tableNames := snap.SortedKeys(s.tables)
 	w.Int(len(tableNames))
 	for _, tn := range tableNames {
 		t := s.tables[tn]
@@ -48,24 +39,15 @@ func (s *Store) Load(r *snap.Reader) error {
 	if err := s.etags.Load(r); err != nil {
 		return err
 	}
-	nt := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	nt := r.Count()
 	tables := make(map[string]*table, nt)
 	for i := 0; i < nt; i++ {
 		t := &table{name: r.String()}
-		np := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
+		np := r.Count()
 		t.partitions = make(map[string]*partition, np)
 		for j := 0; j < np; j++ {
 			pk := r.String()
-			nr := r.Int()
-			if err := r.Err(); err != nil {
-				return err
-			}
+			nr := r.Count()
 			p := &partition{rows: make(map[string]*Entity, nr)}
 			for k := 0; k < nr; k++ {
 				e, err := loadEntity(r)
@@ -96,11 +78,7 @@ func saveEntity(w *snap.Writer, e *Entity) {
 	w.String(e.RowKey)
 	w.Time(e.Timestamp)
 	w.String(e.ETag)
-	props := make([]string, 0, len(e.Props))
-	for k := range e.Props {
-		props = append(props, k)
-	}
-	sort.Strings(props)
+	props := snap.SortedKeys(e.Props)
 	w.Int(len(props))
 	for _, k := range props {
 		w.String(k)
@@ -115,10 +93,7 @@ func loadEntity(r *snap.Reader) (*Entity, error) {
 		Timestamp:    r.Time(),
 		ETag:         r.String(),
 	}
-	np := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+	np := r.Count()
 	e.Props = make(map[string]Value, np)
 	for i := 0; i < np; i++ {
 		k := r.String()

@@ -137,14 +137,6 @@ func (s *Store) DeleteTable(name string) error {
 	return nil
 }
 
-// TableExists reports whether the table exists.
-func (s *Store) TableExists(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.tables[name]
-	return ok
-}
-
 // ListTables returns table names with the given prefix, sorted.
 func (s *Store) ListTables(prefix string) []string {
 	s.mu.RLock()

@@ -34,7 +34,7 @@ func TestCreateDeleteTable(t *testing.T) {
 	if err := s.CreateTable("1bad"); err == nil {
 		t.Fatal("invalid name accepted")
 	}
-	if !s.TableExists("MyTable") {
+	if got := s.ListTables(""); len(got) != 1 || got[0] != "MyTable" {
 		t.Fatal("table missing")
 	}
 	if err := s.DeleteTable("MyTable"); err != nil {

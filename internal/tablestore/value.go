@@ -178,24 +178,3 @@ func cmp64(a, b int64) int {
 	}
 	return 0
 }
-
-// GoString renders the value for diagnostics.
-func (v Value) GoString() string {
-	switch v.Type {
-	case TypeString:
-		return fmt.Sprintf("%q", v.S)
-	case TypeGUID:
-		return fmt.Sprintf("guid'%s'", v.S)
-	case TypeInt32, TypeInt64:
-		return fmt.Sprintf("%d", v.I)
-	case TypeDouble:
-		return fmt.Sprintf("%g", v.F)
-	case TypeBool:
-		return fmt.Sprintf("%t", v.B)
-	case TypeDateTime:
-		return fmt.Sprintf("datetime'%s'", v.T.UTC().Format(time.RFC3339Nano))
-	case TypeBinary:
-		return fmt.Sprintf("binary[%d]", v.Bin.Len())
-	}
-	return "?"
-}

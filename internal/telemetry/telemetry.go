@@ -72,9 +72,6 @@ func NewSampler(label string, interval time.Duration) *Sampler {
 	return &Sampler{Label: label, interval: interval, prev: map[string]prevStat{}}
 }
 
-// Interval returns the sampling interval.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
 // Observe snapshots every station at virtual time now. Stations are
 // re-enumerated per call so lazily created partitions join the timeline
 // when they appear; a station first seen mid-run has its cumulative
@@ -138,11 +135,6 @@ func (s *Sampler) Watch(env *sim.Env, stations func() []Station) {
 	})
 }
 
-// Samples returns the collected samples in observation order.
-func (s *Sampler) Samples() []Sample {
-	return append([]Sample(nil), s.samples...)
-}
-
 // stationTotals ranks stations by how contended they were.
 type stationTotals struct {
 	name     string
@@ -181,9 +173,6 @@ func (s *Sampler) totals() []stationTotals {
 	})
 	return out
 }
-
-// Render draws every station's timeline; see RenderTop.
-func (s *Sampler) Render() string { return s.RenderTop(0) }
 
 // RenderTop draws per-station timelines for the n most contended stations
 // (ranked by throttle rejects, then queue depth; n <= 0 means all). Each

