@@ -75,9 +75,9 @@ trace-smoke:
 	bin/aztrace critpath -n 1 bin/trace-smoke.jsonl | tee bin/trace-smoke.txt | grep -q 'critical path'
 	test -s bin/trace-smoke.txt
 
-# Regenerate every table and figure at paper scale (under half a minute on
-# two cores; GOMAXPROCS=1 is the serial run, ≈ 45 s). The last line on
-# stderr is the run's own wall time against the sum of its experiments'.
+# Regenerate every table and figure at paper scale (≈ 15 s on two cores;
+# GOMAXPROCS=1 is the serial run, ≈ 27 s). The last line on stderr is the
+# run's own wall time against the sum of its experiments'.
 results:
 	$(GO) run ./cmd/azurebench -experiment all -csv | tee results_full.txt
 
@@ -91,6 +91,8 @@ results-check:
 # The run's bytes must not depend on its width: stdout, digests and CSV of
 # the whole quick suite, and -telemetry/-statsfile output of two experiments
 # that attach samplers and partition records, at GOMAXPROCS 1 against 4.
+# The experiments that read points another one simulates in a full run
+# must digest the same run alone.
 width-smoke:
 	$(GO) build -o bin/azurebench ./cmd/azurebench
 	for p in 1 4; do \
@@ -101,6 +103,10 @@ width-smoke:
 	diff bin/width-1.txt bin/width-4.txt
 	diff bin/width-tel-1.txt bin/width-tel-4.txt
 	cmp bin/width-1.jsonl bin/width-4.jsonl
+	for e in fig5 fig9 netmodel ablation; do \
+		bin/azurebench -quick -digest -experiment $$e | grep "^digest $$e " > bin/width-alone.txt || exit 1; \
+		grep "^digest $$e " bin/width-4.txt | diff - bin/width-alone.txt || exit 1; \
+	done
 
 quick:
 	$(GO) run ./cmd/azurebench -quick

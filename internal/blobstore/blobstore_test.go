@@ -300,31 +300,6 @@ func TestPageBlobAlignmentAndBounds(t *testing.T) {
 	}
 }
 
-func TestPageBlobResize(t *testing.T) {
-	s, _ := newTestStore()
-	if _, err := s.CreatePageBlob("bench", "p", 2048); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutPages("bench", "p", 0, payload.Synthetic(1, 2048), ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ResizePageBlob("bench", "p", 1024, ""); err != nil {
-		t.Fatal(err)
-	}
-	props, _ := s.GetProps("bench", "p")
-	if props.Size != 1024 {
-		t.Fatalf("size = %d", props.Size)
-	}
-	// Grow back: the truncated tail must read as zero.
-	if err := s.ResizePageBlob("bench", "p", 2048, ""); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.GetPage("bench", "p", 1024, 1024)
-	if !payload.Equal(got, payload.Zero(1024)) {
-		t.Fatal("regrown tail not zero")
-	}
-}
-
 func TestBlobTypeMismatch(t *testing.T) {
 	s, _ := newTestStore()
 	if _, err := s.UploadBlockBlob("bench", "b", payload.String("x"), ""); err != nil {

@@ -111,25 +111,3 @@ func (m *extentMap) Ranges() []Range {
 	}
 	return out
 }
-
-// Truncate discards coverage at and beyond size.
-func (m *extentMap) Truncate(size int64) {
-	m.Clear(size, 1<<62-size)
-}
-
-// CoveredBytes returns the total number of written (non-gap) bytes.
-func (m *extentMap) CoveredBytes() int64 {
-	var n int64
-	for _, e := range m.exts {
-		n += e.p.Len()
-	}
-	return n
-}
-
-// clone returns a shallow copy (payloads are immutable, so sharing them is
-// safe). Used by snapshots.
-func (m *extentMap) clone() extentMap {
-	exts := make([]extent, len(m.exts))
-	copy(exts, m.exts)
-	return extentMap{exts: exts}
-}

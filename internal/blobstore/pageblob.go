@@ -97,32 +97,6 @@ func (s *Store) GetPageRanges(containerName, blobName string) ([]Range, error) {
 	return b.pages.Ranges(), nil
 }
 
-// ResizePageBlob changes the declared maximum size. Shrinking discards
-// pages beyond the new size.
-func (s *Store) ResizePageBlob(containerName, blobName string, size int64, leaseID string) error {
-	if size < 0 || size > storecommon.MaxPageBlobSize || size%storecommon.PageAlignment != 0 {
-		return storecommon.Errf(storecommon.CodeInvalidPageRange, 400, "bad page blob size %d", size)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, err := s.findBlob(containerName, blobName)
-	if err != nil {
-		return err
-	}
-	if b.kind != PageBlob {
-		return storecommon.Errf(storecommon.CodeInvalidInput, 409, "blob %q is not a page blob", blobName)
-	}
-	if err := b.lease.checkWrite(leaseID, s.clock.Now()); err != nil {
-		return err
-	}
-	if size < b.pageCap {
-		b.pages.Truncate(size)
-	}
-	b.pageCap = size
-	s.touch(b)
-	return nil
-}
-
 func (s *Store) pageBlobForWrite(containerName, blobName string, off, n int64, leaseID string) (*blob, error) {
 	b, err := s.findBlob(containerName, blobName)
 	if err != nil {

@@ -2,8 +2,8 @@
 // service of the era — the fourth storage artifact the paper mentions in
 // §II ("Azure platform also provides a caching service to temporarily
 // hold data in memory across different servers") and defers to future
-// work. It is a distributed in-memory cache: named caches partitioned by
-// key hash across a cluster of nodes, each node bounded by a byte
+// work. It is a distributed in-memory cache: one named cache partitioned
+// by key hash across a cluster of nodes, each node bounded by a byte
 // capacity with LRU eviction, items carrying versions and TTLs.
 package cachestore
 
@@ -22,6 +22,10 @@ import (
 // 10 minutes).
 const DefaultTTL = 10 * time.Minute
 
+// DefaultCache is the cache a cluster serves; any other name is
+// ResourceNotFound.
+const DefaultCache = "default"
+
 // Item is a cache entry as returned to clients.
 type Item struct {
 	Key     string
@@ -35,7 +39,6 @@ type Cluster struct {
 	mu      sync.Mutex
 	clock   vclock.Clock
 	nodes   []*node
-	caches  map[string]bool // named caches
 	version uint64
 }
 
@@ -63,7 +66,7 @@ func New(clock vclock.Clock, n int, capacityBytes int64) *Cluster {
 	if n < 1 {
 		n = 1
 	}
-	c := &Cluster{clock: clock, caches: map[string]bool{"default": true}}
+	c := &Cluster{clock: clock}
 	for i := 0; i < n; i++ {
 		c.nodes = append(c.nodes, &node{
 			capacity: capacityBytes,
@@ -72,13 +75,6 @@ func New(clock vclock.Clock, n int, capacityBytes int64) *Cluster {
 		})
 	}
 	return c
-}
-
-// CreateCache registers a named cache (idempotent).
-func (c *Cluster) CreateCache(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.caches[name] = true
 }
 
 // NodeFor returns the node index owning key (placement information used
@@ -92,7 +88,7 @@ func (c *Cluster) NodeFor(cache, key string) int {
 }
 
 func (c *Cluster) node(cache, key string) (*node, cacheKey, error) {
-	if !c.caches[cache] {
+	if cache != DefaultCache {
 		return nil, cacheKey{}, storecommon.Errf(storecommon.CodeResourceNotFound, 404, "cache %q not found", cache)
 	}
 	k := cacheKey{cache: cache, key: key}

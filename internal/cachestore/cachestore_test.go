@@ -39,23 +39,20 @@ func TestMissOnAbsentKey(t *testing.T) {
 	}
 }
 
+// TestNamedCaches: DefaultCache is served and any other name is not found.
 func TestNamedCaches(t *testing.T) {
 	c, _ := newCluster()
 	if _, err := c.Put("mycache", "k", payload.String("x"), 0); !storecommon.IsNotFound(err) {
 		t.Fatalf("put to unknown cache = %v", err)
 	}
-	c.CreateCache("mycache")
-	if _, err := c.Put("mycache", "k", payload.String("x"), 0); err != nil {
+	if _, _, err := c.Get("mycache", "k"); !storecommon.IsNotFound(err) {
+		t.Fatalf("get from unknown cache = %v", err)
+	}
+	if _, err := c.Put(DefaultCache, "k", payload.String("y"), 0); err != nil {
 		t.Fatal(err)
 	}
-	// Same key in different caches is independent.
-	if _, err := c.Put("default", "k", payload.String("y"), 0); err != nil {
-		t.Fatal(err)
-	}
-	a, _, _ := c.Get("mycache", "k")
-	b, _, _ := c.Get("default", "k")
-	if string(a.Value.Materialize()) != "x" || string(b.Value.Materialize()) != "y" {
-		t.Fatal("caches not independent")
+	if b, ok, _ := c.Get(DefaultCache, "k"); !ok || string(b.Value.Materialize()) != "y" {
+		t.Fatal("default cache lost its item")
 	}
 }
 

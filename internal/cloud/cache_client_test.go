@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"azurebench/internal/cachestore"
 	"azurebench/internal/model"
 	"azurebench/internal/payload"
 	"azurebench/internal/sim"
@@ -12,16 +13,15 @@ import (
 func TestCacheClientRoundTrip(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, model.Default())
-	c.cacheCluster().CreateCache("app")
 	cl := c.NewClient("vm0", model.Small)
 	env.Go("main", func(p *sim.Proc) {
 		v := payload.Synthetic(1, 4096)
-		ver, err := cl.CachePut(p, "app", "config", v, time.Hour)
+		ver, err := cl.CachePut(p, cachestore.DefaultCache, "config", v, time.Hour)
 		if err != nil || ver == 0 {
 			t.Errorf("put = %d, %v", ver, err)
 			return
 		}
-		item, ok, err := cl.CacheGet(p, "app", "config")
+		item, ok, err := cl.CacheGet(p, cachestore.DefaultCache, "config")
 		if err != nil || !ok || !payload.Equal(item.Value, v) {
 			t.Errorf("get = %v, %v", ok, err)
 			return

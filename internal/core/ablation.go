@@ -152,10 +152,11 @@ type paramsAlias = model.Params
 
 // withParams returns a view of the suite with mutated model parameters
 // for one data point to be built on. It shares what a point needs from its
-// suite — the trace log, the token pool, an armed checkpoint — and owns
-// nothing: whatever the point produces goes back to s's runner with it.
+// suite — the trace log, the token pool, the shared points, an armed
+// checkpoint — and owns nothing: whatever the point produces goes back to
+// s's runner with it.
 func (s *Suite) withParams(mutate func(*paramsAlias)) *Suite {
-	sub := &Suite{cfg: s.cfg, traceLog: s.traceLog, slots: s.slots, ckpt: s.ckpt, pointHook: s.pointHook}
+	sub := &Suite{cfg: s.cfg, traceLog: s.traceLog, slots: s.slots, points: s.points, ckpt: s.ckpt, pointHook: s.pointHook}
 	mutate(&sub.cfg.Params)
 	return sub
 }

@@ -29,7 +29,13 @@ const (
 	syncQueue      = "azurebench-sync"
 )
 
-// runBlobPoint executes Algorithm 1 at one worker count and returns the
+// runBlobPoint returns the Algorithm 1 point at w workers, simulated once
+// per run (fig4, fig5, netmodel and ablation read it).
+func (s *Suite) runBlobPoint(w int) *point {
+	return s.shared("blob", w, 0, func() *point { return s.blobPoint(w) })
+}
+
+// blobPoint executes Algorithm 1 at one worker count and returns the
 // point with its per-phase aggregates in st.
 //
 // Deviation from the paper's pseudo-code, documented in DESIGN.md: each
@@ -40,7 +46,7 @@ const (
 // list. This keeps the paper's per-worker operation count while leaving
 // the blob complete for the download phases (the paper's per-worker lists
 // would leave only the last worker's slice committed).
-func (s *Suite) runBlobPoint(w int) *point {
+func (s *Suite) blobPoint(w int) *point {
 	pt := s.newPoint()
 	cfg := s.cfg
 	chunk := int64(cfg.ChunkMB) << 20

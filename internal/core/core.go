@@ -170,7 +170,8 @@ type Report struct {
 	// durations are in the figures themselves.
 	Wall time.Duration
 	// Kernel is what the simulation kernel did to produce the report,
-	// folded over every environment the run built; zero for a live run.
+	// folded over the environments of its points; a point another report
+	// also reads (pointcache.go) is counted in each. Zero for a live run.
 	Kernel KernelStats
 }
 
@@ -239,6 +240,8 @@ type Suite struct {
 	// ckpt, when non-nil, arms the next simulation environment with a
 	// checkpoint capture or restore-verification hook (see checkpoint.go).
 	ckpt *checkpointCtl
+	// points is the run's shared points (pointcache.go).
+	points *pointCache
 
 	// What finished runs' points attached, in run then sweep order.
 	samplers   []*telemetry.Sampler
@@ -278,7 +281,8 @@ func NewSuite(cfg Config) *Suite {
 	if cfg.Params.RTT == 0 {
 		cfg.Params = model.Default()
 	}
-	s := &Suite{cfg: cfg, slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
+	s := &Suite{cfg: cfg, slots: make(chan struct{}, runtime.GOMAXPROCS(0)),
+		points: &pointCache{m: map[pointKey]*sharedPoint{}}}
 	if cfg.TraceOps {
 		s.traceLog = trace.New(1 << 20)
 	}
@@ -286,13 +290,13 @@ func NewSuite(cfg Config) *Suite {
 }
 
 // Lane returns a suite over cfg for one of several runs that may overlap.
-// It shares s's token pool and armed checkpoint, and what its runs attach
-// reads back through s (Samplers, PartitionStats, WriteStats) in the order
-// the lanes were taken, not the order the runs finish. Take every lane
-// before starting any run.
+// It shares s's token pool, shared points and armed checkpoint, and what its
+// runs attach reads back through s (Samplers, PartitionStats, WriteStats) in
+// the order the lanes were taken, not the order the runs finish. Take every
+// lane before starting any run.
 func (s *Suite) Lane(cfg Config) *Suite {
 	lane := NewSuite(cfg)
-	lane.slots, lane.ckpt, lane.pointHook = s.slots, s.ckpt, s.pointHook
+	lane.slots, lane.points, lane.ckpt, lane.pointHook = s.slots, s.points, s.ckpt, s.pointHook
 	s.lanes = append(s.lanes, lane)
 	return lane
 }
@@ -447,8 +451,12 @@ func (s *Suite) pointOn(env *sim.Env, c *cloud.Cloud) *point {
 }
 
 // retire keeps the environment's kernel counts and drops the simulation:
-// past its pool slot a point is only its results.
+// past its pool slot a point is only its results. A shared point arrives
+// retired.
 func (pt *point) retire() {
+	if pt.env == nil {
+		return
+	}
 	pt.kernel.Add(pt.env)
 	pt.env, pt.c, pt.results = nil, nil, nil
 	if pt.s.pointHook != nil {

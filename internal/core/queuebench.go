@@ -29,12 +29,20 @@ func effectiveMsgSize(kb int) int64 {
 	return size
 }
 
-// runQueuePerWorkerPoint executes Algorithm 3 at one (workers, size)
+// runQueuePerWorkerPoint returns the Algorithm 3 point at (w, sizeKB),
+// simulated once per run (fig6, fig9 and ablation read it). label is not
+// part of what is shared: it only names the sampler, and with telemetry on
+// nothing is.
+func (s *Suite) runQueuePerWorkerPoint(w int, sizeKB int, label string) *point {
+	return s.shared("queue", w, sizeKB, func() *point { return s.queuePerWorkerPoint(w, sizeKB, label) })
+}
+
+// queuePerWorkerPoint executes Algorithm 3 at one (workers, size)
 // point: each worker owns a dedicated queue, inserts its share of the
 // 20 000 messages, peeks them, then gets+deletes them. When telemetry is
 // enabled a station sampler (labelled for export) records the point's
 // queue-server timelines.
-func (s *Suite) runQueuePerWorkerPoint(w int, sizeKB int, label string) *point {
+func (s *Suite) queuePerWorkerPoint(w int, sizeKB int, label string) *point {
 	pt := s.newPoint()
 	pt.sample(pt.c.Stations, label)
 	cfg := s.cfg

@@ -19,47 +19,51 @@ func atWidth(t *testing.T, procs int) {
 }
 
 // TestBytesDoNotDependOnWidth regenerates all 16 experiments at
-// QuickConfig, telemetry on, on one suite at GOMAXPROCS 1, 2 and 8. Every
-// report must render the same with Wall zeroed (which pins Report.Kernel as
-// well as every figure and the showcase timelines), digest to the committed
-// golden, and the suite must export the same -statsfile bytes; a traced run
-// must export the same -tracefile bytes at width 8 as at width 1.
+// QuickConfig on one suite at GOMAXPROCS 1, 2 and 8, once with telemetry on
+// and once with it off (the leg where points are shared across
+// experiments). Every report must render the same with Wall zeroed (which
+// pins Report.Kernel as well as every figure and the showcase timelines),
+// digest to the committed golden, and the suite must export the same
+// -statsfile bytes; a traced run must export the same -tracefile bytes at
+// width 8 as at width 1.
 func TestBytesDoNotDependOnWidth(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs all 16 experiments at quick scale three times")
+		t.Skip("runs all 16 experiments at quick scale six times")
 	}
 	golden := readGolden(t, "testdata/digests-quick.golden")
-	var firstRender, firstStats string
-	for _, procs := range []int{1, 2, 8} {
-		atWidth(t, procs)
-		cfg := QuickConfig()
-		cfg.Telemetry = true
-		s := NewSuite(cfg)
-		if s.Width() != procs {
-			t.Fatalf("GOMAXPROCS %d: suite width %d", procs, s.Width())
-		}
-		var render strings.Builder
-		for i, e := range Experiments() {
-			rep := e.Run(s)
-			if d := rep.CSVDigest(); d != golden[i][1] {
-				t.Errorf("GOMAXPROCS %d: %s digest %s, golden %s", procs, e.ID, d, golden[i][1])
+	for _, telemetry := range []bool{true, false} {
+		var firstRender, firstStats string
+		for _, procs := range []int{1, 2, 8} {
+			atWidth(t, procs)
+			cfg := QuickConfig()
+			cfg.Telemetry = telemetry
+			s := NewSuite(cfg)
+			if s.Width() != procs {
+				t.Fatalf("GOMAXPROCS %d: suite width %d", procs, s.Width())
 			}
-			rep.Wall = 0
-			render.WriteString(rep.Render())
-		}
-		var stats bytes.Buffer
-		if err := s.WriteStats(&stats); err != nil {
-			t.Fatal(err)
-		}
-		if procs == 1 {
-			firstRender, firstStats = render.String(), stats.String()
-			continue
-		}
-		if render.String() != firstRender {
-			t.Errorf("rendered reports at GOMAXPROCS %d differ from GOMAXPROCS 1", procs)
-		}
-		if stats.String() != firstStats {
-			t.Errorf("WriteStats bytes at GOMAXPROCS %d differ from GOMAXPROCS 1", procs)
+			var render strings.Builder
+			for i, e := range Experiments() {
+				rep := e.Run(s)
+				if d := rep.CSVDigest(); d != golden[i][1] {
+					t.Errorf("telemetry %v, GOMAXPROCS %d: %s digest %s, golden %s", telemetry, procs, e.ID, d, golden[i][1])
+				}
+				rep.Wall = 0
+				render.WriteString(rep.Render())
+			}
+			var stats bytes.Buffer
+			if err := s.WriteStats(&stats); err != nil {
+				t.Fatal(err)
+			}
+			if procs == 1 {
+				firstRender, firstStats = render.String(), stats.String()
+				continue
+			}
+			if render.String() != firstRender {
+				t.Errorf("telemetry %v: rendered reports at GOMAXPROCS %d differ from GOMAXPROCS 1", telemetry, procs)
+			}
+			if stats.String() != firstStats {
+				t.Errorf("telemetry %v: WriteStats bytes at GOMAXPROCS %d differ from GOMAXPROCS 1", telemetry, procs)
+			}
 		}
 	}
 
@@ -114,7 +118,9 @@ func TestLivePointsBounded(t *testing.T) {
 // with one panicking body then checks that the other points drained and no
 // sweep goroutine is left behind. (The count is not taken on the fig8 leg:
 // a simulation abandoned mid-run leaves its parked processes behind, as it
-// did when the panic killed the program.)
+// did when the panic killed the program.) The last leg fails a shared point
+// while three callers wait for it: each of them gets the panic, no slot
+// stays held, and the next caller simulates the point again.
 func TestPointPanicSurfacesOnCaller(t *testing.T) {
 	atWidth(t, 4)
 	cfg := tinyConfig()
@@ -164,4 +170,55 @@ func TestPointPanicSurfacesOnCaller(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after the sweep, %d before", n, before)
 	}
+
+	// One caller simulates the shared point and fails once three others
+	// wait on it (parked in shared, as the goroutine dump shows).
+	const waiters = 3
+	release, started := make(chan struct{}), make(chan struct{})
+	results := make(chan any, waiters+1)
+	call := func(run func() *point) {
+		results <- panicOf(func() {
+			sweep(s, 1, func(int) *point { return s.shared("test", 1, 0, run) })
+		})
+	}
+	go call(func() *point { close(started); <-release; panic("shared point failed") })
+	<-started
+	for range waiters {
+		go call(func() *point { t.Error("a waiter simulated the point"); return &point{} })
+	}
+	for deadline := time.Now().Add(10 * time.Second); parkedInShared() < waiters+1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines parked in shared, want %d", parkedInShared(), waiters+1)
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	for range waiters + 1 {
+		if got := <-results; got != "shared point failed" {
+			t.Errorf("caller recovered %v, want the failing point's panic", got)
+		}
+	}
+	if held := len(s.slots); held != 0 {
+		t.Errorf("%d pool slots still held after a shared point's panic", held)
+	}
+	rebuilt := false
+	sweep(s, 1, func(int) *point {
+		return s.shared("test", 1, 0, func() *point { rebuilt = true; return &point{} })
+	})
+	if !rebuilt {
+		t.Error("a failed shared point was not simulated again")
+	}
+}
+
+// parkedInShared counts the goroutines blocked on a channel receive inside
+// Suite.shared.
+func parkedInShared() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "[chan receive") && strings.Contains(g, "core.(*Suite).shared(") {
+			n++
+		}
+	}
+	return n
 }

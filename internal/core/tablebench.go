@@ -22,11 +22,17 @@ const (
 
 const benchTable = "AzureBenchTable"
 
-// runTablePoint executes Algorithm 5 at one (workers, entitySize) point:
+// runTablePoint returns the Algorithm 5 point at (w, sizeKB), simulated
+// once per run (fig8, fig9 and ablation read it).
+func (s *Suite) runTablePoint(w int, sizeKB int) *point {
+	return s.shared("table", w, sizeKB, func() *point { return s.tablePoint(w, sizeKB) })
+}
+
+// tablePoint executes Algorithm 5 at one (workers, entitySize) point:
 // each worker inserts its entities into its own partition (partition key =
 // role id), queries them back, updates them with the ETag wildcard, and
 // deletes them.
-func (s *Suite) runTablePoint(w int, sizeKB int) *point {
+func (s *Suite) tablePoint(w int, sizeKB int) *point {
 	pt := s.newPoint()
 	cfg := s.cfg
 	entSize := int64(sizeKB) * storecommon.KB

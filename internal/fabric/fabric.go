@@ -48,7 +48,6 @@ type Instance struct {
 	recycleRequested bool
 	restarts         int
 	readyAt          time.Duration
-	done             *sim.Signal
 }
 
 // ReadyAt returns the virtual time the instance finished provisioning.
@@ -118,7 +117,6 @@ func DeployWithOptions(c *cloud.Cloud, name string, opts DeployOpts, roles ...Ro
 				name: fmt.Sprintf("%s.%d", role.Name, i),
 				vm:   role.VM,
 				id:   i,
-				done: sim.NewSignal(d.env),
 			}
 			d.instances = append(d.instances, inst)
 			boot := opts.BootBase + time.Duration(slot)*opts.PlacementDelay
@@ -142,7 +140,6 @@ func (d *Deployment) start(inst *Instance, run func(ctx *Context), boot time.Dur
 		ctx := &Context{Proc: p, Client: client, Instance: inst}
 		for {
 			if runRole(run, ctx) {
-				inst.done.Fire()
 				return
 			}
 			inst.restarts++
@@ -179,11 +176,4 @@ func (d *Deployment) InstancesOf(role string) []*Instance {
 		}
 	}
 	return out
-}
-
-// AwaitAll blocks p until every instance's entry point has returned.
-func (d *Deployment) AwaitAll(p *sim.Proc) {
-	for _, inst := range d.instances {
-		inst.done.Wait(p)
-	}
 }

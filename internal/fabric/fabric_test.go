@@ -106,23 +106,6 @@ func TestCheckpointWithoutRecycleIsNoop(t *testing.T) {
 	}
 }
 
-func TestAwaitAll(t *testing.T) {
-	env, c := newCloud()
-	d := Deploy(c, "app", RoleConfig{Name: "w", VM: model.Small, Count: 3,
-		Run: func(ctx *Context) {
-			ctx.Proc.Sleep(time.Duration(1+ctx.Instance.ID()) * time.Minute)
-		}})
-	var doneAt time.Duration
-	env.Go("awaiter", func(p *sim.Proc) {
-		d.AwaitAll(p)
-		doneAt = p.Now()
-	})
-	env.Run()
-	if doneAt != 3*time.Minute {
-		t.Fatalf("AwaitAll returned at %v, want 3m", doneAt)
-	}
-}
-
 func TestNonRecyclePanicPropagates(t *testing.T) {
 	env, c := newCloud()
 	defer func() {

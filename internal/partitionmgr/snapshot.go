@@ -1,6 +1,10 @@
 package partitionmgr
 
-import snap "azurebench/internal/snapshot"
+import (
+	"fmt"
+
+	snap "azurebench/internal/snapshot"
+)
 
 // Save appends the master's full state: every table's versioned range
 // map with its load window (the per-range op counts and key histograms
@@ -65,9 +69,16 @@ func (m *Master) Save(w *snap.Writer) {
 }
 
 // Load restores a master saved by Save, replacing all live state. The
-// PRNG is shared with the simulation environment and restored there.
+// PRNG is shared with the simulation environment and restored there. A
+// fleet size the master could not have grown to, or a range owner or
+// static placement outside the fleet, is refused: the cloud would index
+// its table stations with it.
 func (m *Master) Load(r *snap.Reader) error {
 	m.servers = r.Int()
+	if r.Err() == nil && (m.servers < 1 || m.servers > m.cfg.MaxServers) {
+		return fmt.Errorf("%w: partition master has %d servers, want 1..%d", snap.ErrCorrupt, m.servers, m.cfg.MaxServers)
+	}
+	outside := func(idx int) bool { return r.Err() == nil && (idx < 0 || idx >= m.servers) }
 	m.nextRR = r.Int()
 	m.lastTick = r.Duration()
 	m.nextTick = r.Duration()
@@ -89,6 +100,9 @@ func (m *Master) Load(r *snap.Reader) error {
 				unavailUntil: r.Duration(),
 				ops:          r.F64(),
 			}
+			if outside(rs.owner) {
+				return fmt.Errorf("%w: table %q range %q is on server %d of %d", snap.ErrCorrupt, t.name, rs.start, rs.owner, m.servers)
+			}
 			nk := r.Count()
 			rs.keys = make(map[string]float64, nk)
 			for k := 0; k < nk; k++ {
@@ -107,6 +121,9 @@ func (m *Master) Load(r *snap.Reader) error {
 	for i := 0; i < np; i++ {
 		k := r.String()
 		m.place[k] = r.Int()
+		if outside(m.place[k]) {
+			return fmt.Errorf("%w: partition %q is placed on server %d of %d", snap.ErrCorrupt, k, m.place[k], m.servers)
+		}
 	}
 
 	m.stats = Stats{

@@ -61,10 +61,6 @@ type Server struct {
 	// Per-endpoint request counters and latency histograms, served at
 	// /metricsz and via MetricsSnapshot (see stats.go).
 	stats [len(endpointNames)]endpointStats
-	// geoStats backs GET /stats (Get Service Stats); nil means no
-	// geo-replication is configured.
-	geoMu    sync.Mutex
-	geoStats func() GeoStats
 
 	// traceLog, when attached via SetTrace, records one server-side
 	// trace.Op per request, parented under the client span carried by the

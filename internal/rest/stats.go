@@ -145,24 +145,6 @@ func (s *Server) MetricsSnapshot() []EndpointStats {
 	return out
 }
 
-// GeoStats is the account's geo-replication status, the payload behind
-// Azure's Get Service Stats operation. Status follows the service's
-// vocabulary: "live" (secondary readable and replicating), "bootstrap"
-// (initial sync in progress) or "unavailable" (no secondary).
-type GeoStats struct {
-	Status       string
-	LastSyncTime time.Time // zero unless Status is "live"
-}
-
-// SetGeoStats installs the provider queried by GET /stats. Without one
-// the endpoint reports Status "unavailable", matching an account with no
-// geo-redundancy configured.
-func (s *Server) SetGeoStats(fn func() GeoStats) {
-	s.geoMu.Lock()
-	defer s.geoMu.Unlock()
-	s.geoStats = fn
-}
-
 // storageServiceStatsXML is the Get Service Stats response body.
 type storageServiceStatsXML struct {
 	XMLName        xml.Name `xml:"StorageServiceStats"`
@@ -174,23 +156,15 @@ type storageServiceStatsXML struct {
 
 // handleServiceStats serves the geo-replication status as Azure's
 // StorageServiceStats XML (the 2011-era Get Service Stats operation,
-// reachable on the secondary endpoint of an RA-GRS account).
+// reachable on the secondary endpoint of an RA-GRS account). The emulated
+// account has no secondary region, so the status is always "unavailable"
+// and LastSyncTime empty.
 func (s *Server) handleServiceStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeMethodNotAllowed(w, r)
 		return
 	}
-	s.geoMu.Lock()
-	fn := s.geoStats
-	s.geoMu.Unlock()
-	gs := GeoStats{Status: "unavailable"}
-	if fn != nil {
-		gs = fn()
-	}
 	var body storageServiceStatsXML
-	body.GeoReplication.Status = gs.Status
-	if gs.Status == "live" && !gs.LastSyncTime.IsZero() {
-		body.GeoReplication.LastSyncTime = gs.LastSyncTime.UTC().Format(http.TimeFormat)
-	}
+	body.GeoReplication.Status = "unavailable"
 	writeXML(w, http.StatusOK, body)
 }

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestEndpointKey(t *testing.T) {
@@ -176,25 +175,5 @@ func TestServiceStatsUnavailableByDefault(t *testing.T) {
 	}
 	if strings.Contains(text, "<LastSyncTime>") && !strings.Contains(text, "<LastSyncTime></LastSyncTime>") {
 		t.Errorf("unavailable account reports a LastSyncTime: %s", text)
-	}
-}
-
-func TestServiceStatsLive(t *testing.T) {
-	srv := NewServer(Options{})
-	sync := time.Date(2011, time.January, 19, 22, 28, 43, 0, time.UTC)
-	srv.SetGeoStats(func() GeoStats { return GeoStats{Status: "live", LastSyncTime: sync} })
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-	resp, err := hs.Client().Get(hs.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	text := string(body)
-	for _, want := range []string{"<Status>live</Status>", "<LastSyncTime>Wed, 19 Jan 2011 22:28:43 GMT</LastSyncTime>"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("live stats body = %s, missing %s", text, want)
-		}
 	}
 }

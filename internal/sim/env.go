@@ -101,11 +101,7 @@ func (e *Env) GoAt(at time.Duration, name string, fn func(*Proc)) *Proc {
 	if name == "" {
 		name = fmt.Sprintf("proc-%d", e.nSpawn)
 	}
-	p := &Proc{
-		env:  e,
-		name: name,
-		done: NewSignal(e),
-	}
+	p := &Proc{env: e, name: name}
 	e.nLive++
 	e.schedule(at, func() { e.startProc(p, fn) })
 	return p
@@ -119,22 +115,6 @@ func (e *Env) Run() time.Duration {
 		e.step()
 	}
 	return e.now
-}
-
-// RunLimited executes events until the heap is empty or maxEvents have
-// fired since the call started; it reports whether the simulation drained.
-// Use it as a watchdog for simulations that can poll forever when a
-// termination condition is mis-specified (e.g. a barrier participant
-// count that never arrives).
-func (e *Env) RunLimited(maxEvents uint64) bool {
-	start := e.fired
-	for len(e.events) > 0 {
-		if e.fired-start >= maxEvents {
-			return false
-		}
-		e.step()
-	}
-	return true
 }
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t

@@ -103,39 +103,6 @@ func TestGoAtSchedulesInFuture(t *testing.T) {
 	}
 }
 
-func TestJoin(t *testing.T) {
-	e := NewEnv(1)
-	var joinedAt time.Duration
-	worker := e.Go("worker", func(p *Proc) {
-		p.Sleep(10 * time.Second)
-	})
-	e.Go("waiter", func(p *Proc) {
-		p.Join(worker)
-		joinedAt = p.Now()
-	})
-	e.Run()
-	if joinedAt != 10*time.Second {
-		t.Fatalf("joined at %v, want 10s", joinedAt)
-	}
-	if !worker.Ended() {
-		t.Fatal("worker not marked ended")
-	}
-}
-
-func TestJoinFinishedProcessReturnsImmediately(t *testing.T) {
-	e := NewEnv(1)
-	worker := e.Go("worker", func(p *Proc) {})
-	var joined bool
-	e.GoAt(time.Second, "waiter", func(p *Proc) {
-		p.Join(worker)
-		joined = true
-	})
-	e.Run()
-	if !joined {
-		t.Fatal("join on finished process did not return")
-	}
-}
-
 func TestRunUntilStopsEarly(t *testing.T) {
 	e := NewEnv(1)
 	var wokeTimes []time.Duration

@@ -179,7 +179,7 @@ func TestGoexitInProcessEndsRunCaller(t *testing.T) {
 }
 
 // TestRunBoundsOnValueHeap: RunUntil fires exactly the events due by t and
-// leaves the later ones queued; RunLimited stops on the exact event count.
+// leaves the later ones queued for the next call.
 func TestRunBoundsOnValueHeap(t *testing.T) {
 	e := NewEnv(1)
 	for i := 1; i <= 20; i++ {
@@ -193,16 +193,12 @@ func TestRunBoundsOnValueHeap(t *testing.T) {
 	if at := e.events[0].at; at != 8*time.Second {
 		t.Fatalf("next pending event at %v, want 8s", at)
 	}
-	if e.RunLimited(5) {
-		t.Fatal("RunLimited(5) reported a drained simulation")
+	e.RunUntil(12 * time.Second)
+	if e.Events() != 12 || e.Pending() != 20 {
+		t.Fatalf("after RunUntil(12s): %d fired, %d pending; want 12 and 20", e.Events(), e.Pending())
 	}
-	if e.Events() != 12 || e.Now() != 12*time.Second {
-		t.Fatalf("after RunLimited(5): %d fired at %v; want 12 at 12s", e.Events(), e.Now())
-	}
-	if !e.RunLimited(28) { // exactly the 8 starts and 20 wake-ups left
-		t.Fatal("RunLimited(28) did not drain the remaining 28 events")
-	}
-	if e.Events() != 40 || e.Now() != 50*time.Second || e.Live() != 0 {
+	e.Run() // exactly the 8 starts and 20 wake-ups left
+	if e.Events() != 40 || e.Now() != 50*time.Second || e.Live() != 0 || e.Pending() != 0 {
 		t.Fatalf("at end: %d fired at %v, %d live; want 40 at 50s, 0", e.Events(), e.Now(), e.Live())
 	}
 }

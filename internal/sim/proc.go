@@ -22,7 +22,6 @@ type Proc struct {
 	name  string
 	next  func() (struct{}, bool) // kernel side: run the process until it parks or ends
 	yield func(struct{}) bool     // process side: park, handing control back to the kernel
-	done  *Signal
 	ended bool
 
 	// The program handed to Exec; prog[pc:plen] is still to run.
@@ -135,12 +134,6 @@ func (e *Env) advance(p *Proc) bool {
 // then resumes. Equivalent to Sleep(0).
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Join blocks until q has finished. Joining an already-finished process
-// returns immediately.
-func (p *Proc) Join(q *Proc) {
-	q.done.Wait(p)
-}
-
 // Ended reports whether the process function has returned.
 func (p *Proc) Ended() bool { return p.ended }
 
@@ -163,7 +156,6 @@ func (e *Env) startProc(p *Proc, fn func(*Proc)) {
 			}
 			p.ended = true
 			e.nLive--
-			p.done.Fire()
 		}()
 		fn(p)
 	})

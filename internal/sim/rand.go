@@ -72,37 +72,3 @@ func (r *Rand) NormFloat64() float64 {
 		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	}
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Fill fills b with pseudo-random bytes.
-func (r *Rand) Fill(b []byte) {
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		v := r.Uint64()
-		b[i] = byte(v)
-		b[i+1] = byte(v >> 8)
-		b[i+2] = byte(v >> 16)
-		b[i+3] = byte(v >> 24)
-		b[i+4] = byte(v >> 32)
-		b[i+5] = byte(v >> 40)
-		b[i+6] = byte(v >> 48)
-		b[i+7] = byte(v >> 56)
-	}
-	if i < len(b) {
-		v := r.Uint64()
-		for ; i < len(b); i++ {
-			b[i] = byte(v)
-			v >>= 8
-		}
-	}
-}

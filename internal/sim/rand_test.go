@@ -99,47 +99,6 @@ func TestRandNormMoments(t *testing.T) {
 	}
 }
 
-func TestRandPermIsPermutation(t *testing.T) {
-	if err := quick.Check(func(seed int64, n uint8) bool {
-		m := int(n % 64)
-		p := NewRand(seed).Perm(m)
-		if len(p) != m {
-			return false
-		}
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRandFillDeterministicAndCovers(t *testing.T) {
-	a := make([]byte, 37)
-	b := make([]byte, 37)
-	NewRand(5).Fill(a)
-	NewRand(5).Fill(b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Fill not deterministic")
-		}
-	}
-	zero := 0
-	for _, v := range a {
-		if v == 0 {
-			zero++
-		}
-	}
-	if zero > 10 {
-		t.Fatalf("suspiciously many zero bytes: %d", zero)
-	}
-}
-
 func TestRandIntnZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

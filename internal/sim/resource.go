@@ -67,18 +67,6 @@ func (r *Resource) acquire(p *Proc) (wait bool) {
 	return true
 }
 
-// TryAcquire obtains a unit without blocking; it reports whether it
-// succeeded.
-func (r *Resource) TryAcquire() bool {
-	r.account()
-	if r.inUse < r.capacity {
-		r.acquired++
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns one unit. If processes are queued the unit transfers to
 // the head of the queue, which is re-activated at the current instant.
 // Release may be called from any process (it does not block).
@@ -103,7 +91,7 @@ func (r *Resource) Use(p *Proc, d time.Duration) {
 
 // Stats reports utilisation statistics since the start of the simulation.
 type ResourceStats struct {
-	Acquired   uint64        // completed Acquire/TryAcquire grants
+	Acquired   uint64        // completed Acquire grants
 	Busy       time.Duration // time-integral of units in use
 	QueueTime  time.Duration // time-integral of queue length
 	MaxQueue   int           // high-water mark of the waiter queue

@@ -64,25 +64,6 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEnv(1)
-	r := NewResource(e, "srv", 1)
-	e.Go("p", func(p *Proc) {
-		if !r.TryAcquire() {
-			t.Error("first TryAcquire failed")
-		}
-		if r.TryAcquire() {
-			t.Error("second TryAcquire succeeded at capacity")
-		}
-		r.Release()
-		if !r.TryAcquire() {
-			t.Error("TryAcquire after release failed")
-		}
-		r.Release()
-	})
-	e.Run()
-}
-
 func TestResourceReleaseWithoutAcquirePanics(t *testing.T) {
 	e := NewEnv(1)
 	r := NewResource(e, "srv", 1)

@@ -1,6 +1,6 @@
 // Package workload provides the YCSB-style building blocks the workload
-// drivers share: the zipfian key chooser (classic θ=0.99 constant), the
-// canonical record key, and seeded record payloads. The YCSB operation
+// drivers share: the zipfian key chooser (classic θ=0.99 constant) and the
+// canonical record key. The YCSB operation
 // mixes themselves are data — examples/scenarios/ycsb-*.yaml.
 package workload
 
@@ -8,7 +8,6 @@ import (
 	"math"
 	"strconv"
 
-	"azurebench/internal/payload"
 	"azurebench/internal/sim"
 )
 
@@ -71,12 +70,6 @@ func zetaStatic(n int, theta float64) float64 {
 		sum += 1 / math.Pow(float64(i), theta)
 	}
 	return sum
-}
-
-// Record builds the payload of record i with the given size: content is a
-// pure function of (seed, i), so verification needs no stored copy.
-func Record(seed uint64, i int, size int64) payload.Payload {
-	return payload.Synthetic(seed^uint64(i)*0x9e3779b97f4a7c15, size)
 }
 
 // Key renders the canonical record key of index i: fmt's "user%010d",

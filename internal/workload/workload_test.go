@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"azurebench/internal/payload"
 	"azurebench/internal/sim"
 )
 
@@ -46,18 +45,6 @@ func TestZipfGrowingRange(t *testing.T) {
 		if v < 0 || v >= n {
 			t.Fatalf("zipf out of growing range: %d of %d", v, n)
 		}
-	}
-}
-
-func TestRecordDeterministicAndDistinct(t *testing.T) {
-	a := Record(1, 7, 128)
-	b := Record(1, 7, 128)
-	c := Record(1, 8, 128)
-	if !payload.Equal(a, b) {
-		t.Fatal("same record differs")
-	}
-	if payload.Equal(a, c) {
-		t.Fatal("different records identical")
 	}
 }
 
