@@ -39,18 +39,6 @@ func TestHotalloc(t *testing.T) {
 	atest.Run(t, analysis.Hotalloc, "hotalloc/sim", "hotalloc/util")
 }
 
-func TestDigestunsafe(t *testing.T) {
-	atest.Run(t, analysis.Digestunsafe, "digestunsafe/writer", "digestunsafe/keys")
-}
-
-// TestSnapshotsafe covers the checkpoint-protocol guard: volatile fields
-// (wall-clock stamps, PRNG streams) of snapshotter types must be
-// referenced by the type's codec methods or a helper they call; packages
-// without a deterministic path segment are exempt.
-func TestSnapshotsafe(t *testing.T) {
-	atest.Run(t, analysis.Snapshotsafe, "snapshotsafe/sim", "snapshotsafe/snapshot", "snapshotsafe/outofscope")
-}
-
 // TestAllowEdgeCases covers the directive grammar's corners: several
 // analyzers sharing one directive (the half outside the run set is not
 // stale), a directive trailing the offending line, and stale directives

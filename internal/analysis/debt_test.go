@@ -19,9 +19,6 @@ var debtCeiling = map[string]int{
 	// +2: cloud snapshot restore formats station names once per restored
 	// partition/server (setup-time, mirrors the allowed construction path).
 	"hotalloc": 5,
-	// 1: partitionmgr.Master shares the env's PRNG stream by design; the
-	// sim/env snapshot section owns saving and restoring that stream.
-	"snapshotsafe": 1,
 }
 
 var allowDirRE = regexp.MustCompile(`//azlint:allow ([a-z][a-z0-9]*)\(`)

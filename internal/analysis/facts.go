@@ -26,14 +26,6 @@ type FuncTaint struct {
 	// GlobalRand: the function transitively draws from the
 	// process-global math/rand source.
 	GlobalRand []string
-	// MapOrdered: the function returns a slice whose element order is
-	// inherited from a map iteration and never canonicalised by a sort.
-	MapOrdered []string
-}
-
-// Empty reports a clean summary.
-func (t FuncTaint) Empty() bool {
-	return t.Wallclock == nil && t.GlobalRand == nil && t.MapOrdered == nil
 }
 
 // FuncKey returns the facts key for fn — types.Func.FullName:
@@ -62,14 +54,8 @@ type funcInfo struct {
 	// their callers).
 	wallSeed string
 	randSeed string
-	// mapSeed: the body returns a slice it filled inside a map range
-	// without sorting it.
-	mapSeed bool
 	// calls: every statically-resolved callee, in source order.
 	calls []*types.Func
-	// retCalls: callees whose result the body returns (directly or via
-	// an unsorted local), in source order — the MapOrdered edges.
-	retCalls []*types.Func
 }
 
 // ComputeFacts builds the package call graph and propagates taint to a
@@ -102,57 +88,38 @@ func ComputeFacts(pkg *Package, files []*ast.File, facts map[string]FuncTaint, a
 			key := FuncKey(fi.obj)
 			t := facts[key]
 			if t.Wallclock == nil {
-				if fi.wallSeed != "" {
-					t.Wallclock = []string{fi.wallSeed}
-				} else {
-					for _, callee := range fi.calls {
-						if ct := facts[FuncKey(callee)]; ct.Wallclock != nil {
-							t.Wallclock = append([]string{displayName(callee)}, ct.Wallclock...)
-							break
-						}
-					}
-				}
+				t.Wallclock = chainOf(fi.wallSeed, fi.calls, facts, func(t FuncTaint) []string { return t.Wallclock })
 			}
 			if t.GlobalRand == nil {
-				if fi.randSeed != "" {
-					t.GlobalRand = []string{fi.randSeed}
-				} else {
-					for _, callee := range fi.calls {
-						if ct := facts[FuncKey(callee)]; ct.GlobalRand != nil {
-							t.GlobalRand = append([]string{displayName(callee)}, ct.GlobalRand...)
-							break
-						}
-					}
-				}
+				t.GlobalRand = chainOf(fi.randSeed, fi.calls, facts, func(t FuncTaint) []string { return t.GlobalRand })
 			}
-			if t.MapOrdered == nil {
-				if fi.mapSeed {
-					t.MapOrdered = []string{"map-range append"}
-				} else {
-					for _, callee := range fi.retCalls {
-						if ct := facts[FuncKey(callee)]; ct.MapOrdered != nil {
-							t.MapOrdered = append([]string{displayName(callee)}, ct.MapOrdered...)
-							break
-						}
-					}
-				}
-			}
-			if !t.Empty() {
-				if old := facts[key]; len(old.Wallclock) != len(t.Wallclock) ||
-					len(old.GlobalRand) != len(t.GlobalRand) ||
-					len(old.MapOrdered) != len(t.MapOrdered) {
-					facts[key] = t
-					changed = true
-				}
+			if old := facts[key]; len(old.Wallclock) != len(t.Wallclock) ||
+				len(old.GlobalRand) != len(t.GlobalRand) {
+				facts[key] = t
+				changed = true
 			}
 		}
 	}
 }
 
-// collectFuncInfo walks one function body for seeds, call edges and the
-// map-ordered-return pattern. Closure bodies are attributed to the
-// enclosing declaration: conservative (the closure may never run), but
-// deterministic and safe for the contracts being checked.
+// chainOf returns one kind of taint for a function: its own seed, or else
+// the chain of its first tainted callee behind that callee's name.
+func chainOf(seed string, calls []*types.Func, facts map[string]FuncTaint, kind func(FuncTaint) []string) []string {
+	if seed != "" {
+		return []string{seed}
+	}
+	for _, callee := range calls {
+		if c := kind(facts[FuncKey(callee)]); c != nil {
+			return append([]string{displayName(callee)}, c...)
+		}
+	}
+	return nil
+}
+
+// collectFuncInfo walks one function body for seeds and call edges.
+// Closure bodies are attributed to the enclosing declaration:
+// conservative (the closure may never run), but deterministic and safe
+// for the contracts being checked.
 func collectFuncInfo(pkg *Package, fd *ast.FuncDecl, obj *types.Func, allows []*allowSite) *funcInfo {
 	fi := &funcInfo{obj: obj}
 	info := pkg.Info
@@ -161,16 +128,6 @@ func collectFuncInfo(pkg *Package, fd *ast.FuncDecl, obj *types.Func, allows []*
 		p := pkg.Fset.Position(pos.Pos())
 		return allowCovers(allows, analyzer, p.Filename, p.Line)
 	}
-
-	// The maporder building blocks, reused interprocedurally: slices
-	// sorted anywhere in the body, and slices appended to inside a map
-	// range.
-	sorted := collectSortTargets(info, fd.Body)
-	mapAppends := map[types.Object]bool{}
-	// Locals assigned from a call result and never sorted: if the callee
-	// turns out MapOrdered and the local is returned, the order leaks
-	// through this function too.
-	assignedFrom := map[types.Object]*types.Func{}
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -193,73 +150,8 @@ func collectFuncInfo(pkg *Package, fd *ast.FuncDecl, obj *types.Func, allows []*
 			if fn := calleeFunc(info, n); fn != nil {
 				fi.calls = append(fi.calls, fn)
 			}
-		case *ast.RangeStmt:
-			if t := info.TypeOf(n.X); t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					for obj := range collectAppendTargets(info, n.Body) {
-						mapAppends[obj] = true
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			if len(n.Rhs) == 1 && len(n.Lhs) == 1 {
-				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
-					if fn := calleeFunc(info, call); fn != nil {
-						if obj := rootObj(info, n.Lhs[0]); obj != nil {
-							assignedFrom[obj] = fn
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			if call, ok := ast.Unparen(res).(*ast.CallExpr); ok {
-				if fn := calleeFunc(info, call); fn != nil {
-					fi.retCalls = append(fi.retCalls, fn)
-				}
-				continue
-			}
-			obj := rootObj(info, res)
-			if obj == nil || sorted[obj] {
-				continue
-			}
-			if mapAppends[obj] {
-				fi.mapSeed = true
-			} else if fn := assignedFrom[obj]; fn != nil {
-				fi.retCalls = append(fi.retCalls, fn)
-			}
 		}
 		return true
 	})
 	return fi
-}
-
-// collectAppendTargets returns the objects appended to anywhere in body.
-func collectAppendTargets(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
-	targets := map[types.Object]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for _, rhs := range as.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || !isBuiltinAppend(info, call) || len(call.Args) == 0 {
-				continue
-			}
-			if obj := rootObj(info, call.Args[0]); obj != nil {
-				targets[obj] = true
-			}
-		}
-		return true
-	})
-	return targets
 }

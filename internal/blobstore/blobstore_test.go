@@ -1,6 +1,8 @@
 package blobstore
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +81,29 @@ func TestListContainersAndBlobs(t *testing.T) {
 	blobs, err := s.ListBlobs("aaa", "x/")
 	if err != nil || len(blobs) != 2 {
 		t.Fatalf("ListBlobs = %v, %v", blobs, err)
+	}
+}
+
+// TestListingsAreSorted pins the listing order with enough names that an
+// unsorted map walk cannot come out sorted by chance.
+func TestListingsAreSorted(t *testing.T) {
+	s := New(&vclock.Manual{})
+	var want []string
+	for i := 11; i >= 0; i-- {
+		name := fmt.Sprintf("c-%02d", i)
+		want = append([]string{name}, want...)
+		if err := s.CreateContainer(name); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.UploadBlockBlob("c-11", name, payload.String("d"), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.ListContainers("c-"); !slices.Equal(got, want) {
+		t.Fatalf("ListContainers = %v, want %v", got, want)
+	}
+	if got, err := s.ListBlobs("c-11", "c-"); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("ListBlobs = %v, %v, want %v", got, err, want)
 	}
 }
 

@@ -101,6 +101,28 @@ func TestUtilizationAndAggregate(t *testing.T) {
 	}
 }
 
+// TestUtilizationSortedByLinkName pins the report order: loads are keyed
+// by link in a map, so only the sort makes the order reproducible.
+func TestUtilizationSortedByLinkName(t *testing.T) {
+	var flows []*Flow
+	for i := 11; i >= 0; i-- {
+		l := &Link{Name: fmt.Sprintf("l%02d", i), Capacity: 1}
+		flows = append(flows, &Flow{Name: l.Name, Links: []*Link{l}})
+	}
+	if err := Solve(flows); err != nil {
+		t.Fatal(err)
+	}
+	loads := Utilization(flows)
+	if len(loads) != len(flows) {
+		t.Fatalf("loads = %d, want %d", len(loads), len(flows))
+	}
+	for i, ld := range loads {
+		if want := fmt.Sprintf("l%02d", i); ld.Link.Name != want {
+			t.Fatalf("loads[%d] = %s, want %s", i, ld.Link.Name, want)
+		}
+	}
+}
+
 func TestBlobDownloadScenarioCrossover(t *testing.T) {
 	// Below the crossover (w*nic < pool) clients are NIC-bound; above it
 	// the replica pool caps the aggregate. nic=12.5, pool=3*60=180 =>

@@ -145,7 +145,8 @@ func (m *TableMap) Owner(pk string) int {
 // used from the single-threaded simulation.
 type Master struct {
 	cfg Config
-	//azlint:allow snapshotsafe(the PRNG is the environment's stream, shared at construction; sim/env's section saves and restores it)
+	// rand is the environment's stream, shared at construction: sim.Env's
+	// snapshot section saves and restores it, so Master's own does not.
 	rand    *sim.Rand
 	tables  map[string]*tableState
 	order   []string // table creation order, for deterministic iteration

@@ -2,6 +2,7 @@ package storecommon
 
 import (
 	"fmt"
+	"math"
 
 	"azurebench/internal/snapshot"
 )
@@ -31,6 +32,12 @@ func (l *RateLimiter) Load(r *snapshot.Reader) error {
 	if rate != l.rate || burst != l.burst {
 		return fmt.Errorf("storecommon: limiter shape mismatch (snapshot rate=%g burst=%g, live rate=%g burst=%g)",
 			rate, burst, l.rate, l.burst)
+	}
+	// A NaN balance never refills and never admits; one above burst
+	// admits a burst the bucket cannot hold. Either throttles the run
+	// wrongly from the restore on.
+	if math.IsNaN(tokens) || math.IsInf(tokens, 0) || tokens > burst {
+		return fmt.Errorf("%w: limiter holds %g tokens, burst is %g", snapshot.ErrCorrupt, tokens, burst)
 	}
 	l.tokens = tokens
 	l.last = last

@@ -2,6 +2,7 @@ package tablestore
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -42,6 +43,23 @@ func TestCreateDeleteTable(t *testing.T) {
 	}
 	if err := s.DeleteTable("MyTable"); !storecommon.IsNotFound(err) {
 		t.Fatalf("double delete = %v", err)
+	}
+}
+
+// TestListTablesSorted pins the listing order with enough names that an
+// unsorted map walk cannot come out sorted by chance.
+func TestListTablesSorted(t *testing.T) {
+	s := New(&vclock.Manual{})
+	var want []string
+	for i := 11; i >= 0; i-- {
+		name := fmt.Sprintf("T%02d", i)
+		want = append([]string{name}, want...)
+		if err := s.CreateTable(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.ListTables("T"); !slices.Equal(got, want) {
+		t.Fatalf("ListTables = %v, want %v", got, want)
 	}
 }
 

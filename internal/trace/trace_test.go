@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +29,29 @@ func TestRecordAndRows(t *testing.T) {
 	}
 	if rows[1].Errors != 1 {
 		t.Fatalf("queue row = %+v", rows[1])
+	}
+}
+
+// TestRowsSorted pins the order of both aggregates over enough groups
+// that an unsorted map walk cannot come out sorted by chance.
+func TestRowsSorted(t *testing.T) {
+	l := New(100)
+	for i := 11; i >= 0; i-- {
+		l.Record(Op{Service: fmt.Sprintf("s%d", i%3), Name: fmt.Sprintf("op%02d", i), Duration: time.Millisecond,
+			Spans: []Span{{Stage: StageServer, Dur: time.Millisecond}}})
+	}
+	key := func(service, name string) string { return service + "/" + name }
+	rows, stageRows := l.Rows(), l.StageRows()
+	if len(rows) != 12 || len(stageRows) != 12 {
+		t.Fatalf("rows = %d, stage rows = %d, want 12", len(rows), len(stageRows))
+	}
+	for i := 1; i < 12; i++ {
+		if key(rows[i-1].Service, rows[i-1].Name) >= key(rows[i].Service, rows[i].Name) {
+			t.Fatalf("Rows: %s/%s after %s/%s", rows[i].Service, rows[i].Name, rows[i-1].Service, rows[i-1].Name)
+		}
+		if key(stageRows[i-1].Service, stageRows[i-1].Name) >= key(stageRows[i].Service, stageRows[i].Name) {
+			t.Fatalf("StageRows: %s/%s after %s/%s", stageRows[i].Service, stageRows[i].Name, stageRows[i-1].Service, stageRows[i-1].Name)
+		}
 	}
 }
 
@@ -217,5 +242,23 @@ func TestStageSummaryRendersPercentages(t *testing.T) {
 	}
 	if s := New(10).StageSummary(); !strings.Contains(s, "no operations") {
 		t.Fatalf("empty stage summary = %q", s)
+	}
+}
+
+// TestStageSummaryExtraStagesAlphabetical pins the columns of stages
+// outside StageOrder: they come from a map, so only the sort fixes them.
+func TestStageSummaryExtraStagesAlphabetical(t *testing.T) {
+	l := New(100)
+	op := Op{Service: "queue", Name: "PutMessage", Duration: 10 * time.Millisecond,
+		Spans: []Span{{Stage: StageServer, Dur: time.Millisecond}}}
+	for i := 8; i >= 0; i-- {
+		op.Spans = append(op.Spans, Span{Stage: fmt.Sprintf("x%d", i), Dur: time.Millisecond})
+	}
+	l.Record(op)
+	header := strings.Fields(strings.Split(l.StageSummary(), "\n")[1])
+	want := []string{"service", "op", "count", "total", StageServer,
+		"x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8"}
+	if !slices.Equal(header, want) {
+		t.Fatalf("columns = %v, want %v", header, want)
 	}
 }

@@ -3,6 +3,7 @@ package tracegraph
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -246,6 +247,51 @@ func TestDiffDeterministicAndComplete(t *testing.T) {
 	a, b := RenderDiff(deltas), RenderDiff(Diff(old, new))
 	if a != b {
 		t.Fatal("diff render not deterministic")
+	}
+}
+
+// TestDiffRowsSorted pins the row order across many groups and stages:
+// both are collected from maps, so only the sorts make it reproducible.
+func TestDiffRowsSorted(t *testing.T) {
+	l := trace.New(0)
+	for i := 7; i >= 0; i-- {
+		var spans []trace.Span
+		for j := 7; j >= 0; j-- {
+			spans = append(spans, trace.Span{Stage: fmt.Sprintf("st%d", j), Dur: ms(1)})
+		}
+		l.Record(trace.Op{
+			Duration: ms(8), Service: fmt.Sprintf("svc%d", i%2), Name: fmt.Sprintf("op%d", i),
+			TraceID: "t", SpanID: fmt.Sprintf("s%d", i), Spans: spans,
+		})
+	}
+	tr := exportLog(t, l)
+	deltas := Diff(tr, tr)
+	if len(deltas) != 8*9 {
+		t.Fatalf("deltas = %d, want %d", len(deltas), 8*9)
+	}
+	key := func(d StageDelta) string { return d.Service + "/" + d.Name + "/" + d.Stage }
+	for i := 1; i < len(deltas); i++ {
+		if key(deltas[i-1]) >= key(deltas[i]) {
+			t.Fatalf("row %d %q not after row %d %q", i, key(deltas[i]), i-1, key(deltas[i-1]))
+		}
+	}
+}
+
+// TestProfilesSorted pins the profile order `aztrace summary` prints.
+func TestProfilesSorted(t *testing.T) {
+	l := trace.New(0)
+	for i := 11; i >= 0; i-- {
+		l.Record(trace.Op{Duration: ms(1), Service: fmt.Sprintf("svc%d", i%3), Name: fmt.Sprintf("op%02d", i),
+			TraceID: "t", SpanID: fmt.Sprintf("s%d", i)})
+	}
+	ps := exportLog(t, l).Profiles()
+	if len(ps) != 12 {
+		t.Fatalf("profiles = %d, want 12", len(ps))
+	}
+	for i := 1; i < len(ps); i++ {
+		if ps[i-1].Service+"/"+ps[i-1].Name >= ps[i].Service+"/"+ps[i].Name {
+			t.Fatalf("%s/%s after %s/%s", ps[i].Service, ps[i].Name, ps[i-1].Service, ps[i-1].Name)
+		}
 	}
 }
 
