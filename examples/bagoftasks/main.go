@@ -100,9 +100,11 @@ func main() {
 		log.Fatal(err)
 	}
 	var in, total int64
-	for _, e := range entities {
-		in += e.Props["InCircle"].I
-		total += e.Props["Samples"].I
+	for _, row := range entities {
+		inCircle, _ := row.Prop("InCircle")
+		samples, _ := row.Prop("Samples")
+		in += inCircle.I
+		total += samples.I
 	}
 	pi := 4 * float64(in) / float64(total)
 	fmt.Printf("π ≈ %.6f (error %.2e) from %d samples across %d task results\n",

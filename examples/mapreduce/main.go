@@ -146,11 +146,14 @@ func main() {
 			res, err := driver.QueryEntities(p, sumsTable, fmt.Sprintf(iterLabels, iter),
 				fmt.Sprintf("PartitionKey eq '%s'", fmt.Sprintf(iterLabels, iter)), 0, tablestore.Continuation{})
 			must(err)
-			for _, e := range res.Entities {
-				ci := int(e.Props["C"].I)
-				sumX[ci] += e.Props["SumX"].F
-				sumY[ci] += e.Props["SumY"].F
-				cnt[ci] += e.Props["Count"].I
+			for _, row := range res.Entities {
+				c, _ := row.Prop("C")
+				x, _ := row.Prop("SumX")
+				y, _ := row.Prop("SumY")
+				n, _ := row.Prop("Count")
+				sumX[c.I] += x.F
+				sumY[c.I] += y.F
+				cnt[c.I] += n.I
 			}
 			shift := 0.0
 			next := make([]point, len(cents))

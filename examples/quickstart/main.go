@@ -67,9 +67,10 @@ func main() {
 		fmt.Printf("table: filter matched %d of 3 entities\n", len(res.Entities))
 
 		// --- Optimistic concurrency: the ETag protocol ---
-		e, err := client.GetEntity(p, "runs", "experiment-1", "run-0")
+		row, err := client.GetEntity(p, "runs", "experiment-1", "run-0")
 		must(err)
-		stale := e.ETag
+		stale := row.ETag()
+		e := row.Clone()
 		e.Props["Status"] = tablestore.String("archived")
 		_, err = client.UpdateEntity(p, "runs", e, stale) // matching tag: ok
 		must(err)

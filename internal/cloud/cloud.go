@@ -402,7 +402,7 @@ type request struct {
 	rowKey     string             // GetEntity
 	ifMatch    string             // UpdateEntity
 	ent        *tablestore.Entity // UpdateEntity's row
-	gotEnt     *tablestore.Entity // the row GetEntity found / UpdateEntity stored
+	gotEnt     tablestore.Row     // the row GetEntity found / UpdateEntity stored
 	body       payload.Payload    // PutMessage
 	visibility time.Duration      // GetMessage
 	msgID      string             // DeleteMessage
@@ -439,7 +439,7 @@ func (cl *Client) apply(req *request) (occ time.Duration, down int64, err error)
 	switch req.kind {
 	case opGetEntity:
 		req.gotEnt, err = c.Table.Get(req.table, req.part, req.rowKey)
-		if req.gotEnt != nil {
+		if err == nil {
 			down = req.gotEnt.Size()
 		}
 		return c.prm.TableOcc(model.TQuery, down), down, err

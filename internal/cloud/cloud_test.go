@@ -418,8 +418,12 @@ func TestTableCRUDThroughCloud(t *testing.T) {
 			return
 		}
 		got, err := cl.GetEntity(p, "bench", "p", "r")
-		if err != nil || got.Props["Data"].Bin.Len() != 4096 {
-			t.Errorf("get = %v, %v", got, err)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if data, _ := got.Prop("Data"); data.Bin.Len() != 4096 {
+			t.Errorf("get = %d bytes of Data", data.Bin.Len())
 			return
 		}
 		e.Props["Data"] = tablestore.Binary(payload.Synthetic(2, 4096))
@@ -482,8 +486,8 @@ func TestTableContentionBeyondFourWorkers(t *testing.T) {
 }
 
 // WithRetryEnt is a small helper for tests: insert with busy-retry.
-func (cl *Client) WithRetryEnt(p *sim.Proc, table string, e *tablestore.Entity) (*tablestore.Entity, error) {
-	var stored *tablestore.Entity
+func (cl *Client) WithRetryEnt(p *sim.Proc, table string, e *tablestore.Entity) (tablestore.Row, error) {
+	var stored tablestore.Row
 	_, err := cl.WithRetry(p, func() error {
 		var err error
 		stored, err = cl.InsertEntity(p, table, e)

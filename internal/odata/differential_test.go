@@ -257,6 +257,7 @@ func TestPageRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 10} {
 		var in []*tablestore.Entity
+		var rows []tablestore.Row
 		for i := 0; i < n; i++ {
 			e := genEntity{}.Generate(r, 0).Interface().(genEntity).Entity
 			for name, v := range e.Props {
@@ -265,8 +266,9 @@ func TestPageRoundTrip(t *testing.T) {
 				}
 			}
 			in = append(in, e)
+			rows = append(rows, tablestore.ReadOnly(e))
 		}
-		got, err := AppendPage(nil, in)
+		got, err := AppendPage(nil, rows)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,41 +33,42 @@ const annotation = "@odata.type"
 
 // EncodeEntity renders an entity as a JSON object.
 func EncodeEntity(e *tablestore.Entity) ([]byte, error) {
-	return AppendEntity(make([]byte, 0, sizeHint(e)), e)
+	r := tablestore.ReadOnly(e)
+	return AppendRow(make([]byte, 0, sizeHint(r)), r)
 }
 
 // AppendPage appends one page of query results the way the table service
 // writes it: {"value":[...]} and a newline, {"value":null} for an empty
 // page.
-func AppendPage(dst []byte, entities []*tablestore.Entity) ([]byte, error) {
-	if len(entities) == 0 {
+func AppendPage(dst []byte, rows []tablestore.Row) ([]byte, error) {
+	if len(rows) == 0 {
 		return append(dst, "{\"value\":null}\n"...), nil
 	}
 	dst = append(dst, `{"value":[`...)
-	for i, e := range entities {
+	for i, r := range rows {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		var err error
-		if dst, err = AppendEntity(dst, e); err != nil {
+		if dst, err = AppendRow(dst, r); err != nil {
 			return nil, err
 		}
 	}
 	return append(dst, "]}\n"...), nil
 }
 
-// sizeHint is e's encoded length when no string needs escaping, short of
+// sizeHint is r's encoded length when no string needs escaping, short of
 // the digits of its numbers (bounded instead): the common entity is
 // written into one allocation of close to its own size.
-func sizeHint(e *tablestore.Entity) int {
-	n := len(`{"PartitionKey":"","RowKey":""}`) + len(e.PartitionKey) + len(e.RowKey)
-	if !e.Timestamp.IsZero() {
+func sizeHint(r tablestore.Row) int {
+	n := len(`{"PartitionKey":"","RowKey":""}`) + len(r.PartitionKey()) + len(r.RowKey())
+	if !r.Timestamp().IsZero() {
 		n += len(`,"Timestamp":""`) + len(timestampFormat)
 	}
-	if e.ETag != "" {
-		n += len(`,"odata.etag":""`) + len(e.ETag)
+	if tag := r.ETag(); tag != "" {
+		n += len(`,"odata.etag":""`) + len(tag)
 	}
-	for name, v := range e.Props {
+	r.Range(func(name string, v tablestore.Value) bool {
 		n += len(`,"":`) + len(name)
 		if a := edmAnnotation(v.Type); a != "" {
 			n += len(`,"@odata.type":""`) + len(name) + len(a)
@@ -80,7 +81,8 @@ func sizeHint(e *tablestore.Entity) int {
 		default: // the longest are a double's 24 digits and a date's 35
 			n += len(`""`) + len(timestampFormat)
 		}
-	}
+		return true
+	})
 	return n
 }
 
@@ -143,25 +145,30 @@ func edmAnnotation(t tablestore.PropType) string {
 	return ""
 }
 
-// AppendEntity appends e's JSON object to dst.
-func AppendEntity(dst []byte, e *tablestore.Entity) ([]byte, error) {
+// AppendRow appends r's JSON object to dst.
+func AppendRow(dst []byte, r tablestore.Row) ([]byte, error) {
 	var stack [16]member
-	ms := append(stack[:0], member{name: "PartitionKey"}, member{name: "RowKey"})
-	if !e.Timestamp.IsZero() {
+	ms := stack[:0]
+	if n := 4 + 2*r.Len(); n > len(stack) {
+		ms = make([]member, 0, n)
+	}
+	ms = append(ms, member{name: "PartitionKey"}, member{name: "RowKey"})
+	if !r.Timestamp().IsZero() {
 		ms = append(ms, member{name: "Timestamp"})
 	}
-	if e.ETag != "" {
+	if r.ETag() != "" {
 		ms = append(ms, member{name: "odata.etag"})
 	}
-	for name, v := range e.Props {
+	r.Range(func(name string, v tablestore.Value) bool {
 		if v.Type < tablestore.TypeString || v.Type > tablestore.TypeGUID {
-			continue // not an EDM type: nothing to write
+			return true // not an EDM type: nothing to write
 		}
 		ms = append(ms, member{name, propValue, v.Type})
 		if edmAnnotation(v.Type) != "" {
 			ms = append(ms, member{name, propType, v.Type})
 		}
-	}
+		return true
+	})
 	// Keys go out sorted. Where two members spell one key (a property
 	// named like a system key) the later one wins, as it did when the
 	// object was assembled in a map.
@@ -179,12 +186,13 @@ func AppendEntity(dst []byte, e *tablestore.Entity) ([]byte, error) {
 		dst = append(dst, ':')
 		switch m.kind {
 		case systemKey:
-			dst = appendSystem(dst, e, m.name)
+			dst = appendSystem(dst, r, m.name)
 		case propType:
 			dst = appendString(dst, edmAnnotation(m.typ), "")
 		case propValue:
+			v, _ := r.Prop(m.name)
 			var err error
-			if dst, err = appendValue(dst, e.Props[m.name]); err != nil {
+			if dst, err = appendValue(dst, v); err != nil {
 				return nil, fmt.Errorf("odata: property %s: %w", m.name, err)
 			}
 		}
@@ -192,16 +200,16 @@ func AppendEntity(dst []byte, e *tablestore.Entity) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-func appendSystem(dst []byte, e *tablestore.Entity, key string) []byte {
+func appendSystem(dst []byte, r tablestore.Row, key string) []byte {
 	switch key {
 	case "PartitionKey":
-		return appendString(dst, e.PartitionKey, "")
+		return appendString(dst, r.PartitionKey(), "")
 	case "RowKey":
-		return appendString(dst, e.RowKey, "")
+		return appendString(dst, r.RowKey(), "")
 	case "Timestamp":
-		return appendTime(dst, e.Timestamp)
+		return appendTime(dst, r.Timestamp())
 	default:
-		return appendString(dst, e.ETag, "")
+		return appendString(dst, r.ETag(), "")
 	}
 }
 

@@ -133,7 +133,7 @@ func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request, resource
 			writeError(w, err)
 			return
 		}
-		setHeader(w.Header(), hETag, stored.ETag)
+		setHeader(w.Header(), hETag, stored.ETag())
 		writeEntityJSON(w, http.StatusCreated, stored)
 	case http.MethodGet: // Query
 		q := r.URL.Query()
@@ -174,14 +174,16 @@ func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table
 	switch r.Method {
 	case http.MethodGet:
 		done := engineStart(r)
-		e, err := s.Table.Get(table, pk, rk)
+		row, err := s.Table.Get(table, pk, rk)
 		done()
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		setHeader(w.Header(), hETag, e.ETag)
-		writeEntityJSON(w, http.StatusOK, e)
+		// Encoded outside the store's lock: the store never writes a row
+		// it has handed out.
+		setHeader(w.Header(), hETag, row.ETag())
+		writeEntityJSON(w, http.StatusOK, row)
 	case http.MethodPut: // Replace (or InsertOrReplace when no If-Match)
 		e, err := readEntity(r)
 		if err != nil {
@@ -189,7 +191,7 @@ func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table
 			return
 		}
 		e.PartitionKey, e.RowKey = pk, rk
-		var stored *tablestore.Entity
+		var stored tablestore.Row
 		done := engineStart(r)
 		if ifMatch == "" {
 			stored, err = s.Table.InsertOrReplace(table, e)
@@ -201,7 +203,7 @@ func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table
 			writeError(w, err)
 			return
 		}
-		setHeader(w.Header(), hETag, stored.ETag)
+		setHeader(w.Header(), hETag, stored.ETag())
 		w.WriteHeader(http.StatusNoContent)
 	case "MERGE": // Merge (or InsertOrMerge when no If-Match)
 		e, err := readEntity(r)
@@ -210,7 +212,7 @@ func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table
 			return
 		}
 		e.PartitionKey, e.RowKey = pk, rk
-		var stored *tablestore.Entity
+		var stored tablestore.Row
 		done := engineStart(r)
 		if ifMatch == "" {
 			stored, err = s.Table.InsertOrMerge(table, e)
@@ -222,7 +224,7 @@ func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table
 			writeError(w, err)
 			return
 		}
-		setHeader(w.Header(), hETag, stored.ETag)
+		setHeader(w.Header(), hETag, stored.ETag())
 		w.WriteHeader(http.StatusNoContent)
 	case http.MethodDelete:
 		if ifMatch == "" {
@@ -250,11 +252,11 @@ func readEntity(r *http.Request) (*tablestore.Entity, error) {
 	return odata.DecodeEntity(raw) // which keeps nothing of raw
 }
 
-func writeEntityJSON(w http.ResponseWriter, status int, e *tablestore.Entity) {
+func writeEntityJSON(w http.ResponseWriter, status int, row tablestore.Row) {
 	buf := getScratch()
 	defer buf.release()
 	var err error
-	if buf.b, err = odata.AppendEntity(buf.b[:0], e); err != nil {
+	if buf.b, err = odata.AppendRow(buf.b[:0], row); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -189,10 +189,10 @@ func TestDeterminism(t *testing.T) {
 			w := w
 			e.Go(fmt.Sprintf("w%d", w), func(p *Proc) {
 				for {
-					job, ok := st.TryGet()
-					if !ok {
+					if st.Len() == 0 {
 						return
 					}
+					job := st.Get(p) // an item is buffered: no wait
 					res.Acquire(p)
 					p.Sleep(time.Duration(1+p.Rand().Intn(5)) * time.Millisecond)
 					res.Release()

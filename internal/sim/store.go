@@ -8,8 +8,6 @@ type Store[T any] struct {
 	name    string
 	items   []T
 	waiters fifo[*storeWaiter[T]]
-	puts    uint64
-	gets    uint64
 }
 
 type storeWaiter[T any] struct {
@@ -29,17 +27,10 @@ func (s *Store[T]) Name() string { return s.name }
 // to waiters that have not yet resumed).
 func (s *Store[T]) Len() int { return len(s.items) }
 
-// Puts returns the total number of Put calls.
-func (s *Store[T]) Puts() uint64 { return s.puts }
-
-// Gets returns the total number of completed Gets.
-func (s *Store[T]) Gets() uint64 { return s.gets }
-
 // Put appends an item. If a process is blocked in Get, the item is handed
 // directly to the longest-waiting one, which resumes at the current
 // instant.
 func (s *Store[T]) Put(item T) {
-	s.puts++
 	if s.waiters.len() > 0 {
 		w := s.waiters.pop()
 		w.item = item
@@ -57,25 +48,10 @@ func (s *Store[T]) Get(p *Proc) T {
 		var zero T
 		s.items[0] = zero
 		s.items = s.items[1:]
-		s.gets++
 		return item
 	}
 	w := &storeWaiter[T]{p: p}
 	s.waiters.push(w)
 	p.park()
-	s.gets++
 	return w.item
-}
-
-// TryGet removes and returns the oldest item without blocking.
-func (s *Store[T]) TryGet() (T, bool) {
-	var zero T
-	if len(s.items) == 0 {
-		return zero, false
-	}
-	item := s.items[0]
-	s.items[0] = zero
-	s.items = s.items[1:]
-	s.gets++
-	return item, true
 }

@@ -83,22 +83,6 @@ func TestStoreFIFOWaiters(t *testing.T) {
 	}
 }
 
-func TestStoreTryGet(t *testing.T) {
-	e := NewEnv(1)
-	s := NewStore[int](e, "s")
-	if _, ok := s.TryGet(); ok {
-		t.Fatal("TryGet on empty store succeeded")
-	}
-	s.Put(7)
-	v, ok := s.TryGet()
-	if !ok || v != 7 {
-		t.Fatalf("TryGet = %d,%v want 7,true", v, ok)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", s.Len())
-	}
-}
-
 func TestStoreCounters(t *testing.T) {
 	e := NewEnv(1)
 	s := NewStore[int](e, "s")
@@ -108,8 +92,8 @@ func TestStoreCounters(t *testing.T) {
 		_ = s.Get(p)
 	})
 	e.Run()
-	if s.Puts() != 2 || s.Gets() != 1 || s.Len() != 1 {
-		t.Fatalf("puts/gets/len = %d/%d/%d, want 2/1/1", s.Puts(), s.Gets(), s.Len())
+	if s.Len() != 1 {
+		t.Fatalf("two puts and a get leave %d items, want 1", s.Len())
 	}
 }
 

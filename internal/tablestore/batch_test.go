@@ -112,8 +112,8 @@ func TestBatchMixedOperations(t *testing.T) {
 		t.Fatal("insert not applied")
 	}
 	upd, _ := s.Get("bench", "p", "upd")
-	if upd.Props["V"].I != 2 || !upd.Props["Keep"].B {
-		t.Fatalf("merge result = %v", upd.Props)
+	if prop(upd, "V").I != 2 || !prop(upd, "Keep").B {
+		t.Fatalf("merge result = %v", upd.Clone().Props)
 	}
 	if _, err := s.Get("bench", "p", "del"); !storecommon.IsNotFound(err) {
 		t.Fatal("delete not applied")
@@ -129,7 +129,7 @@ func TestBatchETagConditionFailureRollsBack(t *testing.T) {
 	}
 	ops := []BatchOp{
 		{Kind: BatchInsert, Entity: ent("p", "other", nil)},
-		{Kind: BatchReplace, Entity: ent("p", "r", map[string]Value{"V": Int32(3)}), IfMatch: v1.ETag},
+		{Kind: BatchReplace, Entity: ent("p", "r", map[string]Value{"V": Int32(3)}), IfMatch: v1.ETag()},
 	}
 	idx, err := s.ExecuteBatch("bench", ops)
 	if !storecommon.IsPreconditionFailed(err) || idx != 1 {
@@ -139,7 +139,7 @@ func TestBatchETagConditionFailureRollsBack(t *testing.T) {
 		t.Fatal("rollback failed: other exists")
 	}
 	got, _ := s.Get("bench", "p", "r")
-	if got.Props["V"].I != 2 {
-		t.Fatalf("entity mutated by failed batch: %v", got.Props)
+	if prop(got, "V").I != 2 {
+		t.Fatalf("entity mutated by failed batch: %v", got.Clone().Props)
 	}
 }

@@ -74,9 +74,9 @@ func TestOptimisticConcurrencyUnderRace(t *testing.T) {
 				}
 				next := &Entity{
 					PartitionKey: "p", RowKey: "r",
-					Props: map[string]Value{"N": Int64(cur.Props["N"].I + 1)},
+					Props: map[string]Value{"N": Int64(prop(cur, "N").I + 1)},
 				}
-				_, err = s.Replace("bench", next, cur.ETag)
+				_, err = s.Replace("bench", next, cur.ETag())
 				switch {
 				case err == nil:
 					done++
@@ -91,7 +91,7 @@ func TestOptimisticConcurrencyUnderRace(t *testing.T) {
 	}
 	wg.Wait()
 	final, _ := s.Get("bench", "p", "r")
-	if got := final.Props["N"].I; got != writers*increments {
+	if got := prop(final, "N").I; got != writers*increments {
 		t.Fatalf("counter = %d, want %d (ETag protocol lost updates; %d conflicts seen)",
 			got, writers*increments, conflicts.Load())
 	}

@@ -77,24 +77,24 @@ func mergeInto(e, old *Entity) {
 	}
 }
 
-func (s *model) insert(tableName string, e *Entity, mode insertMode) (*Entity, error) {
+func (s *model) insert(tableName string, e *Entity, mode insertMode) (Row, error) {
 	if err := validateEntity(e); err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	t, ok := s.tables[tableName]
 	if !ok {
-		return nil, tableNotFound(tableName)
+		return Row{}, tableNotFound(tableName)
 	}
 	old, exists := t[e.PartitionKey][e.RowKey]
 	if exists && mode == insertStrict {
-		return nil, storecommon.Errf(storecommon.CodeEntityAlreadyExists, 409,
+		return Row{}, storecommon.Errf(storecommon.CodeEntityAlreadyExists, 409,
 			"entity (%q,%q) already exists", e.PartitionKey, e.RowKey)
 	}
 	stored := e.Clone()
 	if exists && mode == insertMerge {
 		mergeInto(stored, old)
 		if err := validateEntity(stored); err != nil {
-			return nil, err
+			return Row{}, err
 		}
 	}
 	s.stamp(stored)
@@ -102,30 +102,30 @@ func (s *model) insert(tableName string, e *Entity, mode insertMode) (*Entity, e
 		t[e.PartitionKey] = map[string]*Entity{}
 	}
 	t[e.PartitionKey][e.RowKey] = stored
-	return stored.Clone(), nil
+	return Row{stored.Clone()}, nil
 }
 
-func (s *model) update(tableName string, e *Entity, ifMatch string, merge bool) (*Entity, error) {
+func (s *model) update(tableName string, e *Entity, ifMatch string, merge bool) (Row, error) {
 	if err := validateEntity(e); err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	old, err := s.find(tableName, e.PartitionKey, e.RowKey)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	if !storecommon.ETagMatches(ifMatch, old.ETag) {
-		return nil, updateConditionNotMet(e)
+		return Row{}, updateConditionNotMet(e)
 	}
 	stored := e.Clone()
 	if merge {
 		mergeInto(stored, old)
 		if err := validateEntity(stored); err != nil {
-			return nil, err
+			return Row{}, err
 		}
 	}
 	s.stamp(stored)
 	s.tables[tableName][e.PartitionKey][e.RowKey] = stored
-	return stored.Clone(), nil
+	return Row{stored.Clone()}, nil
 }
 
 func (s *model) Delete(tableName, pk, rk, ifMatch string) error {
@@ -144,12 +144,12 @@ func (s *model) Delete(tableName, pk, rk, ifMatch string) error {
 	return nil
 }
 
-func (s *model) Get(tableName, pk, rk string) (*Entity, error) {
+func (s *model) Get(tableName, pk, rk string) (Row, error) {
 	e, err := s.find(tableName, pk, rk)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
-	return e.Clone(), nil
+	return Row{e.Clone()}, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -201,7 +201,7 @@ func (s *model) Query(tableName, filter string, top int, from Continuation) (Que
 				res.Next = Continuation{NextPartitionKey: pk, NextRowKey: rk}
 				return res, nil
 			}
-			res.Entities = append(res.Entities, e.Clone())
+			res.Entities = append(res.Entities, Row{e.Clone()})
 		}
 	}
 	return res, nil

@@ -81,7 +81,7 @@ func (r *scriptRun) op(s *script) {
 	case 0, 1, 2, 3: // insert, upsert
 		e := r.entity(s)
 		mode := []insertMode{insertStrict, insertStrict, insertReplace, insertMerge}[kind&0x7f%16]
-		var got *Entity
+		var got Row
 		var gerr error
 		switch mode {
 		case insertStrict:
@@ -206,7 +206,7 @@ func (r *scriptRun) condition(s *script, table, pk, rk string) string {
 		return storecommon.ETagAny
 	case 2, 3, 4:
 		if cur, err := r.ref.Get(table, pk, rk); err == nil {
-			return cur.ETag
+			return cur.ETag()
 		}
 		return storecommon.ETagAny
 	case 5, 6:
@@ -285,11 +285,11 @@ func quote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'
 
 // mutated is same for operations that return the stored entity; it also
 // banks the new ETag as a future stale condition.
-func (r *scriptRun) mutated(op string, got, want *Entity, gerr, werr error) {
+func (r *scriptRun) mutated(op string, got, want Row, gerr, werr error) {
 	r.t.Helper()
 	r.same(op, got, want, gerr, werr)
 	if gerr == nil {
-		r.etags = append(r.etags, got.ETag)
+		r.etags = append(r.etags, got.ETag())
 	}
 }
 
@@ -314,14 +314,14 @@ func encode(v any) []byte {
 	case nil:
 	case int:
 		w.Int(v)
-	case *Entity:
-		if v != nil {
-			saveEntity(&w, v)
+	case Row:
+		if v.e != nil {
+			saveEntity(&w, v.e)
 		}
 	case QueryResult:
 		w.Int(len(v.Entities))
 		for _, e := range v.Entities {
-			saveEntity(&w, e)
+			saveEntity(&w, e.e)
 		}
 		w.String(v.Next.NextPartitionKey)
 		w.String(v.Next.NextRowKey)
@@ -335,9 +335,12 @@ func render(v any) string {
 	if res, ok := v.(QueryResult); ok {
 		var b strings.Builder
 		for _, e := range res.Entities {
-			fmt.Fprintf(&b, "(%s,%s,%s) ", e.PartitionKey, e.RowKey, e.ETag)
+			fmt.Fprintf(&b, "(%s,%s,%s) ", e.PartitionKey(), e.RowKey(), e.ETag())
 		}
 		return fmt.Sprintf("%snext %+v", b.String(), res.Next)
+	}
+	if row, ok := v.(Row); ok && row.e != nil {
+		return fmt.Sprintf("%+v", *row.e)
 	}
 	return fmt.Sprintf("%+v", v)
 }

@@ -1,6 +1,8 @@
 package tablestore
 
 import (
+	"fmt"
+
 	"azurebench/internal/payload"
 	snap "azurebench/internal/snapshot"
 )
@@ -54,6 +56,10 @@ func (s *Store) Load(r *snap.Reader) error {
 				if err != nil {
 					return err
 				}
+				if e.PartitionKey != pk {
+					return fmt.Errorf("%w: table %q: row %q filed under partition %q names partition %q",
+						snap.ErrCorrupt, t.name, e.RowKey, pk, e.PartitionKey)
+				}
 				if err := p.rks.appendInOrder(e.RowKey); err != nil {
 					return err
 				}
@@ -103,7 +109,14 @@ func loadEntity(r *snap.Reader) (*Entity, error) {
 		}
 		e.Props[k] = v
 	}
-	return e, r.Err()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	// Rows are handed out as loaded: hold them to what a write checks.
+	if err := validateEntity(e); err != nil {
+		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
+	}
+	return e, nil
 }
 
 func saveValue(w *snap.Writer, v Value) {
@@ -142,6 +155,8 @@ func loadValue(r *snap.Reader) (Value, error) {
 		if v.Bin, err = payload.Load(r); err != nil {
 			return Value{}, err
 		}
+	default:
+		return Value{}, fmt.Errorf("%w: property type %d", snap.ErrCorrupt, v.Type)
 	}
 	return v, r.Err()
 }

@@ -27,7 +27,10 @@ type Entity struct {
 	Props        map[string]Value
 }
 
-// Clone returns a deep-enough copy (Values are immutable).
+// Clone returns a copy its caller owns and may change: a new Props map
+// over the same Values, which are immutable. The store clones what it is
+// given and hands back a Row; Row.Clone is for a caller that means to edit
+// what it read.
 func (e *Entity) Clone() *Entity {
 	props := make(map[string]Value, len(e.Props))
 	for k, v := range e.Props {
@@ -46,6 +49,45 @@ func (e *Entity) Size() int64 {
 	}
 	return n
 }
+
+// Row is a read-only handle on an entity the store holds. The store never
+// edits an entity once it has stored it — every write stores a new one and
+// a delete only unlinks it — so a Row reads the version it was handed for
+// as long as it is kept, with no copy and no lock, whatever is written
+// after. No method returns the entity or its Props map; Clone gives a copy
+// the caller owns.
+type Row struct{ e *Entity }
+
+// ReadOnly wraps e in a Row; its owner must not change e while the Row is
+// read.
+func ReadOnly(e *Entity) Row { return Row{e} }
+
+// The row's keys, system properties, size against the 1 MB limit and
+// number of properties.
+func (r Row) PartitionKey() string { return r.e.PartitionKey }
+func (r Row) RowKey() string       { return r.e.RowKey }
+func (r Row) Timestamp() time.Time { return r.e.Timestamp }
+func (r Row) ETag() string         { return r.e.ETag }
+func (r Row) Size() int64          { return r.e.Size() }
+func (r Row) Len() int             { return len(r.e.Props) }
+
+// Prop returns the named property and whether the row has it.
+func (r Row) Prop(name string) (Value, bool) {
+	v, ok := r.e.Props[name]
+	return v, ok
+}
+
+// Range calls f on each property, in no fixed order, until f returns false.
+func (r Row) Range(f func(name string, v Value) bool) {
+	for name, v := range r.e.Props {
+		if !f(name, v) {
+			return
+		}
+	}
+}
+
+// Clone returns a copy of the row that the caller owns and may change.
+func (r Row) Clone() *Entity { return r.e.Clone() }
 
 // Store is an in-memory table storage account. All methods are safe for
 // concurrent use.
@@ -153,18 +195,18 @@ func (s *Store) ListTables(prefix string) []string {
 
 // Insert adds a new entity; it fails with EntityAlreadyExists when the
 // (PartitionKey, RowKey) pair is taken.
-func (s *Store) Insert(tableName string, e *Entity) (*Entity, error) {
+func (s *Store) Insert(tableName string, e *Entity) (Row, error) {
 	return s.mutateInsert(tableName, e, insertStrict)
 }
 
 // InsertOrReplace upserts the entity, replacing all properties.
-func (s *Store) InsertOrReplace(tableName string, e *Entity) (*Entity, error) {
+func (s *Store) InsertOrReplace(tableName string, e *Entity) (Row, error) {
 	return s.mutateInsert(tableName, e, insertReplace)
 }
 
 // InsertOrMerge upserts the entity; existing properties not named in e are
 // preserved.
-func (s *Store) InsertOrMerge(tableName string, e *Entity) (*Entity, error) {
+func (s *Store) InsertOrMerge(tableName string, e *Entity) (Row, error) {
 	return s.mutateInsert(tableName, e, insertMerge)
 }
 
@@ -176,15 +218,15 @@ const (
 	insertMerge
 )
 
-func (s *Store) mutateInsert(tableName string, e *Entity, mode insertMode) (*Entity, error) {
+func (s *Store) mutateInsert(tableName string, e *Entity, mode insertMode) (Row, error) {
 	if err := validateEntity(e); err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tables[tableName]
 	if !ok {
-		return nil, tableNotFound(tableName)
+		return Row{}, tableNotFound(tableName)
 	}
 	var old *Entity
 	exists := false
@@ -192,7 +234,7 @@ func (s *Store) mutateInsert(tableName string, e *Entity, mode insertMode) (*Ent
 		old, exists = p.rows[e.RowKey]
 	}
 	if exists && mode == insertStrict {
-		return nil, storecommon.Errf(storecommon.CodeEntityAlreadyExists, 409,
+		return Row{}, storecommon.Errf(storecommon.CodeEntityAlreadyExists, 409,
 			"entity (%q,%q) already exists", e.PartitionKey, e.RowKey)
 	}
 	stored := e.Clone()
@@ -203,42 +245,42 @@ func (s *Store) mutateInsert(tableName string, e *Entity, mode insertMode) (*Ent
 			}
 		}
 		if err := validateEntity(stored); err != nil {
-			return nil, err
+			return Row{}, err
 		}
 	}
 	s.stamp(stored)
 	t.put(stored)
-	return stored.Clone(), nil
+	return Row{stored}, nil
 }
 
 // Replace updates an existing entity, replacing all properties. ifMatch is
 // an ETag condition: the stored ETag, or "*" for unconditional replacement
 // (what the paper's update benchmark does). Empty means unconditional too.
-func (s *Store) Replace(tableName string, e *Entity, ifMatch string) (*Entity, error) {
+func (s *Store) Replace(tableName string, e *Entity, ifMatch string) (Row, error) {
 	return s.mutateUpdate(tableName, e, ifMatch, false)
 }
 
 // Merge updates an existing entity, preserving properties not named in e.
-func (s *Store) Merge(tableName string, e *Entity, ifMatch string) (*Entity, error) {
+func (s *Store) Merge(tableName string, e *Entity, ifMatch string) (Row, error) {
 	return s.mutateUpdate(tableName, e, ifMatch, true)
 }
 
-func (s *Store) mutateUpdate(tableName string, e *Entity, ifMatch string, merge bool) (*Entity, error) {
+func (s *Store) mutateUpdate(tableName string, e *Entity, ifMatch string, merge bool) (Row, error) {
 	if err := validateEntity(e); err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tables[tableName]
 	if !ok {
-		return nil, tableNotFound(tableName)
+		return Row{}, tableNotFound(tableName)
 	}
 	old, err := t.find(e.PartitionKey, e.RowKey)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	if !storecommon.ETagMatches(ifMatch, old.ETag) {
-		return nil, updateConditionNotMet(e)
+		return Row{}, updateConditionNotMet(e)
 	}
 	stored := e.Clone()
 	if merge {
@@ -248,12 +290,12 @@ func (s *Store) mutateUpdate(tableName string, e *Entity, ifMatch string, merge 
 			}
 		}
 		if err := validateEntity(stored); err != nil {
-			return nil, err
+			return Row{}, err
 		}
 	}
 	s.stamp(stored)
 	t.partitions[e.PartitionKey].rows[e.RowKey] = stored
-	return stored.Clone(), nil
+	return Row{stored}, nil
 }
 
 // Delete removes an entity under an ETag condition ("" or "*" for
@@ -277,18 +319,15 @@ func (s *Store) Delete(tableName, partitionKey, rowKey, ifMatch string) error {
 }
 
 // Get retrieves one entity by its primary key (a point query).
-func (s *Store) Get(tableName, partitionKey, rowKey string) (*Entity, error) {
+func (s *Store) Get(tableName, partitionKey, rowKey string) (Row, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	t, ok := s.tables[tableName]
 	if !ok {
-		return nil, tableNotFound(tableName)
+		return Row{}, tableNotFound(tableName)
 	}
 	e, err := t.find(partitionKey, rowKey)
-	if err != nil {
-		return nil, err
-	}
-	return e.Clone(), nil
+	return Row{e}, err
 }
 
 // Continuation marks where a query page ended; pass it back to resume.
@@ -303,7 +342,7 @@ func (c Continuation) IsZero() bool { return c.NextPartitionKey == "" && c.NextR
 
 // QueryResult is one page of query results.
 type QueryResult struct {
-	Entities []*Entity
+	Entities []Row
 	// Next is non-zero when more results are available.
 	Next Continuation
 }
@@ -361,15 +400,15 @@ func (s *Store) Query(tableName, filter string, top int, from Continuation) (Que
 				res.Next = Continuation{NextPartitionKey: pk, NextRowKey: rk}
 				return res, nil
 			}
-			res.Entities = append(res.Entities, e.Clone())
+			res.Entities = append(res.Entities, Row{e})
 		}
 	}
 	return res, nil
 }
 
 // QueryAll drains a query across continuation pages.
-func (s *Store) QueryAll(tableName, filter string) ([]*Entity, error) {
-	var out []*Entity
+func (s *Store) QueryAll(tableName, filter string) ([]Row, error) {
+	var out []Row
 	var from Continuation
 	for {
 		page, err := s.Query(tableName, filter, 0, from)

@@ -24,6 +24,12 @@ func ent(pk, rk string, props map[string]Value) *Entity {
 	return &Entity{PartitionKey: pk, RowKey: rk, Props: props}
 }
 
+// prop is r's property name, the zero Value when r has none.
+func prop(r Row, name string) Value {
+	v, _ := r.Prop(name)
+	return v
+}
+
 func TestCreateDeleteTable(t *testing.T) {
 	s := New(&vclock.Manual{})
 	if err := s.CreateTable("MyTable"); err != nil {
@@ -77,7 +83,7 @@ func TestInsertGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stored.ETag == "" || stored.Timestamp.IsZero() {
+	if stored.ETag() == "" || stored.Timestamp().IsZero() {
 		t.Fatalf("missing system properties: %+v", stored)
 	}
 	got, err := s.Get("bench", "p1", "r1")
@@ -85,8 +91,8 @@ func TestInsertGetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range in.Props {
-		if !got.Props[name].Equal(want) {
-			t.Errorf("prop %s = %#v, want %#v", name, got.Props[name], want)
+		if v, _ := got.Prop(name); !v.Equal(want) {
+			t.Errorf("prop %s = %#v, want %#v", name, v, want)
 		}
 	}
 }
@@ -111,7 +117,7 @@ func TestInsertOrReplaceAndMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := s.Get("bench", "p", "r")
-	if _, ok := got.Props["B"]; ok {
+	if _, ok := got.Prop("B"); ok {
 		t.Fatal("replace preserved property B")
 	}
 	// Merge preserves them.
@@ -119,8 +125,8 @@ func TestInsertOrReplaceAndMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ = s.Get("bench", "p", "r")
-	if got.Props["A"].I != 10 || got.Props["C"].I != 3 {
-		t.Fatalf("merge result = %v", got.Props)
+	if prop(got, "A").I != 10 || prop(got, "C").I != 3 {
+		t.Fatalf("merge result = %v", got.Clone().Props)
 	}
 	// Upsert on missing entity inserts.
 	if _, err := s.InsertOrMerge("bench", ent("p", "new", map[string]Value{"X": Int32(1)})); err != nil {
@@ -140,11 +146,11 @@ func TestReplaceETagSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stale ETag fails.
-	if _, err := s.Replace("bench", ent("p", "r", map[string]Value{"V": Int32(3)}), v1.ETag); !storecommon.IsPreconditionFailed(err) {
+	if _, err := s.Replace("bench", ent("p", "r", map[string]Value{"V": Int32(3)}), v1.ETag()); !storecommon.IsPreconditionFailed(err) {
 		t.Fatalf("stale etag replace = %v", err)
 	}
 	// Matching ETag succeeds.
-	if _, err := s.Replace("bench", ent("p", "r", map[string]Value{"V": Int32(3)}), v2.ETag); err != nil {
+	if _, err := s.Replace("bench", ent("p", "r", map[string]Value{"V": Int32(3)}), v2.ETag()); err != nil {
 		t.Fatal(err)
 	}
 	// Replace of a missing entity fails.
@@ -162,8 +168,8 @@ func TestMergePreservesProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := s.Get("bench", "p", "r")
-	if got.Props["Keep"].S != "yes" || got.Props["Change"].I != 2 {
-		t.Fatalf("merge = %v", got.Props)
+	if prop(got, "Keep").S != "yes" || prop(got, "Change").I != 2 {
+		t.Fatalf("merge = %v", got.Clone().Props)
 	}
 }
 
@@ -173,7 +179,7 @@ func TestDeleteEntity(t *testing.T) {
 	if err := s.Delete("bench", "p", "r", "bogus-etag"); !storecommon.IsPreconditionFailed(err) {
 		t.Fatalf("delete with wrong etag = %v", err)
 	}
-	if err := s.Delete("bench", "p", "r", v1.ETag); err != nil {
+	if err := s.Delete("bench", "p", "r", v1.ETag()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get("bench", "p", "r"); !storecommon.IsNotFound(err) {
@@ -227,7 +233,7 @@ func TestQueryOrderingAndPaging(t *testing.T) {
 	}
 	wantOrder := []string{"a/r0", "a/r1", "a/r2", "b/r0"}
 	for i, e := range page1.Entities {
-		if got := e.PartitionKey + "/" + e.RowKey; got != wantOrder[i] {
+		if got := e.PartitionKey() + "/" + e.RowKey(); got != wantOrder[i] {
 			t.Fatalf("order[%d] = %s, want %s", i, got, wantOrder[i])
 		}
 	}
@@ -309,10 +315,10 @@ func TestTimestampAdvances(t *testing.T) {
 	v1, _ := s.Insert("bench", ent("p", "r", nil))
 	clk.Advance(time.Minute)
 	v2, _ := s.Replace("bench", ent("p", "r", nil), storecommon.ETagAny)
-	if !v2.Timestamp.After(v1.Timestamp) {
+	if !v2.Timestamp().After(v1.Timestamp()) {
 		t.Fatal("timestamp did not advance")
 	}
-	if v1.ETag == v2.ETag {
+	if v1.ETag() == v2.ETag() {
 		t.Fatal("etag did not rotate")
 	}
 }
@@ -325,13 +331,61 @@ func TestStoredEntityIsIsolatedFromCaller(t *testing.T) {
 	}
 	props["A"] = Int32(99) // mutate caller's map after insert
 	got, _ := s.Get("bench", "p", "r")
-	if got.Props["A"].I != 1 {
+	if prop(got, "A").I != 1 {
 		t.Fatal("stored entity aliased caller's property map")
 	}
-	// Mutating the returned entity must not affect the store either.
-	got.Props["A"] = Int32(50)
+	// Mutating a Clone of the returned row must not affect the store either.
+	c := got.Clone()
+	c.Props["A"] = Int32(50)
 	again, _ := s.Get("bench", "p", "r")
-	if again.Props["A"].I != 1 {
-		t.Fatal("returned entity aliased stored property map")
+	if prop(again, "A").I != 1 {
+		t.Fatal("Clone aliased the stored property map")
 	}
+}
+
+// TestRowReadsTheVersionItWasHanded: a Row taken before a Replace, a Merge,
+// a batch or a Delete reads the version it was handed, and its Clone
+// belongs to the caller, not to the store.
+func TestRowReadsTheVersionItWasHanded(t *testing.T) {
+	s, clk := newTestStore()
+	if _, err := s.Insert("bench", ent("p", "r", map[string]Value{"V": Int32(1), "Keep": Bool(true)})); err != nil {
+		t.Fatal(err)
+	}
+	held, _ := s.Get("bench", "p", "r")
+	tag, stamp := held.ETag(), held.Timestamp()
+	check := func(after string) {
+		t.Helper()
+		if prop(held, "V").I != 1 || !prop(held, "Keep").B || held.Len() != 2 ||
+			held.ETag() != tag || !held.Timestamp().Equal(stamp) {
+			t.Fatalf("after %s the held row reads %v, %s, %v", after, held.Clone().Props, held.ETag(), held.Timestamp())
+		}
+	}
+	write := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		check(what)
+		clk.Advance(time.Second)
+	}
+	_, err := s.Replace("bench", ent("p", "r", map[string]Value{"V": Int32(2)}), storecommon.ETagAny)
+	write("Replace", err)
+	_, err = s.Merge("bench", ent("p", "r", map[string]Value{"V": Int32(3), "Keep": Bool(false)}), storecommon.ETagAny)
+	write("Merge", err)
+	_, err = s.ExecuteBatch("bench", []BatchOp{{Kind: BatchInsertOrMerge, Entity: ent("p", "r", map[string]Value{"V": Int32(4)})}})
+	write("a batch", err)
+	write("Delete", s.Delete("bench", "p", "r", storecommon.ETagAny))
+
+	c := held.Clone()
+	c.Props["V"] = Int32(9)
+	delete(c.Props, "Keep")
+	check("editing its Clone")
+	if _, err := s.Insert("bench", c); err != nil {
+		t.Fatal(err)
+	}
+	c.Props["V"] = Int32(10)
+	if got, _ := s.Get("bench", "p", "r"); prop(got, "V").I != 9 || got.Len() != 1 {
+		t.Fatalf("store holds %v, want what the Clone held when inserted", got.Clone().Props)
+	}
+	check("inserting its Clone")
 }
