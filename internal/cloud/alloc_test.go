@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -30,8 +31,8 @@ func pointOpsFixture(tb testing.TB) (*sim.Env, *Cloud, *Client, *tablestore.Enti
 	if err := c.Queue.CreateQueue("jobs"); err != nil {
 		tb.Fatal(err)
 	}
-	// The engines' own allocations per call settle once their ID and ETag
-	// counters have left the small integers fmt formats without boxing.
+	// The engines' own allocations per call settle once their maps and
+	// heaps have grown to the size of a cycle.
 	for i := 0; i < 300; i++ {
 		msg, err := c.Queue.Put("jobs", payload.Zero(1), 0)
 		if err == nil {
@@ -73,6 +74,8 @@ func allocsPerRun(runs int, f func()) float64 {
 func TestPointOpsAllocateOnlyInTheEngine(t *testing.T) {
 	env, c, cl, row := pointOpsFixture(t)
 	body := payload.Zero(storecommon.KB)
+	fresh := row.Clone()
+	fresh.RowKey = "fresh"
 	measure := func(name string, engine func(), simulated func(p *sim.Proc)) {
 		floor := 0.0
 		if engine != nil {
@@ -104,6 +107,30 @@ func TestPointOpsAllocateOnlyInTheEngine(t *testing.T) {
 		func() { c.Table.Replace("tbl", row, storecommon.ETagAny) },
 		func(p *sim.Proc) {
 			if _, err := cl.UpdateEntity(p, "tbl", row, storecommon.ETagAny); err != nil {
+				t.Error(err)
+			}
+		})
+	// A write leaves a row behind or takes one away: the other half of
+	// the cycle goes straight to the engine, on both sides.
+	measure("InsertEntity",
+		func() {
+			c.Table.Insert("tbl", fresh)
+			c.Table.Delete("tbl", "pk", "fresh", storecommon.ETagAny)
+		},
+		func(p *sim.Proc) {
+			if _, err := cl.InsertEntity(p, "tbl", fresh); err != nil {
+				t.Error(err)
+			}
+			c.Table.Delete("tbl", "pk", "fresh", storecommon.ETagAny)
+		})
+	measure("DeleteEntity",
+		func() {
+			c.Table.Insert("tbl", fresh)
+			c.Table.Delete("tbl", "pk", "fresh", storecommon.ETagAny)
+		},
+		func(p *sim.Proc) {
+			c.Table.Insert("tbl", fresh)
+			if err := cl.DeleteEntity(p, "tbl", "pk", "fresh", storecommon.ETagAny); err != nil {
 				t.Error(err)
 			}
 		})
@@ -152,4 +179,58 @@ func BenchmarkSimTableGet(b *testing.B) {
 	events, switches, _ := env.Telemetry()
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 	b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
+}
+
+// BenchmarkSimQueueCycle is one simulated put, get and delete of a 1 KB
+// message — the cloud.queue_cycle_us replay of bench/ as a go test
+// benchmark, which holds still where a few thousand cycles do not.
+func BenchmarkSimQueueCycle(b *testing.B) {
+	env, _, cl, _ := pointOpsFixture(b)
+	body := payload.Zero(storecommon.KB)
+	b.ReportAllocs()
+	env.Go("worker", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			if _, err := cl.PutMessage(p, "jobs", body); err != nil {
+				b.Error(err)
+				return
+			}
+			msg, ok, err := cl.GetMessage(p, "jobs", time.Minute)
+			if err == nil && !ok {
+				b.Error("queue empty after put")
+				return
+			}
+			if err == nil {
+				err = cl.DeleteMessage(p, "jobs", msg.ID, msg.PopReceipt)
+			}
+			if err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ResetTimer()
+	env.Run()
+}
+
+// BenchmarkSimTableInsert is a simulated insert of a 1 KB row under a new
+// row key each time, as Algorithm 5's insert phase does.
+func BenchmarkSimTableInsert(b *testing.B) {
+	env, _, cl, row := pointOpsFixture(b)
+	rowKeys := make([]string, b.N)
+	for i := range rowKeys {
+		rowKeys[i] = fmt.Sprintf("row-%07d", i)
+	}
+	e := row.Clone()
+	b.ReportAllocs()
+	env.Go("writer", func(p *sim.Proc) {
+		for _, rk := range rowKeys {
+			e.RowKey = rk
+			if _, err := cl.InsertEntity(p, "tbl", e); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ResetTimer()
+	env.Run()
 }

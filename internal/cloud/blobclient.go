@@ -13,48 +13,54 @@ func (cl *Client) CreateContainer(p *sim.Proc, name string) error {
 	// Container metadata lives on its own partition; model it as a fresh
 	// single blob-partition write.
 	rs := cl.cloud.blobReplicas(name, "")
-	return cl.do(p, &request{
+	req := request{
 		op:      "CreateContainer",
 		mut:     true,
 		service: "blob",
 		up:      reqHeader,
 		server:  rs.primary(),
 		geoKey:  name,
-		mirror:  func(dst *Cloud) error { return dst.Blob.CreateContainer(name) },
 		apply: func() (time.Duration, int64, error) {
 			return cl.cloud.prm.ContainerOpOcc, 0, cl.cloud.Blob.CreateContainer(name)
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error { return dst.Blob.CreateContainer(name) }
+	}
+	return cl.do(p, &req)
 }
 
 // CreateContainerIfNotExists creates the container when absent.
 func (cl *Client) CreateContainerIfNotExists(p *sim.Proc, name string) (bool, error) {
 	rs := cl.cloud.blobReplicas(name, "")
 	created := false
-	err := cl.do(p, &request{
+	req := request{
 		op:      "CreateContainerIfNotExists",
 		mut:     true,
 		service: "blob",
 		up:      reqHeader,
 		server:  rs.primary(),
 		geoKey:  name,
-		mirror: func(dst *Cloud) error {
-			_, err := dst.Blob.CreateContainerIfNotExists(name)
-			return err
-		},
 		apply: func() (time.Duration, int64, error) {
 			var err error
 			created, err = cl.cloud.Blob.CreateContainerIfNotExists(name)
 			return cl.cloud.prm.ContainerOpOcc, 0, err
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error {
+			_, err := dst.Blob.CreateContainerIfNotExists(name)
+			return err
+		}
+	}
+	err := cl.do(p, &req)
 	return created, err
 }
 
 // PutBlock stages an uncommitted block (Algorithm 1's PutBlock).
 func (cl *Client) PutBlock(p *sim.Proc, container, blob, blockID string, data payload.Payload) error {
 	rs := cl.cloud.blobReplicas(container, blob)
-	return cl.do(p, &request{
+	req := request{
 		op:      "PutBlock",
 		mut:     true,
 		service: "blob",
@@ -62,20 +68,21 @@ func (cl *Client) PutBlock(p *sim.Proc, container, blob, blockID string, data pa
 		server:  rs.primary(),
 		repl:    cl.cloud.prm.ReplCost(),
 		geoKey:  container,
-		mirror: func(dst *Cloud) error {
-			return dst.Blob.PutBlock(container, blob, blockID, data)
-		},
 		apply: func() (time.Duration, int64, error) {
 			return cl.cloud.prm.BlockPutOcc(data.Len()), 0,
 				cl.cloud.Blob.PutBlock(container, blob, blockID, data)
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error { return dst.Blob.PutBlock(container, blob, blockID, data) }
+	}
+	return cl.do(p, &req)
 }
 
 // PutBlockList commits a block list (Algorithm 1's PutBlockList).
 func (cl *Client) PutBlockList(p *sim.Proc, container, blob string, refs []blobstore.BlockRef) error {
 	rs := cl.cloud.blobReplicas(container, blob)
-	return cl.do(p, &request{
+	req := request{
 		op:      "PutBlockList",
 		mut:     true,
 		service: "blob",
@@ -83,18 +90,21 @@ func (cl *Client) PutBlockList(p *sim.Proc, container, blob string, refs []blobs
 		server:  rs.primary(),
 		repl:    cl.cloud.prm.ReplCost(),
 		geoKey:  container,
-		mirror:  mirrorBlockList(container, blob, refs),
 		apply: func() (time.Duration, int64, error) {
 			_, err := cl.cloud.Blob.PutBlockList(container, blob, refs, "")
 			return cl.cloud.prm.CommitOcc(len(refs)), 0, err
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = mirrorBlockList(container, blob, refs)
+	}
+	return cl.do(p, &req)
 }
 
 // UploadBlockBlob uploads a block blob in a single shot (<= 64 MB).
 func (cl *Client) UploadBlockBlob(p *sim.Proc, container, blob string, data payload.Payload) error {
 	rs := cl.cloud.blobReplicas(container, blob)
-	return cl.do(p, &request{
+	req := request{
 		op:      "UploadBlockBlob",
 		mut:     true,
 		service: "blob",
@@ -102,15 +112,18 @@ func (cl *Client) UploadBlockBlob(p *sim.Proc, container, blob string, data payl
 		server:  rs.primary(),
 		repl:    cl.cloud.prm.ReplCost(),
 		geoKey:  container,
-		mirror: func(dst *Cloud) error {
-			_, err := dst.Blob.UploadBlockBlob(container, blob, data, "")
-			return err
-		},
 		apply: func() (time.Duration, int64, error) {
 			_, err := cl.cloud.Blob.UploadBlockBlob(container, blob, data, "")
 			return cl.cloud.prm.BlockPutOcc(data.Len()), 0, err
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error {
+			_, err := dst.Blob.UploadBlockBlob(container, blob, data, "")
+			return err
+		}
+	}
+	return cl.do(p, &req)
 }
 
 // GetBlock downloads the i-th committed block sequentially (the paper's
@@ -138,28 +151,31 @@ func (cl *Client) GetBlock(p *sim.Proc, container, blob string, i int) (payload.
 // CreatePageBlob creates/initialises a page blob of the given size.
 func (cl *Client) CreatePageBlob(p *sim.Proc, container, blob string, size int64) error {
 	rs := cl.cloud.blobReplicas(container, blob)
-	return cl.do(p, &request{
+	req := request{
 		op:      "CreatePageBlob",
 		mut:     true,
 		service: "blob",
 		up:      reqHeader,
 		server:  rs.primary(),
 		geoKey:  container,
-		mirror: func(dst *Cloud) error {
-			_, err := dst.Blob.CreatePageBlob(container, blob, size)
-			return err
-		},
 		apply: func() (time.Duration, int64, error) {
 			_, err := cl.cloud.Blob.CreatePageBlob(container, blob, size)
 			return cl.cloud.prm.ContainerOpOcc, 0, err
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error {
+			_, err := dst.Blob.CreatePageBlob(container, blob, size)
+			return err
+		}
+	}
+	return cl.do(p, &req)
 }
 
 // PutPage writes pages at offset off (Algorithm 1's PutPage).
 func (cl *Client) PutPage(p *sim.Proc, container, blob string, off int64, data payload.Payload) error {
 	rs := cl.cloud.blobReplicas(container, blob)
-	return cl.do(p, &request{
+	req := request{
 		op:      "PutPage",
 		mut:     true,
 		service: "blob",
@@ -167,14 +183,15 @@ func (cl *Client) PutPage(p *sim.Proc, container, blob string, off int64, data p
 		server:  rs.primary(),
 		repl:    cl.cloud.prm.ReplCost(),
 		geoKey:  container,
-		mirror: func(dst *Cloud) error {
-			return dst.Blob.PutPages(container, blob, off, data, "")
-		},
 		apply: func() (time.Duration, int64, error) {
 			return cl.cloud.prm.PagePutOcc(data.Len()), 0,
 				cl.cloud.Blob.PutPages(container, blob, off, data, "")
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error { return dst.Blob.PutPages(container, blob, off, data, "") }
+	}
+	return cl.do(p, &req)
 }
 
 // GetPage reads n bytes at a (random) offset from a page blob (the
@@ -245,7 +262,7 @@ func (cl *Client) DownloadRange(p *sim.Proc, container, blob string, off, n int6
 // DeleteBlob removes a blob.
 func (cl *Client) DeleteBlob(p *sim.Proc, container, blob string) error {
 	rs := cl.cloud.blobReplicas(container, blob)
-	return cl.do(p, &request{
+	req := request{
 		op:      "DeleteBlob",
 		mut:     true,
 		service: "blob",
@@ -253,12 +270,15 @@ func (cl *Client) DeleteBlob(p *sim.Proc, container, blob string) error {
 		server:  rs.primary(),
 		repl:    cl.cloud.prm.ReplCost(),
 		geoKey:  container,
-		mirror:  func(dst *Cloud) error { return dst.Blob.DeleteBlob(container, blob, "") },
 		apply: func() (time.Duration, int64, error) {
 			return cl.cloud.prm.DeleteBlobOcc(), 0,
 				cl.cloud.Blob.DeleteBlob(container, blob, "")
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error { return dst.Blob.DeleteBlob(container, blob, "") }
+	}
+	return cl.do(p, &req)
 }
 
 // BlobProps fetches a blob's properties.

@@ -391,7 +391,7 @@ type request struct {
 	// occupancy (zero for reads and unreplicated ops); tracing splits it
 	// out of the server span.
 	repl time.Duration
-	// mirror, set only when a geo stream is attached, replays the
+	// mirror, built only when a geo stream is attached, replays the
 	// mutation against the secondary-region cloud; geoKey is the
 	// replication-log partition (container, queue, or table name).
 	mirror func(dst *Cloud) error
@@ -399,10 +399,10 @@ type request struct {
 
 	// Arguments (beside table, part, queue) and results of Client.apply's
 	// own cases.
-	rowKey     string             // GetEntity
-	ifMatch    string             // UpdateEntity
-	ent        *tablestore.Entity // UpdateEntity's row
-	gotEnt     tablestore.Row     // the row GetEntity found / UpdateEntity stored
+	rowKey     string             // GetEntity, DeleteEntity
+	ifMatch    string             // UpdateEntity, DeleteEntity
+	ent        *tablestore.Entity // InsertEntity's, UpdateEntity's row
+	gotEnt     tablestore.Row     // the row GetEntity found / Insert-, UpdateEntity stored
 	body       payload.Payload    // PutMessage
 	visibility time.Duration      // GetMessage
 	msgID      string             // DeleteMessage
@@ -425,8 +425,10 @@ type opKind uint8
 
 const (
 	opClosure opKind = iota // run req.apply
+	opInsertEntity
 	opGetEntity
 	opUpdateEntity
+	opDeleteEntity
 	opPutMessage
 	opGetMessage
 	opPeekMessage
@@ -437,6 +439,9 @@ const (
 func (cl *Client) apply(req *request) (occ time.Duration, down int64, err error) {
 	c := cl.cloud
 	switch req.kind {
+	case opInsertEntity:
+		req.gotEnt, err = c.Table.Insert(req.table, req.ent)
+		return c.prm.TableOcc(model.TInsert, req.up-reqHeader), 0, err
 	case opGetEntity:
 		req.gotEnt, err = c.Table.Get(req.table, req.part, req.rowKey)
 		if err == nil {
@@ -447,6 +452,8 @@ func (cl *Client) apply(req *request) (occ time.Duration, down int64, err error)
 		req.gotEnt, err = c.Table.Replace(req.table, req.ent, req.ifMatch)
 		// The request body is the row behind the header.
 		return c.prm.TableOcc(model.TUpdate, req.up-reqHeader), 0, err
+	case opDeleteEntity:
+		return c.prm.TableOcc(model.TDelete, 0), 0, c.Table.Delete(req.table, req.part, req.rowKey, req.ifMatch)
 	case opPutMessage:
 		req.msg, err = c.Queue.Put(req.queue, req.body, 0)
 		return c.prm.QueueOcc(model.QPut, req.body.Len(), 0), 0, err

@@ -280,11 +280,8 @@ func TestTablePartitionPlacementRoundRobin(t *testing.T) {
 	env.Run()
 	// 8 partitions over 4 servers: every server hosts exactly 2.
 	counts := map[int]int{}
-	for key, idx := range c.pmgr.Placements() {
-		if key == "bench|" { // management partition
-			continue
-		}
-		counts[idx]++
+	for w := 0; w < 8; w++ {
+		counts[c.pmgr.Place("bench", fmt.Sprintf("w%d", w))]++
 	}
 	for srv, n := range counts {
 		if n != 2 {

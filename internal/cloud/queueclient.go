@@ -11,57 +11,66 @@ import (
 
 // CreateQueue creates a queue.
 func (cl *Client) CreateQueue(p *sim.Proc, name string) error {
-	return cl.do(p, &request{
+	req := request{
 		op:      "CreateQueue",
 		mut:     true,
 		service: "queue",
 		up:      reqHeader,
 		server:  cl.cloud.queueServer(name),
 		geoKey:  name,
-		mirror:  func(dst *Cloud) error { return dst.Queue.CreateQueue(name) },
 		apply: func() (time.Duration, int64, error) {
 			return cl.cloud.prm.ContainerOpOcc, 0, cl.cloud.Queue.CreateQueue(name)
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error { return dst.Queue.CreateQueue(name) }
+	}
+	return cl.do(p, &req)
 }
 
 // CreateQueueIfNotExists creates the queue when absent.
 func (cl *Client) CreateQueueIfNotExists(p *sim.Proc, name string) (bool, error) {
 	created := false
-	err := cl.do(p, &request{
+	req := request{
 		op:      "CreateQueueIfNotExists",
 		mut:     true,
 		service: "queue",
 		up:      reqHeader,
 		server:  cl.cloud.queueServer(name),
 		geoKey:  name,
-		mirror: func(dst *Cloud) error {
-			_, err := dst.Queue.CreateQueueIfNotExists(name)
-			return err
-		},
 		apply: func() (time.Duration, int64, error) {
 			var err error
 			created, err = cl.cloud.Queue.CreateQueueIfNotExists(name)
 			return cl.cloud.prm.ContainerOpOcc, 0, err
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error {
+			_, err := dst.Queue.CreateQueueIfNotExists(name)
+			return err
+		}
+	}
+	err := cl.do(p, &req)
 	return created, err
 }
 
 // DeleteQueue removes a queue and its messages.
 func (cl *Client) DeleteQueue(p *sim.Proc, name string) error {
-	return cl.do(p, &request{
+	req := request{
 		op:      "DeleteQueue",
 		mut:     true,
 		service: "queue",
 		up:      reqHeader,
 		server:  cl.cloud.queueServer(name),
 		geoKey:  name,
-		mirror:  func(dst *Cloud) error { return dst.Queue.DeleteQueue(name) },
 		apply: func() (time.Duration, int64, error) {
 			return cl.cloud.prm.ContainerOpOcc, 0, cl.cloud.Queue.DeleteQueue(name)
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error { return dst.Queue.DeleteQueue(name) }
+	}
+	return cl.do(p, &req)
 }
 
 // PutMessage inserts a message (the paper's PutMessage).

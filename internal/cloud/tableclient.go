@@ -12,7 +12,7 @@ import (
 // first table server.
 func (cl *Client) CreateTable(p *sim.Proc, name string) error {
 	srv, idx := cl.tableRoute(name, "")
-	return cl.do(p, &request{
+	req := request{
 		op:        "CreateTable",
 		mut:       true,
 		service:   "table",
@@ -20,18 +20,21 @@ func (cl *Client) CreateTable(p *sim.Proc, name string) error {
 		server:    srv,
 		serverIdx: idx,
 		geoKey:    name,
-		mirror:    func(dst *Cloud) error { return dst.Table.CreateTable(name) },
 		apply: func() (time.Duration, int64, error) {
 			return cl.cloud.prm.ContainerOpOcc, 0, cl.cloud.Table.CreateTable(name)
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error { return dst.Table.CreateTable(name) }
+	}
+	return cl.do(p, &req)
 }
 
 // CreateTableIfNotExists creates the table when absent.
 func (cl *Client) CreateTableIfNotExists(p *sim.Proc, name string) (bool, error) {
 	created := false
 	srv, idx := cl.tableRoute(name, "")
-	err := cl.do(p, &request{
+	req := request{
 		op:        "CreateTableIfNotExists",
 		mut:       true,
 		service:   "table",
@@ -39,29 +42,30 @@ func (cl *Client) CreateTableIfNotExists(p *sim.Proc, name string) (bool, error)
 		server:    srv,
 		serverIdx: idx,
 		geoKey:    name,
-		mirror: func(dst *Cloud) error {
-			_, err := dst.Table.CreateTableIfNotExists(name)
-			return err
-		},
 		apply: func() (time.Duration, int64, error) {
 			var err error
 			created, err = cl.cloud.Table.CreateTableIfNotExists(name)
 			return cl.cloud.prm.ContainerOpOcc, 0, err
 		},
-	})
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error {
+			_, err := dst.Table.CreateTableIfNotExists(name)
+			return err
+		}
+	}
+	err := cl.do(p, &req)
 	return created, err
 }
 
 // InsertEntity adds a row (the paper's AddRow).
 func (cl *Client) InsertEntity(p *sim.Proc, tableName string, e *tablestore.Entity) (tablestore.Row, error) {
-	var stored tablestore.Row
-	size := e.Size()
 	srv, idx := cl.tableRoute(tableName, e.PartitionKey)
-	err := cl.do(p, &request{
+	req := request{
 		op:        "InsertEntity",
 		mut:       true,
 		service:   "table",
-		up:        size + reqHeader,
+		up:        e.Size() + reqHeader,
 		server:    srv,
 		serverIdx: idx,
 		table:     tableName,
@@ -69,19 +73,18 @@ func (cl *Client) InsertEntity(p *sim.Proc, tableName string, e *tablestore.Enti
 		repl:      cl.cloud.prm.ReplCost(),
 		lat:       cl.cloud.prm.TableLat(model.TInsert),
 		geoKey:    tableName,
-		// The clone snapshots the entity at commit time; the secondary
-		// assigns its own ETag when the record replays.
-		mirror: mirrorEntity(e, func(dst *Cloud, c *tablestore.Entity) error {
+		kind:      opInsertEntity,
+		ent:       e,
+	}
+	if cl.cloud.geo != nil {
+		// The secondary assigns its own ETag when the record replays.
+		req.mirror = mirrorEntity(e, func(dst *Cloud, c *tablestore.Entity) error {
 			_, err := dst.Table.Insert(tableName, c)
 			return err
-		}),
-		apply: func() (time.Duration, int64, error) {
-			var err error
-			stored, err = cl.cloud.Table.Insert(tableName, e)
-			return cl.cloud.prm.TableOcc(model.TInsert, size), 0, err
-		},
-	})
-	return stored, err
+		})
+	}
+	err := cl.do(p, &req)
+	return req.gotEnt, err
 }
 
 // GetEntity retrieves one row by primary key (the paper's Query of
@@ -139,7 +142,7 @@ func (cl *Client) UpdateEntity(p *sim.Proc, tableName string, e *tablestore.Enti
 // DeleteEntity deletes a row under an ETag condition.
 func (cl *Client) DeleteEntity(p *sim.Proc, tableName, pk, rk, ifMatch string) error {
 	srv, idx := cl.tableRoute(tableName, pk)
-	return cl.do(p, &request{
+	req := request{
 		op:        "DeleteEntity",
 		mut:       true,
 		service:   "table",
@@ -151,12 +154,14 @@ func (cl *Client) DeleteEntity(p *sim.Proc, tableName, pk, rk, ifMatch string) e
 		repl:      cl.cloud.prm.ReplCost(),
 		lat:       cl.cloud.prm.TableLat(model.TDelete),
 		geoKey:    tableName,
-		mirror:    func(dst *Cloud) error { return dst.Table.Delete(tableName, pk, rk, "*") },
-		apply: func() (time.Duration, int64, error) {
-			return cl.cloud.prm.TableOcc(model.TDelete, 0), 0,
-				cl.cloud.Table.Delete(tableName, pk, rk, ifMatch)
-		},
-	})
+		kind:      opDeleteEntity,
+		rowKey:    rk,
+		ifMatch:   ifMatch,
+	}
+	if cl.cloud.geo != nil {
+		req.mirror = func(dst *Cloud) error { return dst.Table.Delete(tableName, pk, rk, "*") }
+	}
+	return cl.do(p, &req)
 }
 
 // QueryEntities runs a filtered scan restricted to one partition (pk) so

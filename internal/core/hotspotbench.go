@@ -62,6 +62,11 @@ func (s *Suite) RunHotspot() *Report {
 		horizon = DefaultConfig().HotspotHorizon
 	}
 	theta := s.cfg.HotspotTheta
+	// Key names, formatted once: both modes load and read them.
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = workload.Key(i)
+	}
 
 	labels := []string{"static", "dynamic"}
 	reads := make([][]int, len(labels)) // completed per virtual second
@@ -82,7 +87,7 @@ func (s *Suite) RunHotspot() *Report {
 			})
 			for i := 0; i < keys; i++ {
 				e := &tablestore.Entity{
-					PartitionKey: workload.Key(i),
+					PartitionKey: names[i],
 					RowKey:       "row",
 					Props: map[string]tablestore.Value{
 						"Data": tablestore.Binary(payload.Synthetic(uint64(s.cfg.Seed)+uint64(i), storecommon.KB)),
@@ -112,7 +117,7 @@ func (s *Suite) RunHotspot() *Report {
 					idx = keys - 1 - rank
 				}
 				if _, err := cl.WithRetry(p, func() error {
-					_, err := cl.GetEntity(p, hotspotTable, workload.Key(idx), "row")
+					_, err := cl.GetEntity(p, hotspotTable, names[idx], "row")
 					return err
 				}); err != nil {
 					panic(fmt.Sprintf("hotspot read: %v", err))

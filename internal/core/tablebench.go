@@ -47,15 +47,19 @@ func (s *Suite) tablePoint(w int, sizeKB int) *point {
 	// benchmark phases (it exits once nothing else is scheduled).
 	pt.sample(pt.c.Stations, fmt.Sprintf("table/w=%d/%dKB", w, sizeKB))
 
+	// The row keys of every worker's partition, formatted once for all phases.
+	count := cfg.TableEntities
+	rowKeys := make([]string, count)
+	for i := range rowKeys {
+		rowKeys[i] = fmt.Sprintf("row-%05d", i)
+	}
 	pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
 		wr := pt.results[k]
 		pk := fmt.Sprintf("worker-%03d", k)
-		count := cfg.TableEntities
-		rowKey := func(i int) string { return fmt.Sprintf("row-%05d", i) }
 		entity := func(i int, seed uint64) *tablestore.Entity {
 			return &tablestore.Entity{
 				PartitionKey: pk,
-				RowKey:       rowKey(i),
+				RowKey:       rowKeys[i],
 				Props: map[string]tablestore.Value{
 					"Data": tablestore.Binary(payload.Synthetic(seed+uint64(i), entSize)),
 				},
@@ -72,7 +76,7 @@ func (s *Suite) tablePoint(w int, sizeKB int) *point {
 		})
 		// Point query by partition+row key.
 		wr.timed(p, phTabQuery, count, func(i int) {
-			rk := rowKey(i)
+			rk := rowKeys[i]
 			mustRetry(p, cl, "query", func() error {
 				_, err := cl.GetEntity(p, benchTable, pk, rk)
 				return err
@@ -87,7 +91,7 @@ func (s *Suite) tablePoint(w int, sizeKB int) *point {
 			})
 		})
 		wr.timed(p, phTabDelete, count, func(i int) {
-			rk := rowKey(i)
+			rk := rowKeys[i]
 			mustRetry(p, cl, "delete", func() error {
 				return cl.DeleteEntity(p, benchTable, pk, rk, storecommon.ETagAny)
 			})

@@ -221,17 +221,6 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// Events returns the retained fault schedule in injection order (at most
-// maxEvents entries; Stats keeps exact totals regardless).
-func (in *Injector) Events() []Event {
-	if in == nil {
-		return nil
-	}
-	out := make([]Event, len(in.events))
-	copy(out, in.events)
-	return out
-}
-
 // Schedule renders the retained fault schedule one event per line — the
 // artifact the determinism guard compares across runs.
 func (in *Injector) Schedule() string {

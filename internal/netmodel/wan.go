@@ -50,14 +50,6 @@ func (l WANLink) ReverseDelay(size int64) time.Duration {
 	return l.RTT/2 + xferAt(size, l.ReverseBps)
 }
 
-// Links returns the two directions as capacity-constrained Links for the
-// max-min solver, so cross-region flows can share the fair-share model
-// with the intra-DC topology.
-func (l WANLink) Links() (forward, reverse *Link) {
-	return &Link{Name: l.Name + "/fwd", Capacity: l.ForwardBps},
-		&Link{Name: l.Name + "/rev", Capacity: l.ReverseBps}
-}
-
 // xferAt converts a byte count over a bytes/s rate into a duration.
 func xferAt(size int64, bps float64) time.Duration {
 	if size <= 0 || bps <= 0 {

@@ -39,7 +39,8 @@ func TestWANLinkValidate(t *testing.T) {
 
 func TestWANLinkInSolver(t *testing.T) {
 	l := WANLink{Name: "wan", RTT: 70 * time.Millisecond, ForwardBps: 100e6, ReverseBps: 25e6}
-	fwd, rev := l.Links()
+	fwd := &Link{Name: l.Name + "/fwd", Capacity: l.ForwardBps}
+	rev := &Link{Name: l.Name + "/rev", Capacity: l.ReverseBps}
 	// Two replication streams share the forward direction; one failback
 	// stream owns the reverse direction.
 	flows := []*Flow{

@@ -249,15 +249,6 @@ func (m *Master) Place(table, pk string) int {
 	return idx
 }
 
-// Placements returns a copy of the static placement map (tests).
-func (m *Master) Placements() map[string]int {
-	out := make(map[string]int, len(m.place))
-	for k, v := range m.place {
-		out[k] = v
-	}
-	return out
-}
-
 // table returns (creating on first sight) the authoritative map of name.
 // A new table starts as one full-keyspace range on the next round-robin
 // server, so an idle dynamic cloud places exactly like the static one.

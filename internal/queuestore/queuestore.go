@@ -13,7 +13,6 @@
 package queuestore
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -170,7 +169,7 @@ func (s *Store) Put(name string, body payload.Payload, ttl time.Duration) (Messa
 	q.surface(now) // so the new message, visible at once, is filed as such
 	q.nextID++
 	m := &message{
-		id:          fmt.Sprintf("%s-msg-%d", name, q.nextID),
+		id:          messageID(name, q.nextID),
 		body:        body,
 		inserted:    now,
 		expires:     now.Add(ttl),
@@ -186,6 +185,19 @@ func (s *Store) Put(name string, body payload.Payload, ttl time.Duration) (Messa
 // receipt for Delete/Update. Fewer than max (possibly zero) messages are
 // returned when the queue has fewer visible messages.
 func (s *Store) Get(name string, max int, visibility time.Duration) ([]Message, error) {
+	return s.get(name, max, visibility, nil)
+}
+
+// GetOne dequeues a single message; ok is false when the queue is empty
+// (of visible messages).
+func (s *Store) GetOne(name string, visibility time.Duration) (Message, bool, error) {
+	var one [1]Message
+	msgs, err := s.get(name, 1, visibility, one[:0])
+	return one[0], len(msgs) == 1, err
+}
+
+// get is Get appending to out, which GetOne backs with its own array.
+func (s *Store) get(name string, max int, visibility time.Duration, out []Message) ([]Message, error) {
 	if visibility == 0 {
 		visibility = storecommon.DefaultVisibilityTimeout
 	}
@@ -204,7 +216,6 @@ func (s *Store) Get(name string, max int, visibility time.Duration) ([]Message, 
 	now := s.clock.Now()
 	q.reap(now)
 	q.surface(now)
-	var out []Message
 	for len(out) < max {
 		// The head of the visible messages, or — when the non-FIFO window
 		// is larger than one — a random choice among the first window
@@ -216,28 +227,29 @@ func (s *Store) Get(name string, max int, visibility time.Duration) ([]Message, 
 		m := s.window[s.rng.Intn(len(s.window))]
 		m.dequeueCount++
 		m.nextVisible = now.Add(visibility)
-		s.popSeq++
-		m.popReceipt = "pr-" + strconv.FormatUint(s.popSeq, 10)
+		m.popReceipt = s.nextPopReceipt()
 		q.hide(m)
 		out = append(out, m.view())
 	}
 	return out, nil
 }
 
-// GetOne dequeues a single message; ok is false when the queue is empty
-// (of visible messages).
-func (s *Store) GetOne(name string, visibility time.Duration) (Message, bool, error) {
-	msgs, err := s.Get(name, 1, visibility)
-	if err != nil || len(msgs) == 0 {
-		return Message{}, false, err
-	}
-	return msgs[0], true, nil
-}
-
 // Peek returns up to max (1 to MaxMessagesPerCall) visible messages
 // without dequeuing them. Peeked messages carry no pop receipt and their
 // dequeue count is unchanged.
 func (s *Store) Peek(name string, max int) ([]Message, error) {
+	return s.peek(name, max, nil)
+}
+
+// PeekOne peeks a single message; ok is false when no message is visible.
+func (s *Store) PeekOne(name string) (Message, bool, error) {
+	var one [1]Message
+	msgs, err := s.peek(name, 1, one[:0])
+	return one[0], len(msgs) == 1, err
+}
+
+// peek is Peek appending to out, which PeekOne backs with its own array.
+func (s *Store) peek(name string, max int, out []Message) ([]Message, error) {
 	if err := checkBatchSize(max); err != nil {
 		return nil, err
 	}
@@ -251,22 +263,12 @@ func (s *Store) Peek(name string, max int) ([]Message, error) {
 	q.reap(now)
 	q.surface(now)
 	s.window, s.frontier = q.visible.smallest(max, s.window, s.frontier)
-	var out []Message
 	for _, m := range s.window {
 		v := m.view()
 		v.PopReceipt = ""
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// PeekOne peeks a single message; ok is false when no message is visible.
-func (s *Store) PeekOne(name string) (Message, bool, error) {
-	msgs, err := s.Peek(name, 1)
-	if err != nil || len(msgs) == 0 {
-		return Message{}, false, err
-	}
-	return msgs[0], true, nil
 }
 
 // Delete removes a previously dequeued message. The pop receipt must be
@@ -326,8 +328,7 @@ func (s *Store) Update(name, msgID, popReceipt string, body payload.Payload, vis
 	}
 	m.body = body
 	m.nextVisible = now.Add(visibility)
-	s.popSeq++
-	m.popReceipt = "pr-" + strconv.FormatUint(s.popSeq, 10)
+	m.popReceipt = s.nextPopReceipt()
 	q.hide(m)
 	return m.view(), nil
 }
@@ -358,6 +359,21 @@ func (s *Store) find(name, msgID string, now time.Time) (*queue, *message, error
 		return nil, nil, storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
 	}
 	return q, m, nil
+}
+
+// messageID names the n-th message put on queue: "<queue>-msg-<n>". It is
+// built in place, so the string is its only allocation.
+func messageID(queue string, n uint64) string {
+	var buf [96]byte // a queue name is at most 63 bytes
+	return string(strconv.AppendUint(append(append(buf[:0], queue...), "-msg-"...), n, 10))
+}
+
+// nextPopReceipt issues the next pop receipt, "pr-<n>". The caller holds
+// mu.
+func (s *Store) nextPopReceipt() string {
+	s.popSeq++
+	var buf [24]byte
+	return string(strconv.AppendUint(append(buf[:0], "pr-"...), s.popSeq, 10))
 }
 
 func (m *message) view() Message {

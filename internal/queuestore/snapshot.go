@@ -1,8 +1,13 @@
 package queuestore
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"azurebench/internal/payload"
 	snap "azurebench/internal/snapshot"
+	"azurebench/internal/storecommon"
 )
 
 // Save appends the full account state: the non-FIFO selection PRNG, the
@@ -40,7 +45,10 @@ func saveMessage(w *snap.Writer, m *message) {
 }
 
 // Load restores an account saved by Save, replacing all live state and
-// rebuilding every queue's indexes.
+// rebuilding every queue's indexes. It refuses what Save cannot have
+// written and the engine could not serve: a queue or a message ID twice,
+// an ID the queue's counter has not reached yet (the next Put would mint
+// it again), a body over the payload limit, a negative dequeue count.
 func (s *Store) Load(r *snap.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -52,6 +60,9 @@ func (s *Store) Load(r *snap.Reader) error {
 		q := newQueue(r.String(), r.Time())
 		q.metadata = r.StringMap()
 		q.nextID = r.U64()
+		if _, dup := queues[q.name]; dup && r.Err() == nil {
+			return fmt.Errorf("%w: queue %q saved twice", snap.ErrCorrupt, q.name)
+		}
 		nm := r.Count()
 		for j := 0; j < nm; j++ {
 			m := &message{id: r.String()}
@@ -64,6 +75,12 @@ func (s *Store) Load(r *snap.Reader) error {
 			m.nextVisible = r.Time()
 			m.dequeueCount = r.Int()
 			m.popReceipt = r.String()
+			if err := r.Err(); err != nil {
+				return err
+			}
+			if err := q.checkLoaded(m); err != nil {
+				return fmt.Errorf("%w: queue %q: %v", snap.ErrCorrupt, q.name, err)
+			}
 			q.add(m)
 		}
 		queues[q.name] = q
@@ -72,5 +89,25 @@ func (s *Store) Load(r *snap.Reader) error {
 		return err
 	}
 	s.queues = queues
+	return nil
+}
+
+// checkLoaded holds a loaded message to what the engine itself can have
+// stored in q.
+func (q *queue) checkLoaded(m *message) error {
+	if _, dup := q.byID[m.id]; dup {
+		return fmt.Errorf("message %q saved twice", m.id)
+	}
+	if digits, ok := strings.CutPrefix(m.id, q.name+"-msg-"); ok {
+		if n, err := strconv.ParseUint(digits, 10, 64); err == nil && n > q.nextID {
+			return fmt.Errorf("message %q is past the ID counter %d", m.id, q.nextID)
+		}
+	}
+	if m.body.Len() > storecommon.MaxMessagePayload {
+		return fmt.Errorf("message %q holds %d bytes, over the %d-byte limit", m.id, m.body.Len(), storecommon.MaxMessagePayload)
+	}
+	if m.dequeueCount < 0 {
+		return fmt.Errorf("message %q has dequeue count %d", m.id, m.dequeueCount)
+	}
 	return nil
 }

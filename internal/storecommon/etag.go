@@ -1,7 +1,7 @@
 package storecommon
 
 import (
-	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -14,10 +14,15 @@ type ETagGen struct {
 	counter atomic.Uint64
 }
 
-// Next returns a fresh ETag incorporating now.
+// Next returns a fresh ETag incorporating now: W/"datetime'<now>';<n>",
+// built in place so that the returned string is its only allocation.
 func (g *ETagGen) Next(now time.Time) string {
 	n := g.counter.Add(1)
-	return fmt.Sprintf("W/\"datetime'%s';%d\"", now.UTC().Format("2006-01-02T15:04:05.0000000Z"), n)
+	var buf [64]byte // 12 + 28 + 2 + at most 20 digits + 1
+	b := append(buf[:0], `W/"datetime'`...)
+	b = now.UTC().AppendFormat(b, "2006-01-02T15:04:05.0000000Z")
+	b = strconv.AppendUint(append(b, "';"...), n, 10)
+	return string(append(b, '"'))
 }
 
 // ETagAny is the wildcard ETag: a condition of ETagAny matches any current

@@ -20,8 +20,9 @@ type LimiterPool struct {
 	lastSweep   time.Duration
 }
 
+// poolEntry holds its limiter inline: a bucket is one allocation.
 type poolEntry struct {
-	lim      *RateLimiter
+	lim      RateLimiter
 	lastUsed time.Duration
 }
 
@@ -58,11 +59,11 @@ func (p *LimiterPool) Get(now time.Duration, key string) *RateLimiter {
 	}
 	e := p.entries[key]
 	if e == nil {
-		e = &poolEntry{lim: NewRateLimiter(p.rate, p.burst)}
+		e = &poolEntry{lim: RateLimiter{rate: p.rate, burst: p.burst, tokens: p.burst}}
 		p.entries[key] = e
 	}
 	e.lastUsed = now
-	return e.lim
+	return &e.lim
 }
 
 // Peek returns key's limiter without touching or creating it (nil when
@@ -72,7 +73,7 @@ func (p *LimiterPool) Peek(key string) *RateLimiter {
 		return nil
 	}
 	if e := p.entries[key]; e != nil {
-		return e.lim
+		return &e.lim
 	}
 	return nil
 }

@@ -34,6 +34,23 @@ func TestLimiterPoolEvictsIdleAfterHorizon(t *testing.T) {
 	}
 }
 
+// A miss creates one bucket, and a bucket is one allocation: the limiter
+// lives inside its pool entry.
+func TestLimiterPoolMissAllocatesOnce(t *testing.T) {
+	p := NewLimiterPool(100, 50)
+	now := time.Duration(0)
+	// Every call comes a horizon after the last, so it sweeps the previous
+	// bucket out and misses; the map keeps its storage for the key.
+	miss := func() {
+		now += p.Horizon()
+		p.Get(now, "k")
+	}
+	miss()
+	if allocs := testing.AllocsPerRun(100, miss); allocs > 1 {
+		t.Fatalf("miss: %v allocations, want 1", allocs)
+	}
+}
+
 func TestLimiterPoolStaysBounded(t *testing.T) {
 	p := NewLimiterPool(500, 50)
 	// A million distinct keys, one touch each, spread over virtual time:

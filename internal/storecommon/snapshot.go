@@ -81,15 +81,14 @@ func (p *LimiterPool) Load(r *snapshot.Reader) error {
 	p.entries = make(map[string]*poolEntry, n)
 	for i := 0; i < n; i++ {
 		k := r.String()
-		lastUsed := r.Duration()
-		lim := NewRateLimiter(p.rate, p.burst)
-		if err := lim.Load(r); err != nil {
+		e := &poolEntry{lim: RateLimiter{rate: p.rate, burst: p.burst}, lastUsed: r.Duration()}
+		if err := e.lim.Load(r); err != nil {
 			return err
 		}
 		if err := r.Err(); err != nil {
 			return err
 		}
-		p.entries[k] = &poolEntry{lim: lim, lastUsed: lastUsed}
+		p.entries[k] = e
 	}
 	return r.Err()
 }

@@ -176,6 +176,37 @@ func TestETagGenMonotonicUnique(t *testing.T) {
 	}
 }
 
+// TestETagBytesMatchTheFmtForm: Next is built in place and must read as
+// the Sprintf/Format expression it replaced, byte for byte.
+func TestETagBytesMatchTheFmtForm(t *testing.T) {
+	instants := []time.Time{
+		{},
+		time.Date(2012, 5, 21, 0, 0, 0, 0, time.UTC),
+		time.Date(2012, 5, 21, 13, 4, 5, 99, time.UTC), // under 100 ns: truncated away
+		time.Date(2026, 12, 31, 23, 59, 59, 999_999_999, time.FixedZone("east", 5*3600)),
+		time.Unix(0, 1234567).In(time.FixedZone("west", -8*3600)),
+	}
+	for _, now := range instants {
+		for _, n := range []uint64{1, 99, 100, 1 << 32, 1<<32 + 7} {
+			var g ETagGen
+			g.counter.Store(n - 1)
+			want := fmt.Sprintf("W/\"datetime'%s';%d\"", now.UTC().Format("2006-01-02T15:04:05.0000000Z"), n)
+			if got := g.Next(now); got != want {
+				t.Errorf("Next(%v) at %d = %s, want %s", now, n, got, want)
+			}
+		}
+	}
+}
+
+// The returned tag is Next's only allocation.
+func TestETagGenAllocatesOnlyTheTag(t *testing.T) {
+	var g ETagGen
+	now := time.Date(2012, 5, 21, 13, 4, 5, 6789, time.UTC)
+	if allocs := testing.AllocsPerRun(100, func() { g.Next(now) }); allocs > 1 {
+		t.Fatalf("Next: %v allocations, want 1", allocs)
+	}
+}
+
 func TestETagMatches(t *testing.T) {
 	if !ETagMatches("", "abc") {
 		t.Error("empty condition should match")

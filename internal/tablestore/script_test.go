@@ -290,6 +290,9 @@ func (r *scriptRun) mutated(op string, got, want Row, gerr, werr error) {
 	r.same(op, got, want, gerr, werr)
 	if gerr == nil {
 		r.etags = append(r.etags, got.ETag())
+		if got.Size() != got.Clone().Size() {
+			r.t.Fatalf("step %d %s: row reads size %d, a copy of it %d", r.step, op, got.Size(), got.Clone().Size())
+		}
 	}
 }
 
@@ -350,6 +353,7 @@ func render(v any) string {
 func (r *scriptRun) checkpoint() {
 	r.t.Helper()
 	var got, want snap.Writer
+	r.sizesRecorded(r.eng)
 	r.eng.Save(&got)
 	r.ref.Save(&want)
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -359,7 +363,24 @@ func (r *scriptRun) checkpoint() {
 	if err := fresh.Load(snap.NewReader(got.Bytes())); err != nil {
 		r.t.Fatalf("step %d: Load: %v", r.step, err)
 	}
+	r.sizesRecorded(fresh)
 	r.eng = fresh
+}
+
+// sizesRecorded fails the test unless every row s holds carries its size,
+// recorded when it was filed, and reads it as a copy of the row measures.
+func (r *scriptRun) sizesRecorded(s *Store) {
+	r.t.Helper()
+	for _, t := range s.tables {
+		for _, p := range t.partitions {
+			for _, e := range p.rows {
+				if row := (Row{e}); e.size != e.Size() || row.Size() != row.Clone().Size() {
+					r.t.Fatalf("step %d: row (%q,%q) recorded size %d, reads %d, measures %d",
+						r.step, e.PartitionKey, e.RowKey, e.size, row.Size(), row.Clone().Size())
+				}
+			}
+		}
+	}
 }
 
 // TestQuickScriptsAgainstModel runs generated scripts against engine and

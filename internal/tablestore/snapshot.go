@@ -63,6 +63,7 @@ func (s *Store) Load(r *snap.Reader) error {
 				if err := p.rks.appendInOrder(e.RowKey); err != nil {
 					return err
 				}
+				e.size = e.Size() // as table.put records it
 				p.rows[e.RowKey] = e
 			}
 			if err := t.pks.appendInOrder(pk); err != nil {

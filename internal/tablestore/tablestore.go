@@ -25,6 +25,10 @@ type Entity struct {
 	Timestamp    time.Time
 	ETag         string
 	Props        map[string]Value
+
+	// size is Size, recorded when the store files the entity: a stored
+	// entity never changes. Zero on anything else.
+	size int64
 }
 
 // Clone returns a copy its caller owns and may change: a new Props map
@@ -38,6 +42,7 @@ func (e *Entity) Clone() *Entity {
 	}
 	c := *e
 	c.Props = props
+	c.size = 0
 	return &c
 }
 
@@ -62,14 +67,21 @@ type Row struct{ e *Entity }
 // read.
 func ReadOnly(e *Entity) Row { return Row{e} }
 
-// The row's keys, system properties, size against the 1 MB limit and
-// number of properties.
+// The row's keys, system properties and number of properties.
 func (r Row) PartitionKey() string { return r.e.PartitionKey }
 func (r Row) RowKey() string       { return r.e.RowKey }
 func (r Row) Timestamp() time.Time { return r.e.Timestamp }
 func (r Row) ETag() string         { return r.e.ETag }
-func (r Row) Size() int64          { return r.e.Size() }
 func (r Row) Len() int             { return len(r.e.Props) }
+
+// Size reads what the store recorded when it filed the row; a ReadOnly
+// row of the caller's is measured.
+func (r Row) Size() int64 {
+	if r.e.size == 0 {
+		return r.e.Size()
+	}
+	return r.e.size
+}
 
 // Prop returns the named property and whether the row has it.
 func (r Row) Prop(name string) (Value, bool) {
@@ -111,8 +123,10 @@ type partition struct {
 	rks  keyIndex
 }
 
-// put stores e under its keys, creating the partition on first use.
+// put stores e under its keys, creating the partition on first use, and
+// records its size.
 func (t *table) put(e *Entity) {
+	e.size = e.Size()
 	p := t.partitions[e.PartitionKey]
 	if p == nil {
 		p = &partition{rows: map[string]*Entity{}}
@@ -294,7 +308,7 @@ func (s *Store) mutateUpdate(tableName string, e *Entity, ifMatch string, merge 
 		}
 	}
 	s.stamp(stored)
-	t.partitions[e.PartitionKey].rows[e.RowKey] = stored
+	t.put(stored)
 	return Row{stored}, nil
 }
 

@@ -162,21 +162,6 @@ func (l *Log) Ops() []Op {
 	return out
 }
 
-// FaultOps returns the retained operations that were failed by an
-// injected fault, in record order — the trace-level view of a fault
-// schedule.
-func (l *Log) FaultOps() []Op {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Op
-	for _, op := range l.ops {
-		if op.Fault != "" {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
 // Reset clears the log.
 func (l *Log) Reset() {
 	l.mu.Lock()
