@@ -31,19 +31,16 @@ func (c *Cloud) cacheServer(cache, key string) *sim.Resource {
 // CachePut stores value under key (ttl 0 = the service default).
 func (cl *Client) CachePut(p *sim.Proc, cache, key string, value payload.Payload, ttl time.Duration) (uint64, error) {
 	var version uint64
-	err := cl.do(p, &request{
-		op:      "CachePut",
-		mut:     true,
-		service: "cache",
-		up:      value.Len() + reqHeader,
-		server:  cl.cloud.cacheServer(cache, key),
-		lat:     cl.cloud.prm.CacheLat,
-		apply: func() (time.Duration, int64, error) {
-			var err error
-			version, err = cl.cloud.cacheCluster().Put(cache, key, value, ttl)
-			return cl.cloud.prm.CacheOcc(true, value.Len()), 0, err
-		},
-	})
+	req := cl.newRequest("CachePut", "cache", value.Len()+reqHeader, cl.cloud.cacheServer(cache, key))
+	defer cl.cloud.release(req)
+	req.mut = true
+	req.lat = cl.cloud.prm.CacheLat
+	req.apply = func() (time.Duration, int64, error) {
+		var err error
+		version, err = cl.cloud.cacheCluster().Put(cache, key, value, ttl)
+		return cl.cloud.prm.CacheOcc(true, value.Len()), 0, err
+	}
+	err := cl.do(p, req)
 	return version, err
 }
 
@@ -53,21 +50,18 @@ func (cl *Client) CacheGet(p *sim.Proc, cache, key string) (cachestore.Item, boo
 		item cachestore.Item
 		ok   bool
 	)
-	err := cl.do(p, &request{
-		op:      "CacheGet",
-		service: "cache",
-		up:      reqHeader,
-		server:  cl.cloud.cacheServer(cache, key),
-		lat:     cl.cloud.prm.CacheLat,
-		apply: func() (time.Duration, int64, error) {
-			var err error
-			item, ok, err = cl.cloud.cacheCluster().Get(cache, key)
-			size := int64(0)
-			if ok {
-				size = item.Value.Len()
-			}
-			return cl.cloud.prm.CacheOcc(false, size), size, err
-		},
-	})
+	req := cl.newRequest("CacheGet", "cache", reqHeader, cl.cloud.cacheServer(cache, key))
+	defer cl.cloud.release(req)
+	req.lat = cl.cloud.prm.CacheLat
+	req.apply = func() (time.Duration, int64, error) {
+		var err error
+		item, ok, err = cl.cloud.cacheCluster().Get(cache, key)
+		size := int64(0)
+		if ok {
+			size = item.Value.Len()
+		}
+		return cl.cloud.prm.CacheOcc(false, size), size, err
+	}
+	err := cl.do(p, req)
 	return item, ok, err
 }

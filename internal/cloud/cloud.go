@@ -84,6 +84,7 @@ type Cloud struct {
 	geoDst *Cloud
 
 	stats Stats
+	free  []*request // requests given back by their call sites
 }
 
 // SetFaults attaches a fault injector; every subsequent request consults
@@ -363,14 +364,18 @@ func (c *Cloud) Stations() []telemetry.Station {
 
 // --- request pipeline ---
 
-// request describes one storage operation's cost structure. The engine
+// request is one storage operation: its cost structure, the program that
+// carries it from send to reply (Client.do), and its results. The engine
 // call runs at the partition server and yields the server occupancy (it may
 // depend on what the engine finds, e.g. the size of a dequeued message),
 // the response payload size, and the engine result. The point operations a
 // closed loop is made of name a case of Client.apply, which keeps arguments
-// and results in the request, so issuing one allocates nothing; every other
-// operation brings a closure.
+// and results in the request; every other operation brings a closure. A
+// request comes off its Cloud's free list (Client.newRequest), filled in
+// by the call site, which gives it back when it returns: issuing a point
+// operation allocates nothing.
 type request struct {
+	cl      *Client
 	op      string // operation name for tracing (e.g. "PutBlock")
 	service string // blob | queue | table | cache
 	up      int64  // request payload bytes
@@ -410,14 +415,53 @@ type request struct {
 	msg        queuestore.Message // the message put, dequeued or peeked
 	found      bool               // GetMessage, PeekMessage: msg is one
 
+	// Where the request's program stands, and what it has found so far.
+	phase phase
+	dec   faults.Decision
+	occ   time.Duration
+	down  int64 // response bytes the engine produced; a reset's part of them
+	err   error
+	stage string // the trace stage of the program's last stretch
+
 	// Filled in by do for the trace record.
-	tracedDown int64
-	tracedErr  string
-	fault      string
-	st         *spanCutter
-	traceID    string // causal identity of this attempt (tracing attached only)
-	spanID     string
-	parentID   string
+	fault    string
+	st       *spanCutter
+	traceID  string // causal identity of this attempt (tracing attached only)
+	spanID   string
+	parentID string
+}
+
+// phase names the Call step a request's program has reached; phaseReset
+// marks a request whose connection is cut, which do finishes itself.
+type phase uint8
+
+const (
+	phaseAdmit  phase = iota // at the front door
+	phaseServe               // holding its partition server
+	phaseFailed              // the server has burnt an internal error's occupancy
+	phaseReply               // the response has reached the client
+	phaseReset
+)
+
+// newRequest hands out a request from the cloud's free list with its
+// operation, service, request payload and server set; the caller fills in
+// the rest and defers c.release.
+func (cl *Client) newRequest(op, service string, up int64, server *sim.Resource) *request {
+	c := cl.cloud
+	var req *request
+	if n := len(c.free); n > 0 {
+		req, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		req = new(request)
+	}
+	req.cl, req.op, req.service, req.up, req.server = cl, op, service, up, server
+	return req
+}
+
+// release clears req and puts it back on the free list.
+func (c *Cloud) release(req *request) {
+	*req = request{}
+	c.free = append(c.free, req)
 }
 
 // opKind names the engine calls Client.apply makes itself.
@@ -565,11 +609,12 @@ var (
 // the engine has done its work — the at-least-once semantics real storage
 // clients must survive.
 //
-// The stretches in which nothing is decided — the way in, the way back,
-// the response crossing the NIC — are programs the kernel runs
-// (sim.Proc.Exec): the process is resumed where the model needs Go code,
-// not once per sleep, and every event and every counter a checkpoint may
-// read keeps its virtual instant (DESIGN.md §17).
+// The request is one program the kernel runs (sim.Proc.Exec) from send to
+// reply: the way in ends in a Call step, and at each point where the model
+// decides something the request's Resume picks the next stretch with Then.
+// The process is resumed once, when the request is over, and every event
+// and every counter a checkpoint may read keeps its virtual instant
+// (DESIGN.md §17).
 func (cl *Client) do(p *sim.Proc, req *request) error {
 	c := cl.cloud
 	prm := &c.prm
@@ -594,16 +639,16 @@ func (cl *Client) do(p *sim.Proc, req *request) error {
 		req.spanID = c.ids.SpanID()
 		cl.lastTraceID, cl.lastSpanID = req.traceID, req.spanID
 		defer func(start time.Duration) {
-			// The error is re-derived from stats below; record what the
-			// request moved and how long it took.
+			// Record what the request moved, how long it took and how it
+			// ended.
 			c.traceLog.Record(trace.Op{
 				Start:    start,
 				Duration: c.env.Now() - start,
 				Client:   cl.name,
 				Service:  req.service,
 				Name:     req.op,
-				Bytes:    req.up + req.tracedDown,
-				Err:      req.tracedErr,
+				Bytes:    req.up + req.down,
+				Err:      string(storecommon.CodeOf(req.err)),
 				Fault:    req.fault,
 				TraceID:  req.traceID,
 				SpanID:   req.spanID,
@@ -612,45 +657,118 @@ func (cl *Client) do(p *sim.Proc, req *request) error {
 			})
 		}(start)
 	}
-	var dec faults.Decision
 	if c.faults != nil {
-		dec = c.faults.DecideIn(c.env.Now(), c.region, req.service, req.op, req.server.Name())
+		req.dec = c.faults.DecideIn(c.env.Now(), c.region, req.service, req.op, req.server.Name())
 	}
-	if dec.Kind == faults.Reset && req.mut {
-		// The connection died while the request body was in flight: a
-		// prefix of the payload crossed the NIC, the engine saw nothing.
-		p.Sleep(prm.RequestOverhead)
-		return cl.failReset(p, req, int64(float64(req.up)*dec.Cut), true)
+	if req.dec.Kind == faults.Reset && req.mut {
+		// The connection dies while the request body is in flight: a
+		// prefix of the payload crosses the NIC, the engine sees nothing.
+		req.up = int64(float64(req.up) * req.dec.Cut) // the trace records what actually moved
+		req.phase = phaseReset
 	}
-
-	// The way in: serialise, put the body on the wire, reach the front door.
+	// The way in: serialise, put the body on the wire, reach the front
+	// door, where the request's Resume takes over.
 	in := append(make([]sim.Step, 0, sim.MaxSteps), sim.Sleep(prm.RequestOverhead))
 	if req.up > 0 {
 		in = append(in, sim.Acquire(cl.nic), sim.Sleep(model.Xfer(req.up, cl.vm.NICBps)), sim.Release(cl.nic),
 			sim.Add(&c.stats.BytesIn, req.up))
 	}
-	p.Exec(append(in, sim.Sleep(prm.RTT/2))...)
-	req.st.cut(trace.StageNicIn)
+	if req.phase != phaseReset {
+		in = append(in, sim.Sleep(prm.RTT/2), sim.Call(req))
+	}
+	p.Exec(in...)
+	if req.phase == phaseReset {
+		req.reset()
+	} else {
+		req.st.cut(req.stage)
+	}
+	return req.err
+}
 
-	switch dec.Kind {
+// Resume makes the request's decisions at the instants its program reaches
+// them, and swaps in the program's next stretch (sim.Call).
+func (req *request) Resume(p *sim.Proc) {
+	cl := req.cl
+	c := cl.cloud
+	prm := &c.prm
+	switch req.phase {
+	case phaseAdmit:
+		req.st.cut(trace.StageNicIn)
+		req.admit(p)
+	case phaseServe:
+		req.st.cut(trace.StageQueueWait)
+		if req.dec.Kind == faults.Internal {
+			// The server accepted the request but failed before handing it
+			// to the engine; it burns some occupancy, then the 500 travels
+			// back.
+			req.phase = phaseFailed
+			p.Then(sim.Sleep(req.dec.Occ), sim.Release(req.server), sim.Call(req))
+			return
+		}
+		req.occ, req.down, req.err = cl.apply(req)
+		if req.err == nil && req.mirror != nil && c.geo != nil {
+			// The mutation just committed on the primary: append it to the
+			// geo-replication log for asynchronous replay on the secondary,
+			// carrying the mutation's causal identity so the replayed
+			// record traces as a child of the op that caused it.
+			mirror, dst := req.mirror, c.geoDst
+			c.geo.Append(c.env.Now(), req.service, req.geoKey, req.op, req.up,
+				req.traceID, req.spanID,
+				func() error { return mirror(dst) })
+		}
+		c.stats.Ops++
+		// The way back: hold the server for the occupancy, then the
+		// storage pipeline and the network.
+		req.phase = phaseReply
+		p.Then(sim.Sleep(req.occ), sim.Release(req.server), sim.Sleep(req.lat), sim.Sleep(prm.RTT/2), sim.Call(req))
+	case phaseFailed:
+		req.st.cut(trace.StageServer)
+		c.stats.FaultInternals++
+		req.fault = req.dec.Kind.String()
+		req.exit(p, errInternalFault, prm.RTT/2, trace.StageNicOut)
+	case phaseReply:
+		req.st.cutReply(req.occ, req.repl, req.lat, prm.RTT/2)
+		down := req.down
+		if req.dec.Kind == faults.Reset {
+			// Read-path reset: the engine did the work, but the response
+			// is cut mid-transfer; the truncated prefix still crosses the
+			// wire.
+			req.down = int64(float64(down) * req.dec.Cut)
+			req.phase = phaseReset
+			if req.down > 0 {
+				p.Then(sim.Acquire(cl.nic), sim.Sleep(model.Xfer(req.down, cl.vm.NICBps)), sim.Release(cl.nic))
+			}
+		} else if down > 0 {
+			c.accountBW.Debit(c.env.Now(), float64(down))
+			req.stage = trace.StageNicOut
+			p.Then(sim.Acquire(cl.nic), sim.Sleep(model.Xfer(down, cl.vm.NICBps)), sim.Release(cl.nic),
+				sim.Add(&c.stats.BytesOut, down))
+		}
+	}
+}
+
+// admit is the front door: the faults that strike before it, the
+// partition map's check of the route (dynamic placement), and admission
+// control. A request that gets through queues for its server.
+func (req *request) admit(p *sim.Proc) {
+	cl := req.cl
+	c := cl.cloud
+	rtt2 := c.prm.RTT / 2
+	switch req.dec.Kind {
 	case faults.Timeout:
 		// The request vanished in the network; the client waits out its
 		// timeout and gives up. Nothing downstream ever saw it.
 		c.stats.FaultTimeouts++
-		req.fault = dec.Kind.String()
-		req.tracedErr = string(storecommon.CodeOperationTimedOut)
-		p.Sleep(dec.Wait)
-		req.st.cut(trace.StageFaultWait)
-		return errOpTimedOut
+		req.fault = req.dec.Kind.String()
+		req.exit(p, errOpTimedOut, req.dec.Wait, trace.StageFaultWait)
+		return
 	case faults.Outage:
 		// The partition server is inside an unavailability window; the
 		// front door answers 503 immediately.
 		c.stats.FaultOutages++
-		req.fault = dec.Kind.String()
-		req.tracedErr = string(storecommon.CodeServerUnavailable)
-		p.Sleep(prm.RTT / 2)
-		req.st.cut(trace.StageNicOut)
-		return errServerUnavailable
+		req.fault = req.dec.Kind.String()
+		req.exit(p, errServerUnavailable, rtt2, trace.StageNicOut)
+		return
 	}
 
 	// Partition-map validation (dynamic placement): the addressed server
@@ -658,29 +776,24 @@ func (cl *Client) do(p *sim.Proc, req *request) error {
 	// request first — this is where its control loop ticks, so splits are
 	// driven by the load they react to — then a stale route bounces with a
 	// redirect and a mid-handoff range answers ServerBusy.
+	now := c.env.Now()
 	if req.table != "" && c.pmgr.Dynamic() {
-		now := c.env.Now()
 		c.notePartitionEvents(c.pmgr.Record(now, req.table, req.part))
 		owner, unavailUntil := c.pmgr.Lookup(req.table, req.part)
 		if req.serverIdx != owner {
 			c.pmgr.NoteRedirect()
 			delete(cl.maps, req.table)
-			req.tracedErr = string(storecommon.CodePartitionMoved)
-			p.Sleep(prm.RTT / 2)
-			req.st.cut(trace.StageNicOut)
-			return errPartitionMoved
+			req.exit(p, errPartitionMoved, rtt2, trace.StageNicOut)
+			return
 		}
 		if now < unavailUntil {
 			c.pmgr.NoteHandoffReject()
-			req.tracedErr = string(storecommon.CodeServerBusy)
-			p.Sleep(prm.RTT / 2)
-			req.st.cut(trace.StageHandoff)
-			return errPartitionHandoff
+			req.exit(p, errPartitionHandoff, rtt2, trace.StageHandoff)
+			return
 		}
 	}
 
 	// Admission control at the front door.
-	now := c.env.Now()
 	tx := req.txCost
 	if tx == 0 {
 		tx = 1
@@ -695,91 +808,38 @@ func (cl *Client) do(p *sim.Proc, req *request) error {
 	}
 	if !admitted {
 		c.stats.BusyRejects++
-		p.Sleep(prm.RTT / 2)
-		req.st.cut(trace.StageThrottle)
-		req.tracedErr = string(storecommon.CodeServerBusy)
-		return errServerBusy
+		req.exit(p, errServerBusy, rtt2, trace.StageThrottle)
+		return
 	}
-
-	req.server.Acquire(p)
-	req.st.cut(trace.StageQueueWait)
-	if dec.Kind == faults.Internal {
-		// The server accepted the request but failed before handing it to
-		// the engine; it burns some occupancy, then the 500 travels back.
-		p.Sleep(dec.Occ)
-		req.server.Release()
-		req.st.cut(trace.StageServer)
-		c.stats.FaultInternals++
-		req.fault = dec.Kind.String()
-		req.tracedErr = string(storecommon.CodeInternalError)
-		p.Sleep(prm.RTT / 2)
-		req.st.cut(trace.StageNicOut)
-		return errInternalFault
-	}
-	occ, down, err := cl.apply(req)
-	req.tracedDown = down
-	if err != nil {
-		req.tracedErr = string(storecommon.CodeOf(err))
-	}
-	if err == nil && req.mirror != nil && c.geo != nil {
-		// The mutation just committed on the primary: append it to the
-		// geo-replication log for asynchronous replay on the secondary,
-		// carrying the mutation's causal identity so the replayed record
-		// traces as a child of the op that caused it.
-		mirror, dst := req.mirror, c.geoDst
-		c.geo.Append(c.env.Now(), req.service, req.geoKey, req.op, req.up,
-			req.traceID, req.spanID,
-			func() error { return mirror(dst) })
-	}
-	c.stats.Ops++
-
-	// The way back: hold the server for the occupancy, then the storage
-	// pipeline and the network.
-	p.Exec(sim.Sleep(occ), sim.Release(req.server), sim.Sleep(req.lat), sim.Sleep(prm.RTT/2))
-	req.st.cutReply(occ, req.repl, req.lat, prm.RTT/2)
-	if dec.Kind == faults.Reset {
-		// Read-path reset: the engine did the work, but the response was
-		// cut mid-transfer; the truncated prefix still crossed the wire.
-		return cl.failReset(p, req, int64(float64(down)*dec.Cut), false)
-	}
-	if down > 0 {
-		c.accountBW.Debit(c.env.Now(), float64(down))
-		cl.nic.Use(p, model.Xfer(down, cl.vm.NICBps))
-		c.stats.BytesOut += down
-		req.st.cut(trace.StageNicOut)
-	}
-	return err
+	req.phase = phaseServe
+	p.Then(sim.Acquire(req.server), sim.Call(req))
 }
 
-// failReset accounts the partial payload of a cut connection — part bytes
-// cross the client NIC (and the account bandwidth meter on the response
-// path) — and fails the request with ConnectionReset. up distinguishes a
-// request-body cut from a response cut.
-func (cl *Client) failReset(p *sim.Proc, req *request, part int64, up bool) error {
-	c := cl.cloud
-	if up {
-		req.up = part // the trace records what actually moved
+// exit fails the request with err: the answer takes d to reach the
+// client, traced as stage.
+func (req *request) exit(p *sim.Proc, err error, d time.Duration, stage string) {
+	req.err, req.stage = err, stage
+	p.Then(sim.Sleep(d))
+}
+
+// reset fails a request whose connection was cut, once its partial payload
+// — the request body's prefix (a mutation), or the response's — has crossed
+// the client NIC, which the account bandwidth meter charges on the way
+// back.
+func (req *request) reset() {
+	c := req.cl.cloud
+	if req.mut {
+		req.st.cut(trace.StageNicIn)
 	} else {
-		req.tracedDown = part
-	}
-	if part > 0 {
-		cl.nic.Use(p, model.Xfer(part, cl.vm.NICBps))
-		if up {
-			c.stats.BytesIn += part
-		} else {
+		if part := req.down; part > 0 {
 			c.accountBW.Debit(c.env.Now(), float64(part))
 			c.stats.BytesOut += part
 		}
-	}
-	if up {
-		req.st.cut(trace.StageNicIn)
-	} else {
 		req.st.cut(trace.StageNicOut)
 	}
 	c.stats.FaultResets++
 	req.fault = faults.Reset.String()
-	req.tracedErr = string(storecommon.CodeConnectionReset)
-	return errConnReset
+	req.err = errConnReset
 }
 
 // --- Client ---

@@ -15,10 +15,12 @@ type Env struct {
 	seq    uint64
 	events eventHeap
 	cur    *Proc // currently running process, nil in kernel context
-	rng    *Rand
-	nLive  int // processes started and not yet finished
-	nSpawn int // total processes ever started (used for default names)
-	fired  uint64
+	// calling is the process whose Call step is running, nil outside one.
+	calling *Proc
+	rng     *Rand
+	nLive   int // processes started and not yet finished
+	nSpawn  int // total processes ever started (used for default names)
+	fired   uint64
 
 	// Self-telemetry (see Telemetry); not part of Save.
 	switches uint64
@@ -149,6 +151,9 @@ func (e *Env) step() {
 // blocking method from outside the simulation or from the wrong process.
 func (e *Env) mustBeRunning(p *Proc, op string) {
 	if e.cur != p {
+		if e.calling != nil {
+			panic(fmt.Sprintf("sim: %s called from a Call step of process %q; a Call must not block", op, e.calling.name))
+		}
 		panic(fmt.Sprintf("sim: %s called from process %q which is not running", op, p.name))
 	}
 }

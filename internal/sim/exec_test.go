@@ -16,10 +16,13 @@ import (
 // items — a program of 1..MaxSteps steps, or the spawning of a child that
 // runs one program of its own. Steps are sleeps of -1..3 ms (so zero and
 // negative ones occur), acquires, releases of something the process holds
-// at that point of its script (a wild release is its own test), and adds
-// to one of two counters. Nothing stops a program from ending on an
-// acquire, from releasing and re-acquiring the same resource, or from
-// holding a unit forever.
+// at that point of its script (a wild release is its own test), adds to
+// one of two counters, and calls. A call's statements are any of: a draw
+// from the PRNG added to a counter, a counter bump, a release, and a tail
+// of 1..MaxSteps further steps that replaces the rest of the program (the
+// script's program ends at such a call). Nothing stops a program from
+// ending on an acquire, from releasing and re-acquiring the same resource,
+// or from holding a unit forever.
 
 type execItem struct {
 	steps []scriptStep // a program; nil: spawn child
@@ -31,7 +34,22 @@ type scriptStep struct {
 	d    time.Duration
 	res  int
 	ctr  int
+	act  int          // stepCall: the callDraw... bits
+	tail []scriptStep // stepCall with callThen
 }
+
+// What a script's call step does, in this order.
+const (
+	callDraw = 1 << iota
+	callBump
+	callRelease
+	callThen
+)
+
+// contFunc makes a function a Cont.
+type contFunc func(*Proc)
+
+func (f contFunc) Resume(p *Proc) { f(p) }
 
 type execProc struct {
 	start time.Duration
@@ -64,7 +82,8 @@ func parseExecScript(data []byte) execScript {
 	for n := 1 + c.next()%3; n > 0; n-- {
 		sc.caps = append(sc.caps, 1+c.next()%3)
 	}
-	program := func(held []int) []scriptStep {
+	var program func(held []int) []scriptStep
+	program = func(held []int) []scriptStep {
 		var steps []scriptStep
 		for n := 1 + c.next()%MaxSteps; n > 0; n-- {
 			arg := c.next()
@@ -82,6 +101,21 @@ func parseExecScript(data []byte) execScript {
 				held[st.res]--
 			case stepAdd:
 				st.ctr, st.d = arg/4%2, time.Duration(arg)
+				if arg/8%2 == 0 {
+					break
+				}
+				st.kind, st.act = stepCall, arg/16
+				if st.act&callRelease != 0 {
+					if held[st.res] == 0 {
+						st.act &^= callRelease
+					} else {
+						held[st.res]--
+					}
+				}
+				if st.act&callThen != 0 {
+					st.tail = program(held)
+					return append(steps, st)
+				}
 			}
 			steps = append(steps, st)
 		}
@@ -126,41 +160,68 @@ func runExecScript(sc execScript, useExec bool) (out execOutcome) {
 	for i, c := range sc.caps {
 		res[i] = NewResource(e, fmt.Sprintf("r%d", i), c)
 	}
-	runProgram := func(p *Proc, steps []scriptStep) {
-		sleeps := 0
-		if useExec {
-			prog := make([]Step, len(steps))
-			for i, st := range steps {
-				switch st.kind {
-				case stepSleep:
-					prog[i] = Sleep(st.d)
-					sleeps++
-				case stepAcquire:
-					prog[i] = Acquire(res[st.res])
-				case stepRelease:
-					prog[i] = Release(res[st.res])
-				case stepAdd:
-					prog[i] = Add(&out.Counters[st.ctr], int64(st.d))
-				}
-			}
-			p.Exec(prog...)
-		} else {
-			for _, st := range steps {
-				switch st.kind {
-				case stepSleep:
-					p.Sleep(st.d)
-					sleeps++
-				case stepAcquire:
-					res[st.res].Acquire(p)
-				case stepRelease:
-					res[st.res].Release()
-				case stepAdd:
-					out.Counters[st.ctr] += int64(st.d)
-				}
+	// call makes a call step's statements; tail runs what replaces the
+	// rest of the program.
+	call := func(p *Proc, st scriptStep, tail func()) {
+		if st.act&callDraw != 0 {
+			out.Counters[st.ctr] += int64(p.Rand().Uint64() % 1000)
+		}
+		if st.act&callBump != 0 {
+			out.Counters[st.ctr]++
+		}
+		if st.act&callRelease != 0 {
+			res[st.res].Release()
+		}
+		if st.act&callThen != 0 {
+			tail()
+		}
+	}
+	var program func(steps []scriptStep) []Step
+	program = func(steps []scriptStep) []Step {
+		prog := make([]Step, len(steps))
+		for i, st := range steps {
+			switch st.kind {
+			case stepSleep:
+				prog[i] = Sleep(st.d)
+			case stepAcquire:
+				prog[i] = Acquire(res[st.res])
+			case stepRelease:
+				prog[i] = Release(res[st.res])
+			case stepAdd:
+				prog[i] = Add(&out.Counters[st.ctr], int64(st.d))
+			case stepCall:
+				prog[i] = Call(contFunc(func(p *Proc) {
+					call(p, st, func() { p.Then(program(st.tail)...) })
+				}))
 			}
 		}
+		return prog
+	}
+	var calls func(p *Proc, steps []scriptStep)
+	calls = func(p *Proc, steps []scriptStep) {
+		for _, st := range steps {
+			switch st.kind {
+			case stepSleep:
+				p.Sleep(st.d)
+			case stepAcquire:
+				res[st.res].Acquire(p)
+			case stepRelease:
+				res[st.res].Release()
+			case stepAdd:
+				out.Counters[st.ctr] += int64(st.d)
+			case stepCall:
+				call(p, st, func() { calls(p, st.tail) })
+			}
+		}
+	}
+	runProgram := func(p *Proc, steps []scriptStep) {
+		if useExec {
+			p.Exec(program(steps)...)
+		} else {
+			calls(p, steps)
+		}
 		out.Log = append(out.Log, fmt.Sprintf("%v %s", p.Now(), p.Name()))
-		if sleeps >= 2 {
+		if countSleeps(steps) >= 2 {
 			out.multi = true
 		}
 	}
@@ -198,6 +259,17 @@ func runExecScript(sc execScript, useExec bool) (out execOutcome) {
 		out.Stats = append(out.Stats, r.Stats())
 	}
 	return out
+}
+
+// countSleeps counts the sleeps a script program makes, its tails' included.
+func countSleeps(steps []scriptStep) (n int) {
+	for _, st := range steps {
+		if st.kind == stepSleep {
+			n++
+		}
+		n += countSleeps(st.tail)
+	}
+	return n
 }
 
 // checkExecScript is the property: Exec and the calls it stands for cannot
@@ -354,4 +426,110 @@ func TestExecWildReleasePanicsLikeTheCall(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// A chain of Call steps, each swapping in the next stretch with Then, is
+// one program however long it runs: twenty sleeps, one switch to start the
+// process and one at the end.
+func TestThenChainsPastMaxSteps(t *testing.T) {
+	e := NewEnv(1)
+	left := 20
+	var k Cont
+	k = contFunc(func(p *Proc) {
+		if left--; left > 0 {
+			p.Then(Sleep(time.Millisecond), Call(k))
+		}
+	})
+	e.Go("p", func(p *Proc) { p.Exec(Sleep(time.Millisecond), Call(k)) })
+	e.Run()
+	if events, switches, _ := e.Telemetry(); e.Now() != 20*time.Millisecond || events != 21 || switches != 2 {
+		t.Fatalf("now %v, %d events, %d switches; want 20ms, 21, 2", e.Now(), events, switches)
+	}
+}
+
+// runCall runs one process whose program makes k, as its first step (the
+// process runs it) or after a sleep (the kernel does), and reports what
+// came out of Run and whether the process ended with its defers run.
+func runCall(k Cont, kernel bool) (panicked any, cleanedUp bool, now time.Duration, live int) {
+	e := NewEnv(1)
+	e.Go("p", func(p *Proc) {
+		defer func() { cleanedUp = true }()
+		if kernel {
+			p.Exec(Sleep(time.Millisecond), Call(k), Sleep(time.Millisecond))
+		} else {
+			p.Exec(Call(k), Sleep(time.Millisecond))
+		}
+	})
+	func() {
+		defer func() { panicked = recover() }()
+		e.Run()
+	}()
+	return panicked, cleanedUp, e.Now(), e.Live()
+}
+
+// A Call must not block. Every blocking primitive panics inside Resume,
+// whoever made the step, and the panic leaves Run as the process's own.
+func TestCallThatBlocksPanics(t *testing.T) {
+	blockers := map[string]func(p *Proc){
+		"Sleep":            func(p *Proc) { p.Sleep(time.Millisecond) },
+		"Exec":             func(p *Proc) { p.Exec(Sleep(time.Millisecond)) },
+		"Resource.Acquire": func(p *Proc) { NewResource(p.env, "r", 1).Acquire(p) },
+		"Store.Get":        func(p *Proc) { NewStore[int](p.env, "s").Get(p) },
+		"Signal.Wait":      func(p *Proc) { NewSignal(p.env).Wait(p) },
+		"WaitGroup.Wait": func(p *Proc) {
+			wg := NewWaitGroup(p.env)
+			wg.Add(1)
+			wg.Wait(p)
+		},
+	}
+	for name, block := range blockers {
+		for _, kernel := range []bool{false, true} {
+			got, cleanedUp, _, live := runCall(contFunc(block), kernel)
+			want := fmt.Sprintf(`sim: process "p" panicked: sim: %s called from a Call step of process "p"; a Call must not block`, name)
+			if got != want || !cleanedUp || live != 0 {
+				t.Errorf("%s (kernel=%v): panic %v, defers run %v, %d live\nwant %s", name, kernel, got, cleanedUp, live, want)
+			}
+		}
+	}
+}
+
+// A panic in Resume is a panic of the process: the same value out of Run
+// as a panic in its body, the process ended, its defers run, and the
+// steps before the Call made.
+func TestCallPanicIsTheProcessPanic(t *testing.T) {
+	for _, kernel := range []bool{false, true} {
+		got, cleanedUp, now, live := runCall(contFunc(func(*Proc) { panic("boom") }), kernel)
+		want := map[bool]time.Duration{false: 0, true: time.Millisecond}[kernel]
+		if got != `sim: process "p" panicked: boom` || !cleanedUp || live != 0 || now != want {
+			t.Errorf("kernel=%v: panic %v, defers run %v, %d live, now %v (want %v)", kernel, got, cleanedUp, live, now, want)
+		}
+	}
+}
+
+// Then belongs to a Call step of its own process, and takes a program.
+func TestThenOutsideItsCallPanics(t *testing.T) {
+	for name, c := range map[string]struct {
+		body func(p, other *Proc)
+		want string
+	}{
+		"process body": {func(p, _ *Proc) { p.Then(Sleep(0)) }, `sim: Then on process "p" outside its Call step`},
+		"another's Call": {func(p, other *Proc) {
+			p.Exec(Call(contFunc(func(*Proc) { other.Then(Sleep(0)) })))
+		}, `sim: Then on process "other" outside its Call step`},
+		"too long": {func(p, _ *Proc) {
+			p.Exec(Call(contFunc(func(p *Proc) { p.Then(make([]Step, MaxSteps+1)...) })))
+		}, "sim: Then with 9 steps (at most 8)"},
+	} {
+		var got any
+		e := NewEnv(1)
+		other := e.Go("other", func(p *Proc) { p.Sleep(time.Second) })
+		e.Go("p", func(p *Proc) { c.body(p, other) })
+		func() {
+			defer func() { got = recover() }()
+			e.Run()
+		}()
+		if want := `sim: process "p" panicked: ` + c.want; got != want {
+			t.Errorf("%s: panic %v, want %s", name, got, want)
+		}
+	}
 }

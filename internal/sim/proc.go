@@ -28,6 +28,9 @@ type Proc struct {
 	prog [MaxSteps]Step
 	pc   int
 	plen int
+	// callPanic is what a Call step's Resume panicked with in kernel
+	// context, for Exec to re-raise on the process's own stack.
+	callPanic any
 }
 
 // Name returns the process name.
@@ -56,6 +59,7 @@ type Step struct {
 	d    time.Duration // stepSleep: how long; stepAdd: the addend
 	r    *Resource
 	ctr  *int64
+	k    Cont
 }
 
 type stepKind uint8
@@ -65,6 +69,7 @@ const (
 	stepAcquire
 	stepRelease
 	stepAdd
+	stepCall
 )
 
 // Each constructor builds the step that stands for the call of its name.
@@ -77,15 +82,39 @@ func Release(r *Resource) Step   { return Step{kind: stepRelease, r: r} }
 // runs.
 func Add(ctr *int64, n int64) Step { return Step{kind: stepAdd, d: time.Duration(n), ctr: ctr} }
 
-// Exec runs a straight-line program of at most MaxSteps steps and returns
-// when the last one is done. Event for event it is the same calls made one
-// after the other — each step executes the statements of the call it
-// stands for, at the same instant, taking the same sequence numbers, so
-// neither the event order nor any Resource's Stats nor Env.Save can tell —
-// but after the first step that blocks it is the kernel that runs the rest,
-// from its own loop as the process's wake-ups arrive (Env.step), and the
-// coroutine is switched to once, at the end, not once per blocking step.
-// The steps are copied into the Proc: nothing is allocated.
+// Cont is the Go code of a Call step.
+type Cont interface{ Resume(p *Proc) }
+
+// Call stands for k.Resume(p), run at the instant the program reaches it.
+// Resume must not block: Sleep, Exec, Acquire and every other blocking
+// primitive panic inside it, whether the process or the kernel made the
+// call. It may replace the rest of the program with Proc.Then, which is
+// how a program decides where it goes next. A pointer-shaped k (a *T)
+// makes the step without allocating.
+func Call(k Cont) Step { return Step{kind: stepCall, k: k} }
+
+// Then replaces what is left of p's program with steps (at most MaxSteps).
+// Only a Call step's Resume may call it, and only for its own process.
+func (p *Proc) Then(steps ...Step) {
+	if p.env.calling != p {
+		panic(fmt.Sprintf("sim: Then on process %q outside its Call step", p.name))
+	}
+	if len(steps) > MaxSteps {
+		panic(fmt.Sprintf("sim: Then with %d steps (at most %d)", len(steps), MaxSteps))
+	}
+	p.pc, p.plen = 0, copy(p.prog[:], steps)
+}
+
+// Exec runs a program of at most MaxSteps steps, and of whatever its Call
+// steps swap in with Then, and returns when the last one is done. Event for
+// event it is the same calls made one after the other — each step executes
+// the statements of the call it stands for, at the same instant, taking the
+// same sequence numbers, so neither the event order nor any Resource's
+// Stats nor Env.Save can tell — but after the first step that blocks it is
+// the kernel that runs the rest, from its own loop as the process's
+// wake-ups arrive (Env.step), and the coroutine is switched to once, at the
+// end, not once per blocking step. The steps are copied into the Proc:
+// nothing is allocated.
 func (p *Proc) Exec(steps ...Step) {
 	p.env.mustBeRunning(p, "Exec")
 	if len(steps) > MaxSteps {
@@ -95,6 +124,10 @@ func (p *Proc) Exec(steps ...Step) {
 	for p.pc < p.plen { // a second round only after advance handed a step back
 		if p.env.advance(p) {
 			p.park()
+			if r := p.callPanic; r != nil {
+				p.callPanic = nil
+				panic(r)
+			}
 		}
 	}
 }
@@ -105,7 +138,8 @@ func (p *Proc) Exec(steps ...Step) {
 // Release about to panic is handed back to p: the kernel stops in front of
 // it and reports "not blocked", the coroutine resumes and Exec's loop makes
 // the step there, so the panic unwinds the process's own stack and comes
-// out of Run as the plain call's does.
+// out of Run as the plain call's does. A Call that panics in the kernel
+// ends the program the same way, with the panic carried over (Env.call).
 func (e *Env) advance(p *Proc) bool {
 	for p.pc < p.plen {
 		s := &p.prog[p.pc]
@@ -125,9 +159,35 @@ func (e *Env) advance(p *Proc) bool {
 			s.r.Release()
 		case stepAdd:
 			*s.ctr += int64(s.d)
+		case stepCall:
+			if !e.call(p, s.k) {
+				return false
+			}
 		}
 	}
 	return false
+}
+
+// call runs k.Resume(p) with no process running — e.cur is nil, so every
+// blocking primitive panics — and e.calling set to p, which is what Then
+// checks. In process context a panic unwinds the coroutine as any panic
+// of the process does. In kernel context call recovers it, ends the
+// program and reports false; Exec then re-raises it on the process's
+// stack, so it leaves Run as "sim: process <name> panicked: ..." with the
+// process ended.
+func (e *Env) call(p *Proc, k Cont) (ok bool) {
+	cur := e.cur
+	e.cur, e.calling = nil, p
+	defer func() {
+		e.cur, e.calling = cur, nil
+		if cur == nil {
+			if r := recover(); r != nil {
+				p.callPanic, p.pc, ok = r, p.plen, false
+			}
+		}
+	}()
+	k.Resume(p)
+	return true
 }
 
 // Yield gives same-instant events scheduled before now a chance to run,
