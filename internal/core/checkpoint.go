@@ -24,7 +24,7 @@ import (
 // every live section and byte-compares it against the file; a match
 // proves the replayed trajectory is the checkpointed one, so the
 // continuation is byte-identical by construction. Quiescent snapshots
-// (scenario phase boundaries, where the event heap is empty) skip the
+// (scenario phase boundaries, where no event is pending) skip the
 // replay and load directly — that path lives in internal/scenario.
 
 // checkpointMetaSection names the file section holding the run identity.

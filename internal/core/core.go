@@ -177,7 +177,7 @@ type Report struct {
 
 // KernelStats is the sim kernel's self-telemetry (sim.Env.Telemetry) for
 // one report: events and switches summed over the run's environments, the
-// deepest pending-event heap among them. Wall / Events is the cost of one
+// most events pending at once among them. Wall / Events is the cost of one
 // event on this machine; the counts themselves are deterministic.
 type KernelStats struct {
 	Events   uint64

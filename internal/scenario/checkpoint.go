@@ -13,8 +13,8 @@ import (
 // snapshots of the whole cloud — and the preemption fault's worker-state
 // serialization.
 //
-// Scenario phases are separated by env.Run() drains: between phases the
-// event heap is empty and no process is live, so unlike the mid-run
+// Scenario phases are separated by env.Run() drains: between phases no
+// event is pending and no process is live, so unlike the mid-run
 // experiment checkpoints (which restore by replay verification), a
 // phase-boundary snapshot loads directly into a fresh environment and
 // cloud. That makes true warm starts possible: restore skips setup and

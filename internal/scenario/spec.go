@@ -51,8 +51,8 @@ type Spec struct {
 }
 
 // CheckpointSpec is the workload driver's checkpoint: stanza. The
-// snapshot is taken after phase After completes, when the event heap is
-// drained and every subsystem is quiescent, so it loads directly into a
+// snapshot is taken after phase After completes, when no event is
+// pending and every subsystem is quiescent, so it loads directly into a
 // fresh cloud without replay.
 type CheckpointSpec struct {
 	// File is where the snapshot is written (and, under Restore modes,

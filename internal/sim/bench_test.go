@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -60,6 +61,60 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/switch")
+}
+
+// BenchmarkEventQueue is the hold model of the pending-event queue: with
+// pending events queued, pop the next one and push it back up to 1ms later,
+// as a process that sleeps again does. One op is one event; DESIGN.md §17
+// compares it with the 4-ary heap the queue replaced.
+func BenchmarkEventQueue(b *testing.B) {
+	for _, pending := range []int{16, 64, 4096, 100000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			r := NewRand(1)
+			var q eventQueue
+			var seq uint64
+			hold := func(at time.Duration) {
+				seq++
+				q.push(event{at: at + time.Duration(r.Intn(int(time.Millisecond))), seq: seq})
+			}
+			for i := 0; i < pending; i++ {
+				hold(0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hold(q.pop().at)
+			}
+		})
+	}
+}
+
+// BenchmarkKernelScale prices an event against the number of processes:
+// each of procs processes loops a five-step program on a 64-unit station
+// (way in, queue, service, release, way back) and a 20–60ms think time,
+// for one virtual second: about 97 events per process, so the
+// 100 000-process case is a single run of ≈ 10 M events.
+func BenchmarkKernelScale(b *testing.B) {
+	for _, procs := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				e := NewEnv(1)
+				srv := NewResource(e, "srv", 64)
+				for k := 0; k < procs; k++ {
+					e.Go("client", func(p *Proc) {
+						for p.Now() < time.Second {
+							p.Exec(Sleep(500*time.Microsecond), Acquire(srv), Sleep(time.Microsecond), Release(srv), Sleep(500*time.Microsecond))
+							p.Sleep(time.Duration(20+p.Rand().Intn(40)) * time.Millisecond)
+						}
+					})
+				}
+				e.Run()
+				events += e.Events()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
+	}
 }
 
 func BenchmarkRandUint64(b *testing.B) {

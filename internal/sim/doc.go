@@ -11,7 +11,7 @@
 //
 // The design follows the classic SimPy/CSIM process model:
 //
-//   - Env owns the virtual clock and the pending-event heap.
+//   - Env owns the virtual clock and the queue of pending events.
 //   - Proc is a cooperative process; it may only call blocking primitives
 //     from its own coroutine while it is the running process.
 //     Proc.Exec hands the kernel a short program of sleeps, acquires,

@@ -5,15 +5,15 @@ import (
 	"time"
 )
 
-// Env is a simulation environment: a virtual clock plus a pending-event
-// heap. Create one with NewEnv, start processes with Go, then call Run (or
-// RunUntil). Env is not safe for concurrent use from outside the
-// simulation; all interaction during a run must happen from simulation
+// Env is a simulation environment: a virtual clock plus a queue of
+// pending events. Create one with NewEnv, start processes with Go, then
+// call Run (or RunUntil). Env is not safe for concurrent use from outside
+// the simulation; all interaction during a run must happen from simulation
 // processes.
 type Env struct {
 	now    time.Duration
 	seq    uint64
-	events eventHeap
+	events eventQueue
 	cur    *Proc // currently running process, nil in kernel context
 	// calling is the process whose Call step is running, nil outside one.
 	calling *Proc
@@ -23,8 +23,8 @@ type Env struct {
 	fired   uint64
 
 	// Self-telemetry (see Telemetry); not part of Save.
-	switches uint64
-	peakHeap int
+	switches    uint64
+	peakPending int
 
 	pendingPanic any // panic value escaping a process, re-raised in kernel context
 }
@@ -47,11 +47,11 @@ func (e *Env) Events() uint64 { return e.fired }
 
 // Telemetry reports what the kernel has done so far: events fired (the
 // same count as Events), process switches (each hand-over of control from
-// the kernel to a process and back) and the deepest the pending-event heap
-// has been. The counts depend only on the simulated program, never on the
-// machine, and are not part of Save.
-func (e *Env) Telemetry() (events, switches uint64, peakHeap int) {
-	return e.fired, e.switches, e.peakHeap
+// the kernel to a process and back) and the most events that have been
+// pending at once (the reports' "peak heap"). The counts depend only on the
+// simulated program, never on the machine, and are not part of Save.
+func (e *Env) Telemetry() (events, switches uint64, peakPending int) {
+	return e.fired, e.switches, e.peakPending
 }
 
 // Live returns the number of processes that have been started and have not
@@ -62,7 +62,7 @@ func (e *Env) Live() int { return e.nLive }
 // Seen from a running process, zero means nothing else will ever happen:
 // every other live process is parked on something only an event could
 // trigger.
-func (e *Env) Pending() int { return len(e.events) }
+func (e *Env) Pending() int { return e.events.n }
 
 // schedule enqueues fire to run in kernel context at time at. It panics if
 // at precedes the current time.
@@ -84,9 +84,7 @@ func (e *Env) push(ev event) {
 	e.seq++
 	ev.seq = e.seq
 	e.events.push(ev)
-	if n := len(e.events); n > e.peakHeap {
-		e.peakHeap = n
-	}
+	e.peakPending = max(e.peakPending, e.events.n)
 }
 
 // Go starts a new process running fn at the current virtual time. If name
@@ -109,11 +107,11 @@ func (e *Env) GoAt(at time.Duration, name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// Run executes events until the heap is empty, then returns the final
+// Run executes events until none is pending, then returns the final
 // virtual time. Processes that are parked forever (e.g. waiting on a signal
 // nobody fires) do not keep Run alive; Run returns with them still parked.
 func (e *Env) Run() time.Duration {
-	for len(e.events) > 0 {
+	for e.events.n > 0 {
 		e.step()
 	}
 	return e.now
@@ -123,7 +121,7 @@ func (e *Env) Run() time.Duration {
 // and returns. Pending later events remain queued; a subsequent Run or
 // RunUntil continues the simulation.
 func (e *Env) RunUntil(t time.Duration) time.Duration {
-	for len(e.events) > 0 && e.events[0].at <= t {
+	for e.events.n > 0 && e.events.minAt() <= t {
 		e.step()
 	}
 	if e.now < t {

@@ -1,83 +1,104 @@
 package sim
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // event is a pending simulation event: at time at, either wake proc (the
 // common case — a sleep ending, a grant, a broadcast — which needs no
 // closure) or run fire in kernel context.
 type event struct {
 	at   time.Duration
-	seq  uint64 // tie-breaker: events at the same instant fire in schedule order
+	seq  uint64 // schedule order; the queue keeps it without comparing, Save fingerprints it
 	proc *Proc
 	fire func()
 }
 
-func (ev *event) before(o *event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
-	}
-	return ev.seq < o.seq
+// eventQueue is a monotone radix queue of event values, popped in (at, seq)
+// order. It relies on what the kernel guarantees: no event is pushed
+// earlier than the latest pop (at ≥ now ≥ last), and every push carries a
+// larger seq than any before it. The events due at last wait in due; an
+// event due later sits in bucket later[k], k the highest bit in which its
+// at differs from last. When due runs dry, pop takes the lowest non-empty
+// bucket, makes its least at the new last and moves its events, in order,
+// to due and the buckets below, which are all empty. So due and every
+// bucket stay sorted by seq — pushes append the largest seq so far, moves
+// append a seq-sorted run to an empty bucket — and same-instant events
+// leave due in schedule order without a comparison of seq. A move takes
+// an event to a lower bucket, so it moves at most 64 times.
+// Values rather than pointers: a push writes into spare capacity, so
+// steady-state scheduling allocates nothing (DESIGN.md §17).
+type eventQueue struct {
+	last  time.Duration // time of the latest pop; no pending event is earlier
+	n     int           // pending events
+	due   fifo[event]   // the events due at last
+	mask  uint64        // bit k set when later[k] is non-empty
+	later [64][]event
 }
 
-// eventHeap is a 4-ary min-heap of event values ordered by (at, seq).
-// Values rather than pointers: a push writes into the slice's spare
-// capacity, so steady-state scheduling allocates nothing. Four children
-// per node halve the depth of the binary heap; pop's extra comparisons
-// per level stay inside one or two cache lines of adjacent 32-byte
-// records (measured no slower than arity 2 from 16 to 4 096 pending
-// events; DESIGN.md §17).
-type eventHeap []event
-
-const heapArity = 4
-
-func (h *eventHeap) push(ev event) {
-	s := append(*h, ev)
-	*h = s
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !ev.before(&s[parent]) {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = ev
+func (q *eventQueue) push(ev event) {
+	q.n++
+	q.file(ev)
 }
 
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s[n] = event{} // drop the proc/closure references
-	s = s[:n]
-	*h = s
-	if n == 0 {
-		return top
+// file puts ev in due or in its bucket, relative to last.
+func (q *eventQueue) file(ev event) {
+	if ev.at == q.last {
+		q.due.push(ev)
+		return
 	}
-	i := 0
-	for {
-		first := i*heapArity + 1
-		if first >= n {
-			break
+	k := bits.Len64(uint64(ev.at^q.last)) - 1
+	q.later[k] = append(q.later[k], ev)
+	q.mask |= 1 << k
+}
+
+// pop removes and returns the next event; the queue must not be empty.
+func (q *eventQueue) pop() event {
+	q.n--
+	if q.due.len() == 0 {
+		k := bits.TrailingZeros64(q.mask)
+		b := q.later[k]
+		q.later[k] = b[:0]
+		q.mask &^= 1 << k
+		if len(b) == 1 { // the usual case with few events pending: no move
+			ev := b[0]
+			b[0] = event{} // drop the proc/closure references
+			q.last = ev.at
+			return ev
 		}
-		best := first
-		end := first + heapArity
-		if end > n {
-			end = n
+		q.last = earliest(b)
+		for _, ev := range b {
+			q.file(ev)
 		}
-		for c := first + 1; c < end; c++ {
-			if s[c].before(&s[best]) {
-				best = c
-			}
-		}
-		if !s[best].before(&last) {
-			break
-		}
-		s[i] = s[best]
-		i = best
+		clear(b)
 	}
-	s[i] = last
-	return top
+	return q.due.pop()
+}
+
+// minAt returns when the next event is due without moving anything, so a
+// push made afterwards at any time ≥ last still lands in its bucket; the
+// queue must not be empty.
+func (q *eventQueue) minAt() time.Duration {
+	if q.due.len() > 0 {
+		return q.last
+	}
+	return earliest(q.later[bits.TrailingZeros64(q.mask)])
+}
+
+func earliest(b []event) time.Duration {
+	m := b[0].at
+	for _, ev := range b[1:] {
+		m = min(m, ev.at)
+	}
+	return m
+}
+
+// appendTo appends every pending event to dst in no particular order.
+func (q *eventQueue) appendTo(dst []event) []event {
+	dst = append(dst, q.due.items[q.due.head:]...)
+	for _, b := range q.later {
+		dst = append(dst, b...)
+	}
+	return dst
 }

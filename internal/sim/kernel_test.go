@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"cmp"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -72,7 +75,7 @@ const (
 func TestSaveGoldenFiftyProcesses(t *testing.T) {
 	e := fiftyProcScript()
 	e.RunUntil(12 * time.Millisecond)
-	if n := len(e.events); n != fiftyProcPending {
+	if n := e.Pending(); n != fiftyProcPending {
 		t.Errorf("pending events = %d, want %d", n, fiftyProcPending)
 	}
 	if fp := e.eventFingerprint(); fp != fiftyProcFingerprint {
@@ -90,11 +93,69 @@ func TestSaveGoldenFiftyProcesses(t *testing.T) {
 	}
 }
 
-// TestEventHeapMatchesSortedSlice plays random push/pop interleavings —
-// at drawn from eight values so ties are the rule, not the exception —
-// on the 4-ary heap and on a slice kept sorted by (at, seq), and requires
-// the same event out of every pop and the same contents at the end.
-func TestEventHeapMatchesSortedSlice(t *testing.T) {
+// queueDeltas are how far past the latest pop a scripted push lands: ties,
+// near neighbours in the low buckets, and steps into later[20], later[40]
+// and later[62]. Sums saturate at math.MaxInt64, which makes ties up there
+// too.
+var queueDeltas = [...]time.Duration{0, 1, 2, 3, 1 << 20, 1 << 40, 1 << 62}
+
+// runQueueScript plays a byte script on an eventQueue and on a slice kept
+// sorted by (at, seq), the order the queue promises. A byte's low two bits
+// pick the op: 0 pops, 1 peeks with minAt, 2 and 3 push at the latest pop
+// plus queueDeltas[(b>>2) mod 7] — never earlier, as in the kernel. Every
+// pop must return the model's first event, every peek its time, and at the
+// end appendTo must hold exactly the model's events. It returns the first
+// disagreement.
+func runQueueScript(script []byte) error {
+	var q eventQueue
+	var model []event
+	var seq uint64
+	var last time.Duration
+	for k, b := range script {
+		switch {
+		case b&3 == 0 && len(model) > 0:
+			got, want := q.pop(), model[0]
+			model = model[1:]
+			if got.at != want.at || got.seq != want.seq {
+				return fmt.Errorf("op %d: pop = (%d, %d), want (%d, %d)", k, got.at, got.seq, want.at, want.seq)
+			}
+			last = got.at
+		case b&3 == 1 && len(model) > 0:
+			if got := q.minAt(); got != model[0].at {
+				return fmt.Errorf("op %d: minAt = %d, want %d", k, got, model[0].at)
+			}
+		case b&3 >= 2:
+			at := time.Duration(math.MaxInt64)
+			if d := queueDeltas[int(b>>2)%len(queueDeltas)]; d <= at-last {
+				at = last + d
+			}
+			seq++
+			ev := event{at: at, seq: seq}
+			q.push(ev)
+			i := sort.Search(len(model), func(i int) bool { return model[i].at > at })
+			model = slices.Insert(model, i, ev)
+		}
+		if q.n != len(model) {
+			return fmt.Errorf("op %d: %d pending, want %d", k, q.n, len(model))
+		}
+	}
+	rest := q.appendTo(nil)
+	slices.SortFunc(rest, func(a, b event) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq)) })
+	if !slices.EqualFunc(rest, model, func(a, b event) bool { return a.at == b.at && a.seq == b.seq }) {
+		return fmt.Errorf("appendTo does not hold the %d pending events", len(model))
+	}
+	for len(model) > 0 {
+		if got := q.pop(); got.at != model[0].at || got.seq != model[0].seq {
+			return fmt.Errorf("draining: pop = (%d, %d), want (%d, %d)", got.at, got.seq, model[0].at, model[0].seq)
+		}
+		model = model[1:]
+	}
+	return nil
+}
+
+// TestEventQueueMatchesSortedSlice runs 2 000 random scripts through
+// runQueueScript; FuzzEventQueue (make fuzz-smoke) searches further.
+func TestEventQueueMatchesSortedSlice(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 2000,
 		Rand:     rand.New(rand.NewSource(18)),
@@ -105,47 +166,27 @@ func TestEventHeapMatchesSortedSlice(t *testing.T) {
 		},
 	}
 	check := func(script []byte) bool {
-		var h eventHeap
-		var model []event
-		var seq uint64
-		pop := func() bool {
-			got, want := h.pop(), model[0]
-			model = model[1:]
-			if got.at != want.at || got.seq != want.seq {
-				t.Errorf("pop = (%v, %d), want (%v, %d)", got.at, got.seq, want.at, want.seq)
-				return false
-			}
-			return true
+		if err := runQueueScript(script); err != nil {
+			t.Error(err)
+			return false
 		}
-		for _, b := range script {
-			if b&3 == 0 { // one op in four pops, so the heap grows deep
-				if len(model) > 0 && !pop() {
-					return false
-				}
-				continue
-			}
-			seq++
-			ev := event{at: time.Duration(b >> 5), seq: seq}
-			h.push(ev)
-			i := sort.Search(len(model), func(i int) bool { return ev.before(&model[i]) })
-			model = append(model, event{})
-			copy(model[i+1:], model[i:])
-			model[i] = ev
-			if len(h) != len(model) {
-				t.Errorf("len = %d, want %d", len(h), len(model))
-				return false
-			}
-		}
-		for len(model) > 0 {
-			if !pop() {
-				return false
-			}
-		}
-		return len(h) == 0
+		return true
 	}
 	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{2, 2, 3, 1, 0, 2, 0, 0, 0})                        // ties at 0, FIFO out
+	f.Add([]byte{6, 10, 14, 18, 22, 26, 1, 0, 1, 0, 1, 0, 0, 0, 0}) // one push per delta
+	f.Add([]byte{26, 26, 0, 26, 26, 0, 26, 1, 0, 0, 0})             // saturating at MaxInt64
+	f.Add([]byte{18, 22, 14, 10, 0, 18, 6, 1, 0, 22, 2, 0, 1, 0})   // moves out of high buckets
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if err := runQueueScript(script); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestGoexitInProcessEndsRunCaller: runtime.Goexit inside a process is
@@ -187,10 +228,10 @@ func TestRunBoundsOnValueHeap(t *testing.T) {
 	}
 	e.RunUntil(7 * time.Second)
 	// 7 starts fired; 7 wake-ups and 13 starts remain.
-	if e.Events() != 7 || len(e.events) != 20 {
-		t.Fatalf("after RunUntil(7s): %d fired, %d pending; want 7 and 20", e.Events(), len(e.events))
+	if e.Events() != 7 || e.Pending() != 20 {
+		t.Fatalf("after RunUntil(7s): %d fired, %d pending; want 7 and 20", e.Events(), e.Pending())
 	}
-	if at := e.events[0].at; at != 8*time.Second {
+	if at := e.events.minAt(); at != 8*time.Second {
 		t.Fatalf("next pending event at %v, want 8s", at)
 	}
 	e.RunUntil(12 * time.Second)
@@ -200,6 +241,77 @@ func TestRunBoundsOnValueHeap(t *testing.T) {
 	e.Run() // exactly the 8 starts and 20 wake-ups left
 	if e.Events() != 40 || e.Now() != 50*time.Second || e.Live() != 0 || e.Pending() != 0 {
 		t.Fatalf("at end: %d fired at %v, %d live; want 40 at 50s, 0", e.Events(), e.Now(), e.Live())
+	}
+}
+
+// TestRunUntilShortOfNextEvent: RunUntil(10ms) stops with the next event
+// due at 16ms. What is then scheduled from outside the run at 10ms to
+// 16ms−1ns must fire before 16ms, in (at, seq) order. It fails if finding
+// the next event's time moved the queue's latest pop past the stop time,
+// which files the later pushes as if they were due after 16ms. The fired
+// order and the Save bytes at a second stop were computed on the 4-ary
+// heap the radix queue replaced.
+func TestRunUntilShortOfNextEvent(t *testing.T) {
+	e := NewEnv(3)
+	var fired []string
+	note := func(what string) { fired = append(fired, fmt.Sprintf("%s@%v", what, e.Now())) }
+	for i, ms := range []time.Duration{8, 16, 16, 20, 40} {
+		name := fmt.Sprintf("p%d", i)
+		e.Go(name, func(p *Proc) {
+			p.Sleep(ms * time.Millisecond)
+			note(name)
+			p.Sleep(time.Millisecond)
+			note(name)
+		})
+	}
+	e.RunUntil(10 * time.Millisecond) // p0 ended at 9ms; 16, 16, 20, 40ms pending
+	e.OnTime(10*time.Millisecond, func() { note("hook-a") })
+	e.GoAt(12*time.Millisecond, "late", func(p *Proc) {
+		note("late")
+		p.Sleep(2 * time.Millisecond)
+		note("late")
+	})
+	e.OnTime(12*time.Millisecond, func() { note("hook-b") })
+	e.OnTime(16*time.Millisecond-1, func() { note("hook-c") })
+	e.OnTime(10*time.Millisecond, func() { note("hook-d") })
+	e.RunUntil(18 * time.Millisecond)
+	var w snapshot.Writer
+	e.Save(&w)
+	if got := hex.EncodeToString(w.Bytes()); got != shortStopSaveHex {
+		t.Errorf("Save bytes at 18ms =\n%s\nwant\n%s", got, shortStopSaveHex)
+	}
+	e.Run()
+	want := []string{
+		"p0@8ms", "p0@9ms", "hook-a@10ms", "hook-d@10ms", "late@12ms", "hook-b@12ms",
+		"late@14ms", "hook-c@15.999999ms", "p1@16ms", "p2@16ms", "p1@17ms", "p2@17ms",
+		"p3@20ms", "p3@21ms", "p4@40ms", "p4@41ms",
+	}
+	if !slices.Equal(fired, want) {
+		t.Errorf("fired\n%q\nwant\n%q", fired, want)
+	}
+}
+
+const shortStopSaveHex = "000000000112a88000000000000000130000000000000011000000000000000600000000000000023c6ef372fe94f82d00000000000000021dc29705d248958d"
+
+// TestSameInstantEventsStayBounded: processes that keep yielding at one
+// instant never let the clock move, so the events due now never run dry
+// between two pops. The queue must still drop the slots it has popped
+// instead of growing by one per event.
+func TestSameInstantEventsStayBounded(t *testing.T) {
+	e := NewEnv(1)
+	for w := 0; w < 3; w++ {
+		e.Go("yielder", func(p *Proc) {
+			for i := 0; i < 10000; i++ {
+				p.Yield()
+			}
+		})
+	}
+	e.Run()
+	if e.Now() != 0 || e.Events() != 30003 {
+		t.Fatalf("ran to %v with %d events, want 0 and 30003", e.Now(), e.Events())
+	}
+	if c := cap(e.events.due.items); c > 16 {
+		t.Fatalf("due events kept a backing array of %d slots for 3 pending events", c)
 	}
 }
 

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"hash/crc64"
+	"slices"
 	"time"
 
 	"azurebench/internal/snapshot"
@@ -25,11 +27,11 @@ func (e *Env) SnapshotSection() string { return "sim/env" }
 
 // Save appends the kernel state: virtual clock, event/sequence counters,
 // PRNG stream, process accounting, and a deterministic fingerprint of
-// the pending-event heap (count plus a CRC-64 over every (at, seq)
-// pair). The events themselves cannot be serialized — they reference
-// coroutine stacks and closures — so restore either requires quiescence
-// (empty heap, direct Load) or replay verification, where this
-// fingerprint proves the replayed heap matches the checkpointed one.
+// the pending events (count plus a CRC-64 over every (at, seq) pair).
+// The events themselves cannot be serialized — they reference coroutine
+// stacks and closures — so restore either requires quiescence (nothing
+// pending, direct Load) or replay verification, where this fingerprint
+// proves the replayed queue matches the checkpointed one.
 func (e *Env) Save(w *snapshot.Writer) {
 	w.Duration(e.now)
 	w.U64(e.seq)
@@ -37,14 +39,14 @@ func (e *Env) Save(w *snapshot.Writer) {
 	w.Int(e.nSpawn)
 	w.Int(e.nLive)
 	w.U64(e.rng.State())
-	w.Int(len(e.events))
+	w.Int(e.events.n)
 	w.U64(e.eventFingerprint())
 }
 
-// Load restores the kernel state into a quiescent environment: the
-// event heap must be empty both in the snapshot and live, because
-// pending events carry closures that cannot be rebuilt from bytes.
-// Mid-run snapshots (non-empty heap) are restored by replay instead.
+// Load restores the kernel state into a quiescent environment: no event
+// may be pending, in the snapshot or live, because pending events carry
+// closures that cannot be rebuilt from bytes. Mid-run snapshots (events
+// pending) are restored by replay instead.
 func (e *Env) Load(r *snapshot.Reader) error {
 	now := r.Duration()
 	seq := r.U64()
@@ -53,15 +55,15 @@ func (e *Env) Load(r *snapshot.Reader) error {
 	nLive := r.Int()
 	rngState := r.U64()
 	nEvents := r.Int()
-	r.U64() // heap fingerprint, meaningful only when nEvents > 0
+	r.U64() // event fingerprint, meaningful only when nEvents > 0
 	if err := r.Err(); err != nil {
 		return err
 	}
 	if nEvents != 0 || nLive != 0 {
 		return fmt.Errorf("sim: snapshot is not quiescent (%d pending events, %d live procs); only quiescent snapshots can be loaded directly", nEvents, nLive)
 	}
-	if len(e.events) != 0 || e.nLive != 0 {
-		return fmt.Errorf("sim: loading into a non-quiescent env (%d pending events, %d live procs)", len(e.events), e.nLive)
+	if e.events.n != 0 || e.nLive != 0 {
+		return fmt.Errorf("sim: loading into a non-quiescent env (%d pending events, %d live procs)", e.events.n, e.nLive)
 	}
 	e.now = now
 	e.seq = seq
@@ -74,20 +76,21 @@ func (e *Env) Load(r *snapshot.Reader) error {
 var eventCRCTable = crc64.MakeTable(crc64.ECMA)
 
 // eventFingerprint hashes the (at, seq) pairs of all pending events in
-// heap-pop order without disturbing the heap. Two identical replays have
-// identical heaps, so equal fingerprints; any drift in event timing or
-// scheduling order changes the hash.
+// the order they will fire, sorting a copy: where an event sits in the
+// queue is not canonical and never enters the hash. Two identical replays
+// have the same pending events, so equal fingerprints; any drift in event
+// timing or scheduling order changes the hash.
 func (e *Env) eventFingerprint() uint64 {
-	if len(e.events) == 0 {
+	if e.events.n == 0 {
 		return 0
 	}
-	// Pop a copy of the heap — the slice order itself is a valid but
-	// non-canonical layout; pop order is (at, seq).
-	evs := append(eventHeap(nil), e.events...)
+	evs := e.events.appendTo(nil)
+	slices.SortFunc(evs, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+	})
 	var buf [16]byte
 	crc := crc64.Update(0, eventCRCTable, nil)
-	for len(evs) > 0 {
-		ev := evs.pop()
+	for _, ev := range evs {
 		at := uint64(ev.at)
 		sq := ev.seq
 		for i := 0; i < 8; i++ {
