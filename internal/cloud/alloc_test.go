@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"azurebench/internal/cachestore"
 	"azurebench/internal/model"
 	"azurebench/internal/payload"
 	"azurebench/internal/sim"
@@ -76,34 +77,13 @@ func TestPointOpsAllocateOnlyInTheEngine(t *testing.T) {
 	body := payload.Zero(storecommon.KB)
 	fresh := row.Clone()
 	fresh.RowKey = "fresh"
-	measure := func(name string, engine func(), simulated func(p *sim.Proc)) {
-		floor := 0.0
-		if engine != nil {
-			floor = allocsPerRun(200, func() {
-				// The engines read the virtual clock (time stamps, pop
-				// receipts): let it move here as it does under simulated
-				// requests.
-				env.RunUntil(env.Now() + 10*time.Millisecond)
-				engine()
-			})
-		}
-		var got float64
-		env.Go(name, func(p *sim.Proc) {
-			simulated(p) // first touch: stations, limiters, heap capacity
-			got = allocsPerRun(200, func() { simulated(p) })
-		})
-		env.Run()
-		if got > floor+0.5 {
-			t.Errorf("%s: %.2f allocations per simulated op, the engine's own are %.2f", name, got, floor)
-		}
-	}
-	measure("GetEntity", nil,
+	allocCeiling(t, env, "GetEntity", nil,
 		func(p *sim.Proc) {
 			if _, err := cl.GetEntity(p, "tbl", "pk", "row"); err != nil {
 				t.Error(err)
 			}
 		})
-	measure("UpdateEntity",
+	allocCeiling(t, env, "UpdateEntity",
 		func() { c.Table.Replace("tbl", row, storecommon.ETagAny) },
 		func(p *sim.Proc) {
 			if _, err := cl.UpdateEntity(p, "tbl", row, storecommon.ETagAny); err != nil {
@@ -112,7 +92,7 @@ func TestPointOpsAllocateOnlyInTheEngine(t *testing.T) {
 		})
 	// A write leaves a row behind or takes one away: the other half of
 	// the cycle goes straight to the engine, on both sides.
-	measure("InsertEntity",
+	allocCeiling(t, env, "InsertEntity",
 		func() {
 			c.Table.Insert("tbl", fresh)
 			c.Table.Delete("tbl", "pk", "fresh", storecommon.ETagAny)
@@ -123,7 +103,7 @@ func TestPointOpsAllocateOnlyInTheEngine(t *testing.T) {
 			}
 			c.Table.Delete("tbl", "pk", "fresh", storecommon.ETagAny)
 		})
-	measure("DeleteEntity",
+	allocCeiling(t, env, "DeleteEntity",
 		func() {
 			c.Table.Insert("tbl", fresh)
 			c.Table.Delete("tbl", "pk", "fresh", storecommon.ETagAny)
@@ -134,7 +114,7 @@ func TestPointOpsAllocateOnlyInTheEngine(t *testing.T) {
 				t.Error(err)
 			}
 		})
-	measure("queue cycle",
+	allocCeiling(t, env, "queue cycle",
 		func() {
 			c.Queue.Put("jobs", body, 0)
 			c.Queue.ApproximateCount("jobs")
@@ -155,6 +135,101 @@ func TestPointOpsAllocateOnlyInTheEngine(t *testing.T) {
 			// The per-queue limiter admits 500 ops/s: pace the cycle.
 			p.Sleep(10 * time.Millisecond)
 		})
+}
+
+// allocCeiling fails t when a simulated operation allocates more than half
+// an allocation beyond what its engine call does by itself. A nil engine
+// is a call that allocates nothing.
+func allocCeiling(t *testing.T, env *sim.Env, name string, engine func(), simulated func(p *sim.Proc)) {
+	t.Helper()
+	floor := 0.0
+	if engine != nil {
+		floor = allocsPerRun(200, func() {
+			// The engines read the virtual clock (time stamps, pop
+			// receipts): let it move here as it does under simulated
+			// requests.
+			env.RunUntil(env.Now() + 10*time.Millisecond)
+			engine()
+		})
+	}
+	var got float64
+	env.Go(name, func(p *sim.Proc) {
+		simulated(p) // first touch: stations, limiters, heap capacity
+		got = allocsPerRun(200, func() { simulated(p) })
+	})
+	env.Run()
+	if got > floor+0.5 {
+		t.Errorf("%s: %.2f allocations per simulated op, the engine's own are %.2f", name, got, floor)
+	}
+}
+
+// TestRemainingOpsAllocateOnlyInTheEngine holds the client's other reads,
+// its blob writes and a queue create to TestPointOpsAllocateOnlyInTheEngine's
+// ceiling: the engine's own allocations and nothing of the request's.
+func TestRemainingOpsAllocateOnlyInTheEngine(t *testing.T) {
+	env, c, cl, _ := pointOpsFixture(t)
+	block, page := payload.Zero(storecommon.KB), payload.Zero(512)
+	if err := c.Blob.CreateContainer("ctn"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Blob.UploadBlockBlob("ctn", "blk", payload.Zero(4*storecommon.KB), ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Blob.CreatePageBlob("ctn", "pg", 4*storecommon.KB); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.cacheCluster().Put(cachestore.DefaultCache, "k", block, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	check := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	// Each simulated op waits out the per-queue and per-partition limiters
+	// (500 ops/s) before it returns.
+	paced := func(op func(p *sim.Proc) error) func(p *sim.Proc) {
+		return func(p *sim.Proc) {
+			check(op(p))
+			p.Sleep(10 * time.Millisecond)
+		}
+	}
+	allocCeiling(t, env, "PutBlock",
+		func() { c.Blob.PutBlock("ctn", "blk", "YQ==", block) },
+		paced(func(p *sim.Proc) error { return cl.PutBlock(p, "ctn", "blk", "YQ==", block) }))
+	allocCeiling(t, env, "GetBlock",
+		func() { c.Blob.GetBlock("ctn", "blk", 0) },
+		paced(func(p *sim.Proc) error { _, err := cl.GetBlock(p, "ctn", "blk", 0); return err }))
+	allocCeiling(t, env, "PutPage",
+		func() { c.Blob.PutPages("ctn", "pg", 512, page, "") },
+		paced(func(p *sim.Proc) error { return cl.PutPage(p, "ctn", "pg", 512, page) }))
+	allocCeiling(t, env, "GetPage",
+		func() { c.Blob.GetPage("ctn", "pg", 512, 512) },
+		paced(func(p *sim.Proc) error { _, err := cl.GetPage(p, "ctn", "pg", 512, 512); return err }))
+	allocCeiling(t, env, "Download",
+		func() { c.Blob.Download("ctn", "blk") },
+		paced(func(p *sim.Proc) error { _, err := cl.Download(p, "ctn", "blk"); return err }))
+	allocCeiling(t, env, "DownloadRange",
+		func() { c.Blob.DownloadRange("ctn", "blk", 512, 512) },
+		paced(func(p *sim.Proc) error { _, err := cl.DownloadRange(p, "ctn", "blk", 512, 512); return err }))
+	allocCeiling(t, env, "BlobProps",
+		func() { c.Blob.GetProps("ctn", "blk") },
+		paced(func(p *sim.Proc) error { _, err := cl.BlobProps(p, "ctn", "blk"); return err }))
+	allocCeiling(t, env, "QueryEntities",
+		func() { c.Table.Query("tbl", "", 10, tablestore.Continuation{}) },
+		paced(func(p *sim.Proc) error {
+			_, err := cl.QueryEntities(p, "tbl", "pk", "", 10, tablestore.Continuation{})
+			return err
+		}))
+	allocCeiling(t, env, "GetMessageCount",
+		func() { c.Queue.ApproximateCount("jobs") },
+		paced(func(p *sim.Proc) error { _, err := cl.GetMessageCount(p, "jobs"); return err }))
+	allocCeiling(t, env, "CreateQueueIfNotExists",
+		func() { c.Queue.CreateQueueIfNotExists("jobs") },
+		paced(func(p *sim.Proc) error { _, err := cl.CreateQueueIfNotExists(p, "jobs"); return err }))
+	allocCeiling(t, env, "CacheGet",
+		func() { c.cacheCluster().Get(cachestore.DefaultCache, "k") },
+		paced(func(p *sim.Proc) error { _, _, err := cl.CacheGet(p, cachestore.DefaultCache, "k"); return err }))
 }
 
 // BenchmarkSimTableGet is the simulated point read by itself — the

@@ -30,38 +30,18 @@ func (c *Cloud) cacheServer(cache, key string) *sim.Resource {
 
 // CachePut stores value under key (ttl 0 = the service default).
 func (cl *Client) CachePut(p *sim.Proc, cache, key string, value payload.Payload, ttl time.Duration) (uint64, error) {
-	var version uint64
-	req := cl.newRequest("CachePut", "cache", value.Len()+reqHeader, cl.cloud.cacheServer(cache, key))
+	req := cl.newRequest(opCachePut, value.Len()+reqHeader, cl.cloud.cacheServer(cache, key))
 	defer cl.cloud.release(req)
-	req.mut = true
-	req.lat = cl.cloud.prm.CacheLat
-	req.apply = func() (time.Duration, int64, error) {
-		var err error
-		version, err = cl.cloud.cacheCluster().Put(cache, key, value, ttl)
-		return cl.cloud.prm.CacheOcc(true, value.Len()), 0, err
-	}
+	req.name, req.key, req.data, req.ttl = cache, key, value, ttl
 	err := cl.do(p, req)
-	return version, err
+	return req.version, err
 }
 
 // CacheGet fetches key; ok is false on a miss.
 func (cl *Client) CacheGet(p *sim.Proc, cache, key string) (cachestore.Item, bool, error) {
-	var (
-		item cachestore.Item
-		ok   bool
-	)
-	req := cl.newRequest("CacheGet", "cache", reqHeader, cl.cloud.cacheServer(cache, key))
+	req := cl.newRequest(opCacheGet, reqHeader, cl.cloud.cacheServer(cache, key))
 	defer cl.cloud.release(req)
-	req.lat = cl.cloud.prm.CacheLat
-	req.apply = func() (time.Duration, int64, error) {
-		var err error
-		item, ok, err = cl.cloud.cacheCluster().Get(cache, key)
-		size := int64(0)
-		if ok {
-			size = item.Value.Len()
-		}
-		return cl.cloud.prm.CacheOcc(false, size), size, err
-	}
+	req.name, req.key = cache, key
 	err := cl.do(p, req)
-	return item, ok, err
+	return req.item, req.ok, err
 }

@@ -15,6 +15,7 @@ package cloud
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -58,7 +59,8 @@ type Cloud struct {
 	accountTx *storecommon.RateLimiter
 	accountBW *storecommon.RateLimiter
 
-	blobSrv  map[string]*replicaSet
+	blobSrv  map[string]*replicaSet // "container/blob" -> its replicas
+	keyBuf   []byte                 // blobReplicas' scratch key
 	queueSrv map[string]*sim.Resource
 	queueTB  *storecommon.LimiterPool
 	tableSrv []*sim.Resource
@@ -209,18 +211,22 @@ func (c *Cloud) Stats() Stats { return c.stats }
 
 // --- placement ---
 
+// blobReplicas returns the replica set of blob partition container/blob.
+// The key is spelled in a scratch buffer, so finding a known partition
+// allocates nothing; a new one's key is copied out once.
 func (c *Cloud) blobReplicas(container, blob string) *replicaSet {
-	key := container + "/" + blob
-	rs, ok := c.blobSrv[key]
-	if !ok {
-		replicas := make([]*sim.Resource, c.prm.Replicas)
-		for i := range replicas {
-			//azlint:allow hotalloc(replica station names are formatted once per blob on first touch, then cached in blobSrv)
-			replicas[i] = sim.NewResource(c.env, c.station(fmt.Sprintf("blob:%s/r%d", key, i)), c.prm.ServerConcurrency)
-		}
-		rs = &replicaSet{replicas: replicas}
-		c.blobSrv[key] = rs
+	c.keyBuf = append(append(append(c.keyBuf[:0], container...), '/'), blob...)
+	if rs, ok := c.blobSrv[string(c.keyBuf)]; ok {
+		return rs
 	}
+	key := string(c.keyBuf)
+	replicas := make([]*sim.Resource, c.prm.Replicas)
+	for i := range replicas {
+		//azlint:allow hotalloc(replica station names are formatted once per blob on first touch, then cached in blobSrv)
+		replicas[i] = sim.NewResource(c.env, c.station(fmt.Sprintf("blob:%s/r%d", key, i)), c.prm.ServerConcurrency)
+	}
+	rs := &replicaSet{replicas: replicas}
+	c.blobSrv[key] = rs
 	return rs
 }
 
@@ -365,55 +371,32 @@ func (c *Cloud) Stations() []telemetry.Station {
 // --- request pipeline ---
 
 // request is one storage operation: its cost structure, the program that
-// carries it from send to reply (Client.do), and its results. The engine
-// call runs at the partition server and yields the server occupancy (it may
-// depend on what the engine finds, e.g. the size of a dequeued message),
-// the response payload size, and the engine result. The point operations a
-// closed loop is made of name a case of Client.apply, which keeps arguments
-// and results in the request; every other operation brings a closure. A
+// carries it from send to reply (Client.do), and its results. The op kind
+// says what the operation is (ops) and what it does at its engine
+// (Cloud.apply); its arguments and results are fields of the request. A
 // request comes off its Cloud's free list (Client.newRequest), filled in
-// by the call site, which gives it back when it returns: issuing a point
+// by the call site, which gives it back when it returns: issuing an
 // operation allocates nothing.
 type request struct {
-	cl      *Client
-	op      string // operation name for tracing (e.g. "PutBlock")
-	service string // blob | queue | table | cache
-	up      int64  // request payload bytes
-	mut     bool   // mutation: injected faults must fire before the engine commits
-	server  *sim.Resource
+	cl *Client
+	opArgs
+	up     int64 // request payload bytes
+	server *sim.Resource
 	// serverIdx is the table-server index the client routed to (from its
 	// cached partition map); -1 under static placement, where the route
 	// cannot go stale. The front door validates it against the master.
 	serverIdx int
-	queue     string // non-empty: charge the per-queue limiter
-	table     string // non-empty with part: charge the per-partition limiter
-	part      string
-	txCost    float64
-	lat       time.Duration // pipeline latency; apply may set it from what it found
-	kind      opKind
-	apply     func() (occ time.Duration, down int64, err error) // kind == opClosure
-	// repl is the synchronous-replication component of the operation's
-	// occupancy (zero for reads and unreplicated ops); tracing splits it
-	// out of the server span.
-	repl time.Duration
-	// mirror, built only when a geo stream is attached, replays the
-	// mutation against the secondary-region cloud; geoKey is the
-	// replication-log partition (container, queue, or table name).
-	mirror func(dst *Cloud) error
-	geoKey string
+	lat       time.Duration // pipeline latency; apply sets it
 
-	// Arguments (beside table, part, queue) and results of Client.apply's
-	// own cases.
-	rowKey     string             // GetEntity, DeleteEntity
-	ifMatch    string             // UpdateEntity, DeleteEntity
-	ent        *tablestore.Entity // InsertEntity's, UpdateEntity's row
-	gotEnt     tablestore.Row     // the row GetEntity found / Insert-, UpdateEntity stored
-	body       payload.Payload    // PutMessage
-	visibility time.Duration      // GetMessage
-	msgID      string             // DeleteMessage
-	popReceipt string
-	msg        queuestore.Message // the message put, dequeued or peeked
-	found      bool               // GetMessage, PeekMessage: msg is one
+	// Results of the engine call beside data (a blob read's bytes).
+	gotEnt  tablestore.Row         // the row GetEntity found / Insert-, UpdateEntity stored
+	msg     queuestore.Message     // the message put, dequeued or peeked
+	ok      bool                   // a message or cache item found; a container, queue or table created
+	count   int                    // GetMessageCount
+	version uint64                 // CachePut
+	props   blobstore.Props        // BlobProps
+	res     tablestore.QueryResult // QueryEntities
+	item    cachestore.Item        // CacheGet
 
 	// Where the request's program stands, and what it has found so far.
 	phase phase
@@ -431,6 +414,25 @@ type request struct {
 	parentID string
 }
 
+// opArgs are an operation's engine arguments, the ones Cloud.apply hands
+// to the engine, and all that a geo record keeps of a request.
+type opArgs struct {
+	kind       opKind
+	name       string               // the container, queue, table or cache addressed; the geo log's partition
+	key        string               // blob name, partition key or cache key
+	id         string               // block ID, row key or message ID
+	ifMatch    string               // UpdateEntity's and DeleteEntity's ETag condition
+	popReceipt string               // DeleteMessage
+	data       payload.Payload      // the bytes written; a blob read's result
+	refs       []blobstore.BlockRef // PutBlockList
+	ent        *tablestore.Entity   // InsertEntity's, UpdateEntity's row
+	off, n     int64                // a byte range; GetBlock's index (off), CreatePageBlob's size (n)
+	ttl        time.Duration        // GetMessage's visibility timeout, CachePut's time to live
+	filter     string               // QueryEntities
+	top        int
+	from       tablestore.Continuation
+}
+
 // phase names the Call step a request's program has reached; phaseReset
 // marks a request whose connection is cut, which do finishes itself.
 type phase uint8
@@ -443,10 +445,10 @@ const (
 	phaseReset
 )
 
-// newRequest hands out a request from the cloud's free list with its
-// operation, service, request payload and server set; the caller fills in
-// the rest and defers c.release.
-func (cl *Client) newRequest(op, service string, up int64, server *sim.Resource) *request {
+// newRequest hands out a request for an operation of kind from the cloud's
+// free list with its request payload and server set; the caller fills in
+// the arguments and defers c.release.
+func (cl *Client) newRequest(kind opKind, up int64, server *sim.Resource) *request {
 	c := cl.cloud
 	var req *request
 	if n := len(c.free); n > 0 {
@@ -454,7 +456,7 @@ func (cl *Client) newRequest(op, service string, up int64, server *sim.Resource)
 	} else {
 		req = new(request)
 	}
-	req.cl, req.op, req.service, req.up, req.server = cl, op, service, up, server
+	req.cl, req.kind, req.up, req.server = cl, kind, up, server
 	return req
 }
 
@@ -464,61 +466,269 @@ func (c *Cloud) release(req *request) {
 	c.free = append(c.free, req)
 }
 
-// opKind names the engine calls Client.apply makes itself.
+// opKind names a Client operation.
 type opKind uint8
 
 const (
-	opClosure opKind = iota // run req.apply
-	opInsertEntity
-	opGetEntity
-	opUpdateEntity
-	opDeleteEntity
+	opCreateContainer opKind = iota
+	opCreateContainerIfNotExists
+	opPutBlock
+	opPutBlockList
+	opUploadBlockBlob
+	opGetBlock
+	opCreatePageBlob
+	opPutPage
+	opGetPage
+	opDownload
+	opDownloadRange
+	opDeleteBlob
+	opBlobProps
+	opCreateQueue
+	opCreateQueueIfNotExists
+	opDeleteQueue
 	opPutMessage
 	opGetMessage
 	opPeekMessage
 	opDeleteMessage
+	opGetMessageCount
+	opCreateTable
+	opCreateTableIfNotExists
+	opInsertEntity
+	opGetEntity
+	opUpdateEntity
+	opDeleteEntity
+	opQueryEntities
+	opCachePut
+	opCacheGet
+	// opReplicaDeleteMessage is DeleteMessage as the geo secondary replays
+	// it (Cloud.replicate); no client issues it.
+	opReplicaDeleteMessage
 )
 
-// apply runs the operation at its partition server.
-func (cl *Client) apply(req *request) (occ time.Duration, down int64, err error) {
-	c := cl.cloud
+// opFlags are what an operation is, whatever its arguments.
+type opFlags uint8
+
+const (
+	mutates    opFlags = 1 << iota // injected faults must fire before the engine commits
+	syncRepl                       // its occupancy includes a synchronously replicated write, traced apart
+	geoRepl                        // the geo secondary replays it
+	queueLimit                     // the queue's limiter admits it too
+	partLimit                      // the table partition's limiter admits it too, once the partition map has checked its route
+)
+
+// ops holds each client operation's trace name, service and flags.
+var ops = [...]struct {
+	name, service string
+	flags         opFlags
+}{
+	opCreateContainer:            {"CreateContainer", "blob", mutates | geoRepl},
+	opCreateContainerIfNotExists: {"CreateContainerIfNotExists", "blob", mutates | geoRepl},
+	opPutBlock:                   {"PutBlock", "blob", mutates | syncRepl | geoRepl},
+	opPutBlockList:               {"PutBlockList", "blob", mutates | syncRepl | geoRepl},
+	opUploadBlockBlob:            {"UploadBlockBlob", "blob", mutates | syncRepl | geoRepl},
+	opGetBlock:                   {"GetBlock", "blob", 0},
+	opCreatePageBlob:             {"CreatePageBlob", "blob", mutates | geoRepl},
+	opPutPage:                    {"PutPage", "blob", mutates | syncRepl | geoRepl},
+	opGetPage:                    {"GetPage", "blob", 0},
+	opDownload:                   {"Download", "blob", 0},
+	opDownloadRange:              {"DownloadRange", "blob", 0},
+	opDeleteBlob:                 {"DeleteBlob", "blob", mutates | syncRepl | geoRepl},
+	opBlobProps:                  {"BlobProps", "blob", 0},
+	opCreateQueue:                {"CreateQueue", "queue", mutates | geoRepl},
+	opCreateQueueIfNotExists:     {"CreateQueueIfNotExists", "queue", mutates | geoRepl},
+	opDeleteQueue:                {"DeleteQueue", "queue", mutates | geoRepl},
+	opPutMessage:                 {"PutMessage", "queue", mutates | syncRepl | geoRepl | queueLimit},
+	opGetMessage:                 {"GetMessage", "queue", syncRepl | queueLimit}, // a dequeue commits a visibility update
+	opPeekMessage:                {"PeekMessage", "queue", queueLimit},
+	opDeleteMessage:              {"DeleteMessage", "queue", mutates | syncRepl | geoRepl | queueLimit},
+	opGetMessageCount:            {"GetMessageCount", "queue", queueLimit},
+	opCreateTable:                {"CreateTable", "table", mutates | geoRepl},
+	opCreateTableIfNotExists:     {"CreateTableIfNotExists", "table", mutates | geoRepl},
+	opInsertEntity:               {"InsertEntity", "table", mutates | syncRepl | geoRepl | partLimit},
+	opGetEntity:                  {"GetEntity", "table", partLimit},
+	opUpdateEntity:               {"UpdateEntity", "table", mutates | syncRepl | geoRepl | partLimit},
+	opDeleteEntity:               {"DeleteEntity", "table", mutates | syncRepl | geoRepl | partLimit},
+	opQueryEntities:              {"QueryEntities", "table", partLimit},
+	opCachePut:                   {"CachePut", "cache", mutates},
+	opCacheGet:                   {"CacheGet", "cache", 0},
+}
+
+// is reports whether the operation has flag f.
+func (k opKind) is(f opFlags) bool { return ops[k].flags&f != 0 }
+
+// apply runs an operation at its engine: it returns the partition server's
+// occupancy (which may depend on what the engine finds, e.g. the size of a
+// dequeued message), the response payload size and the engine's error,
+// leaves the results in req and sets the pipeline latency. The front door
+// calls it on the primary while the request holds its server; a geo record
+// calls it on the secondary with a copy of the arguments (replicate). So it
+// touches c's engines and c.prm, and nothing else of c.
+func (c *Cloud) apply(req *request) (occ time.Duration, down int64, err error) {
+	prm := &c.prm
 	switch req.kind {
+	case opCreateContainer:
+		return prm.ContainerOpOcc, 0, c.Blob.CreateContainer(req.name)
+	case opCreateContainerIfNotExists:
+		req.ok, err = c.Blob.CreateContainerIfNotExists(req.name)
+		return prm.ContainerOpOcc, 0, err
+	case opPutBlock:
+		return prm.BlockPutOcc(req.data.Len()), 0, c.Blob.PutBlock(req.name, req.key, req.id, req.data)
+	case opPutBlockList:
+		_, err = c.Blob.PutBlockList(req.name, req.key, req.refs, "")
+		return prm.CommitOcc(len(req.refs)), 0, err
+	case opUploadBlockBlob:
+		_, err = c.Blob.UploadBlockBlob(req.name, req.key, req.data, "")
+		return prm.BlockPutOcc(req.data.Len()), 0, err
+	case opGetBlock:
+		blk, err := c.Blob.GetBlock(req.name, req.key, int(req.off))
+		if err != nil {
+			return prm.BlockReadOverhead, 0, err
+		}
+		req.data = blk
+		return prm.BlockGetOcc(blk.Len()), blk.Len(), nil
+	case opCreatePageBlob:
+		_, err = c.Blob.CreatePageBlob(req.name, req.key, req.n)
+		return prm.ContainerOpOcc, 0, err
+	case opPutPage:
+		return prm.PagePutOcc(req.data.Len()), 0, c.Blob.PutPages(req.name, req.key, req.off, req.data, "")
+	case opGetPage:
+		pg, err := c.Blob.GetPage(req.name, req.key, req.off, req.n)
+		if err != nil {
+			return prm.PageReadOverhead, 0, err
+		}
+		req.data = pg
+		return prm.PageGetOcc(pg.Len()), pg.Len(), nil
+	case opDownload:
+		data, props, err := c.Blob.Download(req.name, req.key)
+		if err != nil {
+			return prm.BlockDownloadSetup, 0, err
+		}
+		req.data = data
+		return prm.DownloadOcc(props.Type == blobstore.PageBlob, data.Len()), data.Len(), nil
+	case opDownloadRange:
+		data, err := c.Blob.DownloadRange(req.name, req.key, req.off, req.n)
+		if err != nil {
+			return prm.BlockReadOverhead, 0, err
+		}
+		req.data = data
+		return prm.BlockGetOcc(data.Len()), data.Len(), nil
+	case opDeleteBlob:
+		return prm.DeleteBlobOcc(), 0, c.Blob.DeleteBlob(req.name, req.key, "")
+	case opBlobProps:
+		req.props, err = c.Blob.GetProps(req.name, req.key)
+		return prm.ContainerOpOcc, reqHeader, err
+
+	case opCreateQueue:
+		return prm.ContainerOpOcc, 0, c.Queue.CreateQueue(req.name)
+	case opCreateQueueIfNotExists:
+		req.ok, err = c.Queue.CreateQueueIfNotExists(req.name)
+		return prm.ContainerOpOcc, 0, err
+	case opDeleteQueue:
+		return prm.ContainerOpOcc, 0, c.Queue.DeleteQueue(req.name)
+	case opPutMessage:
+		req.msg, err = c.Queue.Put(req.name, req.data, 0)
+		req.lat = prm.QueueLat(model.QPut, req.data.Len())
+		return prm.QueueOcc(model.QPut, req.data.Len(), 0), 0, err
+	case opGetMessage, opPeekMessage:
+		qlen, _ := c.Queue.ApproximateCount(req.name)
+		verb := model.QGet
+		if req.kind == opGetMessage {
+			req.msg, req.ok, err = c.Queue.GetOne(req.name, req.ttl)
+		} else {
+			verb = model.QPeek
+			req.msg, req.ok, err = c.Queue.PeekOne(req.name)
+		}
+		if req.ok {
+			down = req.msg.Body.Len()
+		}
+		req.lat = prm.QueueLat(verb, down)
+		return prm.QueueOcc(verb, down, qlen), down, err
+	case opDeleteMessage:
+		req.lat = prm.QueueLat(model.QDelete, 0)
+		return prm.QueueOcc(model.QDelete, 0, 0), 0, c.Queue.Delete(req.name, req.id, req.popReceipt)
+	case opReplicaDeleteMessage:
+		return 0, 0, c.Queue.ReplicaDelete(req.name, req.id)
+	case opGetMessageCount:
+		req.count, err = c.Queue.ApproximateCount(req.name)
+		req.lat = prm.QueueLat(model.QPeek, 0)
+		return prm.QueueOcc(model.QPeek, 0, 0), reqHeader, err
+
+	case opCreateTable:
+		return prm.ContainerOpOcc, 0, c.Table.CreateTable(req.name)
+	case opCreateTableIfNotExists:
+		req.ok, err = c.Table.CreateTableIfNotExists(req.name)
+		return prm.ContainerOpOcc, 0, err
 	case opInsertEntity:
-		req.gotEnt, err = c.Table.Insert(req.table, req.ent)
-		return c.prm.TableOcc(model.TInsert, req.up-reqHeader), 0, err
+		req.gotEnt, err = c.Table.Insert(req.name, req.ent)
+		req.lat = prm.TableLat(model.TInsert)
+		// The request body is the row behind the header.
+		return prm.TableOcc(model.TInsert, req.up-reqHeader), 0, err
 	case opGetEntity:
-		req.gotEnt, err = c.Table.Get(req.table, req.part, req.rowKey)
+		req.gotEnt, err = c.Table.Get(req.name, req.key, req.id)
 		if err == nil {
 			down = req.gotEnt.Size()
 		}
-		return c.prm.TableOcc(model.TQuery, down), down, err
+		req.lat = prm.TableLat(model.TQuery)
+		return prm.TableOcc(model.TQuery, down), down, err
 	case opUpdateEntity:
-		req.gotEnt, err = c.Table.Replace(req.table, req.ent, req.ifMatch)
-		// The request body is the row behind the header.
-		return c.prm.TableOcc(model.TUpdate, req.up-reqHeader), 0, err
+		req.gotEnt, err = c.Table.Replace(req.name, req.ent, req.ifMatch)
+		req.lat = prm.TableLat(model.TUpdate)
+		return prm.TableOcc(model.TUpdate, req.up-reqHeader), 0, err
 	case opDeleteEntity:
-		return c.prm.TableOcc(model.TDelete, 0), 0, c.Table.Delete(req.table, req.part, req.rowKey, req.ifMatch)
-	case opPutMessage:
-		req.msg, err = c.Queue.Put(req.queue, req.body, 0)
-		return c.prm.QueueOcc(model.QPut, req.body.Len(), 0), 0, err
-	case opGetMessage, opPeekMessage:
-		qlen, _ := c.Queue.ApproximateCount(req.queue)
-		verb := model.QGet
-		if req.kind == opGetMessage {
-			req.msg, req.found, err = c.Queue.GetOne(req.queue, req.visibility)
-		} else {
-			verb = model.QPeek
-			req.msg, req.found, err = c.Queue.PeekOne(req.queue)
+		req.lat = prm.TableLat(model.TDelete)
+		return prm.TableOcc(model.TDelete, 0), 0, c.Table.Delete(req.name, req.key, req.id, req.ifMatch)
+	case opQueryEntities:
+		req.res, err = c.Table.Query(req.name, req.filter, req.top, req.from)
+		for _, e := range req.res.Entities {
+			down += e.Size()
 		}
-		if req.found {
-			down = req.msg.Body.Len()
+		req.lat = prm.TableLat(model.TQuery)
+		return prm.TableOcc(model.TQuery, down), down, err
+
+	case opCachePut:
+		req.version, err = c.cache.Put(req.name, req.key, req.data, req.ttl)
+		req.lat = prm.CacheLat
+		return prm.CacheOcc(true, req.data.Len()), 0, err
+	case opCacheGet:
+		req.item, req.ok, err = c.cache.Get(req.name, req.key)
+		if req.ok {
+			down = req.item.Value.Len()
 		}
-		req.lat = c.prm.QueueLat(verb, down)
-		return c.prm.QueueOcc(verb, down, qlen), down, err
-	case opDeleteMessage:
-		return c.prm.QueueOcc(model.QDelete, 0, 0), 0, c.Queue.Delete(req.queue, req.msgID, req.popReceipt)
+		req.lat = prm.CacheLat
+		return prm.CacheOcc(false, down), down, err
 	}
-	return req.apply()
+	panic(fmt.Sprintf("cloud: no engine call for op kind %d", req.kind))
+}
+
+// replicate appends the mutation req has just committed to the geo log, to
+// be replayed on the secondary's engines by the same apply. The record
+// keeps a copy of the engine arguments alone, taken now, when the primary
+// has taken them too: the row and the block list are cloned, since their
+// caller may change them once the request returns. Records replay in log
+// order, so the secondary's per-queue counters reproduce the primary's
+// message IDs, while each region stamps its own ETags. Two relaxations
+// make a replay of what the primary accepted succeed where the primary's
+// preconditions cannot be checked: the primary has checked the ETag, so
+// the replay matches any; and the secondary never saw the Get that issued
+// the pop receipt, so it deletes the message by ID. The record carries the
+// mutation's causal identity, so the replay traces as a child of the op
+// that caused it.
+func (c *Cloud) replicate(req *request) {
+	args := req.opArgs
+	if args.ent != nil {
+		args.ent = args.ent.Clone()
+	}
+	args.refs = slices.Clone(args.refs)
+	args.ifMatch = storecommon.ETagAny
+	if args.kind == opDeleteMessage {
+		args.kind = opReplicaDeleteMessage
+	}
+	op, dst := &ops[req.kind], c.geoDst
+	c.geo.Append(c.env.Now(), op.service, req.name, op.name, req.up, req.traceID, req.spanID,
+		func() error {
+			_, _, err := dst.apply(&request{opArgs: args})
+			return err
+		})
 }
 
 // spanCutter attributes elapsed virtual time to pipeline stages as the
@@ -618,6 +828,7 @@ var (
 func (cl *Client) do(p *sim.Proc, req *request) error {
 	c := cl.cloud
 	prm := &c.prm
+	op := &ops[req.kind]
 	if c.traceLog != nil {
 		start := c.env.Now()
 		req.st = &spanCutter{env: c.env, last: start}
@@ -645,8 +856,8 @@ func (cl *Client) do(p *sim.Proc, req *request) error {
 				Start:    start,
 				Duration: c.env.Now() - start,
 				Client:   cl.name,
-				Service:  req.service,
-				Name:     req.op,
+				Service:  op.service,
+				Name:     op.name,
 				Bytes:    req.up + req.down,
 				Err:      string(storecommon.CodeOf(req.err)),
 				Fault:    req.fault,
@@ -658,9 +869,9 @@ func (cl *Client) do(p *sim.Proc, req *request) error {
 		}(start)
 	}
 	if c.faults != nil {
-		req.dec = c.faults.DecideIn(c.env.Now(), c.region, req.service, req.op, req.server.Name())
+		req.dec = c.faults.DecideIn(c.env.Now(), c.region, op.service, op.name, req.server.Name())
 	}
-	if req.dec.Kind == faults.Reset && req.mut {
+	if req.dec.Kind == faults.Reset && req.kind.is(mutates) {
 		// The connection dies while the request body is in flight: a
 		// prefix of the payload crosses the NIC, the engine sees nothing.
 		req.up = int64(float64(req.up) * req.dec.Cut) // the trace records what actually moved
@@ -705,16 +916,9 @@ func (req *request) Resume(p *sim.Proc) {
 			p.Then(sim.Sleep(req.dec.Occ), sim.Release(req.server), sim.Call(req))
 			return
 		}
-		req.occ, req.down, req.err = cl.apply(req)
-		if req.err == nil && req.mirror != nil && c.geo != nil {
-			// The mutation just committed on the primary: append it to the
-			// geo-replication log for asynchronous replay on the secondary,
-			// carrying the mutation's causal identity so the replayed
-			// record traces as a child of the op that caused it.
-			mirror, dst := req.mirror, c.geoDst
-			c.geo.Append(c.env.Now(), req.service, req.geoKey, req.op, req.up,
-				req.traceID, req.spanID,
-				func() error { return mirror(dst) })
+		req.occ, req.down, req.err = c.apply(req)
+		if req.err == nil && c.geo != nil && req.kind.is(geoRepl) {
+			c.replicate(req)
 		}
 		c.stats.Ops++
 		// The way back: hold the server for the occupancy, then the
@@ -727,7 +931,11 @@ func (req *request) Resume(p *sim.Proc) {
 		req.fault = req.dec.Kind.String()
 		req.exit(p, errInternalFault, prm.RTT/2, trace.StageNicOut)
 	case phaseReply:
-		req.st.cutReply(req.occ, req.repl, req.lat, prm.RTT/2)
+		var repl time.Duration
+		if req.kind.is(syncRepl) {
+			repl = prm.ReplCost()
+		}
+		req.st.cutReply(req.occ, repl, req.lat, prm.RTT/2)
 		down := req.down
 		if req.dec.Kind == faults.Reset {
 			// Read-path reset: the engine did the work, but the response
@@ -777,12 +985,12 @@ func (req *request) admit(p *sim.Proc) {
 	// driven by the load they react to — then a stale route bounces with a
 	// redirect and a mid-handoff range answers ServerBusy.
 	now := c.env.Now()
-	if req.table != "" && c.pmgr.Dynamic() {
-		c.notePartitionEvents(c.pmgr.Record(now, req.table, req.part))
-		owner, unavailUntil := c.pmgr.Lookup(req.table, req.part)
+	if req.kind.is(partLimit) && c.pmgr.Dynamic() {
+		c.notePartitionEvents(c.pmgr.Record(now, req.name, req.key))
+		owner, unavailUntil := c.pmgr.Lookup(req.name, req.key)
 		if req.serverIdx != owner {
 			c.pmgr.NoteRedirect()
-			delete(cl.maps, req.table)
+			delete(cl.maps, req.name)
 			req.exit(p, errPartitionMoved, rtt2, trace.StageNicOut)
 			return
 		}
@@ -793,18 +1001,14 @@ func (req *request) admit(p *sim.Proc) {
 		}
 	}
 
-	// Admission control at the front door.
-	tx := req.txCost
-	if tx == 0 {
-		tx = 1
-	}
-	admitted := c.accountTx.Allow(now, tx) &&
+	// Admission control at the front door: one transaction each.
+	admitted := c.accountTx.Allow(now, 1) &&
 		c.accountBW.Allow(now, float64(req.up))
-	if admitted && req.queue != "" {
-		admitted = c.queueLimiter(req.queue).Allow(now, tx)
+	if admitted && req.kind.is(queueLimit) {
+		admitted = c.queueLimiter(req.name).Allow(now, 1)
 	}
-	if admitted && req.table != "" {
-		admitted = c.partitionLimiter(req.table, req.part).Allow(now, tx)
+	if admitted && req.kind.is(partLimit) {
+		admitted = c.partitionLimiter(req.name, req.key).Allow(now, 1)
 	}
 	if !admitted {
 		c.stats.BusyRejects++
@@ -828,7 +1032,7 @@ func (req *request) exit(p *sim.Proc, err error, d time.Duration, stage string) 
 // back.
 func (req *request) reset() {
 	c := req.cl.cloud
-	if req.mut {
+	if req.kind.is(mutates) {
 		req.st.cut(trace.StageNicIn)
 	} else {
 		if part := req.down; part > 0 {

@@ -1,11 +1,13 @@
 package cloud
 
 import (
-	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"azurebench/internal/blobstore"
+	"azurebench/internal/cachestore"
 	"azurebench/internal/faults"
 	"azurebench/internal/georepl"
 	"azurebench/internal/model"
@@ -74,6 +76,218 @@ func TestGeoReplicationMirrorsAllServices(t *testing.T) {
 	if n, _ := g.pri.Queue.ApproximateCount("jobs"); n != 1 {
 		t.Errorf("primary queue count = %d, want 1", n)
 	}
+}
+
+// TestGeoMirrorsEveryMutation drives each of the 18 replicated mutations
+// through a GeoClient, with real ETags and a real pop receipt. Once the
+// stream drains, the secondary's engines must hold what the primary's hold
+// and whatever was deleted must be gone there too. The replay must reach
+// the secondary's engines without passing its front door, and a cache write
+// is not replicated at all.
+func TestGeoMirrorsEveryMutation(t *testing.T) {
+	env := sim.NewEnv(3)
+	g, err := NewGeoAccount(env, geoParams())
+	if err != nil {
+		t.Fatalf("NewGeoAccount: %v", err)
+	}
+	gc := g.NewGeoClient("w", model.Small)
+	mutations := 0
+	env.Go("w", func(p *sim.Proc) {
+		cl := gc.Active()
+		step := func(op string, err error) {
+			mutations++
+			if err != nil {
+				t.Errorf("%s: %v", op, err)
+			}
+		}
+		row := func(rk string, v int32) *tablestore.Entity {
+			return &tablestore.Entity{PartitionKey: "p1", RowKey: rk, Props: map[string]tablestore.Value{
+				"V": tablestore.Int32(v), "Data": tablestore.Binary(payload.Synthetic(uint64(v), 64))}}
+		}
+
+		step("CreateContainer", cl.CreateContainer(p, "cont"))
+		_, err := cl.CreateContainerIfNotExists(p, "spare")
+		step("CreateContainerIfNotExists", err)
+		step("PutBlock", cl.PutBlock(p, "cont", "blocks", "YQ==", payload.Synthetic(1, 300)))
+		step("PutBlock", cl.PutBlock(p, "cont", "blocks", "Yg==", payload.Synthetic(2, 200)))
+		step("PutBlockList", cl.PutBlockList(p, "cont", "blocks", []blobstore.BlockRef{{ID: "Yg=="}, {ID: "YQ=="}}))
+		step("UploadBlockBlob", cl.UploadBlockBlob(p, "cont", "whole", payload.Synthetic(3, 4096)))
+		step("UploadBlockBlob", cl.UploadBlockBlob(p, "cont", "doomed", payload.Synthetic(4, 64)))
+		step("DeleteBlob", cl.DeleteBlob(p, "cont", "doomed"))
+		step("CreatePageBlob", cl.CreatePageBlob(p, "cont", "pages", 4096))
+		step("PutPage", cl.PutPage(p, "cont", "pages", 1024, payload.Synthetic(5, 512)))
+
+		step("CreateQueue", cl.CreateQueue(p, "jobs"))
+		_, err = cl.CreateQueueIfNotExists(p, "doomed")
+		step("CreateQueueIfNotExists", err)
+		step("DeleteQueue", cl.DeleteQueue(p, "doomed"))
+		for i := 0; i < 3; i++ {
+			_, err := cl.PutMessage(p, "jobs", payload.Synthetic(uint64(10+i), 100))
+			step("PutMessage", err)
+		}
+		msg, ok, err := cl.GetMessage(p, "jobs", time.Minute)
+		if err != nil || !ok {
+			t.Fatalf("GetMessage: ok=%v err=%v", ok, err)
+		}
+		step("DeleteMessage", cl.DeleteMessage(p, "jobs", msg.ID, msg.PopReceipt))
+
+		step("CreateTable", cl.CreateTable(p, "orders"))
+		_, err = cl.CreateTableIfNotExists(p, "spare")
+		step("CreateTableIfNotExists", err)
+		kept, err := cl.InsertEntity(p, "orders", row("kept", 1))
+		step("InsertEntity", err)
+		doomed, err := cl.InsertEntity(p, "orders", row("doomed", 1))
+		step("InsertEntity", err)
+		_, err = cl.UpdateEntity(p, "orders", row("kept", 2), kept.ETag())
+		step("UpdateEntity", err)
+		step("DeleteEntity", cl.DeleteEntity(p, "orders", "p1", "doomed", doomed.ETag()))
+
+		if _, err := cl.CachePut(p, cachestore.DefaultCache, "k", payload.Zero(8), 0); err != nil {
+			t.Errorf("CachePut: %v", err)
+		}
+	})
+	env.Run()
+
+	st := g.Forward().Stats()
+	if st.Appended != uint64(mutations) || st.Applied != st.Appended || st.ApplyErrors != 0 {
+		t.Errorf("forward stream %+v after %d replicated mutations; want each appended and applied once, no errors", st, mutations)
+	}
+	pri, sec := g.pri, g.Secondary()
+
+	if got, want := sec.Blob.ListContainers(""), pri.Blob.ListContainers(""); !reflect.DeepEqual(got, want) {
+		t.Errorf("secondary containers %v, primary %v", got, want)
+	}
+	if got, _ := sec.Blob.ListBlobs("cont", ""); !reflect.DeepEqual(got, []string{"blocks", "pages", "whole"}) {
+		t.Errorf("secondary blobs %v, want blocks, pages and whole", got)
+	}
+	for _, b := range []string{"blocks", "whole", "pages"} {
+		want, _, err := pri.Blob.Download("cont", b)
+		if err != nil {
+			t.Fatalf("primary %s: %v", b, err)
+		}
+		if got, _, err := sec.Blob.Download("cont", b); err != nil || !payload.Equal(got, want) {
+			t.Errorf("secondary %s: %d bytes, err %v; want the primary's %d bytes", b, got.Len(), err, want.Len())
+		}
+	}
+	wantList, _, _ := pri.Blob.GetBlockList("cont", "blocks")
+	if got, _, err := sec.Blob.GetBlockList("cont", "blocks"); err != nil || !reflect.DeepEqual(got, wantList) || len(got) != 2 {
+		t.Errorf("secondary block list %v, err %v; want the primary's %v", got, err, wantList)
+	}
+	wantPages, _ := pri.Blob.GetPageRanges("cont", "pages")
+	if got, err := sec.Blob.GetPageRanges("cont", "pages"); err != nil || !reflect.DeepEqual(got, wantPages) || len(got) == 0 {
+		t.Errorf("secondary page ranges %v, err %v; want the primary's %v", got, err, wantPages)
+	}
+
+	if got := sec.Queue.ListQueues(""); !reflect.DeepEqual(got, []string{"jobs"}) {
+		t.Errorf("secondary queues %v, want jobs alone", got)
+	}
+	wantMsgs, _ := pri.Queue.Peek("jobs", 32)
+	gotMsgs, err := sec.Queue.Peek("jobs", 32)
+	if err != nil || len(gotMsgs) != len(wantMsgs) || len(gotMsgs) != 2 {
+		t.Fatalf("secondary holds %d messages, err %v; the primary %d, want 2", len(gotMsgs), err, len(wantMsgs))
+	}
+	for i := range wantMsgs {
+		if gotMsgs[i].ID != wantMsgs[i].ID || !payload.Equal(gotMsgs[i].Body, wantMsgs[i].Body) {
+			t.Errorf("secondary message %d is %s, the primary's %s", i, gotMsgs[i].ID, wantMsgs[i].ID)
+		}
+	}
+
+	if got, want := sec.Table.ListTables(""), pri.Table.ListTables(""); !reflect.DeepEqual(got, want) {
+		t.Errorf("secondary tables %v, primary %v", got, want)
+	}
+	wantRows, _ := pri.Table.QueryAll("orders", "")
+	gotRows, err := sec.Table.QueryAll("orders", "")
+	if err != nil || len(gotRows) != 1 || len(wantRows) != 1 {
+		t.Fatalf("secondary holds %d rows, err %v; the primary %d, want 1", len(gotRows), err, len(wantRows))
+	}
+	if !sameRow(gotRows[0], wantRows[0]) {
+		t.Errorf("secondary row %s differs from the primary's", gotRows[0].RowKey())
+	}
+	if v, _ := gotRows[0].Prop("V"); !v.Equal(tablestore.Int32(2)) {
+		t.Errorf("secondary row V = %v, want the update's 2", v)
+	}
+
+	// The replay went to the engines, never through the front door.
+	if s := sec.Stats(); s != (Stats{}) {
+		t.Errorf("secondary front-door stats %+v, want zero", s)
+	}
+	if s := sec.Stations(); len(s) != 0 {
+		t.Errorf("secondary has %d stations, want none", len(s))
+	}
+}
+
+// TestGeoReplicaTakesArgumentsAtCommit: the primary commits a request's
+// arguments when its partition server serves it, not when the caller
+// issues it, so a caller that changes its entity or its block list while
+// the request is in flight changes what the primary stores. The replica
+// must store the same, and must not see what the caller changes once the
+// request has returned, while the record waits to be shipped.
+func TestGeoReplicaTakesArgumentsAtCommit(t *testing.T) {
+	env := sim.NewEnv(3)
+	g, err := NewGeoAccount(env, geoParams())
+	if err != nil {
+		t.Fatalf("NewGeoAccount: %v", err)
+	}
+	gc := g.NewGeoClient("w", model.Small)
+	later := func(p *sim.Proc, edit func()) {
+		env.GoAt(p.Now()+time.Microsecond, "meddler", func(*sim.Proc) { edit() })
+	}
+	env.Go("w", func(p *sim.Proc) {
+		cl := gc.Active()
+		must(t, cl.CreateTable(p, "orders"))
+		must(t, cl.CreateContainer(p, "cont"))
+		must(t, cl.PutBlock(p, "cont", "b", "YQ==", payload.Synthetic(1, 10)))
+		must(t, cl.PutBlock(p, "cont", "b", "Yg==", payload.Synthetic(2, 20)))
+
+		e := &tablestore.Entity{PartitionKey: "p", RowKey: "r", Props: map[string]tablestore.Value{"V": tablestore.Int32(1)}}
+		later(p, func() { e.Props = map[string]tablestore.Value{"V": tablestore.Int32(2)} })
+		if _, err := cl.InsertEntity(p, "orders", e); err != nil {
+			t.Errorf("InsertEntity: %v", err)
+		}
+		e.Props = map[string]tablestore.Value{"V": tablestore.Int32(3)}
+
+		refs := []blobstore.BlockRef{{ID: "YQ=="}}
+		later(p, func() { refs[0].ID = "Yg==" })
+		must(t, cl.PutBlockList(p, "cont", "b", refs))
+		refs[0].ID = "YQ=="
+	})
+	env.Run()
+
+	pri, sec := g.pri, g.Secondary()
+	want, err := pri.Table.Get("orders", "p", "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sec.Table.Get("orders", "p", "r"); err != nil || !sameRow(got, want) {
+		v, _ := got.Prop("V")
+		w, _ := want.Prop("V")
+		t.Errorf("secondary row V=%d (err %v), primary V=%d", v.I, err, w.I)
+	}
+	wantBlob, _, err := pri.Blob.Download("cont", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := sec.Blob.Download("cont", "b"); err != nil || !payload.Equal(got, wantBlob) {
+		t.Errorf("secondary blob %d bytes (err %v), primary %d", got.Len(), err, wantBlob.Len())
+	}
+	if st := g.Forward().Stats(); st.Applied != st.Appended || st.ApplyErrors != 0 {
+		t.Errorf("forward stream %+v", st)
+	}
+}
+
+// sameRow reports whether two rows have the same keys and properties; each
+// region stamps its own ETags and timestamps.
+func sameRow(a, b tablestore.Row) bool {
+	if a.PartitionKey() != b.PartitionKey() || a.RowKey() != b.RowKey() || a.Len() != b.Len() {
+		return false
+	}
+	same := true
+	a.Range(func(name string, v tablestore.Value) bool {
+		w, ok := b.Prop(name)
+		same = ok && v.Equal(w)
+		return same
+	})
+	return same
 }
 
 func TestGeoQueueDeleteReplaysByID(t *testing.T) {
@@ -350,5 +564,3 @@ func must(t *testing.T, err error) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt while the test set evolves

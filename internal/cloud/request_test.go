@@ -131,3 +131,16 @@ func TestEveryRequestParksOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryOpHasARow: each kind a client issues names its trace op and
+// service in the ops table, and only the replay's own kind comes after.
+func TestEveryOpHasARow(t *testing.T) {
+	if len(ops) != int(opReplicaDeleteMessage) {
+		t.Fatalf("ops has %d rows for %d client op kinds", len(ops), opReplicaDeleteMessage)
+	}
+	for k, op := range ops {
+		if op.name == "" || op.service == "" {
+			t.Errorf("op kind %d has no name or service: %+v", k, op)
+		}
+	}
+}

@@ -8,12 +8,12 @@
 //
 // The package is deliberately independent of internal/cloud: a Stream only
 // knows how to sequence, batch, ship, and apply opaque records; the cloud
-// layer supplies the apply closures (replaying committed mutations against
-// the secondary's engines) and the WAN delay function (from
-// netmodel.WANLink). Everything runs inside the cooperative DES — the
-// shipper is a simulation process that parks on a fresh one-shot signal
-// whenever the log is empty, so an idle stream holds no pending events and
-// never keeps Env.Run alive.
+// layer supplies each record's apply (its copy of the mutation's engine
+// arguments, run through the same switch against the secondary's engines)
+// and the WAN delay function (from netmodel.WANLink). Everything runs
+// inside the cooperative DES — the shipper is a simulation process that
+// parks on a fresh one-shot signal whenever the log is empty, so an idle
+// stream holds no pending events and never keeps Env.Run alive.
 package georepl
 
 import (

@@ -8,11 +8,12 @@ import (
 
 // Save appends the replication stream's state: sequence counters,
 // per-partition sequences, lag accounting, and a metadata fingerprint
-// of every pending and in-flight record. Record Apply closures capture
-// engine references and cannot be serialized, so a stream can only be
-// loaded directly at quiescence (empty log); mid-run checkpoints rely
-// on replay verification, where the fingerprints prove the replayed log
-// matches the checkpointed one record for record.
+// of every pending and in-flight record. A record's Apply holds the
+// mutation's engine arguments and the secondary it replays them on, which
+// this package cannot write, so a stream can only be loaded directly at
+// quiescence (empty log); mid-run checkpoints rely on replay
+// verification, where the fingerprints prove the replayed log matches the
+// checkpointed one record for record.
 func (s *Stream) Save(w *snap.Writer) {
 	w.U64(s.nextSeq)
 	w.Duration(s.lastSync)
@@ -43,8 +44,7 @@ func (s *Stream) Save(w *snap.Writer) {
 	w.Duration(s.stats.SumLag)
 }
 
-// saveRecordMeta writes everything about a record except its apply
-// closure.
+// saveRecordMeta writes everything about a record except its Apply.
 func saveRecordMeta(w *snap.Writer, rec *Record) {
 	w.U64(rec.Seq)
 	w.U64(rec.PartSeq)
@@ -58,8 +58,8 @@ func saveRecordMeta(w *snap.Writer, rec *Record) {
 }
 
 // Load restores a stream saved by Save. The snapshot must describe a
-// quiescent stream — nothing pending or on the WAN — because the apply
-// closures of live records cannot be rebuilt from bytes.
+// quiescent stream — nothing pending or on the WAN — because the Apply of
+// a live record cannot be rebuilt from what Save wrote.
 func (s *Stream) Load(r *snap.Reader) error {
 	s.nextSeq = r.U64()
 	s.lastSync = r.Duration()

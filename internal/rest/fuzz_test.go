@@ -82,6 +82,7 @@ func FuzzServeHTTP(f *testing.F) {
 		{"GET", "/blob/../queue/q-1", "", "", ""},
 		{"CONNECT", "/blob/ctn", "", "", ""},
 		{"M7", "/junk7/x", "", "", ""},
+		{"0", "*", "", "", ""},
 	} {
 		f.Add(seed.method, seed.path, seed.query, seed.headers, []byte(seed.body), uint8(0))
 	}

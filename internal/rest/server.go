@@ -106,7 +106,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		r = r.WithContext(context.WithValue(r.Context(), reqTraceKey{}, rt))
 	}
 	startAt := time.Now()
-	s.mux.ServeHTTP(sw, r)
+	if r.RequestURI == "*" {
+		// The asterisk form names the server, not a resource. net/http
+		// answers OPTIONS * before any handler; ServeMux would answer the
+		// rest with a bare 400.
+		writeError(sw, errAsteriskURI)
+	} else {
+		s.mux.ServeHTTP(sw, r)
+	}
 	elapsed := time.Since(startAt)
 	s.observe(r, sw.status, elapsed)
 	if rt != nil {
@@ -193,6 +200,9 @@ func writeError(w http.ResponseWriter, err error) {
 	body, _ := xml.Marshal(xmlError{Code: code, Message: err.Error()})
 	writeBody(w, status, xmlType, body)
 }
+
+var errAsteriskURI = storecommon.Errf(storecommon.CodeInvalidURI, 400,
+	"the request URI * names no resource")
 
 func writeBusy(w http.ResponseWriter) {
 	writeError(w, storecommon.Errf(storecommon.CodeServerBusy, 503,

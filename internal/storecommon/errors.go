@@ -59,6 +59,7 @@ const (
 	CodeSnapshotNotFound        Code = "SnapshotNotFound"
 	CodeInstanceUnavailable     Code = "RoleInstanceUnavailable"
 	CodeUnsupportedHTTPVerb     Code = "UnsupportedHttpVerb"
+	CodeInvalidURI              Code = "InvalidUri"
 	CodeMissingRequiredHeader   Code = "MissingRequiredHeader"
 	CodeAuthenticationFailed    Code = "AuthenticationFailed"
 	CodeAccountTransactionLimit Code = "AccountTransactionRateExceeded"
