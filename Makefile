@@ -66,13 +66,17 @@ race-live:
 		./internal/cachestore/ ./internal/storecommon/ ./internal/liverun/
 
 # End-to-end aztrace smoke: capture a traced faults run, then require a
-# non-empty critical-path reconstruction (the trees must be complete and
-# the chains must carry stage attributions).
+# non-empty critical-path reconstruction (the trees must be complete — no
+# orphan, no span ID twice, no child before its parent — and the chains
+# must carry stage attributions). The flash-crowd scenario's open arrivals
+# share clients and retry, so its trees must come out complete too.
 trace-smoke:
 	$(GO) build -o bin/azurebench ./cmd/azurebench
 	$(GO) build -o bin/aztrace ./cmd/aztrace
 	bin/azurebench -quick -experiment faults -tracefile bin/trace-smoke.jsonl >/dev/null
 	bin/aztrace summary bin/trace-smoke.jsonl | grep -q 'causal trees: complete'
+	bin/azurebench -quick -scenario examples/scenarios/flashcrowd.yaml -tracefile bin/trace-crowd.jsonl >/dev/null
+	bin/aztrace summary bin/trace-crowd.jsonl | grep -q 'causal trees: complete'
 	bin/aztrace critpath -n 1 bin/trace-smoke.jsonl | tee bin/trace-smoke.txt | grep -q 'critical path'
 	test -s bin/trace-smoke.txt
 

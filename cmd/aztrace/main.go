@@ -112,11 +112,11 @@ func summary(tr *tracegraph.Trace) {
 	if len(tr.Sections) > 0 {
 		fmt.Printf("experiments: %s\n", strings.Join(tr.Sections, ", "))
 	}
-	switch {
-	case rep.Complete():
-		fmt.Println("causal trees: complete (every non-root span resolves its parent)")
-	default:
-		fmt.Printf("causal trees: INCOMPLETE (%d orphaned spans)\n", rep.Orphans)
+	if rep.Complete() {
+		fmt.Println("causal trees: complete (every non-root span resolves its one parent, which starts no later)")
+	} else {
+		fmt.Printf("causal trees: INCOMPLETE (%d orphaned spans, %d span IDs used more than once, %d ops starting before their parent)\n",
+			rep.Orphans, rep.DuplicateSpans, rep.EarlyChildren)
 	}
 	if rep.SpanMismatches > 0 {
 		fmt.Printf("stage partition: %d ops whose stages do not sum to their duration\n", rep.SpanMismatches)

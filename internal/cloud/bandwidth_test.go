@@ -5,6 +5,7 @@ import (
 
 	"azurebench/internal/model"
 	"azurebench/internal/payload"
+	"azurebench/internal/retry"
 	"azurebench/internal/sim"
 	"azurebench/internal/storecommon"
 )
@@ -32,7 +33,8 @@ func TestAccountBandwidthDebit(t *testing.T) {
 		}
 		// Two immediate downloads of 3 MB each: the first is admitted and
 		// debits 3 MB; the second overdraws; following small requests are
-		// rejected until the bucket refills.
+		// rejected until the bucket refills. One attempt each shows them.
+		cl.SetRetryPolicy(retry.Policy{})
 		for i := 0; i < 4; i++ {
 			if _, err := cl.Download(p, "bench", "big"); storecommon.IsServerBusy(err) {
 				busy++
@@ -42,10 +44,8 @@ func TestAccountBandwidthDebit(t *testing.T) {
 			}
 		}
 		// After backing off, service resumes.
-		if _, err := cl.WithRetry(p, func() error {
-			_, err := cl.Download(p, "bench", "big")
-			return err
-		}); err != nil {
+		cl.SetRetryPolicy(retry.Paper(prm.RetryBackoff))
+		if _, err := cl.Download(p, "bench", "big"); err != nil {
 			t.Error(err)
 		}
 	})

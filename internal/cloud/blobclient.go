@@ -8,9 +8,7 @@ import (
 
 // CreateContainer creates a blob container.
 func (cl *Client) CreateContainer(p *sim.Proc, name string) error {
-	// Container metadata lives on its own partition; model it as a fresh
-	// single blob-partition write.
-	req := cl.newRequest(opCreateContainer, reqHeader, cl.cloud.blobReplicas(name, "").primary())
+	req := cl.newRequest(opCreateContainer, reqHeader)
 	defer cl.cloud.release(req)
 	req.name = name
 	return cl.do(p, req)
@@ -18,7 +16,7 @@ func (cl *Client) CreateContainer(p *sim.Proc, name string) error {
 
 // CreateContainerIfNotExists creates the container when absent.
 func (cl *Client) CreateContainerIfNotExists(p *sim.Proc, name string) (bool, error) {
-	req := cl.newRequest(opCreateContainerIfNotExists, reqHeader, cl.cloud.blobReplicas(name, "").primary())
+	req := cl.newRequest(opCreateContainerIfNotExists, reqHeader)
 	defer cl.cloud.release(req)
 	req.name = name
 	err := cl.do(p, req)
@@ -27,7 +25,7 @@ func (cl *Client) CreateContainerIfNotExists(p *sim.Proc, name string) (bool, er
 
 // PutBlock stages an uncommitted block (Algorithm 1's PutBlock).
 func (cl *Client) PutBlock(p *sim.Proc, container, blob, blockID string, data payload.Payload) error {
-	req := cl.newRequest(opPutBlock, data.Len()+reqHeader, cl.cloud.blobReplicas(container, blob).primary())
+	req := cl.newRequest(opPutBlock, data.Len()+reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key, req.id, req.data = container, blob, blockID, data
 	return cl.do(p, req)
@@ -35,7 +33,7 @@ func (cl *Client) PutBlock(p *sim.Proc, container, blob, blockID string, data pa
 
 // PutBlockList commits a block list (Algorithm 1's PutBlockList).
 func (cl *Client) PutBlockList(p *sim.Proc, container, blob string, refs []blobstore.BlockRef) error {
-	req := cl.newRequest(opPutBlockList, int64(len(refs))*72+reqHeader, cl.cloud.blobReplicas(container, blob).primary())
+	req := cl.newRequest(opPutBlockList, int64(len(refs))*72+reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key, req.refs = container, blob, refs
 	return cl.do(p, req)
@@ -43,7 +41,7 @@ func (cl *Client) PutBlockList(p *sim.Proc, container, blob string, refs []blobs
 
 // UploadBlockBlob uploads a block blob in a single shot (<= 64 MB).
 func (cl *Client) UploadBlockBlob(p *sim.Proc, container, blob string, data payload.Payload) error {
-	req := cl.newRequest(opUploadBlockBlob, data.Len()+reqHeader, cl.cloud.blobReplicas(container, blob).primary())
+	req := cl.newRequest(opUploadBlockBlob, data.Len()+reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key, req.data = container, blob, data
 	return cl.do(p, req)
@@ -52,7 +50,7 @@ func (cl *Client) UploadBlockBlob(p *sim.Proc, container, blob string, data payl
 // GetBlock downloads the i-th committed block sequentially (the paper's
 // block-wise download of Figure 5).
 func (cl *Client) GetBlock(p *sim.Proc, container, blob string, i int) (payload.Payload, error) {
-	req := cl.newRequest(opGetBlock, reqHeader, cl.cloud.readReplica(cl.cloud.blobReplicas(container, blob)))
+	req := cl.newRequest(opGetBlock, reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key, req.off = container, blob, int64(i)
 	err := cl.do(p, req)
@@ -61,7 +59,7 @@ func (cl *Client) GetBlock(p *sim.Proc, container, blob string, i int) (payload.
 
 // CreatePageBlob creates/initialises a page blob of the given size.
 func (cl *Client) CreatePageBlob(p *sim.Proc, container, blob string, size int64) error {
-	req := cl.newRequest(opCreatePageBlob, reqHeader, cl.cloud.blobReplicas(container, blob).primary())
+	req := cl.newRequest(opCreatePageBlob, reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key, req.n = container, blob, size
 	return cl.do(p, req)
@@ -69,7 +67,7 @@ func (cl *Client) CreatePageBlob(p *sim.Proc, container, blob string, size int64
 
 // PutPage writes pages at offset off (Algorithm 1's PutPage).
 func (cl *Client) PutPage(p *sim.Proc, container, blob string, off int64, data payload.Payload) error {
-	req := cl.newRequest(opPutPage, data.Len()+reqHeader, cl.cloud.blobReplicas(container, blob).primary())
+	req := cl.newRequest(opPutPage, data.Len()+reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key, req.off, req.data = container, blob, off, data
 	return cl.do(p, req)
@@ -78,7 +76,7 @@ func (cl *Client) PutPage(p *sim.Proc, container, blob string, off int64, data p
 // GetPage reads n bytes at a (random) offset from a page blob (the
 // paper's random page-wise download).
 func (cl *Client) GetPage(p *sim.Proc, container, blob string, off, n int64) (payload.Payload, error) {
-	req := cl.newRequest(opGetPage, reqHeader, cl.cloud.readReplica(cl.cloud.blobReplicas(container, blob)))
+	req := cl.newRequest(opGetPage, reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key, req.off, req.n = container, blob, off, n
 	err := cl.do(p, req)
@@ -88,7 +86,7 @@ func (cl *Client) GetPage(p *sim.Proc, container, blob string, off, n int64) (pa
 // Download fetches a blob's entire content: DownloadText for block blobs,
 // openRead for page blobs, in the paper's terms.
 func (cl *Client) Download(p *sim.Proc, container, blob string) (payload.Payload, error) {
-	req := cl.newRequest(opDownload, reqHeader, cl.cloud.readReplica(cl.cloud.blobReplicas(container, blob)))
+	req := cl.newRequest(opDownload, reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key = container, blob
 	err := cl.do(p, req)
@@ -97,7 +95,7 @@ func (cl *Client) Download(p *sim.Proc, container, blob string) (payload.Payload
 
 // DownloadRange fetches [off, off+n) of a blob.
 func (cl *Client) DownloadRange(p *sim.Proc, container, blob string, off, n int64) (payload.Payload, error) {
-	req := cl.newRequest(opDownloadRange, reqHeader, cl.cloud.readReplica(cl.cloud.blobReplicas(container, blob)))
+	req := cl.newRequest(opDownloadRange, reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key, req.off, req.n = container, blob, off, n
 	err := cl.do(p, req)
@@ -106,7 +104,7 @@ func (cl *Client) DownloadRange(p *sim.Proc, container, blob string, off, n int6
 
 // DeleteBlob removes a blob.
 func (cl *Client) DeleteBlob(p *sim.Proc, container, blob string) error {
-	req := cl.newRequest(opDeleteBlob, reqHeader, cl.cloud.blobReplicas(container, blob).primary())
+	req := cl.newRequest(opDeleteBlob, reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key = container, blob
 	return cl.do(p, req)
@@ -114,7 +112,7 @@ func (cl *Client) DeleteBlob(p *sim.Proc, container, blob string) error {
 
 // BlobProps fetches a blob's properties.
 func (cl *Client) BlobProps(p *sim.Proc, container, blob string) (blobstore.Props, error) {
-	req := cl.newRequest(opBlobProps, reqHeader, cl.cloud.readReplica(cl.cloud.blobReplicas(container, blob)))
+	req := cl.newRequest(opBlobProps, reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key = container, blob
 	err := cl.do(p, req)

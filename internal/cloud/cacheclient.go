@@ -30,7 +30,7 @@ func (c *Cloud) cacheServer(cache, key string) *sim.Resource {
 
 // CachePut stores value under key (ttl 0 = the service default).
 func (cl *Client) CachePut(p *sim.Proc, cache, key string, value payload.Payload, ttl time.Duration) (uint64, error) {
-	req := cl.newRequest(opCachePut, value.Len()+reqHeader, cl.cloud.cacheServer(cache, key))
+	req := cl.newRequest(opCachePut, value.Len()+reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key, req.data, req.ttl = cache, key, value, ttl
 	err := cl.do(p, req)
@@ -39,7 +39,7 @@ func (cl *Client) CachePut(p *sim.Proc, cache, key string, value payload.Payload
 
 // CacheGet fetches key; ok is false on a miss.
 func (cl *Client) CacheGet(p *sim.Proc, cache, key string) (cachestore.Item, bool, error) {
-	req := cl.newRequest(opCacheGet, reqHeader, cl.cloud.cacheServer(cache, key))
+	req := cl.newRequest(opCacheGet, reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.key = cache, key
 	err := cl.do(p, req)

@@ -73,9 +73,9 @@ type Cloud struct {
 
 	traceLog *trace.Log
 	// ids mints trace/span identifiers for recorded ops. It exists only
-	// while tracing is attached and is seeded from the region name, so ID
-	// assignment is a pure function of the seed + attach order and never
-	// draws from the simulation PRNG streams.
+	// while tracing is attached and is the log's stream for the region name
+	// (trace.Log.IDs), so ID assignment is a pure function of the seed +
+	// attach order and never draws from the simulation PRNG streams.
 	ids    *trace.IDGen
 	faults *faults.Injector
 
@@ -106,7 +106,7 @@ func (c *Cloud) Faults() *faults.Injector { return c.faults }
 func (c *Cloud) SetTrace(l *trace.Log) {
 	c.traceLog = l
 	if l != nil && c.ids == nil {
-		c.ids = trace.NewIDGen("cloud/" + c.region)
+		c.ids = l.IDs("cloud/" + c.region)
 	}
 }
 
@@ -133,7 +133,7 @@ type Stats struct {
 	FaultInternals uint64 // partition-server InternalError 500s
 	FaultResets    uint64 // connections cut mid-transfer
 	FaultOutages   uint64 // requests rejected by an unavailability window
-	Retries        uint64 // retries performed via Client.Retry/WithRetry
+	Retries        uint64 // attempts reissued under a client's retry policy
 }
 
 type replicaSet struct {
@@ -371,17 +371,17 @@ func (c *Cloud) Stations() []telemetry.Station {
 // --- request pipeline ---
 
 // request is one storage operation: its cost structure, the program that
-// carries it from send to reply (Client.do), and its results. The op kind
-// says what the operation is (ops) and what it does at its engine
+// carries each attempt from send to reply (Client.do), and its results. The
+// op kind says what the operation is (ops) and what it does at its engine
 // (Cloud.apply); its arguments and results are fields of the request. A
 // request comes off its Cloud's free list (Client.newRequest), filled in
 // by the call site, which gives it back when it returns: issuing an
 // operation allocates nothing.
 type request struct {
-	cl *Client
+	cl *Client // the client making the current attempt
 	opArgs
-	up     int64 // request payload bytes
-	server *sim.Resource
+	up     int64         // request payload bytes
+	server *sim.Resource // where route sent the current attempt
 	// serverIdx is the table-server index the client routed to (from its
 	// cached partition map); -1 under static placement, where the route
 	// cannot go stale. The front door validates it against the master.
@@ -406,7 +406,8 @@ type request struct {
 	err   error
 	stage string // the trace stage of the program's last stretch
 
-	// Filled in by do for the trace record.
+	// Filled in by do for the trace record. A retried attempt keeps its
+	// predecessor's trace ID and is parented under its span.
 	fault    string
 	st       *spanCutter
 	traceID  string // causal identity of this attempt (tracing attached only)
@@ -446,9 +447,9 @@ const (
 )
 
 // newRequest hands out a request for an operation of kind from the cloud's
-// free list with its request payload and server set; the caller fills in
-// the arguments and defers c.release.
-func (cl *Client) newRequest(kind opKind, up int64, server *sim.Resource) *request {
+// free list with its request payload set; the caller fills in the
+// arguments and defers c.release.
+func (cl *Client) newRequest(kind opKind, up int64) *request {
 	c := cl.cloud
 	var req *request
 	if n := len(c.free); n > 0 {
@@ -456,7 +457,7 @@ func (cl *Client) newRequest(kind opKind, up int64, server *sim.Resource) *reque
 	} else {
 		req = new(request)
 	}
-	req.cl, req.kind, req.up, req.server = cl, kind, up, server
+	req.cl, req.kind, req.up = cl, kind, up
 	return req
 }
 
@@ -811,46 +812,66 @@ var (
 		"the partition range is mid-handoff to another server; back off and retry")
 )
 
-// do executes the request from process p, charging NIC transfer, network
-// round trip, throttles, server occupancy and pipeline latency. When a
-// fault injector is attached it seals the request's fate up front; faults
-// on mutations always fire before the engine commits (the operation is
-// lost, not half-applied), while a reset on a read cuts the response after
-// the engine has done its work — the at-least-once semantics real storage
-// clients must survive.
+// do executes the request from process p under the client's retry policy,
+// the way sdk.Client.do does for a live request: an attempt that fails with
+// an error the policy retries is reissued after the policy's backoff —
+// jittered from the simulation PRNG when the policy asks for jitter — until
+// one succeeds or the policy gives up, and do returns the last attempt's
+// error. Every attempt routes again and decides its faults again at the
+// instant it starts. One that a GeoClient sent to its active region
+// resolves the active region again, so it fails over with the account.
+func (cl *Client) do(p *sim.Proc, req *request) error {
+	start, up := p.Now(), req.up
+	follow := cl.geo != nil && cl.geo.Active() == cl
+	var backoff time.Duration
+	for retries := 0; ; retries++ {
+		req.attempt(p, backoff)
+		if req.err == nil || !cl.policy.ShouldRetry(retries, p.Now()-start, req.err) {
+			return req.err
+		}
+		backoff = cl.policy.Delay(retries, p.Rand().Float64)
+		req.cl.cloud.stats.Retries++
+		p.Sleep(backoff)
+		next := req.cl
+		if follow {
+			next = cl.geo.Active()
+		}
+		// The next attempt starts afresh, except for what it repeats and
+		// the trace it continues, as a child of the attempt that failed.
+		*req = request{cl: next, opArgs: req.opArgs, up: up, traceID: req.traceID, parentID: req.spanID}
+	}
+}
+
+// attempt sends the request once, charging NIC transfer, network round
+// trip, throttles, server occupancy and pipeline latency. When a fault
+// injector is attached it seals the attempt's fate up front; faults on
+// mutations always fire before the engine commits (the operation is lost,
+// not half-applied), while a reset on a read cuts the response after the
+// engine has done its work — the at-least-once semantics real storage
+// clients must survive. With tracing attached the attempt is recorded, the
+// backoff slept before it folded into its window as a retry-backoff span.
 //
-// The request is one program the kernel runs (sim.Proc.Exec) from send to
+// The attempt is one program the kernel runs (sim.Proc.Exec) from send to
 // reply: the way in ends in a Call step, and at each point where the model
 // decides something the request's Resume picks the next stretch with Then.
-// The process is resumed once, when the request is over, and every event
+// The process is resumed once, when the attempt is over, and every event
 // and every counter a checkpoint may read keeps its virtual instant
 // (DESIGN.md §17).
-func (cl *Client) do(p *sim.Proc, req *request) error {
+func (req *request) attempt(p *sim.Proc, backoff time.Duration) {
+	cl := req.cl
 	c := cl.cloud
 	prm := &c.prm
 	op := &ops[req.kind]
+	req.route()
 	if c.traceLog != nil {
-		start := c.env.Now()
-		req.st = &spanCutter{env: c.env, last: start}
-		// A backoff slept by Client.Retry belongs to the attempt it
-		// precedes: fold it into this op's window as a retry-backoff span.
-		if b := cl.pendingBackoff; b > 0 {
-			cl.pendingBackoff = 0
-			start -= b
-			req.st.add(trace.StageRetryBackoff, b)
-		}
-		// Causal identity: a retried attempt continues the trace its
-		// predecessor opened (and is parented under it); a first attempt
-		// roots a fresh trace.
-		req.traceID, req.parentID = cl.pendingTrace, cl.pendingParent
-		cl.pendingTrace, cl.pendingParent = "", ""
+		req.st = &spanCutter{env: c.env, last: c.env.Now()}
+		req.st.add(trace.StageRetryBackoff, backoff)
 		if req.traceID == "" {
 			req.traceID = c.ids.TraceID()
 		}
 		req.spanID = c.ids.SpanID()
-		cl.lastTraceID, cl.lastSpanID = req.traceID, req.spanID
 		defer func(start time.Duration) {
-			// Record what the request moved, how long it took and how it
+			// Record what the attempt moved, how long it took and how it
 			// ended.
 			c.traceLog.Record(trace.Op{
 				Start:    start,
@@ -866,7 +887,7 @@ func (cl *Client) do(p *sim.Proc, req *request) error {
 				ParentID: req.parentID,
 				Spans:    req.st.spans,
 			})
-		}(start)
+		}(c.env.Now() - backoff)
 	}
 	if c.faults != nil {
 		req.dec = c.faults.DecideIn(c.env.Now(), c.region, op.service, op.name, req.server.Name())
@@ -893,7 +914,31 @@ func (cl *Client) do(p *sim.Proc, req *request) error {
 	} else {
 		req.st.cut(req.stage)
 	}
-	return req.err
+}
+
+// route sends the attempt to its partition server: a blob mutation to the
+// partition's primary (a container is a partition of its own) and a blob
+// read to the next read replica, a queue op to its queue's server, a table
+// op where the client's partition map places its key, a cache op to the
+// node that owns its key.
+func (req *request) route() {
+	cl := req.cl
+	c := cl.cloud
+	switch ops[req.kind].service {
+	case "blob":
+		rs := c.blobReplicas(req.name, req.key)
+		if req.kind.is(mutates) {
+			req.server = rs.primary()
+		} else {
+			req.server = c.readReplica(rs)
+		}
+	case "queue":
+		req.server = c.queueServer(req.name)
+	case "table":
+		req.server, req.serverIdx = cl.tableRoute(req.name, req.key)
+	default:
+		req.server = c.cacheServer(req.name, req.key)
+	}
 }
 
 // Resume makes the request's decisions at the instants its program reaches
@@ -1061,17 +1106,8 @@ type Client struct {
 	// placement; entries expire after PartitionMapCacheTTL and are dropped
 	// eagerly when the front door answers PartitionMoved.
 	maps map[string]*clientMap
-	// pendingBackoff is retry backoff slept but not yet attributed to an
-	// operation's trace record (only maintained while tracing is attached).
-	pendingBackoff time.Duration
-	// Retry-chain identity (only maintained while tracing is attached):
-	// lastTraceID/lastSpanID name the most recent attempt this client
-	// issued; pendingTrace/pendingParent, when set, are consumed by the
-	// next do() so attempt N+1 records as a child of attempt N.
-	lastTraceID   string
-	lastSpanID    string
-	pendingTrace  string
-	pendingParent string
+	// geo is the pair this client belongs to, if any (GeoClient).
+	geo *GeoClient
 }
 
 // clientMap is one cached partition-map snapshot with its fetch time.
@@ -1107,8 +1143,10 @@ func (cl *Client) tableRoute(table, pk string) (*sim.Resource, int) {
 }
 
 // NewClient creates a client bound to a VM of the given size. Its default
-// retry policy is the paper's (fixed RetryBackoff sleep, ServerBusy only);
-// use SetRetryPolicy for the resilient discipline.
+// retry policy is the paper's — sleep RetryBackoff and reissue whenever a
+// request is throttled with ServerBusy ("the worker sleeps for a second
+// before retrying the same operation") — capped in attempts, so a limiter
+// that never recovers returns its error instead of spinning forever.
 func (c *Cloud) NewClient(name string, vm model.VMSize) *Client {
 	return &Client{
 		cloud:  c,
@@ -1119,43 +1157,9 @@ func (c *Cloud) NewClient(name string, vm model.VMSize) *Client {
 	}
 }
 
-// SetRetryPolicy replaces the client's retry policy (used by WithRetry).
+// SetRetryPolicy replaces the policy every request of the client retries
+// under; retry.Policy{} makes one attempt.
 func (cl *Client) SetRetryPolicy(pol retry.Policy) { cl.policy = pol }
-
-// WithRetry runs op under the client's retry policy. By default that is
-// the paper's discipline — sleep RetryBackoff and reissue whenever the
-// operation is throttled with ServerBusy ("the worker sleeps for a second
-// before retrying the same operation") — but unlike the paper's workers it
-// cannot spin forever: the policy caps attempts, so when the limiter never
-// recovers the last error is returned instead. It reports the retries
-// performed alongside the final result.
-func (cl *Client) WithRetry(p *sim.Proc, op func() error) (retries int, err error) {
-	return cl.Retry(p, cl.policy, op)
-}
-
-// Retry runs op under an explicit retry policy: it reissues while the
-// policy allows (classification, attempt cap, per-op deadline), sleeping
-// the policy's backoff — jittered from the simulation PRNG when the
-// policy asks for jitter — between attempts. It returns the
-// number of retries performed and the final error (nil on success, the
-// last attempt's error once the policy gives up).
-func (cl *Client) Retry(p *sim.Proc, pol retry.Policy, op func() error) (retries int, err error) {
-	start := p.Now()
-	for {
-		err = op()
-		if !pol.ShouldRetry(retries, p.Now()-start, err) {
-			return retries, err
-		}
-		d := pol.Delay(retries, func() float64 { return p.Rand().Float64() })
-		retries++
-		cl.cloud.stats.Retries++
-		if cl.cloud.traceLog != nil {
-			cl.pendingBackoff += d
-			cl.pendingTrace, cl.pendingParent = cl.lastTraceID, cl.lastSpanID
-		}
-		p.Sleep(d)
-	}
-}
 
 // Think sleeps for roughly d (the paper's Algorithm 4 think time), with
 // the model's multiplicative jitter so that synchronized workers decohere

@@ -192,6 +192,7 @@ func TestQueueThrottleServerBusy(t *testing.T) {
 	busy, okCount := 0, 0
 	for w := 0; w < workers; w++ {
 		cl := c.NewClient(fmt.Sprintf("vm%d", w), model.ExtraLarge)
+		cl.SetRetryPolicy(retry.Policy{}) // one attempt: see the raw ServerBusy
 		env.Go(fmt.Sprintf("w%d", w), func(p *sim.Proc) {
 			for i := 0; i < 10; i++ {
 				_, err := cl.PutMessage(p, "shared-q", payload.Zero(128))
@@ -221,42 +222,32 @@ func TestQueueThrottleServerBusy(t *testing.T) {
 
 func TestWithRetryRecoversFromBusy(t *testing.T) {
 	// A rate lower than the client's natural sequential rate forces
-	// periodic ServerBusy; WithRetry (sleep 1 s, retry — the paper's
-	// recovery) must still complete every operation exactly once.
+	// periodic ServerBusy; the client's default policy (sleep 1 s, retry —
+	// the paper's recovery) must still complete every operation exactly
+	// once.
 	env := sim.NewEnv(1)
 	prm := model.Default()
 	prm.QueueOpsPerSec = 20
 	prm.QueueBurst = 3
 	c := New(env, prm)
 	cl := c.NewClient("vm0", model.ExtraLarge)
-	var retries int
 	env.Go("main", func(p *sim.Proc) {
 		if err := cl.CreateQueue(p, "q-0"); err != nil {
 			t.Error(err)
 			return
 		}
 		for i := 0; i < 60; i++ {
-			r, err := cl.WithRetry(p, func() error {
-				_, err := cl.PutMessage(p, "q-0", payload.Zero(16))
-				return err
-			})
-			retries += r
-			if err != nil {
+			if _, err := cl.PutMessage(p, "q-0", payload.Zero(16)); err != nil {
 				t.Error(err)
 				return
 			}
 		}
-		var n int
-		if _, err := cl.WithRetry(p, func() error {
-			var err error
-			n, err = cl.GetMessageCount(p, "q-0")
-			return err
-		}); err != nil || n != 60 {
+		if n, err := cl.GetMessageCount(p, "q-0"); err != nil || n != 60 {
 			t.Errorf("count = %d, %v", n, err)
 		}
 	})
 	env.Run()
-	if retries == 0 {
+	if c.Stats().Retries == 0 {
 		t.Fatal("expected at least one retry against the tightened limiter")
 	}
 }
@@ -337,10 +328,7 @@ func TestDynamicPlacementSplitsAndRedirects(t *testing.T) {
 			deadline := env.Now() + 10*time.Second
 			for env.Now() < deadline {
 				pk := fmt.Sprintf("pk%02d", w%3)
-				if _, err := cl.WithRetry(p, func() error {
-					_, err := cl.GetEntity(p, "bench", pk, "r")
-					return err
-				}); err != nil {
+				if _, err := cl.GetEntity(p, "bench", pk, "r"); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
@@ -463,7 +451,7 @@ func TestTableContentionBeyondFourWorkers(t *testing.T) {
 						PartitionKey: pk, RowKey: fmt.Sprintf("r%03d", r),
 						Props: map[string]tablestore.Value{"D": tablestore.Binary(payload.Zero(64 * 1024))},
 					}
-					if _, err := cl.WithRetryEnt(p, "bench", e); err != nil {
+					if _, err := cl.InsertEntity(p, "bench", e); err != nil {
 						t.Error(err)
 						return
 					}
@@ -480,17 +468,6 @@ func TestTableContentionBeyondFourWorkers(t *testing.T) {
 	if t32 < t4*5/2 {
 		t.Fatalf("no contention at 32 workers: t4=%v t32=%v", t4, t32)
 	}
-}
-
-// WithRetryEnt is a small helper for tests: insert with busy-retry.
-func (cl *Client) WithRetryEnt(p *sim.Proc, table string, e *tablestore.Entity) (tablestore.Row, error) {
-	var stored tablestore.Row
-	_, err := cl.WithRetry(p, func() error {
-		var err error
-		stored, err = cl.InsertEntity(p, table, e)
-		return err
-	})
-	return stored, err
 }
 
 func TestQueueMessageRoundTripThroughCloud(t *testing.T) {

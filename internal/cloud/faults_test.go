@@ -1,14 +1,12 @@
 package cloud
 
 import (
-	"errors"
 	"testing"
 	"time"
 
 	"azurebench/internal/faults"
 	"azurebench/internal/model"
 	"azurebench/internal/payload"
-	"azurebench/internal/queuestore"
 	"azurebench/internal/retry"
 	"azurebench/internal/sim"
 	"azurebench/internal/storecommon"
@@ -28,49 +26,40 @@ func miniWorkload(t *testing.T, strict bool, attach func(*Cloud)) (time.Duration
 		attach(c)
 	}
 	cl := c.NewClient("vm0", model.Small)
-	pol := retry.Policy{
+	cl.SetRetryPolicy(retry.Policy{
 		MaxAttempts: 10,
 		BaseDelay:   500 * time.Millisecond,
 		Multiplier:  1,
 		Classify:    storecommon.IsRetriable,
-	}
+	})
 	env.Go("main", func(p *sim.Proc) {
-		must := func(what string, op func() error) {
-			_, err := cl.Retry(p, pol, op)
+		must := func(what string, err error) {
 			if strict && err != nil {
 				t.Errorf("%s failed: %v", what, err)
 			}
 		}
-		must("create container", func() error { return cl.CreateContainer(p, "ctn") })
-		must("upload", func() error { return cl.UploadBlockBlob(p, "ctn", "b", payload.Zero(64*storecommon.KB)) })
-		must("download", func() error { _, err := cl.Download(p, "ctn", "b"); return err })
-		must("create queue", func() error { _, err := cl.CreateQueueIfNotExists(p, "qq0"); return err })
+		must("create container", cl.CreateContainer(p, "ctn"))
+		must("upload", cl.UploadBlockBlob(p, "ctn", "b", payload.Zero(64*storecommon.KB)))
+		_, err := cl.Download(p, "ctn", "b")
+		must("download", err)
+		_, err = cl.CreateQueueIfNotExists(p, "qq0")
+		must("create queue", err)
 		for i := 0; i < 10; i++ {
-			must("put", func() error { _, err := cl.PutMessage(p, "qq0", payload.Zero(4*storecommon.KB)); return err })
-			var msg queuestore.Message
-			got := false
-			must("get", func() error {
-				m, ok, err := cl.GetMessage(p, "qq0", time.Minute)
-				if err == nil && ok {
-					msg, got = m, true
-				}
-				return err
-			})
+			_, err := cl.PutMessage(p, "qq0", payload.Zero(4*storecommon.KB))
+			must("put", err)
+			msg, got, err := cl.GetMessage(p, "qq0", time.Minute)
+			must("get", err)
 			if !got {
 				if strict {
 					t.Error("message missing")
 				}
 				continue
 			}
-			must("delete", func() error {
-				err := cl.DeleteMessage(p, "qq0", msg.ID, msg.PopReceipt)
-				if storecommon.IsNotFound(err) {
-					return nil
-				}
-				return err
-			})
+			if err := cl.DeleteMessage(p, "qq0", msg.ID, msg.PopReceipt); !storecommon.IsNotFound(err) {
+				must("delete", err)
+			}
 		}
-		must("create table", func() error { return cl.CreateTable(p, "tbl") })
+		must("create table", cl.CreateTable(p, "tbl"))
 		ent := &tablestore.Entity{
 			PartitionKey: "pk",
 			RowKey:       "rk",
@@ -78,8 +67,10 @@ func miniWorkload(t *testing.T, strict bool, attach func(*Cloud)) (time.Duration
 				"Data": tablestore.Binary(payload.Zero(storecommon.KB)),
 			},
 		}
-		must("insert", func() error { _, err := cl.InsertEntity(p, "tbl", ent); return err })
-		must("query", func() error { _, err := cl.GetEntity(p, "tbl", "pk", "rk"); return err })
+		_, err = cl.InsertEntity(p, "tbl", ent)
+		must("insert", err)
+		_, err = cl.GetEntity(p, "tbl", "pk", "rk")
+		must("query", err)
 	})
 	env.Run()
 	return env.Now(), c.Stats()
@@ -229,9 +220,9 @@ func TestMutationFaultsDoNotCommit(t *testing.T) {
 	env.Run()
 }
 
-// TestRetryBounded pins the satellite fix: against a fault that never
-// clears, Retry stops at MaxAttempts and returns the last error rather
-// than spinning forever (the old WithRetry looped unboundedly).
+// TestRetryBounded: against a fault that never clears, a request stops
+// retrying at its policy's MaxAttempts and returns the last error rather
+// than spinning forever.
 func TestRetryBounded(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, model.Default())
@@ -240,29 +231,21 @@ func TestRetryBounded(t *testing.T) {
 		Rules: []faults.Rule{{Kind: faults.Internal, Rate: 1}},
 	}))
 	cl := c.NewClient("vm0", model.Small)
-	pol := retry.Policy{
+	cl.SetRetryPolicy(retry.Policy{
 		MaxAttempts: 4,
 		BaseDelay:   100 * time.Millisecond,
 		Multiplier:  2,
 		Classify:    storecommon.IsRetriable,
-	}
+	})
 	env.Go("main", func(p *sim.Proc) {
-		calls := 0
-		retries, err := cl.Retry(p, pol, func() error {
-			calls++
-			_, err := cl.CreateQueueIfNotExists(p, "qq0")
-			return err
-		})
-		if calls != 4 || retries != 3 {
-			t.Errorf("calls=%d retries=%d, want 4/3", calls, retries)
-		}
+		_, err := cl.CreateQueueIfNotExists(p, "qq0")
 		if storecommon.CodeOf(err) != storecommon.CodeInternalError {
 			t.Errorf("last error = %v", err)
 		}
 	})
 	env.Run()
-	if got := c.Stats().Retries; got != 3 {
-		t.Errorf("stats.Retries = %d, want 3", got)
+	if calls, retries := c.Stats().FaultInternals, c.Stats().Retries; calls != 4 || retries != 3 {
+		t.Errorf("calls=%d retries=%d, want 4/3", calls, retries)
 	}
 }
 
@@ -271,32 +254,32 @@ func TestRetryBounded(t *testing.T) {
 func TestRetryDeadline(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, model.Default())
+	c.SetFaults(faults.NewInjector(faults.Plan{
+		Seed:  1,
+		Rules: []faults.Rule{{Kind: faults.Timeout, Rate: 1}},
+		// Every attempt is lost and waits this long for its answer.
+		Timeout: 10 * time.Millisecond,
+	}))
 	cl := c.NewClient("vm0", model.Small)
-	pol := retry.Policy{
+	cl.SetRetryPolicy(retry.Policy{
 		MaxAttempts: 100,
 		BaseDelay:   time.Second,
 		Multiplier:  1,
 		Deadline:    1500 * time.Millisecond,
 		Classify:    func(error) bool { return true },
-	}
-	sentinel := errors.New("always failing")
+	})
 	env.Go("main", func(p *sim.Proc) {
-		calls := 0
-		_, err := cl.Retry(p, pol, func() error {
-			calls++
-			p.Sleep(10 * time.Millisecond)
-			return sentinel
-		})
-		if !errors.Is(err, sentinel) {
+		_, err := cl.CreateQueueIfNotExists(p, "qq0")
+		if storecommon.CodeOf(err) != storecommon.CodeOperationTimedOut {
 			t.Errorf("err = %v", err)
-		}
-		// Attempts finish at elapsed ≈ 0.01s, 1.02s, 2.03s; the first two
-		// pass the 1.5s deadline check, the third fails it.
-		if calls != 3 {
-			t.Errorf("calls = %d, want 3", calls)
 		}
 	})
 	env.Run()
+	// Attempts finish at elapsed ≈ 0.01s, 1.02s, 2.03s; the first two pass
+	// the 1.5s deadline check, the third fails it.
+	if calls := c.Stats().FaultTimeouts; calls != 3 {
+		t.Errorf("calls = %d, want 3", calls)
+	}
 }
 
 // TestResetAccountsPartialBytes: a connection cut mid-upload still charges

@@ -114,7 +114,7 @@ func (g *GeoAccount) LastSyncTime() time.Duration {
 func (g *GeoAccount) SetTrace(l *trace.Log) {
 	g.traceLog = l
 	if l != nil && g.ids == nil {
-		g.ids = trace.NewIDGen("geo")
+		g.ids = l.IDs("geo")
 	}
 	g.pri.SetTrace(l)
 	g.sec.SetTrace(l)
@@ -282,7 +282,10 @@ func (g *GeoAccount) ScheduleFailover(start, duration time.Duration) {
 
 // GeoClient is a client of a geo-replicated account: it holds one Client
 // per region, routes writes to the active region, and exposes the
-// geo-secondary for RA-GRS reads.
+// geo-secondary for RA-GRS reads. A request sent through Active follows
+// the active region from one attempt to the next, so one that keeps
+// failing into a primary outage lands on the promoted secondary once the
+// failover completes — the client-visible RTO path.
 type GeoClient struct {
 	geo *GeoAccount
 	pri *Client
@@ -292,11 +295,13 @@ type GeoClient struct {
 // NewGeoClient creates a client pair (one VM per region) with the given
 // name.
 func (g *GeoAccount) NewGeoClient(name string, vm model.VMSize) *GeoClient {
-	return &GeoClient{
+	gc := &GeoClient{
 		geo: g,
 		pri: g.pri.NewClient(name, vm),
 		sec: g.sec.NewClient(name, vm),
 	}
+	gc.pri.geo, gc.sec.geo = gc, gc
+	return gc
 }
 
 // Active returns the client bound to the region currently serving writes.
@@ -316,41 +321,8 @@ func (gc *GeoClient) Secondary() *Client {
 	return gc.sec
 }
 
-// Retry runs op under pol like Client.Retry, but re-resolves the active
-// region before every attempt, so a request that keeps failing into a
-// primary outage lands on the promoted secondary once the failover
-// completes — the client-visible RTO path.
-func (gc *GeoClient) Retry(p *sim.Proc, pol retry.Policy, op func(cl *Client) error) (retries int, err error) {
-	start := p.Now()
-	var carry time.Duration // backoff slept before the upcoming attempt
-	var chainTrace, chainSpan string
-	for {
-		cl := gc.Active()
-		if cl.cloud.traceLog != nil {
-			if carry > 0 {
-				// Attribute the backoff to the attempt it precedes, on
-				// whichever region's client performs that attempt.
-				cl.pendingBackoff += carry
-			}
-			if chainTrace != "" {
-				// The retry chain follows the request across regions: a
-				// failed-over attempt parents under the attempt that failed
-				// into the outage, even though a different client issues it.
-				cl.pendingTrace, cl.pendingParent = chainTrace, chainSpan
-			}
-		}
-		carry = 0
-		err = op(cl)
-		if !pol.ShouldRetry(retries, p.Now()-start, err) {
-			return retries, err
-		}
-		if cl.cloud.traceLog != nil {
-			chainTrace, chainSpan = cl.lastTraceID, cl.lastSpanID
-		}
-		d := pol.Delay(retries, func() float64 { return p.Rand().Float64() })
-		retries++
-		cl.cloud.stats.Retries++
-		carry = d
-		p.Sleep(d)
-	}
+// SetRetryPolicy sets the retry policy of both region clients.
+func (gc *GeoClient) SetRetryPolicy(pol retry.Policy) {
+	gc.pri.SetRetryPolicy(pol)
+	gc.sec.SetRetryPolicy(pol)
 }

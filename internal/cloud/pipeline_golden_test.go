@@ -12,6 +12,7 @@ import (
 	"azurebench/internal/faults"
 	"azurebench/internal/model"
 	"azurebench/internal/payload"
+	"azurebench/internal/retry"
 	"azurebench/internal/sim"
 	snap "azurebench/internal/snapshot"
 	"azurebench/internal/storecommon"
@@ -74,6 +75,9 @@ func pipelineRun(t *testing.T, stops []time.Duration) (*trace.Log, []string) {
 
 	vm0 := c.NewClient("vm0", model.Small)
 	vm1 := c.NewClient("vm1", model.Small)
+	// One attempt each: the golden records every exit as it was sent.
+	vm0.SetRetryPolicy(retry.Policy{})
+	vm1.SetRetryPolicy(retry.Policy{})
 	at := func(p *sim.Proc, when time.Duration) { p.Sleep(when - p.Now()) }
 	env.Go("main", func(p *sim.Proc) {
 		cl := vm0

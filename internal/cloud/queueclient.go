@@ -10,7 +10,7 @@ import (
 
 // CreateQueue creates a queue.
 func (cl *Client) CreateQueue(p *sim.Proc, name string) error {
-	req := cl.newRequest(opCreateQueue, reqHeader, cl.cloud.queueServer(name))
+	req := cl.newRequest(opCreateQueue, reqHeader)
 	defer cl.cloud.release(req)
 	req.name = name
 	return cl.do(p, req)
@@ -18,7 +18,7 @@ func (cl *Client) CreateQueue(p *sim.Proc, name string) error {
 
 // CreateQueueIfNotExists creates the queue when absent.
 func (cl *Client) CreateQueueIfNotExists(p *sim.Proc, name string) (bool, error) {
-	req := cl.newRequest(opCreateQueueIfNotExists, reqHeader, cl.cloud.queueServer(name))
+	req := cl.newRequest(opCreateQueueIfNotExists, reqHeader)
 	defer cl.cloud.release(req)
 	req.name = name
 	err := cl.do(p, req)
@@ -27,7 +27,7 @@ func (cl *Client) CreateQueueIfNotExists(p *sim.Proc, name string) (bool, error)
 
 // DeleteQueue removes a queue and its messages.
 func (cl *Client) DeleteQueue(p *sim.Proc, name string) error {
-	req := cl.newRequest(opDeleteQueue, reqHeader, cl.cloud.queueServer(name))
+	req := cl.newRequest(opDeleteQueue, reqHeader)
 	defer cl.cloud.release(req)
 	req.name = name
 	return cl.do(p, req)
@@ -35,7 +35,7 @@ func (cl *Client) DeleteQueue(p *sim.Proc, name string) error {
 
 // PutMessage inserts a message (the paper's PutMessage).
 func (cl *Client) PutMessage(p *sim.Proc, name string, body payload.Payload) (queuestore.Message, error) {
-	req := cl.newRequest(opPutMessage, body.Len()+reqHeader, cl.cloud.queueServer(name))
+	req := cl.newRequest(opPutMessage, body.Len()+reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.data = name, body
 	err := cl.do(p, req)
@@ -45,7 +45,7 @@ func (cl *Client) PutMessage(p *sim.Proc, name string, body payload.Payload) (qu
 // GetMessage dequeues one message, hiding it for the visibility timeout
 // (0 = the 30 s default); ok is false when no message is visible.
 func (cl *Client) GetMessage(p *sim.Proc, name string, visibility time.Duration) (queuestore.Message, bool, error) {
-	req := cl.newRequest(opGetMessage, reqHeader, cl.cloud.queueServer(name))
+	req := cl.newRequest(opGetMessage, reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.ttl = name, visibility
 	err := cl.do(p, req)
@@ -54,7 +54,7 @@ func (cl *Client) GetMessage(p *sim.Proc, name string, visibility time.Duration)
 
 // PeekMessage observes the front visible message without dequeuing it.
 func (cl *Client) PeekMessage(p *sim.Proc, name string) (queuestore.Message, bool, error) {
-	req := cl.newRequest(opPeekMessage, reqHeader, cl.cloud.queueServer(name))
+	req := cl.newRequest(opPeekMessage, reqHeader)
 	defer cl.cloud.release(req)
 	req.name = name
 	err := cl.do(p, req)
@@ -63,7 +63,7 @@ func (cl *Client) PeekMessage(p *sim.Proc, name string) (queuestore.Message, boo
 
 // DeleteMessage deletes a dequeued message using its pop receipt.
 func (cl *Client) DeleteMessage(p *sim.Proc, name, msgID, popReceipt string) error {
-	req := cl.newRequest(opDeleteMessage, reqHeader, cl.cloud.queueServer(name))
+	req := cl.newRequest(opDeleteMessage, reqHeader)
 	defer cl.cloud.release(req)
 	req.name, req.id, req.popReceipt = name, msgID, popReceipt
 	return cl.do(p, req)
@@ -72,7 +72,7 @@ func (cl *Client) DeleteMessage(p *sim.Proc, name, msgID, popReceipt string) err
 // GetMessageCount returns the approximate message count — the primitive
 // under the paper's queue-based barrier (Algorithm 2).
 func (cl *Client) GetMessageCount(p *sim.Proc, name string) (int, error) {
-	req := cl.newRequest(opGetMessageCount, reqHeader, cl.cloud.queueServer(name))
+	req := cl.newRequest(opGetMessageCount, reqHeader)
 	defer cl.cloud.release(req)
 	req.name = name
 	err := cl.do(p, req)

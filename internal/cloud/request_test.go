@@ -7,6 +7,7 @@ import (
 	"azurebench/internal/faults"
 	"azurebench/internal/model"
 	"azurebench/internal/payload"
+	"azurebench/internal/retry"
 	"azurebench/internal/sim"
 	"azurebench/internal/storecommon"
 	"azurebench/internal/tablestore"
@@ -108,6 +109,7 @@ func TestEveryRequestParksOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			cl := c.NewClient("vm0", model.Small)
+			cl.SetRetryPolicy(retry.Policy{}) // every exit is the request's last
 			var (
 				err              error
 				events, switches uint64

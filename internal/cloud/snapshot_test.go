@@ -71,30 +71,30 @@ func warmGeo(tb testing.TB) *GeoAccount {
 			cl := gc.Active()
 			cl.SetRetryPolicy(retry.Resilient())
 			table, queue, cont := fmt.Sprintf("table%d", k), fmt.Sprintf("queue-%d", k), fmt.Sprintf("cont-%d", k)
-			try := func(op func() error) {
-				if _, err := cl.WithRetry(p, op); err != nil {
+			try := func(_ any, err error) {
+				if err != nil {
 					tb.Errorf("writer %d: %v", k, err)
 				}
 			}
-			try(func() error { _, err := cl.CreateTableIfNotExists(p, table); return err })
-			try(func() error { _, err := cl.CreateQueueIfNotExists(p, queue); return err })
-			try(func() error { _, err := cl.CreateContainerIfNotExists(p, cont); return err })
-			try(func() error { return cl.UploadBlockBlob(p, cont, "b", payload.Synthetic(uint64(k), 4096)) })
+			try(cl.CreateTableIfNotExists(p, table))
+			try(cl.CreateQueueIfNotExists(p, queue))
+			try(cl.CreateContainerIfNotExists(p, cont))
+			try(nil, cl.UploadBlockBlob(p, cont, "b", payload.Synthetic(uint64(k), 4096)))
 			md := map[string]string{"a": "1", "b": "2", "c": "3", "d": fmt.Sprint(k)}
 			if err := g.pri.Blob.SetMetadata(cont, "b", md, ""); err != nil {
 				tb.Error(err)
 			}
 			for i := 0; i < 16; i++ {
 				e := &tablestore.Entity{PartitionKey: fmt.Sprintf("pk%02d", i), RowKey: "r"}
-				try(func() error { _, err := cl.InsertEntity(p, table, e); return err })
+				try(cl.InsertEntity(p, table, e))
 			}
 			for i := 0; i < 600; i++ {
 				pk := fmt.Sprintf("pk%02d", i%5)
-				try(func() error { _, err := cl.GetEntity(p, table, pk, "r"); return err })
+				try(cl.GetEntity(p, table, pk, "r"))
 				if i%20 == 0 {
-					try(func() error { _, err := cl.PutMessage(p, queue, payload.Synthetic(uint64(i), 64)); return err })
+					try(cl.PutMessage(p, queue, payload.Synthetic(uint64(i), 64)))
 					e := &tablestore.Entity{PartitionKey: pk, RowKey: "r", Props: map[string]tablestore.Value{"N": tablestore.Int32(int32(i))}}
-					try(func() error { _, err := cl.UpdateEntity(p, table, e, "*"); return err })
+					try(cl.UpdateEntity(p, table, e, "*"))
 				}
 			}
 		})

@@ -8,24 +8,26 @@ import (
 // CreateTable creates a table. Table management is metadata work on the
 // first table server.
 func (cl *Client) CreateTable(p *sim.Proc, name string) error {
-	req := cl.tableRequest(opCreateTable, reqHeader, name, "")
+	req := cl.newRequest(opCreateTable, reqHeader)
 	defer cl.cloud.release(req)
+	req.name = name
 	return cl.do(p, req)
 }
 
 // CreateTableIfNotExists creates the table when absent.
 func (cl *Client) CreateTableIfNotExists(p *sim.Proc, name string) (bool, error) {
-	req := cl.tableRequest(opCreateTableIfNotExists, reqHeader, name, "")
+	req := cl.newRequest(opCreateTableIfNotExists, reqHeader)
 	defer cl.cloud.release(req)
+	req.name = name
 	err := cl.do(p, req)
 	return req.ok, err
 }
 
 // InsertEntity adds a row (the paper's AddRow).
 func (cl *Client) InsertEntity(p *sim.Proc, tableName string, e *tablestore.Entity) (tablestore.Row, error) {
-	req := cl.tableRequest(opInsertEntity, e.Size()+reqHeader, tableName, e.PartitionKey)
+	req := cl.newRequest(opInsertEntity, e.Size()+reqHeader)
 	defer cl.cloud.release(req)
-	req.ent = e
+	req.name, req.key, req.ent = tableName, e.PartitionKey, e
 	err := cl.do(p, req)
 	return req.gotEnt, err
 }
@@ -33,9 +35,9 @@ func (cl *Client) InsertEntity(p *sim.Proc, tableName string, e *tablestore.Enti
 // GetEntity retrieves one row by primary key (the paper's Query of
 // Algorithm 5: a point query on PartitionKey+RowKey).
 func (cl *Client) GetEntity(p *sim.Proc, tableName, pk, rk string) (tablestore.Row, error) {
-	req := cl.tableRequest(opGetEntity, reqHeader, tableName, pk)
+	req := cl.newRequest(opGetEntity, reqHeader)
 	defer cl.cloud.release(req)
-	req.id = rk
+	req.name, req.key, req.id = tableName, pk, rk
 	err := cl.do(p, req)
 	return req.gotEnt, err
 }
@@ -43,18 +45,18 @@ func (cl *Client) GetEntity(p *sim.Proc, tableName, pk, rk string) (tablestore.R
 // UpdateEntity replaces a row under an ETag condition ("*" for the
 // unconditional update the paper benchmarks).
 func (cl *Client) UpdateEntity(p *sim.Proc, tableName string, e *tablestore.Entity, ifMatch string) (tablestore.Row, error) {
-	req := cl.tableRequest(opUpdateEntity, e.Size()+reqHeader, tableName, e.PartitionKey)
+	req := cl.newRequest(opUpdateEntity, e.Size()+reqHeader)
 	defer cl.cloud.release(req)
-	req.ent, req.ifMatch = e, ifMatch
+	req.name, req.key, req.ent, req.ifMatch = tableName, e.PartitionKey, e, ifMatch
 	err := cl.do(p, req)
 	return req.gotEnt, err
 }
 
 // DeleteEntity deletes a row under an ETag condition.
 func (cl *Client) DeleteEntity(p *sim.Proc, tableName, pk, rk, ifMatch string) error {
-	req := cl.tableRequest(opDeleteEntity, reqHeader, tableName, pk)
+	req := cl.newRequest(opDeleteEntity, reqHeader)
 	defer cl.cloud.release(req)
-	req.id, req.ifMatch = rk, ifMatch
+	req.name, req.key, req.id, req.ifMatch = tableName, pk, rk, ifMatch
 	return cl.do(p, req)
 }
 
@@ -62,18 +64,9 @@ func (cl *Client) DeleteEntity(p *sim.Proc, tableName, pk, rk, ifMatch string) e
 // the request can be routed to its partition server; use pk="" for a
 // cross-partition scan, which is charged to the table's first server.
 func (cl *Client) QueryEntities(p *sim.Proc, tableName, pk, filter string, top int, from tablestore.Continuation) (tablestore.QueryResult, error) {
-	req := cl.tableRequest(opQueryEntities, reqHeader+int64(len(filter)), tableName, pk)
+	req := cl.newRequest(opQueryEntities, reqHeader+int64(len(filter)))
 	defer cl.cloud.release(req)
-	req.filter, req.top, req.from = filter, top, from
+	req.name, req.key, req.filter, req.top, req.from = tableName, pk, filter, top, from
 	err := cl.do(p, req)
 	return req.res, err
-}
-
-// tableRequest is newRequest for an operation on partition pk of a table,
-// routed through the client's partition map.
-func (cl *Client) tableRequest(kind opKind, up int64, table, pk string) *request {
-	srv, idx := cl.tableRoute(table, pk)
-	req := cl.newRequest(kind, up, srv)
-	req.name, req.key, req.serverIdx = table, pk, idx
-	return req
 }

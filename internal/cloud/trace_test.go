@@ -170,10 +170,7 @@ func TestSpansUnderThrottling(t *testing.T) {
 		cl := c.NewClient("vm", model.Small)
 		env.Go("w", func(p *sim.Proc) {
 			for i := 0; i < 20; i++ {
-				if _, err := cl.WithRetry(p, func() error {
-					_, err := cl.PutMessage(p, "hot", payload.Zero(1024))
-					return err
-				}); err != nil {
+				if _, err := cl.PutMessage(p, "hot", payload.Zero(1024)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -246,4 +243,80 @@ func TestTraceAttachNoDrift(t *testing.T) {
 	if bareStats != traceStats {
 		t.Errorf("stats drifted:\nbare   = %+v\ntraced = %+v", bareStats, traceStats)
 	}
+}
+
+// TestSharedClientRetryChain shares one traced client between two
+// processes. A's second PutMessage is throttled by a 1 op/s queue limiter
+// and retried after the paper's 1 s backoff; B issues a BlobProps in the
+// middle of that backoff. The retry chain belongs to A's request: its
+// retry is parented under the throttled attempt, starts where that attempt
+// ended and carries the backoff, and B's op roots a trace of its own.
+func TestSharedClientRetryChain(t *testing.T) {
+	env := sim.NewEnv(1)
+	prm := model.Default()
+	prm.QueueOpsPerSec, prm.QueueBurst = 1, 1
+	c := New(env, prm)
+	setup := c.NewClient("setup", model.Small)
+	env.Go("setup", func(p *sim.Proc) {
+		if err := setup.CreateQueue(p, "shared"); err != nil {
+			t.Error(err)
+		}
+		if err := setup.CreateContainer(p, "media"); err != nil {
+			t.Error(err)
+		}
+		if err := setup.UploadBlockBlob(p, "media", "b", payload.Zero(1024)); err != nil {
+			t.Error(err)
+		}
+	})
+	env.Run()
+	// Let the queue's bucket refill, then trace the shared client alone.
+	env.Go("idle", func(p *sim.Proc) { p.Sleep(5 * time.Second) })
+	env.Run()
+	log := trace.New(100)
+	c.SetTrace(log)
+	cl := c.NewClient("shared", model.Small)
+	env.Go("A", func(p *sim.Proc) {
+		for i := 0; i < 2; i++ {
+			if _, err := cl.PutMessage(p, "shared", payload.Zero(64)); err != nil {
+				t.Errorf("A's put %d: %v", i, err)
+			}
+		}
+	})
+	env.Go("B", func(p *sim.Proc) {
+		p.Sleep(500 * time.Millisecond)
+		if _, err := cl.BlobProps(p, "media", "b"); err != nil {
+			t.Errorf("B's props: %v", err)
+		}
+	})
+	env.Run()
+
+	var puts []trace.Op
+	var props trace.Op
+	for _, op := range log.Ops() {
+		switch op.Name {
+		case "PutMessage":
+			puts = append(puts, op)
+		case "BlobProps":
+			props = op
+		}
+	}
+	if len(puts) != 3 || puts[1].Err != "ServerBusy" || puts[2].Err != "" {
+		t.Fatalf("A's puts = %+v, want served, throttled, retried", puts)
+	}
+	prev, retried := puts[1], puts[2]
+	if retried.ParentID != prev.SpanID || retried.TraceID != prev.TraceID {
+		t.Errorf("retry (trace %s, parent %s) is not a child of the throttled attempt (trace %s, span %s)",
+			retried.TraceID, retried.ParentID, prev.TraceID, prev.SpanID)
+	}
+	if end := prev.Start + prev.Duration; retried.Start != end {
+		t.Errorf("retry starts at %v, want %v where the throttled attempt ended", retried.Start, end)
+	}
+	if got := retried.SpanDur(trace.StageRetryBackoff); got != prm.RetryBackoff {
+		t.Errorf("retry carries %v of retry-backoff, want %v", got, prm.RetryBackoff)
+	}
+	if props.ParentID != "" || props.TraceID == prev.TraceID || props.SpanDur(trace.StageRetryBackoff) != 0 {
+		t.Errorf("B's BlobProps (trace %s, parent %q, backoff %v) is not a root of its own trace",
+			props.TraceID, props.ParentID, props.SpanDur(trace.StageRetryBackoff))
+	}
+	checkSpans(t, log)
 }

@@ -27,10 +27,8 @@ func (s *Suite) RunBarrier() *Report {
 		w := workers[i]
 		pt := s.newPoint()
 		pt.setup(func(p *sim.Proc, setup *cloud.Client) {
-			mustRetry(p, setup, "create sync queue", func() error {
-				_, err := setup.CreateQueueIfNotExists(p, syncQueue)
-				return err
-			})
+			_, err := setup.CreateQueueIfNotExists(p, syncQueue)
+			must("create sync queue", err)
 		})
 		pt.workers(w, func(p *sim.Proc, _ int, cl *cloud.Client) {
 			b := roles.NewBarrier(syncQueue, w)

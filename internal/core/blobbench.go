@@ -55,17 +55,11 @@ func (s *Suite) blobPoint(w int) *point {
 
 	// Untimed setup: container, page blob shell, sync queue.
 	pt.setup(func(p *sim.Proc, setup *cloud.Client) {
-		mustRetry(p, setup, "create container", func() error {
-			_, err := setup.CreateContainerIfNotExists(p, benchContainer)
-			return err
-		})
-		mustRetry(p, setup, "create page blob", func() error {
-			return setup.CreatePageBlob(p, benchContainer, pageBlobName, blobSize)
-		})
-		mustRetry(p, setup, "create sync queue", func() error {
-			_, err := setup.CreateQueueIfNotExists(p, syncQueue)
-			return err
-		})
+		_, err := setup.CreateContainerIfNotExists(p, benchContainer)
+		must("create container", err)
+		must("create page blob", setup.CreatePageBlob(p, benchContainer, pageBlobName, blobSize))
+		_, err = setup.CreateQueueIfNotExists(p, syncQueue)
+		must("create sync queue", err)
 	})
 
 	fullList := make([]blobstore.BlockRef, totalChunks)
@@ -89,73 +83,55 @@ func (s *Suite) blobPoint(w int) *point {
 		// --- Page blob upload (my slice of pages) ---
 		wr.timed(p, phPageUpload, n, func(i int) {
 			off := int64(start+i) * chunk
-			mustRetry(p, cl, "put page", func() error {
-				return cl.PutPage(p, benchContainer, pageBlobName, off, content)
-			})
+			must("put page", cl.PutPage(p, benchContainer, pageBlobName, off, content))
 		})
 		barrier()
 
 		// --- Block blob upload: stage my slice, then commit the list ---
 		wr.timed(p, phBlockUp, n, func(i int) {
 			id := fullList[start+i].ID
-			mustRetry(p, cl, "put block", func() error {
-				return cl.PutBlock(p, benchContainer, blockBlobName, id, content)
-			})
+			must("put block", cl.PutBlock(p, benchContainer, blockBlobName, id, content))
 		})
 		barrier()
 		wr.timed(p, phBlockUp, 1, func(int) {
-			mustRetry(p, cl, "put block list", func() error {
-				return cl.PutBlockList(p, benchContainer, blockBlobName, fullList)
-			})
+			must("put block list", cl.PutBlockList(p, benchContainer, blockBlobName, fullList))
 		})
 		barrier()
 
 		// --- Random page-wise download (Figure 5) ---
 		wr.timed(p, phPageChunk, cfg.ChunkReads, func(int) {
 			off := int64(p.Rand().Intn(totalChunks)) * chunk
-			mustRetry(p, cl, "get page", func() error {
-				_, err := cl.GetPage(p, benchContainer, pageBlobName, off, chunk)
-				return err
-			})
+			_, err := cl.GetPage(p, benchContainer, pageBlobName, off, chunk)
+			must("get page", err)
 		})
 		barrier()
 
 		// --- Sequential block-wise download (Figure 5) ---
 		wr.timed(p, phBlockChunk, cfg.ChunkReads, func(i int) {
 			idx := i % totalChunks
-			mustRetry(p, cl, "get block", func() error {
-				_, err := cl.GetBlock(p, benchContainer, blockBlobName, idx)
-				return err
-			})
+			_, err := cl.GetBlock(p, benchContainer, blockBlobName, idx)
+			must("get block", err)
 		})
 		barrier()
 
 		// --- Entire page blob download (openRead) ---
 		wr.timed(p, phPageFull, 1, func(int) {
-			mustRetry(p, cl, "download page blob", func() error {
-				_, err := cl.Download(p, benchContainer, pageBlobName)
-				return err
-			})
+			_, err := cl.Download(p, benchContainer, pageBlobName)
+			must("download page blob", err)
 		})
 		barrier()
 
 		// --- Entire block blob download (DownloadText) ---
 		wr.timed(p, phBlockFull, 1, func(int) {
-			mustRetry(p, cl, "download block blob", func() error {
-				_, err := cl.Download(p, benchContainer, blockBlobName)
-				return err
-			})
+			_, err := cl.Download(p, benchContainer, blockBlobName)
+			must("download block blob", err)
 		})
 		barrier()
 
 		// --- Delete (worker 0, untimed) ---
 		if k == 0 {
-			mustRetry(p, cl, "delete page blob", func() error {
-				return cl.DeleteBlob(p, benchContainer, pageBlobName)
-			})
-			mustRetry(p, cl, "delete block blob", func() error {
-				return cl.DeleteBlob(p, benchContainer, blockBlobName)
-			})
+			must("delete page blob", cl.DeleteBlob(p, benchContainer, pageBlobName))
+			must("delete block blob", cl.DeleteBlob(p, benchContainer, blockBlobName))
 		}
 	})
 	return pt.stats(phPageUpload, phBlockUp, phPageChunk, phBlockChunk, phPageFull, phBlockFull)

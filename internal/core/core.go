@@ -521,7 +521,7 @@ func (s *Suite) newSampler(env *sim.Env, stations func() []telemetry.Station, la
 // top: the heaviest points start first and the tail is short. (Width 1
 // claims from the bottom: -tracefile's record order, and index 0 as the
 // checkpoint's subject.) A point holds a pool slot while body runs and is
-// retired before giving it up. A panic in a body — mustRetry's "a
+// retired before giving it up. A panic in a body — must's "a
 // persistent storage error is a bug" — stops further claims and, once the
 // points in flight have drained, is re-raised on the caller.
 func sweep(s *Suite, n int, body func(i int) *point) []*point {
@@ -650,11 +650,11 @@ func split(total, w, k int) (start, n int) {
 	return start, n
 }
 
-// mustRetry panics unless the error is nil after busy retries — experiment
-// code treats any persistent storage error as fatal (the simulation is
+// must panics on a storage error — experiment code treats one that is
+// left after the client's retries as fatal (the simulation is
 // deterministic, so this indicates a bug, not flakiness).
-func mustRetry(p *sim.Proc, cl *cloud.Client, what string, op func() error) {
-	if _, err := cl.WithRetry(p, op); err != nil {
+func must(what string, err error) {
+	if err != nil {
 		panic(fmt.Sprintf("%s: %v", what, err))
 	}
 }

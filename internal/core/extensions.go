@@ -8,6 +8,7 @@ import (
 	"azurebench/internal/fabric"
 	"azurebench/internal/metrics"
 	"azurebench/internal/payload"
+	"azurebench/internal/retry"
 	"azurebench/internal/sim"
 	"azurebench/internal/storecommon"
 )
@@ -42,16 +43,13 @@ func (s *Suite) RunCache() *Report {
 		w, cached := workers[i/2], i%2 == 1
 		pt := s.newPoint()
 		pt.setup(func(p *sim.Proc, setup *cloud.Client) {
-			mustRetry(p, setup, "create container", func() error {
-				_, err := setup.CreateContainerIfNotExists(p, benchContainer)
-				return err
-			})
-			mustRetry(p, setup, "upload hot blob", func() error {
-				return setup.UploadBlockBlob(p, benchContainer, hotKey, payload.Synthetic(1, objSize))
-			})
+			_, err := setup.CreateContainerIfNotExists(p, benchContainer)
+			must("create container", err)
+			must("upload hot blob", setup.UploadBlockBlob(p, benchContainer, hotKey, payload.Synthetic(1, objSize)))
 		})
 		start := pt.env.Now()
 		pt.workers(w, func(p *sim.Proc, _ int, cl *cloud.Client) {
+			cl.SetRetryPolicy(retry.Policy{}) // one attempt: a throttled read is timed, not retried
 			for range readsEach {
 				t0 := p.Now()
 				if cached {

@@ -8,7 +8,6 @@ import (
 	"azurebench/internal/faults"
 	"azurebench/internal/metrics"
 	"azurebench/internal/payload"
-	"azurebench/internal/queuestore"
 	"azurebench/internal/retry"
 	"azurebench/internal/sim"
 	"azurebench/internal/storecommon"
@@ -88,33 +87,19 @@ func (s *Suite) RunFaults() *Report {
 		pt.c.SetFaults(faults.NewInjector(plan))
 
 		pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
-			pol := faultRetryPolicy()
+			cl.SetRetryPolicy(faultRetryPolicy())
 			qname := fmt.Sprintf("faults-q%d", k)
-			if _, err := cl.Retry(p, pol, func() error {
-				_, err := cl.CreateQueueIfNotExists(p, qname)
-				return err
-			}); err != nil {
-				panic(fmt.Sprintf("create queue: %v", err))
-			}
+			_, err := cl.CreateQueueIfNotExists(p, qname)
+			must("create queue", err)
 			body := payload.Synthetic(uint64(k), int64(s.cfg.SharedMsgSizeKB)*storecommon.KB)
 			_, n := split(totalRounds, w, k)
 			for i := 0; i < n; i++ {
-				if _, err := cl.Retry(p, pol, func() error {
-					_, err := cl.PutMessage(p, qname, body)
-					return err
-				}); err != nil {
+				if _, err := cl.PutMessage(p, qname, body); err != nil {
 					t.failed++
 					continue
 				}
-				var msg queuestore.Message
-				got := false
-				if _, err := cl.Retry(p, pol, func() error {
-					m, ok, err := cl.GetMessage(p, qname, faultVisibility)
-					if err == nil && ok {
-						msg, got = m, true
-					}
-					return err
-				}); err != nil {
+				msg, got, err := cl.GetMessage(p, qname, faultVisibility)
+				if err != nil {
 					t.failed++
 					continue
 				}
@@ -125,17 +110,12 @@ func (s *Suite) RunFaults() *Report {
 				if msg.DequeueCount > 1 {
 					t.redelivered++
 				}
-				if _, err := cl.Retry(p, pol, func() error {
-					err := cl.DeleteMessage(p, qname, msg.ID, msg.PopReceipt)
-					if storecommon.IsNotFound(err) || storecommon.IsPreconditionFailed(err) {
-						// The claim expired during backoff and the
-						// message was redelivered — at-least-once in
-						// action, not a failure.
-						t.staleClaims++
-						return nil
-					}
-					return err
-				}); err != nil {
+				err = cl.DeleteMessage(p, qname, msg.ID, msg.PopReceipt)
+				if storecommon.IsNotFound(err) || storecommon.IsPreconditionFailed(err) {
+					// The claim expired during backoff and the message was
+					// redelivered — at-least-once in action, not a failure.
+					t.staleClaims++
+				} else if err != nil {
 					t.failed++
 					continue
 				}

@@ -88,3 +88,32 @@ func TestRunFaultsDeterministic(t *testing.T) {
 		t.Error("seed change did not change the fault experiment's notes")
 	}
 }
+
+// TestTracedFaultsIDsUnique: every cloud a traced run attaches to its log
+// mints IDs from a stream of its own, so across the faults experiment's
+// data points no span ID appears twice and no two requests root the same
+// trace.
+func TestTracedFaultsIDsUnique(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.TraceOps = true
+	s := NewSuite(cfg)
+	s.RunFaults()
+	spans, roots := map[string]int{}, map[string]int{}
+	for _, op := range s.TraceLog().Ops() {
+		spans[op.SpanID]++
+		if op.ParentID == "" {
+			roots[op.TraceID]++
+		}
+	}
+	for what, ids := range map[string]map[string]int{"span": spans, "root trace": roots} {
+		dup := 0
+		for _, n := range ids {
+			if n > 1 {
+				dup++
+			}
+		}
+		if dup > 0 {
+			t.Errorf("%d %s IDs appear more than once among %d", dup, what, len(ids))
+		}
+	}
+}

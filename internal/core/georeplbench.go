@@ -96,21 +96,14 @@ func (s *Suite) runGeoreplPoint(lag time.Duration) *geoPoint {
 	for k := 0; k < workers; k++ {
 		k := k
 		gc := g.NewGeoClient(fmt.Sprintf("geo-writer%d", k), s.cfg.VM)
+		gc.SetRetryPolicy(pol)
 		env.Go(fmt.Sprintf("geo-writer%d", k), func(p *sim.Proc) {
-			if _, err := gc.Retry(p, pol, func(cl *cloud.Client) error {
-				_, err := cl.CreateQueueIfNotExists(p, geoQueue)
-				return err
-			}); err != nil {
-				panic(fmt.Sprintf("georepl create queue: %v", err))
-			}
+			_, err := gc.Active().CreateQueueIfNotExists(p, geoQueue)
+			must("georepl create queue", err)
 			for p.Now() < horizon {
 				began := p.Now()
-				if _, err := gc.Retry(p, pol, func(cl *cloud.Client) error {
-					_, err := cl.PutMessage(p, geoQueue, payload.Zero(storecommon.KB))
-					return err
-				}); err != nil {
-					panic(fmt.Sprintf("georepl put: %v", err))
-				}
+				_, err := gc.Active().PutMessage(p, geoQueue, payload.Zero(storecommon.KB))
+				must("georepl put", err)
 				pt.writes++
 				if firstOK == 0 && began >= failAt {
 					firstOK = p.Now()
@@ -122,6 +115,7 @@ func (s *Suite) runGeoreplPoint(lag time.Duration) *geoPoint {
 	for j := 0; j < readers; j++ {
 		j := j
 		gc := g.NewGeoClient(fmt.Sprintf("geo-reader%d", j), s.cfg.VM)
+		gc.SetRetryPolicy(retry.Policy{}) // one attempt: a failed read is the next poll's to make
 		env.Go(fmt.Sprintf("geo-reader%d", j), func(p *sim.Proc) {
 			for p.Now() < horizon {
 				// RA-GRS read against whichever region is currently the

@@ -81,10 +81,8 @@ func (s *Suite) RunHotspot() *Report {
 		// dynamic map is still a single range when measurement begins.
 		pt.setup(func(p *sim.Proc, setup *cloud.Client) {
 			setup.SetRetryPolicy(hotspotRetryPolicy())
-			mustRetry(p, setup, "create table", func() error {
-				_, err := setup.CreateTableIfNotExists(p, hotspotTable)
-				return err
-			})
+			_, err := setup.CreateTableIfNotExists(p, hotspotTable)
+			must("create table", err)
 			for i := 0; i < keys; i++ {
 				e := &tablestore.Entity{
 					PartitionKey: names[i],
@@ -93,10 +91,8 @@ func (s *Suite) RunHotspot() *Report {
 						"Data": tablestore.Binary(payload.Synthetic(uint64(s.cfg.Seed)+uint64(i), storecommon.KB)),
 					},
 				}
-				mustRetry(p, setup, "insert entity", func() error {
-					_, err := setup.InsertEntity(p, hotspotTable, e)
-					return err
-				})
+				_, err := setup.InsertEntity(p, hotspotTable, e)
+				must("insert entity", err)
 			}
 		})
 		pt.sample(pt.c.Stations, "hotspot/"+label)
@@ -116,12 +112,8 @@ func (s *Suite) RunHotspot() *Report {
 					// The hotspot flips to the top of the keyspace.
 					idx = keys - 1 - rank
 				}
-				if _, err := cl.WithRetry(p, func() error {
-					_, err := cl.GetEntity(p, hotspotTable, names[idx], "row")
-					return err
-				}); err != nil {
-					panic(fmt.Sprintf("hotspot read: %v", err))
-				}
+				_, err := cl.GetEntity(p, hotspotTable, names[idx], "row")
+				must("hotspot read", err)
 				if sec := int((env.Now() - start) / time.Second); sec < len(perSec) {
 					perSec[sec]++
 				}

@@ -52,40 +52,28 @@ func (s *Suite) queuePerWorkerPoint(w int, sizeKB int, label string) *point {
 		wr := pt.results[k]
 		queueName := fmt.Sprintf("azurebench-queue-%d", k)
 		_, count := split(cfg.QueueMessages, w, k)
-		mustRetry(p, cl, "create queue", func() error {
-			return cl.CreateQueue(p, queueName)
-		})
+		must("create queue", cl.CreateQueue(p, queueName))
 		body := payload.Synthetic(uint64(cfg.Seed)+uint64(k), msgSize)
 
 		wr.timed(p, phQueuePut, count, func(int) {
-			mustRetry(p, cl, "put message", func() error {
-				_, err := cl.PutMessage(p, queueName, body)
-				return err
-			})
+			_, err := cl.PutMessage(p, queueName, body)
+			must("put message", err)
 		})
 		wr.timed(p, phQueuePeek, count, func(int) {
-			mustRetry(p, cl, "peek message", func() error {
-				_, _, err := cl.PeekMessage(p, queueName)
-				return err
-			})
+			_, _, err := cl.PeekMessage(p, queueName)
+			must("peek message", err)
 		})
 		// Get includes the Delete, as in the paper.
 		wr.timed(p, phQueueGet, count, func(i int) {
-			mustRetry(p, cl, "get message", func() error {
-				msg, ok, err := cl.GetMessage(p, queueName, time.Hour)
-				if err != nil || !ok {
-					if err == nil {
-						err = fmt.Errorf("queue %s dry at message %d", queueName, i)
-					}
-					return err
-				}
-				return cl.DeleteMessage(p, queueName, msg.ID, msg.PopReceipt)
-			})
+			msg, ok, err := cl.GetMessage(p, queueName, time.Hour)
+			if err == nil && !ok {
+				err = fmt.Errorf("queue %s dry at message %d", queueName, i)
+			}
+			must("get message", err)
+			must("delete message", cl.DeleteMessage(p, queueName, msg.ID, msg.PopReceipt))
 		})
 
-		mustRetry(p, cl, "delete queue", func() error {
-			return cl.DeleteQueue(p, queueName)
-		})
+		must("delete queue", cl.DeleteQueue(p, queueName))
 	})
 	return pt.stats(phQueuePut, phQueuePeek, phQueueGet)
 }

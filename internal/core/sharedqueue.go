@@ -23,10 +23,8 @@ func (s *Suite) runSharedQueuePoint(w int, think time.Duration) *point {
 	msgSize := effectiveMsgSize(cfg.SharedMsgSizeKB)
 
 	pt.setup(func(p *sim.Proc, setup *cloud.Client) {
-		mustRetry(p, setup, "create shared queue", func() error {
-			_, err := setup.CreateQueueIfNotExists(p, sharedQueueName)
-			return err
-		})
+		_, err := setup.CreateQueueIfNotExists(p, sharedQueueName)
+		must("create shared queue", err)
 	})
 
 	pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
@@ -40,35 +38,26 @@ func (s *Suite) runSharedQueuePoint(w int, think time.Duration) *point {
 		p.Sleep(time.Duration(p.Rand().Int63n(int64(think) + 1)))
 		for r := 0; r < rounds; r++ {
 			wr.timed(p, phQueuePut, 1, func(int) {
-				mustRetry(p, cl, "put", func() error {
-					_, err := cl.PutMessage(p, sharedQueueName, body)
-					return err
-				})
+				_, err := cl.PutMessage(p, sharedQueueName, body)
+				must("put", err)
 			})
 			cl.Think(p, think)
 
 			wr.timed(p, phQueuePeek, 1, func(int) {
-				mustRetry(p, cl, "peek", func() error {
-					_, _, err := cl.PeekMessage(p, sharedQueueName)
-					return err
-				})
+				_, _, err := cl.PeekMessage(p, sharedQueueName)
+				must("peek", err)
 			})
 			cl.Think(p, think)
 
 			wr.timed(p, phQueueGet, 1, func(int) {
-				mustRetry(p, cl, "get", func() error {
-					msg, ok, err := cl.GetMessage(p, sharedQueueName, time.Hour)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						// Under non-FIFO interleaving another worker may
-						// momentarily hold the only visible message; treat
-						// as a zero-cost miss and move on.
-						return nil
-					}
-					return cl.DeleteMessage(p, sharedQueueName, msg.ID, msg.PopReceipt)
-				})
+				msg, ok, err := cl.GetMessage(p, sharedQueueName, time.Hour)
+				must("get", err)
+				// Under non-FIFO interleaving another worker may momentarily
+				// hold the only visible message; treat as a zero-cost miss
+				// and move on.
+				if ok {
+					must("delete", cl.DeleteMessage(p, sharedQueueName, msg.ID, msg.PopReceipt))
+				}
 			})
 			cl.Think(p, think)
 		}

@@ -112,8 +112,8 @@ func TestLivePointsBounded(t *testing.T) {
 }
 
 // TestPointPanicSurfacesOnCaller makes one table point of fig8 fail for
-// good (an entity over the 1 MB limit, so mustRetry panics) and checks that
-// the panic arrives on the calling goroutine with mustRetry's message, no
+// good (an entity over the 1 MB limit, so must panics) and checks that
+// the panic arrives on the calling goroutine with must's message, no
 // pool slot still held and the suite good for another run. A bare sweep
 // with one panicking body then checks that the other points drained and no
 // sweep goroutine is left behind. (The count is not taken on the fig8 leg:
@@ -134,9 +134,9 @@ func TestPointPanicSurfacesOnCaller(t *testing.T) {
 	}
 
 	got := panicOf(func() { s.RunFig8() })
-	// The kernel names the process; the rest is mustRetry's own message.
+	// The kernel names the process; the rest is must's own message.
 	if msg, _ := got.(string); !strings.HasPrefix(msg, `sim: process "worker`) || !strings.Contains(msg, "panicked: insert: EntityTooLarge") {
-		t.Fatalf("recovered %v, want the kernel's report of mustRetry's \"insert: EntityTooLarge …\"", got)
+		t.Fatalf("recovered %v, want the kernel's report of must's \"insert: EntityTooLarge …\"", got)
 	}
 	if held := len(s.slots); held != 0 {
 		t.Errorf("%d pool slots still held after the panic", held)

@@ -38,10 +38,8 @@ func (s *Suite) tablePoint(w int, sizeKB int) *point {
 	entSize := int64(sizeKB) * storecommon.KB
 
 	pt.setup(func(p *sim.Proc, setup *cloud.Client) {
-		mustRetry(p, setup, "create table", func() error {
-			_, err := setup.CreateTableIfNotExists(p, benchTable)
-			return err
-		})
+		_, err := setup.CreateTableIfNotExists(p, benchTable)
+		must("create table", err)
 	})
 	// Attach the sampler after setup so its process spans exactly the
 	// benchmark phases (it exits once nothing else is scheduled).
@@ -69,32 +67,24 @@ func (s *Suite) tablePoint(w int, sizeKB int) *point {
 		// Insert (AddRow).
 		wr.timed(p, phTabInsert, count, func(i int) {
 			e := entity(i, uint64(cfg.Seed))
-			mustRetry(p, cl, "insert", func() error {
-				_, err := cl.InsertEntity(p, benchTable, e)
-				return err
-			})
+			_, err := cl.InsertEntity(p, benchTable, e)
+			must("insert", err)
 		})
 		// Point query by partition+row key.
 		wr.timed(p, phTabQuery, count, func(i int) {
 			rk := rowKeys[i]
-			mustRetry(p, cl, "query", func() error {
-				_, err := cl.GetEntity(p, benchTable, pk, rk)
-				return err
-			})
+			_, err := cl.GetEntity(p, benchTable, pk, rk)
+			must("query", err)
 		})
 		// Update, unconditional via the "*" wildcard ETag.
 		wr.timed(p, phTabUpdate, count, func(i int) {
 			e := entity(i, uint64(cfg.Seed)+1_000_000)
-			mustRetry(p, cl, "update", func() error {
-				_, err := cl.UpdateEntity(p, benchTable, e, storecommon.ETagAny)
-				return err
-			})
+			_, err := cl.UpdateEntity(p, benchTable, e, storecommon.ETagAny)
+			must("update", err)
 		})
 		wr.timed(p, phTabDelete, count, func(i int) {
 			rk := rowKeys[i]
-			mustRetry(p, cl, "delete", func() error {
-				return cl.DeleteEntity(p, benchTable, pk, rk, storecommon.ETagAny)
-			})
+			must("delete", cl.DeleteEntity(p, benchTable, pk, rk, storecommon.ETagAny))
 		})
 	})
 	return pt.stats(phTabInsert, phTabQuery, phTabUpdate, phTabDelete)

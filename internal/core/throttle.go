@@ -37,28 +37,19 @@ func (s *Suite) RunThrottle() *Report {
 		w := workers[i]
 		pt := s.newPoint()
 		pt.setup(func(p *sim.Proc, setup *cloud.Client) {
-			mustRetry(p, setup, "create queue", func() error {
-				_, err := setup.CreateQueueIfNotExists(p, "hot-queue")
-				return err
-			})
+			_, err := setup.CreateQueueIfNotExists(p, "hot-queue")
+			must("create queue", err)
 		})
 		pt.sample(pt.c.Stations, fmt.Sprintf("throttle/w=%d", w))
 
 		start := pt.env.Now()
-		retries := make([]int, w)
 		ends := make([]time.Duration, w)
 		pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
 			_, n := split(totalOps, w, k)
 			body := payload.Synthetic(uint64(k), 1024)
 			for i := 0; i < n; i++ {
-				r, err := cl.WithRetry(p, func() error {
-					_, err := cl.PutMessage(p, "hot-queue", body)
-					return err
-				})
-				retries[k] += r
-				if err != nil {
-					panic(err)
-				}
+				_, err := cl.PutMessage(p, "hot-queue", body)
+				must("put", err)
 			}
 			ends[k] = p.Now()
 		})
@@ -68,9 +59,7 @@ func (s *Suite) RunThrottle() *Report {
 		for _, e := range ends {
 			elapsed[i] = max(elapsed[i], e-start)
 		}
-		for _, r := range retries {
-			busy[i] += r
-		}
+		busy[i] = int(pt.c.Stats().Retries)
 		return pt
 	})
 	for i, w := range workers {

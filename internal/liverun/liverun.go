@@ -147,7 +147,3 @@ func (s *Store) TableScan(_ scenario.Proc, table, fromPK string, top int) (int, 
 	page, err := s.table.Query(table, scenario.ScanFilter(fromPK), top, tablestore.Continuation{})
 	return len(page.Entities), err
 }
-
-// Retry runs op once: the SDK client already retries every request under
-// the same discipline.
-func (s *Store) Retry(_ scenario.Proc, op func() error) error { return op() }

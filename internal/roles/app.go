@@ -89,10 +89,7 @@ func RunBagOfTasks(cfg BagOfTasksConfig) (BagOfTasksResult, error) {
 		}
 		// All tasks accounted for: release the workers.
 		for i := 0; i < cfg.Workers; i++ {
-			if _, err := cl.WithRetry(p, func() error {
-				_, err := cl.PutMessage(p, cfg.stopQueue(), payload.String("stop"))
-				return err
-			}); err != nil {
+			if _, err := cl.PutMessage(p, cfg.stopQueue(), payload.String("stop")); err != nil {
 				fail(err)
 				return
 			}

@@ -45,10 +45,7 @@ func NewBarrier(queue string, workers int) *Barrier {
 // Wait blocks until all workers have arrived at this barrier phase.
 func (b *Barrier) Wait(p *sim.Proc, cl *cloud.Client) error {
 	b.phase++
-	if _, err := cl.WithRetry(p, func() error {
-		_, err := cl.PutMessage(p, b.Queue, payload.String("barrier"))
-		return err
-	}); err != nil {
+	if _, err := cl.PutMessage(p, b.Queue, payload.String("barrier")); err != nil {
 		return err
 	}
 	target := b.Workers * b.phase
@@ -57,12 +54,8 @@ func (b *Barrier) Wait(p *sim.Proc, cl *cloud.Client) error {
 		poll = DefaultPollInterval
 	}
 	for {
-		var arrived int
-		if _, err := cl.WithRetry(p, func() error {
-			var err error
-			arrived, err = cl.GetMessageCount(p, b.Queue)
-			return err
-		}); err != nil {
+		arrived, err := cl.GetMessageCount(p, b.Queue)
+		if err != nil {
 			return err
 		}
 		if arrived >= target {
@@ -95,40 +88,25 @@ func NewTaskPool(queue string, visibility time.Duration) *TaskPool {
 
 // Submit enqueues one task.
 func (tp *TaskPool) Submit(p *sim.Proc, cl *cloud.Client, body payload.Payload) error {
-	_, err := cl.WithRetry(p, func() error {
-		_, err := cl.PutMessage(p, tp.Queue, body)
-		return err
-	})
+	_, err := cl.PutMessage(p, tp.Queue, body)
 	return err
 }
 
 // TryNext claims a task without waiting; ok is false when no task is
 // visible right now.
 func (tp *TaskPool) TryNext(p *sim.Proc, cl *cloud.Client) (Task, bool, error) {
-	var task Task
-	var ok bool
-	_, err := cl.WithRetry(p, func() error {
-		msg, got, err := cl.GetMessage(p, tp.Queue, tp.Visibility)
-		if err != nil {
-			return err
-		}
-		if got {
-			task = Task{ID: msg.ID, Body: msg.Body, popReceipt: msg.PopReceipt}
-			ok = true
-		}
-		return nil
-	})
-	return task, ok, err
+	msg, ok, err := cl.GetMessage(p, tp.Queue, tp.Visibility)
+	if err != nil || !ok {
+		return Task{}, false, err
+	}
+	return Task{ID: msg.ID, Body: msg.Body, popReceipt: msg.PopReceipt}, true, nil
 }
 
 // Complete deletes a finished task from the pool. It must be called before
 // the claim's visibility timeout expires, or another worker may already
 // have re-claimed the task (the error surfaces as a pop-receipt mismatch).
 func (tp *TaskPool) Complete(p *sim.Proc, cl *cloud.Client, task Task) error {
-	_, err := cl.WithRetry(p, func() error {
-		return cl.DeleteMessage(p, tp.Queue, task.ID, task.popReceipt)
-	})
-	return err
+	return cl.DeleteMessage(p, tp.Queue, task.ID, task.popReceipt)
 }
 
 // Indicator is the termination indicator queue of Figure 3: workers put a
@@ -146,22 +124,13 @@ func NewIndicator(queue string) *Indicator {
 
 // Signal records one completed unit.
 func (in *Indicator) Signal(p *sim.Proc, cl *cloud.Client) error {
-	_, err := cl.WithRetry(p, func() error {
-		_, err := cl.PutMessage(p, in.Queue, payload.String("done"))
-		return err
-	})
+	_, err := cl.PutMessage(p, in.Queue, payload.String("done"))
 	return err
 }
 
 // Count returns the number of completions signalled so far.
 func (in *Indicator) Count(p *sim.Proc, cl *cloud.Client) (int, error) {
-	var n int
-	_, err := cl.WithRetry(p, func() error {
-		var err error
-		n, err = cl.GetMessageCount(p, in.Queue)
-		return err
-	})
-	return n, err
+	return cl.GetMessageCount(p, in.Queue)
 }
 
 // AwaitCount polls until at least target completions have been signalled.
@@ -185,10 +154,7 @@ func (in *Indicator) AwaitCount(p *sim.Proc, cl *cloud.Client, target int) error
 // EnsureQueues creates the framework queues if needed (idempotent).
 func EnsureQueues(p *sim.Proc, cl *cloud.Client, queues ...string) error {
 	for _, q := range queues {
-		if _, err := cl.WithRetry(p, func() error {
-			_, err := cl.CreateQueueIfNotExists(p, q)
-			return err
-		}); err != nil && !storecommon.IsConflict(err) {
+		if _, err := cl.CreateQueueIfNotExists(p, q); err != nil && !storecommon.IsConflict(err) {
 			return err
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"azurebench/internal/sdk"
 	"azurebench/internal/storecommon"
 	"azurebench/internal/tablestore"
+	"azurebench/internal/trace"
 	"azurebench/internal/vclock"
 )
 
@@ -207,4 +208,69 @@ func TestBothDoorsAgree(t *testing.T) {
 	if got, want := sim[len(sim)-1], "final: 7 entities, 0 messages, blobs [user0000000000 user0000000001 user0000000009]"; got != want {
 		t.Errorf("final contents = %q, want %q", got, want)
 	}
+}
+
+// TestDoorsRetryTheThrottledCall throttles the update of a table_rmw once,
+// on each door, with a one-token partition bucket that has refilled by the
+// time the retry's backoff is over. A retry repeats the storage call that
+// failed, not the operation around it: both doors must read the row once
+// and send the update twice. The live door's SDK retries inside its
+// request; so must the simulated client.
+func TestDoorsRetryTheThrottledCall(t *testing.T) {
+	sp, err := scenario.Parse([]byte(doorsSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := core.QuickConfig()
+	cfg.Params.PartitionOpsPerSec, cfg.Params.PartitionBurst = 20, 1
+	rt, dial, c := scenario.SimSubstrate(core.NewSuite(cfg))
+	sim := scenario.NewDoor(rt, dial, sp, 1)
+	if err := sim.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	sim.Sleep(2 * time.Second) // every partition's bucket is full again
+	log := trace.New(100)
+	c.SetTrace(log)
+	if miss, err := sim.Perform(0, sp.Phases[0], "table_rmw", 2); miss || err != nil {
+		t.Fatalf("sim table_rmw: miss=%v err=%v", miss, err)
+	}
+	calls := map[string]int{}
+	for _, op := range log.Ops() {
+		calls[op.Name+" "+op.Err]++
+	}
+	if want := map[string]int{"GetEntity ": 1, "UpdateEntity ServerBusy": 1, "UpdateEntity ": 1}; fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Errorf("sim door sent %v, want %v", calls, want)
+	}
+
+	// The live throttler's partition bucket holds 1.7 tokens at 7 ops/s:
+	// the read leaves 0.7, too few for the update that follows at once, and
+	// enough again after the retry's backoff of at least 80 ms.
+	srv := rest.NewServer(rest.Options{Throttle: true, PartitionOpsPerSec: 7})
+	hs := httptest.NewServer(srv)
+	t.Cleanup(hs.Close)
+	st := liverun.NewStore(sdk.New(hs.URL, hs.Client(), scenario.RetryPolicy()))
+	live := scenario.NewDoor(liverun.NewRuntime(), func(string) scenario.Store { return st }, sp, 1)
+	if err := live.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(500 * time.Millisecond) // the live throttler runs on the wall clock
+	before := endpointCounts(srv)
+	if miss, err := live.Perform(0, sp.Phases[0], "table_rmw", 2); miss || err != nil {
+		t.Fatalf("live table_rmw: miss=%v err=%v", miss, err)
+	}
+	after := endpointCounts(srv)
+	gets, updates := after["GET /table"]-before["GET /table"], after["PUT /table"]-before["PUT /table"]
+	if gets != 1 || updates != 2 {
+		t.Errorf("live door sent %d reads and %d updates, want 1 and 2", gets, updates)
+	}
+}
+
+// endpointCounts is the server's request count per endpoint.
+func endpointCounts(srv *rest.Server) map[string]uint64 {
+	out := map[string]uint64{}
+	for _, es := range srv.MetricsSnapshot() {
+		out[es.Endpoint] = es.Count
+	}
+	return out
 }

@@ -610,46 +610,45 @@ func (e *engine) setup() error {
 	return nil
 }
 
-// preload is setup's process body. The first persistent error sticks and
-// turns the remaining steps into no-ops; an entity that already exists is
-// not an error, so a spec can be re-run against a long-lived store.
-func (e *engine) preload(p Proc, st Store) (err error) {
-	do := func(what string, op func() error) {
-		if err != nil {
-			return
-		}
-		if rerr := st.Retry(p, op); rerr != nil {
-			err = fmt.Errorf("%s: %w", what, rerr)
-		}
-	}
+// preload is setup's process body. The first persistent error stops it;
+// an entity that already exists is not an error, so a spec can be re-run
+// against a long-lived store.
+func (e *engine) preload(p Proc, st Store) error {
 	for _, t := range e.sp.Setup.Tables {
-		do("create table "+t.Name, func() error { return st.CreateTable(p, t.Name) })
+		if err := st.CreateTable(p, t.Name); err != nil {
+			return fmt.Errorf("create table %s: %w", t.Name, err)
+		}
 		for i := 0; i < t.Keys; i++ {
 			ent := entity(workload.Key(i), "row",
 				payload.Synthetic(uint64(e.seed)+uint64(i), int64(t.EntityKB)*storecommon.KB))
-			do("insert entity", func() error {
-				if ierr := st.TableInsert(p, t.Name, ent); !storecommon.IsConflict(ierr) {
-					return ierr
-				}
-				return nil
-			})
+			if err := st.TableInsert(p, t.Name, ent); err != nil && !storecommon.IsConflict(err) {
+				return fmt.Errorf("insert entity: %w", err)
+			}
 		}
 	}
 	for _, q := range e.sp.Setup.Queues {
-		do("create queue "+q.Name, func() error { return st.CreateQueue(p, q.Name) })
+		if err := st.CreateQueue(p, q.Name); err != nil {
+			return fmt.Errorf("create queue %s: %w", q.Name, err)
+		}
 		for i := 0; i < q.Preload; i++ {
 			body := payload.Synthetic(uint64(e.seed)^uint64(i)*0x9E3779B97F4A7C15, int64(q.MessageKB)*storecommon.KB)
-			do("preload message", func() error { return st.QueuePut(p, q.Name, body) })
+			if err := st.QueuePut(p, q.Name, body); err != nil {
+				return fmt.Errorf("preload message: %w", err)
+			}
 		}
 	}
 	for _, ct := range e.sp.Setup.Containers {
-		do("create container "+ct.Name, func() error { return st.CreateContainer(p, ct.Name) })
+		if err := st.CreateContainer(p, ct.Name); err != nil {
+			return fmt.Errorf("create container %s: %w", ct.Name, err)
+		}
 		for i := 0; i < ct.Blobs; i++ {
 			data := payload.Synthetic(uint64(e.seed)^uint64(i)*0x9E3779B97F4A7C15, int64(ct.BlobKB)*storecommon.KB)
-			do("preload blob", func() error { return st.BlobPut(p, ct.Name, workload.Key(i), data) })
+			if err := st.BlobPut(p, ct.Name, workload.Key(i), data); err != nil {
+				return fmt.Errorf("preload blob: %w", err)
+			}
 		}
 	}
-	return err
+	return nil
 }
 
 // phaseSalt derives a deterministic per-phase RNG stream.
@@ -972,86 +971,59 @@ const (
 	opTableScan
 )
 
-// opCall is a worker's call record: the operation it is making, and
-// attempt, the function Store.Retry runs (more than once when it has to) —
-// a method value bound when the worker starts, not a closure built per
-// operation. A closed-loop worker has one for its lifetime, an open
-// arrival's op process one for its op.
+// opCall is a worker's call record: the client and phase its operations
+// go to. A closed-loop worker has one for its lifetime, an open arrival's
+// op process one for its op.
 type opCall struct {
-	e       *engine
-	st      *clientState
-	ph      *Phase
-	attempt func() error
-
-	p      Proc
-	code   opCode
-	keyIdx int
-	data   payload.Payload
-	miss   bool
+	e  *engine
+	st *clientState
+	ph *Phase
 }
 
 func (e *engine) newCall(st *clientState, ph *Phase) *opCall {
-	c := &opCall{e: e, st: st, ph: ph}
-	c.attempt = c.try
-	return c
+	return &opCall{e: e, st: st, ph: ph}
 }
 
-// perform executes one op against the phase's targets. Expected
-// data-dependent conditions (NotFound, empty queue, stale claims,
-// conflicting inserts) count as misses, not errors.
-func (c *opCall) perform(p Proc, code opCode, keyIdx int) (miss bool, err error) {
-	c.p, c.code, c.keyIdx = p, code, keyIdx
-	c.data = payload.Synthetic(uint64(c.e.seed)^uint64(keyIdx)*0x9E3779B97F4A7C15, int64(c.ph.PayloadKB)*storecommon.KB)
-	err = c.st.store.Retry(p, c.attempt)
-	return c.miss, err
-}
-
-// key is workload.Key(c.keyIdx).
-func (c *opCall) key() string {
-	if c.keyIdx < len(c.e.keyNames) {
-		return c.e.keyNames[c.keyIdx]
+// key is workload.Key(i).
+func (e *engine) key(i int) string {
+	if i < len(e.keyNames) {
+		return e.keyNames[i]
 	}
-	return workload.Key(c.keyIdx)
+	return workload.Key(i)
 }
 
-// try is one attempt at the operation.
-func (c *opCall) try() error {
-	s, st, p, target, data := c.st.store, c.st, c.p, &c.ph.Target, c.data
-	c.miss = false
-	switch c.code {
+// perform executes one op against the phase's targets; each of its
+// storage requests retries itself. Expected data-dependent conditions
+// (NotFound, empty queue, stale claims, conflicting inserts) count as
+// misses, not errors.
+func (c *opCall) perform(p Proc, code opCode, keyIdx int) (miss bool, err error) {
+	s, st, target := c.st.store, c.st, &c.ph.Target
+	data := payload.Synthetic(uint64(c.e.seed)^uint64(keyIdx)*0x9E3779B97F4A7C15, int64(c.ph.PayloadKB)*storecommon.KB)
+	switch code {
 	case opBlobPut:
-		return s.BlobPut(p, target.Container, c.key(), data)
+		return false, s.BlobPut(p, target.Container, c.e.key(keyIdx), data)
 	case opBlobGet:
-		gerr := s.BlobGet(p, target.Container, c.key())
+		gerr := s.BlobGet(p, target.Container, c.e.key(keyIdx))
 		if storecommon.IsNotFound(gerr) {
-			c.miss = true
-			return nil
+			return true, nil
 		}
-		return gerr
+		return false, gerr
 	case opQueuePut:
-		return s.QueuePut(p, target.Queue, data)
+		return false, s.QueuePut(p, target.Queue, data)
 	case opQueueGet:
 		id, receipt, ok, gerr := s.QueueGet(p, target.Queue, claimVisibility)
-		if gerr != nil {
-			return gerr
-		}
-		if !ok {
-			c.miss = true
-			return nil
+		if gerr != nil || !ok {
+			return gerr == nil, gerr
 		}
 		st.addClaim(claim{id: id, receipt: receipt})
-		return nil
+		return false, nil
 	case opQueueDelete:
 		cm, ok := st.takeClaim()
 		if !ok {
 			// Nothing claimed yet: claim-and-delete in one op.
 			id, receipt, got, gerr := s.QueueGet(p, target.Queue, claimVisibility)
-			if gerr != nil {
-				return gerr
-			}
-			if !got {
-				c.miss = true
-				return nil
+			if gerr != nil || !got {
+				return gerr == nil, gerr
 			}
 			cm, _ = st.takeClaim(claim{id: id, receipt: receipt})
 		}
@@ -1059,69 +1031,62 @@ func (c *opCall) try() error {
 		if storecommon.IsNotFound(derr) || storecommon.IsPreconditionFailed(derr) {
 			// The claim expired and the message was redelivered —
 			// at-least-once in action.
-			c.miss = true
-			return nil
+			return true, nil
 		}
-		return derr
+		return false, derr
 	case opTableGet:
-		gerr := s.TableGet(p, target.Table, c.key(), "row")
+		gerr := s.TableGet(p, target.Table, c.e.key(keyIdx), "row")
 		if storecommon.IsNotFound(gerr) {
-			c.miss = true
-			return nil
+			return true, nil
 		}
-		return gerr
+		return false, gerr
 	case opTableInsert:
-		ent := entity(c.key(), fmt.Sprintf("r%d", st.nextInsert()), data)
+		ent := entity(c.e.key(keyIdx), fmt.Sprintf("r%d", st.nextInsert()), data)
 		ierr := s.TableInsert(p, target.Table, ent)
 		if storecommon.IsConflict(ierr) {
-			c.miss = true
-			return nil
+			return true, nil
 		}
 		if ierr == nil {
 			st.inserted()
 		}
-		return ierr
+		return false, ierr
 	case opTableUpdate:
-		uerr := s.TableUpdate(p, target.Table, entity(c.key(), "row", data))
+		uerr := s.TableUpdate(p, target.Table, entity(c.e.key(keyIdx), "row", data))
 		if storecommon.IsNotFound(uerr) {
-			c.miss = true
-			return nil
+			return true, nil
 		}
-		return uerr
+		return false, uerr
 	case opTableDelete:
-		derr := s.TableDelete(p, target.Table, c.key(), "row")
-		if storecommon.IsNotFound(derr) {
-			c.miss = true
-			// Recreate regardless: keep the population stable.
-		} else if derr != nil {
-			return derr
+		derr := s.TableDelete(p, target.Table, c.e.key(keyIdx), "row")
+		// A missing row is a miss, recreated regardless: keep the
+		// population stable.
+		miss = storecommon.IsNotFound(derr)
+		if derr != nil && !miss {
+			return false, derr
 		}
-		ierr := s.TableInsert(p, target.Table, entity(c.key(), "row", data))
+		ierr := s.TableInsert(p, target.Table, entity(c.e.key(keyIdx), "row", data))
 		if storecommon.IsConflict(ierr) {
-			return nil // someone else recreated it first
+			return miss, nil // someone else recreated it first
 		}
-		return ierr
+		return miss, ierr
 	case opTableRMW:
-		gerr := s.TableGet(p, target.Table, c.key(), "row")
+		gerr := s.TableGet(p, target.Table, c.e.key(keyIdx), "row")
 		if storecommon.IsNotFound(gerr) {
-			c.miss = true
-			return nil
+			return true, nil
 		}
 		if gerr != nil {
-			return gerr
+			return false, gerr
 		}
-		uerr := s.TableUpdate(p, target.Table, entity(c.key(), "row", data))
+		uerr := s.TableUpdate(p, target.Table, entity(c.e.key(keyIdx), "row", data))
 		if storecommon.IsNotFound(uerr) || storecommon.IsPreconditionFailed(uerr) {
-			c.miss = true
-			return nil
+			return true, nil
 		}
-		return uerr
+		return false, uerr
 	case opTableScan:
-		rows, serr := s.TableScan(p, target.Table, c.key(), scanTop)
-		c.miss = serr == nil && rows == 0
-		return serr
+		rows, serr := s.TableScan(p, target.Table, c.e.key(keyIdx), scanTop)
+		return serr == nil && rows == 0, serr
 	}
-	return fmt.Errorf("scenario: unknown op code %d", c.code)
+	return false, fmt.Errorf("scenario: unknown op code %d", code)
 }
 
 func entity(pk, rk string, data payload.Payload) *tablestore.Entity {

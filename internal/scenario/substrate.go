@@ -36,7 +36,8 @@ type Proc interface {
 }
 
 // Store is the op vocabulary of the scenario DSL, one method per storage
-// request, plus the create calls setup needs. Errors carry storecommon
+// request, plus the create calls setup needs. Each request retries itself
+// under the scenario retry discipline (RetryPolicy). Errors carry storecommon
 // codes in both modes, so the driver classifies NotFound, Conflict and
 // PreconditionFailed outcomes without knowing the substrate.
 type Store interface {
@@ -62,10 +63,6 @@ type Store interface {
 	// TableScan reads up to top rows in key order starting at partition
 	// fromPK and reports how many it got.
 	TableScan(p Proc, table, fromPK string, top int) (rows int, err error)
-
-	// Retry runs op under the scenario retry discipline (RetryPolicy),
-	// reissuing the whole of op on a retriable error.
-	Retry(p Proc, op func() error) error
 }
 
 // ScanFilter is the $filter of a TableScan starting at partition fromPK.
@@ -152,9 +149,4 @@ func (s simStore) TableDelete(p Proc, table, pk, rk string) error {
 func (s simStore) TableScan(p Proc, table, fromPK string, top int) (int, error) {
 	res, err := s.cl.QueryEntities(p.(*sim.Proc), table, fromPK, ScanFilter(fromPK), top, tablestore.Continuation{})
 	return len(res.Entities), err
-}
-
-func (s simStore) Retry(p Proc, op func() error) error {
-	_, err := s.cl.WithRetry(p.(*sim.Proc), op)
-	return err
 }

@@ -104,6 +104,7 @@ type Log struct {
 	ops           []Op
 	dropped       uint64
 	evictedBefore time.Duration
+	streams       map[string]int // IDs handed out per seed
 }
 
 // New creates a log bounded to capacity entries (<=0 means 1<<20).
@@ -162,7 +163,26 @@ func (l *Log) Ops() []Op {
 	return out
 }
 
-// Reset clears the log.
+// IDs returns the ID generator of a recorder attached to the log. The
+// first recorder to ask for a seed gets NewIDGen(seed); each later one
+// gets a stream of its own, so recorders that share a name — every data
+// point's cloud in one run — never mint the same ID into one log.
+func (l *Log) IDs(seed string) *IDGen {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.streams == nil {
+		l.streams = map[string]int{}
+	}
+	n := l.streams[seed]
+	l.streams[seed] = n + 1
+	if n > 0 {
+		seed += fmt.Sprintf("#%d", n)
+	}
+	return NewIDGen(seed)
+}
+
+// Reset clears the log's operations; the streams IDs handed out go on,
+// so the next experiment's IDs differ from this one's.
 func (l *Log) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -152,26 +152,52 @@ type VerifyReport struct {
 	Identified int // ops carrying span identity
 	Orphans    int // identified non-roots whose parent is missing
 	Standalone int
+	// DuplicateSpans counts span IDs more than one op carries: a child of
+	// one of them may hang under the wrong parent.
+	DuplicateSpans int
+	// EarlyChildren counts ops that start before their parent does; no
+	// retry, server-side span or replication fan-out can.
+	EarlyChildren int
 	// SpanMismatches counts ops whose per-stage durations do not sum to
 	// the op duration (the recorder contract is exact partition).
 	SpanMismatches int
 }
 
-// Complete reports whether every non-root span resolved its parent.
-func (v VerifyReport) Complete() bool { return v.Orphans == 0 }
+// Complete reports whether the causal trees are sound: every non-root
+// span resolved its one parent, and no child starts before it.
+func (v VerifyReport) Complete() bool {
+	return v.Orphans == 0 && v.DuplicateSpans == 0 && v.EarlyChildren == 0
+}
 
-// Verify checks the causal-tree invariants: parent resolution and exact
-// stage partition of each op's duration.
+// Verify checks the causal-tree invariants: parent resolution, unique span
+// IDs, children that start no earlier than their parents, and exact stage
+// partition of each op's duration.
 func (t *Trace) Verify() VerifyReport {
 	f := t.Forest()
 	rep := VerifyReport{Ops: len(t.Ops), Orphans: f.Orphans, Standalone: f.Standalone}
+	seen := map[string]int{}
 	for _, op := range t.Ops {
 		if op.SpanID != "" {
 			rep.Identified++
+			if seen[op.SpanID]++; seen[op.SpanID] == 2 {
+				rep.DuplicateSpans++
+			}
 		}
 		if len(op.Spans) > 0 && spanSum(op) != op.Duration {
 			rep.SpanMismatches++
 		}
+	}
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		for _, c := range n.Children {
+			if c.Op.Start < n.Op.Start {
+				rep.EarlyChildren++
+			}
+			walk(c)
+		}
+	}
+	for _, r := range f.Roots {
+		walk(r)
 	}
 	return rep
 }

@@ -136,6 +136,22 @@ func TestForestOrphansUnderEviction(t *testing.T) {
 	}
 }
 
+// TestVerifyCountsDuplicateSpansAndEarlyChildren: the two ways a trace
+// file built by recorders that share an ID stream (or a retry chain kept
+// on a shared client) goes wrong, each with no orphan to show for it.
+func TestVerifyCountsDuplicateSpansAndEarlyChildren(t *testing.T) {
+	l := trace.New(0)
+	retriedChain(l)
+	// A second data point's recorder mints s1 again, and a client's next
+	// op is hung under an attempt that starts after it.
+	l.Record(trace.Op{Start: ms(0), Duration: ms(1), Client: "c9", Service: "blob", Name: "PutBlock", TraceID: "t9", SpanID: "s1"})
+	l.Record(trace.Op{Start: ms(25), Duration: ms(1), Client: "c0", Service: "blob", Name: "BlobProps", TraceID: "t1", SpanID: "s4", ParentID: "s2"})
+	rep := exportLog(t, l).Verify()
+	if rep.Orphans != 0 || rep.DuplicateSpans != 1 || rep.EarlyChildren != 1 || rep.Complete() {
+		t.Fatalf("verify = %+v, want 0 orphans, 1 duplicate span, 1 early child, incomplete", rep)
+	}
+}
+
 func TestCriticalPathStageSums(t *testing.T) {
 	l := trace.New(0)
 	retriedChain(l)
