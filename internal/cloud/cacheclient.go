@@ -30,18 +30,18 @@ func (c *Cloud) cacheServer(cache, key string) *sim.Resource {
 
 // CachePut stores value under key (ttl 0 = the service default).
 func (cl *Client) CachePut(p *sim.Proc, cache, key string, value payload.Payload, ttl time.Duration) (uint64, error) {
-	req := cl.newRequest(opCachePut, value.Len()+reqHeader)
+	req := cl.newRequest(OpCachePut)
 	defer cl.cloud.release(req)
-	req.name, req.key, req.data, req.ttl = cache, key, value, ttl
+	req.Name, req.Key, req.Data, req.TTL = cache, key, value, ttl
 	err := cl.do(p, req)
-	return req.version, err
+	return req.Version, err
 }
 
 // CacheGet fetches key; ok is false on a miss.
 func (cl *Client) CacheGet(p *sim.Proc, cache, key string) (cachestore.Item, bool, error) {
-	req := cl.newRequest(opCacheGet, reqHeader)
+	req := cl.newRequest(OpCacheGet)
 	defer cl.cloud.release(req)
-	req.name, req.key = cache, key
+	req.Name, req.Key = cache, key
 	err := cl.do(p, req)
-	return req.item, req.ok, err
+	return req.Item, req.OK, err
 }

@@ -371,16 +371,18 @@ func (c *Cloud) Stations() []telemetry.Station {
 // --- request pipeline ---
 
 // request is one storage operation: its cost structure, the program that
-// carries each attempt from send to reply (Client.do), and its results. The
-// op kind says what the operation is (ops) and what it does at its engine
-// (Cloud.apply); its arguments and results are fields of the request. A
-// request comes off its Cloud's free list (Client.newRequest), filled in
-// by the call site, which gives it back when it returns: issuing an
-// operation allocates nothing.
+// carries it from first send to final answer, retries included, and its
+// results. The op kind says what the operation is (ops) and what it does
+// at its engine (Cloud.apply); its arguments and answer are the Op it
+// points to, its own or, when it was started (Client.Start), the caller's.
+// A request comes off its Cloud's free list (Client.newRequest) and goes
+// back when it is answered: issuing an operation allocates nothing.
 type request struct {
 	cl *Client // the client making the current attempt
-	opArgs
-	up     int64         // request payload bytes
+	*Op
+	own Op // the Op of a request a blocking method makes
+	attempts
+	up     int64         // request payload bytes of the current attempt
 	server *sim.Resource // where route sent the current attempt
 	// serverIdx is the table-server index the client routed to (from its
 	// cached partition map); -1 under static placement, where the route
@@ -388,26 +390,16 @@ type request struct {
 	serverIdx int
 	lat       time.Duration // pipeline latency; apply sets it
 
-	// Results of the engine call beside data (a blob read's bytes).
-	gotEnt  tablestore.Row         // the row GetEntity found / Insert-, UpdateEntity stored
-	msg     queuestore.Message     // the message put, dequeued or peeked
-	ok      bool                   // a message or cache item found; a container, queue or table created
-	count   int                    // GetMessageCount
-	version uint64                 // CachePut
-	props   blobstore.Props        // BlobProps
-	res     tablestore.QueryResult // QueryEntities
-	item    cachestore.Item        // CacheGet
-
 	// Where the request's program stands, and what it has found so far.
 	phase phase
 	dec   faults.Decision
 	occ   time.Duration
-	down  int64 // response bytes the engine produced; a reset's part of them
-	err   error
+	down  int64  // response bytes the engine produced; a reset's part of them
 	stage string // the trace stage of the program's last stretch
 
-	// Filled in by do for the trace record. A retried attempt keeps its
+	// The current attempt's trace record. A retried attempt keeps its
 	// predecessor's trace ID and is parented under its span.
+	sent     time.Duration // when the attempt's backoff began
 	fault    string
 	st       *spanCutter
 	traceID  string // causal identity of this attempt (tracing attached only)
@@ -415,41 +407,81 @@ type request struct {
 	parentID string
 }
 
-// opArgs are an operation's engine arguments, the ones Cloud.apply hands
-// to the engine, and all that a geo record keeps of a request.
-type opArgs struct {
-	kind       opKind
-	name       string               // the container, queue, table or cache addressed; the geo log's partition
-	key        string               // blob name, partition key or cache key
-	id         string               // block ID, row key or message ID
-	ifMatch    string               // UpdateEntity's and DeleteEntity's ETag condition
-	popReceipt string               // DeleteMessage
-	data       payload.Payload      // the bytes written; a blob read's result
-	refs       []blobstore.BlockRef // PutBlockList
-	ent        *tablestore.Entity   // InsertEntity's, UpdateEntity's row
-	off, n     int64                // a byte range; GetBlock's index (off), CreatePageBlob's size (n)
-	ttl        time.Duration        // GetMessage's visibility timeout, CachePut's time to live
-	filter     string               // QueryEntities
-	top        int
-	from       tablestore.Continuation
+// attempts is what a request's attempts share: the client that issued it,
+// whose policy it retries under, when, what it sends, how often it has been
+// retried, and, when it was started from a Call step, what goes on once it
+// is answered.
+type attempts struct {
+	by      *Client
+	follow  bool  // by's GeoClient sent it to the active region: so does each retry
+	full    int64 // request payload as issued; a write reset sends less of it
+	start   time.Duration
+	retries int
+	backoff time.Duration // slept before the current attempt
+	then    sim.Cont
 }
 
-// phase names the Call step a request's program has reached; phaseReset
-// marks a request whose connection is cut, which do finishes itself.
+// Op is an operation of Client as data: its kind, the arguments of the
+// method of the same name (Cloud.apply hands them to the engine, and a geo
+// record keeps them), and, once it is answered, what that method returns.
+// Start issues one.
+type Op struct {
+	Kind       OpKind
+	Name       string               // the container, queue, table or cache addressed; the geo log's partition
+	Key        string               // blob name, partition key or cache key
+	ID         string               // block ID, row key or message ID
+	IfMatch    string               // UpdateEntity's and DeleteEntity's ETag condition
+	PopReceipt string               // DeleteMessage
+	Data       payload.Payload      // the bytes written; a blob read's result
+	Refs       []blobstore.BlockRef // PutBlockList
+	Ent        *tablestore.Entity   // InsertEntity's, UpdateEntity's row
+	Off, N     int64                // a byte range; GetBlock's index (Off), CreatePageBlob's size (N)
+	TTL        time.Duration        // GetMessage's visibility timeout, CachePut's time to live
+	Filter     string               // QueryEntities
+	Top        int
+	From       tablestore.Continuation
+	Answer
+}
+
+// Answer is what an operation returns beside Op.Data.
+type Answer struct {
+	Err     error
+	Row     tablestore.Row         // the row GetEntity found / Insert-, UpdateEntity stored
+	Msg     queuestore.Message     // the message put, dequeued or peeked
+	OK      bool                   // a message or cache item found; a container, queue or table created
+	Count   int                    // GetMessageCount
+	Version uint64                 // CachePut
+	Props   blobstore.Props        // BlobProps
+	Res     tablestore.QueryResult // QueryEntities
+	Item    cachestore.Item        // CacheGet
+}
+
+// size is the request payload the operation sends: the header, and the
+// body its arguments make.
+func (op *Op) size() int64 {
+	n := reqHeader + op.Data.Len() + int64(len(op.Refs))*72 + int64(len(op.Filter))
+	if op.Ent != nil {
+		n += op.Ent.Size()
+	}
+	return n
+}
+
+// phase names the Call step a request's program has reached.
 type phase uint8
 
 const (
-	phaseAdmit  phase = iota // at the front door
+	phaseSend   phase = iota // an attempt leaves the client, a retry once its backoff is slept
+	phaseAdmit               // at the front door
 	phaseServe               // holding its partition server
 	phaseFailed              // the server has burnt an internal error's occupancy
 	phaseReply               // the response has reached the client
-	phaseReset
+	phaseDone                // the attempt's answer is in
+	phaseReset               // the attempt's connection is cut, its partial payload across
 )
 
 // newRequest hands out a request for an operation of kind from the cloud's
-// free list with its request payload set; the caller fills in the
-// arguments and defers c.release.
-func (cl *Client) newRequest(kind opKind, up int64) *request {
+// free list; the caller fills in the arguments and defers c.release.
+func (cl *Client) newRequest(kind OpKind) *request {
 	c := cl.cloud
 	var req *request
 	if n := len(c.free); n > 0 {
@@ -457,7 +489,8 @@ func (cl *Client) newRequest(kind opKind, up int64) *request {
 	} else {
 		req = new(request)
 	}
-	req.cl, req.kind, req.up = cl, kind, up
+	req.cl, req.by, req.Op = cl, cl, &req.own
+	req.Kind = kind
 	return req
 }
 
@@ -467,40 +500,40 @@ func (c *Cloud) release(req *request) {
 	c.free = append(c.free, req)
 }
 
-// opKind names a Client operation.
-type opKind uint8
+// OpKind names a Client operation.
+type OpKind uint8
 
 const (
-	opCreateContainer opKind = iota
-	opCreateContainerIfNotExists
-	opPutBlock
-	opPutBlockList
-	opUploadBlockBlob
-	opGetBlock
-	opCreatePageBlob
-	opPutPage
-	opGetPage
-	opDownload
-	opDownloadRange
-	opDeleteBlob
-	opBlobProps
-	opCreateQueue
-	opCreateQueueIfNotExists
-	opDeleteQueue
-	opPutMessage
-	opGetMessage
-	opPeekMessage
-	opDeleteMessage
-	opGetMessageCount
-	opCreateTable
-	opCreateTableIfNotExists
-	opInsertEntity
-	opGetEntity
-	opUpdateEntity
-	opDeleteEntity
-	opQueryEntities
-	opCachePut
-	opCacheGet
+	OpCreateContainer OpKind = iota
+	OpCreateContainerIfNotExists
+	OpPutBlock
+	OpPutBlockList
+	OpUploadBlockBlob
+	OpGetBlock
+	OpCreatePageBlob
+	OpPutPage
+	OpGetPage
+	OpDownload
+	OpDownloadRange
+	OpDeleteBlob
+	OpBlobProps
+	OpCreateQueue
+	OpCreateQueueIfNotExists
+	OpDeleteQueue
+	OpPutMessage
+	OpGetMessage
+	OpPeekMessage
+	OpDeleteMessage
+	OpGetMessageCount
+	OpCreateTable
+	OpCreateTableIfNotExists
+	OpInsertEntity
+	OpGetEntity
+	OpUpdateEntity
+	OpDeleteEntity
+	OpQueryEntities
+	OpCachePut
+	OpCacheGet
 	// opReplicaDeleteMessage is DeleteMessage as the geo secondary replays
 	// it (Cloud.replicate); no client issues it.
 	opReplicaDeleteMessage
@@ -522,40 +555,40 @@ var ops = [...]struct {
 	name, service string
 	flags         opFlags
 }{
-	opCreateContainer:            {"CreateContainer", "blob", mutates | geoRepl},
-	opCreateContainerIfNotExists: {"CreateContainerIfNotExists", "blob", mutates | geoRepl},
-	opPutBlock:                   {"PutBlock", "blob", mutates | syncRepl | geoRepl},
-	opPutBlockList:               {"PutBlockList", "blob", mutates | syncRepl | geoRepl},
-	opUploadBlockBlob:            {"UploadBlockBlob", "blob", mutates | syncRepl | geoRepl},
-	opGetBlock:                   {"GetBlock", "blob", 0},
-	opCreatePageBlob:             {"CreatePageBlob", "blob", mutates | geoRepl},
-	opPutPage:                    {"PutPage", "blob", mutates | syncRepl | geoRepl},
-	opGetPage:                    {"GetPage", "blob", 0},
-	opDownload:                   {"Download", "blob", 0},
-	opDownloadRange:              {"DownloadRange", "blob", 0},
-	opDeleteBlob:                 {"DeleteBlob", "blob", mutates | syncRepl | geoRepl},
-	opBlobProps:                  {"BlobProps", "blob", 0},
-	opCreateQueue:                {"CreateQueue", "queue", mutates | geoRepl},
-	opCreateQueueIfNotExists:     {"CreateQueueIfNotExists", "queue", mutates | geoRepl},
-	opDeleteQueue:                {"DeleteQueue", "queue", mutates | geoRepl},
-	opPutMessage:                 {"PutMessage", "queue", mutates | syncRepl | geoRepl | queueLimit},
-	opGetMessage:                 {"GetMessage", "queue", syncRepl | queueLimit}, // a dequeue commits a visibility update
-	opPeekMessage:                {"PeekMessage", "queue", queueLimit},
-	opDeleteMessage:              {"DeleteMessage", "queue", mutates | syncRepl | geoRepl | queueLimit},
-	opGetMessageCount:            {"GetMessageCount", "queue", queueLimit},
-	opCreateTable:                {"CreateTable", "table", mutates | geoRepl},
-	opCreateTableIfNotExists:     {"CreateTableIfNotExists", "table", mutates | geoRepl},
-	opInsertEntity:               {"InsertEntity", "table", mutates | syncRepl | geoRepl | partLimit},
-	opGetEntity:                  {"GetEntity", "table", partLimit},
-	opUpdateEntity:               {"UpdateEntity", "table", mutates | syncRepl | geoRepl | partLimit},
-	opDeleteEntity:               {"DeleteEntity", "table", mutates | syncRepl | geoRepl | partLimit},
-	opQueryEntities:              {"QueryEntities", "table", partLimit},
-	opCachePut:                   {"CachePut", "cache", mutates},
-	opCacheGet:                   {"CacheGet", "cache", 0},
+	OpCreateContainer:            {"CreateContainer", "blob", mutates | geoRepl},
+	OpCreateContainerIfNotExists: {"CreateContainerIfNotExists", "blob", mutates | geoRepl},
+	OpPutBlock:                   {"PutBlock", "blob", mutates | syncRepl | geoRepl},
+	OpPutBlockList:               {"PutBlockList", "blob", mutates | syncRepl | geoRepl},
+	OpUploadBlockBlob:            {"UploadBlockBlob", "blob", mutates | syncRepl | geoRepl},
+	OpGetBlock:                   {"GetBlock", "blob", 0},
+	OpCreatePageBlob:             {"CreatePageBlob", "blob", mutates | geoRepl},
+	OpPutPage:                    {"PutPage", "blob", mutates | syncRepl | geoRepl},
+	OpGetPage:                    {"GetPage", "blob", 0},
+	OpDownload:                   {"Download", "blob", 0},
+	OpDownloadRange:              {"DownloadRange", "blob", 0},
+	OpDeleteBlob:                 {"DeleteBlob", "blob", mutates | syncRepl | geoRepl},
+	OpBlobProps:                  {"BlobProps", "blob", 0},
+	OpCreateQueue:                {"CreateQueue", "queue", mutates | geoRepl},
+	OpCreateQueueIfNotExists:     {"CreateQueueIfNotExists", "queue", mutates | geoRepl},
+	OpDeleteQueue:                {"DeleteQueue", "queue", mutates | geoRepl},
+	OpPutMessage:                 {"PutMessage", "queue", mutates | syncRepl | geoRepl | queueLimit},
+	OpGetMessage:                 {"GetMessage", "queue", syncRepl | queueLimit}, // a dequeue commits a visibility update
+	OpPeekMessage:                {"PeekMessage", "queue", queueLimit},
+	OpDeleteMessage:              {"DeleteMessage", "queue", mutates | syncRepl | geoRepl | queueLimit},
+	OpGetMessageCount:            {"GetMessageCount", "queue", queueLimit},
+	OpCreateTable:                {"CreateTable", "table", mutates | geoRepl},
+	OpCreateTableIfNotExists:     {"CreateTableIfNotExists", "table", mutates | geoRepl},
+	OpInsertEntity:               {"InsertEntity", "table", mutates | syncRepl | geoRepl | partLimit},
+	OpGetEntity:                  {"GetEntity", "table", partLimit},
+	OpUpdateEntity:               {"UpdateEntity", "table", mutates | syncRepl | geoRepl | partLimit},
+	OpDeleteEntity:               {"DeleteEntity", "table", mutates | syncRepl | geoRepl | partLimit},
+	OpQueryEntities:              {"QueryEntities", "table", partLimit},
+	OpCachePut:                   {"CachePut", "cache", mutates},
+	OpCacheGet:                   {"CacheGet", "cache", 0},
 }
 
 // is reports whether the operation has flag f.
-func (k opKind) is(f opFlags) bool { return ops[k].flags&f != 0 }
+func (k OpKind) is(f opFlags) bool { return ops[k].flags&f != 0 }
 
 // apply runs an operation at its engine: it returns the partition server's
 // occupancy (which may depend on what the engine finds, e.g. the size of a
@@ -566,139 +599,139 @@ func (k opKind) is(f opFlags) bool { return ops[k].flags&f != 0 }
 // touches c's engines and c.prm, and nothing else of c.
 func (c *Cloud) apply(req *request) (occ time.Duration, down int64, err error) {
 	prm := &c.prm
-	switch req.kind {
-	case opCreateContainer:
-		return prm.ContainerOpOcc, 0, c.Blob.CreateContainer(req.name)
-	case opCreateContainerIfNotExists:
-		req.ok, err = c.Blob.CreateContainerIfNotExists(req.name)
+	switch req.Kind {
+	case OpCreateContainer:
+		return prm.ContainerOpOcc, 0, c.Blob.CreateContainer(req.Name)
+	case OpCreateContainerIfNotExists:
+		req.OK, err = c.Blob.CreateContainerIfNotExists(req.Name)
 		return prm.ContainerOpOcc, 0, err
-	case opPutBlock:
-		return prm.BlockPutOcc(req.data.Len()), 0, c.Blob.PutBlock(req.name, req.key, req.id, req.data)
-	case opPutBlockList:
-		_, err = c.Blob.PutBlockList(req.name, req.key, req.refs, "")
-		return prm.CommitOcc(len(req.refs)), 0, err
-	case opUploadBlockBlob:
-		_, err = c.Blob.UploadBlockBlob(req.name, req.key, req.data, "")
-		return prm.BlockPutOcc(req.data.Len()), 0, err
-	case opGetBlock:
-		blk, err := c.Blob.GetBlock(req.name, req.key, int(req.off))
+	case OpPutBlock:
+		return prm.BlockPutOcc(req.Data.Len()), 0, c.Blob.PutBlock(req.Name, req.Key, req.ID, req.Data)
+	case OpPutBlockList:
+		_, err = c.Blob.PutBlockList(req.Name, req.Key, req.Refs, "")
+		return prm.CommitOcc(len(req.Refs)), 0, err
+	case OpUploadBlockBlob:
+		_, err = c.Blob.UploadBlockBlob(req.Name, req.Key, req.Data, "")
+		return prm.BlockPutOcc(req.Data.Len()), 0, err
+	case OpGetBlock:
+		blk, err := c.Blob.GetBlock(req.Name, req.Key, int(req.Off))
 		if err != nil {
 			return prm.BlockReadOverhead, 0, err
 		}
-		req.data = blk
+		req.Data = blk
 		return prm.BlockGetOcc(blk.Len()), blk.Len(), nil
-	case opCreatePageBlob:
-		_, err = c.Blob.CreatePageBlob(req.name, req.key, req.n)
+	case OpCreatePageBlob:
+		_, err = c.Blob.CreatePageBlob(req.Name, req.Key, req.N)
 		return prm.ContainerOpOcc, 0, err
-	case opPutPage:
-		return prm.PagePutOcc(req.data.Len()), 0, c.Blob.PutPages(req.name, req.key, req.off, req.data, "")
-	case opGetPage:
-		pg, err := c.Blob.GetPage(req.name, req.key, req.off, req.n)
+	case OpPutPage:
+		return prm.PagePutOcc(req.Data.Len()), 0, c.Blob.PutPages(req.Name, req.Key, req.Off, req.Data, "")
+	case OpGetPage:
+		pg, err := c.Blob.GetPage(req.Name, req.Key, req.Off, req.N)
 		if err != nil {
 			return prm.PageReadOverhead, 0, err
 		}
-		req.data = pg
+		req.Data = pg
 		return prm.PageGetOcc(pg.Len()), pg.Len(), nil
-	case opDownload:
-		data, props, err := c.Blob.Download(req.name, req.key)
+	case OpDownload:
+		data, props, err := c.Blob.Download(req.Name, req.Key)
 		if err != nil {
 			return prm.BlockDownloadSetup, 0, err
 		}
-		req.data = data
+		req.Data = data
 		return prm.DownloadOcc(props.Type == blobstore.PageBlob, data.Len()), data.Len(), nil
-	case opDownloadRange:
-		data, err := c.Blob.DownloadRange(req.name, req.key, req.off, req.n)
+	case OpDownloadRange:
+		data, err := c.Blob.DownloadRange(req.Name, req.Key, req.Off, req.N)
 		if err != nil {
 			return prm.BlockReadOverhead, 0, err
 		}
-		req.data = data
+		req.Data = data
 		return prm.BlockGetOcc(data.Len()), data.Len(), nil
-	case opDeleteBlob:
-		return prm.DeleteBlobOcc(), 0, c.Blob.DeleteBlob(req.name, req.key, "")
-	case opBlobProps:
-		req.props, err = c.Blob.GetProps(req.name, req.key)
+	case OpDeleteBlob:
+		return prm.DeleteBlobOcc(), 0, c.Blob.DeleteBlob(req.Name, req.Key, "")
+	case OpBlobProps:
+		req.Props, err = c.Blob.GetProps(req.Name, req.Key)
 		return prm.ContainerOpOcc, reqHeader, err
 
-	case opCreateQueue:
-		return prm.ContainerOpOcc, 0, c.Queue.CreateQueue(req.name)
-	case opCreateQueueIfNotExists:
-		req.ok, err = c.Queue.CreateQueueIfNotExists(req.name)
+	case OpCreateQueue:
+		return prm.ContainerOpOcc, 0, c.Queue.CreateQueue(req.Name)
+	case OpCreateQueueIfNotExists:
+		req.OK, err = c.Queue.CreateQueueIfNotExists(req.Name)
 		return prm.ContainerOpOcc, 0, err
-	case opDeleteQueue:
-		return prm.ContainerOpOcc, 0, c.Queue.DeleteQueue(req.name)
-	case opPutMessage:
-		req.msg, err = c.Queue.Put(req.name, req.data, 0)
-		req.lat = prm.QueueLat(model.QPut, req.data.Len())
-		return prm.QueueOcc(model.QPut, req.data.Len(), 0), 0, err
-	case opGetMessage, opPeekMessage:
-		qlen, _ := c.Queue.ApproximateCount(req.name)
+	case OpDeleteQueue:
+		return prm.ContainerOpOcc, 0, c.Queue.DeleteQueue(req.Name)
+	case OpPutMessage:
+		req.Msg, err = c.Queue.Put(req.Name, req.Data, 0)
+		req.lat = prm.QueueLat(model.QPut, req.Data.Len())
+		return prm.QueueOcc(model.QPut, req.Data.Len(), 0), 0, err
+	case OpGetMessage, OpPeekMessage:
+		qlen, _ := c.Queue.ApproximateCount(req.Name)
 		verb := model.QGet
-		if req.kind == opGetMessage {
-			req.msg, req.ok, err = c.Queue.GetOne(req.name, req.ttl)
+		if req.Kind == OpGetMessage {
+			req.Msg, req.OK, err = c.Queue.GetOne(req.Name, req.TTL)
 		} else {
 			verb = model.QPeek
-			req.msg, req.ok, err = c.Queue.PeekOne(req.name)
+			req.Msg, req.OK, err = c.Queue.PeekOne(req.Name)
 		}
-		if req.ok {
-			down = req.msg.Body.Len()
+		if req.OK {
+			down = req.Msg.Body.Len()
 		}
 		req.lat = prm.QueueLat(verb, down)
 		return prm.QueueOcc(verb, down, qlen), down, err
-	case opDeleteMessage:
+	case OpDeleteMessage:
 		req.lat = prm.QueueLat(model.QDelete, 0)
-		return prm.QueueOcc(model.QDelete, 0, 0), 0, c.Queue.Delete(req.name, req.id, req.popReceipt)
+		return prm.QueueOcc(model.QDelete, 0, 0), 0, c.Queue.Delete(req.Name, req.ID, req.PopReceipt)
 	case opReplicaDeleteMessage:
-		return 0, 0, c.Queue.ReplicaDelete(req.name, req.id)
-	case opGetMessageCount:
-		req.count, err = c.Queue.ApproximateCount(req.name)
+		return 0, 0, c.Queue.ReplicaDelete(req.Name, req.ID)
+	case OpGetMessageCount:
+		req.Count, err = c.Queue.ApproximateCount(req.Name)
 		req.lat = prm.QueueLat(model.QPeek, 0)
 		return prm.QueueOcc(model.QPeek, 0, 0), reqHeader, err
 
-	case opCreateTable:
-		return prm.ContainerOpOcc, 0, c.Table.CreateTable(req.name)
-	case opCreateTableIfNotExists:
-		req.ok, err = c.Table.CreateTableIfNotExists(req.name)
+	case OpCreateTable:
+		return prm.ContainerOpOcc, 0, c.Table.CreateTable(req.Name)
+	case OpCreateTableIfNotExists:
+		req.OK, err = c.Table.CreateTableIfNotExists(req.Name)
 		return prm.ContainerOpOcc, 0, err
-	case opInsertEntity:
-		req.gotEnt, err = c.Table.Insert(req.name, req.ent)
+	case OpInsertEntity:
+		req.Row, err = c.Table.Insert(req.Name, req.Ent)
 		req.lat = prm.TableLat(model.TInsert)
 		// The request body is the row behind the header.
 		return prm.TableOcc(model.TInsert, req.up-reqHeader), 0, err
-	case opGetEntity:
-		req.gotEnt, err = c.Table.Get(req.name, req.key, req.id)
+	case OpGetEntity:
+		req.Row, err = c.Table.Get(req.Name, req.Key, req.ID)
 		if err == nil {
-			down = req.gotEnt.Size()
+			down = req.Row.Size()
 		}
 		req.lat = prm.TableLat(model.TQuery)
 		return prm.TableOcc(model.TQuery, down), down, err
-	case opUpdateEntity:
-		req.gotEnt, err = c.Table.Replace(req.name, req.ent, req.ifMatch)
+	case OpUpdateEntity:
+		req.Row, err = c.Table.Replace(req.Name, req.Ent, req.IfMatch)
 		req.lat = prm.TableLat(model.TUpdate)
 		return prm.TableOcc(model.TUpdate, req.up-reqHeader), 0, err
-	case opDeleteEntity:
+	case OpDeleteEntity:
 		req.lat = prm.TableLat(model.TDelete)
-		return prm.TableOcc(model.TDelete, 0), 0, c.Table.Delete(req.name, req.key, req.id, req.ifMatch)
-	case opQueryEntities:
-		req.res, err = c.Table.Query(req.name, req.filter, req.top, req.from)
-		for _, e := range req.res.Entities {
+		return prm.TableOcc(model.TDelete, 0), 0, c.Table.Delete(req.Name, req.Key, req.ID, req.IfMatch)
+	case OpQueryEntities:
+		req.Res, err = c.Table.Query(req.Name, req.Filter, req.Top, req.From)
+		for _, e := range req.Res.Entities {
 			down += e.Size()
 		}
 		req.lat = prm.TableLat(model.TQuery)
 		return prm.TableOcc(model.TQuery, down), down, err
 
-	case opCachePut:
-		req.version, err = c.cache.Put(req.name, req.key, req.data, req.ttl)
+	case OpCachePut:
+		req.Version, err = c.cache.Put(req.Name, req.Key, req.Data, req.TTL)
 		req.lat = prm.CacheLat
-		return prm.CacheOcc(true, req.data.Len()), 0, err
-	case opCacheGet:
-		req.item, req.ok, err = c.cache.Get(req.name, req.key)
-		if req.ok {
-			down = req.item.Value.Len()
+		return prm.CacheOcc(true, req.Data.Len()), 0, err
+	case OpCacheGet:
+		req.Item, req.OK, err = c.cache.Get(req.Name, req.Key)
+		if req.OK {
+			down = req.Item.Value.Len()
 		}
 		req.lat = prm.CacheLat
 		return prm.CacheOcc(false, down), down, err
 	}
-	panic(fmt.Sprintf("cloud: no engine call for op kind %d", req.kind))
+	panic(fmt.Sprintf("cloud: no engine call for op kind %d", req.Kind))
 }
 
 // replicate appends the mutation req has just committed to the geo log, to
@@ -715,19 +748,20 @@ func (c *Cloud) apply(req *request) (occ time.Duration, down int64, err error) {
 // mutation's causal identity, so the replay traces as a child of the op
 // that caused it.
 func (c *Cloud) replicate(req *request) {
-	args := req.opArgs
-	if args.ent != nil {
-		args.ent = args.ent.Clone()
+	args := *req.Op
+	args.Answer = Answer{}
+	if args.Ent != nil {
+		args.Ent = args.Ent.Clone()
 	}
-	args.refs = slices.Clone(args.refs)
-	args.ifMatch = storecommon.ETagAny
-	if args.kind == opDeleteMessage {
-		args.kind = opReplicaDeleteMessage
+	args.Refs = slices.Clone(args.Refs)
+	args.IfMatch = storecommon.ETagAny
+	if args.Kind == OpDeleteMessage {
+		args.Kind = opReplicaDeleteMessage
 	}
-	op, dst := &ops[req.kind], c.geoDst
-	c.geo.Append(c.env.Now(), op.service, req.name, op.name, req.up, req.traceID, req.spanID,
+	op, dst := &ops[req.Kind], c.geoDst
+	c.geo.Append(c.env.Now(), op.service, req.Name, op.name, req.up, req.traceID, req.spanID,
 		func() error {
-			_, _, err := dst.apply(&request{opArgs: args})
+			_, _, err := dst.apply(&request{Op: &args})
 			return err
 		})
 }
@@ -812,108 +846,103 @@ var (
 		"the partition range is mid-handoff to another server; back off and retry")
 )
 
-// do executes the request from process p under the client's retry policy,
-// the way sdk.Client.do does for a live request: an attempt that fails with
-// an error the policy retries is reissued after the policy's backoff —
-// jittered from the simulation PRNG when the policy asks for jitter — until
-// one succeeds or the policy gives up, and do returns the last attempt's
-// error. Every attempt routes again and decides its faults again at the
-// instant it starts. One that a GeoClient sent to its active region
-// resolves the active region again, so it fails over with the account.
+// do executes the request from process p, first send to final answer, as
+// Start's program handed to sim.Proc.Exec: p is resumed once, at the end.
 func (cl *Client) do(p *sim.Proc, req *request) error {
-	start, up := p.Now(), req.up
-	follow := cl.geo != nil && cl.geo.Active() == cl
-	var backoff time.Duration
-	for retries := 0; ; retries++ {
-		req.attempt(p, backoff)
-		if req.err == nil || !cl.policy.ShouldRetry(retries, p.Now()-start, req.err) {
-			return req.err
-		}
-		backoff = cl.policy.Delay(retries, p.Rand().Float64)
-		req.cl.cloud.stats.Retries++
-		p.Sleep(backoff)
-		next := req.cl
-		if follow {
-			next = cl.geo.Active()
-		}
-		// The next attempt starts afresh, except for what it repeats and
-		// the trace it continues, as a child of the attempt that failed.
-		*req = request{cl: next, opArgs: req.opArgs, up: up, traceID: req.traceID, parentID: req.spanID}
-	}
+	p.Exec(sim.Call(req))
+	return req.Err
 }
 
-// attempt sends the request once, charging NIC transfer, network round
-// trip, throttles, server occupancy and pipeline latency. When a fault
-// injector is attached it seals the attempt's fate up front; faults on
-// mutations always fire before the engine commits (the operation is lost,
-// not half-applied), while a reset on a read cuts the response after the
-// engine has done its work — the at-least-once semantics real storage
-// clients must survive. With tracing attached the attempt is recorded, the
-// backoff slept before it folded into its window as a retry-backoff span.
+// Start issues op from a Call step of p: it sends the request, as
+// op.Kind's blocking method would, and returns, the rest of p's program
+// replaced by the request's. The kernel carries the request to its final
+// answer, retries included, keeping it in op — op's Answer (and a read's
+// Data) are the request's until then — and at the instant the method would
+// have returned, then.Resume(p) runs as a Call step of p. Nothing is
+// allocated. Start must be its Call step's last act.
+func (cl *Client) Start(p *sim.Proc, op *Op, then sim.Cont) {
+	req := cl.newRequest(op.Kind)
+	req.Op, req.then = op, then
+	op.Answer = Answer{}
+	req.send(p)
+}
+
+// send starts an attempt of the request: it routes it, opens its trace
+// record, decides its faults and puts it on the way in, to the front door,
+// where Resume takes over. The request's program runs under its client's
+// retry policy, the way sdk.Client.do's loop does for a live request: an
+// attempt that fails with an error the policy retries is reissued after
+// the policy's backoff — jittered from the simulation PRNG when the policy
+// asks for jitter — until one succeeds or the policy gives up, and the
+// last attempt's answer is the request's. Every attempt routes again and
+// decides its faults again at the instant it starts. One that a GeoClient
+// sent to its active region resolves the active region again, so it fails
+// over with the account.
 //
-// The attempt is one program the kernel runs (sim.Proc.Exec) from send to
-// reply: the way in ends in a Call step, and at each point where the model
-// decides something the request's Resume picks the next stretch with Then.
-// The process is resumed once, when the attempt is over, and every event
-// and every counter a checkpoint may read keeps its virtual instant
-// (DESIGN.md §17).
-func (req *request) attempt(p *sim.Proc, backoff time.Duration) {
+// Each attempt charges NIC transfer, network round trip, throttles, server
+// occupancy and pipeline latency. When a fault injector is attached it
+// seals the attempt's fate up front; faults on mutations always fire
+// before the engine commits (the operation is lost, not half-applied),
+// while a reset on a read cuts the response after the engine has done its
+// work — the at-least-once semantics real storage clients must survive.
+// With tracing attached each attempt is recorded, the backoff slept before
+// it folded into its window as a retry-backoff span.
+//
+// At each point where the model decides something, Resume picks the
+// program's next stretch with Then, ending it in a Call of the request, so
+// every event and every counter a checkpoint may read keeps its virtual
+// instant (DESIGN.md §17).
+func (req *request) send(p *sim.Proc) {
+	if req.retries == 0 { // the request as issued
+		req.follow = req.cl.geo != nil && req.cl.geo.Active() == req.cl
+		req.full, req.start = req.size(), p.Now()
+	} else {
+		// A retry starts afresh, except for what it repeats and the trace
+		// it continues, as a child of the attempt that failed.
+		next := req.cl
+		if req.follow {
+			next = req.by.geo.Active()
+		}
+		*req = request{cl: next, Op: req.Op, own: req.own, attempts: req.attempts, traceID: req.traceID, parentID: req.spanID}
+		req.Answer = Answer{}
+	}
 	cl := req.cl
 	c := cl.cloud
 	prm := &c.prm
-	op := &ops[req.kind]
+	op := &ops[req.Kind]
+	now := c.env.Now()
+	req.up = req.full
 	req.route()
 	if c.traceLog != nil {
-		req.st = &spanCutter{env: c.env, last: c.env.Now()}
-		req.st.add(trace.StageRetryBackoff, backoff)
+		req.st = &spanCutter{env: c.env, last: now}
+		req.st.add(trace.StageRetryBackoff, req.backoff)
 		if req.traceID == "" {
 			req.traceID = c.ids.TraceID()
 		}
 		req.spanID = c.ids.SpanID()
-		defer func(start time.Duration) {
-			// Record what the attempt moved, how long it took and how it
-			// ended.
-			c.traceLog.Record(trace.Op{
-				Start:    start,
-				Duration: c.env.Now() - start,
-				Client:   cl.name,
-				Service:  op.service,
-				Name:     op.name,
-				Bytes:    req.up + req.down,
-				Err:      string(storecommon.CodeOf(req.err)),
-				Fault:    req.fault,
-				TraceID:  req.traceID,
-				SpanID:   req.spanID,
-				ParentID: req.parentID,
-				Spans:    req.st.spans,
-			})
-		}(c.env.Now() - backoff)
+		req.sent = now - req.backoff
 	}
 	if c.faults != nil {
-		req.dec = c.faults.DecideIn(c.env.Now(), c.region, op.service, op.name, req.server.Name())
+		req.dec = c.faults.DecideIn(now, c.region, op.service, op.name, req.server.Name())
 	}
-	if req.dec.Kind == faults.Reset && req.kind.is(mutates) {
+	req.phase = phaseAdmit
+	if req.dec.Kind == faults.Reset && req.Kind.is(mutates) {
 		// The connection dies while the request body is in flight: a
 		// prefix of the payload crosses the NIC, the engine sees nothing.
 		req.up = int64(float64(req.up) * req.dec.Cut) // the trace records what actually moved
 		req.phase = phaseReset
 	}
 	// The way in: serialise, put the body on the wire, reach the front
-	// door, where the request's Resume takes over.
+	// door.
 	in := append(make([]sim.Step, 0, sim.MaxSteps), sim.Sleep(prm.RequestOverhead))
 	if req.up > 0 {
 		in = append(in, sim.Acquire(cl.nic), sim.Sleep(model.Xfer(req.up, cl.vm.NICBps)), sim.Release(cl.nic),
 			sim.Add(&c.stats.BytesIn, req.up))
 	}
 	if req.phase != phaseReset {
-		in = append(in, sim.Sleep(prm.RTT/2), sim.Call(req))
+		in = append(in, sim.Sleep(prm.RTT/2))
 	}
-	p.Exec(in...)
-	if req.phase == phaseReset {
-		req.reset()
-	} else {
-		req.st.cut(req.stage)
-	}
+	p.Then(append(in, sim.Call(req))...)
 }
 
 // route sends the attempt to its partition server: a blob mutation to the
@@ -924,20 +953,20 @@ func (req *request) attempt(p *sim.Proc, backoff time.Duration) {
 func (req *request) route() {
 	cl := req.cl
 	c := cl.cloud
-	switch ops[req.kind].service {
+	switch ops[req.Kind].service {
 	case "blob":
-		rs := c.blobReplicas(req.name, req.key)
-		if req.kind.is(mutates) {
+		rs := c.blobReplicas(req.Name, req.Key)
+		if req.Kind.is(mutates) {
 			req.server = rs.primary()
 		} else {
 			req.server = c.readReplica(rs)
 		}
 	case "queue":
-		req.server = c.queueServer(req.name)
+		req.server = c.queueServer(req.Name)
 	case "table":
-		req.server, req.serverIdx = cl.tableRoute(req.name, req.key)
+		req.server, req.serverIdx = cl.tableRoute(req.Name, req.Key)
 	default:
-		req.server = c.cacheServer(req.name, req.key)
+		req.server = c.cacheServer(req.Name, req.Key)
 	}
 }
 
@@ -948,6 +977,8 @@ func (req *request) Resume(p *sim.Proc) {
 	c := cl.cloud
 	prm := &c.prm
 	switch req.phase {
+	case phaseSend:
+		req.send(p)
 	case phaseAdmit:
 		req.st.cut(trace.StageNicIn)
 		req.admit(p)
@@ -961,8 +992,8 @@ func (req *request) Resume(p *sim.Proc) {
 			p.Then(sim.Sleep(req.dec.Occ), sim.Release(req.server), sim.Call(req))
 			return
 		}
-		req.occ, req.down, req.err = c.apply(req)
-		if req.err == nil && c.geo != nil && req.kind.is(geoRepl) {
+		req.occ, req.down, req.Err = c.apply(req)
+		if req.Err == nil && c.geo != nil && req.Kind.is(geoRepl) {
 			c.replicate(req)
 		}
 		c.stats.Ops++
@@ -977,11 +1008,12 @@ func (req *request) Resume(p *sim.Proc) {
 		req.exit(p, errInternalFault, prm.RTT/2, trace.StageNicOut)
 	case phaseReply:
 		var repl time.Duration
-		if req.kind.is(syncRepl) {
+		if req.Kind.is(syncRepl) {
 			repl = prm.ReplCost()
 		}
 		req.st.cutReply(req.occ, repl, req.lat, prm.RTT/2)
 		down := req.down
+		req.phase = phaseDone
 		if req.dec.Kind == faults.Reset {
 			// Read-path reset: the engine did the work, but the response
 			// is cut mid-transfer; the truncated prefix still crosses the
@@ -989,14 +1021,62 @@ func (req *request) Resume(p *sim.Proc) {
 			req.down = int64(float64(down) * req.dec.Cut)
 			req.phase = phaseReset
 			if req.down > 0 {
-				p.Then(sim.Acquire(cl.nic), sim.Sleep(model.Xfer(req.down, cl.vm.NICBps)), sim.Release(cl.nic))
+				p.Then(sim.Acquire(cl.nic), sim.Sleep(model.Xfer(req.down, cl.vm.NICBps)), sim.Release(cl.nic), sim.Call(req))
+				return
 			}
 		} else if down > 0 {
 			c.accountBW.Debit(c.env.Now(), float64(down))
 			req.stage = trace.StageNicOut
 			p.Then(sim.Acquire(cl.nic), sim.Sleep(model.Xfer(down, cl.vm.NICBps)), sim.Release(cl.nic),
-				sim.Add(&c.stats.BytesOut, down))
+				sim.Add(&c.stats.BytesOut, down), sim.Call(req))
+			return
 		}
+		req.finish(p)
+	case phaseDone, phaseReset:
+		req.finish(p)
+	}
+}
+
+// finish ends the attempt — the reset that cut it or the cut of its last
+// stretch, and its trace record — then retries the request, or answers it:
+// a request that Start issued goes back to the free list, and the program
+// goes on with the caller's Call step.
+func (req *request) finish(p *sim.Proc) {
+	c := req.cl.cloud
+	if req.phase == phaseReset {
+		req.reset()
+	} else {
+		req.st.cut(req.stage)
+	}
+	now := c.env.Now()
+	if c.traceLog != nil {
+		op := &ops[req.Kind]
+		c.traceLog.Record(trace.Op{
+			Start:    req.sent,
+			Duration: now - req.sent,
+			Client:   req.cl.name,
+			Service:  op.service,
+			Name:     op.name,
+			Bytes:    req.up + req.down,
+			Err:      string(storecommon.CodeOf(req.Err)),
+			Fault:    req.fault,
+			TraceID:  req.traceID,
+			SpanID:   req.spanID,
+			ParentID: req.parentID,
+			Spans:    req.st.spans,
+		})
+	}
+	if pol := &req.by.policy; req.Err != nil && pol.ShouldRetry(req.retries, now-req.start, req.Err) {
+		req.backoff = pol.Delay(req.retries, p.Rand().Float64)
+		req.retries++
+		c.stats.Retries++
+		req.phase = phaseSend
+		p.Then(sim.Sleep(req.backoff), sim.Call(req))
+		return
+	}
+	if then := req.then; then != nil {
+		req.by.cloud.release(req)
+		then.Resume(p)
 	}
 }
 
@@ -1030,12 +1110,12 @@ func (req *request) admit(p *sim.Proc) {
 	// driven by the load they react to — then a stale route bounces with a
 	// redirect and a mid-handoff range answers ServerBusy.
 	now := c.env.Now()
-	if req.kind.is(partLimit) && c.pmgr.Dynamic() {
-		c.notePartitionEvents(c.pmgr.Record(now, req.name, req.key))
-		owner, unavailUntil := c.pmgr.Lookup(req.name, req.key)
+	if req.Kind.is(partLimit) && c.pmgr.Dynamic() {
+		c.notePartitionEvents(c.pmgr.Record(now, req.Name, req.Key))
+		owner, unavailUntil := c.pmgr.Lookup(req.Name, req.Key)
 		if req.serverIdx != owner {
 			c.pmgr.NoteRedirect()
-			delete(cl.maps, req.name)
+			delete(cl.maps, req.Name)
 			req.exit(p, errPartitionMoved, rtt2, trace.StageNicOut)
 			return
 		}
@@ -1049,11 +1129,11 @@ func (req *request) admit(p *sim.Proc) {
 	// Admission control at the front door: one transaction each.
 	admitted := c.accountTx.Allow(now, 1) &&
 		c.accountBW.Allow(now, float64(req.up))
-	if admitted && req.kind.is(queueLimit) {
-		admitted = c.queueLimiter(req.name).Allow(now, 1)
+	if admitted && req.Kind.is(queueLimit) {
+		admitted = c.queueLimiter(req.Name).Allow(now, 1)
 	}
-	if admitted && req.kind.is(partLimit) {
-		admitted = c.partitionLimiter(req.name, req.key).Allow(now, 1)
+	if admitted && req.Kind.is(partLimit) {
+		admitted = c.partitionLimiter(req.Name, req.Key).Allow(now, 1)
 	}
 	if !admitted {
 		c.stats.BusyRejects++
@@ -1064,11 +1144,11 @@ func (req *request) admit(p *sim.Proc) {
 	p.Then(sim.Acquire(req.server), sim.Call(req))
 }
 
-// exit fails the request with err: the answer takes d to reach the
+// exit fails the attempt with err: the answer takes d to reach the
 // client, traced as stage.
 func (req *request) exit(p *sim.Proc, err error, d time.Duration, stage string) {
-	req.err, req.stage = err, stage
-	p.Then(sim.Sleep(d))
+	req.Err, req.stage, req.phase = err, stage, phaseDone
+	p.Then(sim.Sleep(d), sim.Call(req))
 }
 
 // reset fails a request whose connection was cut, once its partial payload
@@ -1077,7 +1157,7 @@ func (req *request) exit(p *sim.Proc, err error, d time.Duration, stage string) 
 // back.
 func (req *request) reset() {
 	c := req.cl.cloud
-	if req.kind.is(mutates) {
+	if req.Kind.is(mutates) {
 		req.st.cut(trace.StageNicIn)
 	} else {
 		if part := req.down; part > 0 {
@@ -1088,7 +1168,7 @@ func (req *request) reset() {
 	}
 	c.stats.FaultResets++
 	req.fault = faults.Reset.String()
-	req.err = errConnReset
+	req.Err = errConnReset
 }
 
 // --- Client ---

@@ -146,3 +146,80 @@ func TestEveryOpHasARow(t *testing.T) {
 		}
 	}
 }
+
+// contFunc makes a function a sim.Cont.
+type contFunc func(*sim.Proc)
+
+func (f contFunc) Resume(p *sim.Proc) { f(p) }
+
+// TestStartedRequestNeverSwitches: a blocking call parks its process once
+// however many attempts its request makes, and the same request started
+// from a Call step of a process with no coroutine costs no switch at all.
+// Either way it fires the same events and comes back at the same instant
+// with the same answer.
+func TestStartedRequestNeverSwitches(t *testing.T) {
+	type outcome struct {
+		row        string
+		code       storecommon.Code
+		at         time.Duration
+		events     uint64
+		retries    uint64
+		opSwitches uint64
+	}
+	run := func(throttled, started bool) (out outcome) {
+		env := sim.NewEnv(1)
+		prm := model.Default()
+		if throttled { // the second get is throttled and retried a second later
+			prm.PartitionOpsPerSec, prm.PartitionBurst = 1, 1
+		}
+		c := New(env, prm)
+		if err := c.Table.CreateTable("tbl"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Table.Insert("tbl", &tablestore.Entity{PartitionKey: "pk", RowKey: "row"}); err != nil {
+			t.Fatal(err)
+		}
+		cl := c.NewClient("vm0", model.Small)
+		op := &Op{Kind: OpGetEntity, Name: "tbl", Key: "pk", ID: "row"}
+		answered := func(p *sim.Proc, row tablestore.Row, err error) {
+			out.row, out.code, out.at = row.RowKey(), storecommon.CodeOf(err), p.Now()
+		}
+		if started {
+			env.GoCont("client", contFunc(func(p *sim.Proc) {
+				cl.Start(p, op, contFunc(func(p *sim.Proc) {
+					cl.Start(p, op, contFunc(func(p *sim.Proc) { answered(p, op.Row, op.Err) }))
+				}))
+			}))
+		} else {
+			env.Go("client", func(p *sim.Proc) {
+				cl.GetEntity(p, "tbl", "pk", "row")
+				_, sw0, _ := env.Telemetry()
+				row, err := cl.GetEntity(p, "tbl", "pk", "row")
+				_, sw1, _ := env.Telemetry()
+				answered(p, row, err)
+				out.opSwitches = sw1 - sw0
+			})
+		}
+		env.Run()
+		var switches uint64
+		out.events, switches, _ = env.Telemetry()
+		out.retries = c.Stats().Retries
+		if started && switches != 0 {
+			t.Errorf("throttled %v: %d switches for started requests", throttled, switches)
+		}
+		return out
+	}
+	for _, throttled := range []bool{false, true} {
+		blocking, started := run(throttled, false), run(throttled, true)
+		if blocking.opSwitches != 1 {
+			t.Errorf("throttled %v: the blocking get made %d switches, want 1", throttled, blocking.opSwitches)
+		}
+		if blocking.retries != map[bool]uint64{false: 0, true: 1}[throttled] {
+			t.Errorf("throttled %v: %d retries", throttled, blocking.retries)
+		}
+		blocking.opSwitches = 0
+		if blocking != started || blocking.row != "row" || blocking.code != "" {
+			t.Errorf("throttled %v:\nblocking %+v\nstarted  %+v", throttled, blocking, started)
+		}
+	}
+}

@@ -9,11 +9,12 @@
 package liverun
 
 import (
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
-	"azurebench/internal/payload"
+	"azurebench/internal/cloud"
 	"azurebench/internal/scenario"
 	"azurebench/internal/sdk"
 	"azurebench/internal/storecommon"
@@ -36,8 +37,8 @@ func Run(endpoint string, sp *scenario.Spec, seed int64, opts scenario.Options) 
 	return scenario.RunOn(NewRuntime(), func(string) scenario.Store { return st }, sp, seed, opts)
 }
 
-// Runtime runs scenario processes as goroutines on the wall clock. It is
-// its own Proc: a goroutine needs no handle to sleep.
+// Runtime runs each scenario process on a goroutine of its own, on the
+// wall clock.
 type Runtime struct {
 	start time.Time
 	wg    sync.WaitGroup
@@ -46,23 +47,40 @@ type Runtime struct {
 // NewRuntime starts the run's clock.
 func NewRuntime() *Runtime { return &Runtime{start: time.Now()} }
 
-// Now implements scenario.Runtime and scenario.Proc.
+// Now implements scenario.Runtime.
 func (r *Runtime) Now() time.Duration { return time.Since(r.start) }
 
-// Sleep implements scenario.Proc.
-func (r *Runtime) Sleep(d time.Duration) { time.Sleep(d) }
-
-// Go implements scenario.Runtime; the process name is unused.
-func (r *Runtime) Go(_ string, fn func(scenario.Proc)) {
+// Go implements scenario.Runtime; the process name is unused. The goroutine
+// is the process's trampoline: it runs a Cont, sleeps what the Cont asked
+// for, runs the one it goes on with, and so on until one goes nowhere.
+func (r *Runtime) Go(_ string, k scenario.Cont) {
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		fn(r)
+		p := &proc{rt: r, k: k}
+		for p.k != nil {
+			k := p.k
+			p.k = nil
+			time.Sleep(p.d)
+			k.Resume(p)
+		}
 	}()
 }
 
 // Wait implements scenario.Runtime.
 func (r *Runtime) Wait() { r.wg.Wait() }
+
+// proc is one goroutine's scenario.Proc: what its Cont goes on with, and
+// after how long.
+type proc struct {
+	rt *Runtime
+	d  time.Duration
+	k  scenario.Cont
+}
+
+func (p *proc) Now() time.Duration { return p.rt.Now() }
+
+func (p *proc) After(d time.Duration, k scenario.Cont) { p.d, p.k = d, k }
 
 // Store speaks the scenario op vocabulary to an emulator through one SDK
 // client, which all workload clients share (it is safe for concurrent
@@ -78,6 +96,58 @@ func NewStore(c *sdk.Client) *Store {
 	return &Store{blob: c.Blob(), queue: c.Queue(), table: c.Table()}
 }
 
+// Start implements scenario.Store: it makes the request there and then,
+// blocking the process's goroutine, and has p go on with k at once.
+func (s *Store) Start(p scenario.Proc, op *cloud.Op, k scenario.Cont) {
+	op.Err = s.do(op)
+	p.After(0, k)
+}
+
+// do makes op through the SDK, leaving in op what the driver reads of its
+// answer.
+func (s *Store) do(op *cloud.Op) error {
+	var err error
+	switch op.Kind {
+	case cloud.OpCreateTableIfNotExists:
+		return exists(s.table.Create(op.Name))
+	case cloud.OpCreateQueueIfNotExists:
+		return exists(s.queue.Create(op.Name))
+	case cloud.OpCreateContainerIfNotExists:
+		return exists(s.blob.CreateContainer(op.Name))
+	case cloud.OpUploadBlockBlob:
+		return s.blob.Upload(op.Name, op.Key, op.Data.Materialize())
+	case cloud.OpDownload:
+		_, err = s.blob.Download(op.Name, op.Key)
+	case cloud.OpPutMessage:
+		return s.queue.Put(op.Name, op.Data.Materialize(), 0)
+	case cloud.OpGetMessage:
+		var msgs []sdk.Message
+		msgs, err = s.queue.Get(op.Name, 1, op.TTL)
+		if op.OK = err == nil && len(msgs) > 0; op.OK {
+			op.Msg.ID, op.Msg.PopReceipt = msgs[0].ID, msgs[0].PopReceipt
+		}
+	case cloud.OpDeleteMessage:
+		return s.queue.DeleteMessage(op.Name, op.ID, op.PopReceipt)
+	case cloud.OpGetEntity:
+		_, err = s.table.Get(op.Name, op.Key, op.ID)
+	case cloud.OpInsertEntity:
+		_, err = s.table.Insert(op.Name, op.Ent)
+	case cloud.OpUpdateEntity:
+		_, err = s.table.Replace(op.Name, op.Ent, op.IfMatch)
+	case cloud.OpDeleteEntity:
+		return s.table.DeleteEntity(op.Name, op.Key, op.ID, op.IfMatch)
+	case cloud.OpQueryEntities:
+		var page sdk.QueryPage
+		page, err = s.table.Query(op.Name, op.Filter, op.Top, op.From)
+		for _, e := range page.Entities {
+			op.Res.Entities = append(op.Res.Entities, tablestore.ReadOnly(e))
+		}
+	default:
+		err = fmt.Errorf("liverun: op kind %d is not in the scenario vocabulary", op.Kind)
+	}
+	return err
+}
+
 // exists maps the Conflict a create call answers for an existing object
 // to success.
 func exists(err error) error {
@@ -85,65 +155,4 @@ func exists(err error) error {
 		return nil
 	}
 	return err
-}
-
-func (s *Store) CreateTable(_ scenario.Proc, name string) error {
-	return exists(s.table.Create(name))
-}
-
-func (s *Store) CreateQueue(_ scenario.Proc, name string) error {
-	return exists(s.queue.Create(name))
-}
-
-func (s *Store) CreateContainer(_ scenario.Proc, name string) error {
-	return exists(s.blob.CreateContainer(name))
-}
-
-func (s *Store) BlobPut(_ scenario.Proc, container, name string, data payload.Payload) error {
-	return s.blob.Upload(container, name, data.Materialize())
-}
-
-func (s *Store) BlobGet(_ scenario.Proc, container, name string) error {
-	_, err := s.blob.Download(container, name)
-	return err
-}
-
-func (s *Store) QueuePut(_ scenario.Proc, queue string, body payload.Payload) error {
-	return s.queue.Put(queue, body.Materialize(), 0)
-}
-
-func (s *Store) QueueGet(_ scenario.Proc, queue string, visibility time.Duration) (id, receipt string, ok bool, err error) {
-	msgs, err := s.queue.Get(queue, 1, visibility)
-	if err != nil || len(msgs) == 0 {
-		return "", "", false, err
-	}
-	return msgs[0].ID, msgs[0].PopReceipt, true, nil
-}
-
-func (s *Store) QueueDelete(_ scenario.Proc, queue, id, receipt string) error {
-	return s.queue.DeleteMessage(queue, id, receipt)
-}
-
-func (s *Store) TableGet(_ scenario.Proc, table, pk, rk string) error {
-	_, err := s.table.Get(table, pk, rk)
-	return err
-}
-
-func (s *Store) TableInsert(_ scenario.Proc, table string, e *tablestore.Entity) error {
-	_, err := s.table.Insert(table, e)
-	return err
-}
-
-func (s *Store) TableUpdate(_ scenario.Proc, table string, e *tablestore.Entity) error {
-	_, err := s.table.Replace(table, e, storecommon.ETagAny)
-	return err
-}
-
-func (s *Store) TableDelete(_ scenario.Proc, table, pk, rk string) error {
-	return s.table.DeleteEntity(table, pk, rk, storecommon.ETagAny)
-}
-
-func (s *Store) TableScan(_ scenario.Proc, table, fromPK string, top int) (int, error) {
-	page, err := s.table.Query(table, scenario.ScanFilter(fromPK), top, tablestore.Continuation{})
-	return len(page.Entities), err
 }

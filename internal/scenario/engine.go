@@ -600,55 +600,62 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // setup creates and preloads the declared storage objects, then waits for
 // the substrate to go quiet so phase 0 starts on an idle store.
 func (e *engine) setup() error {
-	st := e.dial("setup")
-	var err error
-	e.rt.Go("setup", func(p Proc) { err = e.preload(p, st) })
+	pl, seed := &preload{st: e.dial("setup")}, uint64(e.seed)
+	for _, t := range e.sp.Setup.Tables {
+		pl.add("create table "+t.Name, cloud.Op{Kind: cloud.OpCreateTableIfNotExists, Name: t.Name})
+		for i := 0; i < t.Keys; i++ {
+			ent := entity(workload.Key(i), "row", payload.Synthetic(seed+uint64(i), int64(t.EntityKB)*storecommon.KB))
+			pl.add("insert entity", cloud.Op{Kind: cloud.OpInsertEntity, Name: t.Name, Key: ent.PartitionKey, Ent: ent})
+		}
+	}
+	for _, q := range e.sp.Setup.Queues {
+		pl.add("create queue "+q.Name, cloud.Op{Kind: cloud.OpCreateQueueIfNotExists, Name: q.Name})
+		for i := 0; i < q.Preload; i++ {
+			body := payload.Synthetic(seed^uint64(i)*0x9E3779B97F4A7C15, int64(q.MessageKB)*storecommon.KB)
+			pl.add("preload message", cloud.Op{Kind: cloud.OpPutMessage, Name: q.Name, Data: body})
+		}
+	}
+	for _, ct := range e.sp.Setup.Containers {
+		pl.add("create container "+ct.Name, cloud.Op{Kind: cloud.OpCreateContainerIfNotExists, Name: ct.Name})
+		for i := 0; i < ct.Blobs; i++ {
+			data := payload.Synthetic(seed^uint64(i)*0x9E3779B97F4A7C15, int64(ct.BlobKB)*storecommon.KB)
+			pl.add("preload blob", cloud.Op{Kind: cloud.OpUploadBlockBlob, Name: ct.Name, Key: workload.Key(i), Data: data})
+		}
+	}
+	e.rt.Go("setup", pl)
 	e.rt.Wait()
-	if err != nil {
-		return fmt.Errorf("scenario %q: setup: %w", e.sp.Name, err)
+	if pl.err != nil {
+		return fmt.Errorf("scenario %q: setup: %w", e.sp.Name, pl.err)
 	}
 	return nil
 }
 
-// preload is setup's process body. The first persistent error stops it;
-// an entity that already exists is not an error, so a spec can be re-run
-// against a long-lived store.
-func (e *engine) preload(p Proc, st Store) error {
-	for _, t := range e.sp.Setup.Tables {
-		if err := st.CreateTable(p, t.Name); err != nil {
-			return fmt.Errorf("create table %s: %w", t.Name, err)
-		}
-		for i := 0; i < t.Keys; i++ {
-			ent := entity(workload.Key(i), "row",
-				payload.Synthetic(uint64(e.seed)+uint64(i), int64(t.EntityKB)*storecommon.KB))
-			if err := st.TableInsert(p, t.Name, ent); err != nil && !storecommon.IsConflict(err) {
-				return fmt.Errorf("insert entity: %w", err)
-			}
-		}
-	}
-	for _, q := range e.sp.Setup.Queues {
-		if err := st.CreateQueue(p, q.Name); err != nil {
-			return fmt.Errorf("create queue %s: %w", q.Name, err)
-		}
-		for i := 0; i < q.Preload; i++ {
-			body := payload.Synthetic(uint64(e.seed)^uint64(i)*0x9E3779B97F4A7C15, int64(q.MessageKB)*storecommon.KB)
-			if err := st.QueuePut(p, q.Name, body); err != nil {
-				return fmt.Errorf("preload message: %w", err)
-			}
+// preload is setup's process: it makes setup's requests one at a time.
+// The first persistent error stops it; an entity that already exists is
+// not an error, so a spec can be re-run against a long-lived store.
+type preload struct {
+	st   Store
+	what []string // what each request is, for its error
+	ops  []cloud.Op
+	sent int
+	err  error
+}
+
+func (pl *preload) add(what string, op cloud.Op) {
+	pl.what, pl.ops = append(pl.what, what), append(pl.ops, op)
+}
+
+func (pl *preload) Resume(p Proc) {
+	if i := pl.sent - 1; i >= 0 {
+		if err := pl.ops[i].Err; err != nil && !(pl.ops[i].Kind == cloud.OpInsertEntity && storecommon.IsConflict(err)) {
+			pl.err = fmt.Errorf("%s: %w", pl.what[i], err)
+			return
 		}
 	}
-	for _, ct := range e.sp.Setup.Containers {
-		if err := st.CreateContainer(p, ct.Name); err != nil {
-			return fmt.Errorf("create container %s: %w", ct.Name, err)
-		}
-		for i := 0; i < ct.Blobs; i++ {
-			data := payload.Synthetic(uint64(e.seed)^uint64(i)*0x9E3779B97F4A7C15, int64(ct.BlobKB)*storecommon.KB)
-			if err := st.BlobPut(p, ct.Name, workload.Key(i), data); err != nil {
-				return fmt.Errorf("preload blob: %w", err)
-			}
-		}
+	if pl.sent < len(pl.ops) {
+		pl.sent++
+		pl.st.Start(p, &pl.ops[pl.sent-1], pl)
 	}
-	return nil
 }
 
 // phaseSalt derives a deterministic per-phase RNG stream.
@@ -685,34 +692,24 @@ func (e *engine) runPhase(idx int, phase Phase) *phaseStats {
 	}
 
 	var workers []tally
-	switch ph.Arrival.Kind {
-	case "closed":
+	if ph.Arrival.Kind == "closed" {
 		workers = make([]tally, len(states))
-		for k := range states {
-			st := states[k]
+		for k, st := range states {
 			workers[k] = newTally(ph)
-			rng := sim.NewRand(e.phaseSalt(idx) ^ (int64(k+1) << 20))
-			ch := newChooser(ph.Keys, sim.NewRand(e.phaseSalt(idx)^(int64(k+1)<<21)), start)
-			evs := e.evictionsFor(k, start, end)
-			e.spawnClosedWorker(fmt.Sprintf("%s-c%d", ph.Name, k), 0, ps, &workers[k], end, evs,
-				func(Proc) (*clientState, *sim.Rand, *chooser, error) { return st, rng, ch, nil })
+			w := &worker{ps: ps, t: &workers[k], name: fmt.Sprintf("%s-c%d", ph.Name, k), end: end,
+				evs:  e.evictionsFor(k, start, end),
+				rng:  sim.NewRand(e.phaseSalt(idx) ^ (int64(k+1) << 20)),
+				ch:   newChooser(ph.Keys, sim.NewRand(e.phaseSalt(idx)^(int64(k+1)<<21)), start),
+				call: call{e: e, st: st, ph: ph}}
+			e.rt.Go(w.name, w)
 		}
-	case "poisson":
-		e.dispatchOpen(idx, ps, states, end, func(p Proc, rng *sim.Rand) time.Duration {
-			lam := ph.Arrival.Rate
-			if d := ph.Arrival.Diurnal; d != nil {
-				t := (p.Now() - start).Seconds()
-				lam *= 1 + d.Amplitude*math.Sin(2*math.Pi*t/d.Period.Seconds())
-			}
-			if lam < 1e-9 {
-				// Rate bottomed out (amplitude 1 trough): idle briefly and
-				// re-evaluate the sinusoid.
-				return 50 * time.Millisecond
-			}
-			return time.Duration(rng.ExpFloat64() / lam * float64(time.Second))
-		})
-	case "burst":
-		e.dispatchBurst(idx, ps, states, end)
+	} else {
+		opSalt, keySalt := int64(0x0D15), int64(0x0D16)
+		if ph.Arrival.Kind == "burst" {
+			opSalt, keySalt = 0x0D17, 0x0D18
+		}
+		e.rt.Go(ph.Name+"-dispatch", &dispatcher{e: e, ps: ps, states: states, end: end,
+			rng: sim.NewRand(e.phaseSalt(idx) ^ opSalt), ch: newChooser(ph.Keys, sim.NewRand(e.phaseSalt(idx)^keySalt), start)})
 	}
 	e.rt.Wait()
 	for k := range workers {
@@ -755,122 +752,155 @@ func (e *engine) evictionsFor(k int, start, end time.Duration) []eviction {
 	return evs
 }
 
-// spawnClosedWorker runs one generation of a closed-loop client. boot
-// produces the worker's state inside the new process: generation 0 hands
-// over the pre-built state, restored generations sleep out the
-// reprovisioning delay and then deserialize the evicted predecessor's
-// blob. On eviction the worker serializes its cursor (insert sequence,
-// queue claims, both PRNG positions) through the snapshot codec, spawns
-// the successor generation, and dies; the successor continues on a NEW
-// client — fresh NIC, fresh host — like a spot instance reprovisioned
-// elsewhere. Undeleted claims ride along, so visibility timeouts keep
-// running across the eviction and stale deletes surface as misses.
-func (e *engine) spawnClosedWorker(name string, gen int, ps *phaseStats, t *tally,
-	end time.Duration, evs []eviction,
-	boot func(Proc) (*clientState, *sim.Rand, *chooser, error)) {
-	ph := &ps.phase
-	proc := name
-	if gen > 0 {
-		proc = fmt.Sprintf("%s-gen%d", name, gen)
+// worker is one generation of a closed-loop client. Each turn draws an op
+// and a key, makes the call, records the outcome in the worker's tally and
+// thinks, until the phase ends. On eviction the worker serializes its
+// cursor (insert sequence, queue claims, both PRNG positions) through the
+// snapshot codec, starts the successor generation, and ends; the successor
+// sleeps out the reprovisioning delay, then continues from the blob on a
+// NEW client — fresh NIC, fresh host — like a spot instance reprovisioned
+// elsewhere, in the same tally. Undeleted claims ride along, so visibility
+// timeouts keep running across the eviction and stale deletes surface as
+// misses.
+type worker struct {
+	ps   *phaseStats
+	t    *tally
+	name string // the client's; a successor's process is <name>-gen<gen>
+	gen  int
+	end  time.Duration
+	evs  []eviction
+	rng  *sim.Rand
+	ch   *chooser
+	blob []byte        // a successor's predecessor, until it has booted
+	boot time.Duration // a successor's reprovisioning delay, until slept
+	kind int           // the turn's op, an index into the phase's op mix
+	busy bool          // the turn's call is in flight
+	call
+}
+
+func (w *worker) Resume(p Proc) {
+	ps := w.ps
+	if w.busy { // the turn's call is over
+		w.busy = false
+		if w.err != nil {
+			ps.failed(w.err)
+		} else {
+			w.t.record(w.kind, w.miss, ps.start, w.began, p.Now())
+		}
+		if think := ps.phase.Arrival.Think; think > 0 {
+			p.After(think, w)
+			return
+		}
 	}
-	e.rt.Go(proc, func(p Proc) {
-		st, rng, ch, err := boot(p)
+	if w.blob != nil {
+		if d := w.boot; d > 0 {
+			w.boot = 0
+			p.After(d, w)
+			return
+		}
+		proc := fmt.Sprintf("%s-gen%d", w.name, w.gen)
+		st, rng, ch, err := unmarshalWorker(w.blob, w.e.dial(proc), ps.phase.Keys, ps.start)
 		if err != nil {
 			panic(fmt.Sprintf("scenario: %s: %v", proc, err))
 		}
-		call := e.newCall(st, ph)
-		for p.Now() < end {
-			if len(evs) > 0 && p.Now() >= evs[0].at {
-				ev := evs[0]
-				rest := append([]eviction(nil), evs[1:]...)
-				blob := marshalWorker(st, rng, ch)
-				ps.mu.Lock()
-				ps.preempted++
-				ps.mu.Unlock()
-				// The successor runs after this worker is gone, so it
-				// carries on in the same tally.
-				e.spawnClosedWorker(name, gen+1, ps, t, end, rest,
-					func(q Proc) (*clientState, *sim.Rand, *chooser, error) {
-						if ev.restore > 0 {
-							q.Sleep(ev.restore)
-						}
-						return unmarshalWorker(blob, e.dial(fmt.Sprintf("%s-gen%d", name, gen+1)), ph.Keys, ps.start)
-					})
-				return
-			}
-			ps.closedOp(p, call, t, rng, ch)
-			if ph.Arrival.Think > 0 {
-				p.Sleep(ph.Arrival.Think)
-			}
-		}
-	})
-}
-
-// closedOp is one turn of a closed-loop worker: draw an op and a key, make
-// the call, record the outcome in the worker's tally.
-func (ps *phaseStats) closedOp(p Proc, call *opCall, t *tally, rng *sim.Rand, ch *chooser) {
-	kind, ki := ps.choose(rng, ch, p.Now())
-	began := p.Now()
-	if miss, err := call.perform(p, ps.ops[kind].code, ki); err != nil {
-		ps.failed(err)
-	} else {
-		t.record(kind, miss, ps.start, began, p.Now())
+		w.blob, w.st, w.rng, w.ch = nil, st, rng, ch
 	}
+	if p.Now() >= w.end {
+		return
+	}
+	if len(w.evs) > 0 && p.Now() >= w.evs[0].at {
+		next := &worker{ps: ps, t: w.t, name: w.name, gen: w.gen + 1, end: w.end, evs: w.evs[1:],
+			blob: marshalWorker(w.st, w.rng, w.ch), boot: w.evs[0].restore, call: call{e: w.e, ph: w.ph}}
+		ps.mu.Lock()
+		ps.preempted++
+		ps.mu.Unlock()
+		w.e.rt.Go(fmt.Sprintf("%s-gen%d", next.name, next.gen), next)
+		return
+	}
+	var key int
+	w.kind, key = ps.choose(w.rng, w.ch, p.Now())
+	w.busy = true
+	w.start(p, ps.ops[w.kind].code, key, w)
 }
 
-// dispatchOpen runs an open arrival process: a dispatcher draws
-// inter-arrival gaps and spawns one process per op, round-robining ops
-// over the client pool.
-func (e *engine) dispatchOpen(idx int, ps *phaseStats, states []*clientState,
-	end time.Duration, gap func(Proc, *sim.Rand) time.Duration) {
-	rng := sim.NewRand(e.phaseSalt(idx) ^ 0x0D15)
-	ch := newChooser(ps.phase.Keys, sim.NewRand(e.phaseSalt(idx)^0x0D16), ps.start)
-	e.rt.Go(ps.phase.Name+"-dispatch", func(p Proc) {
-		for {
-			p.Sleep(gap(p, rng))
-			if p.Now() >= end {
-				return
-			}
-			e.spawnOp(p, ps, states, rng, ch)
-		}
-	})
+// dispatcher is an open arrival process: it draws inter-arrival gaps —
+// Poisson, or a burst train's period — and starts one op process per
+// arrival, round-robining ops over the client pool.
+type dispatcher struct {
+	e      *engine
+	ps     *phaseStats
+	states []*clientState
+	end    time.Duration
+	rng    *sim.Rand
+	ch     *chooser
+	slept  bool // a Poisson gap is behind it
 }
 
-// dispatchBurst fires Size simultaneous ops at phase start and then every
-// Every until the phase ends.
-func (e *engine) dispatchBurst(idx int, ps *phaseStats, states []*clientState, end time.Duration) {
-	b := ps.phase.Arrival.Burst
-	rng := sim.NewRand(e.phaseSalt(idx) ^ 0x0D17)
-	ch := newChooser(ps.phase.Keys, sim.NewRand(e.phaseSalt(idx)^0x0D18), ps.start)
-	e.rt.Go(ps.phase.Name+"-dispatch", func(p Proc) {
-		for p.Now() < end {
-			for j := 0; j < b.Size; j++ {
-				e.spawnOp(p, ps, states, rng, ch)
-			}
-			p.Sleep(b.Every)
-		}
-	})
-}
-
-// spawnOp is one open arrival: the dispatcher p draws the op and starts a
-// process that makes it and records the outcome in the phase's tally.
-func (e *engine) spawnOp(p Proc, ps *phaseStats, states []*clientState, rng *sim.Rand, ch *chooser) {
-	kind, ki := ps.choose(rng, ch, p.Now())
-	st := states[ps.dispatched%len(states)]
-	name := fmt.Sprintf("%s-op%d", ps.phase.Name, ps.dispatched)
-	ps.dispatched++
-	e.rt.Go(name, func(q Proc) {
-		began := q.Now()
-		miss, err := e.newCall(st, &ps.phase).perform(q, ps.ops[kind].code, ki)
-		if err != nil {
-			ps.failed(err)
+func (d *dispatcher) Resume(p Proc) {
+	arr := &d.ps.phase.Arrival
+	if b := arr.Burst; b != nil { // Size simultaneous ops at phase start, then every Every until the phase ends
+		if p.Now() >= d.end {
 			return
 		}
-		done := q.Now()
-		ps.mu.Lock()
-		ps.record(kind, miss, ps.start, began, done)
-		ps.mu.Unlock()
-	})
+		for j := 0; j < b.Size; j++ {
+			d.spawnOp(p)
+		}
+		p.After(b.Every, d)
+		return
+	}
+	if d.slept {
+		if p.Now() >= d.end {
+			return
+		}
+		d.spawnOp(p)
+	}
+	d.slept = true
+	lam := arr.Rate
+	if di := arr.Diurnal; di != nil {
+		t := (p.Now() - d.ps.start).Seconds()
+		lam *= 1 + di.Amplitude*math.Sin(2*math.Pi*t/di.Period.Seconds())
+	}
+	if lam < 1e-9 {
+		// Rate bottomed out (amplitude 1 trough): idle briefly and
+		// re-evaluate the sinusoid.
+		p.After(50*time.Millisecond, d)
+		return
+	}
+	p.After(time.Duration(d.rng.ExpFloat64()/lam*float64(time.Second)), d)
+}
+
+// spawnOp is one open arrival: the dispatcher draws the op and starts a
+// process that makes it.
+func (d *dispatcher) spawnOp(p Proc) {
+	ps := d.ps
+	kind, key := ps.choose(d.rng, d.ch, p.Now())
+	st := d.states[ps.dispatched%len(d.states)]
+	name := fmt.Sprintf("%s-op%d", ps.phase.Name, ps.dispatched)
+	ps.dispatched++
+	d.e.rt.Go(name, &arrival{kind: kind, key: key, call: call{e: d.e, st: st, ph: &ps.phase}, ps: ps})
+}
+
+// arrival is an open arrival's op process: it makes the call and records
+// the outcome in the phase's tally.
+type arrival struct {
+	ps        *phaseStats
+	kind, key int
+	call
+}
+
+func (a *arrival) Resume(p Proc) {
+	ps := a.ps
+	if a.then == nil { // the process starts
+		a.start(p, ps.ops[a.kind].code, a.key, a)
+		return
+	}
+	if a.err != nil {
+		ps.failed(a.err)
+		return
+	}
+	ps.mu.Lock()
+	ps.record(a.kind, a.miss, ps.start, a.began, p.Now())
+	ps.mu.Unlock()
 }
 
 // choose draws the next (index into the op mix, key index) pair.
@@ -971,19 +1001,6 @@ const (
 	opTableScan
 )
 
-// opCall is a worker's call record: the client and phase its operations
-// go to. A closed-loop worker has one for its lifetime, an open arrival's
-// op process one for its op.
-type opCall struct {
-	e  *engine
-	st *clientState
-	ph *Phase
-}
-
-func (e *engine) newCall(st *clientState, ph *Phase) *opCall {
-	return &opCall{e: e, st: st, ph: ph}
-}
-
 // key is workload.Key(i).
 func (e *engine) key(i int) string {
 	if i < len(e.keyNames) {
@@ -992,101 +1009,136 @@ func (e *engine) key(i int) string {
 	return workload.Key(i)
 }
 
-// perform executes one op against the phase's targets; each of its
-// storage requests retries itself. Expected data-dependent conditions
-// (NotFound, empty queue, stale claims, conflicting inserts) count as
-// misses, not errors.
-func (c *opCall) perform(p Proc, code opCode, keyIdx int) (miss bool, err error) {
-	s, st, target := c.st.store, c.st, &c.ph.Target
-	data := payload.Synthetic(uint64(c.e.seed)^uint64(keyIdx)*0x9E3779B97F4A7C15, int64(c.ph.PayloadKB)*storecommon.KB)
+// call is an op of the vocabulary in flight on a client of a phase: the one
+// or two storage requests it makes against the phase's targets, each of
+// which retries itself, and then its outcome. Expected data-dependent
+// conditions (NotFound, empty queue, stale claims, conflicting inserts)
+// count as misses, not errors. A closed-loop worker has one for its
+// lifetime, an open arrival's op process one for its op.
+type call struct {
+	e      *engine
+	st     *clientState
+	ph     *Phase
+	code   opCode
+	keyIdx int
+	began  time.Duration
+	data   payload.Payload
+	op     cloud.Op // the request in flight, then its answer
+	second bool     // the op's second request is in flight
+	miss   bool
+	err    error
+	then   Cont // goes on once the op is over
+}
+
+// start makes op code on key keyIdx, as the last act of p's Cont; then
+// goes on once the op is over, with its outcome in miss and err.
+func (c *call) start(p Proc, code opCode, keyIdx int, then Cont) {
+	c.code, c.keyIdx, c.began, c.then, c.second, c.miss, c.err = code, keyIdx, p.Now(), then, false, false, nil
+	c.data = payload.Synthetic(uint64(c.e.seed)^uint64(keyIdx)*0x9E3779B97F4A7C15, int64(c.ph.PayloadKB)*storecommon.KB)
+	target, key := &c.ph.Target, c.e.key(keyIdx)
 	switch code {
 	case opBlobPut:
-		return false, s.BlobPut(p, target.Container, c.e.key(keyIdx), data)
+		c.issue(p, cloud.Op{Kind: cloud.OpUploadBlockBlob, Name: target.Container, Key: key, Data: c.data})
 	case opBlobGet:
-		gerr := s.BlobGet(p, target.Container, c.e.key(keyIdx))
-		if storecommon.IsNotFound(gerr) {
-			return true, nil
-		}
-		return false, gerr
+		c.issue(p, cloud.Op{Kind: cloud.OpDownload, Name: target.Container, Key: key})
 	case opQueuePut:
-		return false, s.QueuePut(p, target.Queue, data)
+		c.issue(p, cloud.Op{Kind: cloud.OpPutMessage, Name: target.Queue, Data: c.data})
 	case opQueueGet:
-		id, receipt, ok, gerr := s.QueueGet(p, target.Queue, claimVisibility)
-		if gerr != nil || !ok {
-			return gerr == nil, gerr
-		}
-		st.addClaim(claim{id: id, receipt: receipt})
-		return false, nil
+		c.issue(p, cloud.Op{Kind: cloud.OpGetMessage, Name: target.Queue, TTL: claimVisibility})
 	case opQueueDelete:
-		cm, ok := st.takeClaim()
-		if !ok {
-			// Nothing claimed yet: claim-and-delete in one op.
-			id, receipt, got, gerr := s.QueueGet(p, target.Queue, claimVisibility)
-			if gerr != nil || !got {
-				return gerr == nil, gerr
-			}
-			cm, _ = st.takeClaim(claim{id: id, receipt: receipt})
+		if cm, ok := c.st.takeClaim(); ok {
+			c.second = true
+			c.issue(p, cloud.Op{Kind: cloud.OpDeleteMessage, Name: target.Queue, ID: cm.id, PopReceipt: cm.receipt})
+		} else { // nothing claimed yet: claim-and-delete in one op
+			c.issue(p, cloud.Op{Kind: cloud.OpGetMessage, Name: target.Queue, TTL: claimVisibility})
 		}
-		derr := s.QueueDelete(p, target.Queue, cm.id, cm.receipt)
-		if storecommon.IsNotFound(derr) || storecommon.IsPreconditionFailed(derr) {
-			// The claim expired and the message was redelivered —
-			// at-least-once in action.
-			return true, nil
-		}
-		return false, derr
-	case opTableGet:
-		gerr := s.TableGet(p, target.Table, c.e.key(keyIdx), "row")
-		if storecommon.IsNotFound(gerr) {
-			return true, nil
-		}
-		return false, gerr
+	case opTableGet, opTableRMW:
+		c.issue(p, cloud.Op{Kind: cloud.OpGetEntity, Name: target.Table, Key: key, ID: "row"})
 	case opTableInsert:
-		ent := entity(c.e.key(keyIdx), fmt.Sprintf("r%d", st.nextInsert()), data)
-		ierr := s.TableInsert(p, target.Table, ent)
-		if storecommon.IsConflict(ierr) {
-			return true, nil
-		}
-		if ierr == nil {
-			st.inserted()
-		}
-		return false, ierr
+		c.issue(p, cloud.Op{Kind: cloud.OpInsertEntity, Name: target.Table, Key: key,
+			Ent: entity(key, fmt.Sprintf("r%d", c.st.nextInsert()), c.data)})
 	case opTableUpdate:
-		uerr := s.TableUpdate(p, target.Table, entity(c.e.key(keyIdx), "row", data))
-		if storecommon.IsNotFound(uerr) {
-			return true, nil
-		}
-		return false, uerr
+		c.issue(p, cloud.Op{Kind: cloud.OpUpdateEntity, Name: target.Table, Key: key, Ent: entity(key, "row", c.data), IfMatch: storecommon.ETagAny})
 	case opTableDelete:
-		derr := s.TableDelete(p, target.Table, c.e.key(keyIdx), "row")
-		// A missing row is a miss, recreated regardless: keep the
-		// population stable.
-		miss = storecommon.IsNotFound(derr)
-		if derr != nil && !miss {
-			return false, derr
-		}
-		ierr := s.TableInsert(p, target.Table, entity(c.e.key(keyIdx), "row", data))
-		if storecommon.IsConflict(ierr) {
-			return miss, nil // someone else recreated it first
-		}
-		return miss, ierr
-	case opTableRMW:
-		gerr := s.TableGet(p, target.Table, c.e.key(keyIdx), "row")
-		if storecommon.IsNotFound(gerr) {
-			return true, nil
-		}
-		if gerr != nil {
-			return false, gerr
-		}
-		uerr := s.TableUpdate(p, target.Table, entity(c.e.key(keyIdx), "row", data))
-		if storecommon.IsNotFound(uerr) || storecommon.IsPreconditionFailed(uerr) {
-			return true, nil
-		}
-		return false, uerr
+		c.issue(p, cloud.Op{Kind: cloud.OpDeleteEntity, Name: target.Table, Key: key, ID: "row", IfMatch: storecommon.ETagAny})
 	case opTableScan:
-		rows, serr := s.TableScan(p, target.Table, c.e.key(keyIdx), scanTop)
-		return serr == nil && rows == 0, serr
+		c.issue(p, cloud.Op{Kind: cloud.OpQueryEntities, Name: target.Table, Key: key, Filter: "PartitionKey ge '" + key + "'", Top: scanTop})
+	default:
+		panic(fmt.Sprintf("scenario: unknown op code %d", code))
 	}
-	return false, fmt.Errorf("scenario: unknown op code %d", code)
+}
+
+func (c *call) issue(p Proc, op cloud.Op) {
+	c.op = op
+	c.st.store.Start(p, &c.op, c)
+}
+
+// Resume classifies the answer to the request just made, and makes the
+// op's second request or goes on with then.
+func (c *call) Resume(p Proc) {
+	err, key := c.op.Err, c.e.key(c.keyIdx)
+	notFound := storecommon.IsNotFound(err)
+	switch c.code {
+	case opBlobGet, opTableGet, opTableUpdate:
+		c.miss = notFound
+	case opQueueGet:
+		if err == nil && c.op.OK {
+			c.st.addClaim(claim{id: c.op.Msg.ID, receipt: c.op.Msg.PopReceipt})
+		}
+		c.miss = err == nil && !c.op.OK
+	case opQueueDelete:
+		if !c.second { // the claim of a claim-and-delete
+			if err != nil || !c.op.OK {
+				c.miss = err == nil
+				break
+			}
+			cm, _ := c.st.takeClaim(claim{id: c.op.Msg.ID, receipt: c.op.Msg.PopReceipt})
+			c.second = true
+			c.issue(p, cloud.Op{Kind: cloud.OpDeleteMessage, Name: c.ph.Target.Queue, ID: cm.id, PopReceipt: cm.receipt})
+			return
+		}
+		// A claim that expired has been redelivered — at-least-once in
+		// action.
+		c.miss = notFound || storecommon.IsPreconditionFailed(err)
+	case opTableInsert:
+		c.miss = storecommon.IsConflict(err)
+		if err == nil {
+			c.st.inserted()
+		}
+	case opTableDelete:
+		if !c.second {
+			// A missing row is a miss, recreated regardless: keep the
+			// population stable.
+			c.miss = notFound
+			if err != nil && !notFound {
+				break
+			}
+			c.second = true
+			c.issue(p, cloud.Op{Kind: cloud.OpInsertEntity, Name: c.ph.Target.Table, Key: key, Ent: entity(key, "row", c.data)})
+			return
+		}
+		if storecommon.IsConflict(err) {
+			err = nil // someone else recreated it first
+		}
+		c.err = err // whether or not the delete missed
+	case opTableRMW:
+		if !c.second {
+			c.miss = notFound
+			if err != nil {
+				break
+			}
+			c.second = true
+			c.issue(p, cloud.Op{Kind: cloud.OpUpdateEntity, Name: c.ph.Target.Table, Key: key, Ent: entity(key, "row", c.data), IfMatch: storecommon.ETagAny})
+			return
+		}
+		c.miss = notFound || storecommon.IsPreconditionFailed(err)
+	case opTableScan:
+		c.miss = err == nil && len(c.op.Res.Entities) == 0
+	}
+	if !c.miss {
+		c.err = err
+	}
+	c.then.Resume(p)
 }
 
 func entity(pk, rk string, data payload.Payload) *tablestore.Entity {

@@ -274,10 +274,10 @@ func TestPercentileNearestRank(t *testing.T) {
 }
 
 // TestClosedLoopReadAllocatesOnlyInTheEngine: one turn of a closed-loop
-// worker on a read-only phase, end to end — the draw of op and key, the call
-// record, Retry, cloud.Client's request, the miss classification, the
-// tally — allocates nothing, and tablestore.Get hands out the stored row
-// without a copy.
+// worker on a read-only phase, end to end — the draw of op and key, the
+// call, cloud.Client's request and its retries, the miss classification,
+// the tally, the think time — allocates nothing, and tablestore.Get hands
+// out the stored row without a copy.
 func TestClosedLoopReadAllocatesOnlyInTheEngine(t *testing.T) {
 	sp, err := Parse([]byte(strings.Replace(tinySpec,
 		"table_get: 70\n      table_update: 20\n      table_rmw: 10", "table_get: 1", 1)))
@@ -294,24 +294,36 @@ func TestClosedLoopReadAllocatesOnlyInTheEngine(t *testing.T) {
 		t.Fatalf("phase resolved to %+v with %d key names", ps.ops, len(e.keyNames))
 	}
 	tl := newTally(&ps.phase)
-	var got float64
-	rt.Go("worker", func(p Proc) {
-		call := e.newCall(&clientState{store: dial("worker")}, &ps.phase)
-		rng, ch := sim.NewRand(1), newChooser(ps.phase.Keys, sim.NewRand(2), ps.start)
-		turn := func() {
-			ps.closedOp(p, call, &tl, rng, ch)
-			p.Sleep(ps.phase.Arrival.Think)
+	rt.Go("worker", &worker{ps: ps, t: &tl, name: "worker", end: time.Hour,
+		rng: sim.NewRand(1), ch: newChooser(ps.phase.Keys, sim.NewRand(2), ps.start),
+		call: call{e: e, st: &clientState{store: dial("worker")}, ph: &ps.phase}})
+	env := rt.(simRuntime).env
+	turn := func() { // runs the kernel until one more turn is recorded
+		for n := tl.completed; tl.completed == n; {
+			env.RunUntil(env.Now() + 100*time.Microsecond)
 		}
-		for i := 0; i < 1100; i++ { // until the tally's sample slice has a capacity that lasts
-			turn()
-		}
-		got = testing.AllocsPerRun(200, turn)
-	})
-	rt.Wait()
+	}
+	for i := 0; i < 1100; i++ { // until the tally's sample slice has a capacity that lasts
+		turn()
+	}
+	got := testing.AllocsPerRun(200, turn)
 	if tl.completed != 1100+201 || tl.misses != 0 || ps.errors != 0 {
 		t.Errorf("tally %+v", tl)
 	}
 	if got > 0 {
 		t.Errorf("%.0f allocations per closed-loop table_get, ceiling 0", got)
+	}
+}
+
+// TestPhasesSwitchPerProcessNotPerOp: a closed-loop phase and two open
+// arrival phases run hundreds of ops, their requests' retries included,
+// and the kernel switches to a process no more often than there are
+// long-lived processes (setup, the closed-loop clients, the dispatchers):
+// every driver process is one with no coroutine.
+func TestPhasesSwitchPerProcessNotPerOp(t *testing.T) {
+	res := runTiny(t, 1)
+	k, ops := res.Report.Kernel, res.Metrics["total.ops"]
+	if processes := uint64(1 + 4 + 2); k.Switches > processes || ops < 300 {
+		t.Errorf("%d switches for %.0f ops over %d events; want at most %d", k.Switches, ops, k.Events, processes)
 	}
 }

@@ -35,16 +35,38 @@ func (d *Door) Perform(client int, ph Phase, op string, key int) (miss bool, err
 	if code < 0 {
 		return false, fmt.Errorf("scenario: unknown op %q", op)
 	}
-	call := d.e.newCall(d.clients[client], &ph)
-	d.e.rt.Go("step", func(p Proc) { miss, err = call.perform(p, opCode(code), key) })
+	s := &doorStep{call: call{e: d.e, st: d.clients[client], ph: &ph}, code: opCode(code), key: key}
+	d.e.rt.Go("step", s)
 	d.e.rt.Wait()
-	return miss, err
+	return s.miss, s.err
+}
+
+// doorStep is a process that makes one call and ends.
+type doorStep struct {
+	call
+	code opCode
+	key  int
+}
+
+func (s *doorStep) Resume(p Proc) {
+	if s.then == nil {
+		s.start(p, s.code, s.key, s)
+	}
 }
 
 // Sleep lets d pass on the door's runtime clock.
 func (d *Door) Sleep(dur time.Duration) {
-	d.e.rt.Go("sleep", func(p Proc) { p.Sleep(dur) })
+	d.e.rt.Go("sleep", sleeper(dur))
 	d.e.rt.Wait()
+}
+
+// sleeper is a process that waits and ends.
+type sleeper time.Duration
+
+func (s sleeper) Resume(p Proc) {
+	if s > 0 {
+		p.After(time.Duration(s), sleeper(0))
+	}
 }
 
 // SimSubstrate returns a fresh simulated substrate and the cloud behind it.

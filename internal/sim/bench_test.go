@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -93,28 +94,71 @@ func BenchmarkEventQueue(b *testing.B) {
 // each of procs processes loops a five-step program on a 64-unit station
 // (way in, queue, service, release, way back) and a 20–60ms think time,
 // for one virtual second: about 97 events per process, so the
-// 100 000-process case is a single run of ≈ 10 M events.
+// 100 000-process case is a single run of ≈ 10 M events. The loop runs on
+// a coroutine per process (coro) or as the program of a process with no
+// coroutine (cont), the same events in the same order either way. B/proc
+// is the heap and stack the run holds halfway through, per process.
 func BenchmarkKernelScale(b *testing.B) {
-	for _, procs := range []int{1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				e := NewEnv(1)
-				srv := NewResource(e, "srv", 64)
-				for k := 0; k < procs; k++ {
-					e.Go("client", func(p *Proc) {
-						for p.Now() < time.Second {
-							p.Exec(Sleep(500*time.Microsecond), Acquire(srv), Sleep(time.Microsecond), Release(srv), Sleep(500*time.Microsecond))
-							p.Sleep(time.Duration(20+p.Rand().Intn(40)) * time.Millisecond)
+	for _, leg := range []string{"coro", "cont"} {
+		for _, procs := range []int{1000, 10000, 100000} {
+			b.Run(fmt.Sprintf("%s/procs=%d", leg, procs), func(b *testing.B) {
+				var events uint64
+				var perProc float64
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					before := heldBytes()
+					b.StartTimer()
+					e := NewEnv(1)
+					srv := NewResource(e, "srv", 64)
+					for k := 0; k < procs; k++ {
+						if leg == "cont" {
+							e.GoCont("client", &scaleClient{srv: srv})
+							continue
 						}
-					})
+						e.Go("client", func(p *Proc) {
+							for p.Now() < time.Second {
+								p.Exec(Sleep(500*time.Microsecond), Acquire(srv), Sleep(time.Microsecond), Release(srv), Sleep(500*time.Microsecond))
+								p.Sleep(time.Duration(20+p.Rand().Intn(40)) * time.Millisecond)
+							}
+						})
+					}
+					e.RunUntil(500 * time.Millisecond)
+					b.StopTimer()
+					perProc = float64(heldBytes()-before) / float64(procs)
+					b.StartTimer()
+					e.Run()
+					events += e.Events()
 				}
-				e.Run()
-				events += e.Events()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+				b.ReportMetric(perProc, "B/proc")
+			})
+		}
 	}
+}
+
+// scaleClient is BenchmarkKernelScale's loop as a continuation: a turn's
+// program, then, where it ends, the think time drawn and slept.
+type scaleClient struct {
+	srv   *Resource
+	think bool
+}
+
+func (c *scaleClient) Resume(p *Proc) {
+	if c.think = !c.think; c.think {
+		if p.Now() < time.Second {
+			p.Then(Sleep(500*time.Microsecond), Acquire(c.srv), Sleep(time.Microsecond), Release(c.srv), Sleep(500*time.Microsecond), Call(c))
+		}
+		return
+	}
+	p.Then(Sleep(time.Duration(20+p.Rand().Intn(40))*time.Millisecond), Call(c))
+}
+
+// heldBytes is the heap in use after a collection, plus goroutine stacks.
+func heldBytes() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc + m.StackInuse)
 }
 
 func BenchmarkRandUint64(b *testing.B) {

@@ -13,12 +13,12 @@
 //
 //   - Env owns the virtual clock and the queue of pending events.
 //   - Proc is a cooperative process; it may only call blocking primitives
-//     from its own coroutine while it is the running process.
-//     Proc.Exec hands the kernel a short program of sleeps, acquires,
-//     releases and calls of Go code that never blocks (which may swap in
-//     the rest of the program with Proc.Then) to run on the process's
-//     behalf, so that it is resumed once, when the program is over, not
-//     once per step.
+//     from its own coroutine while it is the running process. Proc.Exec
+//     hands the kernel a program of sleeps, acquires, releases and calls of
+//     Go code that never blocks (which may swap in the rest with Proc.Then)
+//     to run on its behalf, so it is resumed once, when the program is over.
+//     Env.GoCont starts a process with no coroutine, whose calls keep
+//     swapping in its program until it runs dry; it is never switched to.
 //   - Resource is a FIFO server with fixed capacity (a queueing station).
 //   - Store is a FIFO buffer of items with blocking Get.
 //   - Signal is a one-shot broadcast event; WaitGroup is a counting barrier.

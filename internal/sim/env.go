@@ -97,14 +97,31 @@ func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 // GoAt starts a new process running fn at virtual time at (which must not
 // be in the past).
 func (e *Env) GoAt(at time.Duration, name string, fn func(*Proc)) *Proc {
+	p := e.newProc(name)
+	e.schedule(at, func() { e.startProc(p, fn) })
+	return p
+}
+
+// GoCont starts a process with no coroutine at the current virtual time.
+// Its program is Call(k), which the kernel runs as it runs the rest of an
+// Exec'd program, and it ends when its program runs dry: a loop re-arms
+// itself from its Call with Then(Sleep(think), Call(k)). Every blocking
+// primitive panics on it, as inside any Call step. Its start takes one
+// event, as Go's does, and it is never switched to.
+func (e *Env) GoCont(name string, k Cont) *Proc {
+	p := e.newProc(name)
+	p.prog[0], p.plen = Call(k), 1
+	e.wake(e.now, p)
+	return p
+}
+
+func (e *Env) newProc(name string) *Proc {
 	e.nSpawn++
 	if name == "" {
 		name = fmt.Sprintf("proc-%d", e.nSpawn)
 	}
-	p := &Proc{env: e, name: name}
 	e.nLive++
-	e.schedule(at, func() { e.startProc(p, fn) })
-	return p
+	return &Proc{env: e, name: name}
 }
 
 // Run executes events until none is pending, then returns the final
@@ -138,7 +155,9 @@ func (e *Env) step() {
 	case p == nil:
 		ev.fire()
 	case p.pc < p.plen && e.advance(p):
-		// p is inside Exec and its program blocked again: it stays parked.
+		// p's program blocked again: it stays parked.
+	case p.next == nil:
+		e.stop(p)
 	default:
 		e.activate(p)
 	}

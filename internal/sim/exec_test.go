@@ -152,9 +152,20 @@ type execOutcome struct {
 
 var execStops = []time.Duration{0, time.Millisecond, 2500 * time.Microsecond, 6 * time.Millisecond}
 
-// runExecScript runs sc with every program handed to Exec (useExec) or
-// made as the plain calls its steps stand for.
-func runExecScript(sc execScript, useExec bool) (out execOutcome) {
+// How runExecScript runs a script's programs: as the plain calls their
+// steps stand for, handed to Exec, or as the program of a process with no
+// coroutine (GoCont), whose next program a Call step at the end of the last
+// one swaps in.
+type execLeg int
+
+const (
+	legCalls execLeg = iota
+	legExec
+	legCont
+)
+
+// runExecScript runs sc on the given leg.
+func runExecScript(sc execScript, leg execLeg) (out execOutcome) {
 	e := NewEnv(3)
 	res := make([]*Resource, len(sc.caps))
 	for i, c := range sc.caps {
@@ -176,8 +187,9 @@ func runExecScript(sc execScript, useExec bool) (out execOutcome) {
 			tail()
 		}
 	}
-	var program func(steps []scriptStep) []Step
-	program = func(steps []scriptStep) []Step {
+	// program is steps as a program; a non-nil then is called where it ends.
+	var program func(steps []scriptStep, then Cont) []Step
+	program = func(steps []scriptStep, then Cont) []Step {
 		prog := make([]Step, len(steps))
 		for i, st := range steps {
 			switch st.kind {
@@ -191,9 +203,12 @@ func runExecScript(sc execScript, useExec bool) (out execOutcome) {
 				prog[i] = Add(&out.Counters[st.ctr], int64(st.d))
 			case stepCall:
 				prog[i] = Call(contFunc(func(p *Proc) {
-					call(p, st, func() { p.Then(program(st.tail)...) })
+					call(p, st, func() { thenAll(p, program(st.tail, then)) })
 				}))
 			}
+		}
+		if then != nil && (len(steps) == 0 || steps[len(steps)-1].act&callThen == 0) {
+			prog = append(prog, Call(then))
 		}
 		return prog
 	}
@@ -214,26 +229,55 @@ func runExecScript(sc execScript, useExec bool) (out execOutcome) {
 			}
 		}
 	}
-	runProgram := func(p *Proc, steps []scriptStep) {
-		if useExec {
-			p.Exec(program(steps)...)
-		} else {
-			calls(p, steps)
-		}
+	ended := func(p *Proc, steps []scriptStep) {
 		out.Log = append(out.Log, fmt.Sprintf("%v %s", p.Now(), p.Name()))
 		if countSleeps(steps) >= 2 {
 			out.multi = true
 		}
 	}
+	runProgram := func(p *Proc, steps []scriptStep) {
+		if leg == legExec {
+			p.Exec(program(steps, nil)...)
+		} else {
+			calls(p, steps)
+		}
+		ended(p, steps)
+	}
+	// items runs a process with no coroutine from its k-th item on.
+	var items func(p *Proc, its []execItem, k int)
+	items = func(p *Proc, its []execItem, k int) {
+		for ; k < len(its) && its[k].steps == nil; k++ {
+			child := its[k].child
+			e.GoCont(fmt.Sprintf("%s.%d", p.Name(), k), contFunc(func(q *Proc) {
+				thenAll(q, program(child, contFunc(func(q *Proc) { ended(q, child) })))
+			}))
+		}
+		if k < len(its) {
+			steps := its[k].steps
+			thenAll(p, program(steps, contFunc(func(p *Proc) {
+				ended(p, steps)
+				items(p, its, k+1)
+			})))
+		}
+	}
+	// Every leg starts a script process the same way: a hook at its start
+	// time spawns it.
 	for i, pr := range sc.procs {
-		e.GoAt(pr.start, fmt.Sprintf("p%d", i), func(p *Proc) {
-			for k, it := range pr.items {
-				if it.steps == nil {
-					e.Go(fmt.Sprintf("%s.%d", p.Name(), k), func(q *Proc) { runProgram(q, it.child) })
-					continue
-				}
-				runProgram(p, it.steps)
+		name := fmt.Sprintf("p%d", i)
+		e.OnTime(pr.start, func() {
+			if leg == legCont {
+				e.GoCont(name, contFunc(func(p *Proc) { items(p, pr.items, 0) }))
+				return
 			}
+			e.Go(name, func(p *Proc) {
+				for k, it := range pr.items {
+					if it.steps == nil {
+						e.Go(fmt.Sprintf("%s.%d", p.Name(), k), func(q *Proc) { runProgram(q, it.child) })
+						continue
+					}
+					runProgram(p, it.steps)
+				}
+			})
 		})
 	}
 	save := func() {
@@ -261,6 +305,17 @@ func runExecScript(sc execScript, useExec bool) (out execOutcome) {
 	return out
 }
 
+// thenAll is p.Then(steps...) for a program of any length: a Call step
+// swaps in what does not fit.
+func thenAll(p *Proc, steps []Step) {
+	if len(steps) <= MaxSteps {
+		p.Then(steps...)
+		return
+	}
+	rest := steps[MaxSteps-1:]
+	p.Then(append(steps[:MaxSteps-1:MaxSteps-1], Call(contFunc(func(p *Proc) { thenAll(p, rest) })))...)
+}
+
 // countSleeps counts the sleeps a script program makes, its tails' included.
 func countSleeps(steps []scriptStep) (n int) {
 	for _, st := range steps {
@@ -272,19 +327,26 @@ func countSleeps(steps []scriptStep) (n int) {
 	return n
 }
 
-// checkExecScript is the property: Exec and the calls it stands for cannot
-// be told apart by anything but the switch count.
+// checkExecScript is the property: Exec, a process with no coroutine and
+// the calls they stand for cannot be told apart by anything but the switch
+// count, which is none at all without a coroutine.
 func checkExecScript(t *testing.T, data []byte) {
 	t.Helper()
 	sc := parseExecScript(data)
-	calls, exec := runExecScript(sc, false), runExecScript(sc, true)
+	calls, exec, cont := runExecScript(sc, legCalls), runExecScript(sc, legExec), runExecScript(sc, legCont)
 	cs, es, multi := calls.switches, exec.switches, exec.multi
-	if calls.multi != exec.multi {
+	if calls.multi != exec.multi || calls.multi != cont.multi {
 		t.Fatalf("script %x: programs completed differ", data)
 	}
-	calls.switches, exec.switches, calls.multi, exec.multi = 0, 0, false, false
+	if cont.switches != 0 {
+		t.Fatalf("script %x: %d switches without a coroutine", data, cont.switches)
+	}
+	calls.switches, exec.switches, calls.multi, exec.multi, cont.multi = 0, 0, false, false, false
 	if !reflect.DeepEqual(calls, exec) {
 		t.Fatalf("script %x:\ncalls %+v\nexec  %+v", data, calls, exec)
+	}
+	if !reflect.DeepEqual(calls, cont) {
+		t.Fatalf("script %x:\ncalls %+v\ncont  %+v", data, calls, cont)
 	}
 	if es > cs || (multi && es >= cs) {
 		t.Fatalf("script %x: %d switches through Exec, %d through calls (multi-sleep program: %v)", data, es, cs, multi)
@@ -531,5 +593,129 @@ func TestThenOutsideItsCallPanics(t *testing.T) {
 		if want := `sim: process "p" panicked: ` + c.want; got != want {
 			t.Errorf("%s: panic %v, want %s", name, got, want)
 		}
+	}
+}
+
+// runCont runs k as the whole program of a process with no coroutine and
+// reports what came out of Run and what the kernel says of the process.
+func runCont(k Cont) (panicked any, ended bool, live int, switches uint64) {
+	e := NewEnv(1)
+	p := e.GoCont("c", k)
+	func() {
+		defer func() { panicked = recover() }()
+		e.Run()
+	}()
+	_, switches, _ = e.Telemetry()
+	return panicked, p.Ended(), e.Live(), switches
+}
+
+// A process with no coroutine has nothing to block: every blocking
+// primitive panics in it as inside any Call step, naming the process, and
+// the panic leaves Run as the process's own with the process ended.
+func TestContThatBlocksPanics(t *testing.T) {
+	for _, name := range []string{"Sleep", "Exec", "Resource.Acquire", "Store.Get", "Signal.Wait", "WaitGroup.Wait"} {
+		block := map[string]func(p *Proc){
+			"Sleep":            func(p *Proc) { p.Sleep(time.Millisecond) },
+			"Exec":             func(p *Proc) { p.Exec(Sleep(time.Millisecond)) },
+			"Resource.Acquire": func(p *Proc) { NewResource(p.env, "r", 1).Acquire(p) },
+			"Store.Get":        func(p *Proc) { NewStore[int](p.env, "s").Get(p) },
+			"Signal.Wait":      func(p *Proc) { NewSignal(p.env).Wait(p) },
+			"WaitGroup.Wait": func(p *Proc) {
+				wg := NewWaitGroup(p.env)
+				wg.Add(1)
+				wg.Wait(p)
+			},
+		}[name]
+		// Once in its first Call, once in a Call a program swapped in.
+		for _, later := range []bool{false, true} {
+			k := contFunc(block)
+			if later {
+				k = contFunc(func(p *Proc) { p.Then(Sleep(time.Millisecond), Call(contFunc(block))) })
+			}
+			got, ended, live, switches := runCont(k)
+			want := fmt.Sprintf(`sim: process "c" panicked: sim: %s called from a Call step of process "c"; a Call must not block`, name)
+			if got != want || !ended || live != 0 || switches != 0 {
+				t.Errorf("%s (later %v): panic %v, ended %v, %d live, %d switches\nwant %s", name, later, got, ended, live, switches, want)
+			}
+		}
+	}
+}
+
+// A panic in its Call is the process's panic: named, the process ended and
+// no longer live.
+func TestContCallPanicIsTheProcessPanic(t *testing.T) {
+	got, ended, live, _ := runCont(contFunc(func(p *Proc) {
+		p.Then(Sleep(time.Millisecond), Call(contFunc(func(*Proc) { panic("boom") })))
+	}))
+	if got != `sim: process "c" panicked: boom` || !ended || live != 0 {
+		t.Errorf("panic %v, ended %v, %d live", got, ended, live)
+	}
+}
+
+// A process waiting for one with no coroutine to finish — here on a signal
+// its last Call fires — resumes at the instant its program runs dry, and
+// finds it ended and no longer counted live.
+func TestContJoinReturnsWhenItsProgramEnds(t *testing.T) {
+	e := NewEnv(1)
+	done := NewSignal(e)
+	left := 3
+	var k Cont
+	k = contFunc(func(p *Proc) {
+		if left--; left > 0 {
+			p.Then(Sleep(time.Millisecond), Call(k))
+			return
+		}
+		done.Fire()
+	})
+	c := e.GoCont("c", k)
+	var at time.Duration
+	var ended bool
+	var live int
+	e.Go("joiner", func(p *Proc) {
+		done.Wait(p)
+		at, ended, live = p.Now(), c.Ended(), e.Live()
+	})
+	e.Run()
+	if at != 2*time.Millisecond || !ended || live != 1 {
+		t.Errorf("joined at %v, ended %v, %d live; want 2ms, true, 1 (the joiner)", at, ended, live)
+	}
+	if e.Live() != 0 {
+		t.Errorf("%d live after Run", e.Live())
+	}
+}
+
+// A wild Release in its program panics as the plain call does: the same
+// value out of Run, at the same instant after the same events, the process
+// ended. With no coroutine to hand the step back to, the kernel makes it.
+func TestContWildReleasePanicsLikeTheCall(t *testing.T) {
+	run := func(cont bool) (panicked any, ended bool, now time.Duration, events uint64, stats ResourceStats) {
+		e := NewEnv(1)
+		r := NewResource(e, "r", 1)
+		var p *Proc
+		if cont {
+			p = e.GoCont("culprit", contFunc(func(p *Proc) {
+				p.Then(Sleep(time.Millisecond), Release(r), Sleep(time.Millisecond))
+			}))
+		} else {
+			p = e.Go("culprit", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				r.Release()
+				p.Sleep(time.Millisecond)
+			})
+		}
+		func() {
+			defer func() { panicked = recover() }()
+			e.Run()
+		}()
+		return panicked, p.Ended(), e.Now(), e.Events(), r.Stats()
+	}
+	cp, ce, cn, cev, cst := run(false)
+	kp, ke, kn, kev, kst := run(true)
+	if cp == nil || !strings.Contains(fmt.Sprint(cp), "Release without matching Acquire") {
+		t.Fatalf("plain calls did not panic as expected: %v", cp)
+	}
+	if cp != kp || ce != ke || cn != kn || cev != kev || cst != kst {
+		t.Errorf("calls: %v ended=%v now=%v events=%d %+v\ncont:  %v ended=%v now=%v events=%d %+v",
+			cp, ce, cn, cev, cst, kp, ke, kn, kev, kst)
 	}
 }

@@ -14,13 +14,14 @@ import (
 )
 
 // Proc is a cooperative simulation process. A Proc's methods that can block
-// (Sleep, Join, and the blocking methods of Resource, Store, Signal,
+// (Sleep, Exec, and the blocking methods of Resource, Store, Signal,
 // WaitGroup that take a *Proc) must only be called from the process's own
-// coroutine while it is the running process.
+// coroutine while it is the running process; a process started with
+// GoCont has none, and runs only the program its Call steps give it.
 type Proc struct {
 	env   *Env
 	name  string
-	next  func() (struct{}, bool) // kernel side: run the process until it parks or ends
+	next  func() (struct{}, bool) // kernel side: run the process until it parks or ends; nil without a coroutine
 	yield func(struct{}) bool     // process side: park, handing control back to the kernel
 	ended bool
 
@@ -138,8 +139,9 @@ func (p *Proc) Exec(steps ...Step) {
 // Release about to panic is handed back to p: the kernel stops in front of
 // it and reports "not blocked", the coroutine resumes and Exec's loop makes
 // the step there, so the panic unwinds the process's own stack and comes
-// out of Run as the plain call's does. A Call that panics in the kernel
-// ends the program the same way, with the panic carried over (Env.call).
+// out of Run as the plain call's does; a process with no coroutine makes
+// it in stop. A Call that panics in the kernel ends the program the same
+// way, with the panic carried over (Env.call).
 func (e *Env) advance(p *Proc) bool {
 	for p.pc < p.plen {
 		s := &p.prog[p.pc]
@@ -190,11 +192,32 @@ func (e *Env) call(p *Proc, k Cont) (ok bool) {
 	return true
 }
 
+// stop ends p, a process with no coroutine (GoCont), once advance has
+// stopped short of a blocking step: its program has run dry, a Call has
+// panicked, or a Release about to panic was handed back, which is made
+// here. A panic leaves Run as a panic of a process with a coroutine does.
+func (e *Env) stop(p *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+		}
+	}()
+	p.ended = true
+	e.nLive--
+	if r := p.callPanic; r != nil {
+		panic(r)
+	}
+	if p.pc < p.plen {
+		p.prog[p.pc].r.Release()
+	}
+}
+
 // Yield gives same-instant events scheduled before now a chance to run,
 // then resumes. Equivalent to Sleep(0).
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Ended reports whether the process function has returned.
+// Ended reports whether the process function has returned (a process
+// with no coroutine: whether its program has run dry).
 func (p *Proc) Ended() bool { return p.ended }
 
 // park transfers control back to the kernel without scheduling a wake-up.
