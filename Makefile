@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadJSONL -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzServeHTTP -fuzztime=10s ./internal/rest
 	$(GO) test -run='^$$' -fuzz=FuzzQueueMessageBody -fuzztime=10s ./internal/xmlwire
+	$(GO) test -run='^$$' -fuzz=FuzzMessagesList -fuzztime=10s ./internal/xmlwire
 	$(GO) test -run='^$$' -fuzz=FuzzExecProgram -fuzztime=10s ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzEventQueue -fuzztime=10s ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzLoadSection -fuzztime=10s ./internal/cloud

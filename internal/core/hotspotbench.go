@@ -83,14 +83,11 @@ func (s *Suite) RunHotspot() *Report {
 			setup.SetRetryPolicy(hotspotRetryPolicy())
 			_, err := setup.CreateTableIfNotExists(p, hotspotTable)
 			must("create table", err)
+			// One entity, rewritten for each insert: the store files a copy.
+			e := &tablestore.Entity{RowKey: "row", Props: map[string]tablestore.Value{}}
 			for i := 0; i < keys; i++ {
-				e := &tablestore.Entity{
-					PartitionKey: names[i],
-					RowKey:       "row",
-					Props: map[string]tablestore.Value{
-						"Data": tablestore.Binary(payload.Synthetic(uint64(s.cfg.Seed)+uint64(i), storecommon.KB)),
-					},
-				}
+				e.PartitionKey = names[i]
+				e.Props["Data"] = tablestore.Binary(payload.Synthetic(uint64(s.cfg.Seed)+uint64(i), storecommon.KB))
 				_, err := setup.InsertEntity(p, hotspotTable, e)
 				must("insert entity", err)
 			}

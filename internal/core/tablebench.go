@@ -54,20 +54,18 @@ func (s *Suite) tablePoint(w int, sizeKB int) *point {
 	pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
 		wr := pt.results[k]
 		pk := fmt.Sprintf("worker-%03d", k)
+		// One entity per worker, rewritten for each write: the worker has
+		// one request in flight, and the store files a copy of it.
+		e := &tablestore.Entity{PartitionKey: pk, Props: map[string]tablestore.Value{}}
 		entity := func(i int, seed uint64) *tablestore.Entity {
-			return &tablestore.Entity{
-				PartitionKey: pk,
-				RowKey:       rowKeys[i],
-				Props: map[string]tablestore.Value{
-					"Data": tablestore.Binary(payload.Synthetic(seed+uint64(i), entSize)),
-				},
-			}
+			e.RowKey = rowKeys[i]
+			e.Props["Data"] = tablestore.Binary(payload.Synthetic(seed+uint64(i), entSize))
+			return e
 		}
 
 		// Insert (AddRow).
 		wr.timed(p, phTabInsert, count, func(i int) {
-			e := entity(i, uint64(cfg.Seed))
-			_, err := cl.InsertEntity(p, benchTable, e)
+			_, err := cl.InsertEntity(p, benchTable, entity(i, uint64(cfg.Seed)))
 			must("insert", err)
 		})
 		// Point query by partition+row key.
@@ -78,8 +76,7 @@ func (s *Suite) tablePoint(w int, sizeKB int) *point {
 		})
 		// Update, unconditional via the "*" wildcard ETag.
 		wr.timed(p, phTabUpdate, count, func(i int) {
-			e := entity(i, uint64(cfg.Seed)+1_000_000)
-			_, err := cl.UpdateEntity(p, benchTable, e, storecommon.ETagAny)
+			_, err := cl.UpdateEntity(p, benchTable, entity(i, uint64(cfg.Seed)+1_000_000), storecommon.ETagAny)
 			must("update", err)
 		})
 		wr.timed(p, phTabDelete, count, func(i int) {

@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -78,7 +79,7 @@ func (d *Dist) ensureSorted() {
 	if d.sorted {
 		return
 	}
-	sort.Slice(d.samples, func(i, j int) bool { return d.samples[i] < d.samples[j] })
+	slices.Sort(d.samples)
 	d.sorted = true
 }
 

@@ -31,10 +31,17 @@ const timestampFormat = time.RFC3339Nano
 // annotation is the key suffix that carries a property's EDM type.
 const annotation = "@odata.type"
 
-// EncodeEntity renders an entity as a JSON object.
+// EncodeEntity renders an entity as a JSON object. It reads e's map
+// directly, writing into one allocation of close to the object's size.
 func EncodeEntity(e *tablestore.Entity) ([]byte, error) {
-	r := tablestore.ReadOnly(e)
-	return AppendRow(make([]byte, 0, sizeHint(r)), r)
+	h := header{e.PartitionKey, e.RowKey, e.Timestamp, e.ETag}
+	var stack [16]member
+	ms, n := h.members(stack[:0], len(e.Props))
+	for name, v := range e.Props {
+		ms = appendProp(ms, name, v.Type)
+		n += sizeHint(name, v)
+	}
+	return h.append(make([]byte, 0, n), ms, func(name string) tablestore.Value { return e.Props[name] })
 }
 
 // AppendPage appends one page of query results the way the table service
@@ -57,33 +64,22 @@ func AppendPage(dst []byte, rows []tablestore.Row) ([]byte, error) {
 	return append(dst, "]}\n"...), nil
 }
 
-// sizeHint is r's encoded length when no string needs escaping, short of
-// the digits of its numbers (bounded instead): the common entity is
-// written into one allocation of close to its own size.
-func sizeHint(r tablestore.Row) int {
-	n := len(`{"PartitionKey":"","RowKey":""}`) + len(r.PartitionKey()) + len(r.RowKey())
-	if !r.Timestamp().IsZero() {
-		n += len(`,"Timestamp":""`) + len(timestampFormat)
+// sizeHint is what property name=v adds to an object's encoded length
+// when no string needs escaping, short of the digits of its numbers
+// (bounded instead).
+func sizeHint(name string, v tablestore.Value) int {
+	n := len(`,"":`) + len(name)
+	if a := edmAnnotation(v.Type); a != "" {
+		n += len(`,"@odata.type":""`) + len(name) + len(a)
 	}
-	if tag := r.ETag(); tag != "" {
-		n += len(`,"odata.etag":""`) + len(tag)
+	switch v.Type {
+	case tablestore.TypeString, tablestore.TypeGUID:
+		return n + len(`""`) + len(v.S)
+	case tablestore.TypeBinary:
+		return n + len(`""`) + base64.StdEncoding.EncodedLen(int(v.Bin.Len()))
+	default: // the longest are a double's 24 digits and a date's 35
+		return n + len(`""`) + len(timestampFormat)
 	}
-	r.Range(func(name string, v tablestore.Value) bool {
-		n += len(`,"":`) + len(name)
-		if a := edmAnnotation(v.Type); a != "" {
-			n += len(`,"@odata.type":""`) + len(name) + len(a)
-		}
-		switch v.Type {
-		case tablestore.TypeString, tablestore.TypeGUID:
-			n += len(`""`) + len(v.S)
-		case tablestore.TypeBinary:
-			n += len(`""`) + base64.StdEncoding.EncodedLen(int(v.Bin.Len()))
-		default: // the longest are a double's 24 digits and a date's 35
-			n += len(`""`) + len(timestampFormat)
-		}
-		return true
-	})
-	return n
 }
 
 // member is one key of the object being written.
@@ -147,28 +143,62 @@ func edmAnnotation(t tablestore.PropType) string {
 
 // AppendRow appends r's JSON object to dst.
 func AppendRow(dst []byte, r tablestore.Row) ([]byte, error) {
+	h := header{r.PartitionKey(), r.RowKey(), r.Timestamp(), r.ETag()}
 	var stack [16]member
-	ms := stack[:0]
-	if n := 4 + 2*r.Len(); n > len(stack) {
-		ms = make([]member, 0, n)
-	}
-	ms = append(ms, member{name: "PartitionKey"}, member{name: "RowKey"})
-	if !r.Timestamp().IsZero() {
-		ms = append(ms, member{name: "Timestamp"})
-	}
-	if r.ETag() != "" {
-		ms = append(ms, member{name: "odata.etag"})
-	}
+	ms, _ := h.members(stack[:0], r.Len())
 	r.Range(func(name string, v tablestore.Value) bool {
-		if v.Type < tablestore.TypeString || v.Type > tablestore.TypeGUID {
-			return true // not an EDM type: nothing to write
-		}
-		ms = append(ms, member{name, propValue, v.Type})
-		if edmAnnotation(v.Type) != "" {
-			ms = append(ms, member{name, propType, v.Type})
-		}
+		ms = appendProp(ms, name, v.Type)
 		return true
 	})
+	return h.append(dst, ms, func(name string) tablestore.Value {
+		v, _ := r.Prop(name)
+		return v
+	})
+}
+
+// header is an object's system keys.
+type header struct {
+	pk, rk string
+	ts     time.Time
+	etag   string
+}
+
+// members starts the member list of an object with nProps properties,
+// in ms if it has room, with the system keys h writes; n is their
+// encoded length, the object's braces included.
+func (h header) members(ms []member, nProps int) (_ []member, n int) {
+	if c := 4 + 2*nProps; c > cap(ms) {
+		ms = make([]member, 0, c)
+	}
+	ms = append(ms, member{name: "PartitionKey"}, member{name: "RowKey"})
+	n = len(`{"PartitionKey":"","RowKey":""}`) + len(h.pk) + len(h.rk)
+	if !h.ts.IsZero() {
+		ms = append(ms, member{name: "Timestamp"})
+		n += len(`,"Timestamp":""`) + len(timestampFormat)
+	}
+	if h.etag != "" {
+		ms = append(ms, member{name: "odata.etag"})
+		n += len(`,"odata.etag":""`) + len(h.etag)
+	}
+	return ms, n
+}
+
+// appendProp adds property name's members: its value and, for a type the
+// wire does not infer, its annotation.
+func appendProp(ms []member, name string, t tablestore.PropType) []member {
+	if t < tablestore.TypeString || t > tablestore.TypeGUID {
+		return ms // not an EDM type: nothing to write
+	}
+	ms = append(ms, member{name, propValue, t})
+	if edmAnnotation(t) != "" {
+		ms = append(ms, member{name, propType, t})
+	}
+	return ms
+}
+
+// append writes the object: h's system keys and the properties ms names,
+// whose values prop returns.
+func (h header) append(dst []byte, ms []member, prop func(name string) tablestore.Value) ([]byte, error) {
 	// Keys go out sorted. Where two members spell one key (a property
 	// named like a system key) the later one wins, as it did when the
 	// object was assembled in a map.
@@ -186,13 +216,12 @@ func AppendRow(dst []byte, r tablestore.Row) ([]byte, error) {
 		dst = append(dst, ':')
 		switch m.kind {
 		case systemKey:
-			dst = appendSystem(dst, r, m.name)
+			dst = h.appendSystem(dst, m.name)
 		case propType:
 			dst = appendString(dst, edmAnnotation(m.typ), "")
 		case propValue:
-			v, _ := r.Prop(m.name)
 			var err error
-			if dst, err = appendValue(dst, v); err != nil {
+			if dst, err = appendValue(dst, prop(m.name)); err != nil {
 				return nil, fmt.Errorf("odata: property %s: %w", m.name, err)
 			}
 		}
@@ -200,16 +229,16 @@ func AppendRow(dst []byte, r tablestore.Row) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-func appendSystem(dst []byte, r tablestore.Row, key string) []byte {
+func (h header) appendSystem(dst []byte, key string) []byte {
 	switch key {
 	case "PartitionKey":
-		return appendString(dst, r.PartitionKey(), "")
+		return appendString(dst, h.pk, "")
 	case "RowKey":
-		return appendString(dst, r.RowKey(), "")
+		return appendString(dst, h.rk, "")
 	case "Timestamp":
-		return appendTime(dst, r.Timestamp())
+		return appendTime(dst, h.ts)
 	default:
-		return appendString(dst, r.ETag(), "")
+		return appendString(dst, h.etag, "")
 	}
 }
 

@@ -38,7 +38,7 @@ func serve(t testing.TB, srv *Server, method, target string, body []byte, header
 // Allocation ceilings of the request path, measured the way the benchmark's
 // rest.allocs_per_req replay measures them: the request and the recorder
 // are built inside the measured call, and 15 to 19 of the allocations
-// below are theirs; of a replace, 7 more are the engine cloning and
+// below are theirs; of a replace, 3 more are the engine filing and
 // stamping the entity, and a get takes none in the engine. Before PR 21 the table and blob requests took 61,
 // 82, 55 and 41 allocations and 3.28 bytes per blob byte. A regression here fails go
 // test without the benchmark being run.
@@ -96,7 +96,7 @@ func TestRequestAllocationCeilings(t *testing.T) {
 		call    func()
 	}{
 		{"table GET", 26, func() { serve(t, srv, "GET", entityPath, nil) }},
-		{"table PUT (replace)", 42, func() { serve(t, srv, "PUT", entityPath, entity, "If-Match", "*") }},
+		{"table PUT (replace)", 38, func() { serve(t, srv, "PUT", entityPath, entity, "If-Match", "*") }},
 		{"blob PUT 64 KiB", 36, func() { serve(t, srv, "PUT", "/blob/bench/b", blob, "x-ms-blob-type", "BlockBlob") }},
 		{"blob GET 64 KiB", 37, func() { serve(t, srv, "GET", "/blob/bench/b", nil) }},
 		// Before PR 24 the POST took 59 allocations and the GET 50.

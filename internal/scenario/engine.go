@@ -604,7 +604,9 @@ func (e *engine) setup() error {
 	for _, t := range e.sp.Setup.Tables {
 		pl.add("create table "+t.Name, cloud.Op{Kind: cloud.OpCreateTableIfNotExists, Name: t.Name})
 		for i := 0; i < t.Keys; i++ {
-			ent := entity(workload.Key(i), "row", payload.Synthetic(seed+uint64(i), int64(t.EntityKB)*storecommon.KB))
+			ent := &tablestore.Entity{PartitionKey: workload.Key(i), RowKey: "row", Props: map[string]tablestore.Value{
+				"Data": tablestore.Binary(payload.Synthetic(seed+uint64(i), int64(t.EntityKB)*storecommon.KB)),
+			}}
 			pl.add("insert entity", cloud.Op{Kind: cloud.OpInsertEntity, Name: t.Name, Key: ent.PartitionKey, Ent: ent})
 		}
 	}
@@ -1023,8 +1025,9 @@ type call struct {
 	keyIdx int
 	began  time.Duration
 	data   payload.Payload
-	op     cloud.Op // the request in flight, then its answer
-	second bool     // the op's second request is in flight
+	ent    tablestore.Entity // what the op writes, rewritten for each op
+	op     cloud.Op          // the request in flight, then its answer
+	second bool              // the op's second request is in flight
 	miss   bool
 	err    error
 	then   Cont // goes on once the op is over
@@ -1056,9 +1059,9 @@ func (c *call) start(p Proc, code opCode, keyIdx int, then Cont) {
 		c.issue(p, cloud.Op{Kind: cloud.OpGetEntity, Name: target.Table, Key: key, ID: "row"})
 	case opTableInsert:
 		c.issue(p, cloud.Op{Kind: cloud.OpInsertEntity, Name: target.Table, Key: key,
-			Ent: entity(key, fmt.Sprintf("r%d", c.st.nextInsert()), c.data)})
+			Ent: c.entity(key, fmt.Sprintf("r%d", c.st.nextInsert()))})
 	case opTableUpdate:
-		c.issue(p, cloud.Op{Kind: cloud.OpUpdateEntity, Name: target.Table, Key: key, Ent: entity(key, "row", c.data), IfMatch: storecommon.ETagAny})
+		c.issue(p, cloud.Op{Kind: cloud.OpUpdateEntity, Name: target.Table, Key: key, Ent: c.entity(key, "row"), IfMatch: storecommon.ETagAny})
 	case opTableDelete:
 		c.issue(p, cloud.Op{Kind: cloud.OpDeleteEntity, Name: target.Table, Key: key, ID: "row", IfMatch: storecommon.ETagAny})
 	case opTableScan:
@@ -1114,7 +1117,7 @@ func (c *call) Resume(p Proc) {
 				break
 			}
 			c.second = true
-			c.issue(p, cloud.Op{Kind: cloud.OpInsertEntity, Name: c.ph.Target.Table, Key: key, Ent: entity(key, "row", c.data)})
+			c.issue(p, cloud.Op{Kind: cloud.OpInsertEntity, Name: c.ph.Target.Table, Key: key, Ent: c.entity(key, "row")})
 			return
 		}
 		if storecommon.IsConflict(err) {
@@ -1128,7 +1131,7 @@ func (c *call) Resume(p Proc) {
 				break
 			}
 			c.second = true
-			c.issue(p, cloud.Op{Kind: cloud.OpUpdateEntity, Name: c.ph.Target.Table, Key: key, Ent: entity(key, "row", c.data), IfMatch: storecommon.ETagAny})
+			c.issue(p, cloud.Op{Kind: cloud.OpUpdateEntity, Name: c.ph.Target.Table, Key: key, Ent: c.entity(key, "row"), IfMatch: storecommon.ETagAny})
 			return
 		}
 		c.miss = notFound || storecommon.IsPreconditionFailed(err)
@@ -1141,14 +1144,16 @@ func (c *call) Resume(p Proc) {
 	c.then.Resume(p)
 }
 
-func entity(pk, rk string, data payload.Payload) *tablestore.Entity {
-	return &tablestore.Entity{
-		PartitionKey: pk,
-		RowKey:       rk,
-		Props: map[string]tablestore.Value{
-			"Data": tablestore.Binary(data),
-		},
+// entity rewrites the call's entity to (pk, rk), carrying the op's data.
+// It is safe to reuse: a call has one request in flight, and the store
+// files a copy of what it is sent.
+func (c *call) entity(pk, rk string) *tablestore.Entity {
+	if c.ent.Props == nil {
+		c.ent.Props = map[string]tablestore.Value{}
 	}
+	c.ent.PartitionKey, c.ent.RowKey = pk, rk
+	c.ent.Props["Data"] = tablestore.Binary(c.data)
+	return &c.ent
 }
 
 // RenderMetrics formats the flat metric map sorted by name — the

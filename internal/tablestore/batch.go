@@ -47,15 +47,17 @@ func (s *Store) ExecuteBatch(tableName string, ops []BatchOp) (failedIndex int, 
 	// simpler than journaling undo records. Each row key appears at most
 	// once, so no operation can see another's staged write, and reading the
 	// live partition is reading the state the batch started from.
-	var live map[string]*Entity
+	var live map[string]*row
 	if p := t.partitions[pk]; p != nil {
 		live = p.rows
 	}
-	staged := make([]*Entity, len(ops)) // what op i leaves under its row key; nil = nothing
+	staged := make([]*row, len(ops)) // what op i leaves under its row key; nil = nothing
 	for i, op := range ops {
 		e := op.Entity
+		var next *row
 		if op.Kind != BatchDelete {
-			if err := validateEntity(e); err != nil {
+			next = newRow(e)
+			if err := next.validate(); err != nil {
 				return i, err
 			}
 		}
@@ -66,51 +68,30 @@ func (s *Store) ExecuteBatch(tableName string, ops []BatchOp) (failedIndex int, 
 				return i, storecommon.Errf(storecommon.CodeEntityAlreadyExists, 409,
 					"entity (%q,%q) already exists", pk, e.RowKey)
 			}
-			staged[i] = e.Clone()
-		case BatchInsertOrReplace:
-			staged[i] = e.Clone()
-		case BatchInsertOrMerge:
-			merged := e.Clone()
-			if exists {
-				for k, v := range old.Props {
-					if _, shadowed := merged.Props[k]; !shadowed {
-						merged.Props[k] = v
-					}
-				}
-				if err := validateEntity(merged); err != nil {
-					return i, err
-				}
-			}
-			staged[i] = merged
+		case BatchInsertOrReplace, BatchInsertOrMerge: // no precondition
 		case BatchReplace, BatchMerge:
 			if !exists {
 				return i, entityNotFound(pk, e.RowKey)
 			}
 			if !storecommon.ETagMatches(op.IfMatch, old.ETag) {
-				return i, updateConditionNotMet(e)
+				return i, updateConditionNotMet(pk, e.RowKey)
 			}
-			next := e.Clone()
-			if op.Kind == BatchMerge {
-				for k, v := range old.Props {
-					if _, shadowed := next.Props[k]; !shadowed {
-						next.Props[k] = v
-					}
-				}
-				if err := validateEntity(next); err != nil {
-					return i, err
-				}
-			}
-			staged[i] = next
 		case BatchDelete:
 			if !exists {
 				return i, entityNotFound(pk, e.RowKey)
 			}
 			if !storecommon.ETagMatches(op.IfMatch, old.ETag) {
-				return i, updateConditionNotMet(e)
+				return i, updateConditionNotMet(pk, e.RowKey)
 			}
 		default:
 			return i, storecommon.Errf(storecommon.CodeInvalidInput, 400, "unknown batch kind %d", op.Kind)
 		}
+		if exists && (op.Kind == BatchInsertOrMerge || op.Kind == BatchMerge) {
+			if next, err = next.merge(old); err != nil {
+				return i, err
+			}
+		}
+		staged[i] = next
 	}
 
 	// Commit in operation order, so the ETags a batch draws are a function

@@ -49,9 +49,9 @@ func ParseFilter(src string) (*FilterExpr, error) {
 	return &FilterExpr{root: root, src: src}, nil
 }
 
-// Eval evaluates the filter against an entity.
-func (f *FilterExpr) Eval(e *Entity) (bool, error) {
-	return f.root.eval(e)
+// Eval evaluates the filter against a row.
+func (f *FilterExpr) Eval(r Row) (bool, error) {
+	return f.root.eval(r)
 }
 
 // keyRange is a half-open interval [lo, hi) of keys; unbounded above
@@ -157,7 +157,7 @@ func canFail(n node) bool {
 // --- AST ---
 
 type node interface {
-	eval(e *Entity) (bool, error)
+	eval(r Row) (bool, error)
 }
 
 type binaryNode struct {
@@ -165,8 +165,8 @@ type binaryNode struct {
 	left, right node
 }
 
-func (n *binaryNode) eval(e *Entity) (bool, error) {
-	l, err := n.left.eval(e)
+func (n *binaryNode) eval(r Row) (bool, error) {
+	l, err := n.left.eval(r)
 	if err != nil {
 		return false, err
 	}
@@ -176,13 +176,13 @@ func (n *binaryNode) eval(e *Entity) (bool, error) {
 	if n.op == "or" && l {
 		return true, nil
 	}
-	return n.right.eval(e)
+	return n.right.eval(r)
 }
 
 type notNode struct{ inner node }
 
-func (n *notNode) eval(e *Entity) (bool, error) {
-	v, err := n.inner.eval(e)
+func (n *notNode) eval(r Row) (bool, error) {
+	v, err := n.inner.eval(r)
 	return !v, err
 }
 
@@ -191,9 +191,9 @@ type cmpNode struct {
 	left, right operand
 }
 
-func (n *cmpNode) eval(e *Entity) (bool, error) {
-	lv, lok := n.left.value(e)
-	rv, rok := n.right.value(e)
+func (n *cmpNode) eval(r Row) (bool, error) {
+	lv, lok := n.left.value(r)
+	rv, rok := n.right.value(r)
 	if !lok || !rok {
 		return false, nil // missing property never matches
 	}
@@ -225,8 +225,8 @@ func (n *cmpNode) eval(e *Entity) (bool, error) {
 // expression ("IsActive and Size gt 5").
 type boolOperandNode struct{ op operand }
 
-func (n *boolOperandNode) eval(e *Entity) (bool, error) {
-	v, ok := n.op.value(e)
+func (n *boolOperandNode) eval(r Row) (bool, error) {
+	v, ok := n.op.value(r)
 	if !ok {
 		return false, nil
 	}
@@ -237,27 +237,26 @@ func (n *boolOperandNode) eval(e *Entity) (bool, error) {
 }
 
 type operand interface {
-	value(e *Entity) (Value, bool)
+	value(r Row) (Value, bool)
 }
 
 type identOperand struct{ name string }
 
-func (o identOperand) value(e *Entity) (Value, bool) {
+func (o identOperand) value(r Row) (Value, bool) {
 	switch o.name {
 	case "PartitionKey":
-		return String(e.PartitionKey), true
+		return String(r.PartitionKey()), true
 	case "RowKey":
-		return String(e.RowKey), true
+		return String(r.RowKey()), true
 	case "Timestamp":
-		return DateTime(e.Timestamp), true
+		return DateTime(r.Timestamp()), true
 	}
-	v, ok := e.Props[o.name]
-	return v, ok
+	return r.Prop(o.name)
 }
 
 type literalOperand struct{ v Value }
 
-func (o literalOperand) value(*Entity) (Value, bool) { return o.v, true }
+func (o literalOperand) value(Row) (Value, bool) { return o.v, true }
 
 // --- Lexer ---
 

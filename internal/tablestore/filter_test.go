@@ -35,7 +35,7 @@ func evalFilter(t *testing.T, src string) bool {
 	if err != nil {
 		t.Fatalf("ParseFilter(%q): %v", src, err)
 	}
-	got, err := f.Eval(testEntity())
+	got, err := f.Eval(ReadOnly(testEntity()))
 	if err != nil {
 		t.Fatalf("Eval(%q): %v", src, err)
 	}
@@ -134,12 +134,12 @@ func TestFilterBinaryEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.Eval(e)
+	got, err := f.Eval(ReadOnly(e))
 	if err != nil || !got {
 		t.Fatalf("Blob eq Blob = %v, %v", got, err)
 	}
 	f, _ = ParseFilter("Blob gt Blob")
-	got, err = f.Eval(e)
+	got, err = f.Eval(ReadOnly(e))
 	if err != nil || got {
 		t.Fatalf("Blob gt Blob = %v, %v (binary ordering must not match)", got, err)
 	}
@@ -170,7 +170,7 @@ func TestFilterGUIDLiteral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := f.Eval(e); !got {
+	if got, _ := f.Eval(ReadOnly(e)); !got {
 		t.Fatal("GUID comparison failed")
 	}
 }
@@ -199,12 +199,12 @@ func TestFilterBareNonBooleanOperandErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Eval(testEntity()); err == nil {
+	if _, err := f.Eval(ReadOnly(testEntity())); err == nil {
 		t.Fatal("bare int operand evaluated without error")
 	}
 	// Bare missing property is false, not an error.
 	f, _ = ParseFilter("Missing")
-	got, err := f.Eval(testEntity())
+	got, err := f.Eval(ReadOnly(testEntity()))
 	if err != nil || got {
 		t.Fatalf("bare missing property = %v, %v", got, err)
 	}
@@ -235,7 +235,7 @@ func TestFilterPropertyEvalConsistency(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			got, err := expr.Eval(e)
+			got, err := expr.Eval(ReadOnly(e))
 			if err != nil || got != want {
 				return false
 			}

@@ -68,6 +68,9 @@ func (s *model) find(tableName, pk, rk string) (*Entity, error) {
 	return e, nil
 }
 
+// validateEntity holds e to what the engine lets a write store.
+func validateEntity(e *Entity) error { return newRow(e).validate() }
+
 // mergeInto carries over the properties of old that e does not name.
 func mergeInto(e, old *Entity) {
 	for k, v := range old.Props {
@@ -102,7 +105,7 @@ func (s *model) insert(tableName string, e *Entity, mode insertMode) (Row, error
 		t[e.PartitionKey] = map[string]*Entity{}
 	}
 	t[e.PartitionKey][e.RowKey] = stored
-	return Row{stored.Clone()}, nil
+	return ReadOnly(stored), nil
 }
 
 func (s *model) update(tableName string, e *Entity, ifMatch string, merge bool) (Row, error) {
@@ -114,7 +117,7 @@ func (s *model) update(tableName string, e *Entity, ifMatch string, merge bool) 
 		return Row{}, err
 	}
 	if !storecommon.ETagMatches(ifMatch, old.ETag) {
-		return Row{}, updateConditionNotMet(e)
+		return Row{}, updateConditionNotMet(e.PartitionKey, e.RowKey)
 	}
 	stored := e.Clone()
 	if merge {
@@ -125,7 +128,7 @@ func (s *model) update(tableName string, e *Entity, ifMatch string, merge bool) 
 	}
 	s.stamp(stored)
 	s.tables[tableName][e.PartitionKey][e.RowKey] = stored
-	return Row{stored.Clone()}, nil
+	return ReadOnly(stored), nil
 }
 
 func (s *model) Delete(tableName, pk, rk, ifMatch string) error {
@@ -134,7 +137,7 @@ func (s *model) Delete(tableName, pk, rk, ifMatch string) error {
 		return err
 	}
 	if !storecommon.ETagMatches(ifMatch, old.ETag) {
-		return updateConditionNotMet(old)
+		return updateConditionNotMet(pk, rk)
 	}
 	t := s.tables[tableName]
 	delete(t[pk], rk)
@@ -149,7 +152,7 @@ func (s *model) Get(tableName, pk, rk string) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	return Row{e.Clone()}, nil
+	return ReadOnly(e), nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -189,7 +192,7 @@ func (s *model) Query(tableName, filter string, top int, from Continuation) (Que
 			}
 			e := t[pk][rk]
 			if expr != nil {
-				match, err := expr.Eval(e)
+				match, err := expr.Eval(ReadOnly(e))
 				if err != nil {
 					return QueryResult{}, err
 				}
@@ -201,7 +204,7 @@ func (s *model) Query(tableName, filter string, top int, from Continuation) (Que
 				res.Next = Continuation{NextPartitionKey: pk, NextRowKey: rk}
 				return res, nil
 			}
-			res.Entities = append(res.Entities, Row{e.Clone()})
+			res.Entities = append(res.Entities, ReadOnly(e))
 		}
 	}
 	return res, nil
@@ -254,7 +257,7 @@ func (s *model) ExecuteBatch(tableName string, ops []BatchOp) (int, error) {
 				return i, entityNotFound(pk, e.RowKey)
 			}
 			if !storecommon.ETagMatches(op.IfMatch, old.ETag) {
-				return i, updateConditionNotMet(e)
+				return i, updateConditionNotMet(e.PartitionKey, e.RowKey)
 			}
 			next := e.Clone()
 			if op.Kind == BatchMerge {
@@ -269,7 +272,7 @@ func (s *model) ExecuteBatch(tableName string, ops []BatchOp) (int, error) {
 				return i, entityNotFound(pk, e.RowKey)
 			}
 			if !storecommon.ETagMatches(op.IfMatch, old.ETag) {
-				return i, updateConditionNotMet(e)
+				return i, updateConditionNotMet(e.PartitionKey, e.RowKey)
 			}
 		default:
 			return i, storecommon.Errf(storecommon.CodeInvalidInput, 400, "unknown batch kind %d", op.Kind)
@@ -323,7 +326,7 @@ func (s *model) Save(w *snap.Writer) {
 			w.String(pk)
 			w.Int(len(t[pk]))
 			for _, rk := range sortedKeys(t[pk]) {
-				saveEntity(w, t[pk][rk])
+				saveEntity(w, newRow(t[pk][rk]))
 			}
 		}
 	}

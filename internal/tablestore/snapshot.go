@@ -50,9 +50,9 @@ func (s *Store) Load(r *snap.Reader) error {
 		for j := 0; j < np; j++ {
 			pk := r.String()
 			nr := r.Count()
-			p := &partition{rows: make(map[string]*Entity, nr)}
+			p := &partition{rows: make(map[string]*row, nr)}
 			for k := 0; k < nr; k++ {
-				e, err := loadEntity(r)
+				e, err := loadRow(r)
 				if err != nil {
 					return err
 				}
@@ -63,7 +63,6 @@ func (s *Store) Load(r *snap.Reader) error {
 				if err := p.rks.appendInOrder(e.RowKey); err != nil {
 					return err
 				}
-				e.size = e.Size() // as table.put records it
 				p.rows[e.RowKey] = e
 			}
 			if err := t.pks.appendInOrder(pk); err != nil {
@@ -80,41 +79,47 @@ func (s *Store) Load(r *snap.Reader) error {
 	return nil
 }
 
-func saveEntity(w *snap.Writer, e *Entity) {
+func saveEntity(w *snap.Writer, e *row) {
 	w.String(e.PartitionKey)
 	w.String(e.RowKey)
 	w.Time(e.Timestamp)
 	w.String(e.ETag)
-	props := snap.SortedKeys(e.Props)
-	w.Int(len(props))
-	for _, k := range props {
-		w.String(k)
-		saveValue(w, e.Props[k])
+	w.Int(len(e.props))
+	for _, p := range e.props {
+		w.String(p.Name)
+		saveValue(w, p.Value)
 	}
 }
 
-func loadEntity(r *snap.Reader) (*Entity, error) {
-	e := &Entity{
+// loadRow reads a row saveEntity wrote, property names in strictly
+// increasing order as a row holds them.
+func loadRow(r *snap.Reader) (*row, error) {
+	e := &row{
 		PartitionKey: r.String(),
 		RowKey:       r.String(),
 		Timestamp:    r.Time(),
 		ETag:         r.String(),
 	}
 	np := r.Count()
-	e.Props = make(map[string]Value, np)
+	e.props = make([]Prop, 0, np)
 	for i := 0; i < np; i++ {
-		k := r.String()
+		name := r.String()
 		v, err := loadValue(r)
 		if err != nil {
 			return nil, err
 		}
-		e.Props[k] = v
+		if i > 0 && name <= e.props[i-1].Name {
+			return nil, fmt.Errorf("%w: row (%q,%q): property %q after %q",
+				snap.ErrCorrupt, e.PartitionKey, e.RowKey, name, e.props[i-1].Name)
+		}
+		e.props = append(e.props, Prop{name, v})
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	e.measure()
 	// Rows are handed out as loaded: hold them to what a write checks.
-	if err := validateEntity(e); err != nil {
+	if err := e.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
 	return e, nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"azurebench/internal/payload"
 	snap "azurebench/internal/snapshot"
@@ -22,7 +23,7 @@ func section(pk string, rows ...*Entity) []byte {
 	w.String(pk)
 	w.Int(len(rows))
 	for _, e := range rows {
-		saveEntity(&w, e)
+		saveEntity(&w, newRow(e))
 	}
 	return w.Bytes()
 }
@@ -66,6 +67,37 @@ func TestLoadRefusesEntitiesNoWriteCouldStore(t *testing.T) {
 		"larger than 1 MB":       {"Data": Binary(payload.Zero(storecommon.MaxEntitySize + 1))},
 	} {
 		if err := loadSection(section("p1", ent("p1", "r", props))); !errors.Is(err, snap.ErrCorrupt) {
+			t.Errorf("%s: Load = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// A row holds its properties in name order and looks them up by binary
+// search, so one whose names repeat or go out of order is not one Save
+// wrote. The row here is written field by field, not through saveEntity,
+// which could not write it.
+func TestLoadRefusesPropertiesOutOfOrder(t *testing.T) {
+	for name, props := range map[string][]string{
+		"repeated name": {"A", "A"},
+		"out of order":  {"B", "A"},
+	} {
+		var w snap.Writer
+		w.U64(0) // the ETag counter
+		w.Int(1)
+		w.String("Crafted")
+		w.Int(1)
+		w.String("p1")
+		w.Int(1)
+		w.String("p1")
+		w.String("r")
+		w.Time(time.Time{})
+		w.String("")
+		w.Int(len(props))
+		for i, p := range props {
+			w.String(p)
+			saveValue(&w, Int32(int32(i)))
+		}
+		if err := loadSection(w.Bytes()); !errors.Is(err, snap.ErrCorrupt) {
 			t.Errorf("%s: Load = %v, want ErrCorrupt", name, err)
 		}
 	}

@@ -7,6 +7,7 @@
 package tablestore
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,22 +20,17 @@ import (
 // Entity is a table row: two keys plus up to 255 typed properties.
 // PartitionKey decides placement (entities sharing it live on one
 // partition server); together with RowKey it forms the unique primary key.
+// It is the caller's form of a row; the store files its own copy.
 type Entity struct {
 	PartitionKey string
 	RowKey       string
 	Timestamp    time.Time
 	ETag         string
 	Props        map[string]Value
-
-	// size is Size, recorded when the store files the entity: a stored
-	// entity never changes. Zero on anything else.
-	size int64
 }
 
 // Clone returns a copy its caller owns and may change: a new Props map
-// over the same Values, which are immutable. The store clones what it is
-// given and hands back a Row; Row.Clone is for a caller that means to edit
-// what it read.
+// over the same Values, which are immutable.
 func (e *Entity) Clone() *Entity {
 	props := make(map[string]Value, len(e.Props))
 	for k, v := range e.Props {
@@ -42,7 +38,6 @@ func (e *Entity) Clone() *Entity {
 	}
 	c := *e
 	c.Props = props
-	c.size = 0
 	return &c
 }
 
@@ -55,51 +50,108 @@ func (e *Entity) Size() int64 {
 	return n
 }
 
-// Row is a read-only handle on an entity the store holds. The store never
-// edits an entity once it has stored it — every write stores a new one and
-// a delete only unlinks it — so a Row reads the version it was handed for
+// Prop is one named property of a stored row.
+type Prop struct {
+	Name string
+	Value
+}
+
+// row is an entity as the store files it: its properties sorted by name,
+// no name twice, and its size measured once.
+type row struct {
+	PartitionKey string
+	RowKey       string
+	Timestamp    time.Time
+	ETag         string
+	size         int64
+	props        []Prop
+}
+
+// newRow flattens e into a row the store owns; the properties take one
+// allocation.
+func newRow(e *Entity) *row {
+	r := &row{PartitionKey: e.PartitionKey, RowKey: e.RowKey, Timestamp: e.Timestamp, ETag: e.ETag,
+		props: make([]Prop, 0, len(e.Props))}
+	for name, v := range e.Props {
+		r.props = append(r.props, Prop{name, v})
+	}
+	slices.SortFunc(r.props, byName)
+	r.measure()
+	return r
+}
+
+func byName(a, b Prop) int { return strings.Compare(a.Name, b.Name) }
+
+// measure records the row's size against the 1 MB limit.
+func (r *row) measure() {
+	r.size = int64(len(r.PartitionKey) + len(r.RowKey))
+	for _, p := range r.props {
+		r.size += int64(len(p.Name)) + p.Size()
+	}
+}
+
+// merge returns what merging r into old stores: r's properties, and each
+// of old's that r does not name. The union can break a limit neither
+// broke alone, so it is validated again.
+func (r *row) merge(old *row) (*row, error) {
+	m := *r
+	m.props = append(make([]Prop, 0, len(r.props)+len(old.props)), r.props...)
+	for _, p := range old.props {
+		if _, shadowed := (Row{r}).Prop(p.Name); !shadowed {
+			m.props = append(m.props, p)
+		}
+	}
+	slices.SortFunc(m.props, byName)
+	m.measure()
+	return &m, m.validate()
+}
+
+// Row is a read-only handle on a row the store holds. The store never
+// edits a row once it has filed it — every write files a new one and a
+// delete only unlinks it — so a Row reads the version it was handed for
 // as long as it is kept, with no copy and no lock, whatever is written
-// after. No method returns the entity or its Props map; Clone gives a copy
-// the caller owns.
-type Row struct{ e *Entity }
+// after. Clone gives a copy the caller owns.
+type Row struct{ e *row }
 
-// ReadOnly wraps e in a Row; its owner must not change e while the Row is
-// read.
-func ReadOnly(e *Entity) Row { return Row{e} }
+// ReadOnly flattens e into a Row, as the store would file it.
+func ReadOnly(e *Entity) Row { return Row{newRow(e)} }
 
-// The row's keys, system properties and number of properties.
+// The row's keys, system properties, size and number of properties.
 func (r Row) PartitionKey() string { return r.e.PartitionKey }
 func (r Row) RowKey() string       { return r.e.RowKey }
 func (r Row) Timestamp() time.Time { return r.e.Timestamp }
 func (r Row) ETag() string         { return r.e.ETag }
-func (r Row) Len() int             { return len(r.e.Props) }
-
-// Size reads what the store recorded when it filed the row; a ReadOnly
-// row of the caller's is measured.
-func (r Row) Size() int64 {
-	if r.e.size == 0 {
-		return r.e.Size()
-	}
-	return r.e.size
-}
+func (r Row) Size() int64          { return r.e.size }
+func (r Row) Len() int             { return len(r.e.props) }
 
 // Prop returns the named property and whether the row has it.
 func (r Row) Prop(name string) (Value, bool) {
-	v, ok := r.e.Props[name]
-	return v, ok
+	i, ok := slices.BinarySearchFunc(r.e.props, name,
+		func(p Prop, name string) int { return strings.Compare(p.Name, name) })
+	if !ok {
+		return Value{}, false
+	}
+	return r.e.props[i].Value, true
 }
 
-// Range calls f on each property, in no fixed order, until f returns false.
+// Range calls f on each property in name order (bytewise), until f
+// returns false.
 func (r Row) Range(f func(name string, v Value) bool) {
-	for name, v := range r.e.Props {
-		if !f(name, v) {
+	for _, p := range r.e.props {
+		if !f(p.Name, p.Value) {
 			return
 		}
 	}
 }
 
 // Clone returns a copy of the row that the caller owns and may change.
-func (r Row) Clone() *Entity { return r.e.Clone() }
+func (r Row) Clone() *Entity {
+	props := make(map[string]Value, len(r.e.props))
+	for _, p := range r.e.props {
+		props[p.Name] = p.Value
+	}
+	return &Entity{PartitionKey: r.e.PartitionKey, RowKey: r.e.RowKey, Timestamp: r.e.Timestamp, ETag: r.e.ETag, Props: props}
+}
 
 // Store is an in-memory table storage account. All methods are safe for
 // concurrent use.
@@ -119,17 +171,15 @@ type table struct {
 }
 
 type partition struct {
-	rows map[string]*Entity
+	rows map[string]*row
 	rks  keyIndex
 }
 
-// put stores e under its keys, creating the partition on first use, and
-// records its size.
-func (t *table) put(e *Entity) {
-	e.size = e.Size()
+// put files e under its keys, creating the partition on first use.
+func (t *table) put(e *row) {
 	p := t.partitions[e.PartitionKey]
 	if p == nil {
-		p = &partition{rows: map[string]*Entity{}}
+		p = &partition{rows: map[string]*row{}}
 		t.partitions[e.PartitionKey] = p
 		t.pks.insert(e.PartitionKey)
 	}
@@ -233,7 +283,8 @@ const (
 )
 
 func (s *Store) mutateInsert(tableName string, e *Entity, mode insertMode) (Row, error) {
-	if err := validateEntity(e); err != nil {
+	stored := newRow(e)
+	if err := stored.validate(); err != nil {
 		return Row{}, err
 	}
 	s.mu.Lock()
@@ -242,7 +293,7 @@ func (s *Store) mutateInsert(tableName string, e *Entity, mode insertMode) (Row,
 	if !ok {
 		return Row{}, tableNotFound(tableName)
 	}
-	var old *Entity
+	var old *row
 	exists := false
 	if p := t.partitions[e.PartitionKey]; p != nil {
 		old, exists = p.rows[e.RowKey]
@@ -251,14 +302,9 @@ func (s *Store) mutateInsert(tableName string, e *Entity, mode insertMode) (Row,
 		return Row{}, storecommon.Errf(storecommon.CodeEntityAlreadyExists, 409,
 			"entity (%q,%q) already exists", e.PartitionKey, e.RowKey)
 	}
-	stored := e.Clone()
 	if exists && mode == insertMerge {
-		for k, v := range old.Props {
-			if _, shadowed := stored.Props[k]; !shadowed {
-				stored.Props[k] = v
-			}
-		}
-		if err := validateEntity(stored); err != nil {
+		var err error
+		if stored, err = stored.merge(old); err != nil {
 			return Row{}, err
 		}
 	}
@@ -280,7 +326,8 @@ func (s *Store) Merge(tableName string, e *Entity, ifMatch string) (Row, error) 
 }
 
 func (s *Store) mutateUpdate(tableName string, e *Entity, ifMatch string, merge bool) (Row, error) {
-	if err := validateEntity(e); err != nil {
+	stored := newRow(e)
+	if err := stored.validate(); err != nil {
 		return Row{}, err
 	}
 	s.mu.Lock()
@@ -294,16 +341,10 @@ func (s *Store) mutateUpdate(tableName string, e *Entity, ifMatch string, merge 
 		return Row{}, err
 	}
 	if !storecommon.ETagMatches(ifMatch, old.ETag) {
-		return Row{}, updateConditionNotMet(e)
+		return Row{}, updateConditionNotMet(e.PartitionKey, e.RowKey)
 	}
-	stored := e.Clone()
 	if merge {
-		for k, v := range old.Props {
-			if _, shadowed := stored.Props[k]; !shadowed {
-				stored.Props[k] = v
-			}
-		}
-		if err := validateEntity(stored); err != nil {
+		if stored, err = stored.merge(old); err != nil {
 			return Row{}, err
 		}
 	}
@@ -326,7 +367,7 @@ func (s *Store) Delete(tableName, partitionKey, rowKey, ifMatch string) error {
 		return err
 	}
 	if !storecommon.ETagMatches(ifMatch, old.ETag) {
-		return updateConditionNotMet(old)
+		return updateConditionNotMet(partitionKey, rowKey)
 	}
 	t.drop(partitionKey, rowKey)
 	return nil
@@ -402,7 +443,7 @@ func (s *Store) Query(tableName, filter string, top int, from Continuation) (Que
 			rk := ri.key()
 			e := p.rows[rk]
 			if expr != nil {
-				match, err := expr.Eval(e)
+				match, err := expr.Eval(Row{e})
 				if err != nil {
 					return QueryResult{}, err
 				}
@@ -464,7 +505,7 @@ func (s *Store) EntityCount(tableName string) (int, error) {
 	return n, nil
 }
 
-func (t *table) find(pk, rk string) (*Entity, error) {
+func (t *table) find(pk, rk string) (*row, error) {
 	p, ok := t.partitions[pk]
 	if !ok {
 		return nil, entityNotFound(pk, rk)
@@ -476,29 +517,30 @@ func (t *table) find(pk, rk string) (*Entity, error) {
 	return e, nil
 }
 
-func (s *Store) stamp(e *Entity) {
+func (s *Store) stamp(e *row) {
 	e.Timestamp = s.clock.Now()
 	e.ETag = s.etags.Next(e.Timestamp)
 }
 
-func validateEntity(e *Entity) error {
+// validate holds the row to what the service lets a write store.
+func (e *row) validate() error {
 	if err := storecommon.ValidateKey(e.PartitionKey, "partition"); err != nil {
 		return err
 	}
 	if err := storecommon.ValidateKey(e.RowKey, "row"); err != nil {
 		return err
 	}
-	if len(e.Props) > storecommon.MaxEntityProperties {
+	if len(e.props) > storecommon.MaxEntityProperties {
 		return storecommon.Errf(storecommon.CodePropertyLimitExceeded, 400,
-			"%d properties exceed the %d limit", len(e.Props), storecommon.MaxEntityProperties)
+			"%d properties exceed the %d limit", len(e.props), storecommon.MaxEntityProperties)
 	}
-	if size := e.Size(); size > storecommon.MaxEntitySize {
+	if e.size > storecommon.MaxEntitySize {
 		return storecommon.Errf(storecommon.CodeEntityTooLarge, 400,
-			"entity of %d bytes exceeds %d", size, storecommon.MaxEntitySize)
+			"entity of %d bytes exceeds %d", e.size, storecommon.MaxEntitySize)
 	}
-	for name := range e.Props {
-		if name == "" || name == "PartitionKey" || name == "RowKey" || name == "Timestamp" {
-			return storecommon.Errf(storecommon.CodeInvalidInput, 400, "reserved or empty property name %q", name)
+	for _, p := range e.props {
+		if p.Name == "" || p.Name == "PartitionKey" || p.Name == "RowKey" || p.Name == "Timestamp" {
+			return storecommon.Errf(storecommon.CodeInvalidInput, 400, "reserved or empty property name %q", p.Name)
 		}
 	}
 	return nil
@@ -512,7 +554,7 @@ func entityNotFound(pk, rk string) error {
 	return storecommon.Errf(storecommon.CodeEntityNotFound, 404, "entity (%q,%q) not found", pk, rk)
 }
 
-func updateConditionNotMet(e *Entity) error {
+func updateConditionNotMet(pk, rk string) error {
 	return storecommon.Errf(storecommon.CodeUpdateConditionNotMet, 412,
-		"etag condition failed for (%q,%q)", e.PartitionKey, e.RowKey)
+		"etag condition failed for (%q,%q)", pk, rk)
 }

@@ -389,3 +389,39 @@ func TestRowReadsTheVersionItWasHanded(t *testing.T) {
 	}
 	check("inserting its Clone")
 }
+
+// TestRangeGoesInNameOrder: Range visits a row's properties in bytewise
+// name order, each once, whether the row was written whole, merged over
+// an older one or flattened by ReadOnly, and stops when f says so.
+func TestRangeGoesInNameOrder(t *testing.T) {
+	s, _ := newTestStore()
+	props := map[string]Value{"b": Int32(1), "B": Int32(2), "a1": Int32(3), "a": Int32(4), "_": Int32(5), "\xff": Int32(6)}
+	if _, err := s.Insert("bench", ent("p", "r", props)); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := s.Merge("bench", ent("p", "r", map[string]Value{"Z": Int32(7), "a": Int32(8)}), storecommon.ETagAny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, c := range map[string]struct {
+		row  Row
+		want []string
+	}{
+		"stored":   {merged, []string{"B", "Z", "_", "a", "a1", "b", "\xff"}},
+		"ReadOnly": {ReadOnly(ent("p", "r", props)), []string{"B", "_", "a", "a1", "b", "\xff"}},
+	} {
+		var names []string
+		c.row.Range(func(name string, _ Value) bool {
+			names = append(names, name)
+			return true
+		})
+		if !slices.Equal(names, c.want) {
+			t.Errorf("%s row ranges %q, want %q", what, names, c.want)
+		}
+		n := 0
+		c.row.Range(func(string, Value) bool { n++; return n < 2 })
+		if n != 2 {
+			t.Errorf("%s row: Range went on for %d calls after f returned false", what, n-2)
+		}
+	}
+}
