@@ -188,6 +188,9 @@ unreached:
 	curl -fsS http://$(LIVE_ADDR)/healthz >/dev/null; \
 	curl -fsS http://$(LIVE_ADDR)/metricsz >/dev/null; \
 	curl -fsS http://$(LIVE_ADDR)/stats >/dev/null; \
+	curl -sS -o /dev/null http://$(LIVE_ADDR)/nowhere; \
+	curl -sS -o /dev/null -X PATCH http://$(LIVE_ADDR)/queue/; \
+	curl -sS -o /dev/null -X PUT -d x http://$(LIVE_ADDR)/blob/unreached/logs/; \
 	kill -TERM $$pid; wait $$pid; \
 	$(U)/ex-quickstart >/dev/null; \
 	$(U)/ex-bagoftasks -workers 6 -tasks 30 >/dev/null; \

@@ -17,58 +17,74 @@ import (
 // body is a 64 MB single-shot blob upload).
 const maxBodyBytes = storecommon.MaxSingleShotBlob + 1<<20
 
-// handleBlob routes /blob/{container}[/{blob...}]; GET /blob/?comp=list
+// serveBlob serves /blob/[{container}[/{blob}]]: at the account, GET
 // enumerates containers.
-func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
-	if !s.throttle.allow("", "") {
-		writeBusy(w)
-		return
-	}
-	container, blob := pathParts(r, "/blob/")
-	switch {
-	case container == "":
-		if r.Method != http.MethodGet {
-			writeMethodNotAllowed(w, r)
-			return
-		}
+func (s *Server) serveBlob(w http.ResponseWriter, r *request) error {
+	container, blob := r.name, r.sub
+	onAccount, onContainer := container == "" && blob == "", container != "" && blob == ""
+	comp := r.param("comp")
+	switch m := r.Method; {
+	case onAccount && m == http.MethodGet:
 		done := engineStart(r)
-		containers := s.Blob.ListContainers(r.URL.Query().Get("prefix"))
+		containers := s.Blob.ListContainers(r.param("prefix"))
 		done()
 		writeXML(w, http.StatusOK, containerListXML{Containers: containers})
-	case blob == "":
-		s.handleContainer(w, r, container)
-	default:
-		s.handleBlobObject(w, r, container, blob)
-	}
-}
-
-func (s *Server) handleContainer(w http.ResponseWriter, r *http.Request, container string) {
-	q := r.URL.Query()
-	switch {
-	case r.Method == http.MethodPut:
-		if err := engineDo(r, func() error { return s.Blob.CreateContainer(container) }); err != nil {
-			writeError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	case r.Method == http.MethodDelete:
-		if err := engineDo(r, func() error { return s.Blob.DeleteContainer(container) }); err != nil {
-			writeError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-	case r.Method == http.MethodGet && q.Get("comp") == "list":
+	case onContainer && m == http.MethodPut:
+		return reply(w, http.StatusCreated, engineDo(r, func() error { return s.Blob.CreateContainer(container) }))
+	case onContainer && m == http.MethodDelete:
+		return reply(w, http.StatusAccepted, engineDo(r, func() error { return s.Blob.DeleteContainer(container) }))
+	case onContainer && m == http.MethodGet && comp == "list":
 		done := engineStart(r)
-		blobs, err := s.Blob.ListBlobs(container, q.Get("prefix"))
+		blobs, err := s.Blob.ListBlobs(container, r.param("prefix"))
 		done()
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
 		writeXML(w, http.StatusOK, blobListXML{Blobs: blobs})
+	case onAccount, onContainer:
+		return methodNotAllowed(r)
+	case m == http.MethodPut && comp == "block":
+		return s.putBlock(w, r, container, blob, r.param("blockid"))
+	case m == http.MethodPut && comp == "blocklist":
+		return s.putBlockList(w, r, container, blob)
+	case m == http.MethodPut && comp == "page":
+		return s.putPage(w, r, container, blob)
+	case m == http.MethodPut && comp == "lease":
+		return s.leaseOp(w, r, container, blob)
+	case m == http.MethodPut && comp == "snapshot":
+		done := engineStart(r)
+		ts, err := s.Blob.Snapshot(container, blob)
+		done()
+		if err != nil {
+			return err
+		}
+		setHeader(w.Header(), hSnapshot, ts.UTC().Format(time.RFC3339Nano))
+		w.WriteHeader(http.StatusCreated)
+	case m == http.MethodPut:
+		return s.putBlob(w, r, container, blob)
+	case m == http.MethodGet && comp == "blocklist":
+		return s.getBlockList(w, r, container, blob)
+	case m == http.MethodGet && comp == "pagelist":
+		return s.getPageList(w, r, container, blob)
+	case m == http.MethodGet:
+		return s.getBlob(w, r, container, blob)
+	case m == http.MethodHead:
+		done := engineStart(r)
+		props, err := s.Blob.GetProps(container, blob)
+		done()
+		if err != nil {
+			return err
+		}
+		setBlobHeaders(w, props)
+		w.WriteHeader(http.StatusOK)
+	case m == http.MethodDelete:
+		return reply(w, http.StatusAccepted, engineDo(r, func() error {
+			return s.Blob.DeleteBlob(container, blob, r.Header.Get(hLeaseID))
+		}))
 	default:
-		writeMethodNotAllowed(w, r)
+		return methodNotAllowed(r)
 	}
+	return nil
 }
 
 type blobListXML struct {
@@ -81,105 +97,53 @@ type containerListXML struct {
 	Containers []string `xml:"Containers>Container>Name"`
 }
 
-func (s *Server) handleBlobObject(w http.ResponseWriter, r *http.Request, container, blob string) {
-	q := r.URL.Query()
-	comp := q.Get("comp")
-	switch {
-	case r.Method == http.MethodPut && comp == "block":
-		s.putBlock(w, r, container, blob, q.Get("blockid"))
-	case r.Method == http.MethodPut && comp == "blocklist":
-		s.putBlockList(w, r, container, blob)
-	case r.Method == http.MethodPut && comp == "page":
-		s.putPage(w, r, container, blob)
-	case r.Method == http.MethodPut && comp == "lease":
-		s.leaseOp(w, r, container, blob)
-	case r.Method == http.MethodPut && comp == "snapshot":
-		done := engineStart(r)
-		ts, err := s.Blob.Snapshot(container, blob)
-		done()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		w.Header().Set("x-ms-snapshot", ts.UTC().Format(time.RFC3339Nano))
-		w.WriteHeader(http.StatusCreated)
-	case r.Method == http.MethodPut:
-		s.putBlob(w, r, container, blob)
-	case r.Method == http.MethodGet && comp == "blocklist":
-		s.getBlockList(w, r, container, blob)
-	case r.Method == http.MethodGet && comp == "pagelist":
-		s.getPageList(w, r, container, blob)
-	case r.Method == http.MethodGet:
-		s.getBlob(w, r, container, blob)
-	case r.Method == http.MethodHead:
-		s.headBlob(w, r, container, blob)
-	case r.Method == http.MethodDelete:
-		if err := engineDo(r, func() error { return s.Blob.DeleteBlob(container, blob, r.Header.Get(hLeaseID)) }); err != nil {
-			writeError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-	default:
-		writeMethodNotAllowed(w, r)
-	}
-}
-
 // readBlobBody reads an upload into the buffer the engine will keep.
-func readBlobBody(r *http.Request) (payload.Payload, error) {
+func readBlobBody(r *request) (payload.Payload, error) {
 	body, err := readBody(r, maxBodyBytes, nil)
 	return payload.Bytes(body), err
 }
 
-func (s *Server) putBlob(w http.ResponseWriter, r *http.Request, container, blob string) {
+func (s *Server) putBlob(w http.ResponseWriter, r *request, container, blob string) error {
+	var props blobstore.Props
 	switch r.Header.Get(hBlobType) {
 	case "PageBlob":
 		size, err := strconv.ParseInt(r.Header.Get("x-ms-blob-content-length"), 10, 64)
 		if err != nil {
-			writeError(w, storecommon.Errf(storecommon.CodeMissingRequiredHeader, 400,
-				"x-ms-blob-content-length required for page blobs"))
-			return
+			return storecommon.Errf(storecommon.CodeMissingRequiredHeader, 400,
+				"x-ms-blob-content-length required for page blobs")
 		}
 		done := engineStart(r)
-		props, err := s.Blob.CreatePageBlob(container, blob, size)
+		props, err = s.Blob.CreatePageBlob(container, blob, size)
 		done()
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
-		setHeader(w.Header(), hETag, props.ETag)
-		w.WriteHeader(http.StatusCreated)
 	case "BlockBlob", "":
 		data, err := readBlobBody(r)
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
 		done := engineStart(r)
-		props, err := s.Blob.UploadBlockBlob(container, blob, data, r.Header.Get(hLeaseID))
+		props, err = s.Blob.UploadBlockBlob(container, blob, data, r.Header.Get(hLeaseID))
 		done()
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
-		setHeader(w.Header(), hETag, props.ETag)
-		w.WriteHeader(http.StatusCreated)
 	default:
-		writeError(w, storecommon.Errf(storecommon.CodeInvalidInput, 400,
-			"unknown x-ms-blob-type %q", r.Header.Get(hBlobType)))
+		return storecommon.Errf(storecommon.CodeInvalidInput, 400,
+			"unknown x-ms-blob-type %q", r.Header.Get(hBlobType))
 	}
+	setHeader(w.Header(), hETag, props.ETag)
+	w.WriteHeader(http.StatusCreated)
+	return nil
 }
 
-func (s *Server) putBlock(w http.ResponseWriter, r *http.Request, container, blob, blockID string) {
+func (s *Server) putBlock(w http.ResponseWriter, r *request, container, blob, blockID string) error {
 	data, err := readBlobBody(r)
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
-	if err := engineDo(r, func() error { return s.Blob.PutBlock(container, blob, blockID, data) }); err != nil {
-		writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusCreated)
+	return reply(w, http.StatusCreated, engineDo(r, func() error { return s.Blob.PutBlock(container, blob, blockID, data) }))
 }
 
 // blockListXML is the PutBlockList request / GetBlockList response body.
@@ -190,29 +154,27 @@ type blockListXML struct {
 	Latest      []string `xml:"Latest"`
 }
 
-func (s *Server) putBlockList(w http.ResponseWriter, r *http.Request, container, blob string) {
+func (s *Server) putBlockList(w http.ResponseWriter, r *request, container, blob string) error {
 	buf := getScratch()
 	defer buf.release()
 	raw, err := readBody(r, maxBodyBytes, buf)
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	// Element order matters in a block list; decode token-by-token.
 	refs, err := decodeBlockListOrdered(raw)
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	done := engineStart(r)
 	props, err := s.Blob.PutBlockList(container, blob, refs, r.Header.Get(hLeaseID))
 	done()
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	setHeader(w.Header(), hETag, props.ETag)
 	w.WriteHeader(http.StatusCreated)
+	return nil
 }
 
 func decodeBlockListOrdered(raw []byte) ([]blobstore.BlockRef, error) {
@@ -257,13 +219,12 @@ func decodeBlockListOrdered(raw []byte) ([]blobstore.BlockRef, error) {
 	return refs, nil
 }
 
-func (s *Server) getBlockList(w http.ResponseWriter, r *http.Request, container, blob string) {
+func (s *Server) getBlockList(w http.ResponseWriter, r *request, container, blob string) error {
 	done := engineStart(r)
 	committed, uncommitted, err := s.Blob.GetBlockList(container, blob)
 	done()
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	var out blockListXML
 	for _, b := range committed {
@@ -273,38 +234,28 @@ func (s *Server) getBlockList(w http.ResponseWriter, r *http.Request, container,
 		out.Uncommitted = append(out.Uncommitted, b.ID)
 	}
 	writeXML(w, http.StatusOK, out)
+	return nil
 }
 
-func (s *Server) putPage(w http.ResponseWriter, r *http.Request, container, blob string) {
-	off, n, err := parseRange(r.Header.Get("x-ms-range"))
+func (s *Server) putPage(w http.ResponseWriter, r *request, container, blob string) error {
+	off, n, err := parseRange(r.Header.Get(hMsRange))
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	leaseID := r.Header.Get(hLeaseID)
-	switch r.Header.Get("x-ms-page-write") {
-	case "clear":
-		if err := engineDo(r, func() error { return s.Blob.ClearPages(container, blob, off, n, leaseID) }); err != nil {
-			writeError(w, err)
-			return
-		}
-	default: // "update"
-		data, err := readBlobBody(r)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		if data.Len() != n {
-			writeError(w, storecommon.Errf(storecommon.CodeInvalidPageRange, 400,
-				"body length %d does not match range length %d", data.Len(), n))
-			return
-		}
-		if err := engineDo(r, func() error { return s.Blob.PutPages(container, blob, off, data, leaseID) }); err != nil {
-			writeError(w, err)
-			return
-		}
+	if r.Header.Get("x-ms-page-write") == "clear" {
+		return reply(w, http.StatusCreated, engineDo(r, func() error { return s.Blob.ClearPages(container, blob, off, n, leaseID) }))
 	}
-	w.WriteHeader(http.StatusCreated)
+	// "update"
+	data, err := readBlobBody(r)
+	if err != nil {
+		return err
+	}
+	if data.Len() != n {
+		return storecommon.Errf(storecommon.CodeInvalidPageRange, 400,
+			"body length %d does not match range length %d", data.Len(), n)
+	}
+	return reply(w, http.StatusCreated, engineDo(r, func() error { return s.Blob.PutPages(container, blob, off, data, leaseID) }))
 }
 
 type pageListXML struct {
@@ -317,87 +268,72 @@ type pageRangeXML struct {
 	End   int64 `xml:"End"`
 }
 
-func (s *Server) getPageList(w http.ResponseWriter, r *http.Request, container, blob string) {
+func (s *Server) getPageList(w http.ResponseWriter, r *request, container, blob string) error {
 	done := engineStart(r)
 	ranges, err := s.Blob.GetPageRanges(container, blob)
 	done()
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	var out pageListXML
 	for _, rg := range ranges {
 		out.Ranges = append(out.Ranges, pageRangeXML{Start: rg.Off, End: rg.End() - 1})
 	}
 	writeXML(w, http.StatusOK, out)
+	return nil
 }
 
-func (s *Server) getBlob(w http.ResponseWriter, r *http.Request, container, blob string) {
-	if snap := r.URL.Query().Get("snapshot"); snap != "" {
+func (s *Server) getBlob(w http.ResponseWriter, r *request, container, blob string) error {
+	if snap := r.param("snapshot"); snap != "" {
 		ts, err := time.Parse(time.RFC3339Nano, snap)
 		if err != nil {
-			writeError(w, storecommon.Errf(storecommon.CodeInvalidInput, 400, "bad snapshot timestamp %q", snap))
-			return
+			return storecommon.Errf(storecommon.CodeInvalidInput, 400, "bad snapshot timestamp %q", snap)
 		}
 		done := engineStart(r)
 		data, err := s.Blob.DownloadSnapshot(container, blob, ts)
 		done()
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
 		writeBody(w, http.StatusOK, octetType, data.AsBytes())
-		return
+		return nil
 	}
 	if rangeHdr := firstNonEmpty(r.Header.Get(hMsRange), r.Header.Get(hRange)); rangeHdr != "" {
 		off, n, err := parseRange(rangeHdr)
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
 		done := engineStart(r)
 		data, err := s.Blob.DownloadRange(container, blob, off, n)
 		done()
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
 		writeBody(w, http.StatusPartialContent, octetType, data.AsBytes())
-		return
+		return nil
 	}
 	done := engineStart(r)
 	data, props, err := s.Blob.Download(container, blob)
 	done()
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	setBlobHeaders(w, props)
 	w.WriteHeader(http.StatusOK)
 	w.Write(data.AsBytes()) // the engine's own bytes, not a copy
-}
-
-func (s *Server) headBlob(w http.ResponseWriter, r *http.Request, container, blob string) {
-	done := engineStart(r)
-	props, err := s.Blob.GetProps(container, blob)
-	done()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	setBlobHeaders(w, props)
-	w.WriteHeader(http.StatusOK)
+	return nil
 }
 
 func setBlobHeaders(w http.ResponseWriter, props blobstore.Props) {
-	setHeader(w.Header(), hETag, props.ETag)
-	w.Header().Set("x-ms-blob-type", props.Type.String())
-	w.Header().Set("Content-Length", strconv.FormatInt(props.Size, 10))
-	w.Header().Set("x-ms-lease-status", strings.ToLower(props.LeaseStatus.String()))
-	w.Header().Set("Last-Modified", props.LastModified.UTC().Format(http.TimeFormat))
+	h := w.Header()
+	setHeader(h, hETag, props.ETag)
+	setHeader(h, hBlobType, props.Type.String())
+	setHeader(h, hContentLength, strconv.FormatInt(props.Size, 10))
+	setHeader(h, hLeaseStatus, strings.ToLower(props.LeaseStatus.String()))
+	setHeader(h, hLastModified, props.LastModified.UTC().Format(http.TimeFormat))
 }
 
-func (s *Server) leaseOp(w http.ResponseWriter, r *http.Request, container, blob string) {
+func (s *Server) leaseOp(w http.ResponseWriter, r *request, container, blob string) error {
 	action := r.Header.Get("x-ms-lease-action")
 	leaseID := r.Header.Get(hLeaseID)
 	switch action {
@@ -406,8 +342,7 @@ func (s *Server) leaseOp(w http.ResponseWriter, r *http.Request, container, blob
 		if v := r.Header.Get("x-ms-lease-duration"); v != "" && v != "-1" {
 			secs, err := strconv.Atoi(v)
 			if err != nil {
-				writeError(w, storecommon.Errf(storecommon.CodeInvalidInput, 400, "bad lease duration %q", v))
-				return
+				return storecommon.Errf(storecommon.CodeInvalidInput, 400, "bad lease duration %q", v)
 			}
 			d = time.Duration(secs) * time.Second
 		}
@@ -415,31 +350,19 @@ func (s *Server) leaseOp(w http.ResponseWriter, r *http.Request, container, blob
 		id, err := s.Blob.AcquireLease(container, blob, d)
 		done()
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
-		w.Header().Set("x-ms-lease-id", id)
+		setHeader(w.Header(), hLeaseID, id)
 		w.WriteHeader(http.StatusCreated)
+		return nil
 	case "renew":
-		if err := engineDo(r, func() error { return s.Blob.RenewLease(container, blob, leaseID, blobstore.InfiniteLease) }); err != nil {
-			writeError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
+		return reply(w, http.StatusOK, engineDo(r, func() error { return s.Blob.RenewLease(container, blob, leaseID, blobstore.InfiniteLease) }))
 	case "release":
-		if err := engineDo(r, func() error { return s.Blob.ReleaseLease(container, blob, leaseID) }); err != nil {
-			writeError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
+		return reply(w, http.StatusOK, engineDo(r, func() error { return s.Blob.ReleaseLease(container, blob, leaseID) }))
 	case "break":
-		if err := engineDo(r, func() error { return s.Blob.BreakLease(container, blob) }); err != nil {
-			writeError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
+		return reply(w, http.StatusAccepted, engineDo(r, func() error { return s.Blob.BreakLease(container, blob) }))
 	default:
-		writeError(w, storecommon.Errf(storecommon.CodeInvalidInput, 400, "unknown lease action %q", action))
+		return storecommon.Errf(storecommon.CodeInvalidInput, 400, "unknown lease action %q", action)
 	}
 }
 

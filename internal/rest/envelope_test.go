@@ -23,7 +23,7 @@ import (
 // what net/http would have made of it.
 func TestHeaderConstantsAreCanonical(t *testing.T) {
 	for _, key := range []string{hVersion, hErrorCode, hContentType, hContentLength, hETag, hIfMatch, hLastModified,
-		hRange, hMsRange, hBlobType, hLeaseID, hLeaseStatus, hNextPartitionKey, hNextRowKey,
+		hRange, hMsRange, hBlobType, hLeaseID, hLeaseStatus, hSnapshot, hNextPartitionKey, hNextRowKey,
 		hApproximateCount, hPopReceipt, hTimeNextVisible} {
 		if want := http.CanonicalHeaderKey(key); key != want {
 			t.Errorf("header constant %q is not canonical (%q)", key, want)

@@ -19,15 +19,14 @@ func promLabels(endpoint string) (method, service string) {
 	return method, service
 }
 
-// handleMetricsz serves the endpoint stats in the Prometheus text
+// serveMetricsz serves the endpoint stats in the Prometheus text
 // exposition format (version 0.0.4): one counter family each for
 // requests, errors, and throttles, and one histogram family translating
 // the fixed log2 layout into cumulative le-buckets. It renders the same
 // MetricsSnapshot in-process callers read, so the two always agree.
-func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveMetricsz(w http.ResponseWriter, r *request) error {
 	if r.Method != http.MethodGet {
-		writeMethodNotAllowed(w, r)
-		return
+		return methodNotAllowed(r)
 	}
 	var b strings.Builder
 	snap := s.MetricsSnapshot()
@@ -79,6 +78,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 			m, svc, es.Latency.Count())
 	}
 	writeBody(w, http.StatusOK, promType, []byte(b.String()))
+	return nil
 }
 
 // promType is the content type of the Prometheus text exposition format.

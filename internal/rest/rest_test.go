@@ -12,6 +12,7 @@ import (
 
 	"azurebench/internal/payload"
 	"azurebench/internal/storecommon"
+	"azurebench/internal/vclock"
 )
 
 func doReq(t *testing.T, srv *Server, method, path string, headers map[string]string, body string) *http.Response {
@@ -149,7 +150,7 @@ func TestDecodeBlockListOrdered(t *testing.T) {
 }
 
 func TestThrottlerIndependentScopes(t *testing.T) {
-	th := newThrottler(Options{QueueOpsPerSec: 10, AccountOpsPerSec: 1000})
+	th := newThrottler(Options{Clock: &vclock.Manual{}, QueueOpsPerSec: 10, AccountOpsPerSec: 1000})
 	// Queue q1's bucket (burst 2) exhausts without touching q2's.
 	granted := 0
 	for i := 0; i < 5; i++ {
@@ -172,20 +173,22 @@ func TestThrottlerIndependentScopes(t *testing.T) {
 // RateLimiter, which is what the throttler kept per name before pooling.
 func TestThrottlerBoundedAndVerdictPreserving(t *testing.T) {
 	const rate = 50.0
-	th := newThrottler(Options{QueueOpsPerSec: rate, PartitionOpsPerSec: rate, AccountOpsPerSec: 1e9})
+	clock := &vclock.Manual{}
+	th := newThrottler(Options{Clock: clock, QueueOpsPerSec: rate, PartitionOpsPerSec: rate, AccountOpsPerSec: 1e9})
 	refQ := storecommon.NewRateLimiter(rate, rate/10+1)
 	refP := storecommon.NewRateLimiter(rate, rate/10+1)
 	var now time.Duration
 	for i := 0; i < 10000; i++ {
+		clock.Advance(3 * time.Millisecond)
 		now += 3 * time.Millisecond
 		cold := strconv.Itoa(i)
-		if !th.allowAt(now, "q"+cold, "") || !th.allowAt(now, "", "p"+cold) {
+		if !th.allow("q"+cold, "") || !th.allow("", "p"+cold) {
 			t.Fatalf("first request to a fresh name throttled at step %d", i)
 		}
-		if got, want := th.allowAt(now, "hot", ""), refQ.Allow(now, 1); got != want {
+		if got, want := th.allow("hot", ""), refQ.Allow(now, 1); got != want {
 			t.Fatalf("step %d: hot queue verdict %v, unpooled limiter says %v", i, got, want)
 		}
-		if got, want := th.allowAt(now, "", "hot"), refP.Allow(now, 1); got != want {
+		if got, want := th.allow("", "hot"), refP.Allow(now, 1); got != want {
 			t.Fatalf("step %d: hot partition verdict %v, unpooled limiter says %v", i, got, want)
 		}
 	}
@@ -197,6 +200,31 @@ func TestThrottlerBoundedAndVerdictPreserving(t *testing.T) {
 	}
 	if n := th.parts.Len(); n > bound {
 		t.Errorf("partition limiters = %d after 10000 names, want <= %d", n, bound)
+	}
+}
+
+// The throttler reads the server's clock: under a manual clock a drained
+// queue bucket stays drained until the clock moves, and a second of it
+// refills the bucket.
+func TestThrottlerRefillsOnTheServerClock(t *testing.T) {
+	clock := &vclock.Manual{}
+	srv := NewServer(Options{Clock: clock, Throttle: true, QueueOpsPerSec: 5})
+	if err := srv.Queue.CreateQueue("q-1"); err != nil {
+		t.Fatal(err)
+	}
+	get := func() int {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest("GET", "/queue/q-1", nil))
+		return w.Code
+	}
+	for i, want := range []int{200, 503, 503} { // the burst is 1.5 requests
+		if got := get(); got != want {
+			t.Fatalf("request %d: status %d, want %d", i, got, want)
+		}
+	}
+	clock.Advance(time.Second)
+	if got := get(); got != http.StatusOK {
+		t.Fatalf("after a second on the server clock: status %d, want 200", got)
 	}
 }
 

@@ -16,10 +16,10 @@
 package rest
 
 import (
-	"context"
 	"encoding/xml"
 	"io"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -53,9 +53,6 @@ type Server struct {
 	Queue *queuestore.Store
 	Table *tablestore.Store
 
-	clock vclock.Clock
-	mux   *http.ServeMux
-
 	throttle *throttler
 
 	// Per-endpoint request counters and latency histograms, served at
@@ -71,54 +68,173 @@ type Server struct {
 
 // NewServer builds an emulator with fresh engines.
 func NewServer(opts Options) *Server {
-	clock := opts.Clock
-	if clock == nil {
-		clock = vclock.Real{}
+	if opts.Clock == nil {
+		opts.Clock = vclock.Real{}
 	}
 	s := &Server{
-		Blob:  blobstore.New(clock),
-		Queue: queuestore.New(clock),
-		Table: tablestore.New(clock),
-		clock: clock,
-		mux:   http.NewServeMux(),
+		Blob:  blobstore.New(opts.Clock),
+		Queue: queuestore.New(opts.Clock),
+		Table: tablestore.New(opts.Clock),
 	}
 	if opts.Throttle {
 		s.throttle = newThrottler(opts)
 	}
-	s.mux.HandleFunc("/blob/", s.handleBlob)
-	s.mux.HandleFunc("/queue/", s.handleQueue)
-	s.mux.HandleFunc("/table/", s.handleTable)
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeBody(w, http.StatusOK, textType, []byte("ok\n"))
-	})
-	s.mux.HandleFunc("/metricsz", s.handleMetricsz)
-	s.mux.HandleFunc("/stats", s.handleServiceStats)
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+// ServeHTTP implements http.Handler: it parses the request once, serves
+// it, and writes the error a handler returns.
+func (s *Server) ServeHTTP(w http.ResponseWriter, hr *http.Request) {
 	w.Header()[hVersion] = versionValue
 	sw := &statusWriter{ResponseWriter: w}
-	var rt *reqTrace
-	if s.traceLog != nil {
-		rt = &reqTrace{}
-		r = r.WithContext(context.WithValue(r.Context(), reqTraceKey{}, rt))
-	}
 	startAt := time.Now()
-	if r.RequestURI == "*" {
-		// The asterisk form names the server, not a resource. net/http
-		// answers OPTIONS * before any handler; ServeMux would answer the
-		// rest with a bare 400.
-		writeError(sw, errAsteriskURI)
-	} else {
-		s.mux.ServeHTTP(sw, r)
+	r, err := parseRequest(hr)
+	if s.traceLog != nil {
+		r.trace = &reqTrace{}
+	}
+	if err == nil {
+		err = s.serve(sw, &r)
+	}
+	if err != nil {
+		writeError(sw, err)
 	}
 	elapsed := time.Since(startAt)
-	s.observe(r, sw.status, elapsed)
-	if rt != nil {
-		s.recordTrace(r, sw, rt, startAt, elapsed)
+	s.observe(r.slot, sw.status, elapsed)
+	if r.trace != nil {
+		s.recordTrace(&r, sw, startAt, elapsed)
 	}
+}
+
+// --- routing ---
+
+// request is an HTTP request as the server parses it, once, before any
+// handler runs. Resource names are taken as sent: a blob name keeps a
+// trailing slash, which the engine refuses.
+type request struct {
+	*http.Request
+	route int // index into statRoutes; -1 for a path outside them
+	slot  int // the stats table slot
+
+	// The resource after the service prefix: a container and a blob
+	// name; a queue and "messages[/id]"; a table-service resource, which
+	// for an entity set or entity is its table, with the keys in pk and rk
+	// when keyed.
+	name, sub     string
+	entity, keyed bool
+	pk, rk        string
+
+	query url.Values // parsed on the first param call
+	trace *reqTrace  // nil when tracing is off
+}
+
+// parseRequest reads the route, the stats slot and the resource names off
+// the request line. Its error — an unknown path, a request URI of *, a
+// table request naming no resource — is the answer; the slot is set
+// either way.
+func parseRequest(hr *http.Request) (request, error) {
+	r := request{Request: hr}
+	path := hr.URL.Path
+	if path == "" {
+		path = "/"
+	}
+	seg, tail, nested := path, "", false
+	if i := strings.IndexByte(path[1:], '/'); i >= 0 {
+		seg, tail, nested = path[:i+1], path[i+2:], true
+	}
+	r.route = slices.Index(statRoutes[:], seg)
+	if m := slices.Index(statMethods[:], hr.Method); m >= 0 && r.route >= 0 {
+		r.slot = 1 + m*len(statRoutes) + r.route
+	}
+	if hr.RequestURI == "*" {
+		// The asterisk form names the server, not a resource. net/http
+		// answers OPTIONS * itself.
+		return r, errAsteriskURI
+	}
+	switch r.route {
+	case routeBlob:
+		r.name, r.sub, _ = strings.Cut(tail, "/")
+	case routeQueue:
+		r.name, r.sub, _ = strings.Cut(strings.TrimRight(tail, "/"), "/")
+	case routeTable:
+		r.name, _, _ = strings.Cut(strings.TrimRight(tail, "/"), "/")
+		switch {
+		case r.name == "":
+			return r, errNoTableResource
+		case r.name != "Tables" && !strings.HasPrefix(r.name, "Tables('"):
+			r.entity = true
+			r.name, r.pk, r.rk, r.keyed = parseEntityKey(r.name)
+		}
+	case routeHealthz, routeMetricsz, routeStats:
+		if nested {
+			return r, errResourceNotFound
+		}
+	default:
+		return r, errResourceNotFound
+	}
+	return r, nil
+}
+
+// param is the query parameter key, from a query parsed at most once.
+func (r *request) param(key string) string {
+	if r.query == nil && r.URL.RawQuery != "" {
+		r.query = r.URL.Query()
+	}
+	return r.query.Get(key)
+}
+
+// intParam reads an optional integer query parameter. A value that is
+// present but not a number is the client's error, not the default.
+func (r *request) intParam(key string, def int) (int, error) {
+	s := r.param(key)
+	if s == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, storecommon.Errf(storecommon.CodeOutOfRangeQueryParameterValue, 400, "%s=%q is not an integer", key, s)
+	}
+	return n, nil
+}
+
+// serve answers a parsed request. A storage request is admitted once, at
+// the scopes the scalability targets name — the account, plus the queue
+// for a queue's operations and the partition for an entity's — and goes to
+// its service's handler.
+func (s *Server) serve(w http.ResponseWriter, r *request) error {
+	var queue, partition string
+	switch {
+	case r.route == routeHealthz:
+		writeBody(w, http.StatusOK, textType, []byte("ok\n"))
+		return nil
+	case r.route == routeMetricsz:
+		return s.serveMetricsz(w, r)
+	case r.route == routeStats:
+		return s.serveServiceStats(w, r)
+	case r.route == routeQueue:
+		queue = r.name
+	case r.entity && s.throttle != nil:
+		partition = r.name + "|" + r.pk
+	}
+	if !s.throttle.allow(queue, partition) {
+		return errServerBusy
+	}
+	switch r.route {
+	case routeBlob:
+		return s.serveBlob(w, r)
+	case routeQueue:
+		return s.serveQueue(w, r)
+	default:
+		return s.serveTable(w, r)
+	}
+}
+
+// reply writes status when err is nil and otherwise returns err, for
+// ServeHTTP to write.
+func reply(w http.ResponseWriter, status int, err error) error {
+	if err == nil {
+		w.WriteHeader(status)
+	}
+	return err
 }
 
 // --- throttling ---
@@ -129,6 +245,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // keys does not grow the server without bound.
 type throttler struct {
 	mu      sync.Mutex
+	clock   vclock.Clock
 	start   time.Time
 	account *storecommon.RateLimiter
 	queues  *storecommon.LimiterPool
@@ -149,24 +266,21 @@ func newThrottler(opts Options) *throttler {
 		pRate = storecommon.PartitionOpsPerSec
 	}
 	return &throttler{
-		start:   time.Now(),
+		clock:   opts.Clock,
+		start:   opts.Clock.Now(),
 		account: storecommon.NewRateLimiter(aRate, aRate/2+1),
 		queues:  storecommon.NewLimiterPool(qRate, qRate/10+1),
 		parts:   storecommon.NewLimiterPool(pRate, pRate/10+1),
 	}
 }
 
-// allow charges one transaction against the account plus the optional
-// queue/partition scopes.
+// allow charges one transaction, at the server clock's now, against the
+// account plus the optional queue/partition scopes.
 func (t *throttler) allow(queue, partition string) bool {
 	if t == nil {
 		return true
 	}
-	return t.allowAt(time.Since(t.start), queue, partition)
-}
-
-// allowAt is allow at an explicit instant since start.
-func (t *throttler) allowAt(now time.Duration, queue, partition string) bool {
+	now := t.clock.Now().Sub(t.start)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.account.Allow(now, 1) {
@@ -201,24 +315,18 @@ func writeError(w http.ResponseWriter, err error) {
 	writeBody(w, status, xmlType, body)
 }
 
-var errAsteriskURI = storecommon.Errf(storecommon.CodeInvalidURI, 400,
-	"the request URI * names no resource")
+var (
+	errAsteriskURI = storecommon.Errf(storecommon.CodeInvalidURI, 400,
+		"the request URI * names no resource")
+	errResourceNotFound = storecommon.Errf(storecommon.CodeResourceNotFound, 404,
+		"the specified resource does not exist")
+	errNoTableResource = storecommon.Errf(storecommon.CodeInvalidInput, 400, "missing table resource")
+	errServerBusy      = storecommon.Errf(storecommon.CodeServerBusy, 503,
+		"the server is busy; retry after backoff")
+)
 
-func writeBusy(w http.ResponseWriter) {
-	writeError(w, storecommon.Errf(storecommon.CodeServerBusy, 503,
-		"the server is busy; retry after backoff"))
-}
-
-func writeMethodNotAllowed(w http.ResponseWriter, r *http.Request) {
-	writeError(w, storecommon.Errf(storecommon.CodeUnsupportedHTTPVerb, 405,
-		"verb %s not supported here", r.Method))
-}
-
-// pathParts splits the path after the service prefix into its first
-// segment and whatever follows it, both empty when there is none.
-func pathParts(r *http.Request, prefix string) (first, rest string) {
-	first, rest, _ = strings.Cut(strings.Trim(strings.TrimPrefix(r.URL.Path, prefix), "/"), "/")
-	return first, rest
+func methodNotAllowed(r *request) error {
+	return storecommon.Errf(storecommon.CodeUnsupportedHTTPVerb, 405, "verb %s not supported here", r.Method)
 }
 
 // Header keys in net/http's canonical form. The handlers on the
@@ -238,6 +346,7 @@ const (
 	hBlobType         = "X-Ms-Blob-Type"
 	hLeaseID          = "X-Ms-Lease-Id"
 	hLeaseStatus      = "X-Ms-Lease-Status"
+	hSnapshot         = "X-Ms-Snapshot"
 	hNextPartitionKey = "X-Ms-Continuation-Nextpartitionkey"
 	hNextRowKey       = "X-Ms-Continuation-Nextrowkey"
 	hApproximateCount = "X-Ms-Approximate-Messages-Count"
@@ -275,7 +384,7 @@ func writeBody(w http.ResponseWriter, status int, contentType []string, body []b
 // longer than limit is refused with 413 — unread when its length was
 // declared — and never handed on cut short. The buffer is into's when into
 // is given and a fresh one the caller may keep otherwise.
-func readBody(r *http.Request, limit int64, into *scratch) ([]byte, error) {
+func readBody(r *request, limit int64, into *scratch) ([]byte, error) {
 	var body []byte
 	var err error
 	switch n := r.ContentLength; {

@@ -3,9 +3,7 @@ package rest
 import (
 	"encoding/xml"
 	"net/http"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -67,7 +65,19 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 var (
 	statMethods = [...]string{http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
 		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace}
-	statRoutes = [...]string{"/blob", "/queue", "/table", "/healthz", "/metricsz", "/stats", "/"}
+	statRoutes = [...]string{routeBlob: "/blob", routeQueue: "/queue", routeTable: "/table",
+		routeHealthz: "/healthz", routeMetricsz: "/metricsz", routeStats: "/stats", routeRoot: "/"}
+)
+
+// The server's routes: a path's first segment, as indexes into statRoutes.
+const (
+	routeBlob = iota
+	routeQueue
+	routeTable
+	routeHealthz
+	routeMetricsz
+	routeStats
+	routeRoot
 )
 
 // otherEndpoint is the one stats key shared by every request that is not
@@ -86,29 +96,9 @@ var endpointNames = func() (names [1 + len(statMethods)*len(statRoutes)]string) 
 	return names
 }()
 
-// endpointSlot reduces a request to its slot in the stats table.
-func endpointSlot(r *http.Request) int {
-	path := r.URL.Path
-	if path == "" {
-		path = "/"
-	}
-	if i := strings.IndexByte(path[1:], '/'); i >= 0 {
-		path = path[:i+1]
-	}
-	route := slices.Index(statRoutes[:], path)
-	method := slices.Index(statMethods[:], r.Method)
-	if route < 0 || method < 0 {
-		return 0
-	}
-	return 1 + method*len(statRoutes) + route
-}
-
-// endpointKey is the request's stats key.
-func endpointKey(r *http.Request) string { return endpointNames[endpointSlot(r)] }
-
 // observe records one completed request.
-func (s *Server) observe(r *http.Request, status int, d time.Duration) {
-	es := &s.stats[endpointSlot(r)]
+func (s *Server) observe(slot, status int, d time.Duration) {
+	es := &s.stats[slot]
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	es.count++
@@ -159,12 +149,12 @@ type storageServiceStatsXML struct {
 // reachable on the secondary endpoint of an RA-GRS account). The emulated
 // account has no secondary region, so the status is always "unavailable"
 // and LastSyncTime empty.
-func (s *Server) handleServiceStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveServiceStats(w http.ResponseWriter, r *request) error {
 	if r.Method != http.MethodGet {
-		writeMethodNotAllowed(w, r)
-		return
+		return methodNotAllowed(r)
 	}
 	var body storageServiceStatsXML
 	body.GeoReplication.Status = "unavailable"
 	writeXML(w, http.StatusOK, body)
+	return nil
 }

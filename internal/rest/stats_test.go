@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"azurebench/internal/vclock"
 )
 
 func TestEndpointKey(t *testing.T) {
@@ -19,9 +21,9 @@ func TestEndpointKey(t *testing.T) {
 		{"GET", "/blobby", "OTHER /other"},
 		{"M7", "/blob/c/b", "OTHER /other"},
 	} {
-		r := httptest.NewRequest(tc.method, "http://x"+tc.path, nil)
-		if got := endpointKey(r); got != tc.want {
-			t.Errorf("endpointKey(%s %s) = %q, want %q", tc.method, tc.path, got, tc.want)
+		r, _ := parseRequest(httptest.NewRequest(tc.method, "http://x"+tc.path, nil))
+		if got := endpointNames[r.slot]; got != tc.want {
+			t.Errorf("%s %s: stats key %q, want %q", tc.method, tc.path, got, tc.want)
 		}
 	}
 }
@@ -75,12 +77,12 @@ func TestStatszCountsAndClassifies(t *testing.T) {
 }
 
 func TestStatszCountsThrottles(t *testing.T) {
-	srv := NewServer(Options{Throttle: true, QueueOpsPerSec: 0.001, AccountOpsPerSec: 1e6})
+	srv := NewServer(Options{Clock: &vclock.Manual{}, Throttle: true, QueueOpsPerSec: 0.001, AccountOpsPerSec: 1e6})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
-	// Creating the queue charges the queue scope's nearly-empty bucket;
-	// repeated creates must throttle.
-	saw503 := false
+	// Each request charges the queue scope's one-token bucket, which the
+	// stopped clock never refills: the first is admitted (and answered
+	// 405), the other nine throttled.
 	for i := 0; i < 10; i++ {
 		resp, err := hs.Client().Post(hs.URL+"/queue/q1", "application/xml", nil)
 		if err != nil {
@@ -88,26 +90,12 @@ func TestStatszCountsThrottles(t *testing.T) {
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			saw503 = true
-		}
-	}
-	if !saw503 {
-		t.Skip("throttler did not reject within 10 requests")
 	}
 	snap := srv.MetricsSnapshot()
-	for _, s := range snap {
-		if s.Endpoint == "POST /queue" {
-			if s.Throttled == 0 {
-				t.Fatalf("throttled = 0: %+v", s)
-			}
-			if s.Throttled > s.Errors {
-				t.Fatalf("throttled > errors: %+v", s)
-			}
-			return
-		}
+	if len(snap) != 1 || snap[0].Endpoint != "POST /queue" || snap[0].Count != 10 ||
+		snap[0].Errors != 10 || snap[0].Throttled != 9 {
+		t.Fatalf("stats = %+v, want POST /queue with 10 requests, 10 errors, 9 throttled", snap)
 	}
-	t.Fatalf("POST /queue missing: %+v", snap)
 }
 
 // Method and path are client-supplied: requests outside the server's own

@@ -12,56 +12,24 @@ import (
 	"azurebench/internal/tablestore"
 )
 
-// handleTable routes /table/Tables... and /table/{name}...
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	resource, _ := pathParts(r, "/table/")
-	if resource == "" {
-		writeError(w, storecommon.Errf(storecommon.CodeInvalidInput, 400, "missing table resource"))
-		return
-	}
-	switch {
-	case resource == "Tables":
-		if !s.throttle.allow("", "") {
-			writeBusy(w)
-			return
-		}
-		s.handleTables(w, r)
-	case strings.HasPrefix(resource, "Tables('"):
-		if !s.throttle.allow("", "") {
-			writeBusy(w)
-			return
-		}
-		name := strings.TrimSuffix(strings.TrimPrefix(resource, "Tables('"), "')")
-		if r.Method != http.MethodDelete {
-			writeMethodNotAllowed(w, r)
-			return
-		}
-		if err := engineDo(r, func() error { return s.Table.DeleteTable(name) }); err != nil {
-			writeError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		s.handleEntities(w, r, resource)
-	}
-}
-
-func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
+// serveTable serves /table/Tables, /table/Tables('{name}'), and an entity
+// set /table/{name} or entity /table/{name}(PartitionKey='…',RowKey='…').
+func (s *Server) serveTable(w http.ResponseWriter, r *request) error {
+	table, pk, rk, ifMatch := r.name, r.pk, r.rk, r.Header.Get(hIfMatch)
+	tables := !r.entity && table == "Tables"
+	switch m := r.Method; {
+	case tables && m == http.MethodPost:
 		var body struct {
 			TableName string `json:"TableName"`
 		}
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&body); err != nil {
-			writeError(w, storecommon.Errf(storecommon.CodeInvalidInput, 400, "bad body: %v", err))
-			return
+			return storecommon.Errf(storecommon.CodeInvalidInput, 400, "bad body: %v", err)
 		}
 		if err := engineDo(r, func() error { return s.Table.CreateTable(body.TableName) }); err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
 		writeJSON(w, http.StatusCreated, map[string]string{"TableName": body.TableName})
-	case http.MethodGet:
+	case tables && m == http.MethodGet:
 		done := engineStart(r)
 		names := s.Table.ListTables("")
 		done()
@@ -75,9 +43,75 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 			out.Value = append(out.Value, entry{TableName: n})
 		}
 		writeJSON(w, http.StatusOK, out)
+	case !r.entity && !tables && m == http.MethodDelete: // Tables('name')
+		name := strings.TrimSuffix(strings.TrimPrefix(table, "Tables('"), "')")
+		return reply(w, http.StatusNoContent, engineDo(r, func() error { return s.Table.DeleteTable(name) }))
+	case !r.entity:
+		return methodNotAllowed(r)
+	case r.keyed && m == http.MethodGet:
+		done := engineStart(r)
+		row, err := s.Table.Get(table, pk, rk)
+		done()
+		if err != nil {
+			return err
+		}
+		// Encoded outside the store's lock: the store never writes a row
+		// it has handed out.
+		setHeader(w.Header(), hETag, row.ETag())
+		return writeEntityJSON(w, http.StatusOK, row)
+	case r.keyed && (m == http.MethodPut || m == "MERGE"):
+		// Replace or Merge; with no If-Match, InsertOrReplace or
+		// InsertOrMerge.
+		e, err := readEntity(r)
+		if err != nil {
+			return err
+		}
+		e.PartitionKey, e.RowKey = pk, rk
+		var stored tablestore.Row
+		done := engineStart(r)
+		switch {
+		case m == http.MethodPut && ifMatch == "":
+			stored, err = s.Table.InsertOrReplace(table, e)
+		case m == http.MethodPut:
+			stored, err = s.Table.Replace(table, e, ifMatch)
+		case ifMatch == "":
+			stored, err = s.Table.InsertOrMerge(table, e)
+		default:
+			stored, err = s.Table.Merge(table, e, ifMatch)
+		}
+		done()
+		if err != nil {
+			return err
+		}
+		setHeader(w.Header(), hETag, stored.ETag())
+		w.WriteHeader(http.StatusNoContent)
+	case r.keyed && m == http.MethodDelete:
+		if ifMatch == "" {
+			return storecommon.Errf(storecommon.CodeMissingRequiredHeader, 400,
+				"DELETE requires If-Match (use * for unconditional)")
+		}
+		return reply(w, http.StatusNoContent, engineDo(r, func() error { return s.Table.Delete(table, pk, rk, ifMatch) }))
+	case r.keyed:
+		return methodNotAllowed(r)
+	case m == http.MethodPost: // Insert
+		e, err := readEntity(r)
+		if err != nil {
+			return err
+		}
+		done := engineStart(r)
+		stored, err := s.Table.Insert(table, e)
+		done()
+		if err != nil {
+			return err
+		}
+		setHeader(w.Header(), hETag, stored.ETag())
+		return writeEntityJSON(w, http.StatusCreated, stored)
+	case m == http.MethodGet: // Query
+		return s.queryEntities(w, r, table)
 	default:
-		writeMethodNotAllowed(w, r)
+		return methodNotAllowed(r)
 	}
+	return nil
 }
 
 // parseEntityKey parses `name(PartitionKey='p',RowKey='r')`.
@@ -109,140 +143,35 @@ func parseEntityKey(resource string) (table, pk, rk string, ok bool) {
 	return table, pk, rk, true
 }
 
-func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request, resource string) {
-	table, pk, rk, keyed := parseEntityKey(resource)
-	if s.throttle != nil && !s.throttle.allow("", table+"|"+pk) {
-		writeBusy(w)
-		return
+func (s *Server) queryEntities(w http.ResponseWriter, r *request, table string) error {
+	top, err := r.intParam("$top", 0)
+	if err != nil {
+		return err
 	}
-	if keyed {
-		s.handleEntityByKey(w, r, table, pk, rk)
-		return
+	from := tablestore.Continuation{
+		NextPartitionKey: r.Header.Get(hNextPartitionKey),
+		NextRowKey:       r.Header.Get(hNextRowKey),
 	}
-	switch r.Method {
-	case http.MethodPost: // Insert
-		e, err := readEntity(r)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		done := engineStart(r)
-		stored, err := s.Table.Insert(table, e)
-		done()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		setHeader(w.Header(), hETag, stored.ETag())
-		writeEntityJSON(w, http.StatusCreated, stored)
-	case http.MethodGet: // Query
-		q := r.URL.Query()
-		top, err := queryInt(q, "$top", 0)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		from := tablestore.Continuation{
-			NextPartitionKey: r.Header.Get(hNextPartitionKey),
-			NextRowKey:       r.Header.Get(hNextRowKey),
-		}
-		done := engineStart(r)
-		res, err := s.Table.Query(table, q.Get("$filter"), top, from)
-		done()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		buf := getScratch()
-		defer buf.release()
-		if buf.b, err = odata.AppendPage(buf.b[:0], res.Entities); err != nil {
-			writeError(w, err)
-			return
-		}
-		if !res.Next.IsZero() {
-			setHeader(w.Header(), hNextPartitionKey, res.Next.NextPartitionKey)
-			setHeader(w.Header(), hNextRowKey, res.Next.NextRowKey)
-		}
-		writeBody(w, http.StatusOK, jsonType, buf.b)
-	default:
-		writeMethodNotAllowed(w, r)
+	done := engineStart(r)
+	res, err := s.Table.Query(table, r.param("$filter"), top, from)
+	done()
+	if err != nil {
+		return err
 	}
+	buf := getScratch()
+	defer buf.release()
+	if buf.b, err = odata.AppendPage(buf.b[:0], res.Entities); err != nil {
+		return err
+	}
+	if !res.Next.IsZero() {
+		setHeader(w.Header(), hNextPartitionKey, res.Next.NextPartitionKey)
+		setHeader(w.Header(), hNextRowKey, res.Next.NextRowKey)
+	}
+	writeBody(w, http.StatusOK, jsonType, buf.b)
+	return nil
 }
 
-func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table, pk, rk string) {
-	ifMatch := r.Header.Get(hIfMatch)
-	switch r.Method {
-	case http.MethodGet:
-		done := engineStart(r)
-		row, err := s.Table.Get(table, pk, rk)
-		done()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		// Encoded outside the store's lock: the store never writes a row
-		// it has handed out.
-		setHeader(w.Header(), hETag, row.ETag())
-		writeEntityJSON(w, http.StatusOK, row)
-	case http.MethodPut: // Replace (or InsertOrReplace when no If-Match)
-		e, err := readEntity(r)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		e.PartitionKey, e.RowKey = pk, rk
-		var stored tablestore.Row
-		done := engineStart(r)
-		if ifMatch == "" {
-			stored, err = s.Table.InsertOrReplace(table, e)
-		} else {
-			stored, err = s.Table.Replace(table, e, ifMatch)
-		}
-		done()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		setHeader(w.Header(), hETag, stored.ETag())
-		w.WriteHeader(http.StatusNoContent)
-	case "MERGE": // Merge (or InsertOrMerge when no If-Match)
-		e, err := readEntity(r)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		e.PartitionKey, e.RowKey = pk, rk
-		var stored tablestore.Row
-		done := engineStart(r)
-		if ifMatch == "" {
-			stored, err = s.Table.InsertOrMerge(table, e)
-		} else {
-			stored, err = s.Table.Merge(table, e, ifMatch)
-		}
-		done()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		setHeader(w.Header(), hETag, stored.ETag())
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodDelete:
-		if ifMatch == "" {
-			writeError(w, storecommon.Errf(storecommon.CodeMissingRequiredHeader, 400,
-				"DELETE requires If-Match (use * for unconditional)"))
-			return
-		}
-		if err := engineDo(r, func() error { return s.Table.Delete(table, pk, rk, ifMatch) }); err != nil {
-			writeError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		writeMethodNotAllowed(w, r)
-	}
-}
-
-func readEntity(r *http.Request) (*tablestore.Entity, error) {
+func readEntity(r *request) (*tablestore.Entity, error) {
 	buf := getScratch()
 	defer buf.release()
 	raw, err := readBody(r, 2*storecommon.MaxEntitySize, buf)
@@ -252,15 +181,15 @@ func readEntity(r *http.Request) (*tablestore.Entity, error) {
 	return odata.DecodeEntity(raw) // which keeps nothing of raw
 }
 
-func writeEntityJSON(w http.ResponseWriter, status int, row tablestore.Row) {
+func writeEntityJSON(w http.ResponseWriter, status int, row tablestore.Row) error {
 	buf := getScratch()
 	defer buf.release()
 	var err error
 	if buf.b, err = odata.AppendRow(buf.b[:0], row); err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	writeBody(w, status, jsonType, buf.b)
+	return nil
 }
 
 // writeJSON serves the table-level operations (create, list); entities

@@ -19,19 +19,11 @@ type reqTrace struct {
 	engine time.Duration
 }
 
-type reqTraceKey struct{}
-
-// traceOf fetches the request's trace state (nil when tracing is off).
-func traceOf(r *http.Request) *reqTrace {
-	rt, _ := r.Context().Value(reqTraceKey{}).(*reqTrace)
-	return rt
-}
-
 // engineStart marks the start of engine work on the request's trace and
 // returns the func to call when the engine returns. With tracing off it
 // returns a no-op, so handlers can instrument unconditionally.
-func engineStart(r *http.Request) func() {
-	rt := traceOf(r)
+func engineStart(r *request) func() {
+	rt := r.trace
 	if rt == nil {
 		return func() {}
 	}
@@ -46,7 +38,7 @@ func engineStart(r *http.Request) func() {
 
 // engineDo runs one engine call under the request's engine-occupancy
 // span and returns its error.
-func engineDo(r *http.Request, fn func() error) error {
+func engineDo(r *request, fn func() error) error {
 	done := engineStart(r)
 	err := fn()
 	done()
@@ -72,7 +64,7 @@ func (s *Server) SetTrace(l *trace.Log, seed string) {
 func (s *Server) Trace() *trace.Log { return s.traceLog }
 
 // recordTrace emits the server-side op for one completed request.
-func (s *Server) recordTrace(r *http.Request, sw *statusWriter, rt *reqTrace, startAt time.Time, elapsed time.Duration) {
+func (s *Server) recordTrace(r *request, sw *statusWriter, startAt time.Time, elapsed time.Duration) {
 	op := trace.Op{
 		Start:    startAt.Sub(vclock.Epoch),
 		Duration: elapsed,
@@ -86,7 +78,7 @@ func (s *Server) recordTrace(r *http.Request, sw *statusWriter, rt *reqTrace, st
 		op.Bytes = 0 // unknown ContentLength reports -1
 	}
 	if op.Name == "" {
-		op.Name = endpointKey(r)
+		op.Name = endpointNames[r.slot]
 	}
 	if tid, sid, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
 		op.TraceID, op.ParentID = tid, sid
@@ -96,9 +88,9 @@ func (s *Server) recordTrace(r *http.Request, sw *statusWriter, rt *reqTrace, st
 	if sw.status >= 400 {
 		op.Err = sw.Header().Get("x-ms-error-code")
 	}
-	rt.mu.Lock()
-	engine := rt.engine
-	rt.mu.Unlock()
+	r.trace.mu.Lock()
+	engine := r.trace.engine
+	r.trace.mu.Unlock()
 	if engine > elapsed {
 		engine = elapsed
 	}

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"azurebench/internal/blobstore"
+	"azurebench/internal/cloud"
 	"azurebench/internal/core"
 	"azurebench/internal/liverun"
+	"azurebench/internal/payload"
 	"azurebench/internal/queuestore"
 	"azurebench/internal/rest"
 	"azurebench/internal/retry"
@@ -263,6 +265,28 @@ func TestDoorsRetryTheThrottledCall(t *testing.T) {
 	gets, updates := after["GET /table"]-before["GET /table"], after["PUT /table"]-before["PUT /table"]
 	if gets != 1 || updates != 2 {
 		t.Errorf("live door sent %d reads and %d updates, want 1 and 2", gets, updates)
+	}
+}
+
+// TestDoorsRefuseABlobNameEndingInASlash: both doors take a blob name as
+// sent, so the engine's name check refuses one that ends in a slash on
+// each, and neither stores it under the name without the slash.
+func TestDoorsRefuseABlobNameEndingInASlash(t *testing.T) {
+	sp, err := scenario.Parse([]byte(doorsSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []door{simDoor(sp), liveDoor(t, sp)} {
+		if err := d.drv.Setup(); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		err := d.drv.Do(0, cloud.Op{Kind: cloud.OpUploadBlockBlob, Name: "media", Key: "logs/", Data: payload.String("x")})
+		if code := storecommon.CodeOf(err); code != storecommon.CodeInvalidResourceName {
+			t.Errorf("%s door: PUT of blob logs/ answered %v, want %s", d.name, err, storecommon.CodeInvalidResourceName)
+		}
+		if blobs, err := d.blob.ListBlobs("media", "logs"); err != nil || len(blobs) != 0 {
+			t.Errorf("%s door: blobs under logs = %v, %v; want none", d.name, blobs, err)
+		}
 	}
 }
 

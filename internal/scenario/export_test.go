@@ -54,6 +54,30 @@ func (s *doorStep) Resume(p Proc) {
 	}
 }
 
+// Do makes one op, which the vocabulary need not be able to spell, as the
+// given client, inside a process of the door's runtime, and returns its
+// error.
+func (d *Door) Do(client int, op cloud.Op) error {
+	s := &rawStep{st: d.clients[client].store, op: op}
+	d.e.rt.Go("raw", s)
+	d.e.rt.Wait()
+	return s.op.Err
+}
+
+// rawStep is a process that makes one op and ends.
+type rawStep struct {
+	st      Store
+	op      cloud.Op
+	started bool
+}
+
+func (s *rawStep) Resume(p Proc) {
+	if !s.started {
+		s.started = true
+		s.st.Start(p, &s.op, s)
+	}
+}
+
 // Sleep lets d pass on the door's runtime clock.
 func (d *Door) Sleep(dur time.Duration) {
 	d.e.rt.Go("sleep", sleeper(dur))
