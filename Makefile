@@ -70,7 +70,12 @@ race-live:
 # non-empty critical-path reconstruction (the trees must be complete — no
 # orphan, no span ID twice, no child before its parent — and the chains
 # must carry stage attributions). The flash-crowd scenario's open arrivals
-# share clients and retry, so its trees must come out complete too.
+# share clients and retry, so its trees must come out complete too. Every
+# subcommand then runs twice over the same faults trace (diff against a
+# seed-2 run) and each pair of outputs must be byte-identical: the tools'
+# own determinism on a real trace, which the unit tests' synthetic traces
+# do not reach.
+TRACE_CMDS := summary critpath tail flame chrome
 trace-smoke:
 	$(GO) build -o bin/azurebench ./cmd/azurebench
 	$(GO) build -o bin/aztrace ./cmd/aztrace
@@ -80,6 +85,12 @@ trace-smoke:
 	bin/aztrace summary bin/trace-crowd.jsonl | grep -q 'causal trees: complete'
 	bin/aztrace critpath -n 1 bin/trace-smoke.jsonl | tee bin/trace-smoke.txt | grep -q 'critical path'
 	test -s bin/trace-smoke.txt
+	bin/azurebench -quick -seed 2 -experiment faults -tracefile bin/trace-smoke2.jsonl >/dev/null
+	for i in 1 2; do \
+		for c in $(TRACE_CMDS); do bin/aztrace $$c bin/trace-smoke.jsonl > bin/trace-$$c-$$i.out || exit 1; done; \
+		bin/aztrace diff bin/trace-smoke.jsonl bin/trace-smoke2.jsonl > bin/trace-diff-$$i.out || exit 1; \
+	done
+	for c in $(TRACE_CMDS) diff; do cmp bin/trace-$$c-1.out bin/trace-$$c-2.out || exit 1; done
 
 # Regenerate every table and figure at paper scale (≈ 15 s on two cores;
 # GOMAXPROCS=1 is the serial run, ≈ 27 s). The last line on stderr is the
@@ -155,8 +166,9 @@ examples:
 # (ROADMAP item 4). The pattern must be azurebench/...:
 # -coverpkg=./internal/... silently matches nothing for these mains.
 # Takes minutes; not part of `make check`. What it lists of
-# internal/analysis are helpers that run only while a finding is being
-# rendered; the tree is clean, so only the fixture tests reach them.
+# internal/analysis (seededrand, errdrop, simblock, lockorder and their
+# framework) are helpers that run only while a finding is being rendered;
+# the tree is clean, so only the fixture tests reach them.
 U := bin/unreached
 COVBUILD := $(GO) build -cover -coverpkg=azurebench/...
 unreached:

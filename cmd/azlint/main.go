@@ -1,11 +1,10 @@
 // Command azlint is the repository's determinism-and-safety linter: an
-// interprocedural multichecker for the seven analyzers in
-// internal/analysis (walltime, seededrand, maporder, errdrop, simblock,
-// lockorder, hotalloc), each kept because it reports a violation the
-// tests let through (DESIGN.md §8). Wall-clock and global-rand taint is
-// tracked across function and package boundaries through one
-// program-wide table of per-function summaries, and diagnostics report
-// the full call chain at the sim-facing call site.
+// interprocedural multichecker for the four analyzers in
+// internal/analysis (seededrand, errdrop, simblock, lockorder), each kept
+// because it reports a violation the tests let through (DESIGN.md §8).
+// Global-rand taint is tracked across function and package boundaries
+// through one program-wide table of per-function summaries, and
+// diagnostics report the full call chain at the deterministic call site.
 //
 // It takes package patterns and nothing else — there are no flags —
 // loading the whole program via `go list -export -deps` and the gc

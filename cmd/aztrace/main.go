@@ -13,8 +13,11 @@
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -25,8 +28,7 @@ import (
 	"azurebench/internal/tracegraph"
 )
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: aztrace <command> [flags] <trace.jsonl> [trace2.jsonl]
+const usage = `usage: aztrace <command> [flags] <trace.jsonl> [trace2.jsonl]
 
 commands:
   summary    forest statistics, invariant check, and stage profiles
@@ -34,96 +36,117 @@ commands:
   tail       tail-latency attribution table (-pct)
   chrome     Chrome trace-event JSON on stdout
   flame      collapsed stacks for flamegraph.pl on stdout
-  diff       stage-by-stage p50/p99 diff of two traces`)
-	os.Exit(2)
-}
+  diff       stage-by-stage p50/p99 diff of two traces`
+
+// errUsage makes main print the usage text and exit 2.
+var errUsage = errors.New("usage")
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, usage)
+		os.Exit(2)
+	default:
+		fmt.Fprintf(os.Stderr, "aztrace: %v\n", err)
+		os.Exit(1)
 	}
-	cmd := os.Args[1]
+}
+
+// run executes one subcommand. Everything it prints goes through one
+// bufio.Writer on stdout, and a failed write comes back as the error of
+// its Flush, so output that did not arrive is never an exit status 0.
+func run(args []string, stdout io.Writer) error {
+	if len(args) < 1 {
+		return errUsage
+	}
+	cmd := args[0]
 	fs := flag.NewFlagSet("aztrace "+cmd, flag.ExitOnError)
 	pct := fs.Float64("pct", 99, "tail percentile (tail, critpath)")
 	topN := fs.Int("n", 3, "how many slowest traces to print (critpath)")
-	fs.Parse(os.Args[2:])
+	fs.Parse(args[1:])
 
 	want := 1
 	if cmd == "diff" {
 		want = 2
 	}
 	if fs.NArg() != want {
-		usage()
+		return errUsage
 	}
-	tr := load(fs.Arg(0))
+	tr, err := load(fs.Arg(0))
+	if err != nil {
+		return err
+	}
 
+	w := bufio.NewWriter(stdout)
 	switch cmd {
 	case "summary":
-		summary(tr)
+		summary(w, tr)
 	case "critpath":
-		critpath(tr, *topN, *pct)
+		critpath(w, tr, *topN, *pct)
 	case "tail":
-		fmt.Print(tracegraph.RenderTail(tr.TailAttribution(*pct), *pct))
+		fmt.Fprint(w, tracegraph.RenderTail(tr.TailAttribution(*pct), *pct))
 	case "chrome":
-		if err := tracegraph.WriteChrome(os.Stdout, tr); err != nil {
-			fatal(err)
+		if err := tracegraph.WriteChrome(w, tr); err != nil {
+			return err
 		}
 	case "flame":
-		if err := tracegraph.WriteFlame(os.Stdout, tr); err != nil {
-			fatal(err)
+		if err := tracegraph.WriteFlame(w, tr); err != nil {
+			return err
 		}
 	case "diff":
-		fmt.Print(tracegraph.RenderDiff(tracegraph.Diff(tr, load(fs.Arg(1)))))
+		other, err := load(fs.Arg(1))
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, tracegraph.RenderDiff(tracegraph.Diff(tr, other)))
 	default:
-		usage()
+		return errUsage
 	}
+	return w.Flush()
 }
 
-func load(path string) *tracegraph.Trace {
+func load(path string) (*tracegraph.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer f.Close()
 	file, err := trace.ReadJSONL(f)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	tr := tracegraph.Trace(file)
-	return &tr
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "aztrace: %v\n", err)
-	os.Exit(1)
+	return &tr, nil
 }
 
 // summary prints the forest shape, the invariant check, and per-group
 // stage percentiles.
-func summary(tr *tracegraph.Trace) {
+func summary(w io.Writer, tr *tracegraph.Trace) {
 	f := tr.Forest()
 	rep := tr.Verify()
-	fmt.Printf("ops: %d  roots: %d  standalone: %d  orphans: %d\n",
+	fmt.Fprintf(w, "ops: %d  roots: %d  standalone: %d  orphans: %d\n",
 		rep.Ops, len(f.Roots), rep.Standalone, rep.Orphans)
 	if tr.Dropped > 0 {
-		fmt.Printf("eviction: %d ops dropped, window truncated before %v\n",
+		fmt.Fprintf(w, "eviction: %d ops dropped, window truncated before %v\n",
 			tr.Dropped, tr.EvictedBefore)
 	}
 	if len(tr.Sections) > 0 {
-		fmt.Printf("experiments: %s\n", strings.Join(tr.Sections, ", "))
+		fmt.Fprintf(w, "experiments: %s\n", strings.Join(tr.Sections, ", "))
 	}
 	if rep.Complete() {
-		fmt.Println("causal trees: complete (every non-root span resolves its one parent, which starts no later)")
+		fmt.Fprintln(w, "causal trees: complete (every non-root span resolves its one parent, which starts no later)")
 	} else {
-		fmt.Printf("causal trees: INCOMPLETE (%d orphaned spans, %d span IDs used more than once, %d ops starting before their parent)\n",
+		fmt.Fprintf(w, "causal trees: INCOMPLETE (%d orphaned spans, %d span IDs used more than once, %d ops starting before their parent)\n",
 			rep.Orphans, rep.DuplicateSpans, rep.EarlyChildren)
 	}
 	if rep.SpanMismatches > 0 {
-		fmt.Printf("stage partition: %d ops whose stages do not sum to their duration\n", rep.SpanMismatches)
+		fmt.Fprintf(w, "stage partition: %d ops whose stages do not sum to their duration\n", rep.SpanMismatches)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, p := range tr.Profiles() {
-		fmt.Printf("%s/%s: n=%d p50=%v p99=%v\n", p.Service, p.Name, p.Count,
+		fmt.Fprintf(w, "%s/%s: n=%d p50=%v p99=%v\n", p.Service, p.Name, p.Count,
 			p.Percentile(50).Round(time.Microsecond), p.Percentile(99).Round(time.Microsecond))
 	}
 }
@@ -140,10 +163,10 @@ func chainDuration(root *tracegraph.Node) time.Duration {
 // critpath prints the critical path of the n slowest causal trees, plus
 // the aggregate stage breakdown of every tree above the pct-th
 // percentile chain duration.
-func critpath(tr *tracegraph.Trace, n int, pct float64) {
+func critpath(w io.Writer, tr *tracegraph.Trace, n int, pct float64) {
 	f := tr.Forest()
 	if len(f.Roots) == 0 {
-		fmt.Println("(no operations)")
+		fmt.Fprintln(w, "(no operations)")
 		return
 	}
 	type chain struct {
@@ -159,10 +182,10 @@ func critpath(tr *tracegraph.Trace, n int, pct float64) {
 	if n > len(chains) {
 		n = len(chains)
 	}
-	fmt.Printf("critical path of the %d slowest traces:\n", n)
+	fmt.Fprintf(w, "critical path of the %d slowest traces:\n", n)
 	for i := 0; i < n; i++ {
 		c := chains[i]
-		fmt.Printf("\n#%d  %v  trace=%s\n", i+1, c.dur.Round(time.Microsecond), c.root.Op.TraceID)
+		fmt.Fprintf(w, "\n#%d  %v  trace=%s\n", i+1, c.dur.Round(time.Microsecond), c.root.Op.TraceID)
 		for _, step := range tracegraph.CriticalPath(c.root) {
 			var stages []string
 			names := make([]string, 0, len(step.Stages))
@@ -177,7 +200,7 @@ func critpath(tr *tracegraph.Trace, n int, pct float64) {
 			if step.Op.Err != "" {
 				status = "  err=" + step.Op.Err
 			}
-			fmt.Printf("  %s %s/%s  %v%s  [%s]\n", step.Op.Client, step.Op.Service,
+			fmt.Fprintf(w, "  %s %s/%s  %v%s  [%s]\n", step.Op.Client, step.Op.Service,
 				step.Op.Name, step.Op.Duration.Round(time.Microsecond), status,
 				strings.Join(stages, " "))
 		}
@@ -208,14 +231,19 @@ func critpath(tr *tracegraph.Trace, n int, pct float64) {
 	if total == 0 {
 		return
 	}
-	fmt.Printf("\nstage breakdown of the %d traces >= p%g (%v):\n", slow, pct, thresh.Round(time.Microsecond))
+	fmt.Fprintf(w, "\nstage breakdown of the %d traces >= p%g (%v):\n", slow, pct, thresh.Round(time.Microsecond))
 	names := make([]string, 0, len(agg))
 	for st := range agg {
 		names = append(names, st)
 	}
-	sort.Slice(names, func(i, j int) bool { return agg[names[i]] > agg[names[j]] })
+	sort.Slice(names, func(i, j int) bool {
+		if agg[names[i]] != agg[names[j]] {
+			return agg[names[i]] > agg[names[j]]
+		}
+		return names[i] < names[j]
+	})
 	for _, st := range names {
-		fmt.Printf("  %-14s %10v  %5.1f%%\n", st, agg[st].Round(time.Microsecond),
+		fmt.Fprintf(w, "  %-14s %10v  %5.1f%%\n", st, agg[st].Round(time.Microsecond),
 			100*float64(agg[st])/float64(total))
 	}
 }

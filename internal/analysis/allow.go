@@ -16,7 +16,7 @@ import (
 // on the line immediately below it, so it works both as a trailing
 // comment and as a standalone line above the offending statement:
 //
-//	wall := time.Now() //azlint:allow walltime(harness wall-clock measurement)
+//	_ = cl.DeleteMessage(p, q, id, pop) //azlint:allow errdrop(best-effort ack; a redelivery is harmless)
 //
 //	//azlint:allow seededrand(live-mode default jitter source)
 //	jitter = rand.Float64
@@ -24,7 +24,7 @@ import (
 // Several suppressions can share one directive, each with its own
 // reason:
 //
-//	//azlint:allow walltime(live probe) seededrand(live jitter)
+//	//azlint:allow seededrand(live jitter) errdrop(best-effort cleanup)
 //
 // The reason is mandatory — a suppression without a justification is
 // itself a diagnostic — and the analyzer name must be one of the
@@ -141,7 +141,7 @@ func filterAllowed(fset *token.FileSet, diags []Diagnostic, allows []*allowSite)
 
 // staleAllows reports directives that suppressed nothing even though
 // their analyzer ran — dead debt that must be removed. Directives for
-// analyzers outside the run set are left alone (a walltime allow is not
+// analyzers outside the run set are left alone (an errdrop allow is not
 // stale just because only seededrand ran).
 func staleAllows(allows []*allowSite, analyzers []*Analyzer) []Diagnostic {
 	ran := map[string]bool{}

@@ -1,14 +1,11 @@
 // Package analysis is a dependency-free static-analysis framework plus
-// the azlint analyzer suite that machine-checks the reproduction's
-// determinism and safety contracts (see DESIGN.md §8).
-//
-// The paper's figures only replicate if the discrete-event trajectory is
-// a pure function of the seed. The contracts that guarantee this —
-// virtual time via vclock/env.Now, seeded randomness via internal/sim,
-// sorted iteration before any exported result — were previously enforced
-// only by convention. Each analyzer here turns one convention into a
-// machine-checked invariant, wired into `make lint` and CI via
-// cmd/azlint.
+// the azlint analyzer suite (see DESIGN.md §8). The tests hold most of
+// the reproduction's determinism contract — goldens and two-run byte
+// equality catch a wall-clock read, an unsorted map range or an
+// allocation per item wherever output or a ceiling depends on it. The
+// four analyzers here check what no test can say: a global math/rand
+// draw where no golden looks, a dropped error, a lock held across a
+// simulation block, and two locks taken in both orders.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, diagnostics) but is built purely on the standard
@@ -152,11 +149,14 @@ func nonTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
 
 // --- package scoping ---
 
-// simFacingSegments are the import-path segments of packages whose
-// behaviour must be a pure function of the seed. A package is
-// simulation-facing if any path segment matches, or ends in "store"
-// (blobstore, queuestore, tablestore, cachestore, storecommon, ...).
-var simFacingSegments = map[string]bool{
+// deterministicSegments are the import-path segments of packages that
+// must draw randomness from an explicit seeded source: those whose
+// behaviour must be a pure function of the seed, plus the SDK client
+// (its retry jitter must be injectable so live retry schedules reproduce
+// under a fixed seed). A package is in scope if any path segment
+// matches, or ends in "store" (blobstore, queuestore, tablestore,
+// cachestore, storecommon, ...).
+var deterministicSegments = map[string]bool{
 	"sim":          true,
 	"cloud":        true,
 	"model":        true,
@@ -169,34 +169,18 @@ var simFacingSegments = map[string]bool{
 	"telemetry":    true,
 	"trace":        true,
 	"tracegraph":   true,
-}
-
-// SimFacing reports whether the package at importPath is
-// simulation-facing: wall-clock time and global randomness are forbidden
-// there. The "store" substring rule covers the storage engines
-// (blobstore, queuestore, tablestore, cachestore, storecommon) and is
-// restricted to internal/ so that example binaries like
-// examples/livestore (live-mode harnesses) stay out of scope.
-func SimFacing(importPath string) bool {
-	internal := hasSegment(importPath, "internal")
-	for _, seg := range strings.Split(importPath, "/") {
-		if simFacingSegments[seg] || (internal && strings.Contains(seg, "store")) {
-			return true
-		}
-	}
-	return false
+	"sdk":          true,
 }
 
 // Deterministic reports whether the package at importPath must draw
-// randomness from an explicit seeded source. This is the sim-facing set
-// plus the SDK client (its retry jitter must be injectable so live retry
-// schedules reproduce under a fixed seed).
+// randomness from an explicit seeded source. The "store" substring rule
+// covers the storage engines and is restricted to internal/ so that
+// example binaries like examples/livestore (live-mode harnesses) stay
+// out of scope.
 func Deterministic(importPath string) bool {
-	if SimFacing(importPath) {
-		return true
-	}
+	internal := hasSegment(importPath, "internal")
 	for _, seg := range strings.Split(importPath, "/") {
-		if seg == "sdk" {
+		if deterministicSegments[seg] || (internal && strings.Contains(seg, "store")) {
 			return true
 		}
 	}
@@ -240,8 +224,8 @@ func pkgPathOf(obj types.Object) string {
 
 // rootObj returns the object of the leftmost identifier in expr
 // (stripping selectors, indexes, stars and parens), or nil. It
-// identifies "the variable being appended to" / "the slice being
-// sorted" well enough to pair the two.
+// identifies "the mutex being locked" well enough to pair a Lock with
+// its Unlock.
 func rootObj(info *types.Info, expr ast.Expr) types.Object {
 	for {
 		switch e := expr.(type) {

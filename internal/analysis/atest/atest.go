@@ -3,14 +3,14 @@
 // but standard-library only.
 //
 // Fixture packages live in a GOPATH-style tree, testdata/src/<importpath>/,
-// so scope-sensitive analyzers see realistic import paths ("walltime/sim"
-// has a "sim" segment and is simulation-facing; "walltime/outofscope" is
+// so scope-sensitive analyzers see realistic import paths ("seededrand/cloud"
+// has a "cloud" segment and is deterministic; "seededrand/outofscope" is
 // not). Imports between fixture packages resolve within the tree;
 // standard-library imports are type-checked from source via go/importer.
 //
 // Expected diagnostics are declared inline:
 //
-//	time.Sleep(d) // want `time\.Sleep reads the wall clock`
+//	n := rand.Intn(3) // want `rand\.Intn draws from the process-global math/rand source`
 //
 // Every `want` pattern (a regexp, backtick- or double-quoted, several per
 // comment allowed) must match a diagnostic reported on its line, and

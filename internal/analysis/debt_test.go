@@ -14,11 +14,7 @@ import (
 // the same change; raising a ceiling is a reviewable decision, not an
 // accident.
 var debtCeiling = map[string]int{
-	"walltime":   2,
 	"seededrand": 1,
-	// +2: cloud snapshot restore formats station names once per restored
-	// partition/server (setup-time, mirrors the allowed construction path).
-	"hotalloc": 5,
 }
 
 var allowDirRE = regexp.MustCompile(`//azlint:allow ([a-z][a-z0-9]*)\(`)

@@ -5,26 +5,22 @@ import (
 	"go/types"
 )
 
-// This file is the interprocedural substrate of the suite: a per-package
-// call graph (AST-resolved through go/types, so only static calls — no
-// interface dispatch or function values) reduced to one summary per
-// function. All summaries live in one program-wide table,
+// This file is the interprocedural substrate of seededrand: a
+// per-package call graph (AST-resolved through go/types, so only static
+// calls — no interface dispatch or function values) reduced to one
+// summary per function. All summaries live in one program-wide table,
 // map[string]FuncTaint keyed by FuncKey (which is package-qualified);
 // functions with an empty summary are omitted. The driver and the fixture
 // harness fill it package by package in dependency order, so each
 // summary already embeds the transitive chains of its callees.
 
 // FuncTaint is the interprocedural summary of one function: why calling
-// it makes the caller's behaviour depend on process state. Each non-nil
-// field holds the call chain from the function's first offending callee
-// down to the seed, in display form ("util.stamp", "time.Now"), so the
-// diagnostic at the sim-facing call site can show the whole path.
+// it makes the caller's behaviour depend on process state.
 type FuncTaint struct {
-	// Wallclock: the function transitively reads the wall clock
-	// (time.Now/Sleep/After/...).
-	Wallclock []string
-	// GlobalRand: the function transitively draws from the
-	// process-global math/rand source.
+	// GlobalRand is the call chain from the function's first offending
+	// callee down to a draw from the process-global math/rand source, in
+	// display form ("util.jitter", "rand.Float64"), so the diagnostic at
+	// the deterministic call site can show the whole path; nil if clean.
 	GlobalRand []string
 }
 
@@ -47,13 +43,11 @@ func displayName(fn *types.Func) string {
 // funcInfo is the per-function slice of the package call graph.
 type funcInfo struct {
 	obj *types.Func
-	// Seeds: a direct reference (call or value use) to a wall-clock or
-	// global-rand function in this body, unless an //azlint:allow for
-	// the corresponding analyzer sanctions it (annotated sources — the
-	// harness stopwatch, the live-mode jitter default — must not taint
-	// their callers).
-	wallSeed string
-	randSeed string
+	// seed: a direct reference (call or value use) to a global-rand
+	// function in this body, unless an //azlint:allow seededrand
+	// sanctions it (the live-mode jitter default must not taint its
+	// callers).
+	seed string
 	// calls: every statically-resolved callee, in source order.
 	calls []*types.Func
 }
@@ -86,30 +80,25 @@ func ComputeFacts(pkg *Package, files []*ast.File, facts map[string]FuncTaint, a
 		changed = false
 		for _, fi := range fns {
 			key := FuncKey(fi.obj)
-			t := facts[key]
-			if t.Wallclock == nil {
-				t.Wallclock = chainOf(fi.wallSeed, fi.calls, facts, func(t FuncTaint) []string { return t.Wallclock })
+			if facts[key].GlobalRand != nil {
+				continue
 			}
-			if t.GlobalRand == nil {
-				t.GlobalRand = chainOf(fi.randSeed, fi.calls, facts, func(t FuncTaint) []string { return t.GlobalRand })
-			}
-			if old := facts[key]; len(old.Wallclock) != len(t.Wallclock) ||
-				len(old.GlobalRand) != len(t.GlobalRand) {
-				facts[key] = t
+			if chain := chainOf(fi, facts); chain != nil {
+				facts[key] = FuncTaint{GlobalRand: chain}
 				changed = true
 			}
 		}
 	}
 }
 
-// chainOf returns one kind of taint for a function: its own seed, or else
-// the chain of its first tainted callee behind that callee's name.
-func chainOf(seed string, calls []*types.Func, facts map[string]FuncTaint, kind func(FuncTaint) []string) []string {
-	if seed != "" {
-		return []string{seed}
+// chainOf returns a function's taint: its own seed, or else the chain of
+// its first tainted callee behind that callee's name.
+func chainOf(fi *funcInfo, facts map[string]FuncTaint) []string {
+	if fi.seed != "" {
+		return []string{fi.seed}
 	}
-	for _, callee := range calls {
-		if c := kind(facts[FuncKey(callee)]); c != nil {
+	for _, callee := range fi.calls {
+		if c := facts[FuncKey(callee)].GlobalRand; c != nil {
 			return append([]string{displayName(callee)}, c...)
 		}
 	}
@@ -119,31 +108,21 @@ func chainOf(seed string, calls []*types.Func, facts map[string]FuncTaint, kind 
 // collectFuncInfo walks one function body for seeds and call edges.
 // Closure bodies are attributed to the enclosing declaration:
 // conservative (the closure may never run), but deterministic and safe
-// for the contracts being checked.
+// for the contract being checked.
 func collectFuncInfo(pkg *Package, fd *ast.FuncDecl, obj *types.Func, allows []*allowSite) *funcInfo {
 	fi := &funcInfo{obj: obj}
 	info := pkg.Info
-
-	covered := func(analyzer string, pos ast.Node) bool {
-		p := pkg.Fset.Position(pos.Pos())
-		return allowCovers(allows, analyzer, p.Filename, p.Line)
-	}
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
 			fn, ok := info.Uses[n.Sel].(*types.Func)
-			if !ok || fn.Type().(*types.Signature).Recv() != nil {
+			if !ok || fn.Type().(*types.Signature).Recv() != nil || fi.seed != "" {
 				return true
 			}
-			switch pkgPathOf(fn) {
-			case "time":
-				if wallTimeFuncs[fn.Name()] && fi.wallSeed == "" && !covered(Walltime.Name, n) {
-					fi.wallSeed = "time." + fn.Name()
-				}
-			case "math/rand", "math/rand/v2":
-				if !seededRandOK[fn.Name()] && fi.randSeed == "" && !covered(Seededrand.Name, n) {
-					fi.randSeed = "rand." + fn.Name()
+			if p := pkgPathOf(fn); (p == "math/rand" || p == "math/rand/v2") && !seededRandOK[fn.Name()] {
+				pos := pkg.Fset.Position(n.Pos())
+				if !allowCovers(allows, Seededrand.Name, pos.Filename, pos.Line) {
+					fi.seed = "rand." + fn.Name()
 				}
 			}
 		case *ast.CallExpr:

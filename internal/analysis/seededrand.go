@@ -24,7 +24,7 @@ var seededRandOK = map[string]bool{
 // func() float64 and keeps the global default behind an
 // //azlint:allow seededrand(reason) annotation.
 //
-// Like walltime, the check is interprocedural: a call into a helper
+// The check is interprocedural: a call into a helper
 // package whose body transitively draws from the global source is
 // flagged at the deterministic call site with the full call chain.
 var Seededrand = &Analyzer{

@@ -4,4 +4,4 @@ func last() int { return 2 }
 
 // A directive as the very last line of a file covers nothing; it must
 // be reported stale, not crash the harness.
-//azlint:allow walltime(directive at end of file) // want `stale //azlint:allow walltime directive`
+//azlint:allow seededrand(directive at end of file) // want `stale //azlint:allow seededrand directive`

@@ -1,24 +1,35 @@
 // Edge cases of the //azlint:allow directive grammar, exercised under a
-// walltime-only run.
+// seededrand-only run.
 package sim
 
-import (
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
-// One directive, two suppressions with their own reasons. The walltime
-// half is used by the line below; the seededrand half belongs to an
+// One directive, two suppressions with their own reasons. The seededrand
+// half is used by the line below; the lockorder half belongs to an
 // analyzer outside this run set, so it must not be reported stale.
 //
-//azlint:allow walltime(live probe measurement) seededrand(live jitter source)
-func both() (time.Time, float64) { return time.Now(), rand.Float64() }
+//azlint:allow seededrand(live jitter source) lockorder(live lock pair)
+func both() float64 { return rand.Float64() }
 
 // Directive trailing on the same line as the code it suppresses.
-func trailing() time.Time { return time.Now() } //azlint:allow walltime(trailing directive on the offending line)
+func trailing() int { return rand.Intn(3) } //azlint:allow seededrand(trailing directive on the offending line)
 
 // A suppression that suppresses nothing while its analyzer runs is
 // itself a finding.
 //
-//azlint:allow walltime(nothing below reads the clock) // want `stale //azlint:allow walltime directive: no walltime diagnostic on this or the next line`
+//azlint:allow seededrand(nothing below draws) // want `stale //azlint:allow seededrand directive: no seededrand diagnostic on this or the next line`
 func clean() int { return 1 }
+
+// Malformed directives are diagnostics in their own right, wherever they
+// appear — and they suppress nothing. A retired analyzer's name is as
+// unknown as a typo.
+func bad() {
+	//azlint:allow seededrand() // want `empty reason`
+	_ = 1
+
+	//azlint:allow walltime(retired check) // want `unknown analyzer "walltime"`
+	_ = 2
+
+	//azlint:allow seededrand missing parens // want `want //azlint:allow analyzer\(reason\)`
+	_ = 3
+}

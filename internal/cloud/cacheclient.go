@@ -16,7 +16,6 @@ func (c *Cloud) cacheCluster() *cachestore.Cluster {
 		c.cache = cachestore.New(c.clock, c.prm.CacheNodes, c.prm.CacheNodeCapacity)
 		c.cacheSrv = make([]*sim.Resource, c.prm.CacheNodes)
 		for i := range c.cacheSrv {
-			//azlint:allow hotalloc(station names are formatted once per cache node at lazy cluster construction, not per operation)
 			c.cacheSrv[i] = sim.NewResource(c.env, c.station(fmt.Sprintf("cache-node-%d", i)), c.prm.ServerConcurrency)
 		}
 	}

@@ -222,7 +222,6 @@ func (c *Cloud) blobReplicas(container, blob string) *replicaSet {
 	key := string(c.keyBuf)
 	replicas := make([]*sim.Resource, c.prm.Replicas)
 	for i := range replicas {
-		//azlint:allow hotalloc(replica station names are formatted once per blob on first touch, then cached in blobSrv)
 		replicas[i] = sim.NewResource(c.env, c.station(fmt.Sprintf("blob:%s/r%d", key, i)), c.prm.ServerConcurrency)
 	}
 	rs := &replicaSet{replicas: replicas}
@@ -275,7 +274,6 @@ func (c *Cloud) ensureTableServers() {
 		want = n
 	}
 	for len(c.tableSrv) < want {
-		//azlint:allow hotalloc(server station names are formatted once per table server when the fleet grows, not per request)
 		name := fmt.Sprintf("table-srv-%d", len(c.tableSrv))
 		c.tableSrv = append(c.tableSrv, sim.NewResource(c.env, c.station(name), c.prm.ServerConcurrency))
 	}

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -395,6 +396,32 @@ func TestGeoFailoverCycle(t *testing.T) {
 	}
 	if priN == 0 {
 		t.Error("old primary empty after failback")
+	}
+}
+
+// TestGeoOverlappingFailoversPanic: a second outage window that opens
+// while the first is still being detected asks the account for a move
+// its failover cycle forbids. The run stops there, at the second window's
+// start, rather than walking the account through a cycle it is not in.
+func TestGeoOverlappingFailoversPanic(t *testing.T) {
+	env := sim.NewEnv(5)
+	g, err := NewGeoAccount(env, geoParams())
+	if err != nil {
+		t.Fatalf("NewGeoAccount: %v", err)
+	}
+	second := 10*time.Second + 100*time.Millisecond
+	g.ScheduleFailover(10*time.Second, 5*time.Second)
+	g.ScheduleFailover(second, 5*time.Second)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		env.Run()
+	}()
+	if msg := fmt.Sprint(got); !strings.Contains(msg, "cannot move primary-outage -> primary-outage") {
+		t.Fatalf("recovered %v, want the second window's outage refused", got)
+	}
+	if env.Now() != second {
+		t.Errorf("run stopped at %v, want %v", env.Now(), second)
 	}
 }
 

@@ -141,7 +141,6 @@ func (c *Cloud) loadState(r *snap.Reader) error {
 		}
 		rs := &replicaSet{rr: rr, replicas: make([]*sim.Resource, nrep)}
 		for j := range rs.replicas {
-			//azlint:allow hotalloc(replica station names are formatted once per restored blob partition, not per request)
 			rs.replicas[j] = sim.NewResource(c.env, c.station(fmt.Sprintf("blob:%s/r%d", key, j)), c.prm.ServerConcurrency)
 			if err := rs.replicas[j].Load(r); err != nil {
 				return err
@@ -167,7 +166,6 @@ func (c *Cloud) loadState(r *snap.Reader) error {
 	nt := r.Count()
 	c.tableSrv = nil
 	for i := 0; i < nt; i++ {
-		//azlint:allow hotalloc(station names are formatted once per restored table server, not per request)
 		name := fmt.Sprintf("table-srv-%d", i)
 		srv := sim.NewResource(c.env, c.station(name), c.prm.ServerConcurrency)
 		if err := srv.Load(r); err != nil {

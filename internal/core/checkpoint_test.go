@@ -1,12 +1,20 @@
 package core
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"azurebench/internal/snapshot"
 )
+
+var updateCheckpointMeta = flag.Bool("update-checkpoint-meta", false,
+	"rewrite testdata/checkpoint-meta.golden (only on a commit that means to change the meta section)")
 
 // TestRestoreEquivalenceAllExperiments is the headline determinism proof,
 // table-driven across every registered experiment: arming the checkpoint
@@ -83,5 +91,66 @@ func TestRestoreRejectsCorruptedFile(t *testing.T) {
 	}
 	if _, _, err := Restore(file); err == nil {
 		t.Fatal("corrupted snapshot restored without error")
+	}
+}
+
+// TestCheckpointMetaGolden pins the bytes of the meta section of the
+// quick faults checkpoint (`-quick -experiment faults -checkpoint-at 6s`):
+// the run identity restore reads back. Restore reads its fields and
+// nothing else, so this is where a field that differs between two
+// captures of the same run would show.
+func TestCheckpointMetaGolden(t *testing.T) {
+	const at = 6 * time.Second
+	file := filepath.Join(t.TempDir(), "faults.azsnap")
+	s := NewSuite(QuickConfig())
+	if err := s.Checkpoint("faults", at, file); err != nil {
+		t.Fatalf("arming: %v", err)
+	}
+	e, _ := Lookup("faults")
+	e.Run(s)
+	if err := s.CheckpointOutcome(); err != nil {
+		t.Fatalf("capture: %v", err)
+	}
+	f, err := snapshot.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := f.Section(checkpointMetaSection)
+	if meta == nil {
+		t.Fatal("no meta section")
+	}
+	got := fmt.Sprintf("faults at=%v meta len=%d sha256=%x\n", at, len(meta.Payload), sha256.Sum256(meta.Payload))
+
+	const golden = "testdata/checkpoint-meta.golden"
+	if *updateCheckpointMeta {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("checkpoint meta drifted from %s\ngot:  %swant: %s", golden, got, want)
+	}
+}
+
+// TestBlobSetupErrorNamesTheStep: a storage error left after the client's
+// retries in the blob experiment's untimed setup stops the point with
+// the name of the step that failed. The account throttle here admits no
+// request at all, so the first step, creating the container, is the one
+// that fails.
+func TestBlobSetupErrorNamesTheStep(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Workers = []int{1}
+	cfg.Params.AccountOpsPerSec, cfg.Params.AccountBurst = 1e-9, 0.5
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		NewSuite(cfg).blobPoint(1)
+	}()
+	if msg, _ := got.(string); !strings.Contains(msg, `"setup" panicked: create container: `) {
+		t.Fatalf("recovered %v, want the setup process stopped at \"create container\"", got)
 	}
 }

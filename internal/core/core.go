@@ -677,10 +677,9 @@ func sortedCopy(xs []int) []int {
 // function reporting it. It feeds only Report.Wall — "how long did the
 // simulation take on this machine" — which is the one deliberately
 // wall-clock-dependent field in any report and never enters a figure.
-// Centralising it keeps the azlint walltime escape hatch in one place.
 func wallStopwatch() func() time.Duration {
-	start := time.Now() //azlint:allow walltime(Report.Wall measures real harness runtime, never simulated results)
+	start := time.Now()
 	return func() time.Duration {
-		return time.Since(start) //azlint:allow walltime(Report.Wall measures real harness runtime, never simulated results)
+		return time.Since(start)
 	}
 }

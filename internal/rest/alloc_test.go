@@ -2,6 +2,7 @@ package rest
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -79,6 +80,14 @@ func TestRequestAllocationCeilings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A listing of 64 tables costs the doublings of its two slices over a
+	// listing of one, not an allocation per table.
+	many := NewServer(Options{})
+	for i := range 64 {
+		if err := many.Table.CreateTable(fmt.Sprintf("table%03d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var deletes []string
 	for len(deletes) <= 100 {
 		msgs, err := srv.Queue.Get("bench", 32, time.Minute)
@@ -105,6 +114,8 @@ func TestRequestAllocationCeilings(t *testing.T) {
 			serve(t, srv, "GET", "/queue/bench/messages?numofmessages=1&visibilitytimeout=60", nil)
 		}},
 		{"queue DELETE message", 20, func() { serve(t, srv, "DELETE", deletes[0], nil); deletes = deletes[1:] }},
+		{"table GET Tables, 1 table", 24, func() { serve(t, srv, "GET", "/table/Tables", nil) }},
+		{"table GET Tables, 64 tables", 37, func() { serve(t, many, "GET", "/table/Tables", nil) }},
 	} {
 		c.call() // warm the scratch pool and the endpoint's stats slot
 		if n := testing.AllocsPerRun(100, c.call); n > c.ceiling {

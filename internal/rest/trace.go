@@ -2,7 +2,6 @@ package rest
 
 import (
 	"net/http"
-	"sync"
 	"time"
 
 	"azurebench/internal/trace"
@@ -13,9 +12,8 @@ import (
 // moves through the handler chain: the engine occupancy cut out of the
 // total handler time, so the exported server-side op separates "engine"
 // from "handler overhead" the way the sim separates server occupancy from
-// the storage pipeline.
+// the storage pipeline. Only the request's own goroutine touches it.
 type reqTrace struct {
-	mu     sync.Mutex
 	engine time.Duration
 }
 
@@ -29,10 +27,7 @@ func engineStart(r *request) func() {
 	}
 	t0 := time.Now()
 	return func() {
-		d := time.Since(t0)
-		rt.mu.Lock()
-		rt.engine += d
-		rt.mu.Unlock()
+		rt.engine += time.Since(t0)
 	}
 }
 
@@ -88,9 +83,7 @@ func (s *Server) recordTrace(r *request, sw *statusWriter, startAt time.Time, el
 	if sw.status >= 400 {
 		op.Err = sw.Header().Get("x-ms-error-code")
 	}
-	r.trace.mu.Lock()
 	engine := r.trace.engine
-	r.trace.mu.Unlock()
 	if engine > elapsed {
 		engine = elapsed
 	}

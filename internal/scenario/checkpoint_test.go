@@ -1,11 +1,14 @@
 package scenario
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"azurebench/internal/snapshot"
 )
 
 // ckptSpec is a two-phase warm/measure scenario with a checkpoint at the
@@ -109,6 +112,39 @@ func TestScenarioWarmStartEquivalence(t *testing.T) {
 	if RenderMetrics(cm) != RenderMetrics(wm) {
 		t.Errorf("measure phase diverged between cold run and warm start:\ncold:\n%s\nwarm:\n%s",
 			RenderMetrics(cm), RenderMetrics(wm))
+	}
+}
+
+// TestScenarioCheckpointMetaGolden pins the bytes of the meta section of
+// the warm-start checkpoint above: the identity a warm start checks
+// before it loads. The loader reads its fields and nothing else, so this
+// is where a field that differs between two captures of the same run
+// would show.
+func TestScenarioCheckpointMetaGolden(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "ckpt.azsnap")
+	runCkptSpec(t, fmt.Sprintf("  after: warm\n  file: %s", file), 42)
+	f, err := snapshot.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := f.Section(scenarioMetaSection)
+	if meta == nil {
+		t.Fatal("no meta section")
+	}
+	got := fmt.Sprintf("ckpt after=warm meta len=%d sha256=%x\n", len(meta.Payload), sha256.Sum256(meta.Payload))
+
+	const golden = "testdata/checkpoint-meta.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("checkpoint meta drifted from %s\ngot:  %swant: %s", golden, got, want)
 	}
 }
 
