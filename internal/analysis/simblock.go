@@ -18,7 +18,7 @@ var simBlockingMethods = map[string]bool{
 	"Sleep":   true, // Proc.Sleep
 	"Yield":   true, // Proc.Yield
 	"Join":    true, // Proc.Join
-	"Wait":    true, // Signal.Wait, WaitGroup.Wait
+	"Wait":    true, // Signal.Wait
 	"Get":     true, // Store.Get (queue wait)
 }
 

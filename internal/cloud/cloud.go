@@ -1239,16 +1239,15 @@ func (c *Cloud) NewClient(name string, vm model.VMSize) *Client {
 // under; retry.Policy{} makes one attempt.
 func (cl *Client) SetRetryPolicy(pol retry.Policy) { cl.policy = pol }
 
-// Think sleeps for roughly d (the paper's Algorithm 4 think time), with
-// the model's multiplicative jitter so that synchronized workers decohere
-// the way independently-scheduled VMs do.
-func (cl *Client) Think(p *sim.Proc, d time.Duration) {
-	j := cl.cloud.prm.ThinkJitter
-	if j > 0 {
-		f := 1 + j*(2*p.Rand().Float64()-1)
-		d = time.Duration(float64(d) * f)
+// ThinkTime returns roughly d (the paper's Algorithm 4 think time), with
+// the model's multiplicative jitter drawn from the simulation's PRNG, so
+// that synchronized workers that sleep it decohere the way
+// independently-scheduled VMs do.
+func (cl *Client) ThinkTime(d time.Duration) time.Duration {
+	if j := cl.cloud.prm.ThinkJitter; j > 0 {
+		d = time.Duration(float64(d) * (1 + j*(2*cl.cloud.env.Rand().Float64()-1)))
 	}
-	p.Sleep(d)
+	return d
 }
 
 // reqHeader approximates the HTTP header overhead of a request.

@@ -146,12 +146,9 @@ func TestReadReplicasScaleDownloads(t *testing.T) {
 		})
 		env.Run()
 		start := env.Now()
-		var wg = sim.NewWaitGroup(env)
-		wg.Add(workers)
 		for w := 0; w < workers; w++ {
 			cl := c.NewClient(fmt.Sprintf("vm%d", w), model.ExtraLarge) // fat NIC: server-bound
 			env.Go(fmt.Sprintf("w%d", w), func(p *sim.Proc) {
-				defer wg.Done()
 				if _, err := cl.Download(p, "bench", "blob"); err != nil {
 					t.Error(err)
 				}

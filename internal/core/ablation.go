@@ -130,7 +130,7 @@ func (s *Suite) RunAblation() *Report {
 	for _, series := range []string{"quirk on (paper's observation)", "quirk off"} {
 		for _, sizeKB := range quirkSizesKB {
 			stats := take()[phQueueGet]
-			quirk.AddPoint(series, float64(sizeKB), float64(stats.ops.Mean())/float64(time.Millisecond))
+			quirk.AddPoint(series, float64(sizeKB), float64(stats.opMean())/float64(time.Millisecond))
 		}
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"azurebench/internal/cloud"
@@ -30,18 +31,26 @@ func (s *Suite) RunBarrier() *Report {
 			_, err := setup.CreateQueueIfNotExists(p, syncQueue)
 			must("create sync queue", err)
 		})
-		pt.workers(w, func(p *sim.Proc, _ int, cl *cloud.Client) {
-			b := roles.NewBarrier(syncQueue, w)
-			for r := 0; r < rounds; r++ {
-				// Stagger arrivals a little so the barrier does real work.
-				p.Sleep(time.Duration(p.Rand().Intn(500)) * time.Millisecond)
-				t0 := p.Now()
-				if err := b.Wait(p, cl); err != nil {
-					panic(err)
+		// Each worker runs roles.Barrier, the blocking Algorithm 2, on a
+		// coroutine: this experiment measures the barrier itself, and its
+		// few requests are not hot.
+		for k := range w {
+			name := fmt.Sprintf("worker%d", k)
+			cl := pt.c.NewClient(name, s.cfg.VM)
+			pt.env.Go(name, func(p *sim.Proc) {
+				b := roles.NewBarrier(syncQueue, w)
+				for range rounds {
+					// Stagger arrivals a little so the barrier does real work.
+					p.Sleep(time.Duration(p.Rand().Intn(500)) * time.Millisecond)
+					t0 := p.Now()
+					if err := b.Wait(p, cl); err != nil {
+						panic(err)
+					}
+					waits[i].Add(p.Now() - t0)
 				}
-				waits[i].Add(p.Now() - t0)
-			}
-		})
+			})
+		}
+		pt.env.Run()
 		return pt
 	})
 	for i, w := range workers {

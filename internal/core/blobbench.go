@@ -67,74 +67,83 @@ func (s *Suite) blobPoint(w int) *point {
 		fullList[i] = blobstore.BlockRef{ID: fmt.Sprintf("b-%05d", i), Source: blobstore.Latest}
 	}
 
-	pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
-		wr := pt.results[k]
-		b := roles.NewBarrier(syncQueue, w)
-		// barrier is the Algorithm 2 synchronisation between phases; its wait is
-		// outside every timed window, as in the paper.
-		barrier := func() {
-			if err := b.Wait(p, cl); err != nil {
-				panic(err)
-			}
-		}
+	rng := pt.env.Rand()
+	pt.run(w, func(k int, _ *cloud.Client) *role {
 		start, n := split(totalChunks, w, k)
 		content := payload.Synthetic(uint64(cfg.Seed)+uint64(k), chunk)
-
-		// --- Page blob upload (my slice of pages) ---
-		wr.timed(p, phPageUpload, n, func(i int) {
-			off := int64(start+i) * chunk
-			must("put page", cl.PutPage(p, benchContainer, pageBlobName, off, content))
-		})
-		barrier()
-
-		// --- Block blob upload: stage my slice, then commit the list ---
-		wr.timed(p, phBlockUp, n, func(i int) {
-			id := fullList[start+i].ID
-			must("put block", cl.PutBlock(p, benchContainer, blockBlobName, id, content))
-		})
-		barrier()
-		wr.timed(p, phBlockUp, 1, func(int) {
-			must("put block list", cl.PutBlockList(p, benchContainer, blockBlobName, fullList))
-		})
-		barrier()
-
-		// --- Random page-wise download (Figure 5) ---
-		wr.timed(p, phPageChunk, cfg.ChunkReads, func(int) {
-			off := int64(p.Rand().Intn(totalChunks)) * chunk
-			_, err := cl.GetPage(p, benchContainer, pageBlobName, off, chunk)
-			must("get page", err)
-		})
-		barrier()
-
-		// --- Sequential block-wise download (Figure 5) ---
-		wr.timed(p, phBlockChunk, cfg.ChunkReads, func(i int) {
-			idx := i % totalChunks
-			_, err := cl.GetBlock(p, benchContainer, blockBlobName, idx)
-			must("get block", err)
-		})
-		barrier()
-
-		// --- Entire page blob download (openRead) ---
-		wr.timed(p, phPageFull, 1, func(int) {
-			_, err := cl.Download(p, benchContainer, pageBlobName)
-			must("download page blob", err)
-		})
-		barrier()
-
-		// --- Entire block blob download (DownloadText) ---
-		wr.timed(p, phBlockFull, 1, func(int) {
-			_, err := cl.Download(p, benchContainer, blockBlobName)
-			must("download block blob", err)
-		})
-		barrier()
-
+		// blob sets up a request on a blob, with no body unless the phase
+		// adds one.
+		blob := func(kind cloud.OpKind, name string, o *cloud.Op) {
+			o.Kind, o.Name, o.Key, o.Data = kind, benchContainer, name, payload.Payload{}
+		}
+		timed := []phase{
+			// --- Page blob upload (my slice of pages) ---
+			{name: phPageUpload, what: "put page", n: n, op: func(i int, o *cloud.Op) {
+				blob(cloud.OpPutPage, pageBlobName, o)
+				o.Off, o.Data = int64(start+i)*chunk, content
+			}},
+			// --- Block blob upload: stage my slice, then commit the list ---
+			{name: phBlockUp, what: "put block", n: n, op: func(i int, o *cloud.Op) {
+				blob(cloud.OpPutBlock, blockBlobName, o)
+				o.ID, o.Data = fullList[start+i].ID, content
+			}},
+			{name: phBlockUp, what: "put block list", n: 1, op: func(_ int, o *cloud.Op) {
+				blob(cloud.OpPutBlockList, blockBlobName, o)
+				o.Refs = fullList
+			}},
+			// --- Random page-wise download (Figure 5) ---
+			{name: phPageChunk, what: "get page", n: cfg.ChunkReads, op: func(_ int, o *cloud.Op) {
+				blob(cloud.OpGetPage, pageBlobName, o)
+				o.Off, o.N = int64(rng.Intn(totalChunks))*chunk, chunk
+			}},
+			// --- Sequential block-wise download (Figure 5) ---
+			{name: phBlockChunk, what: "get block", n: cfg.ChunkReads, op: func(i int, o *cloud.Op) {
+				blob(cloud.OpGetBlock, blockBlobName, o)
+				o.Off = int64(i % totalChunks)
+			}},
+			// --- Entire page blob download (openRead) ---
+			{name: phPageFull, what: "download page blob", n: 1, op: func(_ int, o *cloud.Op) {
+				blob(cloud.OpDownload, pageBlobName, o)
+			}},
+			// --- Entire block blob download (DownloadText) ---
+			{name: phBlockFull, what: "download block blob", n: 1, op: func(_ int, o *cloud.Op) {
+				blob(cloud.OpDownload, blockBlobName, o)
+			}},
+		}
+		// Each phase is followed by the Algorithm 2 barrier, whose wait is
+		// outside every timed window, as in the paper.
+		r := &role{}
+		for j, ph := range timed {
+			r.phases = append(r.phases, ph)
+			r.phases = append(r.phases, barrier(w, j+1)...)
+		}
 		// --- Delete (worker 0, untimed) ---
 		if k == 0 {
-			must("delete page blob", cl.DeleteBlob(p, benchContainer, pageBlobName))
-			must("delete block blob", cl.DeleteBlob(p, benchContainer, blockBlobName))
+			r.phases = append(r.phases,
+				phase{what: "delete page blob", n: 1, op: func(_ int, o *cloud.Op) { blob(cloud.OpDeleteBlob, pageBlobName, o) }},
+				phase{what: "delete block blob", n: 1, op: func(_ int, o *cloud.Op) { blob(cloud.OpDeleteBlob, blockBlobName, o) }})
 		}
+		return r
 	})
 	return pt.stats(phPageUpload, phBlockUp, phPageChunk, phBlockChunk, phPageFull, phBlockFull)
+}
+
+// barrier is the j-th crossing of the Algorithm 2 barrier among w workers
+// (roles.Barrier.Wait) as a role's phases: put one message on the sync
+// queue, then poll its count every poll interval until all w × j messages
+// are in.
+func barrier(w, j int) []phase {
+	return []phase{
+		{what: "barrier", n: 1, op: func(_ int, o *cloud.Op) {
+			o.Kind, o.Name, o.Data = cloud.OpPutMessage, syncQueue, payload.String("barrier")
+		}},
+		{n: 1, gap: roles.DefaultPollInterval, op: func(_ int, o *cloud.Op) {
+			o.Kind, o.Name = cloud.OpGetMessageCount, syncQueue
+		}, then: func(_ int, o *cloud.Op) bool {
+			must("barrier", o.Err)
+			return o.Count < w*j
+		}},
+	}
 }
 
 // RunFig4 reproduces Figure 4: whole-blob upload/download time and

@@ -193,16 +193,16 @@ func (k *KernelStats) Add(env *sim.Env) {
 	k.PeakHeap = max(k.PeakHeap, peak)
 }
 
-// Render formats the full report as text. The kernel counts share the
-// header line with the wall time, so `grep -v "wall time"` still strips
-// everything that may differ between two runs of one program.
+// Render formats the full report as text. The wall time is alone on the
+// header line, so `grep -v "wall time"` strips everything that may differ
+// between two runs of one program; the kernel counts, which may not,
+// follow on a line of their own.
 func (r *Report) Render() string {
-	cost := fmt.Sprintf("%v wall time", r.Wall.Round(time.Millisecond))
+	out := fmt.Sprintf("=== %s — %s (%v wall time) ===\n", r.ID, r.Title, r.Wall.Round(time.Millisecond))
 	if k := r.Kernel; k.Events > 0 {
-		cost += fmt.Sprintf("; %s events, %s switches, peak heap %d",
+		out += fmt.Sprintf("kernel: %s events, %s switches, peak heap %d\n",
 			groupDigits(k.Events), groupDigits(k.Switches), k.PeakHeap)
 	}
-	out := fmt.Sprintf("=== %s — %s (%s) ===\n", r.ID, r.Title, cost)
 	for _, fig := range r.Figures {
 		out += "\n" + fig.Render()
 	}
@@ -432,7 +432,7 @@ type point struct {
 	s         *Suite
 	env       *sim.Env
 	c         *cloud.Cloud
-	results   []*workerResult       // one per worker of the last fan-out
+	results   []workerResult        // one per worker of the last fan-out
 	st        map[string]phaseStats // what stats aggregated from them
 	kernel    KernelStats           // of env, once retired
 	sampler   *telemetry.Sampler    // nil unless telemetry is on and sample ran
@@ -450,14 +450,15 @@ func (s *Suite) pointOn(env *sim.Env, c *cloud.Cloud) *point {
 	return &point{s: s, env: env, c: c}
 }
 
-// retire keeps the environment's kernel counts and drops the simulation:
-// past its pool slot a point is only its results. A shared point arrives
-// retired.
+// retire keeps the environment's kernel counts and drops the simulation,
+// ending the processes it left parked: past its pool slot a point is only
+// its results. A shared point arrives retired.
 func (pt *point) retire() {
 	if pt.env == nil {
 		return
 	}
 	pt.kernel.Add(pt.env)
+	pt.env.Close()
 	pt.env, pt.c, pt.results = nil, nil, nil
 	if pt.s.pointHook != nil {
 		pt.s.pointHook(-1)
@@ -469,20 +470,6 @@ func (pt *point) retire() {
 func (pt *point) setup(body func(p *sim.Proc, cl *cloud.Client)) {
 	cl := pt.c.NewClient("setup", pt.s.cfg.VM)
 	pt.env.Go("setup", func(p *sim.Proc) { body(p, cl) })
-	pt.env.Run()
-}
-
-// workers starts w processes worker0..worker<w-1>, each on a client of its
-// own (one VM per worker role) with its timings kept in pt.results[k], and
-// runs the environment until it drains.
-func (pt *point) workers(w int, body func(p *sim.Proc, k int, cl *cloud.Client)) {
-	pt.results = make([]*workerResult, w)
-	for k := 0; k < w; k++ {
-		pt.results[k] = &workerResult{phase: map[string]time.Duration{}, dist: map[string]*metrics.Dist{}}
-		name := fmt.Sprintf("worker%d", k)
-		cl := pt.c.NewClient(name, pt.s.cfg.VM)
-		pt.env.Go(name, func(p *sim.Proc) { body(p, k, cl) })
-	}
 	pt.env.Run()
 }
 
@@ -583,52 +570,44 @@ func finish(s *Suite, rep *Report, pts []*point) *Report {
 	return rep
 }
 
-// workerResult carries one worker's phase timings, keyed by phase name.
-type workerResult struct {
-	phase map[string]time.Duration
-	dist  map[string]*metrics.Dist
-}
+// workerResult is one worker's timings, by phase.
+type workerResult map[string]*phaseTime
 
-// timed issues op(0) … op(n-1) back to back: each call's duration is one
-// per-operation sample of phase, and the span of the whole loop is added
-// to the worker's time in that phase (a phase measured in several pieces —
-// around a barrier, or once per round between think times — accumulates).
-func (wr *workerResult) timed(p *sim.Proc, phase string, n int, op func(i int)) {
-	dist := wr.dist[phase]
-	if dist == nil {
-		dist = &metrics.Dist{}
-		wr.dist[phase] = dist
-	}
-	t0 := p.Now()
-	for i := 0; i < n; i++ {
-		opT := p.Now()
-		op(i)
-		dist.Add(p.Now() - opT)
-	}
-	wr.phase[phase] += p.Now() - t0
+// phaseTime is one worker's time in a phase: its span, summed over the
+// pieces it was measured in, and its operations' durations as a running
+// sum and count.
+type phaseTime struct {
+	span, opSum time.Duration
+	ops         int
 }
 
 // phaseStats aggregates one phase across workers.
 type phaseStats struct {
 	mean     time.Duration // mean per-worker phase duration
 	makespan time.Duration // max per-worker phase duration
-	ops      metrics.Dist  // merged per-op samples
+	opSum    time.Duration // summed per-operation durations
+	ops      int           // and their count
 }
 
-func aggregate(results []*workerResult, phase string) phaseStats {
+// opMean is the mean duration of one operation, 0 with none.
+func (st phaseStats) opMean() time.Duration {
+	if st.ops == 0 {
+		return 0
+	}
+	return st.opSum / time.Duration(st.ops)
+}
+
+func aggregate(results []workerResult, phase string) phaseStats {
 	var st phaseStats
 	var sum time.Duration
 	n := 0
 	for _, wr := range results {
-		if d, ok := wr.phase[phase]; ok {
-			sum += d
+		if t, ok := wr[phase]; ok {
+			sum += t.span
 			n++
-			if d > st.makespan {
-				st.makespan = d
-			}
-		}
-		if dist, ok := wr.dist[phase]; ok {
-			st.ops.Merge(dist)
+			st.makespan = max(st.makespan, t.span)
+			st.opSum += t.opSum
+			st.ops += t.ops
 		}
 	}
 	if n > 0 {

@@ -38,7 +38,7 @@ func (s *Suite) RunCache() *Report {
 	)
 	workers := sortedCopy(s.cfg.Workers)
 	// Two points per worker count: Blob direct, then cache-aside.
-	elapsed, ops := make([]time.Duration, 2*len(workers)), make([]metrics.Dist, 2*len(workers))
+	elapsed := make([]time.Duration, 2*len(workers))
 	pts := sweep(s, 2*len(workers), func(i int) *point {
 		w, cached := workers[i/2], i%2 == 1
 		pt := s.newPoint()
@@ -48,32 +48,42 @@ func (s *Suite) RunCache() *Report {
 			must("upload hot blob", setup.UploadBlockBlob(p, benchContainer, hotKey, payload.Synthetic(1, objSize)))
 		})
 		start := pt.env.Now()
-		pt.workers(w, func(p *sim.Proc, _ int, cl *cloud.Client) {
+		pt.run(w, func(_ int, cl *cloud.Client) *role {
 			cl.SetRetryPolicy(retry.Policy{}) // one attempt: a throttled read is timed, not retried
-			for range readsEach {
-				t0 := p.Now()
-				if cached {
-					item, ok, err := cl.CacheGet(p, "default", hotKey)
-					checkBusyOnly("cache get", err)
-					if !ok {
-						// Cache-aside fill on miss.
-						data, err := cl.Download(p, benchContainer, hotKey)
-						checkBusyOnly("fill read", err)
-						if _, err := cl.CachePut(p, "default", hotKey, data, time.Hour); err != nil {
-							checkBusyOnly("cache fill", err)
-						}
-					} else if item.Value.Len() != objSize {
-						panic("cache returned wrong object")
-					}
-				} else {
-					_, err := cl.Download(p, benchContainer, hotKey)
-					checkBusyOnly("blob read", err)
-				}
-				ops[i].Add(p.Now() - t0)
+			if !cached {
+				return &role{phases: []phase{{name: "read", n: readsEach, op: func(_ int, o *cloud.Op) {
+					o.Kind, o.Name, o.Key, o.Data = cloud.OpDownload, benchContainer, hotKey, payload.Payload{}
+				}, then: func(_ int, o *cloud.Op) bool {
+					checkBusyOnly("blob read", o.Err)
+					return false
+				}}}}
 			}
+			return &role{phases: []phase{{name: "read", n: readsEach, op: func(_ int, o *cloud.Op) {
+				o.Kind, o.Name, o.Key, o.Data = cloud.OpCacheGet, "default", hotKey, payload.Payload{}
+			}, then: func(_ int, o *cloud.Op) bool {
+				switch o.Kind {
+				case cloud.OpCacheGet:
+					checkBusyOnly("cache get", o.Err)
+					if o.OK {
+						if o.Item.Value.Len() != objSize {
+							panic("cache returned wrong object")
+						}
+						return false
+					}
+					// Cache-aside fill on miss.
+					o.Kind, o.Name = cloud.OpDownload, benchContainer
+				case cloud.OpDownload:
+					checkBusyOnly("fill read", o.Err)
+					o.Kind, o.Name, o.TTL = cloud.OpCachePut, "default", time.Hour // o.Data is what the read got
+				default:
+					checkBusyOnly("cache fill", o.Err)
+					return false
+				}
+				return true
+			}}}}
 		})
 		elapsed[i] = pt.env.Now() - start
-		return pt
+		return pt.stats("read")
 	})
 	for i := range pts {
 		w, series := workers[i/2], "Blob direct"
@@ -81,7 +91,7 @@ func (s *Suite) RunCache() *Report {
 			series = "cache-aside"
 		}
 		fig.AddPoint(series, float64(w), float64(w*readsEach)/elapsed[i].Seconds())
-		latFig.AddPoint(series, float64(w), float64(ops[i].Mean())/float64(time.Millisecond))
+		latFig.AddPoint(series, float64(w), float64(pts[i].st["read"].opMean())/float64(time.Millisecond))
 	}
 	return finish(s, &Report{
 		ID:      "cache",

@@ -9,7 +9,6 @@ import (
 	"azurebench/internal/metrics"
 	"azurebench/internal/payload"
 	"azurebench/internal/retry"
-	"azurebench/internal/sim"
 	"azurebench/internal/storecommon"
 )
 
@@ -86,41 +85,46 @@ func (s *Suite) RunFaults() *Report {
 		}
 		pt.c.SetFaults(faults.NewInjector(plan))
 
-		pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
+		pt.run(w, func(k int, cl *cloud.Client) *role {
 			cl.SetRetryPolicy(faultRetryPolicy())
 			qname := fmt.Sprintf("faults-q%d", k)
-			_, err := cl.CreateQueueIfNotExists(p, qname)
-			must("create queue", err)
 			body := payload.Synthetic(uint64(k), int64(s.cfg.SharedMsgSizeKB)*storecommon.KB)
 			_, n := split(totalRounds, w, k)
-			for i := 0; i < n; i++ {
-				if _, err := cl.PutMessage(p, qname, body); err != nil {
-					t.failed++
-					continue
-				}
-				msg, got, err := cl.GetMessage(p, qname, faultVisibility)
-				if err != nil {
-					t.failed++
-					continue
-				}
-				if !got {
-					t.misses++
-					continue
-				}
-				if msg.DequeueCount > 1 {
-					t.redelivered++
-				}
-				err = cl.DeleteMessage(p, qname, msg.ID, msg.PopReceipt)
-				if storecommon.IsNotFound(err) || storecommon.IsPreconditionFailed(err) {
-					// The claim expired during backoff and the message was
-					// redelivered — at-least-once in action, not a failure.
-					t.staleClaims++
-				} else if err != nil {
-					t.failed++
-					continue
-				}
-				t.completed++
-			}
+			return &role{phases: []phase{
+				{what: "create queue", n: 1, op: func(_ int, o *cloud.Op) {
+					o.Kind, o.Name = cloud.OpCreateQueueIfNotExists, qname
+				}},
+				// A round is a put, a get and a delete; a failed step ends it.
+				{n: n, op: func(_ int, o *cloud.Op) {
+					o.Kind, o.Name, o.Data = cloud.OpPutMessage, qname, body
+				}, then: func(_ int, o *cloud.Op) bool {
+					err := o.Err
+					switch {
+					case o.Kind == cloud.OpPutMessage && err == nil:
+						o.Kind, o.TTL, o.Data = cloud.OpGetMessage, faultVisibility, payload.Payload{}
+						return true
+					case o.Kind == cloud.OpGetMessage && err == nil:
+						if !o.OK {
+							t.misses++
+							return false
+						}
+						if o.Msg.DequeueCount > 1 {
+							t.redelivered++
+						}
+						o.Kind, o.ID, o.PopReceipt = cloud.OpDeleteMessage, o.Msg.ID, o.Msg.PopReceipt
+						return true
+					case o.Kind == cloud.OpDeleteMessage && (storecommon.IsNotFound(err) || storecommon.IsPreconditionFailed(err)):
+						// The claim expired during backoff and the message was
+						// redelivered — at-least-once in action, not a failure.
+						t.staleClaims++
+					case err != nil:
+						t.failed++
+						return false
+					}
+					t.completed++
+					return false
+				}},
+			}}
 		})
 		t.elapsed, t.cloud, t.injected = pt.env.Now(), pt.c.Stats(), pt.c.Faults().Stats()
 		return pt

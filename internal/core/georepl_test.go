@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -104,5 +105,31 @@ func TestGeoreplReport(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+}
+
+// TestGeoreplLeavesNothingBehind: a georepl run ends with each stream's
+// shipper parked on a signal nobody will fire. Retiring the point ends it,
+// so repeated runs keep the goroutine count and the live heap flat instead
+// of keeping every finished run's environment alive.
+func TestGeoreplLeavesNothingBehind(t *testing.T) {
+	e, _ := Lookup("georepl")
+	settled := func() (goroutines int, heap uint64) {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return runtime.NumGoroutine(), ms.HeapAlloc
+	}
+	e.Run(NewSuite(QuickConfig())) // warm-up: what stays for good is allocated
+	g0, h0 := settled()
+	for range 4 {
+		e.Run(NewSuite(QuickConfig()))
+	}
+	g1, h1 := settled()
+	if g1 > g0 {
+		t.Errorf("%d goroutines after four more runs, %d before", g1, g0)
+	}
+	if h1 > h0+1<<20 {
+		t.Errorf("live heap grew from %d to %d bytes over four runs", h0, h1)
 	}
 }

@@ -94,49 +94,49 @@ func (s *Suite) runGeoreplPoint(lag time.Duration) *geoPoint {
 
 	var firstOK time.Duration // first write success whose attempt began inside the outage
 	for k := 0; k < workers; k++ {
-		k := k
 		gc := g.NewGeoClient(fmt.Sprintf("geo-writer%d", k), s.cfg.VM)
 		gc.SetRetryPolicy(pol)
-		env.Go(fmt.Sprintf("geo-writer%d", k), func(p *sim.Proc) {
-			_, err := gc.Active().CreateQueueIfNotExists(p, geoQueue)
-			must("georepl create queue", err)
-			for p.Now() < horizon {
-				began := p.Now()
-				_, err := gc.Active().PutMessage(p, geoQueue, payload.Zero(storecommon.KB))
-				must("georepl put", err)
+		var began time.Duration
+		env.GoCont(fmt.Sprintf("geo-writer%d", k), &role{client: gc.Active, phases: []phase{
+			{what: "georepl create queue", n: 1, op: func(_ int, o *cloud.Op) {
+				o.Kind, o.Name = cloud.OpCreateQueueIfNotExists, geoQueue
+			}},
+			{until: horizon, op: func(_ int, o *cloud.Op) {
+				began = env.Now()
+				o.Kind, o.Name, o.Data = cloud.OpPutMessage, geoQueue, payload.Zero(storecommon.KB)
+			}, then: func(_ int, o *cloud.Op) bool {
+				must("georepl put", o.Err)
 				pt.writes++
 				if firstOK == 0 && began >= failAt {
-					firstOK = p.Now()
+					firstOK = env.Now()
 				}
-				p.Sleep(100 * time.Millisecond)
-			}
-		})
+				return false
+			}, wait: func() time.Duration { return 100 * time.Millisecond }},
+		}})
 	}
 	for j := 0; j < readers; j++ {
-		j := j
 		gc := g.NewGeoClient(fmt.Sprintf("geo-reader%d", j), s.cfg.VM)
 		gc.SetRetryPolicy(retry.Policy{}) // one attempt: a failed read is the next poll's to make
-		env.Go(fmt.Sprintf("geo-reader%d", j), func(p *sim.Proc) {
-			for p.Now() < horizon {
-				// RA-GRS read against whichever region is currently the
-				// geo-secondary. Early reads race the first replication
-				// batch (NotFound) and post-promotion reads target the
-				// dark old primary (transient) — both are expected.
-				_, err := gc.Secondary().GetMessageCount(p, geoQueue)
-				if err == nil {
-					if sync := g.LastSyncTime(); sync > 0 {
-						stale := p.Now() - sync
-						pt.stale.Add(stale)
-						if j == 0 {
-							pt.staleSeries = append(pt.staleSeries, geoStaleSample{at: p.Now(), stale: stale})
-						}
+		env.GoCont(fmt.Sprintf("geo-reader%d", j), &role{client: gc.Secondary, phases: []phase{{until: horizon, op: func(_ int, o *cloud.Op) {
+			o.Kind, o.Name = cloud.OpGetMessageCount, geoQueue
+		}, then: func(_ int, o *cloud.Op) bool {
+			// RA-GRS read against whichever region is currently the
+			// geo-secondary. Early reads race the first replication batch
+			// (NotFound) and post-promotion reads target the dark old
+			// primary (transient) — both are expected.
+			if err := o.Err; err == nil {
+				if sync := g.LastSyncTime(); sync > 0 {
+					stale := env.Now() - sync
+					pt.stale.Add(stale)
+					if j == 0 {
+						pt.staleSeries = append(pt.staleSeries, geoStaleSample{at: env.Now(), stale: stale})
 					}
-				} else if !storecommon.IsNotFound(err) && !storecommon.IsTransient(err) && !storecommon.IsServerBusy(err) {
-					panic(fmt.Sprintf("georepl secondary read: %v", err))
 				}
-				p.Sleep(250 * time.Millisecond)
+			} else if !storecommon.IsNotFound(err) && !storecommon.IsTransient(err) && !storecommon.IsServerBusy(err) {
+				panic(fmt.Sprintf("georepl secondary read: %v", err))
 			}
-		})
+			return false
+		}, wait: func() time.Duration { return 250 * time.Millisecond }}}})
 	}
 	env.Run()
 

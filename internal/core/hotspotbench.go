@@ -99,22 +99,24 @@ func (s *Suite) RunHotspot() *Report {
 		env := pt.env
 		start := env.Now()
 		perSec := make([]int, int(horizon/time.Second))
-		pt.workers(workers, func(p *sim.Proc, k int, cl *cloud.Client) {
+		pt.run(workers, func(k int, cl *cloud.Client) *role {
 			cl.SetRetryPolicy(hotspotRetryPolicy())
 			zipf := workload.NewZipf(sim.NewRand(s.cfg.Seed^int64(k)<<17), theta)
-			for env.Now() < start+horizon {
+			return &role{phases: []phase{{until: start + horizon, op: func(_ int, o *cloud.Op) {
 				rank := zipf.Next(keys)
 				idx := rank
 				if env.Now() >= start+horizon/2 {
 					// The hotspot flips to the top of the keyspace.
 					idx = keys - 1 - rank
 				}
-				_, err := cl.GetEntity(p, hotspotTable, names[idx], "row")
-				must("hotspot read", err)
+				o.Kind, o.Name, o.Key, o.ID = cloud.OpGetEntity, hotspotTable, names[idx], "row"
+			}, then: func(_ int, o *cloud.Op) bool {
+				must("hotspot read", o.Err)
 				if sec := int((env.Now() - start) / time.Second); sec < len(perSec) {
 					perSec[sec]++
 				}
-			}
+				return false
+			}}}}
 		})
 
 		rec := partitionRecord("hotspot/"+label, pt.c)

@@ -7,7 +7,6 @@ import (
 	"azurebench/internal/cloud"
 	"azurebench/internal/metrics"
 	"azurebench/internal/payload"
-	"azurebench/internal/sim"
 	"azurebench/internal/storecommon"
 )
 
@@ -48,32 +47,40 @@ func (s *Suite) queuePerWorkerPoint(w int, sizeKB int, label string) *point {
 	cfg := s.cfg
 	msgSize := effectiveMsgSize(sizeKB)
 
-	pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
-		wr := pt.results[k]
+	pt.run(w, func(k int, _ *cloud.Client) *role {
 		queueName := fmt.Sprintf("azurebench-queue-%d", k)
 		_, count := split(cfg.QueueMessages, w, k)
-		must("create queue", cl.CreateQueue(p, queueName))
 		body := payload.Synthetic(uint64(cfg.Seed)+uint64(k), msgSize)
-
-		wr.timed(p, phQueuePut, count, func(int) {
-			_, err := cl.PutMessage(p, queueName, body)
-			must("put message", err)
-		})
-		wr.timed(p, phQueuePeek, count, func(int) {
-			_, _, err := cl.PeekMessage(p, queueName)
-			must("peek message", err)
-		})
-		// Get includes the Delete, as in the paper.
-		wr.timed(p, phQueueGet, count, func(i int) {
-			msg, ok, err := cl.GetMessage(p, queueName, time.Hour)
-			if err == nil && !ok {
-				err = fmt.Errorf("queue %s dry at message %d", queueName, i)
-			}
-			must("get message", err)
-			must("delete message", cl.DeleteMessage(p, queueName, msg.ID, msg.PopReceipt))
-		})
-
-		must("delete queue", cl.DeleteQueue(p, queueName))
+		return &role{phases: []phase{
+			{what: "create queue", n: 1, op: func(_ int, o *cloud.Op) {
+				o.Kind, o.Name = cloud.OpCreateQueue, queueName
+			}},
+			{name: phQueuePut, what: "put message", n: count, op: func(_ int, o *cloud.Op) {
+				o.Kind, o.Name, o.Data = cloud.OpPutMessage, queueName, body
+			}},
+			{name: phQueuePeek, what: "peek message", n: count, op: func(_ int, o *cloud.Op) {
+				o.Kind, o.Name = cloud.OpPeekMessage, queueName
+			}},
+			// Get includes the Delete, as in the paper.
+			{name: phQueueGet, n: count, op: func(_ int, o *cloud.Op) {
+				o.Kind, o.Name, o.TTL = cloud.OpGetMessage, queueName, time.Hour
+			}, then: func(i int, o *cloud.Op) bool {
+				if o.Kind == cloud.OpDeleteMessage {
+					must("delete message", o.Err)
+					return false
+				}
+				err := o.Err
+				if err == nil && !o.OK {
+					err = fmt.Errorf("queue %s dry at message %d", queueName, i)
+				}
+				must("get message", err)
+				o.Kind, o.ID, o.PopReceipt = cloud.OpDeleteMessage, o.Msg.ID, o.Msg.PopReceipt
+				return true
+			}},
+			{what: "delete queue", n: 1, op: func(_ int, o *cloud.Op) {
+				o.Kind, o.Name = cloud.OpDeleteQueue, queueName
+			}},
+		}}
 	})
 	return pt.stats(phQueuePut, phQueuePeek, phQueueGet)
 }

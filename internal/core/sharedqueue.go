@@ -27,40 +27,45 @@ func (s *Suite) runSharedQueuePoint(w int, think time.Duration) *point {
 		must("create shared queue", err)
 	})
 
-	pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
-		wr := pt.results[k]
+	env := pt.env
+	pt.run(w, func(k int, cl *cloud.Client) *role {
 		_, rounds := split(cfg.SharedRounds, w, k)
 		body := payload.Synthetic(uint64(cfg.Seed)+uint64(k), msgSize)
-		// Workers never start in lockstep on real VMs: stagger the
-		// first round uniformly over one think interval, otherwise the
-		// synchronized first wave dominates the per-op mean and hides
-		// the think-time effect the paper reports.
-		p.Sleep(time.Duration(p.Rand().Int63n(int64(think) + 1)))
-		for r := 0; r < rounds; r++ {
-			wr.timed(p, phQueuePut, 1, func(int) {
-				_, err := cl.PutMessage(p, sharedQueueName, body)
-				must("put", err)
-			})
-			cl.Think(p, think)
-
-			wr.timed(p, phQueuePeek, 1, func(int) {
-				_, _, err := cl.PeekMessage(p, sharedQueueName)
-				must("peek", err)
-			})
-			cl.Think(p, think)
-
-			wr.timed(p, phQueueGet, 1, func(int) {
-				msg, ok, err := cl.GetMessage(p, sharedQueueName, time.Hour)
-				must("get", err)
-				// Under non-FIFO interleaving another worker may momentarily
-				// hold the only visible message; treat as a zero-cost miss
-				// and move on.
-				if ok {
-					must("delete", cl.DeleteMessage(p, sharedQueueName, msg.ID, msg.PopReceipt))
-				}
-			})
-			cl.Think(p, think)
+		thinkTime := func() time.Duration { return cl.ThinkTime(think) }
+		var round []phase // none for a worker with no rounds to make
+		if rounds > 0 {
+			round = []phase{
+				{name: phQueuePut, what: "put", n: 1, wait: thinkTime, op: func(_ int, o *cloud.Op) {
+					o.Kind, o.Name, o.Data = cloud.OpPutMessage, sharedQueueName, body
+				}},
+				{name: phQueuePeek, what: "peek", n: 1, wait: thinkTime, op: func(_ int, o *cloud.Op) {
+					o.Kind, o.Name = cloud.OpPeekMessage, sharedQueueName
+				}},
+				{name: phQueueGet, n: 1, wait: thinkTime, op: func(_ int, o *cloud.Op) {
+					o.Kind, o.Name, o.TTL = cloud.OpGetMessage, sharedQueueName, time.Hour
+				}, then: func(_ int, o *cloud.Op) bool {
+					if o.Kind == cloud.OpDeleteMessage {
+						must("delete", o.Err)
+						return false
+					}
+					must("get", o.Err)
+					// Under non-FIFO interleaving another worker may
+					// momentarily hold the only visible message; treat as a
+					// zero-cost miss and move on.
+					if !o.OK {
+						return false
+					}
+					o.Kind, o.ID, o.PopReceipt = cloud.OpDeleteMessage, o.Msg.ID, o.Msg.PopReceipt
+					return true
+				}},
+			}
 		}
+		// Workers never start in lockstep on real VMs: stagger the first
+		// round uniformly over one think interval, otherwise the
+		// synchronized first wave dominates the per-op mean and hides the
+		// think-time effect the paper reports.
+		stagger := func() time.Duration { return time.Duration(env.Rand().Int63n(int64(think) + 1)) }
+		return &role{start: stagger, rounds: rounds, phases: round}
 	})
 	return pt.stats(phQueuePut, phQueuePeek, phQueueGet)
 }
@@ -83,7 +88,7 @@ func (s *Suite) RunFig7() *Report {
 		series := fmt.Sprintf("think=%v", thinks[i/len(workers)])
 		for ph, fig := range figs {
 			stats := pt.st[ph]
-			mean := stats.ops.Mean()
+			mean := stats.opMean()
 			fig.AddPoint(series, float64(workers[i%len(workers)]), float64(mean)/float64(time.Millisecond))
 		}
 	}

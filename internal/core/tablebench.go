@@ -51,38 +51,33 @@ func (s *Suite) tablePoint(w int, sizeKB int) *point {
 	for i := range rowKeys {
 		rowKeys[i] = fmt.Sprintf("row-%05d", i)
 	}
-	pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
-		wr := pt.results[k]
+	pt.run(w, func(k int, _ *cloud.Client) *role {
 		pk := fmt.Sprintf("worker-%03d", k)
 		// One entity per worker, rewritten for each write: the worker has
 		// one request in flight, and the store files a copy of it.
 		e := &tablestore.Entity{PartitionKey: pk, Props: map[string]tablestore.Value{}}
-		entity := func(i int, seed uint64) *tablestore.Entity {
-			e.RowKey = rowKeys[i]
-			e.Props["Data"] = tablestore.Binary(payload.Synthetic(seed+uint64(i), entSize))
-			return e
+		// Updates and deletes are unconditional, via the "*" wildcard ETag
+		// (inserts and queries read no ETag).
+		write := func(kind cloud.OpKind, seed uint64) func(int, *cloud.Op) {
+			return func(i int, o *cloud.Op) {
+				e.RowKey = rowKeys[i]
+				e.Props["Data"] = tablestore.Binary(payload.Synthetic(seed+uint64(i), entSize))
+				o.Kind, o.Name, o.Key, o.Ent, o.IfMatch = kind, benchTable, pk, e, storecommon.ETagAny
+			}
 		}
-
-		// Insert (AddRow).
-		wr.timed(p, phTabInsert, count, func(i int) {
-			_, err := cl.InsertEntity(p, benchTable, entity(i, uint64(cfg.Seed)))
-			must("insert", err)
-		})
-		// Point query by partition+row key.
-		wr.timed(p, phTabQuery, count, func(i int) {
-			rk := rowKeys[i]
-			_, err := cl.GetEntity(p, benchTable, pk, rk)
-			must("query", err)
-		})
-		// Update, unconditional via the "*" wildcard ETag.
-		wr.timed(p, phTabUpdate, count, func(i int) {
-			_, err := cl.UpdateEntity(p, benchTable, entity(i, uint64(cfg.Seed)+1_000_000), storecommon.ETagAny)
-			must("update", err)
-		})
-		wr.timed(p, phTabDelete, count, func(i int) {
-			rk := rowKeys[i]
-			must("delete", cl.DeleteEntity(p, benchTable, pk, rk, storecommon.ETagAny))
-		})
+		byKey := func(kind cloud.OpKind) func(int, *cloud.Op) {
+			return func(i int, o *cloud.Op) {
+				o.Kind, o.Name, o.Key, o.ID, o.IfMatch = kind, benchTable, pk, rowKeys[i], storecommon.ETagAny
+			}
+		}
+		return &role{phases: []phase{
+			// Insert (AddRow).
+			{name: phTabInsert, what: "insert", n: count, op: write(cloud.OpInsertEntity, uint64(cfg.Seed))},
+			// Point query by partition+row key.
+			{name: phTabQuery, what: "query", n: count, op: byKey(cloud.OpGetEntity)},
+			{name: phTabUpdate, what: "update", n: count, op: write(cloud.OpUpdateEntity, uint64(cfg.Seed)+1_000_000)},
+			{name: phTabDelete, what: "delete", n: count, op: byKey(cloud.OpDeleteEntity)},
+		}}
 	})
 	return pt.stats(phTabInsert, phTabQuery, phTabUpdate, phTabDelete)
 }
@@ -145,7 +140,7 @@ func (s *Suite) RunFig9() *Report {
 	for i, w := range workers {
 		tab, q := pts[2*i].st, pts[2*i+1].st
 		add := func(name string, st phaseStats) {
-			fig.AddPoint(name, float64(w), float64(st.ops.Mean())/float64(time.Millisecond))
+			fig.AddPoint(name, float64(w), float64(st.opMean())/float64(time.Millisecond))
 		}
 		add("TableInsert", tab[phTabInsert])
 		add("TableQuery", tab[phTabQuery])

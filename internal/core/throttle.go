@@ -42,23 +42,17 @@ func (s *Suite) RunThrottle() *Report {
 		})
 		pt.sample(pt.c.Stations, fmt.Sprintf("throttle/w=%d", w))
 
-		start := pt.env.Now()
-		ends := make([]time.Duration, w)
-		pt.workers(w, func(p *sim.Proc, k int, cl *cloud.Client) {
+		pt.run(w, func(k int, _ *cloud.Client) *role {
 			_, n := split(totalOps, w, k)
 			body := payload.Synthetic(uint64(k), 1024)
-			for i := 0; i < n; i++ {
-				_, err := cl.PutMessage(p, "hot-queue", body)
-				must("put", err)
-			}
-			ends[k] = p.Now()
+			return &role{phases: []phase{{name: "put", what: "put", n: n, op: func(_ int, o *cloud.Op) {
+				o.Kind, o.Name, o.Data = cloud.OpPutMessage, "hot-queue", body
+			}}}}
 		})
 		// Elapsed ends at the last worker's finish, not env.Now(): the
 		// telemetry sampler's final tick may land after the workers, and
 		// throughput must not depend on whether sampling is attached.
-		for _, e := range ends {
-			elapsed[i] = max(elapsed[i], e-start)
-		}
+		elapsed[i] = pt.stats("put").st["put"].makespan
 		busy[i] = int(pt.c.Stats().Retries)
 		return pt
 	})

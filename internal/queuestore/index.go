@@ -1,7 +1,6 @@
 package queuestore
 
 import (
-	"container/heap"
 	"sort"
 	"time"
 
@@ -38,9 +37,9 @@ func newQueue(name string, created time.Time) *queue {
 // clear drops every message and index entry.
 func (q *queue) clear() {
 	q.byID = map[string]*message{}
-	q.expiry = msgHeap{slot: 0, less: func(a, b *message) bool { return a.expires.Before(b.expires) }}
-	q.visible = msgHeap{slot: 1, less: func(a, b *message) bool { return a.seq < b.seq }}
-	q.hidden = msgHeap{slot: 1, less: func(a, b *message) bool { return a.nextVisible.Before(b.nextVisible) }}
+	q.expiry = msgHeap{slot: 0, by: byExpiry}
+	q.visible = msgHeap{slot: 1, by: bySeq}
+	q.hidden = msgHeap{slot: 1, by: byNextVisible}
 }
 
 type message struct {
@@ -57,36 +56,87 @@ type message struct {
 	side *msgHeap // q.visible or q.hidden, whichever holds the message
 }
 
-// msgHeap is a container/heap of messages that records each message's
-// index in m.pos[slot], so a message reached through byID can be removed
-// or re-keyed in O(log n).
+// msgHeap is a binary min-heap of messages in one order that records each
+// message's index in m.pos[slot], so a message reached through byID can be
+// removed or re-keyed in O(log n). It is container/heap's algorithm with
+// each order's comparison written out: no closure, no interface call.
 type msgHeap struct {
 	msgs []*message
 	slot int
-	less func(a, b *message) bool
+	by   heapOrder
 }
 
-func (h *msgHeap) Len() int           { return len(h.msgs) }
-func (h *msgHeap) Less(i, j int) bool { return h.less(h.msgs[i], h.msgs[j]) }
+// heapOrder is the key a msgHeap orders by.
+type heapOrder uint8
 
-func (h *msgHeap) Swap(i, j int) {
+const (
+	byExpiry heapOrder = iota
+	bySeq
+	byNextVisible
+)
+
+func (h *msgHeap) less(i, j int) bool {
+	a, b := h.msgs[i], h.msgs[j]
+	switch h.by {
+	case byExpiry:
+		return a.expires.Before(b.expires)
+	case bySeq:
+		return a.seq < b.seq
+	}
+	return a.nextVisible.Before(b.nextVisible)
+}
+
+func (h *msgHeap) swap(i, j int) {
 	h.msgs[i], h.msgs[j] = h.msgs[j], h.msgs[i]
-	h.msgs[i].pos[h.slot] = i
-	h.msgs[j].pos[h.slot] = j
+	h.msgs[i].pos[h.slot], h.msgs[j].pos[h.slot] = i, j
 }
 
-func (h *msgHeap) Push(x any) {
-	m := x.(*message)
+func (h *msgHeap) push(m *message) {
 	m.pos[h.slot] = len(h.msgs)
 	h.msgs = append(h.msgs, m)
+	h.up(len(h.msgs) - 1)
 }
 
-func (h *msgHeap) Pop() any {
-	last := len(h.msgs) - 1
-	m := h.msgs[last]
-	h.msgs[last] = nil
-	h.msgs = h.msgs[:last]
+// remove takes out and returns the message at index i.
+func (h *msgHeap) remove(i int) *message {
+	n := len(h.msgs) - 1
+	if n != i {
+		h.swap(i, n)
+		h.fix(i, n)
+	}
+	m := h.msgs[n]
+	h.msgs[n], h.msgs = nil, h.msgs[:n]
 	return m
+}
+
+// fix restores the order of h.msgs[:n] after the key of the message at i
+// changed.
+func (h *msgHeap) fix(i, n int) {
+	if !h.down(i, n) {
+		h.up(i)
+	}
+}
+
+func (h *msgHeap) up(j int) {
+	for i := (j - 1) / 2; j > 0 && h.less(j, i); i = (j - 1) / 2 {
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h *msgHeap) down(i0, n int) bool {
+	i := i0
+	for j := 2*i + 1; j < n; j = 2*i + 1 {
+		if j+1 < n && h.less(j+1, j) {
+			j++ // the smaller child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 // smallest appends the k smallest messages to out in ascending order
@@ -102,7 +152,7 @@ func (h *msgHeap) smallest(k int, out []*message, frontier []int) ([]*message, [
 	for len(out) < k && len(frontier) > 0 {
 		best := 0
 		for i := 1; i < len(frontier); i++ {
-			if h.Less(frontier[i], frontier[best]) {
+			if h.less(frontier[i], frontier[best]) {
 				best = i
 			}
 		}
@@ -123,29 +173,29 @@ func (q *queue) add(m *message) {
 	q.seq++
 	m.seq = q.seq
 	q.byID[m.id] = m
-	heap.Push(&q.expiry, m)
+	q.expiry.push(m)
 	m.side = &q.hidden
 	if !m.nextVisible.After(q.asOf) {
 		m.side = &q.visible
 	}
-	heap.Push(m.side, m)
+	m.side.push(m)
 }
 
 func (q *queue) remove(m *message) {
 	delete(q.byID, m.id)
-	heap.Remove(&q.expiry, m.pos[0])
-	heap.Remove(m.side, m.pos[1])
+	q.expiry.remove(m.pos[0])
+	m.side.remove(m.pos[1])
 }
 
 // hide re-keys a message whose nextVisible was just pushed into the future.
 func (q *queue) hide(m *message) {
 	if m.side == &q.hidden {
-		heap.Fix(&q.hidden, m.pos[1])
+		q.hidden.fix(m.pos[1], len(q.hidden.msgs))
 		return
 	}
-	heap.Remove(&q.visible, m.pos[1])
+	q.visible.remove(m.pos[1])
 	m.side = &q.hidden
-	heap.Push(&q.hidden, m)
+	q.hidden.push(m)
 }
 
 // surface brings visible up to date with now: every message whose
@@ -156,16 +206,16 @@ func (q *queue) surface(now time.Time) {
 		// for the later instant may be invisible again, so start over.
 		for _, m := range q.visible.msgs {
 			m.side = &q.hidden
-			heap.Push(&q.hidden, m)
+			q.hidden.push(m)
 		}
 		clear(q.visible.msgs)
 		q.visible.msgs = q.visible.msgs[:0]
 	}
 	q.asOf = now
 	for len(q.hidden.msgs) > 0 && !q.hidden.msgs[0].nextVisible.After(now) {
-		m := heap.Pop(&q.hidden).(*message)
+		m := q.hidden.remove(0)
 		m.side = &q.visible
-		heap.Push(&q.visible, m)
+		q.visible.push(m)
 	}
 }
 

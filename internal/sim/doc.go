@@ -21,7 +21,7 @@
 //     swapping in its program until it runs dry; it is never switched to.
 //   - Resource is a FIFO server with fixed capacity (a queueing station).
 //   - Store is a FIFO buffer of items with blocking Get.
-//   - Signal is a one-shot broadcast event; WaitGroup is a counting barrier.
+//   - Signal is a one-shot broadcast event.
 //
 // Events scheduled for the same instant fire in scheduling order (a strict
 // sequence number breaks ties), so FIFO disciplines are exact, not

@@ -18,8 +18,9 @@ type Env struct {
 	// calling is the process whose Call step is running, nil outside one.
 	calling *Proc
 	rng     *Rand
-	nLive   int // processes started and not yet finished
-	nSpawn  int // total processes ever started (used for default names)
+	nLive   int     // processes started and not yet finished
+	nSpawn  int     // total processes ever started (used for default names)
+	coros   []*Proc // processes whose coroutine is alive, for Close
 	fired   uint64
 
 	// Self-telemetry (see Telemetry); not part of Save.

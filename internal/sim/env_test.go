@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -189,7 +190,7 @@ func TestDeterminism(t *testing.T) {
 			w := w
 			e.Go(fmt.Sprintf("w%d", w), func(p *Proc) {
 				for {
-					if st.Len() == 0 {
+					if len(st.items) == 0 {
 						return
 					}
 					job := st.Get(p) // an item is buffered: no wait
@@ -239,4 +240,40 @@ func TestProcessPanicPropagatesToKernel(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// TestCloseEndsParkedProcesses: processes a drained Run leaves parked on
+// their coroutines (a signal nobody fires, a store nobody fills) are ended
+// by Close — their deferred calls run, the code after the park does not,
+// and their goroutines are gone — while ended and never-started processes
+// are left alone.
+func TestCloseEndsParkedProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEnv(1)
+	sig, box := NewSignal(e), NewStore[int](e, "box")
+	var unwound, resumed int
+	for i := range 3 {
+		e.Go(fmt.Sprintf("waiter%d", i), func(p *Proc) {
+			defer func() { unwound++ }()
+			if i == 0 {
+				box.Get(p)
+			} else {
+				sig.Wait(p)
+			}
+			resumed++
+		})
+	}
+	e.Go("done", func(p *Proc) { p.Sleep(time.Second) })
+	e.Run()
+	if got := runtime.NumGoroutine() - before; got != 3 {
+		t.Fatalf("%d goroutines after Run, want the 3 parked waiters'", got)
+	}
+	e.Close()
+	if unwound != 3 || resumed != 0 {
+		t.Errorf("Close ran %d deferred calls and resumed %d waiters, want 3 and 0", unwound, resumed)
+	}
+	if got := runtime.NumGoroutine() - before; got != 0 {
+		t.Errorf("%d goroutines left after Close", got)
+	}
+	e.Close() // nothing left: a no-op
 }

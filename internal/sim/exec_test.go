@@ -467,7 +467,7 @@ func TestExecWildReleasePanicsLikeTheCall(t *testing.T) {
 			defer func() { panicked = recover() }()
 			e.Run()
 		}()
-		return panicked, p.Ended(), e.Now(), e.Events(), r.Stats()
+		return panicked, p.ended, e.Now(), e.Events(), r.Stats()
 	}
 	cp, ce, cn, cev, cst := run(false)
 	ep, ee, en, eev, est := run(true)
@@ -538,11 +538,6 @@ func TestCallThatBlocksPanics(t *testing.T) {
 		"Resource.Acquire": func(p *Proc) { NewResource(p.env, "r", 1).Acquire(p) },
 		"Store.Get":        func(p *Proc) { NewStore[int](p.env, "s").Get(p) },
 		"Signal.Wait":      func(p *Proc) { NewSignal(p.env).Wait(p) },
-		"WaitGroup.Wait": func(p *Proc) {
-			wg := NewWaitGroup(p.env)
-			wg.Add(1)
-			wg.Wait(p)
-		},
 	}
 	for name, block := range blockers {
 		for _, kernel := range []bool{false, true} {
@@ -606,25 +601,20 @@ func runCont(k Cont) (panicked any, ended bool, live int, switches uint64) {
 		e.Run()
 	}()
 	_, switches, _ = e.Telemetry()
-	return panicked, p.Ended(), e.Live(), switches
+	return panicked, p.ended, e.Live(), switches
 }
 
 // A process with no coroutine has nothing to block: every blocking
 // primitive panics in it as inside any Call step, naming the process, and
 // the panic leaves Run as the process's own with the process ended.
 func TestContThatBlocksPanics(t *testing.T) {
-	for _, name := range []string{"Sleep", "Exec", "Resource.Acquire", "Store.Get", "Signal.Wait", "WaitGroup.Wait"} {
+	for _, name := range []string{"Sleep", "Exec", "Resource.Acquire", "Store.Get", "Signal.Wait"} {
 		block := map[string]func(p *Proc){
 			"Sleep":            func(p *Proc) { p.Sleep(time.Millisecond) },
 			"Exec":             func(p *Proc) { p.Exec(Sleep(time.Millisecond)) },
 			"Resource.Acquire": func(p *Proc) { NewResource(p.env, "r", 1).Acquire(p) },
 			"Store.Get":        func(p *Proc) { NewStore[int](p.env, "s").Get(p) },
 			"Signal.Wait":      func(p *Proc) { NewSignal(p.env).Wait(p) },
-			"WaitGroup.Wait": func(p *Proc) {
-				wg := NewWaitGroup(p.env)
-				wg.Add(1)
-				wg.Wait(p)
-			},
 		}[name]
 		// Once in its first Call, once in a Call a program swapped in.
 		for _, later := range []bool{false, true} {
@@ -673,7 +663,7 @@ func TestContJoinReturnsWhenItsProgramEnds(t *testing.T) {
 	var live int
 	e.Go("joiner", func(p *Proc) {
 		done.Wait(p)
-		at, ended, live = p.Now(), c.Ended(), e.Live()
+		at, ended, live = p.Now(), c.ended, e.Live()
 	})
 	e.Run()
 	if at != 2*time.Millisecond || !ended || live != 1 {
@@ -707,7 +697,7 @@ func TestContWildReleasePanicsLikeTheCall(t *testing.T) {
 			defer func() { panicked = recover() }()
 			e.Run()
 		}()
-		return panicked, p.Ended(), e.Now(), e.Events(), r.Stats()
+		return panicked, p.ended, e.Now(), e.Events(), r.Stats()
 	}
 	cp, ce, cn, cev, cst := run(false)
 	kp, ke, kn, kev, kst := run(true)

@@ -18,16 +18,15 @@ import (
 )
 
 // fiftyProcScript is a fixed workload that touches every wake-up site
-// (Sleep, Resource.Release, Store.Put, Signal.Fire, WaitGroup.Add, GoAt,
-// OnTime) and, stopped at 12ms, leaves sleepers, parked waiters and
+// (Sleep, Resource.Release, Store.Put, Signal.Fire, GoAt, OnTime) and, stopped at 12ms, leaves sleepers, parked waiters and
 // not-yet-started processes behind — a non-empty heap with ties in at.
 func fiftyProcScript() *Env {
 	e := NewEnv(7)
 	srv := NewResource(e, "srv", 2)
 	box := NewStore[int](e, "box")
 	gate := NewSignal(e)
-	wg := NewWaitGroup(e)
-	wg.Add(10)
+	// A barrier of ten: the last arrival fires it.
+	barrier, arrivals := NewSignal(e), 10
 	for i := 0; i < 50; i++ {
 		i := i
 		e.GoAt(time.Duration(i%7)*time.Millisecond, fmt.Sprintf("p%d", i), func(p *Proc) {
@@ -47,8 +46,10 @@ func fiftyProcScript() *Env {
 				}
 			case 3: // barrier participants
 				p.Sleep(time.Duration(i) * time.Millisecond)
-				wg.Done()
-				wg.Wait(p)
+				if arrivals--; arrivals == 0 {
+					barrier.Fire()
+				}
+				barrier.Wait(p)
 				p.Sleep(3 * time.Millisecond)
 			case 4: // gate waiters
 				gate.Wait(p)

@@ -14,15 +14,17 @@ import (
 )
 
 // Proc is a cooperative simulation process. A Proc's methods that can block
-// (Sleep, Exec, and the blocking methods of Resource, Store, Signal,
-// WaitGroup that take a *Proc) must only be called from the process's own
-// coroutine while it is the running process; a process started with
-// GoCont has none, and runs only the program its Call steps give it.
+// (Sleep, Exec, and the blocking methods of Resource, Store and Signal that
+// take a *Proc) must only be called from the process's own coroutine while
+// it is the running process; a process started with GoCont has none, and
+// runs only the program its Call steps give it.
 type Proc struct {
 	env   *Env
 	name  string
 	next  func() (struct{}, bool) // kernel side: run the process until it parks or ends; nil without a coroutine
 	yield func(struct{}) bool     // process side: park, handing control back to the kernel
+	stop  func()                  // kernel side: make the parked yield return false (Env.Close)
+	coro  int                     // index in env.coros while the coroutine is alive
 	ended bool
 
 	// The program handed to Exec; prog[pc:plen] is still to run.
@@ -216,33 +218,52 @@ func (e *Env) stop(p *Proc) {
 // then resumes. Equivalent to Sleep(0).
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Ended reports whether the process function has returned (a process
-// with no coroutine: whether its program has run dry).
-func (p *Proc) Ended() bool { return p.ended }
-
 // park transfers control back to the kernel without scheduling a wake-up.
 // Something else (a resource grant, a signal, a timer event captured
-// before parking) must re-activate the process.
+// before parking) must re-activate the process. If Env.Close ends the
+// process instead, park unwinds its stack and never returns.
 func (p *Proc) park() {
-	p.yield(struct{}{})
+	if !p.yield(struct{}{}) {
+		panic(unwound{})
+	}
 }
+
+// unwound is what park panics with when Env.Close ends a parked process.
+type unwound struct{}
 
 // startProc turns fn into a coroutine and runs it until its first park.
 // Called in kernel context. The closure below is the only allocation on
 // the process path, and it is paid once per process, not per event.
 func (e *Env) startProc(p *Proc, fn func(*Proc)) {
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
+			if r := recover(); r != nil && r != (unwound{}) {
 				e.pendingPanic = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
 			}
 			p.ended = true
 			e.nLive--
+			last := e.coros[len(e.coros)-1]
+			e.coros[p.coro], last.coro = last, p.coro
+			e.coros = e.coros[:len(e.coros)-1]
 		}()
 		fn(p)
 	})
+	p.coro = len(e.coros)
+	e.coros = append(e.coros, p)
 	e.activate(p)
+}
+
+// Close ends every process still parked on its coroutine, as a drained Run
+// leaves one that waits for something nobody will do (a signal never
+// fired, say). Its stack unwinds, deferred calls included, and its
+// goroutine exits, so a dropped environment leaves nothing behind. Close
+// does not return until they are gone, and the environment must not run
+// again.
+func (e *Env) Close() {
+	for len(e.coros) > 0 {
+		e.coros[len(e.coros)-1].stop()
+	}
 }
 
 // activate hands control to p and returns when p parks (or ends). Called

@@ -20,13 +20,6 @@ func NewStore[T any](env *Env, name string) *Store[T] {
 	return &Store[T]{env: env, name: name}
 }
 
-// Name returns the store name.
-func (s *Store[T]) Name() string { return s.name }
-
-// Len returns the number of buffered items (excluding items already handed
-// to waiters that have not yet resumed).
-func (s *Store[T]) Len() int { return len(s.items) }
-
 // Put appends an item. If a process is blocked in Get, the item is handed
 // directly to the longest-waiting one, which resumes at the current
 // instant.

@@ -92,8 +92,8 @@ func TestStoreCounters(t *testing.T) {
 		_ = s.Get(p)
 	})
 	e.Run()
-	if s.Len() != 1 {
-		t.Fatalf("two puts and a get leave %d items, want 1", s.Len())
+	if len(s.items) != 1 {
+		t.Fatalf("two puts and a get leave %d items, want 1", len(s.items))
 	}
 }
 
@@ -140,51 +140,4 @@ func TestSignalDoubleFireNoop(t *testing.T) {
 	sig := NewSignal(e)
 	sig.Fire()
 	sig.Fire() // must not panic
-}
-
-func TestWaitGroup(t *testing.T) {
-	e := NewEnv(1)
-	wg := NewWaitGroup(e)
-	wg.Add(3)
-	var doneAt time.Duration
-	for i := 1; i <= 3; i++ {
-		i := i
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(time.Duration(i) * time.Second)
-			wg.Done()
-		})
-	}
-	e.Go("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	e.Run()
-	if doneAt != 3*time.Second {
-		t.Fatalf("waiter resumed at %v, want 3s", doneAt)
-	}
-}
-
-func TestWaitGroupZeroCountDoesNotBlock(t *testing.T) {
-	e := NewEnv(1)
-	wg := NewWaitGroup(e)
-	ok := false
-	e.Go("p", func(p *Proc) {
-		wg.Wait(p)
-		ok = true
-	})
-	e.Run()
-	if !ok {
-		t.Fatal("Wait on zero WaitGroup blocked")
-	}
-}
-
-func TestWaitGroupNegativePanics(t *testing.T) {
-	e := NewEnv(1)
-	wg := NewWaitGroup(e)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative counter did not panic")
-		}
-	}()
-	wg.Done()
 }

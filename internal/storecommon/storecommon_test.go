@@ -3,6 +3,7 @@ package storecommon
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -194,6 +195,33 @@ func TestETagBytesMatchTheFmtForm(t *testing.T) {
 			if got := g.Next(now); got != want {
 				t.Errorf("Next(%v) at %d = %s, want %s", now, n, got, want)
 			}
+		}
+	}
+}
+
+// TestETagStampMatchesAppendFormat holds the directly written timestamp to
+// the layout it replaced, byte for byte, over instants drawn across years
+// 1…9999 at every resolution the layout shows, plus the edges.
+func TestETagStampMatchesAppendFormat(t *testing.T) {
+	const layout = "2006-01-02T15:04:05.0000000Z"
+	lo := time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC)
+	hi := time.Date(9999, 12, 31, 23, 59, 59, 999_999_999, time.UTC)
+	instants := []time.Time{lo, hi, lo.Add(99), time.Date(2000, 2, 29, 9, 9, 9, 100, time.UTC)}
+	rng := rand.New(rand.NewSource(1))
+	span := hi.Sub(lo) // about 292 years: the draws are taken in steps of it
+	for range 20_000 {
+		at := lo.Add(time.Duration(rng.Int63n(int64(span))))
+		for range rng.Intn(35) {
+			at = at.Add(span)
+		}
+		if at.After(hi) {
+			continue
+		}
+		instants = append(instants, at)
+	}
+	for _, at := range instants {
+		if got, want := appendStamp(nil, at), at.AppendFormat(nil, layout); string(got) != string(want) {
+			t.Fatalf("appendStamp(%v) = %s, want %s", at, got, want)
 		}
 	}
 }

@@ -25,6 +25,7 @@ type Zipf struct {
 	zetan float64
 	eta   float64
 	zeta2 float64
+	half  float64 // 1 + 0.5^θ: u·ζ(n) below it (and not below 1) draws rank 1
 }
 
 // NewZipf returns a zipfian chooser over growing ranges with parameter
@@ -35,6 +36,7 @@ func NewZipf(r *sim.Rand, theta float64) *Zipf {
 	}
 	z := &Zipf{r: r, theta: theta}
 	z.zeta2 = zetaStatic(2, theta)
+	z.half = 1.0 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -54,7 +56,7 @@ func (z *Zipf) Next(n int) int {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < z.half {
 		return 1
 	}
 	idx := int(float64(n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"testing"
@@ -57,6 +60,29 @@ func TestKeyFormat(t *testing.T) {
 		math.MaxInt64, -1, -42, -999999999, -1000000000, -12345678901, math.MinInt64} {
 		if got, want := Key(i), fmt.Sprintf("user%010d", i); got != want {
 			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestZipfDrawsPinned pins the first 10 000 draws of Next(96) and
+// Next(1000) at θ = 0.99 — the hotspot experiment's key stream and the
+// closed-loop scenarios' — as hashes recorded before Next's constants moved
+// into NewZipf: a rewrite of the arithmetic must leave every draw in place.
+func TestZipfDrawsPinned(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		want string
+	}{
+		{96, "e9d21079bd25a51c33e7c1b23c8f17a52aebc683036e3b352d95147f00f1c41d"},
+		{1000, "829711b506d9b3b3a828371743d4f175940b6ab51ffa308d66ff1905679efa96"},
+	} {
+		z := NewZipf(sim.NewRand(7), 0.99)
+		h := sha256.New()
+		for range 10_000 {
+			h.Write(binary.LittleEndian.AppendUint32(nil, uint32(z.Next(c.n))))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("Next(%d): the draws hash to %s, want %s", c.n, got, c.want)
 		}
 	}
 }
