@@ -376,12 +376,27 @@ func (c *Cloud) Stations() []telemetry.Station {
 // A request comes off its Cloud's free list (Client.newRequest) and goes
 // back when it is answered: issuing an operation allocates nothing.
 type request struct {
-	cl *Client // the client making the current attempt
 	*Op
 	own Op // the Op of a request a blocking method makes
 	attempts
-	up     int64         // request payload bytes of the current attempt
+	// The current attempt: clearAttempt clears its references one by one,
+	// so as not to bulk-zero memory that holds pointers.
+	cl     *Client       // the client making the current attempt
 	server *sim.Resource // where route sent the current attempt
+	stage  string        // the trace stage of the program's last stretch
+	// The current attempt's trace record. A retried attempt keeps its
+	// predecessor's trace ID and is parented under its span.
+	fault    string
+	st       *spanCutter
+	traceID  string // causal identity of this attempt (tracing attached only)
+	spanID   string
+	parentID string
+	attempt
+}
+
+// attempt is the rest of the current attempt's state; it holds no pointer.
+type attempt struct {
+	up int64 // request payload bytes of the current attempt
 	// serverIdx is the table-server index the client routed to (from its
 	// cached partition map); -1 under static placement, where the route
 	// cannot go stale. The front door validates it against the master.
@@ -392,17 +407,17 @@ type request struct {
 	phase phase
 	dec   faults.Decision
 	occ   time.Duration
-	down  int64  // response bytes the engine produced; a reset's part of them
-	stage string // the trace stage of the program's last stretch
+	down  int64         // response bytes the engine produced; a reset's part of them
+	sent  time.Duration // when the attempt's backoff began (tracing attached only)
+}
 
-	// The current attempt's trace record. A retried attempt keeps its
-	// predecessor's trace ID and is parented under its span.
-	sent     time.Duration // when the attempt's backoff began
-	fault    string
-	st       *spanCutter
-	traceID  string // causal identity of this attempt (tracing attached only)
-	spanID   string
-	parentID string
+// clearAttempt clears the current attempt but for cl and server, which
+// every attempt sets.
+func (req *request) clearAttempt() {
+	if req.st != nil { // traced
+		req.st, req.traceID, req.spanID, req.parentID = nil, "", "", ""
+	}
+	req.stage, req.fault, req.attempt = "", "", attempt{}
 }
 
 // attempts is what a request's attempts share: the client that issued it,
@@ -452,6 +467,25 @@ type Answer struct {
 	Props   blobstore.Props        // BlobProps
 	Res     tablestore.QueryResult // QueryEntities
 	Item    cachestore.Item        // CacheGet
+	filled  OpKind                 // the op whose engine call last filled the answer (apply)
+}
+
+// clear zeroes the one part the engine call that filled a returns, and the
+// error and scalars any answer may set.
+func (a *Answer) clear() {
+	switch a.filled {
+	case OpInsertEntity, OpGetEntity, OpUpdateEntity:
+		a.Row = tablestore.Row{}
+	case OpPutMessage, OpGetMessage, OpPeekMessage:
+		a.Msg = queuestore.Message{}
+	case OpBlobProps:
+		a.Props = blobstore.Props{}
+	case OpQueryEntities:
+		a.Res = tablestore.QueryResult{}
+	case OpCacheGet:
+		a.Item = cachestore.Item{}
+	}
+	a.Err, a.OK, a.Count, a.Version, a.filled = nil, false, 0, 0, 0
 }
 
 // size is the request payload the operation sends: the header, and the
@@ -492,9 +526,14 @@ func (cl *Client) newRequest(kind OpKind) *request {
 	return req
 }
 
-// release clears req and puts it back on the free list.
+// release clears req for newRequest and puts it back on the free list.
+// Its own Op is cleared only when a blocking method used it.
 func (c *Cloud) release(req *request) {
-	*req = request{}
+	if req.Op == &req.own {
+		req.own = Op{}
+	}
+	req.then, req.retries, req.backoff = nil, 0, 0
+	req.clearAttempt()
 	c.free = append(c.free, req)
 }
 
@@ -597,6 +636,7 @@ func (k OpKind) is(f opFlags) bool { return ops[k].flags&f != 0 }
 // touches c's engines and c.prm, and nothing else of c.
 func (c *Cloud) apply(req *request) (occ time.Duration, down int64, err error) {
 	prm := &c.prm
+	req.filled = req.Kind
 	switch req.Kind {
 	case OpCreateContainer:
 		return prm.ContainerOpOcc, 0, c.Blob.CreateContainer(req.Name)
@@ -746,13 +786,12 @@ func (c *Cloud) apply(req *request) (occ time.Duration, down int64, err error) {
 // mutation's causal identity, so the replay traces as a child of the op
 // that caused it.
 func (c *Cloud) replicate(req *request) {
-	args := *req.Op
-	args.Answer = Answer{}
-	if args.Ent != nil {
-		args.Ent = args.Ent.Clone()
+	args := Op{Kind: req.Kind, Name: req.Name, Key: req.Key, ID: req.ID, IfMatch: storecommon.ETagAny,
+		PopReceipt: req.PopReceipt, Data: req.Data, Refs: slices.Clone(req.Refs), Off: req.Off, N: req.N,
+		TTL: req.TTL, Filter: req.Filter, Top: req.Top, From: req.From}
+	if req.Ent != nil {
+		args.Ent = req.Ent.Clone()
 	}
-	args.Refs = slices.Clone(args.Refs)
-	args.IfMatch = storecommon.ETagAny
 	if args.Kind == OpDeleteMessage {
 		args.Kind = opReplicaDeleteMessage
 	}
@@ -861,7 +900,7 @@ func (cl *Client) do(p *sim.Proc, req *request) error {
 func (cl *Client) Start(p *sim.Proc, op *Op, then sim.Cont) {
 	req := cl.newRequest(op.Kind)
 	req.Op, req.then = op, then
-	op.Answer = Answer{}
+	op.Answer.clear()
 	req.send(p)
 }
 
@@ -901,8 +940,10 @@ func (req *request) send(p *sim.Proc) {
 		if req.follow {
 			next = req.by.geo.Active()
 		}
-		*req = request{cl: next, Op: req.Op, own: req.own, attempts: req.attempts, traceID: req.traceID, parentID: req.spanID}
-		req.Answer = Answer{}
+		traceID, parentID := req.traceID, req.spanID
+		req.clearAttempt()
+		req.cl, req.traceID, req.parentID = next, traceID, parentID
+		req.Answer.clear()
 	}
 	cl := req.cl
 	c := cl.cloud

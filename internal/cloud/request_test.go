@@ -1,9 +1,11 @@
 package cloud
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"azurebench/internal/cachestore"
 	"azurebench/internal/faults"
 	"azurebench/internal/model"
 	"azurebench/internal/payload"
@@ -221,5 +223,97 @@ func TestStartedRequestNeverSwitches(t *testing.T) {
 		if blocking != started || blocking.row != "row" || blocking.code != "" {
 			t.Errorf("throttled %v:\nblocking %+v\nstarted  %+v", throttled, blocking, started)
 		}
+	}
+}
+
+// startScript issues steps one after another with Start from a process with
+// no coroutine, each on op, or on a fresh Op when op is nil, and keeps each
+// answer. A step sets every argument field and leaves the answer alone, as
+// a runner that reuses one Op does.
+type startScript struct {
+	cl    *Client
+	op    *Op
+	fresh bool
+	steps []Op
+	got   []Answer
+}
+
+func (s *startScript) Resume(p *sim.Proc) {
+	if s.op != nil && len(s.got) < len(s.steps) {
+		s.got = append(s.got, s.op.Answer)
+	}
+	if len(s.got) == len(s.steps) {
+		return
+	}
+	if s.fresh || s.op == nil {
+		s.op = new(Op)
+	}
+	answer := s.op.Answer
+	*s.op = s.steps[len(s.got)]
+	s.op.Answer = answer
+	s.cl.Start(p, s.op, s)
+}
+
+// TestReusedOpShowsNoStaleAnswer: Start clears only what the answer before
+// it set, so a reused Op must come back from each request with exactly the
+// answer a fresh Op gets — in particular with no part of an earlier answer
+// left behind by one that never reached its engine.
+func TestReusedOpShowsNoStaleAnswer(t *testing.T) {
+	steps := []Op{
+		{Kind: OpGetMessage, Name: "jobs", TTL: time.Minute},             // hit
+		{Kind: OpGetMessage, Name: "jobs", TTL: time.Minute},             // miss
+		{Kind: OpPutMessage, Name: "jobs", Data: payload.Zero(16)},       // a message put
+		{Kind: OpPeekMessage, Name: "jobs"},                              // times out before the engine
+		{Kind: OpQueryEntities, Name: "tbl", Top: 10},                    // a page of two rows
+		{Kind: OpGetEntity, Name: "tbl", Key: "pk", ID: "a"},             // a row
+		{Kind: OpGetEntity, Name: "tbl", Key: "pk", ID: "missing"},       // an error
+		{Kind: OpGetEntity, Name: "tbl", Key: "pk", ID: "b"},             // a success
+		{Kind: OpCacheGet, Name: cachestore.DefaultCache, Key: "k"},      // hit
+		{Kind: OpGetMessageCount, Name: "jobs"},                          // a count
+		{Kind: OpCacheGet, Name: cachestore.DefaultCache, Key: "absent"}, // miss
+		{Kind: OpBlobProps, Name: "ctn", Key: "blob"},                    // props
+		{Kind: OpGetEntity, Name: "tbl", Key: "pk", ID: "missing"},       // an error again
+	}
+	run := func(fresh bool) []Answer {
+		env := sim.NewEnv(1)
+		c := New(env, model.Default())
+		c.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, Timeout: time.Second,
+			Rules: []faults.Rule{{Service: "queue", Op: "PeekMessage", Kind: faults.Timeout, Rate: 1}}}))
+		must := func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(c.Queue.CreateQueue("jobs"))
+		_, err := c.Queue.Put("jobs", payload.Zero(8), 0)
+		must(err)
+		must(c.Table.CreateTable("tbl"))
+		for _, rk := range []string{"a", "b"} {
+			_, err = c.Table.Insert("tbl", &tablestore.Entity{PartitionKey: "pk", RowKey: rk})
+			must(err)
+		}
+		_, err = c.cacheCluster().Put(cachestore.DefaultCache, "k", payload.Zero(8), time.Hour)
+		must(err)
+		must(c.Blob.CreateContainer("ctn"))
+		_, err = c.Blob.UploadBlockBlob("ctn", "blob", payload.Zero(64), "")
+		must(err)
+		cl := c.NewClient("vm0", model.Small)
+		cl.SetRetryPolicy(retry.Policy{})
+		s := &startScript{cl: cl, fresh: fresh, steps: steps}
+		env.GoCont("client", s)
+		env.Run()
+		if len(s.got) != len(steps) {
+			t.Fatalf("fresh %v: %d of %d answers", fresh, len(s.got), len(steps))
+		}
+		return s.got
+	}
+	reused, fresh := run(false), run(true)
+	for i := range steps {
+		if !reflect.DeepEqual(reused[i], fresh[i]) {
+			t.Errorf("step %d (%s): reused Op answered\n%+v\nfresh Op\n%+v", i, ops[steps[i].Kind].name, reused[i], fresh[i])
+		}
+	}
+	if fresh[1].OK || fresh[3].Err == nil || fresh[6].Err == nil || !fresh[8].OK || fresh[10].OK {
+		t.Errorf("the script did not hit, miss and fail where it should: %+v", fresh)
 	}
 }

@@ -11,18 +11,22 @@ import (
 // the simulation; all interaction during a run must happen from simulation
 // processes.
 type Env struct {
-	now    time.Duration
-	seq    uint64
-	events eventQueue
-	cur    *Proc // currently running process, nil in kernel context
-	// calling is the process whose Call step is running, nil outside one.
-	calling *Proc
+	now     time.Duration
+	seq     uint64
+	events  eventQueue
+	cur     *Proc // currently running process, nil in kernel context
+	calling int32 // slot of the process whose Call step is running, -1 outside one
 	rng     *Rand
-	nLive   int     // processes started and not yet finished
-	nSpawn  int     // total processes ever started (used for default names)
-	coros   []*Proc // processes whose coroutine is alive, for Close
+	nLive   int // processes started and not yet finished
+	nSpawn  int // total processes ever started (used for default names)
 	fired   uint64
 
+	// An event names a live process by its slot in who (spare slots are
+	// reused) or, as who -1, an OnTime hook by seq. Programs name res by id.
+	who   []*Proc
+	spare []int32
+	hooks map[uint64]func()
+	res   []*Resource
 	// Self-telemetry (see Telemetry); not part of Save.
 	switches    uint64
 	peakPending int
@@ -34,7 +38,7 @@ type Env struct {
 // the environment's PRNG (Env.Rand); the simulation itself is deterministic
 // regardless of seed.
 func NewEnv(seed int64) *Env {
-	return &Env{rng: NewRand(seed)}
+	return &Env{rng: NewRand(seed), calling: -1, hooks: map[uint64]func(){}}
 }
 
 // Now returns the current virtual time.
@@ -65,17 +69,10 @@ func (e *Env) Live() int { return e.nLive }
 // trigger.
 func (e *Env) Pending() int { return e.events.n }
 
-// schedule enqueues fire to run in kernel context at time at. It panics if
-// at precedes the current time.
-func (e *Env) schedule(at time.Duration, fire func()) {
-	e.push(event{at: at, fire: fire})
-}
-
 // wake enqueues the re-activation of p at time at. This is what every
-// blocking primitive's wake-up side calls; unlike schedule it carries no
-// closure, so it does not allocate.
+// blocking primitive's wake-up side calls.
 func (e *Env) wake(at time.Duration, p *Proc) {
-	e.push(event{at: at, proc: p})
+	e.push(event{at: at, who: p.id})
 }
 
 func (e *Env) push(ev event) {
@@ -90,7 +87,7 @@ func (e *Env) push(ev event) {
 
 // Go starts a new process running fn at the current virtual time. If name
 // is empty a sequential name is assigned. Go may be called before Run or
-// from a running process. The returned Proc can be joined via Proc.Join.
+// from a running process.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 	return e.GoAt(e.now, name, fn)
 }
@@ -99,7 +96,8 @@ func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 // be in the past).
 func (e *Env) GoAt(at time.Duration, name string, fn func(*Proc)) *Proc {
 	p := e.newProc(name)
-	e.schedule(at, func() { e.startProc(p, fn) })
+	p.start = fn
+	e.wake(at, p)
 	return p
 }
 
@@ -111,7 +109,7 @@ func (e *Env) GoAt(at time.Duration, name string, fn func(*Proc)) *Proc {
 // event, as Go's does, and it is never switched to.
 func (e *Env) GoCont(name string, k Cont) *Proc {
 	p := e.newProc(name)
-	p.prog[0], p.plen = Call(k), 1
+	p.load([]Step{Call(k)})
 	e.wake(e.now, p)
 	return p
 }
@@ -122,7 +120,14 @@ func (e *Env) newProc(name string) *Proc {
 		name = fmt.Sprintf("proc-%d", e.nSpawn)
 	}
 	e.nLive++
-	return &Proc{env: e, name: name}
+	p := &Proc{env: e, name: name, id: int32(len(e.who))}
+	if n := len(e.spare); n > 0 {
+		p.id, e.spare = e.spare[n-1], e.spare[:n-1]
+		e.who[p.id] = p
+	} else {
+		e.who = append(e.who, p)
+	}
+	return p
 }
 
 // Run executes events until none is pending, then returns the final
@@ -152,11 +157,19 @@ func (e *Env) step() {
 	ev := e.events.pop()
 	e.now = ev.at
 	e.fired++
-	switch p := ev.proc; {
-	case p == nil:
-		ev.fire()
+	if ev.who < 0 {
+		fn := e.hooks[ev.seq]
+		delete(e.hooks, ev.seq)
+		fn()
+		return
+	}
+	switch p := e.who[ev.who]; {
 	case p.pc < p.plen && e.advance(p):
 		// p's program blocked again: it stays parked.
+	case p.start != nil:
+		fn := p.start
+		p.start = nil
+		e.startProc(p, fn)
 	case p.next == nil:
 		e.stop(p)
 	default:
@@ -169,8 +182,8 @@ func (e *Env) step() {
 // blocking method from outside the simulation or from the wrong process.
 func (e *Env) mustBeRunning(p *Proc, op string) {
 	if e.cur != p {
-		if e.calling != nil {
-			panic(fmt.Sprintf("sim: %s called from a Call step of process %q; a Call must not block", op, e.calling.name))
+		if e.calling >= 0 {
+			panic(fmt.Sprintf("sim: %s called from a Call step of process %q; a Call must not block", op, e.who[e.calling].name))
 		}
 		panic(fmt.Sprintf("sim: %s called from process %q which is not running", op, p.name))
 	}

@@ -5,14 +5,14 @@ import (
 	"time"
 )
 
-// event is a pending simulation event: at time at, either wake proc (the
-// common case — a sleep ending, a grant, a broadcast — which needs no
-// closure) or run fire in kernel context.
+// event is a pending simulation event: at time at, wake, start or stop the
+// process in slot who of Env.who, or, as who -1, run the OnTime hook filed
+// under seq. It holds no pointer, so the queue's buckets are noscan: the GC
+// never scans them, and moving an event pays no write barrier.
 type event struct {
-	at   time.Duration
-	seq  uint64 // schedule order; the queue keeps it without comparing, Save fingerprints it
-	proc *Proc
-	fire func()
+	at  time.Duration
+	seq uint64 // schedule order; the queue keeps it without comparing, Save fingerprints it
+	who int32
 }
 
 // eventQueue is a monotone radix queue of event values, popped in (at, seq)
@@ -62,16 +62,13 @@ func (q *eventQueue) pop() event {
 		q.later[k] = b[:0]
 		q.mask &^= 1 << k
 		if len(b) == 1 { // the usual case with few events pending: no move
-			ev := b[0]
-			b[0] = event{} // drop the proc/closure references
-			q.last = ev.at
-			return ev
+			q.last = b[0].at
+			return b[0]
 		}
 		q.last = earliest(b)
 		for _, ev := range b {
 			q.file(ev)
 		}
-		clear(b)
 	}
 	return q.due.pop()
 }

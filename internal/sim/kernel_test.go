@@ -368,3 +368,72 @@ func TestTelemetryCounts(t *testing.T) {
 		t.Fatalf("Telemetry events %d != Events() %d", events, e.Events())
 	}
 }
+
+// TestKernelValuesHoldNoPointers: the two values the kernel copies on every
+// step — a stored program step and a pending event — hold no pointer, so
+// copying one pays no write barrier while the GC marks and the slices that
+// hold them are never scanned. A field that brings a pointer back fails
+// here.
+func TestKernelValuesHoldNoPointers(t *testing.T) {
+	prog, _ := reflect.TypeOf(Proc{}).FieldByName("prog")
+	for _, typ := range []reflect.Type{prog.Type.Elem(), reflect.TypeOf(event{})} {
+		if path := pointerIn(typ, typ.Name()); path != "" {
+			t.Errorf("%s holds a pointer at %s", typ, path)
+		}
+	}
+}
+
+// pointerIn returns the path to the first field of typ that is or holds a
+// pointer — a pointer, interface, func, slice, map, string, channel or
+// unsafe pointer — or "" when there is none.
+func pointerIn(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerIn(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerIn(typ.Elem(), path+"[]")
+	case reflect.Pointer, reflect.Interface, reflect.Func, reflect.Slice, reflect.Map,
+		reflect.String, reflect.Chan, reflect.UnsafePointer:
+		return path + " (" + typ.Kind().String() + ")"
+	}
+	return ""
+}
+
+// hop sleeps, then starts the next of n processes with no coroutine and
+// ends: one process is live at a time, and n of them run one after another.
+type hop struct {
+	n     int
+	slept bool
+}
+
+func (h *hop) Resume(p *Proc) {
+	switch {
+	case !h.slept:
+		h.slept = true
+		p.Then(Sleep(time.Microsecond), Call(h))
+	case h.n > 1:
+		p.env.GoCont("", &hop{n: h.n - 1})
+	}
+}
+
+// TestEndedProcessesFreeTheirSlot: a process's slot in the table that
+// events name it by is freed when it ends and reused by the next, so an
+// open-loop run that starts a process per arrival keeps the table as small
+// as the processes live at once.
+func TestEndedProcessesFreeTheirSlot(t *testing.T) {
+	e := NewEnv(1)
+	e.GoCont("first", &hop{n: 100000})
+	e.Run()
+	if e.Live() != 0 || e.Events() != 2*100000 || e.Now() != 100000*time.Microsecond {
+		t.Fatalf("%d live, %d events by %v; want 0, 200000 by 100ms", e.Live(), e.Events(), e.Now())
+	}
+	if n := len(e.who); n > 2 {
+		t.Fatalf("process table holds %d slots after 100 000 processes, at most 2 live at once", n)
+	}
+}

@@ -21,16 +21,19 @@ import (
 type Proc struct {
 	env   *Env
 	name  string
+	id    int32                   // the process's slot in env.who, which its events name
 	next  func() (struct{}, bool) // kernel side: run the process until it parks or ends; nil without a coroutine
 	yield func(struct{}) bool     // process side: park, handing control back to the kernel
 	stop  func()                  // kernel side: make the parked yield return false (Env.Close)
-	coro  int                     // index in env.coros while the coroutine is alive
+	start func(*Proc)             // GoAt's function, until its start event turns it into a coroutine
 	ended bool
 
 	// The program handed to Exec; prog[pc:plen] is still to run.
-	prog [MaxSteps]Step
-	pc   int
-	plen int
+	prog  [MaxSteps]instr
+	conts [MaxSteps]Cont   // by slot, a Call's Cont (load)
+	ctrs  [MaxSteps]*int64 // by slot, an Add's counter
+	pc    int
+	plen  int
 	// callPanic is what a Call step's Resume panicked with in kernel
 	// context, for Exec to re-raise on the process's own stack.
 	callPanic any
@@ -58,11 +61,17 @@ const MaxSteps = 8
 
 // Step is one instruction of a program for Proc.Exec.
 type Step struct {
+	instr
+	k   Cont   // stepCall
+	ctr *int64 // stepAdd
+}
+
+// instr is a step as a Proc stores it: with no pointer, copying a program
+// pays no write barrier while the GC marks (DESIGN.md §17).
+type instr struct {
 	kind stepKind
+	ref  int32         // stepAcquire, stepRelease: the Resource's id in its Env
 	d    time.Duration // stepSleep: how long; stepAdd: the addend
-	r    *Resource
-	ctr  *int64
-	k    Cont
 }
 
 type stepKind uint8
@@ -76,14 +85,17 @@ const (
 )
 
 // Each constructor builds the step that stands for the call of its name.
-func Sleep(d time.Duration) Step { return Step{kind: stepSleep, d: d} }
-func Acquire(r *Resource) Step   { return Step{kind: stepAcquire, r: r} }
-func Release(r *Resource) Step   { return Step{kind: stepRelease, r: r} }
+// A Resource in a program must belong to the Env of the process that runs it.
+func Sleep(d time.Duration) Step { return Step{instr: instr{kind: stepSleep, d: d}} }
+func Acquire(r *Resource) Step   { return Step{instr: instr{kind: stepAcquire, ref: r.id}} }
+func Release(r *Resource) Step   { return Step{instr: instr{kind: stepRelease, ref: r.id}} }
 
 // Add stands for *ctr += n, for a count a checkpoint may read at any
 // instant: it moves when the program gets there, not when the process next
 // runs.
-func Add(ctr *int64, n int64) Step { return Step{kind: stepAdd, d: time.Duration(n), ctr: ctr} }
+func Add(ctr *int64, n int64) Step {
+	return Step{instr: instr{kind: stepAdd, d: time.Duration(n)}, ctr: ctr}
+}
 
 // Cont is the Go code of a Call step.
 type Cont interface{ Resume(p *Proc) }
@@ -94,18 +106,34 @@ type Cont interface{ Resume(p *Proc) }
 // call. It may replace the rest of the program with Proc.Then, which is
 // how a program decides where it goes next. A pointer-shaped k (a *T)
 // makes the step without allocating.
-func Call(k Cont) Step { return Step{kind: stepCall, k: k} }
+func Call(k Cont) Step { return Step{instr: instr{kind: stepCall}, k: k} }
 
 // Then replaces what is left of p's program with steps (at most MaxSteps).
 // Only a Call step's Resume may call it, and only for its own process.
 func (p *Proc) Then(steps ...Step) {
-	if p.env.calling != p {
+	if p.env.calling != p.id || p.ended {
 		panic(fmt.Sprintf("sim: Then on process %q outside its Call step", p.name))
 	}
 	if len(steps) > MaxSteps {
 		panic(fmt.Sprintf("sim: Then with %d steps (at most %d)", len(steps), MaxSteps))
 	}
-	p.pc, p.plen = 0, copy(p.prog[:], steps)
+	p.load(steps)
+}
+
+// load makes steps (at most MaxSteps) p's program: the side arrays are
+// written only for a Call's Cont and an Add's counter.
+func (p *Proc) load(steps []Step) {
+	for i := range steps {
+		s := &steps[i]
+		p.prog[i] = s.instr
+		switch s.kind {
+		case stepCall:
+			p.conts[i] = s.k
+		case stepAdd:
+			p.ctrs[i] = s.ctr
+		}
+	}
+	p.pc, p.plen = 0, len(steps)
 }
 
 // Exec runs a program of at most MaxSteps steps, and of whatever its Call
@@ -123,7 +151,7 @@ func (p *Proc) Exec(steps ...Step) {
 	if len(steps) > MaxSteps {
 		panic(fmt.Sprintf("sim: Exec with %d steps (at most %d)", len(steps), MaxSteps))
 	}
-	p.pc, p.plen = 0, copy(p.prog[:], steps)
+	p.load(steps)
 	for p.pc < p.plen { // a second round only after advance handed a step back
 		if p.env.advance(p) {
 			p.park()
@@ -146,8 +174,9 @@ func (p *Proc) Exec(steps ...Step) {
 // way, with the panic carried over (Env.call).
 func (e *Env) advance(p *Proc) bool {
 	for p.pc < p.plen {
-		s := &p.prog[p.pc]
-		if s.kind == stepRelease && s.r.inUse <= 0 && e.cur != p {
+		i := p.pc
+		s := p.prog[i]
+		if s.kind == stepRelease && e.res[s.ref].inUse <= 0 && e.cur != p {
 			return false
 		}
 		p.pc++
@@ -156,15 +185,15 @@ func (e *Env) advance(p *Proc) bool {
 			e.wake(e.now+max(s.d, 0), p)
 			return true
 		case stepAcquire:
-			if s.r.acquire(p) {
+			if e.res[s.ref].acquire(p) {
 				return true
 			}
 		case stepRelease:
-			s.r.Release()
+			e.res[s.ref].Release()
 		case stepAdd:
-			*s.ctr += int64(s.d)
+			*p.ctrs[i] += int64(s.d)
 		case stepCall:
-			if !e.call(p, s.k) {
+			if !e.call(p, p.conts[i]) {
 				return false
 			}
 		}
@@ -173,21 +202,24 @@ func (e *Env) advance(p *Proc) bool {
 }
 
 // call runs k.Resume(p) with no process running — e.cur is nil, so every
-// blocking primitive panics — and e.calling set to p, which is what Then
-// checks. In process context a panic unwinds the coroutine as any panic
-// of the process does. In kernel context call recovers it, ends the
-// program and reports false; Exec then re-raises it on the process's
-// stack, so it leaves Run as "sim: process <name> panicked: ..." with the
-// process ended.
+// blocking primitive panics — and e.calling set to p's slot, which is what
+// Then checks; in kernel context it writes no pointer. In process context
+// a panic unwinds the coroutine as any panic of the process does. In
+// kernel context call recovers it, ends the program and reports false;
+// Exec then re-raises it on the process's stack, so it leaves Run as
+// "sim: process <name> panicked: ..." with the process ended.
 func (e *Env) call(p *Proc, k Cont) (ok bool) {
 	cur := e.cur
-	e.cur, e.calling = nil, p
+	e.calling = p.id
+	if cur != nil {
+		e.cur = nil
+	}
 	defer func() {
-		e.cur, e.calling = cur, nil
-		if cur == nil {
-			if r := recover(); r != nil {
-				p.callPanic, p.pc, ok = r, p.plen, false
-			}
+		e.calling = -1
+		if cur != nil {
+			e.cur = cur
+		} else if r := recover(); r != nil {
+			p.callPanic, p.pc, ok = r, p.plen, false
 		}
 	}()
 	k.Resume(p)
@@ -204,14 +236,21 @@ func (e *Env) stop(p *Proc) {
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}
 	}()
-	p.ended = true
-	e.nLive--
+	e.end(p)
 	if r := p.callPanic; r != nil {
 		panic(r)
 	}
 	if p.pc < p.plen {
-		p.prog[p.pc].r.Release()
+		e.res[p.prog[p.pc].ref].Release()
 	}
+}
+
+// end frees p's slot: nothing pending names an ended process.
+func (e *Env) end(p *Proc) {
+	p.ended = true
+	e.nLive--
+	e.who[p.id] = nil
+	e.spare = append(e.spare, p.id)
 }
 
 // Yield gives same-instant events scheduled before now a chance to run,
@@ -241,16 +280,10 @@ func (e *Env) startProc(p *Proc, fn func(*Proc)) {
 			if r := recover(); r != nil && r != (unwound{}) {
 				e.pendingPanic = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
 			}
-			p.ended = true
-			e.nLive--
-			last := e.coros[len(e.coros)-1]
-			e.coros[p.coro], last.coro = last, p.coro
-			e.coros = e.coros[:len(e.coros)-1]
+			e.end(p)
 		}()
 		fn(p)
 	})
-	p.coro = len(e.coros)
-	e.coros = append(e.coros, p)
 	e.activate(p)
 }
 
@@ -261,8 +294,10 @@ func (e *Env) startProc(p *Proc, fn func(*Proc)) {
 // does not return until they are gone, and the environment must not run
 // again.
 func (e *Env) Close() {
-	for len(e.coros) > 0 {
-		e.coros[len(e.coros)-1].stop()
+	for _, p := range e.who {
+		if p != nil && p.stop != nil {
+			p.stop()
+		}
 	}
 }
 

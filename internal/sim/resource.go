@@ -8,6 +8,7 @@ import "time"
 // queue).
 type Resource struct {
 	env      *Env
+	id       int32 // index in env.res, by which programs name it
 	name     string
 	capacity int
 	inUse    int
@@ -26,7 +27,9 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: NewResource with capacity < 1")
 	}
-	return &Resource{env: env, name: name, capacity: capacity}
+	r := &Resource{env: env, id: int32(len(env.res)), name: name, capacity: capacity}
+	env.res = append(env.res, r)
+	return r
 }
 
 // Name returns the resource name.

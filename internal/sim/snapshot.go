@@ -19,7 +19,8 @@ import (
 // events: a hooked run and an unhooked run fire the same events in the
 // same order at the same times.
 func (e *Env) OnTime(at time.Duration, fn func()) {
-	e.schedule(at, fn)
+	e.push(event{at: at, who: -1})
+	e.hooks[e.seq] = fn
 }
 
 // SnapshotSection implements snapshot.Snapshotter.
@@ -28,7 +29,7 @@ func (e *Env) SnapshotSection() string { return "sim/env" }
 // Save appends the kernel state: virtual clock, event/sequence counters,
 // PRNG stream, process accounting, and a deterministic fingerprint of
 // the pending events (count plus a CRC-64 over every (at, seq) pair).
-// The events themselves cannot be serialized — they reference coroutine
+// The events themselves cannot be serialized — they name coroutine
 // stacks and closures — so restore either requires quiescence (nothing
 // pending, direct Load) or replay verification, where this fingerprint
 // proves the replayed queue matches the checkpointed one.
