@@ -59,14 +59,14 @@ type Cloud struct {
 	accountTx *storecommon.RateLimiter
 	accountBW *storecommon.RateLimiter
 
-	blobSrv  map[string]*replicaSet // "container/blob" -> its replicas
-	keyBuf   []byte                 // blobReplicas' scratch key
-	queueSrv map[string]*sim.Resource
-	queueTB  *storecommon.LimiterPool
-	tableSrv []*sim.Resource
-	tableTB  *storecommon.LimiterPool
-	partKeys map[string]map[string]string // table -> pk -> the partition's tableTB key
-	pmgr     *partitionmgr.Master
+	blobSrv   map[string]*replicaSet // "container/blob" -> its replicas
+	keyBuf    []byte                 // blobReplicas' scratch key
+	queueSrv  map[string]*queueSite
+	queueTB   *storecommon.LimiterPool
+	tableSrv  []*sim.Resource
+	tableTB   *storecommon.LimiterPool
+	partSites map[string]map[string]*partSite // table -> pk -> its site
+	pmgr      *partitionmgr.Master
 
 	cache    *cachestore.Cluster
 	cacheSrv []*sim.Resource
@@ -141,6 +141,22 @@ type replicaSet struct {
 	rr       int
 }
 
+// queueSite is what a queue's name resolves to: its partition server and
+// its limiter in queueTB.
+type queueSite struct {
+	srv *sim.Resource
+	lim storecommon.LimiterHandle
+}
+
+// partSite is what a table partition's (table, pk) resolves to: its
+// static placement (-1 under dynamic placement, which routes through the
+// client's partition map) and its limiter in tableTB, whose key is
+// "table|pk".
+type partSite struct {
+	idx int
+	lim storecommon.LimiterHandle
+}
+
 // New builds a cloud on env with parameters prm, in the default
 // (unnamed) region.
 func New(env *sim.Env, prm model.Params) *Cloud {
@@ -175,8 +191,8 @@ func NewInRegion(env *sim.Env, prm model.Params, region string) *Cloud {
 		accountTx: storecommon.NewRateLimiter(prm.AccountOpsPerSec, prm.AccountBurst),
 		accountBW: storecommon.NewRateLimiter(prm.AccountBandwidthBps, prm.AccountBandwidthBurst),
 		blobSrv:   map[string]*replicaSet{},
-		queueSrv:  map[string]*sim.Resource{},
-		partKeys:  map[string]map[string]string{},
+		queueSrv:  map[string]*queueSite{},
+		partSites: map[string]map[string]*partSite{},
 		pmgr: partitionmgr.New(partitionmgr.Config{
 			Dynamic:           prm.PartitionDynamic,
 			Servers:           prm.TableServers,
@@ -249,20 +265,30 @@ func (c *Cloud) readReplica(rs *replicaSet) *sim.Resource {
 	return r
 }
 
-func (c *Cloud) queueServer(name string) *sim.Resource {
-	srv, ok := c.queueSrv[name]
+// queueSite returns the site of queue name, creating it on first sight.
+func (c *Cloud) queueSite(name string) *queueSite {
+	site, ok := c.queueSrv[name]
 	if !ok {
-		srv = sim.NewResource(c.env, c.station("queue:"+name), c.prm.ServerConcurrency)
-		c.queueSrv[name] = srv
+		site = &queueSite{
+			srv: sim.NewResource(c.env, c.station("queue:"+name), c.prm.ServerConcurrency),
+			lim: storecommon.NewLimiterHandle(name),
+		}
+		c.queueSrv[name] = site
 	}
-	return srv
+	return site
 }
 
-func (c *Cloud) queueLimiter(name string) *storecommon.RateLimiter {
-	if c.queueTB == nil {
-		c.queueTB = storecommon.NewLimiterPool(c.prm.QueueOpsPerSec, c.prm.QueueBurst)
+// limiter returns the limiter that a queue op's or a table entity op's
+// route found, creating its pool on first use.
+func (c *Cloud) limiter(req *request) *storecommon.RateLimiter {
+	pool, rate, burst := &c.queueTB, c.prm.QueueOpsPerSec, c.prm.QueueBurst
+	if req.Kind.is(partLimit) {
+		pool, rate, burst = &c.tableTB, c.prm.PartitionOpsPerSec, c.prm.PartitionBurst
 	}
-	return c.queueTB.Get(c.env.Now(), name)
+	if *pool == nil {
+		*pool = storecommon.NewLimiterPool(rate, burst)
+	}
+	return (*pool).At(c.env.Now(), req.lim)
 }
 
 // ensureTableServers grows the station array to cover both the
@@ -279,12 +305,25 @@ func (c *Cloud) ensureTableServers() {
 	}
 }
 
-// tableServer is the static-placement path: the partition master pins
-// each (table, partition key) to one of the TableServers stations,
-// round-robin on first sight so distinct partitions spread evenly (no
-// hash collisions at small worker counts).
-func (c *Cloud) tableServer(tableName, pk string) *sim.Resource {
-	return c.tableServerAt(c.pmgr.Place(tableName, pk))
+// partSite returns the site of partition (table, pk), creating it on first
+// sight. Under static placement the partition master then pins the
+// partition to one of the TableServers stations, round-robin so distinct
+// partitions spread evenly (no hash collisions at small worker counts).
+func (c *Cloud) partSite(table, pk string) *partSite {
+	byPK := c.partSites[table]
+	site, ok := byPK[pk]
+	if !ok {
+		if byPK == nil {
+			byPK = map[string]*partSite{}
+			c.partSites[table] = byPK
+		}
+		site = &partSite{idx: -1, lim: storecommon.NewLimiterHandle(table + "|" + pk)}
+		if !c.pmgr.Dynamic() {
+			site.idx = c.pmgr.Place(table, pk)
+		}
+		byPK[pk] = site
+	}
+	return site
 }
 
 // tableServerAt returns the station for server index idx, creating
@@ -292,25 +331,6 @@ func (c *Cloud) tableServer(tableName, pk string) *sim.Resource {
 func (c *Cloud) tableServerAt(idx int) *sim.Resource {
 	c.ensureTableServers()
 	return c.tableSrv[idx]
-}
-
-func (c *Cloud) partitionLimiter(tableName, pk string) *storecommon.RateLimiter {
-	if c.tableTB == nil {
-		c.tableTB = storecommon.NewLimiterPool(c.prm.PartitionOpsPerSec, c.prm.PartitionBurst)
-	}
-	// The pool (and its snapshot) knows a partition as "table|pk"; that
-	// string is built once per partition, not once per request.
-	byPK := c.partKeys[tableName]
-	key, ok := byPK[pk]
-	if !ok {
-		if byPK == nil {
-			byPK = map[string]string{}
-			c.partKeys[tableName] = byPK
-		}
-		key = tableName + "|" + pk
-		byPK[pk] = key
-	}
-	return c.tableTB.Get(c.env.Now(), key)
 }
 
 // notePartitionEvents reacts to control-loop decisions the partition
@@ -348,8 +368,8 @@ func (c *Cloud) notePartitionEvents(evs []partitionmgr.Event) {
 // created lazily, so callers re-enumerate per observation.
 func (c *Cloud) Stations() []telemetry.Station {
 	var out []telemetry.Station
-	for name, srv := range c.queueSrv {
-		out = append(out, telemetry.Station{Name: srv.Name(), Res: srv, Limiter: c.queueTB.Peek(name)})
+	for name, site := range c.queueSrv {
+		out = append(out, telemetry.Station{Name: site.srv.Name(), Res: site.srv, Limiter: c.queueTB.Peek(name)})
 	}
 	for _, srv := range c.tableSrv {
 		out = append(out, telemetry.Station{Name: srv.Name(), Res: srv})
@@ -381,9 +401,10 @@ type request struct {
 	attempts
 	// The current attempt: clearAttempt clears its references one by one,
 	// so as not to bulk-zero memory that holds pointers.
-	cl     *Client       // the client making the current attempt
-	server *sim.Resource // where route sent the current attempt
-	stage  string        // the trace stage of the program's last stretch
+	cl     *Client                    // the client making the current attempt
+	server *sim.Resource              // where route sent the current attempt
+	lim    *storecommon.LimiterHandle // a queue or table op's limiter, as route found it
+	stage  string                     // the trace stage of the program's last stretch
 	// The current attempt's trace record. A retried attempt keeps its
 	// predecessor's trace ID and is parented under its span.
 	fault    string
@@ -702,14 +723,12 @@ func (c *Cloud) apply(req *request) (occ time.Duration, down int64, err error) {
 		req.lat = prm.QueueLat(model.QPut, req.Data.Len())
 		return prm.QueueOcc(model.QPut, req.Data.Len(), 0), 0, err
 	case OpGetMessage, OpPeekMessage:
-		qlen, _ := c.Queue.ApproximateCount(req.Name)
 		verb := model.QGet
-		if req.Kind == OpGetMessage {
-			req.Msg, req.OK, err = c.Queue.GetOne(req.Name, req.TTL)
-		} else {
+		if req.Kind == OpPeekMessage {
 			verb = model.QPeek
-			req.Msg, req.OK, err = c.Queue.PeekOne(req.Name)
 		}
+		var qlen int
+		qlen, req.OK, err = c.Queue.Receive(req.Name, req.Kind == OpPeekMessage, req.TTL, &req.Msg)
 		if req.OK {
 			down = req.Msg.Body.Len()
 		}
@@ -988,7 +1007,8 @@ func (req *request) send(p *sim.Proc) {
 // partition's primary (a container is a partition of its own) and a blob
 // read to the next read replica, a queue op to its queue's server, a table
 // op where the client's partition map places its key, a cache op to the
-// node that owns its key.
+// node that owns its key. A queue or table op's name resolves once, to a
+// site that also holds the handle of the limiter admit consults.
 func (req *request) route() {
 	cl := req.cl
 	c := cl.cloud
@@ -1001,9 +1021,12 @@ func (req *request) route() {
 			req.server = c.readReplica(rs)
 		}
 	case "queue":
-		req.server = c.queueServer(req.Name)
+		site := c.queueSite(req.Name)
+		req.server, req.lim = site.srv, &site.lim
 	case "table":
-		req.server, req.serverIdx = cl.tableRoute(req.Name, req.Key)
+		site := c.partSite(req.Name, req.Key)
+		req.lim = &site.lim
+		req.server, req.serverIdx = cl.tableRoute(req.Name, req.Key, site.idx)
 	default:
 		req.server = c.cacheServer(req.Name, req.Key)
 	}
@@ -1168,11 +1191,8 @@ func (req *request) admit(p *sim.Proc) {
 	// Admission control at the front door: one transaction each.
 	admitted := c.accountTx.Allow(now, 1) &&
 		c.accountBW.Allow(now, float64(req.up))
-	if admitted && req.Kind.is(queueLimit) {
-		admitted = c.queueLimiter(req.Name).Allow(now, 1)
-	}
-	if admitted && req.Kind.is(partLimit) {
-		admitted = c.partitionLimiter(req.Name, req.Key).Allow(now, 1)
+	if admitted && req.Kind.is(queueLimit|partLimit) {
+		admitted = c.limiter(req).Allow(now, 1)
 	}
 	if !admitted {
 		c.stats.BusyRejects++
@@ -1236,16 +1256,16 @@ type clientMap struct {
 }
 
 // tableRoute resolves the table server for (table, pk) through the
-// client's view of the world. Static placement delegates to the master's
-// pinned assignment (index -1: the route can never go stale). Dynamic
+// client's view of the world. Static placement goes where the master
+// pinned the partition, idx (index -1: the route can never go stale). Dynamic
 // placement consults the client's cached partition map, refetching from
 // the master when the entry is missing or older than the map-cache TTL;
 // the returned index travels with the request so the server can detect a
 // stale route.
-func (cl *Client) tableRoute(table, pk string) (*sim.Resource, int) {
+func (cl *Client) tableRoute(table, pk string, idx int) (*sim.Resource, int) {
 	c := cl.cloud
 	if !c.pmgr.Dynamic() {
-		return c.tableServer(table, pk), -1
+		return c.tableServerAt(idx), -1
 	}
 	now := c.env.Now()
 	ent := cl.maps[table]
@@ -1257,7 +1277,7 @@ func (cl *Client) tableRoute(table, pk string) (*sim.Resource, int) {
 		cl.maps[table] = ent
 		c.ensureTableServers()
 	}
-	idx := ent.snap.Owner(pk)
+	idx = ent.snap.Owner(pk)
 	return c.tableServerAt(idx), idx
 }
 

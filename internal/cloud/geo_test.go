@@ -569,7 +569,7 @@ func TestGeoRegionPrefixesStations(t *testing.T) {
 	}
 	// A default single-region cloud keeps its historical names.
 	c := New(sim.NewEnv(1), model.Default())
-	if got := c.queueServer("jobs").Name(); got != "queue:jobs" {
+	if got := c.queueSite("jobs").srv.Name(); got != "queue:jobs" {
 		t.Errorf("single-region station named %q, want queue:jobs", got)
 	}
 }

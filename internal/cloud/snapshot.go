@@ -87,7 +87,7 @@ func (c *Cloud) saveState(w *snap.Writer) {
 	w.Int(len(queueKeys))
 	for _, k := range queueKeys {
 		w.String(k)
-		c.queueSrv[k].Save(w)
+		c.queueSrv[k].srv.Save(w)
 	}
 
 	w.Int(len(c.tableSrv))
@@ -149,18 +149,19 @@ func (c *Cloud) loadState(r *snap.Reader) error {
 		c.blobSrv[key] = rs
 	}
 
+	// The sites are rebuilt, so no handle outlives the pools it was taken
+	// on; a request in flight holds one, which At re-resolves.
 	nq := r.Count()
-	c.queueSrv = make(map[string]*sim.Resource, nq)
+	c.queueSrv = make(map[string]*queueSite, nq)
+	c.partSites = map[string]map[string]*partSite{}
 	for i := 0; i < nq; i++ {
 		name := r.String()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		srv := sim.NewResource(c.env, c.station("queue:"+name), c.prm.ServerConcurrency)
-		if err := srv.Load(r); err != nil {
+		if err := c.queueSite(name).srv.Load(r); err != nil {
 			return err
 		}
-		c.queueSrv[name] = srv
 	}
 
 	nt := r.Count()

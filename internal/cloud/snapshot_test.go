@@ -167,3 +167,51 @@ func FuzzLoadSection(f *testing.F) {
 		_ = restore(t, sections) // any error will do
 	})
 }
+
+// TestLimiterHandlesTakenBeforeLoad: a request routed before a snapshot
+// Load and admitted after it holds the limiter handle of a site that Load
+// replaced. Through it, admission must reach the bucket Load restored,
+// exactly as the name would — also when the snapshot predates the pool.
+func TestLimiterHandlesTakenBeforeLoad(t *testing.T) {
+	env := sim.NewEnv(1)
+	c := New(env, model.Default())
+	var reg snap.Registry
+	c.RegisterSnapshot(&reg, "")
+	var empty snap.File // before any queue or table op: no pool yet
+	reg.SaveAll(&empty)
+	if err := c.Queue.CreateQueue("jobs"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Table.CreateTable("tbl"); err != nil {
+		t.Fatal(err)
+	}
+	cl := c.NewClient("vm0", model.Small)
+	cl.SetRetryPolicy(retry.Policy{})
+	ops := func() {
+		env.Go("ops", func(p *sim.Proc) {
+			if _, err := cl.PutMessage(p, "jobs", payload.Zero(8)); err != nil {
+				t.Error(err)
+			}
+			if _, err := cl.InsertEntity(p, "tbl", &tablestore.Entity{PartitionKey: "pk", RowKey: fmt.Sprint(p.Now())}); err != nil {
+				t.Error(err)
+			}
+		})
+		env.Run()
+	}
+	ops()
+	var warm snap.File
+	reg.SaveAll(&warm)
+	for _, f := range []*snap.File{&warm, &empty} {
+		ops() // moves both buckets on from the snapshot
+		qh, ph := &c.queueSite("jobs").lim, &c.partSite("tbl", "pk").lim
+		if err := reg.LoadAll(f); err != nil {
+			t.Fatal(err)
+		}
+		if q := c.limiter(&request{Op: &Op{Kind: OpPutMessage}, lim: qh}); q != c.queueTB.Get(env.Now(), "jobs") {
+			t.Error("a queue handle taken before Load kept the bucket Load replaced")
+		}
+		if p := c.limiter(&request{Op: &Op{Kind: OpInsertEntity}, lim: ph}); p != c.tableTB.Get(env.Now(), "tbl|pk") {
+			t.Error("a partition handle taken before Load kept the bucket Load replaced")
+		}
+	}
+}

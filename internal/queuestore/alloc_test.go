@@ -31,8 +31,9 @@ func allocsPerOp(runs int, setup, op func()) float64 {
 }
 
 // TestOpAllocationCeilings: a point operation allocates what the engine
-// keeps, and nothing else. A Put keeps the message and its ID, a GetOne
-// the pop receipt; PeekOne and Delete keep nothing.
+// keeps, and nothing else. A Put keeps the message's ID (the message goes
+// into the slab), a GetOne or a getting Receive the pop receipt; PeekOne,
+// a peeking Receive and Delete keep nothing.
 func TestOpAllocationCeilings(t *testing.T) {
 	s, clk := newTestStore()
 	body := payload.Zero(1024)
@@ -71,9 +72,11 @@ func TestOpAllocationCeilings(t *testing.T) {
 		setup   func()
 		op      func()
 	}{
-		{"Put", 2, drop, put},
+		{"Put", 1, drop, put},
 		{"GetOne", 1, func() { drop(); put() }, get},
 		{"PeekOne", 0, func() { drop(); put() }, func() { s.PeekOne("tasks") }},
+		{"Receive", 1, func() { drop(); put() }, func() { s.Receive("tasks", false, time.Minute, &msg) }},
+		{"Receive peek", 0, func() { drop(); put() }, func() { s.Receive("tasks", true, 0, &msg) }},
 		{"Delete", 0, func() { drop(); put(); get() }, del},
 	} {
 		got := allocsPerOp(200, func() { clk.Advance(time.Millisecond); c.setup() }, c.op)
@@ -152,5 +155,63 @@ func TestOneMessageCallsAgreeWithBatchCalls(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMemoryStaysBounded: a queue that cycles messages through forever
+// holds O(live messages), whatever its traffic. One straggler is never
+// deleted, so the ID window cannot close behind it, and each Get hides its
+// message for a little less time than the one before, so every hide goes
+// to the heap rather than the run.
+func TestMemoryStaysBounded(t *testing.T) {
+	clk := &vclock.Manual{}
+	s := New(clk)
+	if err := s.CreateQueue("tasks"); err != nil {
+		t.Fatal(err)
+	}
+	body := payload.Zero(16)
+	if _, err := s.Put("tasks", body, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.GetOne("tasks", 24*time.Hour); err != nil || !ok {
+		t.Fatalf("straggler: %v %v", ok, err)
+	}
+	q := s.queues["tasks"]
+	const cycles = 100_000
+	for i := 0; i < cycles; i++ {
+		clk.Advance(time.Millisecond)
+		if _, err := s.Put("tasks", body, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		vis := time.Hour - time.Duration(i)*2*time.Millisecond
+		msg, ok, err := s.GetOne("tasks", vis)
+		if err != nil || !ok {
+			t.Fatalf("cycle %d: GetOne %v %v", i, ok, err)
+		}
+		if hidden := &q.orders[byHidden]; i > 0 && hidden.heap[0] != q.entry(byHidden, hidden.heap[0].slot) {
+			t.Fatalf("cycle %d: the hide did not go to the heap", i)
+		}
+		if err := s.Delete("tasks", msg.ID, msg.PopReceipt); err != nil {
+			t.Fatal(err)
+		}
+		if i%997 != 0 && i != cycles-1 {
+			continue
+		}
+		if err := q.check(); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		bound := 4*q.live + 4
+		entries := 0
+		for o := range q.orders {
+			entries += len(q.orders[o].run) - q.orders[o].head + len(q.orders[o].heap)
+		}
+		if w := len(q.win) - q.off; w > 2*q.live+64 || len(q.strays) > q.live || entries > 3*bound ||
+			len(q.chunks) > q.live/chunkSize+1 || len(q.free) > bound {
+			t.Fatalf("cycle %d: %d live messages held in a window of %d, %d strays, %d entries, %d chunks, %d free slots",
+				i, q.live, w, len(q.strays), entries, len(q.chunks), len(q.free))
+		}
+	}
+	if q.live != 1 || len(q.strays) != 1 {
+		t.Fatalf("%d messages left, %d strays: the straggler alone should be, below the window", q.live, len(q.strays))
 	}
 }

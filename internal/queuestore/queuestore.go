@@ -13,6 +13,7 @@
 package queuestore
 
 import (
+	"cmp"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,9 +46,9 @@ type Store struct {
 	queues map[string]*queue
 	popSeq uint64
 
-	// Scratch for msgHeap.smallest, reused under mu.
-	window   []*message
-	frontier []int
+	// Scratch for queue.smallest, reused under mu.
+	window  []int32
+	scratch []entry
 }
 
 // Message is the client-visible view of a queue message.
@@ -91,7 +92,7 @@ func (s *Store) CreateQueue(name string) error {
 	if _, ok := s.queues[name]; ok {
 		return storecommon.Errf(storecommon.CodeQueueAlreadyExists, 409, "queue %q already exists", name)
 	}
-	s.queues[name] = newQueue(name, s.clock.Now())
+	s.queues[name] = &queue{name: name, created: s.now()}
 	return nil
 }
 
@@ -141,7 +142,7 @@ func (s *Store) ClearMessages(name string) error {
 	if !ok {
 		return queueNotFound(name)
 	}
-	q.clear()
+	*q = queue{name: q.name, created: q.created, metadata: q.metadata, nextID: q.nextID, seq: q.seq, asOf: q.asOf}
 	return nil
 }
 
@@ -165,17 +166,13 @@ func (s *Store) Put(name string, body payload.Payload, ttl time.Duration) (Messa
 	if !ok {
 		return Message{}, queueNotFound(name)
 	}
-	now := s.clock.Now()
+	now := s.now()
 	q.surface(now) // so the new message, visible at once, is filed as such
 	q.nextID++
-	m := &message{
-		id:          messageID(name, q.nextID),
-		body:        body,
-		inserted:    now,
-		expires:     now.Add(ttl),
-		nextVisible: now,
-	}
-	q.add(m)
+	slot, m := q.alloc()
+	m.id, m.num, m.body = messageID(name, q.nextID), q.nextID, body
+	m.inserted, m.expires, m.nextVisible = now, now.Add(ttl), now
+	q.index(slot)
 	return m.view(), nil
 }
 
@@ -198,40 +195,47 @@ func (s *Store) GetOne(name string, visibility time.Duration) (Message, bool, er
 
 // get is Get appending to out, which GetOne backs with its own array.
 func (s *Store) get(name string, max int, visibility time.Duration, out []Message) ([]Message, error) {
-	if visibility == 0 {
-		visibility = storecommon.DefaultVisibilityTimeout
-	}
-	if visibility < 0 || visibility > storecommon.MaxVisibilityTimeout {
-		return nil, storecommon.Errf(storecommon.CodeInvalidVisibility, 400, "visibility %v out of range", visibility)
+	visibility, err := checkVisibility(visibility)
+	if err != nil {
+		return nil, err
 	}
 	if err := checkBatchSize(max); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q, ok := s.queues[name]
-	if !ok {
-		return nil, queueNotFound(name)
+	now := s.now()
+	q, err := s.open(name, now)
+	if err != nil {
+		return nil, err
 	}
-	now := s.clock.Now()
-	q.reap(now)
-	q.surface(now)
 	for len(out) < max {
-		// The head of the visible messages, or — when the non-FIFO window
-		// is larger than one — a random choice among the first window
-		// visible messages, emulating Azure's lack of a FIFO guarantee.
-		s.window, s.frontier = q.visible.smallest(s.cfg.NonFIFOWindow, s.window, s.frontier)
-		if len(s.window) == 0 {
+		m := s.take(q, now, visibility)
+		if m == nil {
 			break
 		}
-		m := s.window[s.rng.Intn(len(s.window))]
-		m.dequeueCount++
-		m.nextVisible = now.Add(visibility)
-		m.popReceipt = s.nextPopReceipt()
-		q.hide(m)
 		out = append(out, m.view())
 	}
 	return out, nil
+}
+
+// take dequeues the head of q's visible messages or — when the non-FIFO
+// window is larger than one — a random choice among the first window
+// visible messages, emulating Azure's lack of a FIFO guarantee. It returns
+// nil when no message is visible. The caller holds mu and has reaped and
+// surfaced q.
+func (s *Store) take(q *queue, now time.Time, visibility time.Duration) *message {
+	s.window, s.scratch = q.smallest(byVisible, s.cfg.NonFIFOWindow, s.window, s.scratch)
+	if len(s.window) == 0 {
+		return nil
+	}
+	slot := s.window[s.rng.Intn(len(s.window))]
+	m := q.msg(slot)
+	m.dequeueCount++
+	m.nextVisible = now.Add(visibility)
+	m.popReceipt = s.nextPopReceipt()
+	q.hide(slot)
+	return m
 }
 
 // Peek returns up to max (1 to MaxMessagesPerCall) visible messages
@@ -255,20 +259,50 @@ func (s *Store) peek(name string, max int, out []Message) ([]Message, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q, ok := s.queues[name]
-	if !ok {
-		return nil, queueNotFound(name)
+	q, err := s.open(name, s.now())
+	if err != nil {
+		return nil, err
 	}
-	now := s.clock.Now()
-	q.reap(now)
-	q.surface(now)
-	s.window, s.frontier = q.visible.smallest(max, s.window, s.frontier)
-	for _, m := range s.window {
-		v := m.view()
+	s.window, s.scratch = q.smallest(byVisible, max, s.window, s.scratch)
+	for _, slot := range s.window {
+		v := q.msg(slot).view()
 		v.PopReceipt = ""
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// Receive is ApproximateCount followed by GetOne — or, when peek is set,
+// by PeekOne — under one lock. It writes the message it dequeues or peeks
+// into *out, leaving *out alone when ok is false, and returns the depth
+// ApproximateCount would have: 0 for a queue that does not exist. An
+// invalid visibility (ignored for a peek) fails the call, but the depth
+// is reported all the same.
+func (s *Store) Receive(name string, peek bool, visibility time.Duration, out *Message) (depth int, ok bool, err error) {
+	if !peek {
+		visibility, err = checkVisibility(visibility)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.now()
+	q, qerr := s.open(name, now)
+	if q == nil {
+		return 0, false, cmp.Or(err, qerr)
+	}
+	if depth = q.live; err != nil {
+		return depth, false, err
+	}
+	if peek {
+		if s.window, s.scratch = q.smallest(byVisible, 1, s.window, s.scratch); len(s.window) == 1 {
+			*out = q.msg(s.window[0]).view()
+			out.PopReceipt = ""
+			return depth, true, nil
+		}
+	} else if m := s.take(q, now, visibility); m != nil {
+		*out = m.view()
+		return depth, true, nil
+	}
+	return depth, false, nil
 }
 
 // Delete removes a previously dequeued message. The pop receipt must be
@@ -277,14 +311,14 @@ func (s *Store) peek(name string, max int, out []Message) ([]Message, error) {
 func (s *Store) Delete(name, msgID, popReceipt string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q, m, err := s.find(name, msgID, s.clock.Now())
+	q, slot, err := s.find(name, msgID, s.now())
 	if err != nil {
 		return err
 	}
-	if m.popReceipt == "" || m.popReceipt != popReceipt {
+	if m := q.msg(slot); m.popReceipt == "" || m.popReceipt != popReceipt {
 		return popReceiptMismatch(msgID)
 	}
-	q.remove(m)
+	q.remove(slot)
 	return nil
 }
 
@@ -295,11 +329,11 @@ func (s *Store) Delete(name, msgID, popReceipt string) error {
 func (s *Store) ReplicaDelete(name, msgID string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q, m, err := s.find(name, msgID, s.clock.Now())
+	q, slot, err := s.find(name, msgID, s.now())
 	if err != nil {
 		return err
 	}
-	q.remove(m)
+	q.remove(slot)
 	return nil
 }
 
@@ -310,26 +344,25 @@ func (s *Store) Update(name, msgID, popReceipt string, body payload.Payload, vis
 	if body.Len() > storecommon.MaxMessagePayload {
 		return Message{}, storecommon.Errf(storecommon.CodeMessageTooLarge, 400, "updated message too large")
 	}
-	if visibility == 0 {
-		visibility = storecommon.DefaultVisibilityTimeout
-	}
-	if visibility < 0 || visibility > storecommon.MaxVisibilityTimeout {
-		return Message{}, storecommon.Errf(storecommon.CodeInvalidVisibility, 400, "visibility %v out of range", visibility)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.clock.Now()
-	q, m, err := s.find(name, msgID, now)
+	visibility, err := checkVisibility(visibility)
 	if err != nil {
 		return Message{}, err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.now()
+	q, slot, err := s.find(name, msgID, now)
+	if err != nil {
+		return Message{}, err
+	}
+	m := q.msg(slot)
 	if m.popReceipt == "" || m.popReceipt != popReceipt {
 		return Message{}, popReceiptMismatch(msgID)
 	}
 	m.body = body
 	m.nextVisible = now.Add(visibility)
 	m.popReceipt = s.nextPopReceipt()
-	q.hide(m)
+	q.hide(slot)
 	return m.view(), nil
 }
 
@@ -343,22 +376,38 @@ func (s *Store) ApproximateCount(name string) (int, error) {
 	if !ok {
 		return 0, queueNotFound(name)
 	}
-	q.reap(s.clock.Now())
-	return len(q.byID), nil
+	q.reap(s.now())
+	return q.live, nil
 }
 
-// find reaps the queue and looks a message up by ID. The caller holds mu.
-func (s *Store) find(name, msgID string, now time.Time) (*queue, *message, error) {
+// now reads the store's clock without its monotonic reading, if any
+// (vclock.Real's), so that the instants the store keeps and compares order
+// by their wall reading alone, as the index keys do (timeKey).
+func (s *Store) now() time.Time { return s.clock.Now().Round(0) }
+
+// open returns queue name, its expired messages dropped and its lapsed
+// ones surfaced at now. The caller holds mu.
+func (s *Store) open(name string, now time.Time) (*queue, error) {
 	q, ok := s.queues[name]
 	if !ok {
-		return nil, nil, queueNotFound(name)
+		return nil, queueNotFound(name)
 	}
 	q.reap(now)
-	m, ok := q.byID[msgID]
-	if !ok {
-		return nil, nil, storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
+	q.surface(now)
+	return q, nil
+}
+
+// find opens the queue and looks a message up by ID. The caller holds mu.
+func (s *Store) find(name, msgID string, now time.Time) (*queue, int32, error) {
+	q, err := s.open(name, now)
+	if err != nil {
+		return nil, 0, err
 	}
-	return q, m, nil
+	slot, ok := q.find(0, msgID)
+	if !ok {
+		return nil, 0, storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
+	}
+	return q, slot, nil
 }
 
 // messageID names the n-th message put on queue: "<queue>-msg-<n>". It is
@@ -386,6 +435,18 @@ func (m *message) view() Message {
 		DequeueCount: m.dequeueCount,
 		PopReceipt:   m.popReceipt,
 	}
+}
+
+// checkVisibility defaults a visibility timeout of 0 and refuses one out
+// of range.
+func checkVisibility(visibility time.Duration) (time.Duration, error) {
+	if visibility == 0 {
+		visibility = storecommon.DefaultVisibilityTimeout
+	}
+	if visibility < 0 || visibility > storecommon.MaxVisibilityTimeout {
+		return 0, storecommon.Errf(storecommon.CodeInvalidVisibility, 400, "visibility %v out of range", visibility)
+	}
+	return visibility, nil
 }
 
 // checkBatchSize enforces the service's numofmessages contract on Get and

@@ -76,6 +76,11 @@ func runScript(t testing.TB, data []byte, window int) {
 	for !s.done() {
 		r.step++
 		r.op(s)
+		for _, name := range snap.SortedKeys(r.eng.queues) {
+			if err := r.eng.queues[name].check(); err != nil {
+				t.Fatalf("step %d: queue %q: %v", r.step, name, err)
+			}
+		}
 	}
 	r.checkpoint()
 }
@@ -83,7 +88,7 @@ func runScript(t testing.TB, data []byte, window int) {
 func (r *scriptRun) op(s *script) {
 	kind := s.next()
 	name := scriptQueues[kind>>7]
-	switch kind & 0x7f % 16 {
+	switch kind & 0x7f % 18 {
 	case 0, 1, 2: // put
 		ttl := scriptTTLs[s.next()%len(scriptTTLs)]
 		body := payload.String(fmt.Sprintf("body-%d", r.step))
@@ -151,6 +156,27 @@ func (r *scriptRun) op(s *script) {
 		}
 	case 15:
 		r.checkpoint()
+	case 16, 17: // the fused call: the count, then one message got or peeked
+		peek, vis := kind&0x7f%18 == 17, scriptVis[s.next()%len(scriptVis)]
+		var got Message
+		depth, ok, gerr := r.eng.Receive(name, peek, vis, &got)
+		wantDepth, _ := r.ref.ApproximateCount(name)
+		var want []Message
+		var werr error
+		if peek {
+			want, werr = r.ref.Peek(name, 1)
+		} else {
+			want, werr = r.ref.Get(name, 1, vis)
+		}
+		var gotAll []Message
+		if ok {
+			gotAll = []Message{got}
+			if !peek {
+				r.known = append(r.known, got)
+			}
+		}
+		r.same("receive", gotAll, want, gerr, werr)
+		r.same("receive depth", depth, wantDepth, nil, nil)
 	}
 }
 

@@ -2,12 +2,9 @@ package queuestore
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"azurebench/internal/payload"
 	snap "azurebench/internal/snapshot"
-	"azurebench/internal/storecommon"
 )
 
 // Save appends the full account state: the non-FIFO selection PRNG, the
@@ -26,10 +23,10 @@ func (s *Store) Save(w *snap.Writer) {
 		w.Time(q.created)
 		w.StringMap(q.metadata)
 		w.U64(q.nextID)
-		msgs := q.inOrder()
-		w.Int(len(msgs))
-		for _, m := range msgs {
-			saveMessage(w, m)
+		slots := q.inOrder()
+		w.Int(len(slots))
+		for _, slot := range slots {
+			saveMessage(w, q.msg(slot))
 		}
 	}
 }
@@ -45,10 +42,9 @@ func saveMessage(w *snap.Writer, m *message) {
 }
 
 // Load restores an account saved by Save, replacing all live state and
-// rebuilding every queue's indexes. It refuses what Save cannot have
-// written and the engine could not serve: a queue or a message ID twice,
-// an ID the queue's counter has not reached yet (the next Put would mint
-// it again), a body over the payload limit, a negative dequeue count.
+// rebuilding every queue's indexes. It refuses a queue saved twice, and
+// whatever check finds in a queue: what Save cannot have written and the
+// engine could not serve.
 func (s *Store) Load(r *snap.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -57,7 +53,7 @@ func (s *Store) Load(r *snap.Reader) error {
 	nq := r.Count()
 	queues := make(map[string]*queue, nq)
 	for i := 0; i < nq; i++ {
-		q := newQueue(r.String(), r.Time())
+		q := &queue{name: r.String(), created: r.Time()}
 		q.metadata = r.StringMap()
 		q.nextID = r.U64()
 		if _, dup := queues[q.name]; dup && r.Err() == nil {
@@ -65,7 +61,8 @@ func (s *Store) Load(r *snap.Reader) error {
 		}
 		nm := r.Count()
 		for j := 0; j < nm; j++ {
-			m := &message{id: r.String()}
+			slot, m := q.alloc()
+			m.id = r.String()
 			var err error
 			if m.body, err = payload.Load(r); err != nil {
 				return err
@@ -78,10 +75,15 @@ func (s *Store) Load(r *snap.Reader) error {
 			if err := r.Err(); err != nil {
 				return err
 			}
-			if err := q.checkLoaded(m); err != nil {
-				return fmt.Errorf("%w: queue %q: %v", snap.ErrCorrupt, q.name, err)
+			// An ID the queue has not minted stays out of the ID index,
+			// where check finds it.
+			if n, ok := parseID(q.name, m.id); ok && n <= q.nextID {
+				m.num = n
 			}
-			q.add(m)
+			q.index(slot)
+		}
+		if err := q.check(); err != nil && r.Err() == nil {
+			return fmt.Errorf("%w: queue %q: %v", snap.ErrCorrupt, q.name, err)
 		}
 		queues[q.name] = q
 	}
@@ -89,25 +91,5 @@ func (s *Store) Load(r *snap.Reader) error {
 		return err
 	}
 	s.queues = queues
-	return nil
-}
-
-// checkLoaded holds a loaded message to what the engine itself can have
-// stored in q.
-func (q *queue) checkLoaded(m *message) error {
-	if _, dup := q.byID[m.id]; dup {
-		return fmt.Errorf("message %q saved twice", m.id)
-	}
-	if digits, ok := strings.CutPrefix(m.id, q.name+"-msg-"); ok {
-		if n, err := strconv.ParseUint(digits, 10, 64); err == nil && n > q.nextID {
-			return fmt.Errorf("message %q is past the ID counter %d", m.id, q.nextID)
-		}
-	}
-	if m.body.Len() > storecommon.MaxMessagePayload {
-		return fmt.Errorf("message %q holds %d bytes, over the %d-byte limit", m.id, m.body.Len(), storecommon.MaxMessagePayload)
-	}
-	if m.dequeueCount < 0 {
-		return fmt.Errorf("message %q has dequeue count %d", m.id, m.dequeueCount)
-	}
 	return nil
 }

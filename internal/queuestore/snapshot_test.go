@@ -55,9 +55,10 @@ func TestLoadTakesWhatSaveWrites(t *testing.T) {
 }
 
 // TestLoadRefusesWhatTheEngineCannotServe: each section loaded cleanly
-// before, and left a store that broke later — byID keeping one of two
-// messages the heaps both hold, a Put minting an ID that is taken, or a
-// queue silently replaced by a namesake.
+// once, and left a store that broke later — the ID index keeping one of
+// two messages the orders both hold, a Put minting an ID that is taken, a
+// queue silently replaced by a namesake, or a message whose ID the queue
+// cannot have minted, so that no number finds it.
 func TestLoadRefusesWhatTheEngineCannotServe(t *testing.T) {
 	big := savedMsg("jobs-msg-1")
 	big.body = payload.Zero(storecommon.MaxMessagePayload + 1)
@@ -70,6 +71,10 @@ func TestLoadRefusesWhatTheEngineCannotServe(t *testing.T) {
 		"ID past the counter":    queueSection(savedQueue{"jobs", 1, []*message{savedMsg("jobs-msg-2")}}),
 		"body over the limit":    queueSection(savedQueue{"jobs", 1, []*message{big}}),
 		"negative dequeue count": queueSection(savedQueue{"jobs", 1, []*message{negative}}),
+		"ID without its infix":   queueSection(savedQueue{"jobs", 7, []*message{savedMsg("jobs-7")}}),
+		"ID with a leading zero": queueSection(savedQueue{"jobs", 7, []*message{savedMsg("jobs-msg-007")}}),
+		"ID number zero":         queueSection(savedQueue{"jobs", 7, []*message{savedMsg("jobs-msg-0")}}),
+		"another queue's ID":     queueSection(savedQueue{"jobs", 7, []*message{savedMsg("done-msg-1")}}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			if err := loadQueues(data); !errors.Is(err, snap.ErrCorrupt) {

@@ -20,11 +20,23 @@ type LimiterPool struct {
 	lastSweep   time.Duration
 }
 
-// poolEntry holds its limiter inline: a bucket is one allocation.
+// poolEntry holds its limiter inline: a bucket is one allocation. pool is
+// the pool whose map holds the entry, nil once it has left the map.
 type poolEntry struct {
 	lim      RateLimiter
 	lastUsed time.Duration
+	pool     *LimiterPool
 }
+
+// LimiterHandle names one key's limiter in a pool and remembers the entry
+// it found there, so that At skips the map while that entry is live.
+type LimiterHandle struct {
+	key string
+	e   *poolEntry
+}
+
+// NewLimiterHandle returns a handle on key's limiter in any pool.
+func NewLimiterHandle(key string) LimiterHandle { return LimiterHandle{key: key} }
 
 // NewLimiterPool returns a pool of limiters with the given rate and burst.
 // Both must be positive (the first Get would panic otherwise anyway).
@@ -49,21 +61,32 @@ func NewLimiterPool(rate, burst float64) *LimiterPool {
 // pool sweeps out entries idle a full horizon; the sweep's map iteration
 // only deletes, so its order cannot influence behaviour.
 func (p *LimiterPool) Get(now time.Duration, key string) *RateLimiter {
+	h := LimiterHandle{key: key}
+	return p.At(now, &h)
+}
+
+// At is Get of h's key. It uses the entry h last found while that entry is
+// still this pool's; once a sweep or Load has taken it out, At finds the
+// key's entry as Get does, so pool contents never depend on which was
+// called.
+func (p *LimiterPool) At(now time.Duration, h *LimiterHandle) *RateLimiter {
 	if now-p.lastSweep >= p.horizon {
 		p.lastSweep = now
 		for k, e := range p.entries {
 			if now-e.lastUsed >= p.horizon {
+				e.pool = nil
 				delete(p.entries, k)
 			}
 		}
 	}
-	e := p.entries[key]
-	if e == nil {
-		e = &poolEntry{lim: RateLimiter{rate: p.rate, burst: p.burst, tokens: p.burst}}
-		p.entries[key] = e
+	if h.e == nil || h.e.pool != p {
+		if h.e = p.entries[h.key]; h.e == nil {
+			h.e = &poolEntry{lim: RateLimiter{rate: p.rate, burst: p.burst, tokens: p.burst}, pool: p}
+			p.entries[h.key] = h.e
+		}
 	}
-	e.lastUsed = now
-	return &e.lim
+	h.e.lastUsed = now
+	return &h.e.lim
 }
 
 // Peek returns key's limiter without touching or creating it (nil when

@@ -1,9 +1,13 @@
 package storecommon
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
+
+	"azurebench/internal/snapshot"
 )
 
 func TestLimiterPoolIdentityWithinHorizon(t *testing.T) {
@@ -98,4 +102,64 @@ func TestLimiterPoolBadParamsPanic(t *testing.T) {
 		}
 	}()
 	NewLimiterPool(0, 1)
+}
+
+// TestLimiterHandleIsGet: one key sequence driven through Get on one pool
+// and through long-lived handles on another leaves the two pools alike at
+// every step — the same entries, the same buckets, the same rejects — and
+// saving the same bytes, across sweeps that evict and keys that come back.
+func TestLimiterHandleIsGet(t *testing.T) {
+	byKey, byHandle := NewLimiterPool(20, 5), NewLimiterPool(20, 5)
+	handles := map[string]*LimiterHandle{}
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
+	rng := rand.New(rand.NewSource(1))
+	now := time.Duration(0)
+	for step := 0; step < 5000; step++ {
+		// Mostly short steps, now and then a pause past the horizon.
+		now += time.Duration(rng.Intn(40)) * time.Millisecond
+		if rng.Intn(50) == 0 {
+			now += byKey.Horizon() + time.Duration(rng.Intn(1000))*time.Millisecond
+		}
+		key := keys[rng.Intn(1+rng.Intn(len(keys)))]
+		if handles[key] == nil {
+			h := NewLimiterHandle(key)
+			handles[key] = &h
+		}
+		a, b := byKey.Get(now, key), byHandle.At(now, handles[key])
+		if a.Allow(now, 1) != b.Allow(now, 1) || *a != *b {
+			t.Fatalf("step %d: key %q: Get %+v, handle %+v", step, key, *a, *b)
+		}
+		if byKey.Len() != byHandle.Len() {
+			t.Fatalf("step %d: Len %d by key, %d by handle", step, byKey.Len(), byHandle.Len())
+		}
+		for _, k := range keys {
+			pa, pb := byKey.Peek(k), byHandle.Peek(k)
+			if (pa == nil) != (pb == nil) || pa != nil && (*pa != *pb || pa.Rejects() != pb.Rejects()) {
+				t.Fatalf("step %d: Peek(%q) %v by key, %v by handle", step, k, pa, pb)
+			}
+		}
+	}
+	var wa, wb snapshot.Writer
+	byKey.Save(&wa)
+	byHandle.Save(&wb)
+	if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+		t.Fatal("the two pools save different bytes")
+	}
+}
+
+// TestLimiterHandleAfterLoad: a handle taken before Load finds the loaded
+// bucket, not the one it held.
+func TestLimiterHandleAfterLoad(t *testing.T) {
+	p := NewLimiterPool(20, 5)
+	h := NewLimiterHandle("k")
+	p.At(0, &h).Allow(0, 5) // drain it
+	var w snapshot.Writer
+	p.Save(&w)
+	before := p.At(0, &h)
+	if err := p.Load(snapshot.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if after := p.At(0, &h); after == before || after != p.Peek("k") || after.Allow(0, 1) {
+		t.Fatal("the handle kept the bucket Load replaced")
+	}
 }

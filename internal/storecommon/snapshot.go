@@ -78,10 +78,13 @@ func (p *LimiterPool) Load(r *snapshot.Reader) error {
 			rate, burst, horizon)
 	}
 	p.lastSweep = lastSweep
+	for _, e := range p.entries {
+		e.pool = nil // handles find the loaded entries
+	}
 	p.entries = make(map[string]*poolEntry, n)
 	for i := 0; i < n; i++ {
 		k := r.String()
-		e := &poolEntry{lim: RateLimiter{rate: p.rate, burst: p.burst}, lastUsed: r.Duration()}
+		e := &poolEntry{lim: RateLimiter{rate: p.rate, burst: p.burst}, lastUsed: r.Duration(), pool: p}
 		if err := e.lim.Load(r); err != nil {
 			return err
 		}
