@@ -166,9 +166,9 @@ examples:
 # (ROADMAP item 4). The pattern must be azurebench/...:
 # -coverpkg=./internal/... silently matches nothing for these mains.
 # Takes minutes; not part of `make check`. What it lists of
-# internal/analysis (seededrand, errdrop, simblock, lockorder and their
-# framework) are helpers that run only while a finding is being rendered;
-# the tree is clean, so only the fixture tests reach them.
+# internal/analysis (four per-package analyzers and their framework) are
+# the paths that run only while a finding is being reported; the tree is
+# clean, so only the fixture tests reach them.
 U := bin/unreached
 COVBUILD := $(GO) build -cover -coverpkg=azurebench/...
 unreached:

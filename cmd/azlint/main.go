@@ -1,14 +1,13 @@
-// Command azlint is the repository's determinism-and-safety linter: an
-// interprocedural multichecker for the four analyzers in
-// internal/analysis (seededrand, errdrop, simblock, lockorder), each kept
-// because it reports a violation the tests let through (DESIGN.md §8).
-// Global-rand taint is tracked across function and package boundaries
-// through one program-wide table of per-function summaries, and
-// diagnostics report the full call chain at the deterministic call site.
+// Command azlint is the repository's determinism-and-safety linter: a
+// multichecker for the four analyzers in internal/analysis (seededrand,
+// errdrop, simblock, lockorder), each kept because it reports a
+// violation the tests let through (DESIGN.md §8). Every check is local
+// to one package; a global math/rand draw is reported at its own line,
+// in whichever package it is made.
 //
 // It takes package patterns and nothing else — there are no flags —
-// loading the whole program via `go list -export -deps` and the gc
-// export-data importer:
+// type-checking each matched package against export data from
+// `go list -export -deps` and the gc export-data importer:
 //
 //	go build -o bin/azlint ./cmd/azlint
 //	bin/azlint ./...

@@ -44,23 +44,9 @@ type allowSite struct {
 	file     string
 	line     int
 	pos      token.Pos
-	// used flips when the site suppresses a diagnostic or sanctions a
-	// taint seed; a site left unused while its analyzer runs is stale.
+	// used flips when the site suppresses a diagnostic; a site left
+	// unused while its analyzer runs is stale.
 	used bool
-}
-
-// allowCovers reports whether an allow for analyzer covers (file, line)
-// — i.e. a directive sits on that line or the one above — marking the
-// site used.
-func allowCovers(allows []*allowSite, analyzer, file string, line int) bool {
-	hit := false
-	for _, a := range allows {
-		if a.analyzer == analyzer && a.file == file && (a.line == line || a.line == line-1) {
-			a.used = true
-			hit = true
-		}
-	}
-	return hit
 }
 
 // parseAllows scans the files' comments for azlint directives. It
@@ -122,19 +108,23 @@ func parseAllows(fset *token.FileSet, files []*ast.File) ([]*allowSite, []Diagno
 	return allows, diags
 }
 
-// filterAllowed drops diagnostics covered by a suppression, marking the
-// covering sites used.
+// filterAllowed drops diagnostics covered by a suppression — a
+// directive for the same analyzer on the diagnostic's line or the one
+// above — marking the covering sites used.
 func filterAllowed(fset *token.FileSet, diags []Diagnostic, allows []*allowSite) []Diagnostic {
-	if len(allows) == 0 {
-		return diags
-	}
 	out := diags[:0]
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
-		if allowCovers(allows, d.Analyzer, pos.Filename, pos.Line) {
-			continue
+		covered := false
+		for _, a := range allows {
+			if a.analyzer == d.Analyzer && a.file == pos.Filename && (a.line == pos.Line || a.line == pos.Line-1) {
+				a.used = true
+				covered = true
+			}
 		}
-		out = append(out, d)
+		if !covered {
+			out = append(out, d)
+		}
 	}
 	return out
 }

@@ -44,7 +44,6 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
-	facts map[string]FuncTaint
 	diags *[]Diagnostic
 }
 
@@ -55,17 +54,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// TaintOf returns the interprocedural summary of fn from the program-wide
-// facts table, whichever package declares it. A zero summary means clean
-// (or unknown — standard library and out-of-module functions carry no
-// facts).
-func (p *Pass) TaintOf(fn *types.Func) FuncTaint {
-	if fn == nil {
-		return FuncTaint{}
-	}
-	return p.facts[FuncKey(fn)]
 }
 
 // Diagnostic is one reported problem.
@@ -95,19 +83,15 @@ func NewInfo() *types.Info {
 	}
 }
 
-// Analyze adds pkg's interprocedural summaries to facts — the one
-// program-wide table, which must already hold those of every package pkg
-// imports (callers analyse in dependency order) — and applies analyzers,
-// returning the surviving diagnostics in file/position order.
-// Suppressions from //azlint:allow directives are applied; malformed or
-// unknown directives — and directives for a ran analyzer that suppressed
-// nothing (stale debt) — are themselves reported as analyzer "azlint".
-// Test files never contribute diagnostics. A nil analyzers slice computes
-// facts only.
-func Analyze(pkg *Package, analyzers []*Analyzer, facts map[string]FuncTaint) []Diagnostic {
+// Analyze applies analyzers to pkg, returning the surviving diagnostics
+// in file/position order. Suppressions from //azlint:allow directives
+// are applied; malformed or unknown directives — and directives for a
+// ran analyzer that suppressed nothing (stale debt) — are themselves
+// reported as analyzer "azlint". Test files never contribute
+// diagnostics.
+func Analyze(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	files := nonTestFiles(pkg.Fset, pkg.Files)
 	allows, diags := parseAllows(pkg.Fset, files)
-	ComputeFacts(pkg, files, facts, allows)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
@@ -115,7 +99,6 @@ func Analyze(pkg *Package, analyzers []*Analyzer, facts map[string]FuncTaint) []
 			Files:    files,
 			Pkg:      pkg.Pkg,
 			Info:     pkg.Info,
-			facts:    facts,
 			diags:    &diags,
 		}
 		a.Run(pass)
@@ -145,46 +128,6 @@ func nonTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
 		out = append(out, f)
 	}
 	return out
-}
-
-// --- package scoping ---
-
-// deterministicSegments are the import-path segments of packages that
-// must draw randomness from an explicit seeded source: those whose
-// behaviour must be a pure function of the seed, plus the SDK client
-// (its retry jitter must be injectable so live retry schedules reproduce
-// under a fixed seed). A package is in scope if any path segment
-// matches, or ends in "store" (blobstore, queuestore, tablestore,
-// cachestore, storecommon, ...).
-var deterministicSegments = map[string]bool{
-	"sim":          true,
-	"cloud":        true,
-	"model":        true,
-	"core":         true,
-	"faults":       true,
-	"georepl":      true,
-	"netmodel":     true,
-	"partitionmgr": true,
-	"scenario":     true,
-	"telemetry":    true,
-	"trace":        true,
-	"tracegraph":   true,
-	"sdk":          true,
-}
-
-// Deterministic reports whether the package at importPath must draw
-// randomness from an explicit seeded source. The "store" substring rule
-// covers the storage engines and is restricted to internal/ so that
-// example binaries like examples/livestore (live-mode harnesses) stay
-// out of scope.
-func Deterministic(importPath string) bool {
-	internal := hasSegment(importPath, "internal")
-	for _, seg := range strings.Split(importPath, "/") {
-		if deterministicSegments[seg] || (internal && strings.Contains(seg, "store")) {
-			return true
-		}
-	}
-	return false
 }
 
 // hasSegment reports whether importPath contains seg as a path segment.

@@ -7,16 +7,11 @@ import (
 	"azurebench/internal/analysis/atest"
 )
 
+// TestSeededrand: every global draw is reported at its own line, in any
+// package; a helper chain is reported once, at the draw it ends in.
 func TestSeededrand(t *testing.T) {
-	atest.Run(t, analysis.Seededrand, "seededrand/cloud", "seededrand/outofscope", "seededrand/tracegraph")
-}
-
-// TestSeededrandChain pins the interprocedural behaviour: a deterministic
-// package calling a helper chain that ends in a global math/rand draw is
-// flagged at the call site with the full chain; the equivalent helper
-// that takes a seeded *rand.Rand is not.
-func TestSeededrandChain(t *testing.T) {
-	atest.Run(t, analysis.Seededrand, "seededrand/chain/cloud", "seededrand/chain/helpers")
+	atest.Run(t, analysis.Seededrand, "seededrand/cloud", "seededrand/outofscope",
+		"seededrand/tracegraph", "seededrand/chain")
 }
 
 func TestLockorder(t *testing.T) {
@@ -37,32 +32,4 @@ func TestErrdrop(t *testing.T) {
 
 func TestSimblock(t *testing.T) {
 	atest.Run(t, analysis.Simblock, "simblock/app")
-}
-
-func TestScopes(t *testing.T) {
-	for path, want := range map[string]bool{
-		"azurebench/internal/sim":          true,
-		"azurebench/internal/cloud":        true,
-		"azurebench/internal/core":         true,
-		"azurebench/internal/blobstore":    true,
-		"azurebench/internal/storecommon":  true,
-		"azurebench/internal/trace":        true,
-		"azurebench/internal/tracegraph":   true,
-		"azurebench/internal/telemetry":    true,
-		"azurebench/internal/model":        true,
-		"azurebench/internal/faults":       true,
-		"azurebench/internal/partitionmgr": true,
-		"azurebench/internal/scenario":     true,
-		"azurebench/internal/sdk":          true,
-		"azurebench/internal/liverun":      false,
-		"azurebench/internal/retry":        false,
-		"azurebench/internal/rest":         false,
-		"azurebench/internal/vclock":       false,
-		"azurebench/examples/livestore":    false,
-		"azurebench/cmd/azurebench":        false,
-	} {
-		if got := analysis.Deterministic(path); got != want {
-			t.Errorf("Deterministic(%q) = %v, want %v", path, got, want)
-		}
-	}
 }

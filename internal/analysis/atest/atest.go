@@ -3,10 +3,11 @@
 // but standard-library only.
 //
 // Fixture packages live in a GOPATH-style tree, testdata/src/<importpath>/,
-// so scope-sensitive analyzers see realistic import paths ("seededrand/cloud"
-// has a "cloud" segment and is deterministic; "seededrand/outofscope" is
-// not). Imports between fixture packages resolve within the tree;
-// standard-library imports are type-checked from source via go/importer.
+// so scope-sensitive analyzers see realistic import paths (errdrop
+// tracks calls into packages with a "cloud" segment, so "errdrop/cloud"
+// is tracked and "errdrop/app" is not). Imports between fixture packages
+// resolve within the tree; standard-library imports are type-checked
+// from source via go/importer.
 //
 // Expected diagnostics are declared inline:
 //
@@ -43,11 +44,6 @@ var (
 	fset     = token.NewFileSet()
 	stdImp   types.Importer
 	pkgCache = map[string]*fixturePkg{}
-	// facts is the program-wide interprocedural table. A fixture's
-	// dependencies are fully loaded (facts included) before the importing
-	// package finishes type-checking, so every resolvable callee is in it
-	// by the time its caller is analysed.
-	facts = map[string]analysis.FuncTaint{}
 )
 
 type fixturePkg struct {
@@ -75,7 +71,7 @@ func Run(t *testing.T, a *analysis.Analyzer, paths ...string) {
 		}
 		diags := analysis.Analyze(
 			&analysis.Package{Fset: fset, Files: fp.files, Pkg: fp.pkg, Info: fp.info},
-			[]*analysis.Analyzer{a}, facts,
+			[]*analysis.Analyzer{a},
 		)
 		checkWants(t, path, fp.files, diags)
 	}
@@ -122,9 +118,6 @@ func loadFixture(testdata, path string) *fixturePkg {
 		return fp
 	}
 	fp.pkg, fp.info = pkg, info
-	// Compute interprocedural facts now, so dependents (whose Check
-	// triggered this load) find them in the table.
-	analysis.Analyze(&analysis.Package{Fset: fset, Files: fp.files, Pkg: pkg, Info: info}, nil, facts)
 	return fp
 }
 

@@ -1,9 +1,8 @@
 // Package driver runs the azlint analyzer suite over type-checked
 // packages with nothing but the standard library. It takes package
 // patterns (`azlint ./...`) and nothing else, shells out to
-// `go list -export -deps -json` and processes packages in dependency
-// order, filling one program-wide table of interprocedural function
-// summaries so each package sees the facts of everything it imports.
+// `go list -export -deps -json`, type-checks each matched package
+// against its dependencies' export data and analyses it on its own.
 // Findings go to stderr, one `file:line:col: message [azlint:name]` line
 // each.
 //
@@ -68,9 +67,8 @@ func run(patterns []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "azlint: go list: %v\n", err)
 		return 2
 	}
+	// Dependencies are listed for their export data only.
 	exports := map[string]string{}
-	// `go list -deps` emits dependencies before dependents, which is
-	// exactly the order facts must be computed in.
 	var pkgs []listPackage
 	dec := json.NewDecoder(strings.NewReader(string(out)))
 	for {
@@ -84,7 +82,7 @@ func run(patterns []string, stderr io.Writer) int {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.Standard {
+		if !p.DepOnly && !p.Standard {
 			pkgs = append(pkgs, p)
 		}
 	}
@@ -100,7 +98,6 @@ func run(patterns []string, stderr io.Writer) int {
 	// One importer across packages: shared dependencies load once.
 	imp := importer.ForCompiler(fset, "gc", lookup)
 
-	facts := map[string]analysis.FuncTaint{}
 	exit := 0
 	for _, p := range pkgs {
 		var paths []string
@@ -120,12 +117,7 @@ func run(patterns []string, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		// Dependencies outside the patterns contribute facts only.
-		var analyzers []*analysis.Analyzer
-		if !p.DepOnly {
-			analyzers = analysis.All()
-		}
-		for _, d := range analysis.Analyze(&analysis.Package{Fset: fset, Files: files, Pkg: pkg, Info: info}, analyzers, facts) {
+		for _, d := range analysis.Analyze(&analysis.Package{Fset: fset, Files: files, Pkg: pkg, Info: info}, analysis.All()) {
 			fmt.Fprintf(stderr, "%s: %s [azlint:%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 			exit = 1
 		}

@@ -1,6 +1,5 @@
-// Fixture: the "cloud" path segment makes this package deterministic —
-// randomness must come from an explicit seeded source, never the
-// process-global math/rand state.
+// Fixture: randomness must come from an explicit seeded source, never
+// the process-global math/rand state.
 package cloud
 
 import "math/rand"

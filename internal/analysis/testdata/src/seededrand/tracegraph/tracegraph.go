@@ -1,8 +1,7 @@
-// Fixture: the "tracegraph" path segment is simulation-facing, so
-// trace/span identity generation must stay a pure function of the seed.
-// A span-ID generator that touches the process-global math/rand source
-// would make trace exports (and everything digested from them)
-// irreproducible; the analyzer must flag it.
+// Fixture: trace/span identity generation must stay a pure function of
+// the seed. A span-ID generator that touches the process-global
+// math/rand source would make trace exports (and everything digested
+// from them) irreproducible; the analyzer must flag it.
 package tracegraph
 
 import (

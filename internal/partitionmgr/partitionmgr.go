@@ -159,12 +159,10 @@ type Master struct {
 	ticked   bool
 
 	// Static-placement state (Dynamic false): the legacy first-sight
-	// round-robin map from (table|pk) to server — the form snapshots and
-	// Placements keep — and placed, the same pins by table and then by
-	// partition key, so that Place builds the joined key once per
-	// partition, not once per request.
+	// round-robin map from (table|pk) to server, the form snapshots and
+	// Placements keep. Callers cache the answer per partition
+	// (cloud.partSite), so Place runs once per partition, not per request.
 	place  map[string]int
-	placed map[string]map[string]int
 	nextRR int
 }
 
@@ -193,7 +191,6 @@ func New(cfg Config, rand *sim.Rand) *Master {
 		tables:  map[string]*tableState{},
 		servers: cfg.Servers,
 		place:   map[string]int{},
-		placed:  map[string]map[string]int{},
 	}
 }
 
@@ -230,10 +227,6 @@ func (m *Master) NoteHandoffReject() { m.stats.HandoffRejects++ }
 // Place is the static-placement path: each (table, partition key) pins to
 // a server round-robin on first sight, exactly the paper's model.
 func (m *Master) Place(table, pk string) int {
-	byPK := m.placed[table]
-	if idx, ok := byPK[pk]; ok {
-		return idx
-	}
 	key := table + "|" + pk
 	idx, ok := m.place[key]
 	if !ok {
@@ -241,11 +234,6 @@ func (m *Master) Place(table, pk string) int {
 		m.nextRR++
 		m.place[key] = idx
 	}
-	if byPK == nil {
-		byPK = map[string]int{}
-		m.placed[table] = byPK
-	}
-	byPK[pk] = idx
 	return idx
 }
 

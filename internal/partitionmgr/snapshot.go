@@ -117,7 +117,6 @@ func (m *Master) Load(r *snap.Reader) error {
 
 	np := r.Count()
 	m.place = make(map[string]int, np)
-	m.placed = map[string]map[string]int{}
 	for i := 0; i < np; i++ {
 		k := r.String()
 		m.place[k] = r.Int()
